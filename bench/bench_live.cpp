@@ -99,12 +99,11 @@ void BM_GridRunLivePlane(benchmark::State& state) {
 }
 BENCHMARK(BM_GridRunLivePlane)->Unit(benchmark::kMillisecond);
 
-/// A plane over one fabricated shard, no server/ticker threads: isolates
-/// the publish-path cost from socket machinery.
+/// A plane over a fabricated registry and ring, no server/ticker threads:
+/// isolates the publish-path cost from socket machinery.
 struct PlaneHarness {
   obs::MetricsRegistry metrics;
   obs::TraceBuffer trace{1 << 12};
-  double now = 0.0;
   std::uint64_t executed = 0;
   std::unique_ptr<obs::live::LivePlane> plane;
 
@@ -117,12 +116,9 @@ struct PlaneHarness {
     obs::live::LiveConfig config;
     config.publish_interval = publish_interval;
     obs::live::LivePlane::Bindings b;
-    obs::live::ShardBinding sb;
-    sb.metrics = &metrics;
-    sb.trace = &trace;
-    sb.now = [this] { return now; };
-    sb.executed = [this] { return executed; };
-    b.shards.push_back(std::move(sb));
+    b.metrics = &metrics;
+    b.trace = &trace;
+    b.executed = [this] { return executed; };
     plane = std::make_unique<obs::live::LivePlane>(config, std::move(b));
     plane->begin_run();
     plane->publish(0.0, false);  // schema capture off the timed path
@@ -151,7 +147,6 @@ void BM_LivePublishSnapshot(benchmark::State& state) {
   PlaneHarness h(/*publish_interval=*/0.0);
   double t = 1.0;
   for (auto _ : state) {
-    h.now = t;
     ++h.executed;
     h.plane->publish(t, false);
     t += 1.0;

@@ -97,7 +97,7 @@ BENCHMARK(BM_GridRunProfiler)->Unit(benchmark::kMillisecond);
 // and a ProfStats insert into the kind and entity histograms. This is what
 // Engine::step pays per handler when a lane is attached.
 void BM_ProfilerLaneRecord(benchmark::State& state) {
-  obs::Profiler prof{obs::ProfilerConfig{}};
+  obs::Profiler prof;
   obs::ProfilerLane& lane = prof.lane(0);
   for (auto _ : state) {
     lane.begin_event();

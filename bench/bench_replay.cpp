@@ -17,7 +17,7 @@
 // the eight cells under a minute on a laptop. The binary exits non-zero if
 // streaming RSS grows with trace length like preload does (the regression
 // this benchmark exists to catch); throughput comparisons are left to
-// ci/run.sh, which applies the >=8-hardware-thread guard BENCH_shard uses.
+// ci/run.sh, which applies them only on hosts with >= 8 hardware threads.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>

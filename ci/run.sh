@@ -13,18 +13,16 @@
 # and assert the grid-wide phase-balance invariant, exercise the live
 # operations plane (DESIGN.md §15: scrape /metrics /healthz /progress
 # /traces/recent mid-run and schema-check them, then prove the monitoring
-# endpoint moves no bytes of the report/trace artifacts at 1, 2, and 8
-# shards), then run the engine,
+# endpoint moves no bytes of the report/trace artifacts), check that
+# checkpoint/restore reproduces a run byte for byte, then run the engine,
 # trace, and telemetry benchmarks from the optimized build and record the
 # headline figures in BENCH_engine.json / BENCH_trace.json /
 # BENCH_telemetry.json (sampling overhead must stay under 5%), record the
-# sharded-simulation scaling sweep (E13) in BENCH_shard.json, and record
-# the host-time profiler overhead (E14) in BENCH_profiler.json (must also
+# host-time profiler overhead (E14) in BENCH_profiler.json (must also
 # stay under 5%), and record the live-plane overhead (E17) in
-# BENCH_live.json (same 5% budget). The chaos run executes under --profile and its
-# profile.json is schema-checked (exclusive phases must sum to each
-# shard's wall clock, no negative self times) along with the host-timeline
-# Chrome trace artifact.
+# BENCH_live.json (same 5% budget). The chaos run executes under --profile
+# and its profile.json is schema-checked (the execute and idle phases must
+# sum to the run's wall clock, no negative self times).
 #
 # Usage: ci/run.sh [--skip-bench]
 set -euo pipefail
@@ -53,11 +51,6 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "${JOBS}" --target test_sweep
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ./build-tsan/tests/test_sweep
-
-echo "==> ThreadSanitizer: sharded chaos run (loss + partition + crash)"
-cmake --build --preset tsan -j "${JOBS}" --target test_core
-TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-  ./build-tsan/tests/test_core --gtest_filter='ShardChaos.*'
 
 echo "==> ThreadSanitizer: live plane (concurrent scrapes + stall watchdog)"
 cmake --build --preset tsan -j "${JOBS}" --target test_obs
@@ -274,50 +267,36 @@ print(f"chaos: {submitted:.0f} submitted = {completed:.0f} completed + "
       f"{counters['faucets_retry_attempts_total']:.0f} retries")
 PY
 
-echo "==> host-time profile artifacts (profile.json schema + Chrome trace)"
+echo "==> host-time profile artifact (profile.json schema)"
 python3 - "${CHAOS_DIR}" <<'PY'
 import json, sys
 d = sys.argv[1]
 
-# profile.json (DESIGN.md §12, schema 1): clock calibration sane, event and
-# window totals populated, and every shard's exclusive phases non-negative
-# and summing to its wall clock within tolerance (host clocks jitter; allow
-# 5% of wall or 5 ms, whichever is larger).
+# profile.json (DESIGN.md §12, schema 2): clock calibration sane, event
+# totals populated, and the exclusive execute/idle phases non-negative and
+# summing to the run's wall clock within tolerance (host clocks jitter;
+# allow 5% of wall or 5 ms, whichever is larger).
 prof = json.load(open(f"{d}/profile.json"))
-assert prof["schema"] == 1, prof["schema"]
+assert prof["schema"] == 2, prof["schema"]
 assert prof["clock"]["source"] in ("tsc", "steady_clock"), prof["clock"]
 assert prof["clock"]["ns_per_tick"] > 0, prof["clock"]
-assert prof["wall_seconds"] > 0, "profiled run recorded no wall time"
+wall = prof["wall_seconds"]
+assert wall > 0, "profiled run recorded no wall time"
 assert prof["events_total"] > 0, "profiled run attributed no events"
-for shard in prof["shards"]:
-    wall = shard["wall_seconds"]
-    phases = shard["phases"]
-    assert set(phases) == {"execute", "mailbox_drain", "merge",
-                           "barrier_wait", "idle"}, phases
-    for name, seconds in phases.items():
-        assert seconds >= 0, f"shard {shard['shard']} {name} < 0: {seconds}"
-    total = sum(phases.values())
-    tol = max(0.05 * wall, 0.005)
-    assert abs(total - wall) <= tol, (
-        f"shard {shard['shard']}: phases sum {total} vs wall {wall}")
+phases = prof["phases"]
+assert set(phases) == {"execute", "idle"}, phases
+for name, seconds in phases.items():
+    assert seconds >= 0, f"{name} < 0: {seconds}"
+total = sum(phases.values())
+tol = max(0.05 * wall, 0.005)
+assert abs(total - wall) <= tol, f"phases sum {total} vs wall {wall}"
 for row in prof["kinds"] + prof["entities"]:
     assert row["count"] > 0 and row["seconds"] >= 0, row
     assert row["min_us"] - 1e-9 <= row["p50_us"] <= row["p99_us"] + 1e-9, row
     assert row["mean_us"] >= 0, row
-
-# The host-timeline Chrome trace parses and keeps its lanes in the 9000+
-# pid range, disjoint from the sim-time trace, so the two merge cleanly.
-chrome = json.load(open(f"{d}/profile.chrome.json"))
-pids = {e["pid"] for e in chrome["traceEvents"]}
-assert pids and all(p >= 9000 for p in pids), pids
-procs = {e["args"]["name"] for e in chrome["traceEvents"]
-         if e["ph"] == "M" and e["name"] == "process_name"}
-assert "host: shards" in procs and "host: coordinator" in procs, procs
-print(f"profile.json: {prof['events_total']} events, "
-      f"{len(prof['shards'])} shard(s), {len(prof['kinds'])} kinds, "
-      f"clock {prof['clock']['source']}; "
-      f"profile.chrome.json: {len(chrome['traceEvents'])} events on pids "
-      f"{sorted(pids)}")
+print(f"profile.json: {prof['events_total']} events, {len(prof['kinds'])} "
+      f"kinds, execute {phases['execute']:.3f} s of {wall:.3f} s wall, "
+      f"clock {prof['clock']['source']}")
 PY
 
 echo "==> telemetry report artifacts + grid-wide phase-balance invariant"
@@ -395,12 +374,13 @@ while time.monotonic() < deadline:
     status, body = get("/progress")
     assert status == 200, (status, body)
     progress = json.loads(body)
-    assert progress["schema"] == "faucets.live.progress.v1", progress
+    assert progress["schema"] == "faucets.live.progress.v2", progress
     if progress["publishes"] > 0 and progress["run_active"]:
         break
     time.sleep(0.1)
 assert progress and progress["publishes"] > 0, progress
-assert progress["jobs"]["submitted"] >= 0 and progress["shards"], progress
+assert progress["jobs"]["submitted"] >= 0, progress
+assert progress["events_executed"] > 0, progress
 
 status, body = get("/healthz")
 health = json.loads(body)
@@ -436,23 +416,21 @@ kill "${LIVE_PID}" 2>/dev/null || true
 wait "${LIVE_PID}" 2>/dev/null || true
 rm -rf "${LIVE_DIR}/stdout.txt"
 
-echo "==> live plane byte-identity: --serve on/off at 1/2/8 shards"
+echo "==> live plane byte-identity: --serve on/off"
 # The hard observability guarantee: serving the monitoring endpoints moves
-# no bytes of the report JSON or trace JSONL at any shard count
+# no bytes of the report JSON or trace JSONL
 # (tests/core/live_plane_test.cpp pins the same property in-process).
-for S in 1 2 8; do
-  ./build-release-bench/examples/scenario_sim "${CHAOS_DIR}/chaos.ini" \
-    --shards "${S}" --loss 0.1 --until 1000000 --no-progress \
-    --report-json "${LIVE_DIR}/off-s${S}.json" \
-    --trace-jsonl "${LIVE_DIR}/off-s${S}.jsonl" >/dev/null
-  ./build-release-bench/examples/scenario_sim "${CHAOS_DIR}/chaos.ini" \
-    --shards "${S}" --loss 0.1 --until 1000000 --no-progress --serve \
-    --report-json "${LIVE_DIR}/on-s${S}.json" \
-    --trace-jsonl "${LIVE_DIR}/on-s${S}.jsonl" >/dev/null
-  cmp "${LIVE_DIR}/off-s${S}.json" "${LIVE_DIR}/on-s${S}.json"
-  cmp "${LIVE_DIR}/off-s${S}.jsonl" "${LIVE_DIR}/on-s${S}.jsonl"
-  echo "live plane: shards=${S} artifacts byte-identical with --serve"
-done
+./build-release-bench/examples/scenario_sim "${CHAOS_DIR}/chaos.ini" \
+  --loss 0.1 --until 1000000 --no-progress \
+  --report-json "${LIVE_DIR}/off.json" \
+  --trace-jsonl "${LIVE_DIR}/off.jsonl" >/dev/null
+./build-release-bench/examples/scenario_sim "${CHAOS_DIR}/chaos.ini" \
+  --loss 0.1 --until 1000000 --no-progress --serve \
+  --report-json "${LIVE_DIR}/on.json" \
+  --trace-jsonl "${LIVE_DIR}/on.jsonl" >/dev/null
+cmp "${LIVE_DIR}/off.json" "${LIVE_DIR}/on.json"
+cmp "${LIVE_DIR}/off.jsonl" "${LIVE_DIR}/on.jsonl"
+echo "live plane: artifacts byte-identical with --serve"
 
 echo "==> durable store: kill-and-resume golden run (DESIGN.md §14)"
 STORE_DIR="build-release-bench/store-artifacts"
@@ -499,45 +477,41 @@ jobs = 150
 load = 0.6
 INI
 
-# Reference artifacts: uninterrupted runs at 1 and 8 shards.
-for S in 1 8; do
-  ./build-release-bench/examples/scenario_sim "${STORE_DIR}/golden.ini" \
-    --shards "${S}" \
-    --report-json "${STORE_DIR}/ref-s${S}.json" \
-    --trace-jsonl "${STORE_DIR}/ref-s${S}.jsonl" >/dev/null
+# Reference artifacts: the uninterrupted run.
+./build-release-bench/examples/scenario_sim "${STORE_DIR}/golden.ini" \
+  --report-json "${STORE_DIR}/ref.json" \
+  --trace-jsonl "${STORE_DIR}/ref.jsonl" >/dev/null
 
-  # Checkpoint mid-run (the hook must not perturb the run), then restore:
-  # the replay re-verifies the fingerprint at T and must finish
-  # byte-identical — report JSON and trace JSONL alike.
-  ./build-release-bench/examples/scenario_sim "${STORE_DIR}/golden.ini" \
-    --shards "${S}" \
-    --checkpoint-at 40 --checkpoint "${STORE_DIR}/grid-s${S}.ckpt" \
-    --report-json "${STORE_DIR}/ckpt-s${S}.json" \
-    --trace-jsonl "${STORE_DIR}/ckpt-s${S}.jsonl" >/dev/null
-  cmp "${STORE_DIR}/ckpt-s${S}.json" "${STORE_DIR}/ref-s${S}.json"
-  cmp "${STORE_DIR}/ckpt-s${S}.jsonl" "${STORE_DIR}/ref-s${S}.jsonl"
+# Checkpoint mid-run (the hook must not perturb the run), then restore: the
+# replay re-verifies the fingerprint at T and must finish byte-identical —
+# report JSON and trace JSONL alike.
+./build-release-bench/examples/scenario_sim "${STORE_DIR}/golden.ini" \
+  --checkpoint-at 40 --checkpoint "${STORE_DIR}/grid.ckpt" \
+  --report-json "${STORE_DIR}/ckpt.json" \
+  --trace-jsonl "${STORE_DIR}/ckpt.jsonl" >/dev/null
+cmp "${STORE_DIR}/ckpt.json" "${STORE_DIR}/ref.json"
+cmp "${STORE_DIR}/ckpt.jsonl" "${STORE_DIR}/ref.jsonl"
 
-  ./build-release-bench/examples/scenario_sim \
-    --restore "${STORE_DIR}/grid-s${S}.ckpt" \
-    --report-json "${STORE_DIR}/res-s${S}.json" \
-    --trace-jsonl "${STORE_DIR}/res-s${S}.jsonl" >/dev/null
-  cmp "${STORE_DIR}/res-s${S}.json" "${STORE_DIR}/ref-s${S}.json"
-  cmp "${STORE_DIR}/res-s${S}.jsonl" "${STORE_DIR}/ref-s${S}.jsonl"
-  echo "store: shards=${S} checkpoint + restore byte-identical"
-done
+./build-release-bench/examples/scenario_sim \
+  --restore "${STORE_DIR}/grid.ckpt" \
+  --report-json "${STORE_DIR}/res.json" \
+  --trace-jsonl "${STORE_DIR}/res.jsonl" >/dev/null
+cmp "${STORE_DIR}/res.json" "${STORE_DIR}/ref.json"
+cmp "${STORE_DIR}/res.jsonl" "${STORE_DIR}/ref.jsonl"
+echo "store: checkpoint + restore byte-identical"
 
 # Credit conservation is part of the report contract: the ledger section's
 # residual must stay within float rounding on every golden run.
 python3 - "${STORE_DIR}" <<'PY'
 import json, sys
 d = sys.argv[1]
-for name in ("ref-s1", "ref-s8", "res-s1", "res-s8"):
+for name in ("ref", "res"):
     ledger = json.load(open(f"{d}/{name}.json"))["ledger"]
     assert ledger["barter"], f"{name}: barter grid expected"
     assert abs(ledger["conservation_residual"]) <= 1e-9, (
         f"{name}: credits not conserved: {ledger}")
     assert ledger["opening_credits"] == 1000.0, ledger
-print("ledger: conservation residual <= 1e-9 on all four golden runs")
+print("ledger: conservation residual <= 1e-9 on both golden runs")
 PY
 
 # SIGKILL the run mid-flight with a durable store attached, then prove the
@@ -616,7 +590,7 @@ BENCH_JSON="build-release-bench/bench_engine_raw.json"
 
 # Distill the headline figure: best items_per_second across repetitions.
 python3 - "${BENCH_JSON}" <<'PY'
-import json, sys
+import json, os, sys
 raw = json.load(open(sys.argv[1]))
 rates = [b["items_per_second"] for b in raw["benchmarks"]
          if b.get("run_type") == "aggregate" and b["aggregate_name"] == "max"
@@ -624,10 +598,15 @@ rates = [b["items_per_second"] for b in raw["benchmarks"]
 if not rates:  # fall back to any reported rate
     rates = [b["items_per_second"] for b in raw["benchmarks"]
              if "items_per_second" in b]
+cpu = "unknown"
+if os.path.exists("/proc/cpuinfo"):
+    cpu = next((line.split(":", 1)[1].strip() for line in open("/proc/cpuinfo")
+                if line.startswith("model name")), cpu)
 out = {
     "benchmark": "BM_EngineScheduleCancelRun/1000000",
     "workload": "1M events: schedule at pseudo-random times (i % 1009), cancel every 3rd via EventHandle, run to drain",
     "events_per_sec": round(max(rates)),
+    "hardware": {"cpu": cpu, "hardware_concurrency": os.cpu_count() or 1},
     "build": "release-bench (-O3 -DNDEBUG)",
     "source": "ci/run.sh",
     # One-time reference measurement against the pre-refactor engine
@@ -671,48 +650,6 @@ out = {
 }
 json.dump(out, open("BENCH_trace.json", "w"), indent=2)
 print("BENCH_trace.json: %.0f events/sec" % out["events_per_sec"])
-PY
-
-echo "==> bench_shard (E13: conservative parallel scaling at 1/2/4/8 shards)"
-./build-release-bench/bench/bench_shard --out BENCH_shard.json
-
-python3 - <<'PY'
-import json, os
-out = json.load(open("BENCH_shard.json"))
-runs = {r["shards"]: r for r in out["runs"]}
-hw = os.cpu_count() or 1
-print("BENCH_shard.json: " + ", ".join(
-    "%d shards %d ev/s (%.2fx)"
-    % (s, runs[s]["events_per_sec"], runs[s]["speedup"])
-    for s in sorted(runs)))
-
-# Near-linear scaling only means something with real cores underneath the
-# shard threads; small CI boxes still verify byte-identical output above
-# (bench_shard exits non-zero if any shard count moves a byte of the
-# report) and the determinism/chaos tests cover correctness.
-def stall_diagnosis(run):
-    # schema_version 2 rows carry the §12 profiler's per-shard phase split;
-    # print it before failing so "too slow" comes with a *where*.
-    lines = ["  %d shards, %d windows:" % (run["shards"], run.get("windows", 0))]
-    for d in run.get("shards_detail", []):
-        lines.append(
-            "    shard %d: busy %3.0f%%  barrier-wait %3.0f%%  drain %3.0f%%"
-            "  merge %3.0f%%  idle %3.0f%%"
-            % (d["shard"], 100 * d["busy_frac"], 100 * d["barrier_frac"],
-               100 * d["drain_frac"], 100 * d["merge_frac"],
-               100 * d["idle_frac"]))
-    return "\n".join(lines)
-
-if hw >= 8:
-    if runs[4]["speedup"] < 2.0:
-        print("stall diagnosis (host-time phase split per shard):")
-        for s in sorted(runs):
-            print(stall_diagnosis(runs[s]))
-        raise AssertionError(
-            "sharded run speedup %.2fx at 4 shards < 2x on %d hardware "
-            "threads — see phase split above (high barrier-wait = load "
-            "imbalance or lookahead starvation; high drain/merge = "
-            "coordinator-bound)" % (runs[4]["speedup"], hw))
 PY
 
 echo "==> bench_replay (E15: streaming vs preloaded SWF replay memory/throughput)"

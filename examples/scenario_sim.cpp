@@ -22,10 +22,6 @@
 //                           --partition 1:50:90       # cluster:from:until
 //                           --until 36000             # hard stop, seconds
 //
-// Sharded runs (conservative parallel simulation, DESIGN.md §11):
-//
-//   ./examples/scenario_sim --shards 4                # overrides [shards]
-//
 // Durable state + checkpoint/restore (DESIGN.md §14):
 //
 //   ./examples/scenario_sim --store-dir runs/store    # WAL + snapshots
@@ -39,8 +35,7 @@
 // Host-time profiling (DESIGN.md §12):
 //
 //   ./examples/scenario_sim --profile                 # writes profile.json
-//   ./examples/scenario_sim --profile=perf/run.json   # + run.prom and
-//                                                     #   run.chrome.json
+//   ./examples/scenario_sim --profile=perf/run.json   # + run.prom
 //
 // Live monitoring (DESIGN.md §15):
 //
@@ -123,7 +118,6 @@ struct Options {
   std::optional<std::string> partition;  // CLUSTER:FROM:UNTIL
   std::optional<std::string> crash_at;   // CLUSTER:AT[:RESTART]
   std::optional<std::string> until;
-  std::optional<std::string> shards;
   std::optional<std::string> report_json;
   std::optional<std::string> profile;  // profile.json path
   std::optional<std::string> store_dir;
@@ -197,7 +191,6 @@ Options parse_args(int argc, char** argv) {
     if (take_flag(arg, argc, argv, i, "--partition", opts.partition)) continue;
     if (take_flag(arg, argc, argv, i, "--crash-at", opts.crash_at)) continue;
     if (take_flag(arg, argc, argv, i, "--until", opts.until)) continue;
-    if (take_flag(arg, argc, argv, i, "--shards", opts.shards)) continue;
     if (take_flag(arg, argc, argv, i, "--report-json", opts.report_json)) continue;
     if (take_flag(arg, argc, argv, i, "--store-dir", opts.store_dir)) continue;
     if (take_flag(arg, argc, argv, i, "--checkpoint-at", opts.checkpoint_at)) continue;
@@ -265,10 +258,6 @@ void apply_override(faucets::core::Scenario& scenario, double& until,
     crash.at = f[1];
     if (f.size() == 3) crash.restart_at = f[2];
     scenario.grid.crashes.push_back(crash);
-  } else if (flag == "--shards") {
-    const long n = std::stol(value);
-    if (n < 1) throw std::invalid_argument("--shards must be >= 1");
-    scenario.grid.shards = static_cast<std::size_t>(n);
   } else if (flag == "--until") {
     until = std::stod(value);
   } else {
@@ -290,11 +279,11 @@ int main(int argc, char** argv) {
     std::optional<faucets::store::Checkpoint> restore_ckpt;
     if (opts.restore) {
       if (opts.scenario_file || opts.loss || opts.jitter || opts.partition ||
-          opts.crash_at || opts.shards || opts.until || opts.checkpoint_at) {
+          opts.crash_at || opts.until || opts.checkpoint_at) {
         throw std::invalid_argument(
             "--restore replays the checkpointed scenario and overrides; drop "
             "the scenario file and --loss/--jitter/--partition/--crash-at/"
-            "--shards/--until/--checkpoint-at");
+            "--until/--checkpoint-at");
       }
       restore_ckpt = faucets::store::Checkpoint::read_file(*opts.restore);
       scenario_text = restore_ckpt->scenario_text;
@@ -319,7 +308,6 @@ int main(int argc, char** argv) {
       if (opts.jitter) overrides.emplace_back("--jitter", *opts.jitter);
       if (opts.partition) overrides.emplace_back("--partition", *opts.partition);
       if (opts.crash_at) overrides.emplace_back("--crash-at", *opts.crash_at);
-      if (opts.shards) overrides.emplace_back("--shards", *opts.shards);
       if (opts.until) overrides.emplace_back("--until", *opts.until);
     }
 
@@ -354,7 +342,7 @@ int main(int argc, char** argv) {
     }
 
     // --profile[=path] writes the JSON summary to `path` and derives the
-    // sibling artifacts (Prometheus text, host Chrome trace) from its stem.
+    // sibling Prometheus artifact from its stem.
     if (opts.profile) {
       std::string stem = *opts.profile;
       const std::string suffix = ".json";
@@ -365,7 +353,6 @@ int main(int argc, char** argv) {
       scenario.grid.profile.enabled = true;
       scenario.grid.profile.json_path = *opts.profile;
       scenario.grid.profile.metrics_path = stem + ".prom";
-      scenario.grid.profile.chrome_path = stem + ".chrome.json";
     }
 
     // Reports want time-series charts, so turn sampling on whenever any
@@ -389,10 +376,6 @@ int main(int argc, char** argv) {
       if (clones > 1) std::cout << ", " << clones << " clones per job";
     } else {
       std::cout << scenario.workload.job_count << " jobs";
-    }
-    if (scenario.grid.shards >= 1) {
-      std::cout << " across " << scenario.grid.shards
-                << (scenario.grid.shards == 1 ? " shard" : " shards");
     }
     std::cout << "...\n\n";
     auto grid = scenario.make_grid();
@@ -419,7 +402,6 @@ int main(int argc, char** argv) {
         faucets::store::Checkpoint ckpt;
         ckpt.scenario_text = scenario_text;
         ckpt.overrides = overrides;
-        ckpt.shards = scenario.grid.shards;
         faucets::core::fill_checkpoint(ckpt, *grid, at);
         ckpt.write_file(path);
         std::cout << "checkpoint written to " << path << " at t=" << at << "\n";
@@ -453,15 +435,8 @@ int main(int argc, char** argv) {
       std::cout << "wrote report JSON to " << *opts.report_json << "\n";
     }
     if (opts.profile) {
-      if (grid->profiler() != nullptr) {
-        std::cout << "wrote host-time profile to "
-                  << scenario.grid.profile.json_path << " (+ "
-                  << scenario.grid.profile.metrics_path << ", "
-                  << scenario.grid.profile.chrome_path << ")\n";
-      } else {
-        std::cout << "host-time profiling compiled out (FAUCETS_PROFILE=0); "
-                     "no profile written\n";
-      }
+      std::cout << "wrote host-time profile to " << scenario.grid.profile.json_path
+                << " (+ " << scenario.grid.profile.metrics_path << ")\n";
     }
     if (opts.trace_jsonl) {
       auto out = open_out(*opts.trace_jsonl);

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/obs/profiler.hpp"
-#include "src/sweep/thread_pool.hpp"
 
 namespace faucets::core {
 
@@ -23,45 +22,12 @@ double GridReport::grid_utilization_weighted() const {
 
 GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
                        std::size_t user_count)
-    : config_(std::move(config)),
-      router_(config_.shards >= 1
-                  ? std::make_unique<sim::ShardRouter>(config_.shards)
-                  : nullptr),
-      ctx_(sim::SimConfig{.network = config_.network, .router = router_.get()}) {
+    : config_(std::move(config)), ctx_(config_.network) {
   if (clusters.empty()) throw std::invalid_argument("grid needs >= 1 cluster");
   if (user_count == 0) throw std::invalid_argument("grid needs >= 1 user");
-  if (router_ != nullptr && config_.network.base_latency <= 0.0) {
-    throw std::invalid_argument(
-        "sharded grid needs base_latency > 0 (it is the conservative lookahead)");
-  }
-  for (std::size_t s = 1; s < config_.shards; ++s) {
-    extra_ctx_.push_back(std::make_unique<sim::SimContext>(
-        sim::SimConfig{.network = config_.network,
-                       .router = router_.get(),
-                       .shard = static_cast<std::uint32_t>(s)}));
-  }
 
-  // The point budget must be in place before any entity registers a series,
-  // and span journaling before any entity opens a span: journal-mode ids are
-  // shard-tagged from the first span on.
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    shard_context(s).sampler().set_default_capacity(config_.telemetry.series_capacity);
-  }
-  if (router_ != nullptr) {
-    for (std::size_t s = 0; s < shard_count(); ++s) {
-      sim::SimContext& c = shard_context(s);
-      c.spans().enable_journal(
-          static_cast<std::uint32_t>(s), [eng = &c.engine()] {
-            const sim::Engine::ExecStamp st = eng->exec_stamp();
-            obs::SpanTracker::Stamp out;
-            out.time = eng->now();
-            out.rank = st.rank;
-            out.creator = st.creator;
-            out.cseq = st.cseq;
-            return out;
-          });
-    }
-  }
+  // The point budget must be in place before any entity registers a series.
+  ctx_.sampler().set_default_capacity(config_.telemetry.series_capacity);
 
   central_ = std::make_unique<CentralServer>(ctx_, config_.central);
   if (!config_.store.dir.empty()) {
@@ -79,66 +45,20 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
     BrokerConfig broker_config;
     broker_config.retry = config_.retry;
     broker_ = std::make_unique<BrokerAgent>(ctx_, central_->id(), broker_config);
-    if (router_ != nullptr) {
-      // One peer broker per extra shard: clients submit to their own shard's
-      // broker, and RFB rounds for remote servers are forwarded between
-      // brokers as one grouped message per shard instead of per-server
-      // broadcasts through shard 0.
-      for (std::size_t s = 1; s < shard_count(); ++s) {
-        peer_brokers_.push_back(std::make_unique<BrokerAgent>(
-            shard_context(s), central_->id(), broker_config));
-      }
-      std::vector<EntityId> by_shard(shard_count());
-      by_shard[0] = broker_->id();
-      for (std::size_t s = 1; s < shard_count(); ++s) {
-        by_shard[s] = peer_brokers_[s - 1]->id();
-      }
-      broker_->set_peering(0, by_shard, router_.get());
-      for (std::size_t s = 1; s < shard_count(); ++s) {
-        peer_brokers_[s - 1]->set_peering(static_cast<std::uint32_t>(s), by_shard,
-                                          router_.get());
-      }
-    }
   }
 
-  // Sharded runs read the Central Server's contract history ("grid weather",
-  // §5.2.1) through per-shard replicas replayed from its journal at lookahead
-  // barriers, with queries lagged by one lookahead so every shard — including
-  // the central's own — sees the same prefix at every shard count.
-  const double lookahead = config_.network.base_latency;
-  if (router_ != nullptr) {
-    central_->mutable_price_history().enable_journal();
-    history_replicas_.reserve(shard_count());
-    for (std::size_t s = 0; s < shard_count(); ++s) {
-      history_replicas_.emplace_back(central_->price_history().capacity(),
-                                     central_->price_history().window());
-    }
-  }
-
-  // Stand up one daemon + cluster manager per Compute Server. Contiguous
-  // partitioning: cluster i lives on shard i*N/C, so id-adjacent clusters
-  // share a shard and the merge tie-break (src shard order) coincides with
-  // entity-id order for structured fan-out patterns.
+  // Stand up one daemon + cluster manager per Compute Server.
   DaemonConfig daemon_config = config_.daemon;
   daemon_config.retry = config_.retry;
-  daemon_shard_.resize(clusters.size(), 0);
   for (std::size_t i = 0; i < clusters.size(); ++i) {
-    const std::size_t shard =
-        router_ != nullptr ? i * config_.shards / clusters.size() : 0;
-    daemon_shard_[i] = shard;
-    sim::SimContext& c = shard_context(shard);
     ClusterSetup& setup = clusters[i];
     const ClusterId cluster_id{i};
     auto cm = std::make_unique<cluster::ClusterManager>(
-        c, setup.machine, setup.strategy(), setup.costs, cluster_id);
+        ctx_, setup.machine, setup.strategy(), setup.costs, cluster_id);
     auto daemon = std::make_unique<FaucetsDaemon>(
-        c, cluster_id, std::move(cm), setup.bid_generator(),
+        ctx_, cluster_id, std::move(cm), setup.bid_generator(),
         central_->id(), appspector_->id(), daemon_config);
-    if (router_ != nullptr) {
-      daemon->set_grid_history(&history_replicas_[shard], lookahead);
-    } else {
-      daemon->set_grid_history(&central_->price_history());
-    }
+    daemon->set_grid_history(&central_->price_history());
     daemon->register_with_central();
     if (config_.central.billing == BillingMode::kBarter) {
       central_->open_barter_account(cluster_id, setup.barter_credits);
@@ -148,9 +68,6 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
 
   // Fault plan: cluster-indexed partitions resolve to daemon entities now
   // that the daemons exist; crashes (and restarts) become scheduled events.
-  // Every shard's network gets the full fault plan — partitions are
-  // sender-side (id, time) checks, so any shard can drop traffic to or from
-  // an isolated daemon.
   sim::FaultConfig faults = config_.faults;
   for (const auto& p : config_.partitions) {
     faults.partitions.push_back(
@@ -163,20 +80,15 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
   // bid_rounds and diverge after the boundary.
   const bool chaos = faults.any() || faults.active_from > 0.0 ||
                      !config_.crashes.empty();
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    shard_context(s).network().set_faults(faults);
-  }
+  ctx_.network().set_faults(faults);
   for (const auto& c : config_.crashes) {
     schedule_cluster_shutdown(c.cluster, c.at, c.graceful);
     if (c.restart_at) schedule_cluster_restart(c.cluster, *c.restart_at);
   }
 
   // One client per user, each with an account at the Central Server. Users
-  // get round-robin home clusters; user u lives on shard u*N/U.
-  client_shard_.resize(user_count, 0);
+  // get round-robin home clusters.
   for (std::size_t u = 0; u < user_count; ++u) {
-    const std::size_t shard = router_ != nullptr ? u * config_.shards / user_count : 0;
-    client_shard_[u] = shard;
     const std::string username = "user" + std::to_string(u);
     const std::string password = "pw-" + std::to_string(u * 7919 + 13);
     const ClusterId home{u % daemons_.size()};
@@ -195,22 +107,19 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
     cc.bid_rounds = chaos ? config_.retry.max_attempts : 1;
     if (config_.clients_prefer_home) cc.home_cluster = home;
     if (broker_) {
-      cc.broker = (router_ != nullptr && shard != 0)
-                      ? peer_brokers_[shard - 1]->id()
-                      : broker_->id();
+      cc.broker = broker_->id();
       cc.criteria = config_.broker_criteria;
     }
     auto evaluator = config_.evaluator
                          ? config_.evaluator()
                          : std::make_unique<market::LeastCostEvaluator>();
     clients_.push_back(std::make_unique<FaucetsClient>(
-        shard_context(shard), central_->id(), std::move(evaluator), std::move(cc)));
+        ctx_, central_->id(), std::move(evaluator), std::move(cc)));
   }
 
   if (config_.telemetry.sample_interval > 0.0) {
     next_sample_due_ = config_.telemetry.sample_interval;
   }
-  shard_sample_due_.assign(shard_count(), next_sample_due_);
 
   // Tag every entity with its coarse category so the host-time profiler can
   // attribute per-event self time by entity type. The byte is inert (and the
@@ -220,9 +129,6 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
       static_cast<std::uint8_t>(obs::ProfClass::kAppSpector));
   if (broker_) {
     broker_->set_profile_class(static_cast<std::uint8_t>(obs::ProfClass::kBroker));
-  }
-  for (auto& b : peer_brokers_) {
-    b->set_profile_class(static_cast<std::uint8_t>(obs::ProfClass::kBroker));
   }
   for (auto& d : daemons_) {
     d->set_profile_class(static_cast<std::uint8_t>(obs::ProfClass::kDaemon));
@@ -238,71 +144,45 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
 }
 
 void GridSystem::setup_profiler() {
-#if FAUCETS_PROFILE
   if (!config_.profile.enabled) return;
-  obs::ProfilerConfig pc;
-  pc.lanes = shard_count();
-  pc.lookahead = router_ != nullptr ? config_.network.base_latency : 0.0;
-  // Timeline slices only exist for windowed (sharded) execution; the
-  // single-engine loop is one execute span, so skip the ring's megabyte —
-  // construction cost is part of the measured enable-overhead budget.
-  if (router_ == nullptr) pc.timeline_capacity = 0;
-  profiler_ = std::make_unique<obs::Profiler>(pc);
+  profiler_ = std::make_unique<obs::Profiler>();
   profiler_->set_kind_name(0, "timer");
   for (std::size_t k = 0; k < sim::kMessageKindCount; ++k) {
     profiler_->set_kind_name(
         1 + k,
         std::string(sim::to_string(static_cast<sim::MessageKind>(k))));
   }
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    shard_context(s).engine().set_profiler(&profiler_->lane(s));
-    shard_context(s).network().set_profiler(&profiler_->lane(s));
-  }
-#endif
+  ctx_.engine().set_profiler(&profiler_->lane());
+  ctx_.network().set_profiler(&profiler_->lane());
 }
 
 void GridSystem::setup_live_plane() {
   if (!config_.live.enabled()) return;
   obs::live::LivePlane::Bindings b;
-  b.sharded = router_ != nullptr;
-  b.lookahead = router_ != nullptr ? config_.network.base_latency : 0.0;
+  b.metrics = &ctx_.metrics();
+  b.trace = &ctx_.trace();
+  b.executed = [eng = &ctx_.engine()] { return eng->executed(); };
   b.profiler = profiler_.get();
-  // Alerts are recorded by the simulation thread into shard 0's ring at
-  // publish boundaries, so they merge into artifacts exactly like any other
-  // trace event — and clean runs record none, keeping artifacts
-  // byte-identical with the plane on or off.
+  // Alerts are recorded by the simulation thread into the trace ring at
+  // publish boundaries, so they reach artifacts like any other trace event
+  // — and clean runs record none, keeping artifacts byte-identical with the
+  // plane on or off.
   b.alert_sink = &ctx_.trace();
-  // Resolve the grid-wide job counters once per shard; the probes then sum
-  // raw pointers at every publish without any name lookups.
-  std::vector<const obs::Counter*> submitted;
-  std::vector<const obs::Counter*> completed;
-  std::vector<const obs::Counter*> unplaced;
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    sim::SimContext& c = shard_context(s);
-    obs::live::ShardBinding sb;
-    sb.metrics = &c.metrics();
-    sb.trace = &c.trace();
-    sb.now = [eng = &c.engine()] { return eng->now(); };
-    sb.executed = [eng = &c.engine()] { return eng->executed(); };
-    b.shards.push_back(std::move(sb));
-    const obs::MetricsRegistry& m = c.metrics();
-    submitted.push_back(m.find_counter("faucets_grid_jobs_submitted_total"));
-    completed.push_back(m.find_counter("faucets_grid_jobs_completed_total"));
-    unplaced.push_back(m.find_counter("faucets_grid_jobs_unplaced_total"));
-  }
-  const auto sum_of = [](const std::vector<const obs::Counter*>& cs) {
-    std::uint64_t n = 0;
-    for (const obs::Counter* c : cs) {
-      if (c != nullptr) n += c->value();
-    }
-    return n;
+  // Resolve the grid-wide job counters once; the probes then read raw
+  // pointers at every publish without any name lookups.
+  const obs::MetricsRegistry& m = ctx_.metrics();
+  const obs::Counter* submitted = m.find_counter("faucets_grid_jobs_submitted_total");
+  const obs::Counter* completed = m.find_counter("faucets_grid_jobs_completed_total");
+  const obs::Counter* unplaced = m.find_counter("faucets_grid_jobs_unplaced_total");
+  const auto value_of = [](const obs::Counter* c) {
+    return c != nullptr ? c->value() : std::uint64_t{0};
   };
-  b.job_counts = [submitted, completed, unplaced, sum_of](
+  b.job_counts = [submitted, completed, unplaced, value_of](
                      std::uint64_t& sub, std::uint64_t& comp,
                      std::uint64_t& unp) {
-    sub = sum_of(submitted);
-    comp = sum_of(completed);
-    unp = sum_of(unplaced);
+    sub = value_of(submitted);
+    comp = value_of(completed);
+    unp = value_of(unplaced);
   };
   b.workload_exhausted = [this] {
     return demux_ == nullptr || demux_->source_exhausted();
@@ -328,29 +208,24 @@ void GridSystem::setup_live_plane() {
     return n;
   };
   b.monitors.open_submission_roots = [this] {
-    std::uint64_t n = 0;
-    for (std::size_t s = 0; s < shard_count(); ++s) {
-      n += shard_context(s).spans().open_submissions();
-    }
-    return n;
+    return ctx_.spans().open_submissions();
   };
-  b.monitors.jobs_in_flight = [submitted, completed, unplaced, sum_of] {
-    return static_cast<std::int64_t>(sum_of(submitted)) -
-           static_cast<std::int64_t>(sum_of(completed)) -
-           static_cast<std::int64_t>(sum_of(unplaced));
+  b.monitors.jobs_in_flight = [submitted, completed, unplaced, value_of] {
+    return static_cast<std::int64_t>(value_of(submitted)) -
+           static_cast<std::int64_t>(value_of(completed)) -
+           static_cast<std::int64_t>(value_of(unplaced));
   };
   live_ = std::make_unique<obs::live::LivePlane>(config_.live, std::move(b));
 }
 
 void GridSystem::write_profile_artifacts() const {
   if (profiler_ == nullptr) return;
-  if (config_.profile.json_path.empty() && config_.profile.metrics_path.empty() &&
-      config_.profile.chrome_path.empty()) {
+  if (config_.profile.json_path.empty() && config_.profile.metrics_path.empty()) {
     return;  // nothing to export: skip the registry build entirely
   }
-  // Building the faucets_prof_* registry (~50 named instruments) costs far
-  // more than the whole hot path on a short run, so it's paid here — at
-  // export time — not inside run().
+  // Building the faucets_prof_* registry (dozens of named instruments)
+  // costs far more than the whole hot path on a short run, so it's paid
+  // here — at export time — not inside run().
   profiler_->finalize();
   if (!config_.profile.json_path.empty()) {
     std::ofstream os{config_.profile.json_path};
@@ -359,10 +234,6 @@ void GridSystem::write_profile_artifacts() const {
   if (!config_.profile.metrics_path.empty()) {
     std::ofstream os{config_.profile.metrics_path};
     profiler_->write_prometheus(os);
-  }
-  if (!config_.profile.chrome_path.empty()) {
-    std::ofstream os{config_.profile.chrome_path};
-    profiler_->write_chrome(os);
   }
 }
 
@@ -378,13 +249,11 @@ void GridSystem::maybe_sample() {
 }
 
 bool GridSystem::maybe_pause(double now) {
-  // One-shot: at most one pause per run, at the first consistent boundary
-  // with time >= pause_at_. Classic runs pass the next event's timestamp
+  // One-shot: at most one pause per run, at the first event boundary with
+  // time >= pause_at_. The run loop passes the next event's timestamp
   // BEFORE stepping it, so nothing at or past the boundary has executed
   // when the hook runs — a forked child's treatment swap then covers
   // exactly the sends a from-scratch run would gate on active_from.
-  // Sharded runs pass T_min at a barrier (workers idle), so the hook
-  // always sees a globally consistent grid.
   if (!pause_hook_ || pause_fired_ || now < pause_at_) return true;
   pause_fired_ = true;
   // Hold the live plane's stall watchdog: a checkpoint capture can exceed
@@ -399,32 +268,6 @@ bool GridSystem::maybe_pause(double now) {
   return false;
 }
 
-void GridSystem::maybe_sample_shard(std::size_t s) {
-  // Sharded twin of maybe_sample(): each shard samples its own sampler on
-  // its own clock from its own worker thread (shared state: none).
-  sim::SimContext& c = shard_context(s);
-  if (c.now() < shard_sample_due_[s]) return;
-  c.sampler().sample(c.now());
-  shard_sample_due_[s] = c.now() + config_.telemetry.sample_interval;
-}
-
-void GridSystem::replay_history() {
-  // Barrier-time (workers idle): push the Central Server's newly journaled
-  // contracts into every shard's replica. Replay goes through record() so a
-  // replica's bounded deque evicts exactly like the live history's. The
-  // applied prefix is compacted away — journal entries are addressed by
-  // global index, so the cursor survives compaction and a long run's
-  // journal memory stays bounded by one barrier interval's contracts.
-  if (history_replicas_.empty()) return;
-  market::PriceHistory& history = central_->mutable_price_history();
-  const std::size_t end = history.journal_size();
-  for (; history_applied_ < end; ++history_applied_) {
-    const market::ContractRecord& rec = history.journal_at(history_applied_);
-    for (auto& replica : history_replicas_) replica.record(rec);
-  }
-  history.compact_journal(history_applied_);
-}
-
 GridSystem::~GridSystem() = default;
 
 GridReport GridSystem::run(std::vector<job::JobRequest> requests, double until) {
@@ -433,20 +276,15 @@ GridReport GridSystem::run(std::vector<job::JobRequest> requests, double until) 
 }
 
 GridReport GridSystem::run(job::WorkloadSource& source, double until) {
-  merged_.reset();
   pause_fired_ = false;
   abandoned_ = false;
-  // Route the shared stream across the per-user clients. Sharded runs use
-  // manual refill: lanes must never pull the shared source from a worker
-  // thread, so the coordinator extends them at every barrier instead.
-  job::WorkloadDemux demux(source, clients_.size(),
-                           /*manual_refill=*/router_ != nullptr);
+  // Route the shared stream across the per-user clients.
+  job::WorkloadDemux demux(source, clients_.size());
   demux.prime();
   demux_ = &demux;
   for (std::size_t u = 0; u < clients_.size(); ++u) {
-    // Serial pre-run arming: each client claims creation attribution and
-    // schedules its first submission timer at now = 0, exactly as the old
-    // preload did, so canonical event identity is source-independent.
+    // Each client schedules its first submission timer at now = 0, exactly
+    // as the old preload did, so event order is source-independent.
     clients_[u]->run_source(demux.lane(u));
   }
 
@@ -460,82 +298,42 @@ GridReport GridSystem::run(job::WorkloadSource& source, double until) {
     }
     return true;
   };
-#if FAUCETS_PROFILE
   if (profiler_ != nullptr) profiler_->begin_run();
-#endif
   if (live_ != nullptr) live_->begin_run();
-  if (router_ == nullptr) {
-#if FAUCETS_PROFILE
-    if (profiler_ != nullptr) {
-      // One execute span around the whole loop: an unsharded lane has no
-      // drain/merge/barrier, so its wall clock is execute plus idle.
-      const std::uint64_t t0 = obs::HostClock::ticks();
-      while (!all_done()) {
-        if (!maybe_pause(ctx_.engine().next_time())) break;
-        if (!ctx_.engine().step(until)) break;
-        maybe_sample();
-        // Between steps the grid is at an event boundary — the live plane's
-        // consistent publish point (paced, so most iterations cost one
-        // clock read and a compare).
-        if (live_ != nullptr) live_->maybe_publish(ctx_.now());
-      }
-      if (!abandoned_) ctx_.engine().run(std::min(until, ctx_.now() + 1.0));
-      profiler_->lane(0).add_execute(obs::HostClock::ticks() - t0);
-      makespan_ = ctx_.now();
-    } else
-#endif
-    {
-      while (!all_done()) {
-        if (!maybe_pause(ctx_.engine().next_time())) break;
-        if (!ctx_.engine().step(until)) break;
-        maybe_sample();
-        // Between steps the grid is at an event boundary — the live plane's
-        // consistent publish point (paced, so most iterations cost one
-        // clock read and a compare).
-        if (live_ != nullptr) live_->maybe_publish(ctx_.now());
-      }
-      // Drain in-flight housekeeping for one simulated second: the daemons'
-      // ContractSettled reports to the Central Server (price history,
-      // billing, barter transfers) trail the completion notices clients
-      // wait for.
-      if (!abandoned_) ctx_.engine().run(std::min(until, ctx_.now() + 1.0));
-      makespan_ = ctx_.now();
-    }
-  } else {
-    run_sharded(until, all_done);
+  const std::uint64_t loop_start = obs::HostClock::ticks();
+  while (!all_done()) {
+    if (!maybe_pause(ctx_.engine().next_time())) break;
+    if (!ctx_.engine().step(until)) break;
+    maybe_sample();
+    // Between steps the grid is at an event boundary — the live plane's
+    // consistent publish point (paced, so most iterations cost one clock
+    // read and a compare).
+    if (live_ != nullptr) live_->maybe_publish(ctx_.now());
   }
-#if FAUCETS_PROFILE
-  if (profiler_ != nullptr) profiler_->end_run();
-#endif
+  // Drain in-flight housekeeping for one simulated second: the daemons'
+  // ContractSettled reports to the Central Server (price history, billing,
+  // barter transfers) trail the completion notices clients wait for.
+  if (!abandoned_) ctx_.engine().run(std::min(until, ctx_.now() + 1.0));
+  if (profiler_ != nullptr) {
+    // The whole loop is one execute span; the rest of the run is idle.
+    profiler_->lane().add_execute(obs::HostClock::ticks() - loop_start);
+    profiler_->end_run();
+  }
   for (auto& d : daemons_) d->cm().finish_metrics();
   if (config_.telemetry.sample_interval > 0.0) {
     // Close the series on the final state so a chart's last point reflects
     // the drained grid.
-    if (router_ == nullptr) {
-      ctx_.sampler().sample(ctx_.now());
-      next_sample_due_ = ctx_.now() + config_.telemetry.sample_interval;
-    } else {
-      for (std::size_t s = 0; s < shard_count(); ++s) {
-        shard_context(s).sampler().sample(makespan_);
-        shard_sample_due_[s] = makespan_ + config_.telemetry.sample_interval;
-      }
-    }
+    ctx_.sampler().sample(ctx_.now());
+    next_sample_due_ = ctx_.now() + config_.telemetry.sample_interval;
   }
   // The span trees are final now: analyze once, publish the per-phase
-  // histograms, and cache the analysis for report()/telemetry(). Sharded
-  // runs analyze and publish into the deterministic merged views.
-  if (router_ == nullptr) {
-    analysis_ = obs::analyze_spans(ctx_.spans());
-    obs::observe_phase_histograms(ctx_.metrics(), *analysis_);
-  } else {
-    MergedObs& m = ensure_merged();
-    analysis_ = obs::analyze_spans(m.spans);
-    obs::observe_phase_histograms(m.metrics, *analysis_);
-  }
+  // histograms, and cache the analysis for report()/telemetry().
+  analysis_ = obs::analyze_spans(ctx_.spans());
+  obs::observe_phase_histograms(ctx_.metrics(), *analysis_);
   // Final publish with exit-semantics monitor checks (any still-held lease
   // counts) when the run actually drained; abandoned or `until`-bounded
   // runs keep the in-flight grace semantics.
-  if (live_ != nullptr) live_->end_run(makespan_, !abandoned_ && all_done());
+  if (live_ != nullptr) live_->end_run(ctx_.now(), !abandoned_ && all_done());
   if (profiler_ != nullptr) write_profile_artifacts();
   // A clean end of run rolls the WAL into a fresh snapshot: restart from
   // here replays zero operations. Abandoned runs skip it (the warm-fork
@@ -546,258 +344,15 @@ GridReport GridSystem::run(job::WorkloadSource& source, double until) {
   return report();
 }
 
-void GridSystem::run_sharded(double until, const std::function<bool()>& all_done) {
-  // Conservative windowed execution (DESIGN.md §11): no cross-shard message
-  // can arrive sooner than its send time + base_latency, so every shard may
-  // execute everything strictly below T_min + lookahead, where T_min is the
-  // global minimum of pending event and staged envelope times. Every send in
-  // a window happens at >= T_min, so its envelope arrives at >= window_end:
-  // a window never misses a message from its own present.
-  const double lookahead = config_.network.base_latency;
-  const std::size_t n = shard_count();
-  staged_.clear();
-  staged_.resize(n);
-  consumed_.assign(n, 0);
-  sweep::ThreadPool pool(n);
-#if FAUCETS_PROFILE
-  if (profiler_ != nullptr) pool.set_profiler(profiler_.get());
-#endif
-
-  auto barrier = [&] {
-    for (std::size_t s = 0; s < n; ++s) {
-#if FAUCETS_PROFILE
-      if (profiler_ != nullptr) {
-        const std::uint64_t d0 = obs::HostClock::ticks();
-        router_->drain(s, staged_[s], consumed_[s]);
-        profiler_->add_drain(s, obs::HostClock::ticks() - d0);
-        continue;
-      }
-#endif
-      router_->drain(s, staged_[s], consumed_[s]);
-    }
-    replay_history();
-  };
-  auto t_min = [&] {
-    double m = sim::Engine::kForever;
-    for (std::size_t s = 0; s < n; ++s) {
-      m = std::min(m, shard_context(s).engine().next_time());
-      if (consumed_[s] < staged_[s].size()) {
-        m = std::min(m, staged_[s][consumed_[s]].arrival);
-      }
-    }
-    return m;
-  };
-  // Run lookahead windows until nothing remains at or below `cap` (or, with
-  // `stop_when_done`, until every submission reached a terminal state).
-  // Everything between windows runs on this thread with the workers idle, so
-  // cross-shard reads (all_done, t_min, the history journal) are unshared.
-  auto windows = [&](double cap, bool stop_when_done) {
-#if FAUCETS_PROFILE
-    // Profiled twin of the loop below: the coordinator snapshots the clock
-    // around the barrier (drain shares are subtracted inside `barrier`, the
-    // remainder of the interval is per-lane merge) and after wait_idle (each
-    // lane's gap between dispatch and its task marks is barrier-wait). All
-    // hooks run between windows on this thread, with the workers idle.
-    if (profiler_ != nullptr) {
-      for (;;) {
-        profiler_->barrier_begin();
-        barrier();
-        if (stop_when_done && all_done()) {
-          profiler_->barrier_end();
-          return true;
-        }
-        const double tmin = t_min();
-        profiler_->barrier_end();
-        if (tmin >= sim::Engine::kForever || tmin > cap) return false;
-        if (!maybe_pause(tmin)) return false;
-        // Coordinator-only, workers idle: the sharded publish point.
-        if (live_ != nullptr) live_->maybe_publish(tmin);
-        profiler_->window_launch(tmin);
-        const double window_end = tmin + lookahead;
-        // Extend every client lane past this window before the workers
-        // start: chains re-arm off their lane heads, so a lane that ends
-        // inside the window would starve its client mid-window.
-        if (demux_ != nullptr) demux_->refill(window_end);
-        for (std::size_t s = 0; s < n; ++s) {
-          obs::ProfilerLane* lane = &profiler_->lane(s);
-          pool.submit([this, s, window_end, cap, lane] {
-            lane->begin_window_task();
-            run_shard_window(s, window_end, cap);
-            lane->end_window_task();
-          });
-        }
-        pool.wait_idle();
-        profiler_->window_complete();
-      }
-    }
-#endif
-    for (;;) {
-      barrier();
-      if (stop_when_done && all_done()) return true;
-      const double tmin = t_min();
-      if (tmin >= sim::Engine::kForever || tmin > cap) return false;
-      if (!maybe_pause(tmin)) return false;
-      // Same coordinator publish point as the profiled twin above.
-      if (live_ != nullptr) live_->maybe_publish(tmin);
-      const double window_end = tmin + lookahead;
-      // Same lane-coverage invariant as the profiled twin above.
-      if (demux_ != nullptr) demux_->refill(window_end);
-      for (std::size_t s = 0; s < n; ++s) {
-        pool.submit([this, s, window_end, cap] {
-          run_shard_window(s, window_end, cap);
-        });
-      }
-      pool.wait_idle();
-    }
-  };
-
-  // Phase A: the market runs until quiescent (or `until`).
-  const bool done = windows(until, /*stop_when_done=*/true);
-  if (abandoned_) return;  // pause hook bailed; the caller discards the run
-
-  // Phase B: drain trailing housekeeping (ContractSettled reports, billing,
-  // barter transfers) for one simulated second — the single-engine drain
-  // bound, derived from the clients' last terminal outcome because no one
-  // shard's clock is "the" clock. Phase A overshoots that moment by less
-  // than one lookahead window, which stays inside this bound for any sane
-  // base_latency (< 1s).
-  double terminal = 0.0;
-  if (done) {
-    for (const auto& c : clients_) {
-      terminal = std::max(terminal, c->last_terminal_time());
-    }
-  } else {
-    for (std::size_t s = 0; s < n; ++s) {
-      terminal = std::max(terminal, shard_context(s).now());
-    }
-  }
-  const double drain_end = std::min(until, terminal + 1.0);
-  windows(drain_end, /*stop_when_done=*/false);
-
-  makespan_ = 0.0;
-  for (std::size_t s = 0; s < n; ++s) {
-    makespan_ = std::max(makespan_, shard_context(s).now());
-  }
-  // Mirror Engine::run's clamp: when events remain beyond a finite drain
-  // bound (the daemons' monitor timers re-arm forever), the single-engine
-  // clock comes to rest exactly at the bound.
-  bool more = false;
-  for (std::size_t s = 0; s < n; ++s) {
-    if (shard_context(s).engine().next_time() < sim::Engine::kForever ||
-        consumed_[s] < staged_[s].size()) {
-      more = true;
-    }
-  }
-  if (more && drain_end < sim::Engine::kForever) makespan_ = drain_end;
-  // All shards come to rest on one clock, like the single global engine:
-  // report-time accounting (utilization windows, final samples) reads now()
-  // and must see the same end time regardless of which shard hosts it.
-  for (std::size_t s = 0; s < n; ++s) {
-    shard_context(s).engine().advance_to(makespan_);
-  }
-}
-
-void GridSystem::run_shard_window(std::size_t s, double window_end, double cap) {
-  // Merge the shard's own event heap with its staged cross-shard envelopes
-  // in exactly the order one global heap would have produced: ascending
-  // canonical order (time, scheduling rank, creator, creation seq). An
-  // engine event's rank is the time it was scheduled (its send time, for
-  // deliveries); an envelope carries its sender's values.
-  sim::SimContext& ctx = shard_context(s);
-  sim::Engine& engine = ctx.engine();
-  auto& staged = staged_[s];
-  std::size_t& pos = consumed_[s];
-  for (;;) {
-    const double et = engine.next_time();
-    bool pick_env = false;
-    double t = et;
-    if (pos < staged.size()) {
-      const auto& env = staged[pos];
-      if (et != env.arrival) {
-        pick_env = env.arrival < et;
-      } else {
-        const double er = engine.next_rank();
-        if (er != env.sent_at) {
-          pick_env = env.sent_at < er;
-        } else {
-          const std::uint64_t ec = engine.next_creator();
-          pick_env = ec != env.creator ? env.creator < ec
-                                       : env.cseq < engine.next_cseq();
-        }
-      }
-      if (pick_env) t = env.arrival;
-    }
-    if (t >= window_end || t > cap) break;
-    if (pick_env) {
-      auto& env = staged[pos];
-      engine.advance_to(env.arrival);
-      engine.begin_external_event(env.sent_at, env.creator, env.cseq);
-#if FAUCETS_PROFILE
-      // Cross-shard deliveries bypass Engine::step, so they get their own
-      // event bracket here (the network tags kind/class inside deliver).
-      if (profiler_ != nullptr) {
-        obs::ProfilerLane& lane = profiler_->lane(s);
-        lane.begin_event();
-        ctx.network().deliver_envelope(env.kind, std::move(env.msg));
-        lane.end_event();
-      } else {
-        ctx.network().deliver_envelope(env.kind, std::move(env.msg));
-      }
-#else
-      ctx.network().deliver_envelope(env.kind, std::move(env.msg));
-#endif
-      ++pos;
-    } else {
-      engine.step(cap);
-    }
-    maybe_sample_shard(s);
-  }
-}
-
 const obs::SpanAnalysis& GridSystem::analysis() const {
-  if (!analysis_) analysis_ = obs::analyze_spans(merged_spans());
+  if (!analysis_) analysis_ = obs::analyze_spans(ctx_.spans());
   return *analysis_;
-}
-
-GridSystem::MergedObs& GridSystem::ensure_merged() const {
-  if (!merged_) {
-    std::vector<const obs::MetricsRegistry*> regs;
-    std::vector<const obs::SpanTracker*> spans;
-    std::vector<const obs::TraceBuffer*> traces;
-    for (std::size_t s = 0; s < shard_count(); ++s) {
-      const sim::SimContext& c = shard_context(s);
-      regs.push_back(&c.metrics());
-      spans.push_back(&c.spans());
-      traces.push_back(&c.trace());
-    }
-    MergedObs m;
-    m.metrics = obs::MetricsRegistry::merged(regs);
-    m.spans = obs::SpanTracker::merge_journals(spans);
-    m.trace = obs::TraceView::merged(traces);
-    merged_ = std::move(m);
-  }
-  return *merged_;
-}
-
-const obs::MetricsRegistry& GridSystem::merged_metrics() const {
-  return router_ != nullptr ? ensure_merged().metrics : ctx_.metrics();
-}
-
-const obs::SpanTracker& GridSystem::merged_spans() const {
-  return router_ != nullptr ? ensure_merged().spans : ctx_.spans();
-}
-
-obs::TraceView GridSystem::merged_trace() const {
-  if (router_ != nullptr) return ensure_merged().trace;
-  return obs::TraceView::merged({&ctx_.trace()});
 }
 
 void GridSystem::schedule_cluster_shutdown(std::size_t i, double when,
                                            bool graceful) {
   FaucetsDaemon* daemon = daemons_.at(i).get();
-  sim::Engine& eng = shard_context(daemon_shard_.at(i)).engine();
-  eng.set_current_entity(daemon->id().value());
-  eng.schedule_at(when, [daemon, graceful] {
+  ctx_.engine().schedule_at(when, [daemon, graceful] {
     if (graceful) {
       daemon->drain_and_shutdown();
     } else {
@@ -808,9 +363,7 @@ void GridSystem::schedule_cluster_shutdown(std::size_t i, double when,
 
 void GridSystem::schedule_cluster_restart(std::size_t i, double when) {
   FaucetsDaemon* daemon = daemons_.at(i).get();
-  sim::Engine& eng = shard_context(daemon_shard_.at(i)).engine();
-  eng.set_current_entity(daemon->id().value());
-  eng.schedule_at(when, [daemon] { daemon->restart(); });
+  ctx_.engine().schedule_at(when, [daemon] { daemon->restart(); });
 }
 
 std::unique_ptr<GridSystem> GridBuilder::build() {
@@ -848,34 +401,23 @@ std::unique_ptr<GridSystem> GridBuilder::build() {
                                   std::to_string(clusters_.size()) + " exist");
     }
   }
-  if (config_.shards >= 1 && config_.network.base_latency <= 0.0) {
-    throw std::invalid_argument(
-        "GridBuilder: sharded runs need base_latency > 0 (it is the "
-        "conservative lookahead)");
-  }
   return std::make_unique<GridSystem>(std::move(config_), std::move(clusters_),
                                       users_);
 }
 
 GridReport GridSystem::report() const {
   GridReport out;
-  out.makespan = router_ != nullptr ? makespan_ : ctx_.now();
-  // Traffic accumulates per shard network (sends counted by the sender's
-  // fabric, deliveries by the receiver's) and merges as an exact sum.
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    const sim::Network& net = shard_context(s).network();
-    out.messages += net.messages_sent();
-    out.network_bytes += net.bytes_sent();
-    for (std::size_t k = 0; k < sim::kMessageKindCount; ++k) {
-      out.messages_sent_by_kind[k] += net.sent_by_kind()[k];
-      out.messages_delivered_by_kind[k] += net.delivered_by_kind()[k];
-    }
-  }
+  out.makespan = ctx_.now();
+  const sim::Network& net = ctx_.network();
+  out.messages = net.messages_sent();
+  out.network_bytes = net.bytes_sent();
+  out.messages_sent_by_kind = net.sent_by_kind();
+  out.messages_delivered_by_kind = net.delivered_by_kind();
 
   // Grid-wide totals come straight from the metrics registry: every client
   // and daemon increments the shared instruments, so the report no longer
   // re-plumbs ad-hoc counters through each layer.
-  const obs::MetricsRegistry& metrics = merged_metrics();
+  const obs::MetricsRegistry& metrics = ctx_.metrics();
   out.jobs_submitted = metrics.counter_value("faucets_grid_jobs_submitted_total");
   out.jobs_completed = metrics.counter_value("faucets_grid_jobs_completed_total");
   out.jobs_unplaced = metrics.counter_value("faucets_grid_jobs_unplaced_total");

@@ -68,7 +68,7 @@ struct ClusterPartition {
 };
 
 /// Opt-in host-time profiling (DESIGN.md §12): per-event self-time
-/// attribution, exclusive shard phase accounting, and a wall-clock timeline.
+/// attribution and an execute/idle split of the run's wall clock.
 /// Profiling records into its own registry and artifacts only, so report
 /// JSON / trace JSONL stay byte-identical with it on or off.
 struct ProfileConfig {
@@ -76,7 +76,6 @@ struct ProfileConfig {
   /// Artifact paths written at the end of run(); empty skips that artifact.
   std::string json_path;     // profile.json summary
   std::string metrics_path;  // Prometheus faucets_prof_* text
-  std::string chrome_path;   // host-timeline Chrome trace
 };
 
 /// Durable persistence of the Central Server's accounting state
@@ -133,16 +132,7 @@ struct GridConfig {
   RetryPolicy retry{};
   /// Periodic telemetry sampling; off by default.
   TelemetryConfig telemetry{};
-  /// Number of simulation shards (parallel sim::Engines synchronized at
-  /// conservative lookahead barriers; DESIGN.md §11). 0 — the default — is
-  /// the classic single global event loop, bit-for-bit unchanged. Any
-  /// explicit count >= 1 (including 1) selects the conservative parallel
-  /// executor, whose canonical event order is byte-identical at every shard
-  /// count. Sharded runs require a positive WAN base_latency — it is the
-  /// lookahead.
-  std::size_t shards = 0;
-  /// Host-time profiling; off by default (and compiled out entirely with
-  /// -DFAUCETS_PROFILE=0, in which case enabling is a no-op).
+  /// Host-time profiling; off by default.
   ProfileConfig profile{};
   /// Durable persistence; off by default (empty dir).
   StoreConfig store{};
@@ -250,23 +240,13 @@ class GridSystem {
   }
 
   [[nodiscard]] sim::SimContext& context() noexcept { return ctx_; }
-  /// Context owning shard `s`'s engine/network/observability (0 = context()).
-  [[nodiscard]] sim::SimContext& shard_context(std::size_t s) noexcept {
-    return s == 0 ? ctx_ : *extra_ctx_.at(s - 1);
+  // One-line views kept for callers written against the removed sharded
+  // executor: there is one context, and it is shard 0.
+  [[nodiscard]] sim::SimContext& shard_context(std::size_t) noexcept { return ctx_; }
+  [[nodiscard]] const sim::SimContext& shard_context(std::size_t) const noexcept {
+    return ctx_;
   }
-  [[nodiscard]] const sim::SimContext& shard_context(std::size_t s) const noexcept {
-    return s == 0 ? ctx_ : *extra_ctx_.at(s - 1);
-  }
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return extra_ctx_.size() + 1;
-  }
-  /// Owning shard of cluster `i` / client `u` (always 0 when unsharded).
-  [[nodiscard]] std::size_t shard_of_cluster(std::size_t i) const {
-    return daemon_shard_.at(i);
-  }
-  [[nodiscard]] std::size_t shard_of_client(std::size_t u) const {
-    return client_shard_.at(u);
-  }
+  [[nodiscard]] static constexpr std::size_t shard_count() noexcept { return 1; }
   [[nodiscard]] sim::Engine& engine() noexcept { return ctx_.engine(); }
   [[nodiscard]] sim::Network& network() noexcept { return ctx_.network(); }
   [[nodiscard]] sim::TraceSink& trace() noexcept { return ctx_.trace(); }
@@ -298,9 +278,8 @@ class GridSystem {
   [[nodiscard]] store::StateStore* store() noexcept { return store_.get(); }
 
   /// Fire `hook` once, the first time simulated time reaches `at` during the
-  /// next run() — after an event boundary (classic loop) or at a lookahead
-  /// barrier with every worker idle (sharded), so the grid is globally
-  /// consistent when it runs. Return true to continue the run; false
+  /// next run() — at an event boundary, before the first event at or past
+  /// `at` executes. Return true to continue the run; false
   /// abandons it (run() returns promptly with partial state — the warm-fork
   /// parent's path, whose report is discarded).
   ///
@@ -317,43 +296,30 @@ class GridSystem {
     pause_holds_watchdog_ = hold_watchdog;
   }
 
-  /// Swap the stochastic fault treatment (loss, jitter) on every shard's
-  /// network without reseeding the injector streams. Used by forked warm
-  /// runs at the activation boundary; see sim::FaultInjector::set_treatment.
+  /// Swap the stochastic fault treatment (loss, jitter) without reseeding
+  /// the injector stream. Used by forked warm runs at the activation
+  /// boundary; see sim::FaultInjector::set_treatment.
   void set_fault_treatment(double loss_rate, double jitter) noexcept {
-    for (std::size_t s = 0; s < shard_count(); ++s) {
-      shard_context(s).network().set_fault_treatment(loss_rate, jitter);
-    }
+    ctx_.network().set_fault_treatment(loss_rate, jitter);
   }
 
-  /// Per-shard executed-event counts — the checkpoint's progress
-  /// fingerprint (index 0 = shard 0 / the classic engine).
-  [[nodiscard]] std::vector<std::uint64_t> executed_counts() const {
-    std::vector<std::uint64_t> out;
-    for (std::size_t s = 0; s < shard_count(); ++s) {
-      out.push_back(shard_context(s).engine().executed());
-    }
-    return out;
+  // Observability views for exporters: the run's registry and span tracker,
+  // and a time-ordered copy of the trace ring's surviving events.
+  [[nodiscard]] const obs::MetricsRegistry& merged_metrics() const {
+    return ctx_.metrics();
   }
-
-  // --- shard-count-independent observability views -------------------------
-  // In a sharded run each shard records into its own registry / span tracker
-  // / trace ring; these return the deterministic merge (built lazily, cached
-  // until the next run()). Unsharded they alias context()'s objects, so
-  // exporters can use them unconditionally. merged_trace() always
-  // materializes a TraceView (cheap copy of surviving events).
-  [[nodiscard]] const obs::MetricsRegistry& merged_metrics() const;
-  [[nodiscard]] const obs::SpanTracker& merged_spans() const;
-  [[nodiscard]] obs::TraceView merged_trace() const;
+  [[nodiscard]] const obs::SpanTracker& merged_spans() const { return ctx_.spans(); }
+  [[nodiscard]] obs::TraceView merged_trace() const {
+    return obs::TraceView(ctx_.trace());
+  }
 
   /// Analyze the span trees and join them with the clients' submission
   /// outcomes. Callable any time; run() caches the end-of-run analysis so a
   /// post-run call costs one join, not a re-walk.
   [[nodiscard]] GridTelemetry telemetry() const;
 
-  /// The host-time profiler, when GridConfig::profile.enabled (and the build
-  /// keeps FAUCETS_PROFILE on); null otherwise. Phase decompositions and
-  /// window stats are valid after run().
+  /// The host-time profiler, when GridConfig::profile.enabled; null
+  /// otherwise. Phase decompositions are valid after run().
   [[nodiscard]] const obs::Profiler* profiler() const noexcept {
     return profiler_.get();
   }
@@ -366,53 +332,25 @@ class GridSystem {
   }
 
  private:
-  struct MergedObs {
-    obs::MetricsRegistry metrics;
-    obs::SpanTracker spans;
-    obs::TraceView trace;
-  };
-
   void maybe_sample();
-  void maybe_sample_shard(std::size_t s);
   /// Fire the pause hook if due; false = the hook abandoned the run.
   bool maybe_pause(double now);
   [[nodiscard]] const obs::SpanAnalysis& analysis() const;
-  [[nodiscard]] MergedObs& ensure_merged() const;
-  void run_sharded(double until, const std::function<bool()>& all_done);
-  void run_shard_window(std::size_t s, double window_end, double cap);
-  void replay_history();
   void setup_profiler();
   void setup_live_plane();
   void write_profile_artifacts() const;
 
   GridConfig config_;
-  // The router outlives every context (networks hold a raw pointer into it).
-  std::unique_ptr<sim::ShardRouter> router_;
-  sim::SimContext ctx_;                                     // shard 0
-  std::vector<std::unique_ptr<sim::SimContext>> extra_ctx_; // shards 1..N-1
-  std::unique_ptr<store::StateStore> store_;                // null = no durability
+  sim::SimContext ctx_;
+  std::unique_ptr<store::StateStore> store_;  // null = no durability
   std::unique_ptr<CentralServer> central_;
   std::unique_ptr<AppSpector> appspector_;
   std::unique_ptr<BrokerAgent> broker_;
-  std::vector<std::unique_ptr<BrokerAgent>> peer_brokers_;  // shards 1..N-1
   std::vector<std::unique_ptr<FaucetsDaemon>> daemons_;
   std::vector<std::unique_ptr<FaucetsClient>> clients_;
-  std::vector<std::size_t> daemon_shard_;
-  std::vector<std::size_t> client_shard_;
-  // Per-shard lagged replicas of the Central Server's contract history
-  // ("grid weather", §5.2.1), replayed from its journal at every barrier.
-  std::vector<market::PriceHistory> history_replicas_;
-  std::size_t history_applied_ = 0;  // journal prefix already replayed
-  // Cross-shard envelope staging: sorted per-destination lists plus the
-  // count of already-delivered entries at each list's front.
-  std::vector<std::vector<sim::ShardRouter::Envelope>> staged_;
-  std::vector<std::size_t> consumed_;
-  // Live only inside run(): the demux feeding the clients' lanes. Sharded
-  // runs refill it at every barrier (workers idle) so no client chain can
-  // starve mid-window.
+  // Live only inside run(): the demux feeding the clients' lanes.
   job::WorkloadDemux* demux_ = nullptr;
   std::size_t workload_high_water_ = 0;
-  double makespan_ = 0.0;  // set by run(); report() uses it when sharded
   double opening_credits_ = 0.0;  // ledger total right after construction
   // One-shot pause hook (checkpointing, warm-state forking); +inf = unarmed.
   double pause_at_ = std::numeric_limits<double>::infinity();
@@ -423,9 +361,7 @@ class GridSystem {
   // Sim-time of the next sampler snapshot; +inf when sampling is disabled so
   // the run loop's check is one always-false branch. See maybe_sample().
   double next_sample_due_ = std::numeric_limits<double>::infinity();
-  std::vector<double> shard_sample_due_;  // per-shard due times (sharded)
   mutable std::optional<obs::SpanAnalysis> analysis_;  // cached by run()
-  mutable std::optional<MergedObs> merged_;            // cached merge
   // Host-time profiler (null unless config_.profile.enabled): its own
   // registry and artifacts, never the simulation's.
   std::unique_ptr<obs::Profiler> profiler_;
@@ -539,18 +475,9 @@ class GridBuilder {
     config_.partitions.push_back({index, from, until});
     return *this;
   }
-  /// Partition the grid across `count` parallel simulation shards
-  /// (DESIGN.md §11). Any explicit count (including 1) opts into the
-  /// canonical parallel executor; leave unset for the classic
-  /// single-engine loop.
-  GridBuilder& shards(std::size_t count) {
-    config_.shards = count;
-    return *this;
-  }
   /// Enable host-time profiling (DESIGN.md §12). Pass a ProfileConfig to
-  /// also write profile.json / Prometheus / Chrome-trace artifacts at the
-  /// end of run(); the no-argument form keeps everything in memory for
-  /// GridSystem::profiler().
+  /// also write profile.json / Prometheus artifacts at the end of run(); the
+  /// no-argument form keeps everything in memory for GridSystem::profiler().
   GridBuilder& profile(ProfileConfig config = {}) {
     config_.profile = std::move(config);
     config_.profile.enabled = true;

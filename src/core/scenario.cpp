@@ -287,13 +287,10 @@ Scenario Scenario::parse(const ConfigFile& config) {
         std::max(0L, store_section->get_int("snapshot_every", 0)));
   }
 
-  const ConfigSection* shards = config.section("shards");
-  if (shards != nullptr) {
-    const long count = shards->get_int("count", 1);
-    if (count < 1) {
-      throw std::invalid_argument("[shards] count must be >= 1");
-    }
-    out.grid.shards = static_cast<std::size_t>(count);
+  if (config.section("shards") != nullptr) {
+    throw std::invalid_argument(
+        "[shards] selected the sharded executor, which has been removed; "
+        "delete the section (every run uses the single event loop)");
   }
 
   // [profile] — opt-in host-time profiling (DESIGN.md §12). `enabled`
@@ -304,7 +301,6 @@ Scenario Scenario::parse(const ConfigFile& config) {
     out.grid.profile.enabled = profile->get_bool("enabled", true);
     out.grid.profile.json_path = profile->get_string("json", "");
     out.grid.profile.metrics_path = profile->get_string("metrics", "");
-    out.grid.profile.chrome_path = profile->get_string("chrome", "");
   }
 
   // [live] — the live operations plane (DESIGN.md §15). `serve` defaults to
@@ -422,24 +418,16 @@ void write_report_json(std::ostream& os, const GridReport& report) {
 
 void fill_checkpoint(store::Checkpoint& ckpt, GridSystem& grid, double sim_time) {
   ckpt.sim_time = sim_time;
-  ckpt.executed = grid.executed_counts();
+  ckpt.executed = grid.engine().executed();
   ckpt.state_image = encode_central_state(grid.central());
 }
 
 std::string verify_checkpoint(const store::Checkpoint& ckpt, GridSystem& grid) {
-  const std::vector<std::uint64_t> executed = grid.executed_counts();
-  if (executed.size() != ckpt.executed.size()) {
-    return "shard count mismatch: checkpoint has " +
-           std::to_string(ckpt.executed.size()) + " shards, this run has " +
-           std::to_string(executed.size());
-  }
-  for (std::size_t s = 0; s < executed.size(); ++s) {
-    if (executed[s] != ckpt.executed[s]) {
-      return "shard " + std::to_string(s) + " executed " +
-             std::to_string(executed[s]) + " events by t=" +
-             std::to_string(ckpt.sim_time) + ", checkpoint recorded " +
-             std::to_string(ckpt.executed[s]);
-    }
+  const std::uint64_t executed = grid.engine().executed();
+  if (executed != ckpt.executed) {
+    return "executed " + std::to_string(executed) + " events by t=" +
+           std::to_string(ckpt.sim_time) + ", checkpoint recorded " +
+           std::to_string(ckpt.executed);
   }
   if (encode_central_state(grid.central()) != ckpt.state_image) {
     return "central server state at t=" + std::to_string(ckpt.sim_time) +

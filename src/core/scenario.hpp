@@ -57,8 +57,10 @@
 //
 //   [sweep]                  # optional: parameter grid (see src/sweep/spec.hpp)
 //
-//   [shards]                 # optional: conservative parallel simulation
-//   count = 4                # per-shard engines on worker threads (§11)
+//   [profile]                # optional: host-time profiling (§12)
+//   enabled = true           # default when the section is present
+//   json = profile.json      # summary artifact; omit = keep in memory
+//   metrics = profile.prom   # faucets_prof_* Prometheus text
 //
 //   [market]                 # optional: price-history retention (§5.2.1)
 //   history_capacity = 4096  # settled contracts the bounded deque keeps
@@ -133,14 +135,14 @@ void print_report(std::ostream& os, const GridReport& report);
 
 /// Render a GridReport as one deterministic JSON object (shortest
 /// round-trip number form, fixed key order). Byte-identical reports mean
-/// identical runs — the sharded determinism tests and bench_shard compare
-/// this output across shard counts.
+/// identical runs — the determinism and checkpoint tests compare this
+/// output across runs.
 void write_report_json(std::ostream& os, const GridReport& report);
 
 /// Checkpoint glue (DESIGN.md §14). fill_checkpoint captures a *paused*
-/// grid's progress fingerprint (per-shard executed counts, encoded Central
-/// Server state) into `ckpt`; the caller owns scenario_text / overrides /
-/// shards. verify_checkpoint re-checks a paused grid against a checkpoint at
+/// grid's progress fingerprint (executed-event count, encoded Central
+/// Server state) into `ckpt`; the caller owns scenario_text / overrides.
+/// verify_checkpoint re-checks a paused grid against a checkpoint at
 /// its sim_time — empty string on a byte-for-byte match, otherwise a
 /// description of the first mismatch.
 void fill_checkpoint(store::Checkpoint& ckpt, GridSystem& grid, double sim_time);

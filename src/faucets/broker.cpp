@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/sim/context.hpp"
-#include "src/sim/shard.hpp"
 #include "src/util/logging.hpp"
 
 namespace faucets {
@@ -67,12 +66,6 @@ void BrokerAgent::on_message(const sim::Message& msg) {
       break;
     case sim::MessageKind::kAwardAck:
       handle_award_ack(sim::message_cast<proto::AwardAck>(msg));
-      break;
-    case sim::MessageKind::kPeerRfb:
-      handle_peer_rfb(sim::message_cast<proto::PeerRfbRequest>(msg));
-      break;
-    case sim::MessageKind::kPeerRfbReply:
-      handle_peer_reply(sim::message_cast<proto::PeerRfbReply>(msg));
       break;
     default:
       break;
@@ -166,109 +159,20 @@ void BrokerAgent::handle_directory(const proto::DirectoryReply& msg) {
   context().trace().record(obs::market_event(
       now(), id(), obs::TraceEventKind::kRfbIssued, msg.request, BidId{},
       static_cast<double>(msg.servers.size())));
-  if (router_ == nullptr || peer_brokers_.empty()) {
-    pending.expected_units = msg.servers.size();
-    for (const auto& server : msg.servers) {
-      auto rfb = std::make_unique<proto::RequestForBids>();
-      rfb->request = msg.request;
-      rfb->username = pending.username;
-      rfb->password = pending.password;
-      rfb->contract = pending.contract;
-      network_->send(*this, server.daemon, std::move(rfb));
-    }
-  } else {
-    // Peered fan-out: RFB local daemons directly (directory order), and
-    // forward one grouped round per remote shard to that shard's broker so
-    // the cross-shard traffic is O(shards), not O(servers).
-    std::vector<std::vector<proto::ServerInfo>> remote(peer_brokers_.size());
-    std::size_t local_count = 0;
-    for (const auto& server : msg.servers) {
-      const std::size_t shard = router_->shard_of(server.daemon);
-      if (shard == self_shard_ || shard >= peer_brokers_.size() ||
-          !peer_brokers_[shard].valid()) {
-        ++local_count;
-        auto rfb = std::make_unique<proto::RequestForBids>();
-        rfb->request = msg.request;
-        rfb->username = pending.username;
-        rfb->password = pending.password;
-        rfb->contract = pending.contract;
-        network_->send(*this, server.daemon, std::move(rfb));
-      } else {
-        remote[shard].push_back(server);
-      }
-    }
-    std::size_t remote_groups = 0;
-    for (std::size_t s = 0; s < remote.size(); ++s) {
-      if (remote[s].empty()) continue;
-      ++remote_groups;
-      auto fwd = std::make_unique<proto::PeerRfbRequest>();
-      fwd->request = msg.request;
-      fwd->username = pending.username;
-      fwd->password = pending.password;
-      fwd->contract = pending.contract;
-      fwd->servers = std::move(remote[s]);
-      network_->send(*this, peer_brokers_[s], std::move(fwd));
-    }
-    pending.expected_units = local_count + remote_groups;
+  pending.expected_bids = msg.servers.size();
+  for (const auto& server : msg.servers) {
+    auto rfb = std::make_unique<proto::RequestForBids>();
+    rfb->request = msg.request;
+    rfb->username = pending.username;
+    rfb->password = pending.password;
+    rfb->contract = pending.contract;
+    network_->send(*this, server.daemon, std::move(rfb));
   }
   pending.timeout = engine().schedule_after(
       config_.bid_timeout, [this, id = msg.request] { evaluate(id); });
 }
 
-void BrokerAgent::handle_peer_rfb(const proto::PeerRfbRequest& msg) {
-  const RequestId local = ids_.next();
-  PeerPending round;
-  round.origin = msg.from;
-  round.origin_request = msg.request;
-  round.expected = msg.servers.size();
-  for (const auto& server : msg.servers) {
-    auto rfb = std::make_unique<proto::RequestForBids>();
-    rfb->request = local;
-    rfb->username = msg.username;
-    rfb->password = msg.password;
-    rfb->contract = msg.contract;
-    network_->send(*this, server.daemon, std::move(rfb));
-  }
-  round.timeout = engine().schedule_after(
-      config_.peer_bid_timeout, [this, local] { finish_peer_round(local); });
-  peer_pending_.emplace(local, std::move(round));
-}
-
-void BrokerAgent::finish_peer_round(RequestId id) {
-  auto it = peer_pending_.find(id);
-  if (it == peer_pending_.end()) return;
-  PeerPending& round = it->second;
-  round.timeout.cancel();
-  auto reply = std::make_unique<proto::PeerRfbReply>();
-  reply->request = round.origin_request;
-  for (const auto& b : round.bids) {
-    if (!b.declined) reply->bids.push_back(b);
-  }
-  network_->send(*this, round.origin, std::move(reply));
-  peer_pending_.erase(it);
-}
-
-void BrokerAgent::handle_peer_reply(const proto::PeerRfbReply& msg) {
-  auto it = pending_.find(msg.request);
-  if (it == pending_.end()) return;
-  Pending& pending = it->second;
-  if (pending.evaluated) return;
-  for (const auto& b : msg.bids) {
-    context().spans().instant_span(obs::SpanKind::kBid, now(), id(),
-                                   pending.rfb, b.price);
-    pending.bids.push_back(b);
-  }
-  ++pending.units_received;
-  if (pending.units_received >= pending.expected_units) evaluate(msg.request);
-}
-
 void BrokerAgent::handle_bid(const proto::BidReply& msg) {
-  if (auto pit = peer_pending_.find(msg.request); pit != peer_pending_.end()) {
-    PeerPending& round = pit->second;
-    round.bids.push_back(msg.bid);
-    if (round.bids.size() >= round.expected) finish_peer_round(msg.request);
-    return;
-  }
   auto it = pending_.find(msg.request);
   if (it == pending_.end()) return;
   Pending& pending = it->second;
@@ -278,8 +182,7 @@ void BrokerAgent::handle_bid(const proto::BidReply& msg) {
                                    pending.rfb, msg.bid.price);
   }
   pending.bids.push_back(msg.bid);
-  ++pending.units_received;
-  if (pending.units_received >= pending.expected_units) evaluate(msg.request);
+  if (pending.bids.size() >= pending.expected_bids) evaluate(msg.request);
 }
 
 void BrokerAgent::evaluate(RequestId id) {

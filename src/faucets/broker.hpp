@@ -25,10 +25,6 @@ namespace faucets {
 struct BrokerConfig {
   /// How long to wait for bids before evaluating with what arrived.
   double bid_timeout = 10.0;
-  /// How long a *peer* broker waits for its local daemons' bids before
-  /// answering a forwarded RFB round (sharded runs; must stay below the
-  /// origin's bid_timeout or forwarded rounds always arrive late).
-  double peer_bid_timeout = 5.0;
   /// Backoff schedule for the broker's directory and reserve/commit
   /// exchanges.
   RetryPolicy retry;
@@ -37,20 +33,6 @@ struct BrokerConfig {
 class BrokerAgent final : public sim::Entity {
  public:
   BrokerAgent(sim::SimContext& ctx, EntityId central, BrokerConfig config = {});
-
-  /// Wire this broker into a sharded peer mesh (§5.3 scaled out): RFB rounds
-  /// for servers living on other shards are forwarded as one PeerRfbRequest
-  /// per shard to that shard's broker, which collects its local bids and
-  /// answers with an aggregated PeerRfbReply — instead of the origin
-  /// broadcasting per-server RFBs across the WAN. `brokers_by_shard[s]` is
-  /// the broker on shard `s` (own entry ignored); `router` resolves a
-  /// daemon's owning shard.
-  void set_peering(std::uint32_t self_shard, std::vector<EntityId> brokers_by_shard,
-                   const sim::ShardRouter* router) {
-    self_shard_ = self_shard;
-    peer_brokers_ = std::move(brokers_by_shard);
-    router_ = router;
-  }
 
   void on_message(const sim::Message& msg) override;
 
@@ -72,13 +54,8 @@ class BrokerAgent final : public sim::Entity {
     std::string password;
     proto::SelectionCriteria criteria = proto::SelectionCriteria::kLeastCost;
     qos::QosContract contract;
-    std::vector<market::Bid> bids;
-    // Units are bid sources: one per local daemon RFB'd directly, one per
-    // peer broker a grouped round was forwarded to. In a non-peered run
-    // every unit is a single daemon, so the count matches the legacy
-    // "all expected bids arrived" trigger bid for bid.
-    std::size_t expected_units = 0;
-    std::size_t units_received = 0;
+    std::vector<market::Bid> bids;  // every reply, declined ones included
+    std::size_t expected_bids = 0;  // one per server the round RFB'd
     bool evaluated = false;
     bool awaiting_directory = false;  // dedup late/duplicate directory replies
     double promised_completion = 0.0;
@@ -98,23 +75,9 @@ class BrokerAgent final : public sim::Entity {
     SpanId award;  // current award attempt
   };
 
-  /// One forwarded RFB round being served for a peer broker. Kept separate
-  /// from Pending: a peer round never evaluates, awards, or touches spans —
-  /// it only collects bids and replies.
-  struct PeerPending {
-    EntityId origin;
-    RequestId origin_request;
-    std::vector<market::Bid> bids;
-    std::size_t expected = 0;
-    sim::EventHandle timeout;
-  };
-
   void handle_submit(const proto::SubmitJobRequest& msg);
   void handle_directory(const proto::DirectoryReply& msg);
   void handle_bid(const proto::BidReply& msg);
-  void handle_peer_rfb(const proto::PeerRfbRequest& msg);
-  void handle_peer_reply(const proto::PeerRfbReply& msg);
-  void finish_peer_round(RequestId id);
   void handle_reserve_reply(const proto::ReserveReply& msg);
   void handle_award_ack(const proto::AwardAck& msg);
   void evaluate(RequestId id);
@@ -137,10 +100,6 @@ class BrokerAgent final : public sim::Entity {
   BrokerConfig config_;
   IdGenerator<RequestId> ids_;
   std::unordered_map<RequestId, Pending> pending_;
-  std::unordered_map<RequestId, PeerPending> peer_pending_;
-  std::uint32_t self_shard_ = 0;
-  std::vector<EntityId> peer_brokers_;  // indexed by shard; empty = no peering
-  const sim::ShardRouter* router_ = nullptr;
   /// Deduplication of client resends: one live brokered cycle per
   /// (client, client request), and the final reply is cached so a retried
   /// SubmitJobRequest whose reply was lost gets the identical answer.

@@ -78,11 +78,6 @@ class CentralServer final : public sim::Entity {
   [[nodiscard]] const market::PriceHistory& price_history() const noexcept {
     return price_history_;
   }
-  /// Mutable access for sharded runs, which enable the append-only journal
-  /// so per-shard lagged replicas can replay it at lookahead barriers.
-  [[nodiscard]] market::PriceHistory& mutable_price_history() noexcept {
-    return price_history_;
-  }
   [[nodiscard]] BarterLedger& barter_ledger() noexcept { return ledger_; }
   [[nodiscard]] const BarterLedger& barter_ledger() const noexcept { return ledger_; }
   [[nodiscard]] UserAccounts& user_accounts() noexcept { return accounts_; }

@@ -124,14 +124,10 @@ void FaucetsClient::fail_unsubmitted(const qos::QosContract& contract) {
   spans.end_span(outcome.span, now());
   ++unplaced_;
   unplaced_ctr_->inc();
-  last_terminal_time_ = now();
   outcomes_.push_back(outcome);
 }
 
 void FaucetsClient::run_source(job::WorkloadSource& source) {
-  // Called from outside the event loop: claim creation attribution so the
-  // submission timers carry this client's canonical identity.
-  engine().set_current_entity(id().value());
   source_ = &source;
   login();
   arm_next_submission();
@@ -153,14 +149,13 @@ void FaucetsClient::arm_next_submission() {
 
 void FaucetsClient::on_submission_due() {
   job::JobRequest req = source_->next();
-  // Re-arm before submitting: the chain's creation stamps then depend only
-  // on the source's timeline, never on what submit() does.
+  // Re-arm before submitting, so the next submission timer is queued ahead
+  // of everything submit() schedules at this instant.
   arm_next_submission();
   submit(req.contract);
 }
 
 void FaucetsClient::submit_now(const qos::QosContract& contract) {
-  engine().set_current_entity(id().value());
   login();
   submit(contract);
 }
@@ -696,7 +691,6 @@ void FaucetsClient::handle_complete(const proto::JobCompleteNotice& msg) {
   total_payoff_ += outcome.payoff;
   ++completed_;
   completed_ctr_->inc();
-  last_terminal_time_ = now();
   context().spans().end_span(pending.root, now());
   pending_.erase(it);
   inflight_gauge_->add(-1.0);
@@ -728,7 +722,6 @@ void FaucetsClient::finish_request(RequestId request,
   outcomes_[pending.outcome_index].status = status;
   ++unplaced_;
   unplaced_ctr_->inc();
-  last_terminal_time_ = now();
   auto& spans = context().spans();
   spans.end_span(pending.rfb, now());
   spans.end_span(pending.award, now());

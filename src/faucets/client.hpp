@@ -129,13 +129,6 @@ class FaucetsClient final : public sim::Entity {
   }
   /// Bids discarded by market regulation (§5.5.1).
   [[nodiscard]] std::uint64_t regulated_out() const noexcept { return regulated_out_; }
-  /// Simulation time of this client's latest terminal outcome (completion,
-  /// unplaced give-up, or pre-submit failure). Sharded runs use the maximum
-  /// across clients to cut the drain window deterministically.
-  [[nodiscard]] double last_terminal_time() const noexcept {
-    return last_terminal_time_;
-  }
-
   void on_message(const sim::Message& msg) override;
 
  private:
@@ -237,7 +230,6 @@ class FaucetsClient final : public sim::Entity {
   std::uint64_t migrations_ = 0;
   std::uint64_t watchdog_restarts_ = 0;
   std::uint64_t regulated_out_ = 0;
-  double last_terminal_time_ = 0.0;
 
   // Grid-wide registry instruments (shared across clients).
   obs::Counter* submitted_ctr_ = nullptr;

@@ -215,7 +215,6 @@ void FaucetsDaemon::answer_rfb(const PendingRfb& rfb) {
   ctx.contract = &rfb.contract;
   ctx.admission = &admission;
   ctx.grid_history = grid_history_;
-  ctx.history_lag = grid_history_lag_;
 
   auto reply = std::make_unique<proto::BidReply>();
   reply->request = rfb.request;

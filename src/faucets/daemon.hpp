@@ -76,13 +76,8 @@ class FaucetsDaemon final : public sim::Entity {
   [[nodiscard]] std::uint64_t awards_refused() const noexcept { return awards_refused_; }
 
   /// Point the daemon's market-aware bidder at the FS price history feed.
-  /// `lag` is the feed's propagation delay: queries are issued at now - lag
-  /// (sharded runs pass the lookahead so every shard sees identically stale
-  /// grid weather; a live single-engine feed keeps the default 0).
-  void set_grid_history(const market::PriceHistory* history,
-                        double lag = 0.0) noexcept {
+  void set_grid_history(const market::PriceHistory* history) noexcept {
     grid_history_ = history;
-    grid_history_lag_ = lag;
   }
 
   void on_message(const sim::Message& msg) override;
@@ -144,7 +139,6 @@ class FaucetsDaemon final : public sim::Entity {
   EntityId appspector_;
   DaemonConfig config_;
   const market::PriceHistory* grid_history_ = nullptr;
-  double grid_history_lag_ = 0.0;
 
   IdGenerator<BidId> bid_ids_;
   IdGenerator<RequestId> auth_request_ids_;

@@ -281,37 +281,6 @@ struct PeerDirectoryReply final : sim::Message {
   }
 };
 
-// ----------------------------------------------------------- broker peering
-
-/// Broker-to-broker RFB forwarding (SLA-based coordinated superscheduling,
-/// PAPERS.md): instead of the origin broker RFB-ing every server on the grid
-/// through one Central, it forwards the round to the broker co-located with
-/// each remote shard, carrying the directory subset that broker's shard
-/// owns. The peer runs the local RFB fan-out and answers with an aggregated
-/// bid batch — one WAN round trip per shard instead of one per server.
-struct PeerRfbRequest final : sim::Message {
-  RequestId request;  // the origin broker's pending request id
-  std::string username;
-  std::string password;
-  qos::QosContract contract;
-  std::vector<ServerInfo> servers;  // directory subset owned by the peer
-  static constexpr sim::MessageKind kKind = sim::MessageKind::kPeerRfb;
-  [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
-  [[nodiscard]] std::size_t size_bytes() const noexcept override {
-    return 1024 + servers.size() * 96;
-  }
-};
-
-struct PeerRfbReply final : sim::Message {
-  RequestId request;  // echoed origin request id
-  std::vector<market::Bid> bids;  // non-declined bids, in arrival order
-  static constexpr sim::MessageKind kKind = sim::MessageKind::kPeerRfbReply;
-  [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
-  [[nodiscard]] std::size_t size_bytes() const noexcept override {
-    return 128 + bids.size() * 128;
-  }
-};
-
 // ---------------------------------------------------------------- FD <-> FS
 
 struct RegisterDaemon final : sim::Message {

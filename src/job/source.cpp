@@ -62,9 +62,8 @@ bool GeneratorSource::exhausted() {
 
 // --- WorkloadDemux ---------------------------------------------------------
 
-WorkloadDemux::WorkloadDemux(WorkloadSource& source, std::size_t lanes,
-                             bool manual_refill)
-    : source_(&source), manual_(manual_refill) {
+WorkloadDemux::WorkloadDemux(WorkloadSource& source, std::size_t lanes)
+    : source_(&source) {
   lanes_.resize(std::max<std::size_t>(1, lanes));
   for (auto& lane : lanes_) lane.owner_ = this;
 }
@@ -77,7 +76,6 @@ bool WorkloadDemux::pull_one() {
   }
   JobRequest req = source_->next();
   Lane& lane = lanes_[req.user_index % lanes_.size()];
-  lane.tail_time_ = req.submit_time;
   lane.buffer_.push_back(std::move(req));
   high_water_ = std::max(high_water_, ++buffered_count_);
   if (source_->exhausted()) done_ = true;
@@ -93,40 +91,13 @@ void WorkloadDemux::prime() {
   for (auto& lane : lanes_) pull_for(lane);
 }
 
-void WorkloadDemux::refill(double horizon) {
-  // Window invariant: a lane counts as covered when its last buffered
-  // request lies past the horizon — every pop inside the window leaves at
-  // least that request behind, so the client's timer chain always finds a
-  // next submit time to arm. Lane tails only grow (sources are sorted), so
-  // one uncovered counter suffices.
-  std::size_t uncovered = 0;
-  for (const auto& lane : lanes_) {
-    if (lane.buffer_.empty() || lane.tail_time_ <= horizon) ++uncovered;
-  }
-  while (uncovered > 0 && !done_) {
-    if (source_->exhausted()) {
-      done_ = true;
-      break;
-    }
-    JobRequest req = source_->next();
-    Lane& lane = lanes_[req.user_index % lanes_.size()];
-    const bool was_uncovered =
-        lane.buffer_.empty() || lane.tail_time_ <= horizon;
-    lane.tail_time_ = req.submit_time;
-    lane.buffer_.push_back(std::move(req));
-    high_water_ = std::max(high_water_, ++buffered_count_);
-    if (was_uncovered && lane.tail_time_ > horizon) --uncovered;
-    if (source_->exhausted()) done_ = true;
-  }
-}
-
 double WorkloadDemux::Lane::peek_next_submit_time() {
-  if (buffer_.empty() && !owner_->manual_) owner_->pull_for(*this);
+  if (buffer_.empty()) owner_->pull_for(*this);
   return buffer_.empty() ? kNoMoreJobs : buffer_.front().submit_time;
 }
 
 JobRequest WorkloadDemux::Lane::next() {
-  if (buffer_.empty() && !owner_->manual_) owner_->pull_for(*this);
+  if (buffer_.empty()) owner_->pull_for(*this);
   JobRequest out = std::move(buffer_.front());
   buffer_.pop_front();
   --owner_->buffered_count_;
@@ -134,7 +105,7 @@ JobRequest WorkloadDemux::Lane::next() {
 }
 
 bool WorkloadDemux::Lane::exhausted() {
-  if (buffer_.empty() && !owner_->manual_) owner_->pull_for(*this);
+  if (buffer_.empty()) owner_->pull_for(*this);
   return buffer_.empty() && owner_->done_;
 }
 

@@ -80,25 +80,17 @@ class GeneratorSource final : public WorkloadSource {
 
 /// Routes one shared source across the per-user clients: requests go to
 /// lane user_index % lanes, each lane is itself a WorkloadSource feeding
-/// one client's submission-timer chain.
+/// one client's submission-timer chain. A lane that runs dry pulls the
+/// shared source inline, buffering other users' requests it passes over
+/// in their own lanes (DESIGN.md §13).
 ///
-/// Two refill disciplines (DESIGN.md §13):
-///  - auto (unsharded): a lane that runs dry pulls the shared source
-///    inline. Single-threaded, so the pull is safe anywhere.
-///  - manual (sharded): lanes never touch the shared source. The
-///    coordinator calls refill(horizon) at every barrier — workers idle —
-///    to establish the window invariant: every lane either ends past the
-///    horizon (so its client's chain cannot starve mid-window) or has seen
-///    the whole source. Lane pops inside a window touch only that lane's
-///    own deque.
-///
-/// Read-ahead is bounded by the lookahead window's arrivals plus routing
-/// skew: a user that never submits again forces the demux to buffer other
-/// users' jobs while scanning for its next one, so a degenerate
-/// single-user trace degrades to O(jobs) buffering (see DESIGN.md §13).
+/// Read-ahead is bounded by routing skew: a user that never submits again
+/// forces the demux to buffer other users' jobs while scanning for its
+/// next one, so a degenerate single-user trace degrades to O(jobs)
+/// buffering (see DESIGN.md §13).
 class WorkloadDemux {
  public:
-  WorkloadDemux(WorkloadSource& source, std::size_t lanes, bool manual_refill);
+  WorkloadDemux(WorkloadSource& source, std::size_t lanes);
 
   [[nodiscard]] WorkloadSource& lane(std::size_t index) {
     return lanes_[index];
@@ -106,12 +98,8 @@ class WorkloadDemux {
   [[nodiscard]] std::size_t lane_count() const noexcept { return lanes_.size(); }
 
   /// Ensure every lane is nonempty or the source is exhausted, so clients
-  /// can arm their first timer. Call before the run starts (both modes).
+  /// can arm their first timer. Call before the run starts.
   void prime();
-
-  /// Manual mode: pull until every lane's last buffered request is past
-  /// `horizon` (or the source is exhausted). Coordinator-only.
-  void refill(double horizon);
 
   [[nodiscard]] bool source_exhausted() const noexcept { return done_; }
   /// Requests currently buffered across all lanes / the run's high-water
@@ -131,17 +119,15 @@ class WorkloadDemux {
     friend class WorkloadDemux;
     WorkloadDemux* owner_ = nullptr;
     std::deque<JobRequest> buffer_;
-    double tail_time_ = -std::numeric_limits<double>::infinity();
   };
 
   /// Pull one request from the shared source into its lane. False once the
   /// source is exhausted.
   bool pull_one();
-  /// Auto mode: pull until `lane` is nonempty or the source is exhausted.
+  /// Pull until `lane` is nonempty or the source is exhausted.
   void pull_for(Lane& lane);
 
   WorkloadSource* source_;
-  bool manual_;
   bool done_ = false;
   std::size_t buffered_count_ = 0;
   std::size_t high_water_ = 0;

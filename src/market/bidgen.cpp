@@ -31,8 +31,7 @@ std::optional<double> MarketAwareBidGenerator::multiplier(const BidContext& ctx)
   if (!base) return std::nullopt;
   if (ctx.grid_history == nullptr || ctx.cm == nullptr) return base;
 
-  const auto grid_price =
-      ctx.grid_history->average_unit_price(ctx.now - ctx.history_lag);
+  const auto grid_price = ctx.grid_history->average_unit_price(ctx.now);
   if (!grid_price || *grid_price <= 0.0) return base;
 
   // The multiplier that would match the recent grid-wide unit price.
@@ -54,10 +53,9 @@ std::optional<double> FuturesBidGenerator::multiplier(const BidContext& ctx) {
   const double horizon = ctx.contract->payoff.has_deadline()
                              ? ctx.contract->payoff.hard_deadline() - ctx.now
                              : 3600.0;
-  const double asof = ctx.now - ctx.history_lag;
-  const auto current = ctx.grid_history->average_unit_price(asof);
+  const auto current = ctx.grid_history->average_unit_price(ctx.now);
   const auto future =
-      ctx.grid_history->forecast_unit_price(asof, std::max(horizon, 0.0));
+      ctx.grid_history->forecast_unit_price(ctx.now, std::max(horizon, 0.0));
   if (!current || !future || *current <= 0.0) return base;
 
   const double ratio = *future / *current;

@@ -22,11 +22,6 @@ struct BidContext {
   const qos::QosContract* contract = nullptr;
   const sched::AdmissionDecision* admission = nullptr;
   const PriceHistory* grid_history = nullptr;  // may be null (no FS feed)
-  /// Propagation delay of the grid-weather feed: history queries are issued
-  /// at (now - history_lag). Zero with a live feed; a sharded run sets it to
-  /// the lookahead so every shard sees the same, slightly stale, weather
-  /// regardless of how entities were partitioned.
-  double history_lag = 0.0;
 };
 
 class BidGenerator {

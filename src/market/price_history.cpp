@@ -31,7 +31,6 @@ ContractRecord get_record(store::Decoder& d) {
 }  // namespace
 
 void PriceHistory::record(ContractRecord record) {
-  if (journal_enabled_) journal_.push_back(record);
   if (store_ != nullptr) {
     store::Encoder e;
     put_record(e, record);
@@ -40,14 +39,6 @@ void PriceHistory::record(ContractRecord record) {
   records_.push_back(record);
   while (records_.size() > capacity_) records_.pop_front();
   evict(record.time);
-}
-
-void PriceHistory::compact_journal(std::size_t upto) {
-  if (upto <= journal_base_) return;
-  const std::size_t drop = std::min(upto - journal_base_, journal_.size());
-  journal_.erase(journal_.begin(),
-                 journal_.begin() + static_cast<std::ptrdiff_t>(drop));
-  journal_base_ += drop;
 }
 
 void PriceHistory::save(store::Encoder& out) const {
@@ -64,7 +55,6 @@ void PriceHistory::load(store::Decoder& in) {
 bool PriceHistory::apply_op(std::uint16_t type, store::Decoder& in) {
   if (type != store::op::kPriceRecord) return false;
   const ContractRecord r = get_record(in);
-  if (journal_enabled_) journal_.push_back(r);
   records_.push_back(r);
   while (records_.size() > capacity_) records_.pop_front();
   evict(r.time);
@@ -78,9 +68,8 @@ void PriceHistory::evict(double now) {
 }
 
 std::optional<double> PriceHistory::average_unit_price(double now) const {
-  // The r.time <= now bound matters only for sharded replicas, which may
-  // already hold records from inside the lookahead window ahead of the
-  // effective (lagged) query time; a live history never has future records.
+  // Records after `now` are excluded, so a query about the past sees only
+  // the contracts settled by then.
   OnlineStats stats;
   for (const auto& r : records_) {
     if (r.time >= now - window_ && r.time <= now && r.work > 0.0) {

@@ -6,7 +6,6 @@
 
 #include <deque>
 #include <optional>
-#include <vector>
 
 #include "src/util/ids.hpp"
 #include "src/util/stats.hpp"
@@ -75,33 +74,9 @@ class PriceHistory {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] double window() const noexcept { return window_; }
 
-  /// Keep an append-only journal of every record() alongside the bounded
-  /// deque. Sharded runs enable this on the Central Server's history so each
-  /// shard's lagged replica can replay journal entries incrementally at
-  /// lookahead barriers and reproduce the exact same deque state (including
-  /// capacity eviction order).
-  void enable_journal() { journal_enabled_ = true; }
-  [[nodiscard]] const std::vector<ContractRecord>& journal() const noexcept {
-    return journal_;
-  }
-
-  /// Journal entries are addressed by *global* index: compaction drops an
-  /// applied prefix but keeps the indexing stable, so replica cursors keep
-  /// working across compactions.
-  [[nodiscard]] std::size_t journal_size() const noexcept {
-    return journal_base_ + journal_.size();
-  }
-  [[nodiscard]] const ContractRecord& journal_at(std::size_t global_i) const {
-    return journal_.at(global_i - journal_base_);
-  }
-  /// Drop journal entries below global index `upto` (no-op if already past).
-  void compact_journal(std::size_t upto);
-  [[nodiscard]] std::size_t journal_base() const noexcept { return journal_base_; }
-
   /// Store wiring (op 0x0401, DESIGN.md §14).
   void set_store(store::StateStore* store) noexcept { store_ = store; }
-  /// Encodes the bounded deque only — the replica journal is shard-local
-  /// runtime scaffolding, rebuilt naturally after a restore.
+  /// Encodes the bounded deque.
   void save(store::Encoder& out) const;
   void load(store::Decoder& in);
   bool apply_op(std::uint16_t type, store::Decoder& in);
@@ -112,9 +87,6 @@ class PriceHistory {
   std::size_t capacity_;
   double window_;
   std::deque<ContractRecord> records_;  // time-ordered
-  bool journal_enabled_ = false;
-  std::vector<ContractRecord> journal_;
-  std::size_t journal_base_ = 0;  // global index of journal_[0]
   store::StateStore* store_ = nullptr;
 };
 

@@ -30,8 +30,7 @@ void write_trace_event_jsonl(std::ostream& os, const TraceEvent& ev);
 /// events, the first line is a meta object ({"meta":"trace","dropped":N,...})
 /// so consumers know the window is truncated instead of silently partial.
 void write_trace_jsonl(std::ostream& os, const TraceBuffer& trace);
-/// Same format over a merged sharded view; a single-shard view serializes
-/// byte-identically to the ring it was built from.
+/// Same format over a time-ordered TraceView.
 void write_trace_jsonl(std::ostream& os, const TraceView& trace);
 
 /// Prometheus text exposition of the metrics snapshot. When `trace` is given

@@ -11,7 +11,7 @@
 // evaluation — a run that goes wrong once does not flood the ring.
 //
 // Thread model: the owner (LivePlane) serializes every call. evaluate() and
-// drain_pending() run on the simulation/coordinator thread at publish
+// drain_pending() run on the simulation thread at publish
 // boundaries; report_stall()/clear_stall() run on the server thread, which
 // is why the stall monitor's kAlert is queued instead of recorded directly —
 // the simulation thread may be stuck, but /healthz must not wait for it.
@@ -39,7 +39,7 @@ struct MonitorConfig {
 };
 
 /// Read-only views into live grid state, called at publish boundaries on
-/// the simulation/coordinator thread (workers idle). All must be non-null
+/// the simulation thread. All must be non-null
 /// when monitors are enabled; each must be allocation-free.
 struct MonitorProbes {
   /// Signed barter-credit conservation residual (total - opening).
@@ -48,9 +48,9 @@ struct MonitorProbes {
   /// `final_check`, every still-held reservation.
   std::function<std::uint64_t(double sim_now, double grace, bool final_check)>
       leaked_leases;
-  /// Open kSubmission root spans across all shards.
+  /// Open kSubmission root spans.
   std::function<std::uint64_t()> open_submission_roots;
-  /// Jobs submitted - completed - unplaced across all shards.
+  /// Jobs submitted - completed - unplaced.
   std::function<std::int64_t()> jobs_in_flight;
 };
 

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -62,11 +61,7 @@ LivePlane::LivePlane(LiveConfig config, Bindings bindings)
           bindings_.monitors) {
   (void)HostClock::ns_per_tick();  // calibrate once, off the publish path
   publish_interval_ticks_ = seconds_to_ticks(config_.publish_interval);
-  snapshots_.resize(bindings_.shards.size());
-  for (auto& s : snapshots_) {
-    s.recent.resize(config_.recent_events);
-    s.recent_stamps.resize(config_.recent_events);
-  }
+  snapshot_.recent.resize(config_.recent_events);
   if (config_.serve) {
     server_.start(
         config_.port,
@@ -123,11 +118,10 @@ void LivePlane::end_run(double sim_now, bool quiescent) {
 }
 
 void LivePlane::publish_locked(double sim_now, bool final_check) {
-  for (std::size_t s = 0; s < bindings_.shards.size(); ++s) capture_shard(s);
+  capture();
 
   progress_.sim_time = sim_now;
-  progress_.events_executed = 0;
-  for (const auto& s : snapshots_) progress_.events_executed += s.executed;
+  progress_.events_executed = bindings_.executed ? bindings_.executed() : 0;
   if (bindings_.job_counts) {
     bindings_.job_counts(progress_.submitted, progress_.completed,
                          progress_.unplaced);
@@ -153,9 +147,9 @@ void LivePlane::publish_locked(double sim_now, bool final_check) {
   });
 }
 
-void LivePlane::capture_shard(std::size_t s) {
-  const ShardBinding& b = bindings_.shards[s];
-  ShardSnapshot& snap = snapshots_[s];
+void LivePlane::capture() {
+  const Bindings& b = bindings_;
+  Snapshot& snap = snapshot_;
   if (b.metrics != nullptr) {
     if (b.metrics->size() != snap.schema_entries) {
       // Registry grew (new instruments): re-capture names/types/bounds and
@@ -166,7 +160,7 @@ void LivePlane::capture_shard(std::size_t s) {
       std::size_t hists = 0;
       std::size_t buckets = 0;
       b.metrics->for_each([&](const MetricsRegistry::Entry& e) {
-        ShardSnapshot::Desc d;
+        Snapshot::Desc d;
         d.name = e.name;
         d.help = e.help;
         d.type = e.type;
@@ -225,21 +219,14 @@ void LivePlane::capture_shard(std::size_t s) {
     const std::size_t have = b.trace->size();
     const std::size_t n = std::min(have, snap.recent.size());
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t idx = have - n + i;
-      snap.recent[i] = b.trace->at(idx);
-      snap.recent_stamps[i] = b.trace->stamp_at(idx);
+      snap.recent[i] = b.trace->at(have - n + i);
     }
     snap.recent_n = n;
     snap.trace_dropped = b.trace->dropped();
   }
-  snap.now = b.now ? b.now() : 0.0;
-  snap.executed = b.executed ? b.executed() : 0;
-  if (bindings_.profiler != nullptr) {
-    const Profiler::LanePhases lp = bindings_.profiler->lane_phases(s);
+  if (b.profiler != nullptr) {
     snap.has_phases = true;
-    snap.phase_seconds = lp.seconds;
-    snap.wall_seconds = lp.wall_seconds;
-    snap.windows = lp.windows;
+    snap.phases = b.profiler->phases();
   }
 }
 
@@ -258,7 +245,12 @@ void LivePlane::check_stall() {
   if (!run_active_.load(std::memory_order_relaxed)) return;
   if (pause_held_.load(std::memory_order_acquire)) return;
   const std::uint64_t last = last_advance_ticks_.load(std::memory_order_relaxed);
-  const double stalled_for = ticks_to_seconds(HostClock::ticks() - last);
+  const std::uint64_t now = HostClock::ticks();
+  // The clock read is not ordered after the load, so it can trail a tick
+  // the simulation thread stored an instant ago on another core: no stall,
+  // and the unsigned difference must not wrap to an enormous one.
+  if (now <= last) return;
+  const double stalled_for = ticks_to_seconds(now - last);
   if (stalled_for <= config_.monitor.stall_timeout) return;
   const double sim_time = std::bit_cast<double>(
       last_sim_time_bits_.load(std::memory_order_relaxed));
@@ -356,7 +348,7 @@ std::string LivePlane::render_progress_locked() const {
                       static_cast<double>(p.completed));
   }
   std::ostringstream os;
-  os << "{\"schema\":\"faucets.live.progress.v1\""
+  os << "{\"schema\":\"faucets.live.progress.v2\""
      << ",\"run_active\":" << (p.run_active ? "true" : "false")
      << ",\"finished\":" << (p.finished ? "true" : "false")
      << ",\"publishes\":" << p.publish_seq
@@ -374,32 +366,21 @@ std::string LivePlane::render_progress_locked() const {
      << ",\"events_per_second\":" << json_number(ev_rate)
      << ",\"sim_seconds_per_second\":"
      << json_number(elapsed > 0.0 ? p.sim_time / elapsed : 0.0)
-     << "},\"eta_seconds\":" << eta << ",\"window\":{\"sharded\":"
-     << (bindings_.sharded ? "true" : "false")
-     << ",\"lookahead\":" << json_number(bindings_.lookahead)
-     << "},\"shards\":[";
-  for (std::size_t s = 0; s < snapshots_.size(); ++s) {
-    const ShardSnapshot& snap = snapshots_[s];
-    if (s > 0) os << ',';
-    os << "{\"shard\":" << s << ",\"sim_time\":" << json_number(snap.now)
-       << ",\"events\":" << snap.executed;
-    if (snap.has_phases) {
-      os << ",\"windows\":" << snap.windows
-         << ",\"wall_seconds\":" << json_number(snap.wall_seconds)
-         << ",\"phases\":{";
-      for (std::size_t i = 0; i < kProfPhaseCount; ++i) {
-        if (i > 0) os << ',';
-        const double frac = snap.wall_seconds > 0.0
-                                ? snap.phase_seconds[i] / snap.wall_seconds
-                                : 0.0;
-        os << '"' << to_string(static_cast<ProfPhase>(i))
-           << "\":" << json_number(frac);
-      }
-      os << '}';
+     << "},\"eta_seconds\":" << eta;
+  // Fraction of the profiled wall clock spent in each exclusive phase.
+  if (snapshot_.has_phases) {
+    const Profiler::Phases& ph = snapshot_.phases;
+    os << ",\"phases\":{";
+    for (std::size_t i = 0; i < kProfPhaseCount; ++i) {
+      if (i > 0) os << ',';
+      const double frac =
+          ph.wall_seconds > 0.0 ? ph.seconds[i] / ph.wall_seconds : 0.0;
+      os << '"' << to_string(static_cast<ProfPhase>(i))
+         << "\":" << json_number(frac);
     }
     os << '}';
   }
-  os << "]}\n";
+  os << "}\n";
   return os.str();
 }
 
@@ -431,58 +412,12 @@ std::string LivePlane::render_healthz_locked() const {
 }
 
 std::string LivePlane::render_metrics_locked() const {
-  // Merge the per-shard value snapshots by full metric name: counters and
-  // gauges sum, histograms combine bucket-wise (identical bounds by
-  // construction — shards register the same instruments). This mirrors the
-  // artifact merge closely enough for live scraping; the end-of-run
-  // Prometheus artifact remains the canonical, byte-deterministic export.
-  struct Merged {
-    const ShardSnapshot::Desc* desc = nullptr;
-    std::uint64_t counter = 0;
-    double gauge = 0.0;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-  };
-  std::vector<Merged> merged;
-  std::unordered_map<std::string, std::size_t> index;
-  std::uint64_t trace_dropped = 0;
-  for (const ShardSnapshot& snap : snapshots_) {
-    trace_dropped += snap.trace_dropped;
-    for (const ShardSnapshot::Desc& d : snap.schema) {
-      auto [it, fresh] = index.emplace(d.name, merged.size());
-      if (fresh) merged.emplace_back();
-      Merged& m = merged[it->second];
-      if (m.desc == nullptr) {
-        m.desc = &d;
-        if (d.type == MetricsRegistry::Type::kHistogram) {
-          m.buckets.assign(d.bounds.size() + 1, 0);
-        }
-      }
-      switch (d.type) {
-        case MetricsRegistry::Type::kCounter:
-          m.counter += snap.counters[d.value_index];
-          break;
-        case MetricsRegistry::Type::kGauge:
-          m.gauge += snap.gauges[d.value_index];
-          break;
-        case MetricsRegistry::Type::kHistogram:
-          for (std::size_t i = 0; i < m.buckets.size(); ++i) {
-            m.buckets[i] += snap.hist_buckets[d.bucket_index + i];
-          }
-          m.count += snap.hist_counts[d.value_index];
-          m.sum += snap.hist_sums[d.value_index];
-          break;
-      }
-    }
-  }
-
+  const Snapshot& snap = snapshot_;
   std::ostringstream os;
   std::unordered_set<std::string> typed;
   std::string base;
   std::string labels;
-  for (const Merged& m : merged) {
-    const ShardSnapshot::Desc& d = *m.desc;
+  for (const Snapshot::Desc& d : snap.schema) {
     split_labels(d.name, base, labels);
     if (typed.insert(base).second) {
       if (!d.help.empty()) os << "# HELP " << base << ' ' << d.help << '\n';
@@ -495,10 +430,10 @@ std::string LivePlane::render_metrics_locked() const {
     }
     switch (d.type) {
       case MetricsRegistry::Type::kCounter:
-        os << d.name << ' ' << m.counter << '\n';
+        os << d.name << ' ' << snap.counters[d.value_index] << '\n';
         break;
       case MetricsRegistry::Type::kGauge:
-        os << d.name << ' ' << json_number(m.gauge) << '\n';
+        os << d.name << ' ' << json_number(snap.gauges[d.value_index]) << '\n';
         break;
       case MetricsRegistry::Type::kHistogram: {
         const auto label_join = [&](const std::string& le) {
@@ -507,15 +442,17 @@ std::string LivePlane::render_metrics_locked() const {
           out += "le=\"" + le + "\"}";
           return out;
         };
+        const std::uint64_t count = snap.hist_counts[d.value_index];
         std::uint64_t cum = 0;
         for (std::size_t i = 0; i < d.bounds.size(); ++i) {
-          cum += m.buckets[i];
+          cum += snap.hist_buckets[d.bucket_index + i];
           os << label_join(json_number(d.bounds[i])) << ' ' << cum << '\n';
         }
-        os << label_join("+Inf") << ' ' << m.count << '\n';
+        os << label_join("+Inf") << ' ' << count << '\n';
         const std::string suffix = labels.empty() ? "" : "{" + labels + "}";
-        os << base << "_sum" << suffix << ' ' << json_number(m.sum) << '\n';
-        os << base << "_count" << suffix << ' ' << m.count << '\n';
+        os << base << "_sum" << suffix << ' '
+           << json_number(snap.hist_sums[d.value_index]) << '\n';
+        os << base << "_count" << suffix << ' ' << count << '\n';
         break;
       }
     }
@@ -535,46 +472,19 @@ std::string LivePlane::render_metrics_locked() const {
        << to_string(static_cast<MonitorKind>(m)) << "\"} "
        << suite_.states()[m].alerts << '\n';
   }
-  if (trace_dropped > 0) {
+  if (snap.trace_dropped > 0) {
     os << "# HELP faucets_trace_dropped_total Trace events lost to the "
           "bounded ring; the exported window is truncated\n"
        << "# TYPE faucets_trace_dropped_total counter\n"
-       << "faucets_trace_dropped_total " << trace_dropped << '\n';
+       << "faucets_trace_dropped_total " << snap.trace_dropped << '\n';
   }
   return os.str();
 }
 
 std::string LivePlane::render_traces_locked() const {
-  // K-way merge of the per-shard tails in the deterministic artifact order:
-  // (time, creation stamp, shard, ring index).
-  struct Ref {
-    double time;
-    TraceStamp stamp;
-    std::size_t shard;
-    std::size_t idx;
-  };
-  std::vector<Ref> order;
-  for (std::size_t s = 0; s < snapshots_.size(); ++s) {
-    const ShardSnapshot& snap = snapshots_[s];
-    for (std::size_t i = 0; i < snap.recent_n; ++i) {
-      order.push_back(Ref{snap.recent[i].time, snap.recent_stamps[i], s, i});
-    }
-  }
-  std::sort(order.begin(), order.end(), [](const Ref& a, const Ref& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.stamp.rank != b.stamp.rank) return a.stamp.rank < b.stamp.rank;
-    if (a.stamp.creator != b.stamp.creator) {
-      return a.stamp.creator < b.stamp.creator;
-    }
-    if (a.stamp.cseq != b.stamp.cseq) return a.stamp.cseq < b.stamp.cseq;
-    if (a.shard != b.shard) return a.shard < b.shard;
-    return a.idx < b.idx;
-  });
-  const std::size_t keep = std::min(order.size(), config_.recent_events);
   std::ostringstream os;
-  for (std::size_t i = order.size() - keep; i < order.size(); ++i) {
-    write_trace_event_jsonl(os,
-                            snapshots_[order[i].shard].recent[order[i].idx]);
+  for (std::size_t i = 0; i < snapshot_.recent_n; ++i) {
+    write_trace_event_jsonl(os, snapshot_.recent[i]);
   }
   return os.str();
 }

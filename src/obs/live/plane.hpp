@@ -2,17 +2,16 @@
 // snapshots of a running grid, plus the online invariant monitors and the
 // host-time stall watchdog.
 //
-// Read-only by construction: the simulation/coordinator thread *publishes*
-// value snapshots into preallocated buffers at consistent boundaries
-// (between steps in the classic loop, at lookahead barriers when sharded,
-// where every worker is idle), and the HTTP/ticker threads only ever read
-// those snapshots under the plane mutex. Nothing on a background thread
-// touches engines, registries, rings, or RNG state, and the only simulation
-// artifact the plane can write is a kAlert trace event — recorded by the
-// simulation thread itself, at a publish boundary, and only when a monitor
-// actually fires. Clean runs therefore produce byte-identical report JSON /
-// trace JSONL / Chrome traces with the plane on or off at every shard count
-// (tests/core/live_plane_test.cpp pins this at 1, 2, and 8 shards).
+// Read-only by construction: the simulation thread *publishes* value
+// snapshots into preallocated buffers at consistent boundaries (between
+// event steps), and the HTTP/ticker threads only ever read those snapshots
+// under the plane mutex. Nothing on a background thread touches the engine,
+// registry, ring, or RNG state, and the only simulation artifact the plane
+// can write is a kAlert trace event — recorded by the simulation thread
+// itself, at a publish boundary, and only when a monitor actually fires.
+// Clean runs therefore produce byte-identical report JSON / trace JSONL /
+// Chrome traces with the plane on or off (tests/core/live_plane_test.cpp
+// pins this).
 //
 // Steady-state publishes are allocation-free on the simulation thread
 // (tests/obs/live_alloc_test.cpp pins this with a counting operator new):
@@ -49,7 +48,7 @@ struct LiveConfig {
   /// Host seconds between snapshot publishes; 0 publishes at every
   /// consistent boundary (tests use 0 for deterministic coverage).
   double publish_interval = 0.1;
-  /// Last-N trace-ring events kept per shard for /traces/recent.
+  /// Last-N trace-ring events kept for /traces/recent.
   std::size_t recent_events = 256;
   /// Host seconds between ticker repaints.
   double progress_interval = 0.5;
@@ -60,35 +59,28 @@ struct LiveConfig {
   [[nodiscard]] bool enabled() const noexcept { return serve || progress; }
 };
 
-/// Read-only taps into one shard, called only at publish boundaries on the
-/// simulation/coordinator thread.
-struct ShardBinding {
-  const MetricsRegistry* metrics = nullptr;
-  const TraceBuffer* trace = nullptr;
-  std::function<double()> now;
-  std::function<std::uint64_t()> executed;
-};
-
 class LivePlane {
  public:
+  /// Read-only taps into the simulation, called only at publish boundaries
+  /// on the simulation thread.
   struct Bindings {
-    std::vector<ShardBinding> shards;
-    /// Sim-thread sink for kAlert records (shard 0's ring). May be null
+    const MetricsRegistry* metrics = nullptr;
+    const TraceBuffer* trace = nullptr;
+    std::function<std::uint64_t()> executed;
+    /// Sink for kAlert records (the simulation's ring). May be null
     /// (alerts then only reach /healthz and /metrics).
     TraceBuffer* alert_sink = nullptr;
-    /// Host-time profiler when enabled; per-shard phase fractions for
-    /// /progress come from here. May be null.
+    /// Host-time profiler when enabled; phase fractions for /progress come
+    /// from here. May be null.
     const Profiler* profiler = nullptr;
     MonitorProbes monitors{};
-    /// Grid-wide job counters (sum over shards).
+    /// Grid-wide job counters.
     std::function<void(std::uint64_t& submitted, std::uint64_t& completed,
                        std::uint64_t& unplaced)>
         job_counts;
     /// Streaming workload state (null-safe: unknown outside run()).
     std::function<bool()> workload_exhausted;
     std::function<std::uint64_t()> workload_buffered;
-    double lookahead = 0.0;  // sharded barrier lookahead, 0 when classic
-    bool sharded = false;
   };
 
   LivePlane(LiveConfig config, Bindings bindings);
@@ -96,7 +88,7 @@ class LivePlane {
   LivePlane(const LivePlane&) = delete;
   LivePlane& operator=(const LivePlane&) = delete;
 
-  // --- simulation/coordinator thread ---------------------------------------
+  // --- simulation thread ---------------------------------------------------
   void begin_run();
   /// Paced publish: no-op until publish_interval host time elapsed.
   void maybe_publish(double sim_now) {
@@ -129,10 +121,10 @@ class LivePlane {
   [[nodiscard]] HttpResponse handle(const std::string& path) const;
 
  private:
-  /// One shard's published values. Value arrays are laid out in schema
-  /// order; schema (names/types/bounds) is re-captured only when the
-  /// registry grew since the last publish.
-  struct ShardSnapshot {
+  /// The published values. Value arrays are laid out in schema order;
+  /// schema (names/types/bounds) is re-captured only when the registry grew
+  /// since the last publish.
+  struct Snapshot {
     struct Desc {
       std::string name;
       std::string help;
@@ -148,18 +140,13 @@ class LivePlane {
     std::vector<std::uint64_t> hist_buckets;
     std::vector<std::uint64_t> hist_counts;
     std::vector<double> hist_sums;
-    // Trace-ring tail (newest recent_events records) + merge stamps.
+    // Trace-ring tail (newest recent_events records).
     std::vector<TraceEvent> recent;
-    std::vector<TraceStamp> recent_stamps;
     std::size_t recent_n = 0;
     std::uint64_t trace_dropped = 0;
-    // Progress.
-    double now = 0.0;
-    std::uint64_t executed = 0;
+    // Host-time phases, when profiled.
     bool has_phases = false;
-    std::array<double, kProfPhaseCount> phase_seconds{};
-    double wall_seconds = 0.0;
-    std::uint64_t windows = 0;
+    Profiler::Phases phases;
   };
 
   struct Progress {
@@ -178,7 +165,7 @@ class LivePlane {
   };
 
   void publish_locked(double sim_now, bool final_check);
-  void capture_shard(std::size_t s);
+  void capture();
   void check_stall();  // server/ticker thread, every poll interval
   void ticker_loop();
   void render_ticker_line(bool last) const;
@@ -191,8 +178,8 @@ class LivePlane {
   LiveConfig config_;
   Bindings bindings_;
 
-  mutable std::mutex mu_;  // guards snapshots_, progress_, suite_
-  std::vector<ShardSnapshot> snapshots_;
+  mutable std::mutex mu_;  // guards snapshot_, progress_, suite_
+  Snapshot snapshot_;
   Progress progress_;
   MonitorSuite suite_;
 

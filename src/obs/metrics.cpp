@@ -64,7 +64,6 @@ Counter& MetricsRegistry::counter(const std::string& name, std::string help) {
   e.name = name;
   e.help = std::move(help);
   e.type = Type::kCounter;
-  e.first_seen = next_ticket();
   e.counter = std::make_unique<Counter>();
   Counter& ref = *e.counter;
   index_.emplace(name, entries_.size());
@@ -78,7 +77,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name, std::string help) {
   e.name = name;
   e.help = std::move(help);
   e.type = Type::kGauge;
-  e.first_seen = next_ticket();
   e.gauge = std::make_unique<Gauge>();
   Gauge& ref = *e.gauge;
   index_.emplace(name, entries_.size());
@@ -94,7 +92,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   e.name = name;
   e.help = std::move(help);
   e.type = Type::kHistogram;
-  e.first_seen = next_ticket();
   e.histogram = std::make_unique<Histogram>(std::move(bounds));
   Histogram& ref = *e.histogram;
   index_.emplace(name, entries_.size());
@@ -116,64 +113,6 @@ const Histogram* MetricsRegistry::find_histogram(const std::string& name) const 
   const Owned* e = find_entry(name);
   return (e != nullptr && e->type == Type::kHistogram) ? e->histogram.get()
                                                        : nullptr;
-}
-
-MetricsRegistry MetricsRegistry::merged(
-    const std::vector<const MetricsRegistry*>& shards) {
-  // Gather every entry of every shard, keyed by name; a name's position in
-  // the merged registry is its smallest first_seen ticket, which matches the
-  // single-engine registration order (see set_sequencer).
-  struct Slot {
-    std::uint64_t first_seen;
-    const Owned* proto;
-    std::vector<const Owned*> parts;
-  };
-  std::unordered_map<std::string, std::size_t> by_name;
-  std::vector<Slot> slots;
-  for (const MetricsRegistry* shard : shards) {
-    if (shard == nullptr) continue;
-    for (const Owned& e : shard->entries_) {
-      const auto it = by_name.find(e.name);
-      if (it == by_name.end()) {
-        by_name.emplace(e.name, slots.size());
-        slots.push_back(Slot{e.first_seen, &e, {&e}});
-      } else {
-        Slot& s = slots[it->second];
-        s.first_seen = std::min(s.first_seen, e.first_seen);
-        s.parts.push_back(&e);
-      }
-    }
-  }
-  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
-    if (a.first_seen != b.first_seen) return a.first_seen < b.first_seen;
-    return a.proto->name < b.proto->name;  // tie: only possible unsequenced
-  });
-  MetricsRegistry out;
-  for (const Slot& s : slots) {
-    switch (s.proto->type) {
-      case Type::kCounter: {
-        Counter& c = out.counter(s.proto->name, s.proto->help);
-        for (const Owned* p : s.parts) c.inc(p->counter->value());
-        break;
-      }
-      case Type::kGauge: {
-        // Carry each part's compensation term through the fold (not just its
-        // rounded value()) so the merged sum matches the single-engine
-        // compensated sum bit-for-bit regardless of how the series was split
-        // across shards.
-        Gauge& g = out.gauge(s.proto->name, s.proto->help);
-        for (const Owned* p : s.parts) g.merge_from(*p->gauge);
-        break;
-      }
-      case Type::kHistogram: {
-        Histogram& h = out.histogram(s.proto->name, s.proto->histogram->bounds(),
-                                     s.proto->help);
-        for (const Owned* p : s.parts) h.merge_from(*p->histogram);
-        break;
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace faucets::obs

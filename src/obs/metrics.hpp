@@ -10,7 +10,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -32,11 +31,9 @@ class Counter {
 };
 
 /// Gauges accumulate with Neumaier compensated summation: (value_, comp_)
-/// behaves as a double-double accumulator, so sums of similarly-scaled series
-/// (e.g. per-job revenue) come out independent of partial-sum grouping. The
-/// sharded merge carries the compensation term through merge_from(), which is
-/// what makes merged Prometheus text byte-identical across shard counts
-/// (DESIGN.md §11.6).
+/// behaves as a double-double accumulator, so sums of many small, similarly
+/// scaled values (e.g. per-job revenue) keep the low-order bits a naive
+/// running double would round away.
 class Gauge {
  public:
   void set(double v) noexcept {
@@ -53,11 +50,6 @@ class Gauge {
     value_ = t;
   }
   [[nodiscard]] double value() const noexcept { return value_ + comp_; }
-  /// Fold another gauge in, carrying its compensation term (sharded merge).
-  void merge_from(const Gauge& other) noexcept {
-    add(other.value_);
-    add(other.comp_);
-  }
 
  private:
   double value_ = 0.0;
@@ -147,26 +139,9 @@ class Histogram {
     }
   }
 
-  /// Fold another histogram with identical bounds into this one (sharded
-  /// merge): bucket counts, count, and extrema combine exactly; sums add
-  /// compensated, carrying the other side's compensation term just like
-  /// Gauge::merge_from, so the merged sum is grouping-independent
-  /// (DESIGN.md §11.6).
-  void merge_from(const Histogram& other) noexcept {
-    for (std::size_t i = 0; i < buckets_.size() && i < other.buckets_.size(); ++i) {
-      buckets_[i] += other.buckets_[i];
-    }
-    count_ += other.count_;
-    add_sum(other.sum_);
-    add_sum(other.sum_comp_);
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-
  private:
   /// Neumaier compensated accumulation into (sum_, sum_comp_) — the same
-  /// scheme Gauge uses, so histogram `_sum` lines export identically no
-  /// matter how observations were grouped across shards.
+  /// scheme Gauge uses.
   void add_sum(double v) noexcept {
     const double t = sum_ + v;
     if (std::abs(sum_) >= std::abs(v)) {
@@ -247,29 +222,11 @@ class MetricsRegistry {
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
-  /// Install a shared first-registration sequencer (sharded runs). Every
-  /// first registration of a name in *this* registry draws one globally
-  /// unique, monotonically increasing ticket from it. Because a sharded grid
-  /// constructs entities in the same global order as a single-engine run,
-  /// the ticket of a name's first registration — on whichever shard got
-  /// there first — identifies the same construction step at every shard
-  /// count, which is what makes merged() order-stable.
-  void set_sequencer(std::atomic<std::uint64_t>* seq) noexcept { sequencer_ = seq; }
-
-  /// Merge per-shard registries into one, in first-ticket order (identical
-  /// to single-engine registration order). Counters and histogram buckets /
-  /// counts sum exactly; gauges sum (every grid gauge is either owner-unique
-  /// or additive); histogram min/max merge exactly; histogram sums add in
-  /// shard order. Requires identical bounds for same-named histograms.
-  [[nodiscard]] static MetricsRegistry merged(
-      const std::vector<const MetricsRegistry*>& shards);
-
  private:
   struct Owned {
     std::string name;
     std::string help;
     Type type;
-    std::uint64_t first_seen = 0;  // sequencer ticket (sharded runs only)
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
@@ -277,15 +234,9 @@ class MetricsRegistry {
 
   Owned* find_entry(const std::string& name, Type type);
   [[nodiscard]] const Owned* find_entry(const std::string& name) const;
-  [[nodiscard]] std::uint64_t next_ticket() noexcept {
-    return sequencer_ != nullptr
-               ? sequencer_->fetch_add(1, std::memory_order_relaxed)
-               : static_cast<std::uint64_t>(entries_.size());
-  }
 
   std::vector<Owned> entries_;
   std::unordered_map<std::string, std::size_t> index_;
-  std::atomic<std::uint64_t>* sequencer_ = nullptr;
 };
 
 }  // namespace faucets::obs

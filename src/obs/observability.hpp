@@ -5,7 +5,6 @@
 // serialize it after the run.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -16,20 +15,12 @@
 
 namespace faucets::obs {
 
-struct ObservabilityConfig {
-  /// Ring capacity in events; rounded up to a power of two.
-  std::size_t trace_capacity = 1 << 16;
-  /// Shared registration sequencer for sharded runs (see
-  /// MetricsRegistry::set_sequencer); null for a standalone registry.
-  std::atomic<std::uint64_t>* metrics_sequencer = nullptr;
-};
-
 class Observability {
  public:
-  explicit Observability(ObservabilityConfig config = {})
-      : trace_(config.trace_capacity) {
-    metrics_.set_sequencer(config.metrics_sequencer);
-  }
+  /// `trace_capacity` is the ring's size in events, rounded up to a power
+  /// of two.
+  explicit Observability(std::size_t trace_capacity = 1 << 16)
+      : trace_(trace_capacity) {}
 
   [[nodiscard]] TraceBuffer& trace() noexcept { return trace_; }
   [[nodiscard]] const TraceBuffer& trace() const noexcept { return trace_; }

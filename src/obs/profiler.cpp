@@ -48,11 +48,6 @@ std::uint64_t sat_sub(std::uint64_t a, std::uint64_t b) noexcept {
   return a > b ? a - b : 0;
 }
 
-/// Host trace pids: disjoint from the sim-time trace (market = 1, clusters =
-/// 100+) so concatenated traces render side by side in Perfetto.
-constexpr int kHostShardPid = 9000;
-constexpr int kHostCoordinatorPid = 9001;
-
 }  // namespace
 
 double HostClock::ns_per_tick() {
@@ -110,21 +105,12 @@ const char* to_string(ProfClass c) noexcept {
 const char* to_string(ProfPhase p) noexcept {
   switch (p) {
     case ProfPhase::kExecute: return "execute";
-    case ProfPhase::kMailboxDrain: return "mailbox_drain";
-    case ProfPhase::kMerge: return "merge";
-    case ProfPhase::kBarrierWait: return "barrier_wait";
     case ProfPhase::kIdle: return "idle";
   }
   return "unknown";
 }
 
-Profiler::Profiler(ProfilerConfig config) : config_(config) {
-  if (config_.lanes == 0) config_.lanes = 1;
-  lanes_.resize(config_.lanes);
-  pool_.resize(config_.lanes);
-  drain_w_.assign(config_.lanes, 0);
-  timeline_.resize(config_.timeline_capacity);
-  kind_names_.resize(ProfilerLane::kKindSlots);
+Profiler::Profiler() : kind_names_(ProfilerLane::kKindSlots) {
   // Force calibration now so the first hot-path conversion and the A/B bench
   // arms never observe the spin.
   (void)HostClock::ns_per_tick();
@@ -134,95 +120,27 @@ void Profiler::set_kind_name(std::size_t slot, std::string name) {
   if (slot < kind_names_.size()) kind_names_[slot] = std::move(name);
 }
 
-void Profiler::begin_run() noexcept {
-  run_start_ = HostClock::ticks();
-  if (!started_) {
-    first_tick_ = run_start_;
-    started_ = true;
-  }
-}
+void Profiler::begin_run() noexcept { run_start_ = HostClock::ticks(); }
 
 void Profiler::end_run() noexcept {
   wall_ticks_ += sat_sub(HostClock::ticks(), run_start_);
 }
 
-void Profiler::barrier_begin() noexcept {
-  barrier_t0_ = HostClock::ticks();
-  std::fill(drain_w_.begin(), drain_w_.end(), 0);
-}
-
-void Profiler::add_drain(std::size_t i, std::uint64_t ticks) noexcept {
-  if (i >= lanes_.size()) return;
-  lanes_[i].drain_ += ticks;
-  drain_w_[i] += ticks;
-}
-
-void Profiler::barrier_end() noexcept {
-  barrier_t2_ = HostClock::ticks();
-  const std::uint64_t span = sat_sub(barrier_t2_, barrier_t0_);
-  for (std::size_t s = 0; s < lanes_.size(); ++s) {
-    lanes_[s].merge_ += sat_sub(span, drain_w_[s]);
-  }
-  push_slice(barrier_t0_, barrier_t2_, 0, 1, 0);
-}
-
-void Profiler::window_launch(double tmin) noexcept {
-  ++window_count_;
-  if (has_last_tmin_) advance_.add(tmin - last_tmin_);
-  last_tmin_ = tmin;
-  has_last_tmin_ = true;
-}
-
-void Profiler::window_complete() noexcept {
-  const std::uint64_t t3 = HostClock::ticks();
-  for (std::size_t s = 0; s < lanes_.size(); ++s) {
-    ProfilerLane& l = lanes_[s];
-    l.barrier_wait_ += sat_sub(l.task_start_, barrier_t2_);
-    l.barrier_wait_ += sat_sub(t3, l.task_end_);
-    window_events_.record(l.events_ - l.events_at_task_start_);
-    push_slice(l.task_start_, l.task_end_, static_cast<std::uint32_t>(s), 0,
-               l.events_ - l.events_at_task_start_);
-  }
-}
-
-Profiler::LanePhases Profiler::lane_phases(std::size_t i) const noexcept {
-  LanePhases out;
-  if (i >= lanes_.size()) return out;
-  const ProfilerLane& l = lanes_[i];
+Profiler::Phases Profiler::phases() const noexcept {
+  Phases out;
   const double scale = HostClock::ns_per_tick() * 1e-9;
-  const double execute = static_cast<double>(l.execute_) * scale;
-  const double drain = static_cast<double>(l.drain_) * scale;
-  const double merge = static_cast<double>(l.merge_) * scale;
-  const double barrier = static_cast<double>(l.barrier_wait_) * scale;
+  const double execute = static_cast<double>(lane_.execute_) * scale;
   out.wall_seconds = static_cast<double>(wall_ticks_) * scale;
-  // Idle is the explicit remainder over disjoint measured intervals, so the
-  // five phases sum to the lane's wall clock exactly (clamped at zero in
-  // case of sub-microsecond cross-core clock skew).
-  const double accounted = execute + drain + merge + barrier;
+  // Idle is the explicit remainder, so the phases sum to the wall clock
+  // exactly (clamped at zero against sub-microsecond clock skew).
   out.seconds[static_cast<std::size_t>(ProfPhase::kExecute)] = execute;
-  out.seconds[static_cast<std::size_t>(ProfPhase::kMailboxDrain)] = drain;
-  out.seconds[static_cast<std::size_t>(ProfPhase::kMerge)] = merge;
-  out.seconds[static_cast<std::size_t>(ProfPhase::kBarrierWait)] = barrier;
   out.seconds[static_cast<std::size_t>(ProfPhase::kIdle)] =
-      std::max(0.0, out.wall_seconds - accounted);
-  out.events = l.events_;
-  out.windows = l.windows_;
+      std::max(0.0, out.wall_seconds - execute);
   return out;
 }
 
 double Profiler::wall_seconds() const noexcept {
   return static_cast<double>(wall_ticks_) * HostClock::ns_per_tick() * 1e-9;
-}
-
-std::uint64_t Profiler::events_total() const noexcept {
-  std::uint64_t n = 0;
-  for (const ProfilerLane& l : lanes_) n += l.events_;
-  return n;
-}
-
-double Profiler::lookahead_efficiency() const noexcept {
-  if (config_.lookahead <= 0.0 || advance_.count == 0) return 0.0;
-  return advance_.mean() / config_.lookahead;
 }
 
 void Profiler::finalize() {
@@ -239,32 +157,14 @@ void Profiler::finalize() {
       .counter("faucets_prof_events_total",
                "Events dispatched under the profiler")
       .inc(events_total());
-  metrics_
-      .counter("faucets_prof_windows_total",
-               "Conservative lookahead windows executed")
-      .inc(window_count_);
-  metrics_
-      .counter("faucets_prof_timeline_dropped_total",
-               "Host timeline slices dropped once the buffer filled")
-      .inc(timeline_dropped_);
-  if (config_.lookahead > 0.0) {
-    metrics_
-        .gauge("faucets_prof_lookahead_efficiency",
-               "Mean per-window t_min advance over the lookahead span")
-        .set(lookahead_efficiency());
-  }
 
-  // Exclusive per-shard phase decomposition.
-  for (std::size_t s = 0; s < lanes_.size(); ++s) {
-    const LanePhases phases = lane_phases(s);
-    for (std::size_t p = 0; p < kProfPhaseCount; ++p) {
-      metrics_
-          .gauge("faucets_prof_phase_seconds{shard=\"" + std::to_string(s) +
-                     "\",phase=\"" +
-                     to_string(static_cast<ProfPhase>(p)) + "\"}",
-                 "Exclusive wall-clock phase per shard lane")
-          .set(phases.seconds[p]);
-    }
+  const Phases run = phases();
+  for (std::size_t p = 0; p < kProfPhaseCount; ++p) {
+    metrics_
+        .gauge(std::string("faucets_prof_phase_seconds{phase=\"") +
+                   to_string(static_cast<ProfPhase>(p)) + "\"}",
+               "Exclusive wall-clock phase of the run")
+        .set(run.seconds[p]);
   }
 
   // Per-event self time by message kind and by entity class: fold the POD
@@ -284,43 +184,15 @@ void Profiler::finalize() {
                      static_cast<double>(stats.max) * scale);
   };
   for (std::size_t k = 0; k < ProfilerLane::kKindSlots; ++k) {
-    ProfStats merged;
-    for (const ProfilerLane& l : lanes_) merged.merge_from(l.by_kind_[k]);
-    if (merged.count == 0) continue;
     const std::string kind =
         kind_names_[k].empty() ? "slot" + std::to_string(k) : kind_names_[k];
-    fold("faucets_prof_event_self_seconds{kind=\"" + kind + "\"}", merged);
+    fold("faucets_prof_event_self_seconds{kind=\"" + kind + "\"}",
+         lane_.by_kind_[k]);
   }
   for (std::size_t c = 0; c < kProfClassCount; ++c) {
-    ProfStats merged;
-    for (const ProfilerLane& l : lanes_) merged.merge_from(l.by_class_[c]);
-    if (merged.count == 0) continue;
     fold("faucets_prof_entity_self_seconds{entity=\"" +
              std::string(to_string(static_cast<ProfClass>(c))) + "\"}",
-         merged);
-  }
-
-  // Thread-pool workers (sharded runs only; unsharded runs have no pool).
-  for (std::size_t w = 0; w < pool_.size(); ++w) {
-    if (pool_[w].tasks == 0) continue;
-    const std::string worker = std::to_string(w);
-    const double busy = static_cast<double>(pool_[w].busy) * scale;
-    metrics_
-        .gauge("faucets_prof_pool_busy_seconds{worker=\"" + worker + "\"}",
-               "Thread-pool worker time spent inside tasks")
-        .set(busy);
-    metrics_
-        .gauge("faucets_prof_pool_idle_seconds{worker=\"" + worker + "\"}",
-               "Thread-pool worker wall clock minus busy time")
-        .set(std::max(0.0, wall_seconds() - busy));
-    metrics_
-        .counter("faucets_prof_pool_tasks_total{worker=\"" + worker + "\"}",
-                 "Tasks executed by this worker")
-        .inc(pool_[w].tasks);
-    metrics_
-        .counter("faucets_prof_pool_steals_total{worker=\"" + worker + "\"}",
-                 "Tasks this worker stole from a sibling deque")
-        .inc(pool_[w].steals);
+         lane_.by_class_[c]);
   }
 }
 
@@ -329,24 +201,19 @@ void Profiler::write_json(std::ostream& os) const {
   const double us = HostClock::ns_per_tick() * 1e-3;
 
   os << "{\n";
-  os << "  \"schema\": 1,\n";
+  os << "  \"schema\": 2,\n";
   os << "  \"clock\": {\"source\": \"" << HostClock::source()
      << "\", \"ns_per_tick\": " << json_number(HostClock::ns_per_tick())
      << "},\n";
   os << "  \"wall_seconds\": " << json_number(wall_seconds()) << ",\n";
   os << "  \"events_total\": " << events_total() << ",\n";
-
-  os << "  \"windows\": {\"count\": " << window_count_
-     << ", \"advance\": {\"mean\": " << json_number(advance_.mean())
-     << ", \"min\": " << json_number(advance_.min_or_zero())
-     << ", \"max\": " << json_number(advance_.max_or_zero())
-     << "}, \"events_per_window\": {\"mean\": "
-     << json_number(window_events_.mean())
-     << ", \"min\": " << window_events_.min_or_zero()
-     << ", \"max\": " << window_events_.max
-     << "}, \"lookahead\": " << json_number(config_.lookahead)
-     << ", \"lookahead_efficiency\": " << json_number(lookahead_efficiency())
-     << "},\n";
+  const Phases run = phases();
+  os << "  \"phases\": {";
+  for (std::size_t p = 0; p < kProfPhaseCount; ++p) {
+    os << (p == 0 ? "" : ", ") << "\"" << to_string(static_cast<ProfPhase>(p))
+       << "\": " << json_number(run.seconds[p]);
+  }
+  os << "},\n";
 
   const auto stats_json = [&](std::ostream& o, const char* key,
                               const std::string& name,
@@ -366,60 +233,26 @@ void Profiler::write_json(std::ostream& os) const {
   os << "  \"kinds\": [\n";
   bool first = true;
   for (std::size_t k = 0; k < ProfilerLane::kKindSlots; ++k) {
-    ProfStats merged;
-    for (const ProfilerLane& l : lanes_) merged.merge_from(l.by_kind_[k]);
-    if (merged.count == 0) continue;
+    const ProfStats& stats = lane_.by_kind_[k];
+    if (stats.count == 0) continue;
     if (!first) os << ",\n";
     first = false;
     const std::string kind =
         kind_names_[k].empty() ? "slot" + std::to_string(k) : kind_names_[k];
-    stats_json(os, "kind", kind, merged);
+    stats_json(os, "kind", kind, stats);
   }
   os << "\n  ],\n";
 
   os << "  \"entities\": [\n";
   first = true;
   for (std::size_t c = 0; c < kProfClassCount; ++c) {
-    ProfStats merged;
-    for (const ProfilerLane& l : lanes_) merged.merge_from(l.by_class_[c]);
-    if (merged.count == 0) continue;
+    const ProfStats& stats = lane_.by_class_[c];
+    if (stats.count == 0) continue;
     if (!first) os << ",\n";
     first = false;
-    stats_json(os, "entity", to_string(static_cast<ProfClass>(c)), merged);
+    stats_json(os, "entity", to_string(static_cast<ProfClass>(c)), stats);
   }
-  os << "\n  ],\n";
-
-  os << "  \"shards\": [\n";
-  for (std::size_t s = 0; s < lanes_.size(); ++s) {
-    const LanePhases phases = lane_phases(s);
-    os << "    {\"shard\": " << s
-       << ", \"wall_seconds\": " << json_number(phases.wall_seconds)
-       << ", \"events\": " << phases.events
-       << ", \"windows\": " << phases.windows << ", \"phases\": {";
-    for (std::size_t p = 0; p < kProfPhaseCount; ++p) {
-      os << (p == 0 ? "" : ", ") << "\""
-         << to_string(static_cast<ProfPhase>(p))
-         << "\": " << json_number(phases.seconds[p]);
-    }
-    os << "}}" << (s + 1 < lanes_.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n";
-
-  os << "  \"pool\": [\n";
-  first = true;
-  for (std::size_t w = 0; w < pool_.size(); ++w) {
-    if (pool_[w].tasks == 0) continue;
-    if (!first) os << ",\n";
-    first = false;
-    const double busy = static_cast<double>(pool_[w].busy) * scale;
-    os << "    {\"worker\": " << w << ", \"busy_seconds\": "
-       << json_number(busy) << ", \"idle_seconds\": "
-       << json_number(std::max(0.0, wall_seconds() - busy))
-       << ", \"tasks\": " << pool_[w].tasks
-       << ", \"steals\": " << pool_[w].steals << "}";
-  }
-  os << "\n  ],\n";
-  os << "  \"timeline_dropped\": " << timeline_dropped_ << "\n";
+  os << "\n  ]\n";
   os << "}\n";
 }
 
@@ -427,78 +260,14 @@ void Profiler::write_prometheus(std::ostream& os) const {
   obs::write_prometheus(os, metrics_);
 }
 
-void Profiler::write_chrome(std::ostream& os) const {
-  const double us = HostClock::ns_per_tick() * 1e-3;
-  const auto rel_us = [&](std::uint64_t t) {
-    return static_cast<double>(sat_sub(t, first_tick_)) * us;
-  };
-
-  os << "{\"displayTimeUnit\": \"ms\",\n";
-  os << "\"otherData\": {\"clock\": \"host\", \"source\": \""
-     << HostClock::source() << "\", \"ns_per_tick\": "
-     << json_number(HostClock::ns_per_tick()) << "},\n";
-  os << "\"traceEvents\": [\n";
-
-  os << " {\"ph\": \"M\", \"pid\": " << kHostShardPid
-     << ", \"tid\": 0, \"name\": \"process_name\", \"args\": {\"name\": "
-        "\"host: shards\"}}";
-  for (std::size_t s = 0; s < lanes_.size(); ++s) {
-    os << ",\n {\"ph\": \"M\", \"pid\": " << kHostShardPid << ", \"tid\": " << s
-       << ", \"name\": \"thread_name\", \"args\": {\"name\": \"shard " << s
-       << "\"}}";
-  }
-  os << ",\n {\"ph\": \"M\", \"pid\": " << kHostCoordinatorPid
-     << ", \"tid\": 0, \"name\": \"process_name\", \"args\": {\"name\": "
-        "\"host: coordinator\"}}";
-  os << ",\n {\"ph\": \"M\", \"pid\": " << kHostCoordinatorPid
-     << ", \"tid\": 0, \"name\": \"thread_name\", \"args\": {\"name\": "
-        "\"barrier\"}}";
-
-  for (std::size_t i = 0; i < timeline_used_; ++i) {
-    const TimelineSlice& sl = timeline_[i];
-    const double ts = rel_us(sl.start);
-    const double dur = std::max(0.0, rel_us(sl.end) - ts);
-    if (sl.kind == 0) {
-      os << ",\n {\"ph\": \"X\", \"pid\": " << kHostShardPid
-         << ", \"tid\": " << sl.lane << ", \"name\": \"window\", \"cat\": "
-            "\"host\", \"ts\": "
-         << json_number(ts) << ", \"dur\": " << json_number(dur)
-         << ", \"args\": {\"events\": " << sl.events << "}}";
-    } else {
-      os << ",\n {\"ph\": \"X\", \"pid\": " << kHostCoordinatorPid
-         << ", \"tid\": 0, \"name\": \"barrier\", \"cat\": \"host\", "
-            "\"ts\": "
-         << json_number(ts) << ", \"dur\": " << json_number(dur)
-         << ", \"args\": {}}";
-    }
-  }
-  os << "\n]}\n";
-}
-
 void Profiler::append_sweep_metrics(
     std::vector<std::pair<std::string, double>>& metrics) const {
-  double execute = 0.0;
-  double drain = 0.0;
-  double merge = 0.0;
-  double barrier = 0.0;
-  double idle = 0.0;
-  for (std::size_t s = 0; s < lanes_.size(); ++s) {
-    const LanePhases phases = lane_phases(s);
-    execute += phases.of(ProfPhase::kExecute);
-    drain += phases.of(ProfPhase::kMailboxDrain);
-    merge += phases.of(ProfPhase::kMerge);
-    barrier += phases.of(ProfPhase::kBarrierWait);
-    idle += phases.of(ProfPhase::kIdle);
-  }
-  const double wall = wall_seconds();
+  const Phases run = phases();
+  const double wall = run.wall_seconds;
   metrics.emplace_back("prof_wall_ms", wall * 1e3);
-  metrics.emplace_back("prof_execute_ms", execute * 1e3);
-  metrics.emplace_back("prof_mailbox_drain_ms", drain * 1e3);
-  metrics.emplace_back("prof_merge_ms", merge * 1e3);
-  metrics.emplace_back("prof_barrier_wait_ms", barrier * 1e3);
-  metrics.emplace_back("prof_idle_ms", idle * 1e3);
+  metrics.emplace_back("prof_execute_ms", run.of(ProfPhase::kExecute) * 1e3);
+  metrics.emplace_back("prof_idle_ms", run.of(ProfPhase::kIdle) * 1e3);
   metrics.emplace_back("prof_events", static_cast<double>(events_total()));
-  metrics.emplace_back("prof_windows", static_cast<double>(window_count_));
   metrics.emplace_back(
       "prof_events_per_sec",
       wall > 0.0 ? static_cast<double>(events_total()) / wall : 0.0);

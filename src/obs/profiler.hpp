@@ -2,24 +2,20 @@
 //
 // Opt-in observability for the simulator's *own* wall clock — the same
 // discipline the grid applies to simulated time (telemetry, spans, traces),
-// pointed at the machine underneath. A Profiler owns one ProfilerLane per
-// shard: the engine wraps each event dispatch in one timestamp pair, the
-// network tags the in-flight event with (MessageKind, entity class), and the
-// sharded run loop accounts each lane's wall clock into exclusive phases
-// (execute / mailbox-drain / merge / barrier-wait / idle) plus per-window
-// stats (t_min advance, events per window, lookahead efficiency) and
-// thread-pool worker busy/steal time.
+// pointed at the machine underneath. A Profiler owns one ProfilerLane: the
+// engine wraps each event dispatch in one timestamp pair, the network tags
+// the in-flight event with (MessageKind, entity class), and the run loop
+// splits the run's wall clock into two exclusive phases, execute (the event
+// loop) and idle (everything else between begin_run and end_run).
 //
 // Everything on the hot path writes into fixed preallocated POD arrays —
 // zero allocations after construction (tests/obs/profiler_alloc_test.cpp
 // pins this) — and nothing here touches sim-side state (registries, traces,
 // spans, RNG, schedules), so report JSON and trace JSONL are byte-identical
-// with profiling on or off at every shard count.
+// with profiling on or off.
 //
 // Timer reads go through HostClock, a calibrated TSC (x86-64) or
-// steady_clock wrapper. Compile with -DFAUCETS_PROFILE=0 to compile every
-// hook out entirely; at the default (=1) an unprofiled run pays one null
-// check per event.
+// steady_clock wrapper. An unprofiled run pays one null check per event.
 #pragma once
 
 #include <array>
@@ -34,10 +30,6 @@
 #include <vector>
 
 #include "src/obs/metrics.hpp"
-
-#ifndef FAUCETS_PROFILE
-#define FAUCETS_PROFILE 1
-#endif
 
 namespace faucets::obs {
 
@@ -105,26 +97,6 @@ struct ProfStats {
   [[nodiscard]] double quantile_ticks(double q) const noexcept;
 };
 
-/// Min/mean/max over a stream of doubles (sim-time window stats).
-struct ProfDoubleStats {
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-
-  void add(double v) noexcept {
-    ++count;
-    sum += v;
-    if (v < min) min = v;
-    if (v > max) max = v;
-  }
-  [[nodiscard]] double mean() const noexcept {
-    return count == 0 ? 0.0 : sum / static_cast<double>(count);
-  }
-  [[nodiscard]] double min_or_zero() const noexcept { return count == 0 ? 0.0 : min; }
-  [[nodiscard]] double max_or_zero() const noexcept { return count == 0 ? 0.0 : max; }
-};
-
 /// Coarse entity category for self-time attribution. Entities carry the raw
 /// byte (sim::Entity::prof_class()); GridSystem assigns one per entity it
 /// stands up, everything else reports as kOther.
@@ -139,24 +111,19 @@ enum class ProfClass : std::uint8_t {
 inline constexpr std::size_t kProfClassCount = 6;
 [[nodiscard]] const char* to_string(ProfClass c) noexcept;
 
-/// Exclusive wall-clock phases of one shard lane. Every tick of a lane's
-/// run-time lands in exactly one phase (idle is the explicit remainder), so
-/// the five sum to the lane's wall clock.
+/// Exclusive wall-clock phases of a run. Every tick between begin_run and
+/// end_run lands in exactly one phase (idle is the explicit remainder), so
+/// the two sum to the run's wall clock.
 enum class ProfPhase : std::uint8_t {
-  kExecute = 0,      // event handlers running inside a lookahead window
-  kMailboxDrain,     // coordinator draining this shard's cross-shard mailbox
-  kMerge,            // shared barrier work (history replay, t_min, drains of peers)
-  kBarrierWait,      // dispatch latency + waiting for slower shards
-  kIdle,             // outside any window (before first / after last / gaps)
+  kExecute = 0,  // inside the event loop: handlers plus the loop's dispatch
+  kIdle,         // inside begin_run/end_run but outside the event loop
 };
-inline constexpr std::size_t kProfPhaseCount = 5;
+inline constexpr std::size_t kProfPhaseCount = 2;
 [[nodiscard]] const char* to_string(ProfPhase p) noexcept;
 
-/// Per-shard hot-path recorder. The engine drives begin_event/end_event
-/// around every dispatched handler; the network tags the event in between.
-/// All fields are plain PODs sized at construction — record paths never
-/// allocate. One lane is only ever written by one thread at a time (the
-/// worker running its window, or the coordinator between windows).
+/// Hot-path recorder. The engine drives begin_event/end_event around every
+/// dispatched handler; the network tags the event in between. All fields
+/// are plain PODs sized at construction — record paths never allocate.
 class ProfilerLane {
  public:
   /// Kind slots: 0 = timer/no-message events, 1 + MessageKind otherwise.
@@ -178,20 +145,7 @@ class ProfilerLane {
     ++events_;
   }
 
-  /// Worker-side window task bracketing (sharded runs): execute phase is the
-  /// sum of task durations, and the coordinator reads the start/end marks
-  /// after wait_idle() to compute this lane's barrier-wait share.
-  void begin_window_task() noexcept {
-    task_start_ = HostClock::ticks();
-    events_at_task_start_ = events_;
-  }
-  void end_window_task() noexcept {
-    task_end_ = HostClock::ticks();
-    execute_ += task_end_ - task_start_;
-    ++windows_;
-  }
-
-  /// Single-engine runs: the whole run loop is one execute span.
+  /// The run loop is one execute span; it adds its duration here.
   void add_execute(std::uint64_t ticks) noexcept { execute_ += ticks; }
 
   [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
@@ -211,172 +165,62 @@ class ProfilerLane {
   std::uint64_t start_ = 0;
   std::size_t kind_ = 0;
   std::size_t cls_ = 0;
-  // Window task marks (worker-written, coordinator-read after wait_idle).
-  std::uint64_t task_start_ = 0;
-  std::uint64_t task_end_ = 0;
-  std::uint64_t events_at_task_start_ = 0;
-  std::uint64_t windows_ = 0;
-  // Exclusive phase totals, ticks (idle is derived at export).
-  std::uint64_t execute_ = 0;
-  std::uint64_t drain_ = 0;
-  std::uint64_t merge_ = 0;
-  std::uint64_t barrier_wait_ = 0;
+  std::uint64_t execute_ = 0;  // ticks
 };
 
-struct ProfilerConfig {
-  std::size_t lanes = 1;
-  /// Conservative lookahead of the sharded run, sim-seconds (0 = unsharded);
-  /// the denominator of the lookahead-efficiency figure.
-  double lookahead = 0.0;
-  /// Host-timeline slice budget (shard window + barrier slices). Keep-first:
-  /// once full, further slices are counted in timeline_dropped(). 0 is valid
-  /// (every slice drops) — GridSystem uses it for single-engine runs, whose
-  /// one execute span never pushes a slice.
-  std::size_t timeline_capacity = 1 << 15;
-};
-
-/// The profiler: per-lane recorders plus coordinator-side phase/window and
-/// thread-pool accounting, finalized into its OWN MetricsRegistry
-/// (faucets_prof_* — never the simulation's registries) and exported as
-/// profile.json, Prometheus text, and a host-timeline Chrome trace.
+/// The profiler: the lane plus run bracketing, finalized into its OWN
+/// MetricsRegistry (faucets_prof_* — never the simulation's registry) and
+/// exported as profile.json and Prometheus text.
 class Profiler {
  public:
-  explicit Profiler(ProfilerConfig config);
+  Profiler();
 
-  [[nodiscard]] ProfilerLane& lane(std::size_t i) noexcept { return lanes_[i]; }
-  [[nodiscard]] const ProfilerLane& lane(std::size_t i) const noexcept {
-    return lanes_[i];
-  }
-  [[nodiscard]] std::size_t lane_count() const noexcept { return lanes_.size(); }
+  [[nodiscard]] ProfilerLane& lane(std::size_t = 0) noexcept { return lane_; }
+  [[nodiscard]] const ProfilerLane& lane(std::size_t = 0) const noexcept { return lane_; }
+  [[nodiscard]] static constexpr std::size_t lane_count() noexcept { return 1; }
 
   /// Display name for a kind slot ("RFB", "BID", ...; slot 0 = "timer").
   /// Called during setup, before the hot path starts.
   void set_kind_name(std::size_t slot, std::string name);
 
-  // --- run bracketing (coordinator thread) --------------------------------
   void begin_run() noexcept;
   void end_run() noexcept;
 
-  // --- sharded coordinator hooks (between windows, workers idle) ----------
-  void barrier_begin() noexcept;
-  /// Coordinator time spent draining lane `i`'s mailbox this barrier.
-  void add_drain(std::size_t i, std::uint64_t ticks) noexcept;
-  /// Barrier done (drains + history replay + t_min): the interval minus each
-  /// lane's own drain is that lane's merge share.
-  void barrier_end() noexcept;
-  /// A window is about to dispatch at global lower bound `tmin`.
-  void window_launch(double tmin) noexcept;
-  /// All lanes finished the window (after wait_idle): compute per-lane
-  /// barrier-wait, per-window event counts, and timeline slices.
-  void window_complete() noexcept;
-
-  // --- thread-pool worker hook (any worker thread, own slot only) ---------
-  void record_pool_task(std::size_t worker, std::uint64_t ticks,
-                        bool stolen) noexcept {
-    if (worker >= pool_.size()) return;
-    PoolWorker& w = pool_[worker];
-    w.busy += ticks;
-    ++w.tasks;
-    if (stolen) ++w.steals;
-  }
-
-  // --- results ------------------------------------------------------------
-
-  /// Exclusive per-lane phase decomposition in seconds; phases sum to wall.
-  struct LanePhases {
+  /// Exclusive phase decomposition in seconds; phases sum to wall.
+  struct Phases {
     std::array<double, kProfPhaseCount> seconds{};
     double wall_seconds = 0.0;
-    std::uint64_t events = 0;
-    std::uint64_t windows = 0;
     [[nodiscard]] double of(ProfPhase p) const noexcept {
       return seconds[static_cast<std::size_t>(p)];
     }
   };
-  [[nodiscard]] LanePhases lane_phases(std::size_t i) const noexcept;
+  [[nodiscard]] Phases phases() const noexcept;
 
   [[nodiscard]] double wall_seconds() const noexcept;
-  [[nodiscard]] std::uint64_t events_total() const noexcept;
-  [[nodiscard]] std::uint64_t windows() const noexcept { return window_count_; }
-  [[nodiscard]] const ProfDoubleStats& window_advance() const noexcept {
-    return advance_;
-  }
-  [[nodiscard]] const ProfStats& window_events() const noexcept {
-    return window_events_;
-  }
-  /// Mean per-window t_min advance over the lookahead span (sharded runs);
-  /// < 1 means several windows per lookahead quantum, > 1 means windows are
-  /// jumping over idle sim-time.
-  [[nodiscard]] double lookahead_efficiency() const noexcept;
-  [[nodiscard]] std::uint64_t timeline_dropped() const noexcept {
-    return timeline_dropped_;
-  }
+  [[nodiscard]] std::uint64_t events_total() const noexcept { return lane_.events_; }
 
   /// Publish everything into the profiler's own registry (idempotent: each
   /// call rebuilds it from the raw accumulators). Deliberately not part of
-  /// the run path — building ~50 named instruments costs more than the whole
-  /// hot path on a short run — so GridSystem calls it at artifact-export
-  /// time; metrics() is empty until the first finalize().
+  /// the run path — building the named instruments costs more than the
+  /// whole hot path on a short run — so GridSystem calls it at
+  /// artifact-export time; metrics() is empty until the first finalize().
   void finalize();
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept { return metrics_; }
 
-  /// profile.json summary (schema 1).
+  /// profile.json summary (schema 2).
   void write_json(std::ostream& os) const;
   /// Prometheus text exposition of the faucets_prof_* registry.
   void write_prometheus(std::ostream& os) const;
-  /// Host-timeline Chrome trace: shard lanes on one process, barrier markers
-  /// on a second, in a pid range (9000+) disjoint from the sim-time trace so
-  /// the two files merge cleanly in Perfetto.
-  void write_chrome(std::ostream& os) const;
 
   /// Append per-run prof_* columns for faucets_sweep rows.
   void append_sweep_metrics(
       std::vector<std::pair<std::string, double>>& metrics) const;
 
  private:
-  struct PoolWorker {
-    std::uint64_t busy = 0;  // ticks
-    std::uint64_t tasks = 0;
-    std::uint64_t steals = 0;
-  };
-  struct TimelineSlice {
-    std::uint64_t start = 0;  // ticks
-    std::uint64_t end = 0;
-    std::uint32_t lane = 0;
-    std::uint32_t kind = 0;  // 0 = window execute, 1 = barrier
-    std::uint64_t events = 0;
-  };
-
-  void push_slice(std::uint64_t start, std::uint64_t end, std::uint32_t lane,
-                  std::uint32_t kind, std::uint64_t events) noexcept {
-    if (timeline_used_ >= timeline_.size()) {
-      ++timeline_dropped_;
-      return;
-    }
-    timeline_[timeline_used_++] = TimelineSlice{start, end, lane, kind, events};
-  }
-
-  ProfilerConfig config_;
-  std::vector<ProfilerLane> lanes_;
-  std::vector<PoolWorker> pool_;
+  ProfilerLane lane_;
   std::vector<std::string> kind_names_;
-  std::vector<TimelineSlice> timeline_;  // preallocated, keep-first
-  std::size_t timeline_used_ = 0;
-  std::uint64_t timeline_dropped_ = 0;
-  std::vector<std::uint64_t> drain_w_;  // per-lane drain ticks this barrier
-
   std::uint64_t run_start_ = 0;
-  std::uint64_t first_tick_ = 0;  // timeline epoch (first begin_run)
-  bool started_ = false;
   std::uint64_t wall_ticks_ = 0;
-
-  std::uint64_t barrier_t0_ = 0;
-  std::uint64_t barrier_t2_ = 0;  // last barrier_end == dispatch point
-  std::uint64_t window_count_ = 0;
-  bool has_last_tmin_ = false;
-  double last_tmin_ = 0.0;
-  ProfDoubleStats advance_;
-  ProfStats window_events_;
-
   MetricsRegistry metrics_;
 };
 

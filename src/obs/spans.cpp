@@ -27,79 +27,4 @@ std::vector<const Span*> SpanTracker::for_job(ClusterId cluster, JobId job) cons
   return out;
 }
 
-SpanTracker SpanTracker::merge_journals(
-    const std::vector<const SpanTracker*>& shards) {
-  // Total order over all journaled ops: simulation time, then the executing
-  // event's canonical (rank, creator, cseq) stamp, then the shard's own op
-  // sequence (ops of one execution live in one journal). Deterministic and
-  // independent both of which OS thread ran which shard and of the shard
-  // count itself.
-  struct Ref {
-    double time;
-    double rank;
-    std::uint64_t creator;
-    std::uint64_t cseq;
-    std::size_t shard;
-    std::size_t idx;
-  };
-  std::vector<Ref> order;
-  std::size_t total = 0;
-  for (const SpanTracker* t : shards) {
-    if (t != nullptr) total += t->journal_.size();
-  }
-  order.reserve(total);
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    if (shards[s] == nullptr) continue;
-    const auto& ops = shards[s]->journal_;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      order.push_back(Ref{ops[i].time, ops[i].rank, ops[i].creator,
-                          ops[i].cseq, s, i});
-    }
-  }
-  std::sort(order.begin(), order.end(), [](const Ref& a, const Ref& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.rank != b.rank) return a.rank < b.rank;
-    if (a.creator != b.creator) return a.creator < b.creator;
-    if (a.cseq != b.cseq) return a.cseq < b.cseq;
-    if (a.shard != b.shard) return a.shard < b.shard;
-    return a.idx < b.idx;
-  });
-
-  SpanTracker out;
-  std::unordered_map<std::uint64_t, SpanId> remap;
-  remap.reserve(total);
-  const auto mapped = [&remap](SpanId id) -> SpanId {
-    if (!id.valid()) return {};
-    const auto it = remap.find(id.value());
-    return it == remap.end() ? SpanId{} : it->second;
-  };
-  for (const Ref& r : order) {
-    const SpanOp& op = shards[r.shard]->journal_[r.idx];
-    switch (op.op) {
-      case SpanOp::Kind::kStart:
-        remap.emplace(op.id.value(),
-                      out.start_span(op.kind, op.time, op.entity, mapped(op.parent)));
-        break;
-      case SpanOp::Kind::kInstant:
-        remap.emplace(op.id.value(),
-                      out.instant_span(op.kind, op.time, op.entity,
-                                       mapped(op.parent), op.value));
-        break;
-      case SpanOp::Kind::kEnd:
-        out.end_span(mapped(op.id), op.time);
-        break;
-      case SpanOp::Kind::kSetValue:
-        out.set_value(mapped(op.id), op.value);
-        break;
-      case SpanOp::Kind::kSetUser:
-        out.set_user(mapped(op.id), op.user);
-        break;
-      case SpanOp::Kind::kBind:
-        out.bind_job(mapped(op.id), op.cluster, op.job);
-        break;
-    }
-  }
-  return out;
-}
-
 }  // namespace faucets::obs

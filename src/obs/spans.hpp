@@ -69,65 +69,11 @@ struct Span {
 };
 
 /// Append-only store of spans; ids are dense indices into the store.
-///
-/// Sharded runs put each shard's tracker into *journal* mode
-/// (enable_journal): ids carry the shard in their top bits so they stay
-/// globally unique on the wire, every mutation is appended to an op journal
-/// stamped with simulation time, and merge_journals() replays all shards'
-/// journals in (time, shard, op-sequence) order into one dense legacy-mode
-/// tracker — reproducing exactly the store a single-engine run would have
-/// built, including creation-time identity inheritance across shards.
 class SpanTracker {
  public:
-  /// Canonical-order stamp of the mutation: simulation time plus the
-  /// executing event's (rank, creator, cseq) identity — the same
-  /// shard-count-independent key the trace ring and the engines use, so a
-  /// journal replay reproduces one global order at any partitioning.
-  struct Stamp {
-    double time = 0.0;
-    double rank = 0.0;
-    std::uint64_t creator = 0;
-    std::uint64_t cseq = 0;
-  };
-
-  /// One journaled mutation (journal mode only).
-  struct SpanOp {
-    enum class Kind : std::uint8_t {
-      kStart,
-      kInstant,
-      kEnd,
-      kSetValue,
-      kSetUser,
-      kBind,
-    };
-    Kind op = Kind::kStart;
-    double time = 0.0;  // simulation time the mutation happened
-    double rank = 0.0;  // executing event's scheduling rank
-    std::uint64_t creator = 0;  // executing event's creation stamp
-    std::uint64_t cseq = 0;
-    SpanId id;          // target span (shard-tagged)
-    SpanId parent;      // kStart / kInstant
-    SpanKind kind = SpanKind::kSubmission;
-    EntityId entity;
-    ClusterId cluster;  // kBind
-    JobId job;          // kBind
-    UserId user;        // kSetUser
-    double value = 0.0;  // kInstant / kSetValue
-  };
-
   SpanId start_span(SpanKind kind, double now, EntityId entity,
                     SpanId parent = {}) {
-    const SpanId id = next_id();
-    if (journaling_) {
-      SpanOp op;
-      op.op = SpanOp::Kind::kStart;
-      fill_stamp(op, now);
-      op.id = id;
-      op.parent = parent;
-      op.kind = kind;
-      op.entity = entity;
-      journal_.push_back(op);
-    }
+    const SpanId id{spans_.size()};
     start_local(id, kind, now, entity, parent);
     if (kind == SpanKind::kSubmission) ++open_submissions_;
     return id;
@@ -136,18 +82,7 @@ class SpanTracker {
   /// Record an already-finished (instant) span.
   SpanId instant_span(SpanKind kind, double now, EntityId entity,
                       SpanId parent = {}, double value = 0.0) {
-    const SpanId id = next_id();
-    if (journaling_) {
-      SpanOp op;
-      op.op = SpanOp::Kind::kInstant;
-      fill_stamp(op, now);
-      op.id = id;
-      op.parent = parent;
-      op.kind = kind;
-      op.entity = entity;
-      op.value = value;
-      journal_.push_back(op);
-    }
+    const SpanId id{spans_.size()};
     Span& s = start_local(id, kind, now, entity, parent);
     s.end = now;
     s.value = value;
@@ -155,17 +90,6 @@ class SpanTracker {
   }
 
   void end_span(SpanId id, double now) {
-    // Journal first, unconditionally: in a sharded run the span may live on
-    // another shard where this tracker cannot resolve it, but the merged
-    // replay — which holds the full tree — applies the same open() guard a
-    // single-engine run would have.
-    if (journaling_ && id.valid()) {
-      SpanOp op;
-      op.op = SpanOp::Kind::kEnd;
-      fill_stamp(op, now);
-      op.id = id;
-      journal_.push_back(op);
-    }
     if (Span* s = find_mutable(id); s != nullptr && s->open()) {
       if (s->kind == SpanKind::kSubmission && open_submissions_ > 0) {
         --open_submissions_;
@@ -174,36 +98,19 @@ class SpanTracker {
     }
   }
 
-  /// Open (un-ended) kSubmission root spans in this tracker, maintained
-  /// incrementally. A submission root is opened and closed on its client's
-  /// own shard, so summing this across shards at a consistent boundary
-  /// equals jobs still in flight (submitted - completed - unplaced) — the
-  /// span-balance invariant the live monitor checks online.
+  /// Open (un-ended) kSubmission root spans, maintained incrementally. At
+  /// an event boundary this equals jobs still in flight (submitted -
+  /// completed - unplaced) — the span-balance invariant the live monitor
+  /// checks online.
   [[nodiscard]] std::uint64_t open_submissions() const noexcept {
     return open_submissions_;
   }
 
   void set_value(SpanId id, double value) {
-    if (journaling_ && id.valid()) {
-      SpanOp op;
-      op.op = SpanOp::Kind::kSetValue;
-      fill_stamp(op);
-      op.id = id;
-      op.value = value;
-      journal_.push_back(op);
-    }
     if (Span* s = find_mutable(id)) s->value = value;
   }
 
   void set_user(SpanId id, UserId user) {
-    if (journaling_ && id.valid()) {
-      SpanOp op;
-      op.op = SpanOp::Kind::kSetUser;
-      fill_stamp(op);
-      op.id = id;
-      op.user = user;
-      journal_.push_back(op);
-    }
     if (Span* s = find_mutable(id)) s->user = user;
   }
 
@@ -211,15 +118,6 @@ class SpanTracker {
   /// find the whole submission tree. Also back-fills ancestors that do not
   /// yet carry an identity, so client-side spans become queryable by JobId.
   void bind_job(SpanId id, ClusterId cluster, JobId job) {
-    if (journaling_ && id.valid()) {
-      SpanOp op;
-      op.op = SpanOp::Kind::kBind;
-      fill_stamp(op);
-      op.id = id;
-      op.cluster = cluster;
-      op.job = job;
-      journal_.push_back(op);
-    }
     Span* s = find_mutable(id);
     if (s == nullptr) return;
     for (Span* cur = s; cur != nullptr && !cur->cluster.valid();
@@ -236,27 +134,6 @@ class SpanTracker {
     const std::size_t i = local_index(id);
     return i != kNpos ? &spans_[i] : nullptr;
   }
-
-  /// Switch to journal mode (sharded runs). `shard` tags every id issued by
-  /// this tracker; `stamp` supplies the canonical-order stamp of the event
-  /// being executed (its time doubles as the clock for mutations whose API
-  /// carries no timestamp). Must be called before any span is created.
-  void enable_journal(std::uint32_t shard, std::function<Stamp()> stamp) {
-    journaling_ = true;
-    shard_tag_ = static_cast<std::uint64_t>(shard) + 1;  // 0 = untagged/legacy
-    stamp_ = std::move(stamp);
-  }
-
-  [[nodiscard]] bool journaling() const noexcept { return journaling_; }
-  [[nodiscard]] const std::vector<SpanOp>& journal() const noexcept {
-    return journal_;
-  }
-
-  /// Replay all shards' journals in canonical (time, rank, creator, cseq,
-  /// op-sequence) order into a fresh legacy-mode tracker with dense ids in
-  /// replay order — one global store, identical at every shard count.
-  [[nodiscard]] static SpanTracker merge_journals(
-      const std::vector<const SpanTracker*>& shards);
 
   [[nodiscard]] const std::vector<Span>& spans() const noexcept { return spans_; }
   [[nodiscard]] std::size_t size() const noexcept { return spans_.size(); }
@@ -299,27 +176,12 @@ class SpanTracker {
   };
 
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-  static constexpr unsigned kShardShift = 48;
-  static constexpr std::uint64_t kIndexMask = (std::uint64_t{1} << kShardShift) - 1;
 
-  /// Dense index of `id` in this tracker's store, kNpos when the id is
-  /// invalid, out of range, or (journal mode) tagged for another shard.
+  /// Dense index of `id` in the store, kNpos when the id is invalid or out
+  /// of range.
   [[nodiscard]] std::size_t local_index(SpanId id) const noexcept {
-    if (!id.valid()) return kNpos;
-    if (!journaling_) {
-      return id.value() < spans_.size() ? static_cast<std::size_t>(id.value())
-                                        : kNpos;
-    }
-    if ((id.value() >> kShardShift) != shard_tag_) return kNpos;
-    const std::uint64_t i = id.value() & kIndexMask;
-    return i < spans_.size() ? static_cast<std::size_t>(i) : kNpos;
-  }
-
-  [[nodiscard]] SpanId next_id() const noexcept {
-    return journaling_
-               ? SpanId{(shard_tag_ << kShardShift) |
-                        static_cast<std::uint64_t>(spans_.size())}
-               : SpanId{spans_.size()};
+    if (!id.valid() || id.value() >= spans_.size()) return kNpos;
+    return static_cast<std::size_t>(id.value());
   }
 
   Span& start_local(SpanId id, SpanKind kind, double now, EntityId entity,
@@ -345,27 +207,9 @@ class SpanTracker {
     return i != kNpos ? &spans_[i] : nullptr;
   }
 
-  /// Stamp `op` with the executing event's canonical key; `now` overrides
-  /// the time for APIs that carry their own timestamp.
-  void fill_stamp(SpanOp& op) {
-    const Stamp st = stamp_();
-    op.time = st.time;
-    op.rank = st.rank;
-    op.creator = st.creator;
-    op.cseq = st.cseq;
-  }
-  void fill_stamp(SpanOp& op, double now) {
-    fill_stamp(op);
-    op.time = now;
-  }
-
   std::vector<Span> spans_;
   std::unordered_map<JobKey, std::vector<SpanId>, JobKeyHash> job_index_;
   std::uint64_t open_submissions_ = 0;
-  bool journaling_ = false;
-  std::uint64_t shard_tag_ = 0;
-  std::function<Stamp()> stamp_;
-  std::vector<SpanOp> journal_;
 };
 
 }  // namespace faucets::obs

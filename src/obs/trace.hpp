@@ -193,17 +193,6 @@ inline constexpr std::size_t kMonitorKindCount =
   return "?";
 }
 
-/// Canonical-order stamp attached to a trace record at record() time: the
-/// executing event's scheduling rank and creation identity (see
-/// sim::Engine). (time, rank, creator, cseq) is a shard-count-independent
-/// total order over executions, so merged views of per-shard rings sort
-/// identically no matter how the grid was partitioned.
-struct TraceStamp {
-  double rank = 0.0;
-  std::uint64_t creator = 0;
-  std::uint64_t cseq = 0;
-};
-
 /// One trace record: what happened, to whom, when. Trivially copyable —
 /// recording is a struct copy into the ring, never an allocation.
 struct TraceEvent {
@@ -325,26 +314,13 @@ class TraceBuffer {
  public:
   /// `capacity` is rounded up to the next power of two (minimum 1).
   explicit TraceBuffer(std::size_t capacity = 1 << 16)
-      : ring_(round_up_pow2(capacity)),
-        stamps_(ring_.size()),
-        mask_(ring_.size() - 1) {}
+      : ring_(round_up_pow2(capacity)), mask_(ring_.size() - 1) {}
 
   /// Record one event. Never allocates: the ring is preallocated and the
-  /// event is trivially copyable. Stamps live in a parallel ring so the
-  /// event struct itself stays one cache line.
+  /// event is trivially copyable.
   void record(const TraceEvent& ev) noexcept {
-    const std::size_t slot = static_cast<std::size_t>(head_) & mask_;
-    ring_[slot] = ev;
-    if (stamp_fn_ != nullptr) stamps_[slot] = stamp_fn_(stamp_src_);
+    ring_[static_cast<std::size_t>(head_) & mask_] = ev;
     ++head_;
-  }
-
-  /// Source of canonical-order stamps (the owning engine, behind a plain
-  /// function pointer so this header stays independent of the sim layer).
-  using StampFn = TraceStamp (*)(const void*);
-  void set_stamp_source(StampFn fn, const void* src) noexcept {
-    stamp_fn_ = fn;
-    stamp_src_ = src;
   }
 
   [[nodiscard]] std::size_t size() const noexcept {
@@ -361,12 +337,6 @@ class TraceBuffer {
   /// i-th surviving event, oldest first (i in [0, size())).
   [[nodiscard]] const TraceEvent& at(std::size_t i) const noexcept {
     return ring_[static_cast<std::size_t>(head_ - size() + i) & mask_];
-  }
-
-  /// Canonical-order stamp of the i-th surviving event (same indexing as
-  /// at(); zeroed when no stamp source was wired).
-  [[nodiscard]] const TraceStamp& stamp_at(std::size_t i) const noexcept {
-    return stamps_[static_cast<std::size_t>(head_ - size() + i) & mask_];
   }
 
   /// Visit surviving events oldest-first.
@@ -407,61 +377,28 @@ class TraceBuffer {
   }
 
   std::vector<TraceEvent> ring_;  // preallocated, size is a power of two
-  std::vector<TraceStamp> stamps_;  // parallel to ring_, same indexing
   std::size_t mask_;
   std::uint64_t head_ = 0;  // total records ever; write index is head_ & mask_
-  StampFn stamp_fn_ = nullptr;
-  const void* stamp_src_ = nullptr;
 };
 
-/// A flattened, read-only view with the same read API as TraceBuffer, used
-/// by exporters that consume the merged per-shard rings of a sharded run.
-///
-/// merged() k-way-merges the surviving events of all shards' rings by the
-/// canonical order (time, stamp, ring order) — identical at every shard
-/// count, including one — and keeps the newest `capacity`: exactly the
-/// window a single ring of the same capacity would have retained, because
-/// any event inside the global last-capacity window has at most capacity
-/// same-shard events after it and therefore also survived its shard's ring.
+/// A flattened, read-only copy of a ring's surviving events with the same
+/// read API as TraceBuffer, in time order. Records are stamped with the
+/// engine clock when they are made, so the ring is already time-ordered
+/// except for a stall alert, which the live plane records at the next
+/// publish with the sim time the stall began; the stable sort moves it back
+/// to follow the records of that time and leaves equal-time records in
+/// execution order.
 class TraceView {
  public:
   TraceView() = default;
-
-  [[nodiscard]] static TraceView merged(const std::vector<const TraceBuffer*>& shards) {
-    TraceView out;
-    struct Ref {
-      double time;
-      TraceStamp stamp;
-      std::size_t shard;
-      std::size_t idx;
-    };
-    std::vector<Ref> order;
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      if (shards[s] == nullptr) continue;
-      out.total_ += shards[s]->total_recorded();
-      out.capacity_ = std::max(out.capacity_, shards[s]->capacity());
-      const std::size_t n = shards[s]->size();
-      for (std::size_t i = 0; i < n; ++i) {
-        order.push_back(Ref{shards[s]->at(i).time, shards[s]->stamp_at(i), s, i});
-      }
-    }
-    // Records of one executing event share a stamp and live in one ring, so
-    // ring order finishes the job; the (shard, idx) fallback only orders
-    // unstamped legacy records.
-    std::sort(order.begin(), order.end(), [](const Ref& a, const Ref& b) {
-      if (a.time != b.time) return a.time < b.time;
-      if (a.stamp.rank != b.stamp.rank) return a.stamp.rank < b.stamp.rank;
-      if (a.stamp.creator != b.stamp.creator) return a.stamp.creator < b.stamp.creator;
-      if (a.stamp.cseq != b.stamp.cseq) return a.stamp.cseq < b.stamp.cseq;
-      if (a.shard != b.shard) return a.shard < b.shard;
-      return a.idx < b.idx;
-    });
-    const std::size_t keep = std::min(order.size(), out.capacity_);
-    out.events_.reserve(keep);
-    for (std::size_t i = order.size() - keep; i < order.size(); ++i) {
-      out.events_.push_back(shards[order[i].shard]->at(order[i].idx));
-    }
-    return out;
+  explicit TraceView(const TraceBuffer& ring)
+      : total_(ring.total_recorded()), capacity_(ring.capacity()) {
+    events_.reserve(ring.size());
+    ring.for_each([this](const TraceEvent& ev) { events_.push_back(ev); });
+    std::stable_sort(events_.begin(), events_.end(),
+                     [](const TraceEvent& a, const TraceEvent& b) {
+                       return a.time < b.time;
+                     });
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }

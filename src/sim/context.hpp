@@ -15,7 +15,6 @@
 #include "src/sim/engine.hpp"
 #include "src/sim/entity.hpp"
 #include "src/sim/network.hpp"
-#include "src/sim/shard.hpp"
 #include "src/util/rng.hpp"
 
 namespace faucets::sim {
@@ -30,10 +29,6 @@ struct SimConfig {
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
   /// Capacity of the bounded trace ring (rounded up to a power of two).
   std::size_t trace_capacity = 1 << 16;
-  /// Sharded runs: the shared router and this context's shard id. Null
-  /// router (the default) selects the single-engine path everywhere.
-  ShardRouter* router = nullptr;
-  std::uint32_t shard = 0;
 };
 
 /// Owns the Engine, Network, observability bundle, and run RNG of one
@@ -43,23 +38,9 @@ class SimContext {
  public:
   SimContext() : SimContext(SimConfig{}) {}
   explicit SimContext(SimConfig config)
-      : obs_(obs::ObservabilityConfig{
-            .trace_capacity = config.trace_capacity,
-            .metrics_sequencer =
-                config.router != nullptr ? config.router->metrics_sequencer()
-                                         : nullptr}),
-        network_(engine_, config.network, &obs_, config.router, config.shard),
-        rng_(config.seed) {
-    if (config.router != nullptr) engine_.enable_deterministic_ties();
-    // Trace records carry the executing event's canonical stamp so merged
-    // per-shard views sort identically at every shard count.
-    obs_.trace().set_stamp_source(
-        [](const void* src) {
-          const auto st = static_cast<const Engine*>(src)->exec_stamp();
-          return obs::TraceStamp{st.rank, st.creator, st.cseq};
-        },
-        &engine_);
-  }
+      : obs_(config.trace_capacity),
+        network_(engine_, config.network, &obs_),
+        rng_(config.seed) {}
   explicit SimContext(NetworkConfig network) : SimContext(SimConfig{.network = network}) {}
 
   SimContext(const SimContext&) = delete;

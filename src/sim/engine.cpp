@@ -77,21 +77,12 @@ EventHandle Engine::schedule_at(SimTime when, SmallFunction fn) {
     assert(s <= kSlotMask && "event pool exceeds 2^24 pending events");
     slots_.emplace_back();
     pos_.push_back(-1);
-    rank_.push_back(0.0);
-    creator_.push_back(kNoEntity);
-    cseq_.push_back(0);
-    exec_entity_.push_back(kNoEntity);
   } else {
     s = free_.back();
     free_.pop_back();
   }
   Slot& slot = slots_[s];
   slot.fn = std::move(fn);
-  rank_[s] = now_;
-  const CreationStamp st = take_creation_stamp();
-  creator_[s] = st.creator;
-  cseq_[s] = st.cseq;
-  exec_entity_[s] = current_entity_;  // timers inherit their scheduler
   pos_[s] = static_cast<std::int32_t>(heap_.size());
   heap_.push_back(HeapEntry{when, (next_seq_++ << kSlotBits) | s});
   sift_up(heap_.size() - 1);
@@ -114,21 +105,15 @@ bool Engine::step(SimTime until) {
   // Detach the closure and retire the slot *before* invoking: the closure
   // may schedule (growing slots_), cancel, or even land in this very slot.
   SmallFunction fn = std::move(slots_[s].fn);
-  cur_rank_ = rank_[s];
-  cur_creator_ = creator_[s];
-  cur_cseq_ = cseq_[s];
-  current_entity_ = exec_entity_[s];
   pop_root();
   retire_slot(s);
   ++executed_;
-#if FAUCETS_PROFILE
   if (prof_ != nullptr) {
     prof_->begin_event();
     fn();
     prof_->end_event();
     return true;
   }
-#endif
   fn();
   return true;
 }

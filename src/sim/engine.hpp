@@ -96,105 +96,9 @@ class Engine {
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
   /// Time of the earliest pending event, kForever when the queue is empty.
-  /// Sharded runs use this to compute the global lower bound of a lookahead
-  /// window without popping anything.
+  /// The run loop peeks it to fire a pause hook before the event executes.
   [[nodiscard]] SimTime next_time() const noexcept {
     return heap_.empty() ? kForever : heap_[0].time;
-  }
-
-  /// Rank (scheduling time) of the earliest pending event. The rank is the
-  /// value of now() at the moment schedule_at ran, which for a message
-  /// delivery equals its send time — the key that lets a sharded run merge
-  /// local deliveries with cross-shard envelopes in exactly the order a
-  /// single global heap would have produced. Precondition: !empty().
-  [[nodiscard]] SimTime next_rank() const noexcept { return rank_[heap_[0].slot()]; }
-
-  /// Creation stamp of the earliest pending event (see CreationStamp).
-  /// Precondition: !empty().
-  [[nodiscard]] std::uint64_t next_creator() const noexcept {
-    return creator_[heap_[0].slot()];
-  }
-  [[nodiscard]] std::uint64_t next_cseq() const noexcept {
-    return cseq_[heap_[0].slot()];
-  }
-
-  /// Advance the clock without executing anything (never moves it backwards).
-  /// Used when a cross-shard message delivery or an end-of-run fixup owns the
-  /// clock instead of a locally queued event.
-  void advance_to(SimTime t) noexcept {
-    if (t > now_) now_ = t;
-  }
-
-  /// Count one externally executed event (a cross-shard delivery) so that
-  /// executed() totals stay comparable with a single-engine run, where every
-  /// delivery passes through step(), and adopt its stamp as the current
-  /// execution stamp so trace records and span ops emitted while handling it
-  /// sort exactly where a single global heap would have placed them.
-  void begin_external_event(SimTime rank, std::uint64_t creator,
-                            std::uint64_t cseq) noexcept {
-    ++executed_;
-    cur_rank_ = rank;
-    cur_creator_ = creator;
-    cur_cseq_ = cseq;
-  }
-
-  // --- canonical event identity -------------------------------------------
-  //
-  // Every event creation (timer or message delivery) is stamped with the
-  // identity of the entity whose code performed it plus that entity's own
-  // monotone creation counter. Because each entity lives on exactly one
-  // shard and executes its events in the same relative order at every shard
-  // count, the stamp (creator, cseq) names the same logical event no matter
-  // how the grid is partitioned — it is the shard-count-independent half of
-  // the canonical total order (time, rank, creator, cseq) that sharded runs
-  // use to break time ties (see DESIGN.md §11). The single-engine heap keeps
-  // its historical (time, insertion-seq) order bit-for-bit; stamps are still
-  // maintained there so merged trace/span views can sort canonically at any
-  // shard count, including one.
-
-  /// Sentinel creator for creations outside any entity's code.
-  static constexpr std::uint64_t kNoEntity = ~std::uint64_t{0};
-
-  /// Attribute subsequent creations to `entity` (the value of an EntityId).
-  /// Called by the Network on attach and before each message handler, and by
-  /// entity methods that are invoked from outside the event loop.
-  void set_current_entity(std::uint64_t entity) noexcept {
-    current_entity_ = entity;
-  }
-  [[nodiscard]] std::uint64_t current_entity() const noexcept {
-    return current_entity_;
-  }
-
-  struct CreationStamp {
-    std::uint64_t creator = kNoEntity;
-    std::uint64_t cseq = 0;
-  };
-
-  /// Consume the next creation stamp for the current entity. schedule_at
-  /// draws one per event; the Network draws one per cross-shard envelope so
-  /// local and remote sends share a single per-entity sequence.
-  [[nodiscard]] CreationStamp take_creation_stamp() {
-    if (current_entity_ == kNoEntity) return {kNoEntity, orphan_seq_++};
-    if (current_entity_ >= entity_seq_.size()) {
-      entity_seq_.resize(static_cast<std::size_t>(current_entity_) + 1, 0);
-    }
-    return {current_entity_, entity_seq_[static_cast<std::size_t>(current_entity_)]++};
-  }
-
-  /// Break same-time heap ties by (rank, creator, cseq) instead of insertion
-  /// order. Sharded contexts enable this so every shard executes its slice of
-  /// the canonical global order; the default stays the historical
-  /// single-engine order.
-  void enable_deterministic_ties() noexcept { deterministic_ties_ = true; }
-
-  /// Stamp of the event currently being executed (valid during a handler).
-  struct ExecStamp {
-    SimTime rank = 0.0;
-    std::uint64_t creator = kNoEntity;
-    std::uint64_t cseq = 0;
-  };
-  [[nodiscard]] ExecStamp exec_stamp() const noexcept {
-    return {cur_rank_, cur_creator_, cur_cseq_};
   }
 
   /// Total slots ever allocated in the pool (monotone; slot reuse keeps this
@@ -203,8 +107,7 @@ class Engine {
 
   /// Attach a host-time profiler lane (DESIGN.md §12): step() brackets each
   /// dispatched handler with one timestamp pair. Null (the default) keeps
-  /// the unprofiled path to a single branch per event; the hook compiles out
-  /// entirely with -DFAUCETS_PROFILE=0.
+  /// the unprofiled path to a single branch per event.
   void set_profiler(obs::ProfilerLane* lane) noexcept { prof_ = lane; }
 
   static constexpr SimTime kForever = 1e300;
@@ -241,14 +144,9 @@ class Engine {
   }
   void cancel_slot(std::uint32_t slot, std::uint32_t generation) noexcept;
 
-  [[nodiscard]] bool earlier(const HeapEntry& a, const HeapEntry& b) const noexcept {
+  [[nodiscard]] static bool earlier(const HeapEntry& a, const HeapEntry& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
-    if (!deterministic_ties_) return a.key < b.key;
-    const std::uint32_t sa = a.slot();
-    const std::uint32_t sb = b.slot();
-    if (rank_[sa] != rank_[sb]) return rank_[sa] < rank_[sb];
-    if (creator_[sa] != creator_[sb]) return creator_[sa] < creator_[sb];
-    return cseq_[sa] < cseq_[sb];
+    return a.key < b.key;
   }
   void place(const HeapEntry& e, std::size_t i) noexcept {
     heap_[i] = e;
@@ -264,19 +162,8 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   obs::ProfilerLane* prof_ = nullptr;  // host-time recorder; null = off
-  bool deterministic_ties_ = false;
-  std::uint64_t current_entity_ = kNoEntity;
-  std::uint64_t orphan_seq_ = 0;
-  SimTime cur_rank_ = 0.0;              // stamp of the executing event
-  std::uint64_t cur_creator_ = kNoEntity;
-  std::uint64_t cur_cseq_ = 0;
   std::vector<Slot> slots_;         // slab of pooled callables
   std::vector<std::int32_t> pos_;   // heap position per slot; -1 = not queued
-  std::vector<SimTime> rank_;       // scheduling time per slot (see next_rank)
-  std::vector<std::uint64_t> creator_;  // creation stamp per slot
-  std::vector<std::uint64_t> cseq_;
-  std::vector<std::uint64_t> exec_entity_;  // attribution during execution
-  std::vector<std::uint64_t> entity_seq_;   // per-entity creation counters
   std::vector<std::uint32_t> free_; // recycled slot numbers
   std::vector<HeapEntry> heap_;     // indexed 4-ary heap
 };

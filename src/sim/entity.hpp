@@ -52,11 +52,9 @@ enum class MessageKind : std::uint8_t {
   kWatch,
   kWatchReply,
   kCustom,
-  // Broker-to-broker peering (sharded runs): an origin broker forwards an
-  // RFB round for a remote shard's servers to that shard's broker, which
-  // answers with its collected bids. Appended after kCustom so existing
-  // per-kind counter positions (and traces carrying raw kind bytes) keep
-  // their values.
+  // Reserved and never sent (broker-to-broker RFB forwarding). They keep
+  // their slots so per-kind counter arrays (the report's
+  // messages_*_by_kind) and raw kind bytes in traces keep their layout.
   kPeerRfb,
   kPeerRfbReply,
 };

@@ -4,7 +4,6 @@
 
 #include "src/obs/observability.hpp"
 #include "src/obs/profiler.hpp"
-#include "src/sim/shard.hpp"
 
 namespace faucets::sim {
 
@@ -13,9 +12,8 @@ namespace faucets::sim {
 static_assert(kMessageKindCount + 1 <= obs::ProfilerLane::kKindSlots,
               "grow ProfilerLane::kKindSlots to fit MessageKind");
 
-Network::Network(Engine& engine, NetworkConfig config, obs::Observability* obs,
-                 ShardRouter* router, std::uint32_t shard)
-    : engine_(&engine), config_(config), obs_(obs), router_(router), shard_(shard) {
+Network::Network(Engine& engine, NetworkConfig config, obs::Observability* obs)
+    : engine_(&engine), config_(config), obs_(obs) {
   register_metrics();
 }
 
@@ -39,16 +37,10 @@ void Network::register_metrics() {
 }
 
 EntityId Network::attach(Entity& entity) {
-  // In a sharded run the router owns the id counter, so entity ids match a
-  // single-engine construction no matter how entities spread across shards.
-  const EntityId id = router_ != nullptr ? router_->assign_id(shard_)
-                                         : EntityId{next_id_++};
+  const EntityId id{next_id_++};
   entity.id_ = id;
   entity.network_ = this;
   entities_.emplace(id, &entity);
-  // The rest of the entity's constructor runs under its own attribution, so
-  // timers armed there carry a shard-count-independent creation stamp.
-  engine_->set_current_entity(id.value());
   return id;
 }
 
@@ -57,7 +49,6 @@ void Network::detach(EntityId id) { entities_.erase(id); }
 void Network::reattach(Entity& entity) {
   entity.network_ = this;
   entities_.emplace(entity.id_, &entity);
-  engine_->set_current_entity(entity.id_.value());
 }
 
 Entity* Network::find(EntityId id) const {
@@ -110,21 +101,6 @@ void Network::send(const Entity& from, EntityId to, MessagePtr msg) {
     return;
   }
   d += verdict.extra_delay;
-  if (router_ != nullptr) {
-    const std::size_t dst = router_->shard_of(to);
-    if (dst != shard_) {
-      // Cross-shard: all sent-side accounting already happened above, on the
-      // sending shard; the receiving shard performs delivery accounting when
-      // the envelope is drained at a lookahead barrier. The arrival time
-      // carries the full modeled delay, so d >= base_latency bounds how soon
-      // the destination can observe it — the lookahead guarantee.
-      const Engine::CreationStamp st = engine_->take_creation_stamp();
-      router_->post(dst, ShardRouter::Envelope{engine_->now() + d, engine_->now(),
-                                               st.creator, st.cseq, kind,
-                                               std::move(msg)});
-      return;
-    }
-  }
   // SmallFunction accepts move-only captures, so the message rides in the
   // delivery event itself — no shared_ptr box, no extra allocation.
   engine_->schedule_after(d, [this, kind, msg = std::move(msg)]() mutable {
@@ -141,18 +117,11 @@ void Network::deliver(MessageKind kind, MessagePtr msg) {
   ++messages_delivered_;
   ++delivered_by_kind_[static_cast<std::size_t>(kind)];
   if (delivered_ctr_ != nullptr) delivered_ctr_->inc();
-#if FAUCETS_PROFILE
   if (prof_ != nullptr) {
     prof_->set_event_tag(1 + static_cast<std::size_t>(kind),
                          target->profile_class());
   }
-#endif
-  engine_->set_current_entity(msg->to.value());
   target->on_message(*msg);
-}
-
-void Network::deliver_envelope(MessageKind kind, MessagePtr msg) {
-  deliver(kind, std::move(msg));
 }
 
 std::uint64_t Network::traffic_of(EntityId id) const {

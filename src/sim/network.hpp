@@ -23,8 +23,6 @@ class ProfilerLane;
 
 namespace faucets::sim {
 
-class ShardRouter;
-
 /// Latency/bandwidth parameters of the simulated WAN connecting the grid.
 struct NetworkConfig {
   /// One-way base latency between any two distinct entities, seconds.
@@ -39,13 +37,8 @@ struct NetworkConfig {
 /// simulation.
 class Network {
  public:
-  /// `router`/`shard` wire this fabric into a sharded run: ids come from the
-  /// router's global counter and messages to entities owned by other shards
-  /// are posted as mailbox envelopes instead of local delivery events. With
-  /// a null router (the default) behavior is exactly the single-engine path.
   explicit Network(Engine& engine, NetworkConfig config = {},
-                   obs::Observability* obs = nullptr,
-                   ShardRouter* router = nullptr, std::uint32_t shard = 0);
+                   obs::Observability* obs = nullptr);
 
   /// Register an entity; assigns its EntityId. The caller keeps ownership.
   EntityId attach(Entity& entity);
@@ -112,30 +105,10 @@ class Network {
   /// Reset traffic counters (used between benchmark phases).
   void reset_counters() noexcept;
 
-  /// Deliver a cross-shard envelope drained from this shard's mailbox. The
-  /// caller (the sharded run loop) has already advanced the engine clock to
-  /// the envelope's arrival time. Receive-side accounting happens here, on
-  /// the receiving shard, exactly as the local delivery closure would.
-  void deliver_envelope(MessageKind kind, MessagePtr msg);
-
-  /// Shard this fabric belongs to (0 in a single-engine run).
-  [[nodiscard]] std::uint32_t shard() const noexcept { return shard_; }
-
-  /// Attach this shard's host-time profiler lane (DESIGN.md §12): deliver()
+  /// Attach the host-time profiler lane (DESIGN.md §12): deliver()
   /// tags the in-flight event with (MessageKind, entity class) so the
   /// engine's timestamp pair lands in the right attribution buckets.
   void set_profiler(obs::ProfilerLane* lane) noexcept { prof_ = lane; }
-
-  /// Traffic counters that merge by exact sum across shards; exposed so the
-  /// sharded GridSystem can aggregate without friend access.
-  [[nodiscard]] const std::unordered_map<EntityId, std::uint64_t>&
-  per_entity_traffic() const noexcept {
-    return per_entity_traffic_;
-  }
-  [[nodiscard]] const std::array<std::uint64_t, obs::kDropReasonCount>&
-  dropped_by_reason() const noexcept {
-    return dropped_by_reason_;
-  }
 
  private:
   void drop(MessageKind kind, EntityId at, EntityId peer, obs::DropReason reason);
@@ -145,8 +118,6 @@ class Network {
   Engine* engine_;
   NetworkConfig config_;
   obs::Observability* obs_;
-  ShardRouter* router_ = nullptr;
-  std::uint32_t shard_ = 0;
   obs::ProfilerLane* prof_ = nullptr;  // host-time recorder; null = off
   // Registry instruments, resolved once so the send path never does a
   // by-name lookup. Null when obs_ is null.

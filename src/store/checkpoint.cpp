@@ -25,8 +25,8 @@ std::string Checkpoint::encode() const {
   }
   e.put_f64(sim_time);
   e.put_u64(shards);
-  e.put_u32(static_cast<std::uint32_t>(executed.size()));
-  for (const std::uint64_t n : executed) e.put_u64(n);
+  e.put_u32(1);
+  e.put_u64(executed);
   e.put_string(state_image);
   return e.take();
 }
@@ -49,8 +49,19 @@ Checkpoint Checkpoint::decode(const std::string& body) {
   }
   out.sim_time = d.get_f64();
   out.shards = d.get_u64();
-  const std::uint32_t n_shards = d.get_u32();
-  for (std::uint32_t i = 0; i < n_shards; ++i) out.executed.push_back(d.get_u64());
+  if (out.shards != 0) {
+    throw std::runtime_error(
+        "checkpoint: written by the sharded executor (" +
+        std::to_string(out.shards) +
+        " shards), which has been removed; re-run the scenario on the single "
+        "event loop and checkpoint it again");
+  }
+  const std::uint32_t counts = d.get_u32();
+  if (counts != 1) {
+    throw std::runtime_error("checkpoint: expected one executed-event count, found " +
+                             std::to_string(counts));
+  }
+  out.executed = d.get_u64();
   out.state_image = d.get_string();
   return out;
 }

@@ -79,8 +79,8 @@ struct DurableOptions {
 };
 
 /// Directory-backed store: `snapshot-<gen>` + `wal-<gen>` pairs, highest
-/// valid generation wins at recovery. Not thread-safe (the Central Server
-/// lives on one shard).
+/// valid generation wins at recovery. Not thread-safe (only the simulation
+/// thread touches it).
 class DurableStore final : public StateStore {
  public:
   /// Opens (and creates if needed) `dir`, locating the latest generation.

@@ -123,24 +123,21 @@ RunResult SweepRunner::execute(const RunPoint& point, bool profile) const {
   const auto source = scenario.make_source();
   const auto report = grid->run(*source);
   auto metrics = grid_metrics(report);
-#if FAUCETS_PROFILE
   if (const obs::Profiler* prof = grid->profiler()) {
     prof->append_sweep_metrics(metrics);
   }
-#endif
   return make_result(point, spec_.mode(), std::move(metrics));
 }
 
 bool SweepRunner::warm_fork_eligible(const SweepOptions& options) const {
 #if FAUCETS_HAVE_FORK
-  // Shards spawn worker threads and a durable store holds descriptors —
-  // both are unsafe to duplicate across fork(2) — and trace sources hold
-  // file positions the children would fight over. Profiling measures host
-  // time, which a shared warm prefix would distort.
+  // A durable store holds descriptors, which are unsafe to duplicate across
+  // fork(2), and trace sources hold file positions the children would fight
+  // over. Profiling measures host time, which a shared warm prefix would
+  // distort.
   return options.warm_fork && spec_.warmup_until() > 0.0 &&
          spec_.mode() == SweepMode::kGrid && !spec_.base().trace.has_value() &&
-         !options.profile && spec_.base().grid.shards == 0 &&
-         spec_.base().grid.store.dir.empty();
+         !options.profile && spec_.base().grid.store.dir.empty();
 #else
   (void)options;
   return false;

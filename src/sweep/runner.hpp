@@ -24,14 +24,14 @@ struct SweepOptions {
   /// Optional streaming sink; lines arrive in completion order.
   JsonlSink* sink = nullptr;
   /// Run every grid point under the host-time profiler and append per-run
-  /// prof_* columns (wall/phase milliseconds, events, windows) to each
+  /// prof_* columns (wall/phase milliseconds, events) to each
   /// result. Off by default: the columns are host-time measurements, so
   /// unlike every other sweep column they are NOT byte-stable across
   /// machines or thread counts.
   bool profile = false;
   /// Warm-state forking (DESIGN.md §14.3). When the spec sets
   /// [sweep] warmup_until and the sweep is eligible (grid mode, no trace,
-  /// no profiling, no shards, no durable store), each warm group — the
+  /// no profiling, no durable store), each warm group — the
   /// cells that differ only in message loss — is simulated once up to the
   /// warm-up instant, then fork(2)ed per cell, resuming each from the
   /// shared warm image. Results are byte-identical to in-process runs

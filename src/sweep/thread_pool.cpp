@@ -3,8 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "src/obs/profiler.hpp"
-
 namespace faucets::sweep {
 
 ThreadPool::ThreadPool(std::size_t thread_count) {
@@ -80,17 +78,7 @@ bool ThreadPool::try_run_one(std::size_t index) {
   }
   if (!task) return false;
 
-#if FAUCETS_PROFILE
-  if (prof_ != nullptr) {
-    const std::uint64_t t0 = obs::HostClock::ticks();
-    task();
-    prof_->record_pool_task(index, obs::HostClock::ticks() - t0, stolen);
-  } else {
-    task();
-  }
-#else
   task();
-#endif
 
   {
     std::lock_guard lock(state_mutex_);

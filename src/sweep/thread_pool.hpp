@@ -25,10 +25,6 @@
 #include <thread>
 #include <vector>
 
-namespace faucets::obs {
-class Profiler;
-}  // namespace faucets::obs
-
 namespace faucets::sweep {
 
 class ThreadPool {
@@ -59,11 +55,6 @@ class ThreadPool {
   /// a direct measure of how much rebalancing the sweep needed.
   [[nodiscard]] std::uint64_t steals() const noexcept;
 
-  /// Attach a host-time profiler (DESIGN.md §12): every task execution
-  /// records its duration into the running worker's busy/steal slot. Must be
-  /// set while the pool is idle, before the first submit.
-  void set_profiler(obs::Profiler* prof) noexcept { prof_ = prof; }
-
  private:
   struct Worker {
     std::mutex mutex;
@@ -75,7 +66,6 @@ class ThreadPool {
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
-  obs::Profiler* prof_ = nullptr;  // host-time recorder; null = off
 
   mutable std::mutex state_mutex_;
   std::condition_variable work_ready_;

@@ -1,8 +1,9 @@
-// The acceptance scenario of the fault-tolerance ISSUE: a lossy WAN plus a
-// mid-run cluster crash, run under a fixed seed. Every submitted job must
-// reach a terminal state (completed or unplaced, never stranded), every
-// reservation lease must be released, every lifecycle span closed — and the
-// whole thing must be bit-for-bit repeatable.
+// The fault-tolerance acceptance scenario: a lossy WAN plus a mid-run
+// cluster crash, run under a fixed seed, and a brokered variant that adds a
+// network partition. Every submitted job must reach a terminal state
+// (completed or unplaced, never stranded), every reservation lease must be
+// released, every lifecycle span closed — and the whole thing must be
+// bit-for-bit repeatable.
 #include <gtest/gtest.h>
 
 #include "src/core/grid_system.hpp"
@@ -48,22 +49,9 @@ struct ChaosOutcome {
   std::size_t live_leases = 0;
 };
 
-ChaosOutcome run_chaos(bool restart) {
-  auto grid_ptr = GridBuilder()
-                      .cluster(make_cluster("alpha", 0.0001))
-                      .cluster(make_cluster("beta", 0.0005))
-                      .cluster(make_cluster("gamma", 0.0009))
-                      .watchdog(120.0)
-                      .loss(0.10)
-                      .fault_seed(0xc0ffee)
-                      .crash(0, 200.0,
-                             restart ? std::optional<double>(600.0) : std::nullopt)
-                      .users(3)
-                      .build();
-  GridSystem& grid = *grid_ptr;
-
+ChaosOutcome run_grid(GridSystem& grid, std::vector<job::JobRequest> requests) {
   ChaosOutcome out;
-  out.report = grid.run(workload(12), /*until=*/1e6);
+  out.report = grid.run(std::move(requests), /*until=*/1e6);
   out.retry_attempts =
       grid.context().metrics().counter_value("faucets_retry_attempts_total");
   out.retry_timeouts =
@@ -96,6 +84,49 @@ ChaosOutcome run_chaos(bool restart) {
   return out;
 }
 
+ChaosOutcome run_chaos(bool restart) {
+  auto grid = GridBuilder()
+                  .cluster(make_cluster("alpha", 0.0001))
+                  .cluster(make_cluster("beta", 0.0005))
+                  .cluster(make_cluster("gamma", 0.0009))
+                  .watchdog(120.0)
+                  .loss(0.10)
+                  .fault_seed(0xc0ffee)
+                  .crash(0, 200.0,
+                         restart ? std::optional<double>(600.0) : std::nullopt)
+                  .users(3)
+                  .build();
+  return run_grid(*grid, workload(12));
+}
+
+/// Brokered submission on eight clusters under 5% loss, a partition of
+/// cluster 2 during [100, 300), and a crash of cluster 0 at 200 that
+/// restarts at 700.
+ChaosOutcome run_brokered_chaos() {
+  GridBuilder builder;
+  for (int i = 0; i < 8; ++i) {
+    builder.cluster(make_cluster("chaos" + std::to_string(i), 0.0002 + i * 0.0001));
+  }
+  auto grid = builder.users(6)
+                  .watchdog(120.0)
+                  .brokered()
+                  .loss(0.05)
+                  .fault_seed(0xfa11)
+                  .partition(2, 100.0, 300.0)
+                  .crash(0, 200.0, /*restart_at=*/700.0)
+                  .build();
+  std::vector<job::JobRequest> reqs;
+  for (std::size_t i = 0; i < 30; ++i) {
+    job::JobRequest req;
+    req.submit_time = 5.0 + static_cast<double>(i) * 25.0;
+    req.user_index = i % 6;
+    req.contract = qos::make_contract(4, 64, 3200.0, 1.0, 1.0);
+    req.contract.payoff = qos::PayoffFunction::flat(10.0);
+    reqs.push_back(std::move(req));
+  }
+  return run_grid(*grid, std::move(reqs));
+}
+
 TEST(Chaos, LossAndCrashLeaveNoStrandedJobs) {
   const auto out = run_chaos(/*restart=*/true);
 
@@ -114,6 +145,16 @@ TEST(Chaos, LossAndCrashLeaveNoStrandedJobs) {
   EXPECT_GT(out.retry_timeouts, 0u);
 
   // No capacity is still held hostage and no lifecycle span dangles.
+  EXPECT_EQ(out.live_leases, 0u);
+  EXPECT_EQ(out.open_spans, 0u);
+}
+
+TEST(Chaos, BrokeredLossPartitionAndCrashLeaveNoStrandedJobs) {
+  const auto out = run_brokered_chaos();
+  EXPECT_EQ(out.report.jobs_submitted, 30u);
+  EXPECT_EQ(out.pending, 0u) << "every submission must reach a terminal state";
+  EXPECT_EQ(out.completed + out.unplaced, out.report.jobs_submitted);
+  EXPECT_GE(out.completed, 15u) << "the surviving clusters carry the load";
   EXPECT_EQ(out.live_leases, 0u);
   EXPECT_EQ(out.open_spans, 0u);
 }

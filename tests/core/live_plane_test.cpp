@@ -2,15 +2,14 @@
 //
 //  1. Byte-identity — turning the monitoring endpoint on must not move a
 //     single byte of the report JSON, trace JSONL, Chrome trace, or
-//     Prometheus artifact, at 1, 2, and 8 shards. The plane only reads
-//     published snapshots; the one thing it may write into the simulation
-//     (a kAlert trace record) requires an actual invariant violation, and
-//     clean runs have none.
+//     Prometheus artifact. The plane only reads published snapshots; the
+//     one thing it may write into the simulation (a kAlert trace record)
+//     requires an actual invariant violation, and clean runs have none.
 //  2. Zero false positives — those same clean runs finish with every online
 //     monitor at zero alerts, including the end-of-run final check.
 //  3. Chaos — a deliberately leaked reservation lease and a host-time stall
 //     both raise their monitor's alert, flip /healthz to 503, and land a
-//     kAlert record in the merged trace.
+//     kAlert record in the trace.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -27,8 +26,7 @@
 namespace faucets::core {
 namespace {
 
-/// A 100-cluster grid, scaled down from the sharding acceptance scenario so
-/// six full runs stay fast: four big (64-proc) clusters for the 32..48-proc
+/// A 100-cluster grid: four big (64-proc) clusters for the 32..48-proc
 /// workload, 96 small ones the §5.1 filter screens out.
 std::string grid_ini() {
   std::ostringstream ini;
@@ -71,9 +69,8 @@ struct Outputs {
   std::uint64_t alerts = 0;
 };
 
-Outputs run_at(const std::string& ini, std::size_t shards, bool live) {
+Outputs run_at(const std::string& ini, bool live) {
   Scenario scenario = Scenario::parse_string(ini);
-  scenario.grid.shards = shards;
   if (live) {
     scenario.grid.live.serve = true;  // ephemeral port
     scenario.grid.live.publish_interval = 0.0;  // publish at every boundary
@@ -111,19 +108,16 @@ Outputs run_at(const std::string& ini, std::size_t shards, bool live) {
   return out;
 }
 
-TEST(LivePlaneGrid, ServerOnAndOffAreByteIdenticalAt1_2_8Shards) {
+TEST(LivePlaneGrid, ServerOnAndOffAreByteIdentical) {
   const std::string ini = grid_ini();
-  for (const std::size_t shards :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    const Outputs off = run_at(ini, shards, /*live=*/false);
-    const Outputs on = run_at(ini, shards, /*live=*/true);
-    EXPECT_EQ(off.report_json, on.report_json) << shards << " shards";
-    EXPECT_EQ(off.trace_jsonl, on.trace_jsonl) << shards << " shards";
-    EXPECT_EQ(off.chrome, on.chrome) << shards << " shards";
-    EXPECT_EQ(off.prometheus, on.prometheus) << shards << " shards";
-    // Zero false positives on the clean golden, including the final check.
-    EXPECT_EQ(on.alerts, 0u) << shards << " shards";
-  }
+  const Outputs off = run_at(ini, /*live=*/false);
+  const Outputs on = run_at(ini, /*live=*/true);
+  EXPECT_EQ(off.report_json, on.report_json);
+  EXPECT_EQ(off.trace_jsonl, on.trace_jsonl);
+  EXPECT_EQ(off.chrome, on.chrome);
+  EXPECT_EQ(off.prometheus, on.prometheus);
+  // Zero false positives on the clean golden, including the final check.
+  EXPECT_EQ(on.alerts, 0u);
 }
 
 TEST(LivePlaneGrid, EndpointsServeDuringARealRun) {
@@ -141,7 +135,7 @@ TEST(LivePlaneGrid, EndpointsServeDuringARealRun) {
   grid->set_pause_hook(50.0, [&] {
     const auto progress = grid->live()->handle("/progress");
     EXPECT_EQ(progress.status, 200);
-    EXPECT_NE(progress.body.find("\"schema\":\"faucets.live.progress.v1\""),
+    EXPECT_NE(progress.body.find("\"schema\":\"faucets.live.progress.v2\""),
               std::string::npos);
     EXPECT_NE(progress.body.find("\"run_active\":true"), std::string::npos);
     EXPECT_EQ(grid->live()->handle("/healthz").status, 200);

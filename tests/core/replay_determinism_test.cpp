@@ -2,11 +2,10 @@
 //
 //  1. Stream == preload: running a grid off SwfStreamSource pull-by-pull
 //     produces byte-identical artifacts to preloading the same trace into
-//     a vector first. Streaming changes memory, never results.
-//  2. Shard independence: a streamed (and user-multiplied) trace replays
-//     byte-identically at 1, 2, and 8 shards — the coordinator's barrier
-//     refill keeps lane timer chains fed without perturbing event order.
-//  3. Sweeps over trace axes (time_compression x user_multiplier) are
+//     a vector first, for the raw and the user-multiplied trace, and a
+//     repeated streamed run reproduces them. Streaming changes memory,
+//     never results.
+//  2. Sweeps over trace axes (time_compression x user_multiplier) are
 //     byte-identical at 1 vs 8 worker threads.
 #include <gtest/gtest.h>
 
@@ -77,9 +76,8 @@ struct Outputs {
   std::size_t high_water = 0;
 };
 
-Outputs run_streamed(const std::string& ini, std::size_t shards) {
+Outputs run_streamed(const std::string& ini) {
   Scenario scenario = Scenario::parse_string(ini);
-  scenario.grid.shards = shards;
   auto grid = scenario.make_grid();
   auto source = scenario.make_source();
   const GridReport report = grid->run(*source, /*until=*/1e9);
@@ -100,9 +98,8 @@ Outputs run_streamed(const std::string& ini, std::size_t shards) {
   return out;
 }
 
-Outputs run_preloaded(const std::string& ini, std::size_t shards) {
+Outputs run_preloaded(const std::string& ini) {
   Scenario scenario = Scenario::parse_string(ini);
-  scenario.grid.shards = shards;
   auto grid = scenario.make_grid();
   const GridReport report =
       grid->run(scenario.make_requests(), /*until=*/1e9);
@@ -122,36 +119,37 @@ Outputs run_preloaded(const std::string& ini, std::size_t shards) {
   return out;
 }
 
-TEST(ReplayDeterminism, StreamMatchesPreloadByteForByte) {
-  const std::string ini = grid_ini("");
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-    const Outputs streamed = run_streamed(ini, shards);
-    const Outputs preloaded = run_preloaded(ini, shards);
-    ASSERT_EQ(streamed.submitted, 150u) << shards << " shards";
-    EXPECT_EQ(streamed.report_json, preloaded.report_json)
-        << shards << " shards";
-    EXPECT_EQ(streamed.trace_jsonl, preloaded.trace_jsonl)
-        << shards << " shards";
-  }
+/// Streams `ini` twice and preloads it once; all three runs must agree
+/// byte for byte. Returns the first streamed run for further checks.
+Outputs expect_stream_matches_preload(const std::string& ini) {
+  const Outputs streamed = run_streamed(ini);
+  const Outputs again = run_streamed(ini);
+  const Outputs preloaded = run_preloaded(ini);
+  EXPECT_EQ(streamed.report_json, preloaded.report_json);
+  EXPECT_EQ(streamed.trace_jsonl, preloaded.trace_jsonl);
+  EXPECT_EQ(streamed.report_json, again.report_json);
+  EXPECT_EQ(streamed.trace_jsonl, again.trace_jsonl);
+  return streamed;
 }
 
-TEST(ReplayDeterminism, MultipliedTraceByteIdenticalAt1_2_8Shards) {
-  const std::string ini = grid_ini("user_multiplier = 4\n");
-  const Outputs one = run_streamed(ini, 1);
-  const Outputs two = run_streamed(ini, 2);
-  const Outputs eight = run_streamed(ini, 8);
+TEST(ReplayDeterminism, StreamMatchesPreloadByteForByte) {
+  // The raw trace's 9 users leave 3 of the 12 client lanes empty for the
+  // whole run, so priming reads the entire trace (the degenerate routing
+  // case of DESIGN.md §13); only identity is checked here.
+  const Outputs streamed = expect_stream_matches_preload(grid_ini(""));
+  EXPECT_EQ(streamed.submitted, 150u);
+}
 
-  ASSERT_EQ(one.submitted, 600u);  // 150 records x 4 clones
-  EXPECT_EQ(one.report_json, two.report_json);
-  EXPECT_EQ(one.report_json, eight.report_json);
-  EXPECT_EQ(one.trace_jsonl, two.trace_jsonl);
-  EXPECT_EQ(one.trace_jsonl, eight.trace_jsonl);
+TEST(ReplayDeterminism, MultipliedTraceStreamMatchesPreload) {
+  // 4 clones per record fill every client lane, so the read-ahead bound
+  // applies.
+  const Outputs streamed =
+      expect_stream_matches_preload(grid_ini("user_multiplier = 4\n"));
+  ASSERT_EQ(streamed.submitted, 600u);  // 150 records x 4 clones
   // Streaming memory bound: the demux never buffered anywhere near the
   // whole workload.
-  for (const Outputs* out : {&one, &two, &eight}) {
-    EXPECT_GT(out->high_water, 0u);
-    EXPECT_LT(out->high_water, out->submitted);
-  }
+  EXPECT_GT(streamed.high_water, 0u);
+  EXPECT_LT(streamed.high_water, streamed.submitted);
 }
 
 TEST(ReplayDeterminism, TraceAxisSweepByteIdenticalAcrossThreads) {
@@ -196,8 +194,8 @@ TEST(ReplayDeterminism, TraceAxisSweepByteIdenticalAcrossThreads) {
 TEST(ReplayDeterminism, CompressionRaisesOfferedLoad) {
   // Sanity anchor for the scale knobs: compressing a month into a week
   // must not lose jobs, only pack them tighter.
-  const Outputs raw = run_streamed(grid_ini(""), 1);
-  const Outputs fast = run_streamed(grid_ini("time_compression = 4\n"), 1);
+  const Outputs raw = run_streamed(grid_ini(""));
+  const Outputs fast = run_streamed(grid_ini("time_compression = 4\n"));
   EXPECT_EQ(raw.submitted, fast.submitted);
   EXPECT_NE(raw.report_json, fast.report_json);
 }

@@ -39,6 +39,9 @@ TEST(Scenario, UnknownNamesRejectedWithHints) {
       std::invalid_argument);
   EXPECT_THROW(Scenario::parse_string("[cluster]\nprocs = -4\n"),
                std::invalid_argument);
+  // The removed sharded executor's section is rejected, not ignored.
+  EXPECT_THROW(Scenario::parse_string("[cluster]\n[shards]\ncount = 2\n"),
+               std::invalid_argument);
 }
 
 TEST(Scenario, FactoriesProduceNamedObjects) {

@@ -93,7 +93,7 @@ std::vector<JobRequest> interleaved(std::size_t jobs, std::size_t users) {
 
 TEST(WorkloadDemux, AutoModeRoutesByUserModuloLanes) {
   VectorSource source{interleaved(12, 4)};
-  WorkloadDemux demux{source, 4, /*manual_refill=*/false};
+  WorkloadDemux demux{source, 4};
   demux.prime();
 
   for (std::size_t lane = 0; lane < 4; ++lane) {
@@ -115,7 +115,7 @@ TEST(WorkloadDemux, AutoModeRoutesByUserModuloLanes) {
 
 TEST(WorkloadDemux, AutoModeLanePullsInlineWhenDry) {
   VectorSource source{interleaved(8, 2)};
-  WorkloadDemux demux{source, 2, /*manual_refill=*/false};
+  WorkloadDemux demux{source, 2};
   demux.prime();
 
   // Draining lane 1 first forces it to pull through lane 0's records,
@@ -137,63 +137,21 @@ TEST(WorkloadDemux, AutoModeLanePullsInlineWhenDry) {
   EXPECT_GE(demux.high_water(), 4u);
 }
 
-TEST(WorkloadDemux, ManualModeRefillCoversTheHorizon) {
-  VectorSource source{interleaved(40, 4)};
-  WorkloadDemux demux{source, 4, /*manual_refill=*/true};
-  demux.prime();
-
-  // After refill(h): every lane can serve all its arrivals <= h and still
-  // have a next submit time armed (or the whole source has been consumed).
-  // This is exactly the guarantee the sharded executor's timer chains need.
-  for (const double horizon : {55.0, 130.0, 210.0, 1000.0}) {
-    demux.refill(horizon);
-    for (std::size_t i = 0; i < demux.lane_count(); ++i) {
-      auto& lane = demux.lane(i);
-      while (lane.peek_next_submit_time() <= horizon) {
-        (void)lane.next();
-      }
-      if (!demux.source_exhausted()) {
-        EXPECT_LT(lane.peek_next_submit_time(), WorkloadSource::kNoMoreJobs)
-            << "lane " << i << " starved inside horizon " << horizon;
-      }
-    }
-  }
-  EXPECT_TRUE(demux.source_exhausted());
-  for (std::size_t i = 0; i < demux.lane_count(); ++i) {
-    EXPECT_TRUE(demux.lane(i).exhausted());
-  }
-}
-
-TEST(WorkloadDemux, ManualModeLaneNeverPullsInline) {
-  VectorSource source{interleaved(8, 2)};
-  WorkloadDemux demux{source, 2, /*manual_refill=*/true};
-  demux.prime();
-
-  // Prime buffers exactly one request per lane; popping a lane dry must
-  // NOT touch the shared source (that is the coordinator's job).
-  auto& lane0 = demux.lane(0);
-  EXPECT_LT(lane0.peek_next_submit_time(), WorkloadSource::kNoMoreJobs);
-  (void)lane0.next();
-  EXPECT_DOUBLE_EQ(lane0.peek_next_submit_time(), WorkloadSource::kNoMoreJobs);
-  EXPECT_FALSE(demux.source_exhausted());
-
-  // A later barrier refill re-covers the lane.
-  demux.refill(1000.0);
-  EXPECT_LT(lane0.peek_next_submit_time(), WorkloadSource::kNoMoreJobs);
-}
-
 TEST(WorkloadDemux, HighWaterTracksPeakBuffering) {
   VectorSource source{interleaved(20, 2)};
-  WorkloadDemux demux{source, 2, /*manual_refill=*/true};
+  WorkloadDemux demux{source, 2};
   demux.prime();
   EXPECT_GE(demux.high_water(), demux.buffered());
-  demux.refill(1e9);  // everything
-  EXPECT_EQ(demux.high_water(), 20u);
+  // Draining lane 1 pulls the whole source; lane 0's ten requests stay
+  // buffered, and the peak also counted lane 1's request in flight.
+  (void)collect(demux.lane(1));
+  EXPECT_EQ(demux.buffered(), 10u);
+  EXPECT_EQ(demux.high_water(), 11u);
 }
 
 TEST(WorkloadDemux, SingleLaneActsAsPassthrough) {
   VectorSource source{interleaved(6, 3)};
-  WorkloadDemux demux{source, 1, /*manual_refill=*/false};
+  WorkloadDemux demux{source, 1};
   demux.prime();
   auto& lane = demux.lane(0);
   const auto out = collect(lane);

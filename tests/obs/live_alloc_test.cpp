@@ -8,62 +8,26 @@
 // perturb other suites.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstddef>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
 #include "src/obs/live/plane.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-// This new/delete pair is matched by construction (new mallocs, delete
-// frees), but GCC cannot see that across the replaced operators and warns
-// at higher optimization levels.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
+#include "tests/support/alloc_counter.hpp"
 
 namespace faucets::obs::live {
 namespace {
 
-std::uint64_t allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
+using test::allocations;
 
-/// A plane over one fabricated shard with no server and no ticker (those
+/// A plane over a fabricated simulation with no server and no ticker (those
 /// threads have their own setup allocations); publish() is driven directly
 /// the way GridSystem's loops drive it.
 struct Fixture {
   MetricsRegistry metrics;
   TraceBuffer trace{256};
   TraceBuffer alerts{64};
-  double now = 0.0;
   std::uint64_t executed = 0;
   std::unique_ptr<LivePlane> plane;
 
@@ -78,12 +42,9 @@ struct Fixture {
     config.progress = false;
     config.publish_interval = 0.0;  // every publish() captures
     LivePlane::Bindings b;
-    ShardBinding sb;
-    sb.metrics = &metrics;
-    sb.trace = &trace;
-    sb.now = [this] { return now; };
-    sb.executed = [this] { return executed; };
-    b.shards.push_back(std::move(sb));
+    b.metrics = &metrics;
+    b.trace = &trace;
+    b.executed = [this] { return executed; };
     b.alert_sink = &alerts;
     b.job_counts = [](std::uint64_t& sub, std::uint64_t& comp,
                       std::uint64_t& unp) {
@@ -111,15 +72,15 @@ TEST(LiveAlloc, SteadyStatePublishesAreAllocationFree) {
   fx.plane->publish(0.0, false);  // first publish: schema capture allocates
   const auto before = allocations();
   for (int i = 1; i <= 10'000; ++i) {
-    fx.now = static_cast<double>(i);
+    const auto now = static_cast<double>(i);
     ++fx.executed;
-    fx.trace.record(job_event(fx.now, EntityId{1},
+    fx.trace.record(job_event(now, EntityId{1},
                               TraceEventKind::kJobStarted, ClusterId{0},
                               JobId{static_cast<std::uint64_t>(i)}, UserId{2},
                               4));
     submitted.inc();
     wait.observe(static_cast<double>(i % 7));
-    fx.plane->publish(fx.now, false);
+    fx.plane->publish(now, false);
   }
   EXPECT_EQ(allocations(), before)
       << "steady-state publish must not allocate on the simulation thread";
@@ -135,10 +96,8 @@ TEST(LiveAlloc, MonitorEvaluationAndAlertEmissionAreAllocationFree) {
     LiveConfig config;
     config.publish_interval = 0.0;
     LivePlane::Bindings b;
-    ShardBinding sb;
-    sb.metrics = &fx.metrics;
-    sb.trace = &fx.trace;
-    b.shards.push_back(std::move(sb));
+    b.metrics = &fx.metrics;
+    b.trace = &fx.trace;
     b.alert_sink = &fx.alerts;
     b.monitors.ledger_residual = [&residual] { return residual; };
     b.monitors.leaked_leases = [](double, double, bool) {

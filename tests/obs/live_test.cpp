@@ -317,13 +317,12 @@ TEST(MonitorSuite, DisabledSuiteIsInert) {
 
 // -------------------------------------------------------------- LivePlane
 
-/// A plane over one fabricated shard: its own registry + trace ring, no
+/// A plane over a fabricated simulation: its own registry + trace ring, no
 /// sockets unless `serve`.
 struct PlaneFixture {
   MetricsRegistry metrics;
   TraceBuffer trace{1 << 10};
   TraceBuffer alerts{1 << 10};
-  double now = 0.0;
   std::uint64_t executed = 0;
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -341,12 +340,9 @@ struct PlaneFixture {
     config.publish_interval = 0.0;  // every publish() call captures
     config.poll_interval_ms = 5;
     LivePlane::Bindings b;
-    ShardBinding sb;
-    sb.metrics = &metrics;
-    sb.trace = &trace;
-    sb.now = [this] { return now; };
-    sb.executed = [this] { return executed; };
-    b.shards.push_back(std::move(sb));
+    b.metrics = &metrics;
+    b.trace = &trace;
+    b.executed = [this] { return executed; };
     b.alert_sink = &alerts;
     b.job_counts = [this](std::uint64_t& sub, std::uint64_t& comp,
                           std::uint64_t& unp) {
@@ -367,7 +363,6 @@ struct PlaneFixture {
 TEST(LivePlane, MetricsEndpointRendersPrometheusText) {
   PlaneFixture fx;
   fx.plane->begin_run();
-  fx.now = 10.0;
   fx.executed = 123;
   fx.plane->publish(10.0, false);
   const HttpResponse res = fx.plane->handle("/metrics");
@@ -388,17 +383,16 @@ TEST(LivePlane, MetricsEndpointRendersPrometheusText) {
             std::string::npos);
 }
 
-TEST(LivePlane, ProgressEndpointTracksJobsAndShards) {
+TEST(LivePlane, ProgressEndpointTracksJobs) {
   PlaneFixture fx;
   fx.plane->begin_run();
-  fx.now = 42.0;
   fx.executed = 1000;
   fx.submitted = 30;
   fx.completed = 12;
   fx.plane->publish(42.0, false);
   const HttpResponse res = fx.plane->handle("/progress");
   EXPECT_EQ(res.status, 200);
-  EXPECT_NE(res.body.find("\"schema\":\"faucets.live.progress.v1\""),
+  EXPECT_NE(res.body.find("\"schema\":\"faucets.live.progress.v2\""),
             std::string::npos);
   EXPECT_NE(res.body.find("\"sim_time\":42"), std::string::npos) << res.body;
   EXPECT_NE(res.body.find("\"events_executed\":1000"), std::string::npos);
@@ -489,7 +483,6 @@ TEST(LivePlane, ConcurrentScrapesDuringPublishesAreRaceFree) {
     double t = 0.0;
     while (!stop.load(std::memory_order_relaxed)) {
       t += 1.0;
-      fx.now = t;
       ++fx.executed;
       fx.trace.record(job_event(t, EntityId{1}, TraceEventKind::kJobStarted,
                                 ClusterId{0}, JobId{1}, UserId{1}, 1));
@@ -514,12 +507,9 @@ TEST(LivePlane, StallWatchdogFiresFromServerThreadWhileSimIsStuck) {
   config.poll_interval_ms = 2;
   config.monitor.stall_timeout = 0.02;  // 20ms of host time
   LivePlane::Bindings b;
-  ShardBinding sb;
-  sb.metrics = &metrics;
-  sb.trace = &trace;
-  sb.now = [] { return 5.0; };
-  sb.executed = [] { return std::uint64_t{1}; };
-  b.shards.push_back(std::move(sb));
+  b.metrics = &metrics;
+  b.trace = &trace;
+  b.executed = [] { return std::uint64_t{1}; };
   b.alert_sink = &alerts;
   LivePlane plane(config, std::move(b));
   ASSERT_TRUE(plane.serving());
@@ -563,12 +553,9 @@ TEST(LivePlane, StallWatchdogIsHeldAcrossDeliberatePauses) {
   config.poll_interval_ms = 2;
   config.monitor.stall_timeout = 0.02;  // 20ms of host time
   LivePlane::Bindings b;
-  ShardBinding sb;
-  sb.metrics = &metrics;
-  sb.trace = &trace;
-  sb.now = [] { return 5.0; };
-  sb.executed = [] { return std::uint64_t{1}; };
-  b.shards.push_back(std::move(sb));
+  b.metrics = &metrics;
+  b.trace = &trace;
+  b.executed = [] { return std::uint64_t{1}; };
   b.alert_sink = &alerts;
   LivePlane plane(config, std::move(b));
   ASSERT_TRUE(plane.serving());

@@ -33,10 +33,9 @@ TEST(Gauge, SetAndAdd) {
   EXPECT_DOUBLE_EQ(g.value(), 1.5);
 }
 
-// The §11.6 fix: revenue gauges accumulate thousands of tiny prices, where
-// naive += loses low-order bits that used to surface as a last-ulp residual
-// between serial and sharded-merged Prometheus output. Neumaier summation
-// carries the lost bits in a compensation term.
+// Revenue gauges accumulate thousands of tiny prices, where naive += loses
+// low-order bits. Neumaier summation carries the lost bits in a
+// compensation term.
 TEST(Gauge, NeumaierRecoversBitsNaiveSummationLoses) {
   Gauge g;
   double naive = 0.0;
@@ -57,30 +56,6 @@ TEST(Gauge, SetResetsCompensation) {
   for (int i = 0; i < 1000; ++i) g.add(1e-16);
   g.set(5.0);
   EXPECT_DOUBLE_EQ(g.value(), 5.0);
-}
-
-// Shard-merge order invariance at the bit level: merging per-shard gauges
-// in canonical shard order must reproduce the serial accumulation exactly,
-// because merge_from carries each shard's compensation term instead of
-// re-rounding through a bare double.
-TEST(Gauge, MergeFromCarriesCompensationAcrossShards) {
-  std::mt19937_64 rng{20260809};
-  std::uniform_real_distribution<double> price{1e-8, 2.0};
-  for (int round = 0; round < 5; ++round) {
-    Gauge serial;
-    Gauge shards[4];
-    for (int i = 0; i < 20'000; ++i) {
-      const double v = price(rng);
-      serial.add(v);
-      shards[i % 4].add(v);
-    }
-    Gauge merged;
-    for (auto& shard : shards) merged.merge_from(shard);
-    // Compensated merge in canonical shard order lands within one ulp of
-    // the compensated serial sum; naive merging was off by many more.
-    EXPECT_NEAR(merged.value(), serial.value(),
-                std::abs(serial.value()) * 1e-15);
-  }
 }
 
 TEST(Histogram, FoldPrebinnedMatchesObserveStream) {

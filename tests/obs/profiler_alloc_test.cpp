@@ -1,59 +1,22 @@
 // Zero-allocation guarantee for the profiler hot path (DESIGN.md §12):
-// every per-event, per-window, and per-barrier record lands in fixed POD
-// arrays sized at Profiler construction, so nothing between begin_run()
-// and end_run() may touch the global heap — including the timeline ring's
-// keep-first drop path once it fills. Same counting-allocator technique as
-// the trace test; separate binary so the replaced operators cannot perturb
-// other suites.
+// every per-event record lands in fixed POD arrays sized at Profiler
+// construction, so nothing between begin_run() and end_run() may touch the
+// global heap. Same counting-allocator technique as the trace test;
+// separate binary so the replaced operators cannot perturb other suites.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstddef>
-#include <cstdlib>
-#include <new>
 
 #include "src/obs/profiler.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-// This new/delete pair is matched by construction (new mallocs, delete
-// frees), but GCC cannot see that across the replaced operators and warns
-// at higher optimization levels.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
+#include "tests/support/alloc_counter.hpp"
 
 namespace faucets::obs {
 namespace {
 
-std::uint64_t allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
+using test::allocations;
 
 TEST(ProfilerAlloc, EventRecordPathIsAllocationFree) {
-  Profiler prof{ProfilerConfig{}};  // all arrays sized here
+  Profiler prof;  // all arrays sized here
   ProfilerLane& lane = prof.lane(0);
   const auto before = allocations();
   for (int i = 0; i < 10'000; ++i) {
@@ -67,55 +30,17 @@ TEST(ProfilerAlloc, EventRecordPathIsAllocationFree) {
   EXPECT_EQ(lane.events(), 10'000u);
 }
 
-TEST(ProfilerAlloc, WindowedRunIsAllocationFreePastTimelineCapacity) {
-  ProfilerConfig config;
-  config.lanes = 2;
-  config.lookahead = 10.0;
-  config.timeline_capacity = 8;  // force the drop path early
-  Profiler prof{config};
-  prof.set_kind_name(0, "timer");  // setup-time allocation is allowed
-
-  const auto before = allocations();
-  prof.begin_run();
-  double tmin = 0.0;
-  for (int w = 0; w < 100; ++w) {
-    prof.barrier_begin();
-    for (std::size_t s = 0; s < 2; ++s) prof.add_drain(s, 5);
-    prof.barrier_end();
-    prof.window_launch(tmin);
-    tmin += 10.0;
-    for (std::size_t s = 0; s < 2; ++s) {
-      ProfilerLane& lane = prof.lane(s);
-      lane.begin_window_task();
-      lane.begin_event();
-      lane.end_event();
-      lane.end_window_task();
-    }
-    prof.window_complete();
-    prof.record_pool_task(static_cast<std::size_t>(w) % 2, 17, w % 3 == 0);
-  }
-  prof.end_run();
-  EXPECT_EQ(allocations(), before)
-      << "the whole coordinator/worker hot path must never allocate, "
-         "including timeline keep-first drops";
-  EXPECT_EQ(prof.windows(), 100u);
-  EXPECT_GT(prof.timeline_dropped(), 0u)
-      << "the test must actually exercise the drop path";
-}
-
 TEST(ProfilerAlloc, LanePhaseReadsDoNotAllocate) {
-  ProfilerConfig config;
-  config.lanes = 4;
-  Profiler prof{config};
+  Profiler prof;
+  const auto before_run = allocations();
   prof.begin_run();
-  prof.lane(0).add_execute(100);
+  prof.lane().add_execute(100);
   prof.end_run();
+  EXPECT_EQ(allocations(), before_run) << "run bracketing must never allocate";
   const auto before = allocations();
   double sum = 0.0;
-  for (std::size_t s = 0; s < prof.lane_count(); ++s) {
-    const auto phases = prof.lane_phases(s);
-    for (std::size_t p = 0; p < kProfPhaseCount; ++p) sum += phases.seconds[p];
-  }
+  const auto phases = prof.phases();
+  for (std::size_t p = 0; p < kProfPhaseCount; ++p) sum += phases.seconds[p];
   sum += prof.wall_seconds() + static_cast<double>(prof.events_total());
   EXPECT_EQ(allocations(), before);
   EXPECT_GE(sum, 0.0);

@@ -1,7 +1,7 @@
 // Host-time profiler self-tests (DESIGN.md §12): ProfStats log2 bucketing
 // against brute-force oracles, HostClock sanity, the exclusive-phase
-// invariant (phases sum to wall, none negative), and the three export
-// artifacts of an end-to-end simulated run.
+// invariant (phases sum to wall, none negative), and the export artifacts
+// of a simulated run.
 #include "src/obs/profiler.hpp"
 
 #include <gtest/gtest.h>
@@ -114,7 +114,7 @@ TEST(ProfStats, QuantilesBracketSortedOracle) {
 }
 
 TEST(ProfilerLane, AttributesSelfTimeByKindAndClass) {
-  Profiler prof{ProfilerConfig{}};
+  Profiler prof;
   ProfilerLane& lane = prof.lane(0);
   lane.begin_event();
   lane.set_event_tag(3, 2);
@@ -134,81 +134,48 @@ TEST(ProfilerLane, AttributesSelfTimeByKindAndClass) {
   EXPECT_EQ(lane.by_class(0).count, 2u);
 }
 
-// Drive a fake two-shard windowed run through the coordinator hooks and
-// check the exclusive-phase invariant plus all three artifacts.
+// Drive a fake run through the lane and check the exclusive-phase invariant
+// plus both artifacts.
 TEST(Profiler, PhasesSumToWallAndArtifactsExport) {
-  ProfilerConfig config;
-  config.lanes = 2;
-  config.lookahead = 50.0;
-  Profiler prof{config};
+  Profiler prof;
   prof.set_kind_name(0, "timer");
   prof.set_kind_name(1, "RFB");
 
   prof.begin_run();
-  double tmin = 0.0;
-  for (int w = 0; w < 5; ++w) {
-    prof.barrier_begin();
-    for (std::size_t s = 0; s < 2; ++s) {
-      const std::uint64_t d0 = HostClock::ticks();
-      prof.add_drain(s, HostClock::ticks() - d0);
-    }
-    prof.barrier_end();
-    prof.window_launch(tmin);
-    tmin += 25.0;
-    for (std::size_t s = 0; s < 2; ++s) {
-      ProfilerLane& lane = prof.lane(s);
-      lane.begin_window_task();
-      for (int e = 0; e < 10; ++e) {
-        lane.begin_event();
-        lane.set_event_tag(1, 1);
-        lane.end_event();
-      }
-      lane.end_window_task();
-    }
-    prof.window_complete();
+  const std::uint64_t t0 = HostClock::ticks();
+  ProfilerLane& lane = prof.lane();
+  for (int e = 0; e < 100; ++e) {
+    lane.begin_event();
+    lane.set_event_tag(1, 1);
+    lane.end_event();
   }
-  prof.record_pool_task(0, 123, false);
-  prof.record_pool_task(0, 77, true);
+  lane.add_execute(HostClock::ticks() - t0);
   prof.end_run();
   prof.finalize();
 
   EXPECT_EQ(prof.events_total(), 100u);
-  EXPECT_EQ(prof.windows(), 5u);
   EXPECT_GT(prof.wall_seconds(), 0.0);
-  // Mean t_min advance 25 over lookahead 50.
-  EXPECT_NEAR(prof.lookahead_efficiency(), 0.5, 1e-9);
-  EXPECT_NEAR(prof.window_advance().mean(), 25.0, 1e-9);
-
-  for (std::size_t s = 0; s < 2; ++s) {
-    const auto phases = prof.lane_phases(s);
-    EXPECT_EQ(phases.events, 50u);
-    EXPECT_EQ(phases.windows, 5u);
-    double sum = 0.0;
-    for (std::size_t p = 0; p < kProfPhaseCount; ++p) {
-      EXPECT_GE(phases.seconds[p], 0.0) << to_string(static_cast<ProfPhase>(p));
-      sum += phases.seconds[p];
-    }
-    EXPECT_GT(phases.wall_seconds, 0.0);
-    EXPECT_NEAR(sum, phases.wall_seconds, 1e-9 + phases.wall_seconds * 1e-6);
-    EXPECT_GT(phases.of(ProfPhase::kExecute), 0.0);
+  const auto phases = prof.phases();
+  double sum = 0.0;
+  for (std::size_t p = 0; p < kProfPhaseCount; ++p) {
+    EXPECT_GE(phases.seconds[p], 0.0) << to_string(static_cast<ProfPhase>(p));
+    sum += phases.seconds[p];
   }
+  EXPECT_GT(phases.wall_seconds, 0.0);
+  EXPECT_NEAR(sum, phases.wall_seconds, 1e-9 + phases.wall_seconds * 1e-6);
+  EXPECT_GT(phases.of(ProfPhase::kExecute), 0.0);
 
   // finalize() is idempotent: a second call must not double anything.
   prof.finalize();
   EXPECT_EQ(prof.metrics().counter_value("faucets_prof_events_total"), 100u);
-  const Counter* windows =
-      prof.metrics().find_counter("faucets_prof_windows_total");
-  ASSERT_NE(windows, nullptr);
-  EXPECT_EQ(windows->value(), 5u);
 
   std::ostringstream json;
   prof.write_json(json);
   const std::string j = json.str();
   for (const char* key :
-       {"\"schema\": 1", "\"clock\"", "\"wall_seconds\"", "\"events_total\": 100",
-        "\"windows\"", "\"lookahead_efficiency\"", "\"kinds\"", "\"RFB\"",
-        "\"entities\"", "\"shards\"", "\"barrier_wait\"", "\"pool\"",
-        "\"timeline_dropped\""}) {
+       {"\"schema\": 2", "\"clock\"", "\"wall_seconds\"", "\"events_total\": 100",
+        "\"phases\": {\"execute\": ", "\"idle\": ", "\"kinds\"", "\"RFB\"",
+        "\"entities\""}) {
     EXPECT_NE(j.find(key), std::string::npos) << "profile.json missing " << key;
   }
 
@@ -216,15 +183,9 @@ TEST(Profiler, PhasesSumToWallAndArtifactsExport) {
   prof.write_prometheus(prom);
   const std::string p = prom.str();
   EXPECT_NE(p.find("faucets_prof_events_total 100"), std::string::npos);
-  EXPECT_NE(p.find("faucets_prof_phase_seconds"), std::string::npos);
+  EXPECT_NE(p.find("faucets_prof_phase_seconds{phase=\"execute\"}"),
+            std::string::npos);
   EXPECT_NE(p.find("faucets_prof_event_self_seconds"), std::string::npos);
-
-  std::ostringstream chrome;
-  prof.write_chrome(chrome);
-  const std::string c = chrome.str();
-  EXPECT_NE(c.find("\"pid\": 9000"), std::string::npos);
-  EXPECT_NE(c.find("\"pid\": 9001"), std::string::npos);
-  EXPECT_NE(c.find("host: shards"), std::string::npos);
 
   std::vector<std::pair<std::string, double>> cols;
   prof.append_sweep_metrics(cols);
@@ -240,38 +201,15 @@ TEST(Profiler, PhasesSumToWallAndArtifactsExport) {
   EXPECT_TRUE(saw_events);
 }
 
-TEST(Profiler, TimelineDropsAreKeepFirstAndCounted) {
-  ProfilerConfig config;
-  config.lanes = 1;
-  config.timeline_capacity = 4;
-  Profiler prof{config};
-  prof.begin_run();
-  for (int w = 0; w < 10; ++w) {
-    prof.barrier_begin();
-    prof.barrier_end();  // one barrier slice per window
-    prof.window_launch(static_cast<double>(w));
-    prof.lane(0).begin_window_task();
-    prof.lane(0).end_window_task();
-    prof.window_complete();  // plus one window slice per lane
-  }
-  prof.end_run();
-  // 10 windows emit 20 slices into a 4-slot ring: 16 dropped, first kept.
-  EXPECT_EQ(prof.timeline_dropped(), 16u);
-  prof.finalize();
-  std::ostringstream json;
-  prof.write_json(json);
-  EXPECT_NE(json.str().find("\"timeline_dropped\": 16"), std::string::npos);
-}
-
 TEST(Profiler, SingleLaneRunAccountsExecuteViaAddExecute) {
-  Profiler prof{ProfilerConfig{}};
+  Profiler prof;
   prof.begin_run();
   const std::uint64_t t0 = HostClock::ticks();
   volatile double sink = 0.0;
   for (int i = 0; i < 10000; ++i) sink = sink + 1.0;
   prof.lane(0).add_execute(HostClock::ticks() - t0);
   prof.end_run();
-  const auto phases = prof.lane_phases(0);
+  const auto phases = prof.phases();
   EXPECT_GT(phases.of(ProfPhase::kExecute), 0.0);
   EXPECT_GE(phases.of(ProfPhase::kIdle), 0.0);
   EXPECT_LE(phases.of(ProfPhase::kExecute), phases.wall_seconds * (1.0 + 1e-6));

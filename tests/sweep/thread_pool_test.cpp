@@ -62,17 +62,29 @@ TEST(ThreadPool, DestructorDrainsOutstandingWork) {
 }
 
 TEST(ThreadPool, StealsRebalanceABlockedWorker) {
-  // Submission round-robins: with 2 workers, tasks 0 and 2 land on worker
-  // 0, task 1 on worker 1. Task 0 blocks until task 2 has run — which can
-  // only happen if worker 1 steals it from worker 0's deque.
+  // Task 0 blocks its worker until task 2 has run. Tasks 1 and 2 are
+  // submitted only once task 0 is running, and submission round-robins
+  // across the two workers, so task 2 needs a steal either way: if the idle
+  // worker stole task 0, that was the steal; otherwise task 2 lands on the
+  // blocked worker's deque and the idle worker must steal it. Waiting for
+  // task 0 to start matters because a worker pops its own deque
+  // newest-first: one that woke after task 2 was queued would run task 2
+  // before task 0, and nothing would need stealing.
   ThreadPool pool(2);
   std::mutex m;
   std::condition_variable cv;
+  bool first_started = false;
   bool third_done = false;
   pool.submit([&] {
     std::unique_lock lock(m);
+    first_started = true;
+    cv.notify_all();
     cv.wait(lock, [&] { return third_done; });
   });
+  {
+    std::unique_lock lock(m);
+    cv.wait(lock, [&] { return first_started; });
+  }
   pool.submit([] {});
   pool.submit([&] {
     {
