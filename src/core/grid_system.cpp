@@ -42,9 +42,7 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
   }
   appspector_ = std::make_unique<AppSpector>(ctx_);
   if (config_.brokered_submission) {
-    BrokerConfig broker_config;
-    broker_config.retry = config_.retry;
-    broker_ = std::make_unique<BrokerAgent>(ctx_, central_->id(), broker_config);
+    broker_ = std::make_unique<BrokerAgent>(ctx_, central_->id(), config_.retry);
   }
 
   // Stand up one daemon + cluster manager per Compute Server.

@@ -11,12 +11,11 @@ namespace faucets {
 FaucetsClient::FaucetsClient(sim::SimContext& ctx, EntityId central,
                              std::unique_ptr<market::BidEvaluator> evaluator,
                              ClientConfig config)
-    : sim::Entity("fc-" + config.username, ctx),
-      network_(&ctx.network()),
-      central_(central),
+    : MarketRound("fc-" + config.username, ctx, central, config.retry),
       evaluator_(std::move(evaluator)),
       config_(std::move(config)) {
-  network_->attach(*this);
+  me_.username = config_.username;
+  me_.password = config_.password;
   auto& reg = ctx.metrics();
   submitted_ctr_ = &reg.counter("faucets_grid_jobs_submitted_total",
                                 "Submissions entering the market");
@@ -28,13 +27,7 @@ FaucetsClient::FaucetsClient(sim::SimContext& ctx, EntityId central,
                                  "Jobs moved after an eviction notice");
   watchdog_ctr_ = &reg.counter("faucets_grid_watchdog_restarts_total",
                                "Jobs restarted by the completion watchdog");
-  retry_attempts_ctr_ = &reg.counter("faucets_retry_attempts_total",
-                                     "Protocol exchanges re-sent after a timeout");
-  retry_timeouts_ctr_ = &reg.counter("faucets_retry_timeouts_total",
-                                     "Reply timeouts across all exchanges");
-  retry_exhausted_ctr_ = &reg.counter("faucets_retry_exhausted_total",
-                                      "Exchanges abandoned after the full "
-                                      "backoff schedule");
+  register_retry_counters();
   bid_latency_hist_ = &reg.histogram("faucets_bid_latency_seconds",
                                      obs::exponential_buckets(0.001, 2.0, 16),
                                      "Submission to each bid's arrival");
@@ -53,24 +46,6 @@ FaucetsClient::FaucetsClient(sim::SimContext& ctx, EntityId central,
                              *retry_attempts_ctr_, "retries");
 }
 
-void FaucetsClient::record_retry(RequestId request, sim::MessageKind kind,
-                                 EntityId peer, int attempt) {
-  (void)kind;
-  (void)peer;
-  retry_attempts_ctr_->inc();
-  context().trace().record(obs::market_event(now(), id(),
-                                             obs::TraceEventKind::kRetryAttempt,
-                                             request, BidId{},
-                                             static_cast<double>(attempt)));
-}
-
-void FaucetsClient::record_timeout(sim::MessageKind kind, EntityId peer) {
-  retry_timeouts_ctr_->inc();
-  context().trace().record(obs::net_event(now(), id(), peer,
-                                          static_cast<std::uint8_t>(kind),
-                                          obs::DropReason::kTimeout));
-}
-
 void FaucetsClient::login() {
   if (login_sent_) return;
   login_sent_ = true;
@@ -82,21 +57,15 @@ void FaucetsClient::send_login() {
   auto msg = std::make_unique<proto::LoginRequest>();
   msg->username = config_.username;
   msg->password = config_.password;
-  network_->send(*this, central_, std::move(msg));
-  const double timeout = login_retry_.arm(config_.retry);
+  network()->send(*this, central_, std::move(msg));
+  const double timeout = login_retry_.arm(retry_);
   login_retry_.set_timer(engine().schedule_after(timeout, [this] {
-    if (session_) return;
-    record_timeout(sim::MessageKind::kLogin, central_);
-    if (!login_retry_.exhausted(config_.retry)) {
-      record_retry(RequestId{}, sim::MessageKind::kLogin, central_,
-                   login_retry_.attempts());
+    if (logged_in()) return;
+    if (retry_after_timeout(login_retry_, sim::MessageKind::kLogin, central_,
+                            RequestId{})) {
       send_login();
       return;
     }
-    retry_exhausted_ctr_->inc();
-    context().trace().record(obs::market_event(
-        now(), id(), obs::TraceEventKind::kRetryExhausted, RequestId{}, BidId{},
-        static_cast<double>(login_retry_.attempts())));
     FAUCETS_WARN("fc") << config_.username
                        << ": login retries exhausted, failing queued jobs";
     login_failed_ = true;
@@ -161,7 +130,7 @@ void FaucetsClient::submit_now(const qos::QosContract& contract) {
 }
 
 void FaucetsClient::submit(const qos::QosContract& contract) {
-  if (!session_) {
+  if (!logged_in()) {
     if (login_failed_) {
       fail_unsubmitted(contract);
       return;
@@ -174,8 +143,10 @@ void FaucetsClient::submit(const qos::QosContract& contract) {
   PendingJob pending;
   pending.outcome_index = outcomes_.size();
   pending.contract = contract;
+  pending.evaluator = evaluator_.get();
+  pending.home = config_.home_cluster;
   pending.root = context().spans().start_span(obs::SpanKind::kSubmission, now(), id());
-  context().spans().set_user(pending.root, user_);
+  context().spans().set_user(pending.root, me_.user);
   submitted_ctr_->inc();
 
   SubmissionOutcome outcome;
@@ -193,64 +164,13 @@ void FaucetsClient::submit(const qos::QosContract& contract) {
     send_brokered(request);
     return;
   }
-  send_directory_request(request);
-}
-
-void FaucetsClient::send_directory_request(RequestId request) {
-  auto it = pending_.find(request);
-  if (it == pending_.end()) return;
-  PendingJob& pending = it->second;
-  pending.awaiting_directory = true;
-  auto msg = std::make_unique<proto::DirectoryRequest>();
-  msg->request = request;
-  msg->session = *session_;
-  msg->contract = pending.contract;
-  network_->send(*this, central_, std::move(msg));
-  const double timeout = pending.dir_retry.arm(config_.retry);
-  pending.dir_retry.set_timer(engine().schedule_after(
-      timeout, [this, request] { on_directory_timeout(request); }));
-}
-
-void FaucetsClient::on_directory_timeout(RequestId request) {
-  auto it = pending_.find(request);
-  if (it == pending_.end()) return;
-  PendingJob& pending = it->second;
-  const sim::MessageKind kind = config_.broker ? sim::MessageKind::kSubmit
-                                               : sim::MessageKind::kDirectoryRequest;
-  const EntityId peer = config_.broker ? *config_.broker : central_;
-  record_timeout(kind, peer);
-  if (pending.dir_retry.exhausted(config_.retry)) {
-    retry_exhausted_ctr_->inc();
-    context().trace().record(obs::market_event(
-        now(), id(), obs::TraceEventKind::kRetryExhausted, request, BidId{},
-        static_cast<double>(pending.dir_retry.attempts())));
-    finish_request(request, SubmissionOutcome::Status::kTimedOut);
-    return;
-  }
-  record_retry(request, kind, peer, pending.dir_retry.attempts());
-  if (config_.broker) {
-    send_brokered(request);
-  } else {
-    send_directory_request(request);
-  }
+  request_directory(request);
 }
 
 void FaucetsClient::on_message(const sim::Message& msg) {
   switch (msg.kind()) {
     case sim::MessageKind::kLoginAck:
       handle_login(sim::message_cast<proto::LoginReply>(msg));
-      break;
-    case sim::MessageKind::kDirectoryReply:
-      handle_directory(sim::message_cast<proto::DirectoryReply>(msg));
-      break;
-    case sim::MessageKind::kBid:
-      handle_bid(sim::message_cast<proto::BidReply>(msg));
-      break;
-    case sim::MessageKind::kReserveAck:
-      handle_reserve_reply(sim::message_cast<proto::ReserveReply>(msg));
-      break;
-    case sim::MessageKind::kAwardAck:
-      handle_award_ack(sim::message_cast<proto::AwardAck>(msg));
       break;
     case sim::MessageKind::kJobDone:
       handle_complete(sim::message_cast<proto::JobCompleteNotice>(msg));
@@ -262,39 +182,58 @@ void FaucetsClient::on_message(const sim::Message& msg) {
       handle_submit_reply(sim::message_cast<proto::SubmitJobReply>(msg));
       break;
     default:
+      MarketRound::on_message(msg);
       break;
   }
+}
+
+MarketRound::Round* FaucetsClient::find_round(RequestId request) {
+  auto it = pending_.find(request);
+  return it == pending_.end() ? nullptr : &it->second;
+}
+
+const MarketRound::Principal& FaucetsClient::principal(const Round& /*round*/) const {
+  return me_;
+}
+
+void FaucetsClient::on_offer(const Round& round) {
+  const auto& pending = static_cast<const PendingJob&>(round);
+  bid_latency_hist_->observe(now() - outcomes_[pending.outcome_index].submit_time);
+}
+
+void FaucetsClient::on_selected(const Round& round, const market::Bid& winner) {
+  // Written at selection, not placement: the telemetry join attributes an
+  // unplaced job's deadline row to the cluster it last tried.
+  SubmissionOutcome& outcome =
+      outcomes_[static_cast<const PendingJob&>(round).outcome_index];
+  outcome.cluster = winner.cluster;
+  outcome.price = winner.price;
+}
+
+void FaucetsClient::on_awarded(RequestId request, Round& round,
+                               const proto::AwardAck& ack) {
+  on_placed(request, ack.price, round.winner_cluster, ack.from, ack.job,
+            round.promised_completion);
+}
+
+void FaucetsClient::on_round_failed(RequestId request, proto::SubmitStatus status) {
+  finish_request(request, status);
 }
 
 void FaucetsClient::resubmit(RequestId request) {
   auto it = pending_.find(request);
   if (it == pending_.end()) return;
   PendingJob& pending = it->second;
-  pending.bids.clear();
-  pending.expected_bids = 0;
-  pending.evaluated = false;
-  pending.awaiting_directory = false;
-  pending.refused.clear();
-  pending.timeout.cancel();
+  reset_round(pending);
   pending.watchdog.cancel();
-  pending.dir_retry.reset();
-  pending.award_retry.reset();
-  pending.phase = AwardPhase::kNone;
-  pending.reservation = ReservationId{};
   ++pending.submit_attempt;
-  // Close out the previous round's market spans; the next directory reply
-  // opens a fresh RFB span under the same submission root.
-  context().spans().end_span(pending.rfb, now());
-  context().spans().end_span(pending.award, now());
-  pending.rfb = SpanId{};
-  pending.award = SpanId{};
   outcomes_[pending.outcome_index].status = SubmissionOutcome::Status::kPending;
 
   if (config_.broker.has_value()) {
     send_brokered(request);
     return;
   }
-  send_directory_request(request);
+  request_directory(request);
 }
 
 void FaucetsClient::handle_evicted(const proto::JobEvicted& msg) {
@@ -320,259 +259,13 @@ void FaucetsClient::handle_login(const proto::LoginReply& msg) {
     FAUCETS_WARN("fc") << config_.username << ": login denied";
     return;
   }
-  session_ = msg.session;
-  user_ = msg.user;
+  me_.session = msg.session;
+  me_.user = msg.user;
   while (!pre_login_queue_.empty()) {
     auto contract = std::move(pre_login_queue_.front());
     pre_login_queue_.pop_front();
     submit(contract);
   }
-}
-
-void FaucetsClient::handle_directory(const proto::DirectoryReply& msg) {
-  auto it = pending_.find(msg.request);
-  if (it == pending_.end()) return;
-  PendingJob& pending = it->second;
-  // A duplicate reply (ours was slow, we retried, both arrived) must not
-  // broadcast a second round of RFBs.
-  if (!pending.awaiting_directory) return;
-  pending.awaiting_directory = false;
-  pending.dir_retry.settle();
-  pending.regulation = msg.regulation;
-
-  if (msg.servers.empty()) {
-    finish_request(msg.request, SubmissionOutcome::Status::kNoServers);
-    return;
-  }
-
-  // Broadcast the request-for-bids to every matching daemon (§5.1's current
-  // implementation).
-  pending.rfb = context().spans().start_span(obs::SpanKind::kRfb, now(), id(),
-                                             pending.root);
-  context().trace().record(obs::market_event(now(), id(),
-                                             obs::TraceEventKind::kRfbIssued,
-                                             msg.request, BidId{},
-                                             static_cast<double>(msg.servers.size())));
-  pending.expected_bids = msg.servers.size();
-  for (const auto& server : msg.servers) {
-    auto rfb = std::make_unique<proto::RequestForBids>();
-    rfb->request = msg.request;
-    rfb->username = config_.username;
-    rfb->password = config_.password;
-    rfb->contract = pending.contract;
-    network_->send(*this, server.daemon, std::move(rfb));
-  }
-  pending.timeout = engine().schedule_after(
-      config_.bid_timeout, [this, request = msg.request] { evaluate(request); });
-}
-
-void FaucetsClient::handle_bid(const proto::BidReply& msg) {
-  auto it = pending_.find(msg.request);
-  if (it == pending_.end()) return;
-  PendingJob& pending = it->second;
-  if (pending.evaluated) return;  // late bid after timeout evaluation
-  pending.bids.push_back(msg.bid);
-  if (!msg.bid.declined) {
-    context().spans().instant_span(obs::SpanKind::kBid, now(), id(), pending.rfb,
-                                   msg.bid.price);
-    bid_latency_hist_->observe(now() -
-                               outcomes_[pending.outcome_index].submit_time);
-  }
-  if (pending.bids.size() >= pending.expected_bids) evaluate(msg.request);
-}
-
-void FaucetsClient::evaluate(RequestId request) {
-  auto it = pending_.find(request);
-  if (it == pending_.end()) return;
-  PendingJob& pending = it->second;
-  pending.evaluated = true;
-  pending.timeout.cancel();
-  outcomes_[pending.outcome_index].bids_received =
-      static_cast<std::size_t>(std::count_if(
-          pending.bids.begin(), pending.bids.end(),
-          [](const market::Bid& b) { return !b.declined; }));
-
-  // Mask out bids already refused at commit time, and bids outside the
-  // regulated price band (§5.5.1) when regulation is in force.
-  std::vector<market::Bid> candidates = pending.bids;
-  const double work = pending.contract.total_work();
-  for (auto& b : candidates) {
-    if (b.declined) continue;
-    if (std::find(pending.refused.begin(), pending.refused.end(), b.id) !=
-        pending.refused.end()) {
-      b.declined = true;
-      continue;
-    }
-    if (pending.regulation && pending.regulation->band > 1.0 &&
-        pending.regulation->normal_unit_price > 0.0 && work > 0.0) {
-      const double unit = b.price / work;
-      const double normal = pending.regulation->normal_unit_price;
-      const double band = pending.regulation->band;
-      if (unit > normal * band || unit < normal / band) {
-        b.declined = true;
-        ++regulated_out_;
-      }
-    }
-  }
-
-  std::optional<std::size_t> choice;
-  if (config_.home_cluster) {
-    // Home-cluster preference (§5.5.3): any viable home bid wins outright.
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (!candidates[i].declined && candidates[i].cluster == *config_.home_cluster) {
-        std::vector<market::Bid> only_home{candidates[i]};
-        if (evaluator_->select(only_home, pending.contract, now())) choice = i;
-        break;
-      }
-    }
-  }
-  if (!choice) choice = evaluator_->select(candidates, pending.contract, now());
-
-  if (!choice) {
-    finish_request(request, pending.bids.empty()
-                                ? SubmissionOutcome::Status::kNoBids
-                                : SubmissionOutcome::Status::kAllRefused);
-    return;
-  }
-
-  const market::Bid& winner = candidates[*choice];
-  pending.promised_completion = winner.promised_completion;
-  pending.winner_bid = winner.id;
-  pending.winner_daemon = winner.daemon;
-  pending.winner_price = winner.price;
-  pending.reservation = ReservationId{};
-  pending.award_retry.reset();
-  auto& spans = context().spans();
-  spans.end_span(pending.rfb, now());
-  pending.award = spans.start_span(
-      obs::SpanKind::kAward, now(), id(),
-      pending.rfb.valid() ? pending.rfb : pending.root);
-  spans.set_value(pending.award, winner.price);
-  outcomes_[pending.outcome_index].cluster = winner.cluster;
-  outcomes_[pending.outcome_index].price = winner.price;
-  send_reserve(request);
-}
-
-void FaucetsClient::send_reserve(RequestId request) {
-  auto it = pending_.find(request);
-  if (it == pending_.end()) return;
-  PendingJob& pending = it->second;
-  pending.phase = AwardPhase::kReserving;
-  auto msg = std::make_unique<proto::ReserveRequest>();
-  msg->request = request;
-  msg->bid = pending.winner_bid;
-  msg->username = config_.username;
-  msg->password = config_.password;
-  msg->user = user_;
-  msg->contract = pending.contract;
-  network_->send(*this, pending.winner_daemon, std::move(msg));
-  const double timeout = pending.award_retry.arm(config_.retry);
-  pending.award_retry.set_timer(engine().schedule_after(
-      timeout, [this, request] { on_award_timeout(request); }));
-}
-
-void FaucetsClient::send_commit(RequestId request) {
-  auto it = pending_.find(request);
-  if (it == pending_.end()) return;
-  PendingJob& pending = it->second;
-  pending.phase = AwardPhase::kCommitting;
-  auto msg = std::make_unique<proto::CommitRequest>();
-  msg->request = request;
-  msg->reservation = pending.reservation;
-  msg->commit = true;
-  msg->span = pending.award;
-  network_->send(*this, pending.winner_daemon, std::move(msg));
-  const double timeout = pending.award_retry.arm(config_.retry);
-  pending.award_retry.set_timer(engine().schedule_after(
-      timeout, [this, request] { on_award_timeout(request); }));
-}
-
-void FaucetsClient::on_award_timeout(RequestId request) {
-  auto it = pending_.find(request);
-  if (it == pending_.end()) return;
-  PendingJob& pending = it->second;
-  const sim::MessageKind kind = pending.phase == AwardPhase::kReserving
-                                    ? sim::MessageKind::kReserve
-                                    : sim::MessageKind::kCommit;
-  record_timeout(kind, pending.winner_daemon);
-  if (pending.award_retry.exhausted(config_.retry)) {
-    retry_exhausted_ctr_->inc();
-    context().trace().record(obs::market_event(
-        now(), id(), obs::TraceEventKind::kRetryExhausted, request,
-        pending.winner_bid, static_cast<double>(pending.award_retry.attempts())));
-    if (pending.phase == AwardPhase::kCommitting && pending.reservation.valid()) {
-      // Best-effort abort: if the daemon is alive and still holds the
-      // lease, release the capacity now rather than waiting for expiry.
-      auto abort_msg = std::make_unique<proto::CommitRequest>();
-      abort_msg->request = request;
-      abort_msg->reservation = pending.reservation;
-      abort_msg->commit = false;
-      network_->send(*this, pending.winner_daemon, std::move(abort_msg));
-    }
-    give_up_on_winner(request);
-    return;
-  }
-  record_retry(request, kind, pending.winner_daemon, pending.award_retry.attempts());
-  if (pending.phase == AwardPhase::kReserving) {
-    send_reserve(request);
-  } else {
-    send_commit(request);
-  }
-}
-
-void FaucetsClient::give_up_on_winner(RequestId request) {
-  auto it = pending_.find(request);
-  if (it == pending_.end()) return;
-  PendingJob& pending = it->second;
-  pending.phase = AwardPhase::kNone;
-  pending.reservation = ReservationId{};
-  pending.award_retry.settle();
-  // Mark every bid from the dead/refusing cluster and re-evaluate what is
-  // left — the paper's "award to the next-best bid" compensation.
-  context().spans().end_span(pending.award, now());
-  pending.award = SpanId{};
-  const ClusterId dead = outcomes_[pending.outcome_index].cluster;
-  for (const auto& b : pending.bids) {
-    if (!b.declined && b.cluster == dead) pending.refused.push_back(b.id);
-  }
-  evaluate(request);
-}
-
-void FaucetsClient::handle_reserve_reply(const proto::ReserveReply& msg) {
-  auto it = pending_.find(msg.request);
-  if (it == pending_.end()) return;
-  PendingJob& pending = it->second;
-  // Duplicate suppression: a late second reply (we retried and both landed)
-  // or a stray reply after this round moved on is ignored.
-  if (pending.phase != AwardPhase::kReserving) return;
-  pending.award_retry.settle();
-  if (!msg.accepted) {
-    give_up_on_winner(msg.request);
-    return;
-  }
-  pending.reservation = msg.reservation;
-  pending.winner_price = msg.price;
-  pending.award_retry.reset();
-  send_commit(msg.request);
-}
-
-void FaucetsClient::handle_award_ack(const proto::AwardAck& msg) {
-  auto it = pending_.find(msg.request);
-  if (it == pending_.end()) return;
-  PendingJob& pending = it->second;
-  // Only the commit phase expects an AwardAck; anything else is a
-  // duplicate of an ack we already processed.
-  if (pending.phase != AwardPhase::kCommitting) return;
-  pending.award_retry.settle();
-
-  if (!msg.accepted) {
-    give_up_on_winner(msg.request);
-    return;
-  }
-
-  pending.phase = AwardPhase::kNone;
-  on_placed(msg.request, msg.price, outcomes_[pending.outcome_index].cluster,
-            msg.from, msg.job, pending.promised_completion);
 }
 
 void FaucetsClient::arm_watchdog(RequestId request, double promised_completion) {
@@ -614,6 +307,7 @@ void FaucetsClient::on_placed(RequestId request, double price, ClusterId cluster
   outcome.price = price;
   outcome.cluster = cluster;
   outcome.job = job;
+  outcome.bids_received = pending.offered;
   award_latency_.add(outcome.award_time - outcome.submit_time);
   award_latency_hist_->observe(outcome.award_time - outcome.submit_time);
   context().spans().end_span(pending.award, now());
@@ -630,7 +324,7 @@ void FaucetsClient::on_placed(RequestId request, double price, ClusterId cluster
   upload->megabytes = pending.contract.resources.input_mb > 0.0
                           ? pending.contract.resources.input_mb
                           : config_.default_input_mb;
-  network_->send(*this, daemon, std::move(upload));
+  network()->send(*this, daemon, std::move(upload));
 }
 
 void FaucetsClient::send_brokered(RequestId request) {
@@ -640,38 +334,48 @@ void FaucetsClient::send_brokered(RequestId request) {
   auto msg = std::make_unique<proto::SubmitJobRequest>();
   msg->request = request;
   msg->attempt = pending.submit_attempt;
-  msg->session = *session_;
-  msg->username = config_.username;
-  msg->password = config_.password;
-  msg->user = user_;
+  msg->session = me_.session;
+  msg->username = me_.username;
+  msg->password = me_.password;
+  msg->user = me_.user;
   msg->criteria = config_.criteria;
+  msg->home = config_.home_cluster;
   msg->contract = pending.contract;
   msg->span = pending.root;
-  network_->send(*this, *config_.broker, std::move(msg));
+  network()->send(*this, *config_.broker, std::move(msg));
   // The broker runs a whole directory + bidding + award cycle before it can
   // answer, so each attempt waits the full market budget, not one RTT. The
   // broker deduplicates resubmissions by (client, request).
-  (void)pending.dir_retry.arm(config_.retry);
-  const double timeout = config_.bid_timeout + config_.retry.total_budget();
+  (void)pending.dir_retry.arm(retry_);
+  const double timeout = kBidTimeout + retry_.total_budget();
   pending.dir_retry.set_timer(engine().schedule_after(
-      timeout, [this, request] { on_directory_timeout(request); }));
+      timeout, [this, request] { on_brokered_timeout(request); }));
+}
+
+void FaucetsClient::on_brokered_timeout(RequestId request) {
+  auto it = pending_.find(request);
+  if (it == pending_.end()) return;
+  if (retry_after_timeout(it->second.dir_retry, sim::MessageKind::kSubmit,
+                          *config_.broker, request)) {
+    send_brokered(request);
+  } else {
+    finish_request(request, SubmissionOutcome::Status::kTimedOut);
+  }
 }
 
 void FaucetsClient::handle_submit_reply(const proto::SubmitJobReply& msg) {
   auto it = pending_.find(msg.request);
   if (it == pending_.end()) return;
-  it->second.dir_retry.settle();
-  if (!msg.placed) {
-    finish_request(msg.request, msg.reason == "no matching servers"
-                                    ? SubmissionOutcome::Status::kNoServers
-                                    : SubmissionOutcome::Status::kNoBids);
+  PendingJob& pending = it->second;
+  pending.dir_retry.settle();
+  pending.offered = msg.bids_offered;
+  if (msg.status != SubmissionOutcome::Status::kPlaced) {
+    finish_request(msg.request, msg.status);
     return;
   }
-  if (outcomes_[it->second.outcome_index].status ==
-      SubmissionOutcome::Status::kPlaced) {
+  if (outcomes_[pending.outcome_index].status == SubmissionOutcome::Status::kPlaced) {
     return;  // duplicate reply after a broker-side resend
   }
-  outcomes_[it->second.outcome_index].bids_received = msg.bids_considered;
   on_placed(msg.request, msg.price, msg.cluster, msg.daemon, msg.job,
             msg.promised_completion);
 }
@@ -705,21 +409,22 @@ void FaucetsClient::finish_request(RequestId request,
   // Under chaos, "no bids" often really means "partitioned": run another
   // RFB round after a backoff instead of giving up, so a healed partition
   // or restarted daemon gets a fresh chance (re-bid).
-  if (pending.round + 1 < config_.bid_rounds &&
+  if (pending.rounds + 1 < config_.bid_rounds &&
       status != SubmissionOutcome::Status::kCompleted) {
-    ++pending.round;
-    const double delay = config_.retry.timeout_for(pending.round);
-    record_retry(request, sim::MessageKind::kRequestForBids, central_,
-                 pending.round);
+    ++pending.rounds;
+    const double delay = retry_.timeout_for(pending.rounds);
+    record_retry(request, pending.rounds);
     engine().schedule_after(delay, [this, request] { resubmit(request); });
     return;
   }
 
-  pending.timeout.cancel();
+  pending.bid_timer.cancel();
   pending.watchdog.cancel();
   pending.dir_retry.settle();
   pending.award_retry.settle();
-  outcomes_[pending.outcome_index].status = status;
+  SubmissionOutcome& outcome = outcomes_[pending.outcome_index];
+  outcome.status = status;
+  outcome.bids_received = pending.offered;
   ++unplaced_;
   unplaced_ctr_->inc();
   auto& spans = context().spans();

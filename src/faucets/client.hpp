@@ -1,8 +1,7 @@
-// The Faucets Client (FC) — §2: authenticates with the Central Server,
-// requests the list of matching Compute Servers, solicits bids from each
-// daemon, selects a bid with its evaluator, awards the job (with retry to
-// the next-best bid if the daemon refuses at commit time), uploads input
-// files, and tracks completion notices.
+// The Faucets Client (FC) — §2: authenticates with the Central Server, runs
+// one market round per job (MarketRound: directory, bids, selection with its
+// evaluator, two-phase award) or hands the job to a broker agent, uploads
+// input files, and tracks completion notices.
 #pragma once
 
 #include <deque>
@@ -12,12 +11,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/faucets/protocol.hpp"
-#include "src/faucets/retry.hpp"
+#include "src/faucets/market_round.hpp"
 #include "src/job/source.hpp"
 #include "src/job/workload.hpp"
-#include "src/market/evaluation.hpp"
-#include "src/sim/network.hpp"
 #include "src/util/stats.hpp"
 
 namespace faucets {
@@ -25,8 +21,6 @@ namespace faucets {
 struct ClientConfig {
   std::string username;
   std::string password;
-  /// How long to wait for bids before evaluating with what arrived.
-  double bid_timeout = 10.0;
   /// Barter/home-cluster preference (§5.5.3): take a viable bid from the
   /// home cluster before comparing prices elsewhere.
   std::optional<ClusterId> home_cluster;
@@ -52,15 +46,7 @@ struct ClientConfig {
 
 /// Outcome of one submission, for experiment bookkeeping.
 struct SubmissionOutcome {
-  enum class Status {
-    kPending,
-    kPlaced,
-    kNoServers,
-    kNoBids,
-    kAllRefused,
-    kCompleted,
-    kTimedOut,  // a retry schedule was exhausted (partition / crash)
-  };
+  using Status = proto::SubmitStatus;
   Status status = Status::kPending;
   ClusterId cluster;
   JobId job;                  // daemon-side id, valid once placed
@@ -70,7 +56,7 @@ struct SubmissionOutcome {
   double award_time = 0.0;    // when the contract was confirmed
   double finish_time = 0.0;
   double payoff = 0.0;        // value_at(finish) from the client's payoff fn
-  std::size_t bids_received = 0;
+  std::size_t bids_received = 0;  // offers at the last evaluation
   // Contract terms captured at submit, so deadline-outcome accounting
   // (telemetry reports) needs no access to the contract afterwards.
   bool has_deadline = false;
@@ -79,7 +65,7 @@ struct SubmissionOutcome {
   double payoff_max = 0.0;    // payoff at or before the soft deadline
 };
 
-class FaucetsClient final : public sim::Entity {
+class FaucetsClient final : public MarketRound {
  public:
   FaucetsClient(sim::SimContext& ctx, EntityId central,
                 std::unique_ptr<market::BidEvaluator> evaluator, ClientConfig config);
@@ -108,7 +94,7 @@ class FaucetsClient final : public sim::Entity {
   [[nodiscard]] const std::vector<SubmissionOutcome>& outcomes() const noexcept {
     return outcomes_;
   }
-  [[nodiscard]] bool logged_in() const noexcept { return session_.has_value(); }
+  [[nodiscard]] bool logged_in() const noexcept { return me_.session.valid(); }
   /// True when no submission is still in flight (bidding, running, or
   /// waiting for login).
   [[nodiscard]] bool idle() const noexcept {
@@ -127,40 +113,23 @@ class FaucetsClient final : public sim::Entity {
   [[nodiscard]] std::uint64_t watchdog_restarts() const noexcept {
     return watchdog_restarts_;
   }
-  /// Bids discarded by market regulation (§5.5.1).
-  [[nodiscard]] std::uint64_t regulated_out() const noexcept { return regulated_out_; }
   void on_message(const sim::Message& msg) override;
 
  private:
-  /// Where one request is in the two-phase award handshake.
-  enum class AwardPhase { kNone, kReserving, kCommitting };
-
-  struct PendingJob {
+  struct PendingJob : Round {
     std::size_t outcome_index = 0;
-    qos::QosContract contract;
-    std::vector<market::Bid> bids;
-    std::size_t expected_bids = 0;
-    bool evaluated = false;
-    bool awaiting_directory = false;  // dedup late/duplicate directory replies
-    sim::EventHandle timeout;
     sim::EventHandle watchdog;
-    double promised_completion = 0.0;
-    std::optional<proto::PriceBand> regulation;  // from the directory (§5.5.1)
-    std::vector<BidId> refused;  // bids whose award was refused (two-phase)
-    // Two-phase award state: the winning bid being reserved/committed.
-    AwardPhase phase = AwardPhase::kNone;
-    BidId winner_bid;
-    EntityId winner_daemon;
-    double winner_price = 0.0;
-    ReservationId reservation;
-    RetryState dir_retry;    // directory (or brokered submit) exchange
-    RetryState award_retry;  // reserve/commit exchange
-    int round = 0;           // completed RFB rounds (for bid_rounds)
+    int rounds = 0;                    // completed RFB rounds (for bid_rounds)
     std::uint32_t submit_attempt = 0;  // bumped on each genuine resubmission
-    SpanId root;   // kSubmission span, open until a terminal outcome
-    SpanId rfb;    // current RFB round
-    SpanId award;  // current award attempt
   };
+
+  Round* find_round(RequestId request) override;
+  const Principal& principal(const Round& round) const override;
+  void on_offer(const Round& round) override;
+  void on_selected(const Round& round, const market::Bid& winner) override;
+  void on_awarded(RequestId request, Round& round,
+                  const proto::AwardAck& ack) override;
+  void on_round_failed(RequestId request, proto::SubmitStatus status) override;
 
   void login();
   void send_login();
@@ -170,38 +139,21 @@ class FaucetsClient final : public sim::Entity {
   void on_submission_due();
   void submit(const qos::QosContract& contract);
   void handle_login(const proto::LoginReply& msg);
-  void handle_directory(const proto::DirectoryReply& msg);
-  void handle_bid(const proto::BidReply& msg);
-  void handle_reserve_reply(const proto::ReserveReply& msg);
-  void handle_award_ack(const proto::AwardAck& msg);
   void handle_complete(const proto::JobCompleteNotice& msg);
   void handle_evicted(const proto::JobEvicted& msg);
   void handle_submit_reply(const proto::SubmitJobReply& msg);
-  void send_directory_request(RequestId request);
   void send_brokered(RequestId request);
-  void send_reserve(RequestId request);
-  void send_commit(RequestId request);
-  void on_directory_timeout(RequestId request);
-  void on_award_timeout(RequestId request);
-  /// The current winner's daemon is unresponsive or refused: mark its bids
-  /// dead and pick the next-best bid (or finish the round).
-  void give_up_on_winner(RequestId request);
-  void record_retry(RequestId request, sim::MessageKind kind, EntityId peer,
-                    int attempt);
-  void record_timeout(sim::MessageKind kind, EntityId peer);
+  void on_brokered_timeout(RequestId request);
   /// Terminal outcome for a contract that never reached the market (login
   /// retries exhausted), so submitted == completed + unplaced still holds.
   void fail_unsubmitted(const qos::QosContract& contract);
   void arm_watchdog(RequestId request, double promised_completion);
   void on_placed(RequestId request, double price, ClusterId cluster,
                  EntityId daemon, JobId job, double promised_completion);
-  void evaluate(RequestId request);
   void finish_request(RequestId request, SubmissionOutcome::Status status);
   /// Restart the bid/award cycle for a request already in pending_.
   void resubmit(RequestId request);
 
-  sim::Network* network_;
-  EntityId central_;
   std::unique_ptr<market::BidEvaluator> evaluator_;
   ClientConfig config_;
 
@@ -210,8 +162,7 @@ class FaucetsClient final : public sim::Entity {
   job::WorkloadSource* source_ = nullptr;
   std::unique_ptr<job::WorkloadSource> owned_source_;
 
-  std::optional<SessionId> session_;
-  UserId user_;
+  Principal me_;  // session and user are valid once logged in
   bool login_sent_ = false;
   bool login_failed_ = false;  // retry schedule exhausted; submissions fail fast
   RetryState login_retry_;
@@ -219,7 +170,6 @@ class FaucetsClient final : public sim::Entity {
 
   IdGenerator<RequestId> request_ids_;
   std::unordered_map<RequestId, PendingJob> pending_;
-  std::unordered_map<JobId, RequestId> placed_;  // running jobs by daemon JobId
 
   std::vector<SubmissionOutcome> outcomes_;
   Samples award_latency_;
@@ -229,7 +179,6 @@ class FaucetsClient final : public sim::Entity {
   std::uint64_t unplaced_ = 0;
   std::uint64_t migrations_ = 0;
   std::uint64_t watchdog_restarts_ = 0;
-  std::uint64_t regulated_out_ = 0;
 
   // Grid-wide registry instruments (shared across clients).
   obs::Counter* submitted_ctr_ = nullptr;
@@ -237,9 +186,6 @@ class FaucetsClient final : public sim::Entity {
   obs::Counter* unplaced_ctr_ = nullptr;
   obs::Counter* migrations_ctr_ = nullptr;
   obs::Counter* watchdog_ctr_ = nullptr;
-  obs::Counter* retry_attempts_ctr_ = nullptr;
-  obs::Counter* retry_timeouts_ctr_ = nullptr;
-  obs::Counter* retry_exhausted_ctr_ = nullptr;
   obs::Gauge* inflight_gauge_ = nullptr;  // live submissions, all clients
   obs::Histogram* bid_latency_hist_ = nullptr;
   obs::Histogram* award_latency_hist_ = nullptr;

@@ -139,9 +139,6 @@ void FaucetsDaemon::on_message(const sim::Message& msg) {
     case sim::MessageKind::kAuthReply:
       handle_auth_reply(sim::message_cast<proto::AuthVerifyReply>(msg));
       break;
-    case sim::MessageKind::kAward:
-      handle_award(sim::message_cast<proto::AwardJob>(msg));
-      break;
     case sim::MessageKind::kReserve:
       handle_reserve(sim::message_cast<proto::ReserveRequest>(msg));
       break;
@@ -240,70 +237,6 @@ void FaucetsDaemon::answer_rfb(const PendingRfb& rfb) {
                                                reply->bid.price));
   }
   network_->send(*this, rfb.client, std::move(reply));
-}
-
-void FaucetsDaemon::handle_award(const proto::AwardJob& msg) {
-  auto reply = std::make_unique<proto::AwardAck>();
-  reply->request = msg.request;
-
-  auto bid_it = issued_bids_.find(msg.bid);
-  if (bid_it == issued_bids_.end() || bid_it->second.expires_at < now()) {
-    reply->accepted = false;
-    reply->reason = "bid unknown or expired";
-    ++awards_refused_;
-    awards_refused_ctr_->inc();
-    context().trace().record(obs::market_event(now(), id(),
-                                               obs::TraceEventKind::kAwardRefused,
-                                               msg.request, msg.bid, 0.0));
-    network_->send(*this, msg.from, std::move(reply));
-    return;
-  }
-
-  // Two-phase commit (§5.3): re-check admission — a more lucrative job may
-  // have arrived since the bid was issued.
-  const UserId user = msg.user;
-  const auto job_id = cm_->submit(user, bid_it->second.contract, msg.span);
-  if (!job_id) {
-    reply->accepted = false;
-    reply->reason = "cluster state changed since bid";
-    ++awards_refused_;
-    awards_refused_ctr_->inc();
-    context().trace().record(obs::market_event(now(), id(),
-                                               obs::TraceEventKind::kAwardRefused,
-                                               msg.request, msg.bid, 0.0));
-    issued_bids_.erase(bid_it);
-    network_->send(*this, msg.from, std::move(reply));
-    return;
-  }
-
-  reply->accepted = true;
-  reply->job = *job_id;
-  reply->price = bid_it->second.price;
-  ++awards_confirmed_;
-  awards_confirmed_ctr_->inc();
-  context().trace().record(obs::market_event(now(), id(),
-                                             obs::TraceEventKind::kAwardConfirmed,
-                                             msg.request, msg.bid,
-                                             bid_it->second.price));
-  // Notices go to the client itself even when a broker placed the award.
-  const EntityId notify = msg.notify.valid() ? msg.notify : msg.from;
-  const RequestId notify_request =
-      msg.notify_request.valid() ? msg.notify_request : msg.request;
-  running_.emplace(*job_id,
-                   RunningJob{notify, notify_request, user, bid_it->second.price});
-  issued_bids_.erase(bid_it);
-
-  // Register the job with AppSpector ("Once the job starts, the FD
-  // registers the running job with the AppSpector Server").
-  if (appspector_.valid()) {
-    auto reg = std::make_unique<proto::RegisterJobMonitor>();
-    reg->job = *job_id;
-    reg->cluster = cluster_;
-    reg->user = user;
-    reg->application = msg.contract.environment.application;
-    network_->send(*this, appspector_, std::move(reg));
-  }
-  network_->send(*this, msg.from, std::move(reply));
 }
 
 void FaucetsDaemon::refuse_award(EntityId to, RequestId request, BidId bid,

@@ -14,9 +14,7 @@
 #include "src/obs/trace.hpp"
 
 namespace faucets::obs {
-namespace {
 
-/// Shortest round-trippable decimal; JSON has no Inf/NaN so map those to 0.
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "0";
   char buf[32];
@@ -46,6 +44,8 @@ std::string json_escape(const std::string& in) {
   }
   return out;
 }
+
+namespace {
 
 template <typename Tag>
 std::string json_id(Id<Tag> id) {
@@ -175,15 +175,18 @@ void write_prometheus_impl(std::ostream& os, const MetricsRegistry& metrics,
       }
     }
   });
-  if (trace_dropped > 0) {
-    os << "# HELP faucets_trace_dropped_total Trace events lost to the "
-          "bounded ring; the exported window is truncated\n"
-       << "# TYPE faucets_trace_dropped_total counter\n"
-       << "faucets_trace_dropped_total " << trace_dropped << '\n';
-  }
+  write_prometheus_trace_dropped(os, trace_dropped);
 }
 
 }  // namespace
+
+void write_prometheus_trace_dropped(std::ostream& os, std::uint64_t dropped) {
+  if (dropped == 0) return;
+  os << "# HELP faucets_trace_dropped_total Trace events lost to the "
+        "bounded ring; the exported window is truncated\n"
+     << "# TYPE faucets_trace_dropped_total counter\n"
+     << "faucets_trace_dropped_total " << dropped << '\n';
+}
 
 void write_prometheus(std::ostream& os, const MetricsRegistry& metrics,
                       const TraceBuffer* trace) {

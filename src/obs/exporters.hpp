@@ -7,6 +7,7 @@
 //    plus a "market" process whose threads are client submissions.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -20,6 +21,12 @@ class TraceView;
 class MetricsRegistry;
 class SpanTracker;
 struct TraceEvent;
+
+/// Shortest round-trippable decimal (%.17g); JSON has no Inf/NaN, so those
+/// map to 0. Every artifact writer formats doubles through this.
+[[nodiscard]] std::string json_number(double v);
+/// `in` escaped for a JSON string literal.
+[[nodiscard]] std::string json_escape(const std::string& in);
 
 /// Serialize one trace event as a single JSONL line (newline included) —
 /// the exact line write_trace_jsonl emits for it. The live plane's
@@ -40,6 +47,9 @@ void write_prometheus(std::ostream& os, const MetricsRegistry& metrics,
                       const TraceBuffer* trace = nullptr);
 void write_prometheus(std::ostream& os, const MetricsRegistry& metrics,
                       const TraceView* trace);
+/// The synthetic faucets_trace_dropped_total counter write_prometheus
+/// appends; writes nothing when `dropped` is 0.
+void write_prometheus_trace_dropped(std::ostream& os, std::uint64_t dropped);
 
 struct ChromeTraceOptions {
   /// Display names for cluster process tracks, parallel-indexed by

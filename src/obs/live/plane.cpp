@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
-#include <unordered_set>
 #include <utility>
 
 #include "src/obs/exporters.hpp"
@@ -23,28 +21,6 @@ std::uint64_t seconds_to_ticks(double seconds) {
   const double ns = HostClock::ns_per_tick();
   if (ns <= 0.0 || seconds <= 0.0) return 0;
   return static_cast<std::uint64_t>(seconds * 1e9 / ns);
-}
-
-/// Shortest round-trippable decimal; JSON has no Inf/NaN so map those to 0.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// Split `foo_total{cluster="x"}` into base name and label block (same rule
-/// as the Prometheus artifact exporter).
-void split_labels(const std::string& name, std::string& base,
-                  std::string& labels) {
-  const auto brace = name.find('{');
-  if (brace == std::string::npos) {
-    base = name;
-    labels.clear();
-  } else {
-    base = name.substr(0, brace);
-    labels = name.substr(brace + 1, name.size() - brace - 2);
-  }
 }
 
 }  // namespace
@@ -150,71 +126,7 @@ void LivePlane::publish_locked(double sim_now, bool final_check) {
 void LivePlane::capture() {
   const Bindings& b = bindings_;
   Snapshot& snap = snapshot_;
-  if (b.metrics != nullptr) {
-    if (b.metrics->size() != snap.schema_entries) {
-      // Registry grew (new instruments): re-capture names/types/bounds and
-      // re-size the flat value arrays. The only publish-path allocations.
-      snap.schema.clear();
-      std::size_t counters = 0;
-      std::size_t gauges = 0;
-      std::size_t hists = 0;
-      std::size_t buckets = 0;
-      b.metrics->for_each([&](const MetricsRegistry::Entry& e) {
-        Snapshot::Desc d;
-        d.name = e.name;
-        d.help = e.help;
-        d.type = e.type;
-        switch (e.type) {
-          case MetricsRegistry::Type::kCounter:
-            d.value_index = counters++;
-            break;
-          case MetricsRegistry::Type::kGauge:
-            d.value_index = gauges++;
-            break;
-          case MetricsRegistry::Type::kHistogram:
-            d.value_index = hists++;
-            d.bucket_index = buckets;
-            d.bounds = e.histogram->bounds();
-            buckets += e.histogram->buckets().size();
-            break;
-        }
-        snap.schema.push_back(std::move(d));
-      });
-      snap.schema_entries = b.metrics->size();
-      snap.counters.assign(counters, 0);
-      snap.gauges.assign(gauges, 0.0);
-      snap.hist_buckets.assign(buckets, 0);
-      snap.hist_counts.assign(hists, 0);
-      snap.hist_sums.assign(hists, 0.0);
-    }
-    // Steady state: pure value refresh into the preallocated arrays.
-    std::size_t ci = 0;
-    std::size_t gi = 0;
-    std::size_t hi = 0;
-    std::size_t bi = 0;
-    b.metrics->for_each_value([&](MetricsRegistry::Type type, const Counter* c,
-                                  const Gauge* g, const Histogram* h) {
-      switch (type) {
-        case MetricsRegistry::Type::kCounter:
-          snap.counters[ci++] = c->value();
-          break;
-        case MetricsRegistry::Type::kGauge:
-          snap.gauges[gi++] = g->value();
-          break;
-        case MetricsRegistry::Type::kHistogram: {
-          const auto& bk = h->buckets();
-          for (std::size_t i = 0; i < bk.size(); ++i) {
-            snap.hist_buckets[bi + i] = bk[i];
-          }
-          bi += bk.size();
-          snap.hist_counts[hi] = h->count();
-          snap.hist_sums[hi] = h->sum();
-          ++hi;
-          break;
-        }
-      }
-    });
-  }
+  if (b.metrics != nullptr) snap.metrics.refresh_from(*b.metrics);
   if (b.trace != nullptr) {
     const std::size_t have = b.trace->size();
     const std::size_t n = std::min(have, snap.recent.size());
@@ -414,49 +326,7 @@ std::string LivePlane::render_healthz_locked() const {
 std::string LivePlane::render_metrics_locked() const {
   const Snapshot& snap = snapshot_;
   std::ostringstream os;
-  std::unordered_set<std::string> typed;
-  std::string base;
-  std::string labels;
-  for (const Snapshot::Desc& d : snap.schema) {
-    split_labels(d.name, base, labels);
-    if (typed.insert(base).second) {
-      if (!d.help.empty()) os << "# HELP " << base << ' ' << d.help << '\n';
-      os << "# TYPE " << base << ' ';
-      switch (d.type) {
-        case MetricsRegistry::Type::kCounter: os << "counter\n"; break;
-        case MetricsRegistry::Type::kGauge: os << "gauge\n"; break;
-        case MetricsRegistry::Type::kHistogram: os << "histogram\n"; break;
-      }
-    }
-    switch (d.type) {
-      case MetricsRegistry::Type::kCounter:
-        os << d.name << ' ' << snap.counters[d.value_index] << '\n';
-        break;
-      case MetricsRegistry::Type::kGauge:
-        os << d.name << ' ' << json_number(snap.gauges[d.value_index]) << '\n';
-        break;
-      case MetricsRegistry::Type::kHistogram: {
-        const auto label_join = [&](const std::string& le) {
-          std::string out = base + "_bucket{";
-          if (!labels.empty()) out += labels + ",";
-          out += "le=\"" + le + "\"}";
-          return out;
-        };
-        const std::uint64_t count = snap.hist_counts[d.value_index];
-        std::uint64_t cum = 0;
-        for (std::size_t i = 0; i < d.bounds.size(); ++i) {
-          cum += snap.hist_buckets[d.bucket_index + i];
-          os << label_join(json_number(d.bounds[i])) << ' ' << cum << '\n';
-        }
-        os << label_join("+Inf") << ' ' << count << '\n';
-        const std::string suffix = labels.empty() ? "" : "{" + labels + "}";
-        os << base << "_sum" << suffix << ' '
-           << json_number(snap.hist_sums[d.value_index]) << '\n';
-        os << base << "_count" << suffix << ' ' << count << '\n';
-        break;
-      }
-    }
-  }
+  write_prometheus(os, snap.metrics);
 
   // Plane-owned series: these exist only on the live endpoint, never in the
   // simulation registries, so enabling the plane cannot perturb artifacts.
@@ -472,12 +342,7 @@ std::string LivePlane::render_metrics_locked() const {
        << to_string(static_cast<MonitorKind>(m)) << "\"} "
        << suite_.states()[m].alerts << '\n';
   }
-  if (snap.trace_dropped > 0) {
-    os << "# HELP faucets_trace_dropped_total Trace events lost to the "
-          "bounded ring; the exported window is truncated\n"
-       << "# TYPE faucets_trace_dropped_total counter\n"
-       << "faucets_trace_dropped_total " << snap.trace_dropped << '\n';
-  }
+  write_prometheus_trace_dropped(os, snap.trace_dropped);
   return os.str();
 }
 

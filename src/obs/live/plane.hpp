@@ -15,9 +15,10 @@
 //
 // Steady-state publishes are allocation-free on the simulation thread
 // (tests/obs/live_alloc_test.cpp pins this with a counting operator new):
-// value arrays are preallocated and refreshed in place; only a registry
-// *growth* (new instruments, e.g. the end-of-run phase histograms) triggers
-// a schema re-capture, which may allocate.
+// the snapshot registry is refreshed in place by instrument copy-assign;
+// only a registry *growth* (new instruments, e.g. the end-of-run phase
+// histograms) clones the new entries, which allocates. /metrics renders the
+// snapshot with the artifact exporter, write_prometheus.
 #pragma once
 
 #include <array>
@@ -121,25 +122,9 @@ class LivePlane {
   [[nodiscard]] HttpResponse handle(const std::string& path) const;
 
  private:
-  /// The published values. Value arrays are laid out in schema order;
-  /// schema (names/types/bounds) is re-captured only when the registry grew
-  /// since the last publish.
+  /// The published values.
   struct Snapshot {
-    struct Desc {
-      std::string name;
-      std::string help;
-      MetricsRegistry::Type type;
-      std::size_t value_index = 0;   // into counters / gauges / hist_* arrays
-      std::size_t bucket_index = 0;  // histograms: offset into hist_buckets
-      std::vector<double> bounds;
-    };
-    std::vector<Desc> schema;
-    std::size_t schema_entries = 0;
-    std::vector<std::uint64_t> counters;
-    std::vector<double> gauges;
-    std::vector<std::uint64_t> hist_buckets;
-    std::vector<std::uint64_t> hist_counts;
-    std::vector<double> hist_sums;
+    MetricsRegistry metrics;  // value copy of the simulation's registry
     // Trace-ring tail (newest recent_events records).
     std::vector<TraceEvent> recent;
     std::size_t recent_n = 0;

@@ -99,6 +99,26 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return ref;
 }
 
+void MetricsRegistry::refresh_from(const MetricsRegistry& src) {
+  for (std::size_t i = entries_.size(); i < src.entries_.size(); ++i) {
+    const Owned& e = src.entries_[i];
+    switch (e.type) {
+      case Type::kCounter: counter(e.name, e.help); break;
+      case Type::kGauge: gauge(e.name, e.help); break;
+      case Type::kHistogram: histogram(e.name, e.histogram->bounds(), e.help); break;
+    }
+  }
+  for (std::size_t i = 0; i < src.entries_.size(); ++i) {
+    const Owned& from = src.entries_[i];
+    Owned& to = entries_[i];
+    switch (from.type) {
+      case Type::kCounter: *to.counter = *from.counter; break;
+      case Type::kGauge: *to.gauge = *from.gauge; break;
+      case Type::kHistogram: *to.histogram = *from.histogram; break;
+    }
+  }
+}
+
 const Counter* MetricsRegistry::find_counter(const std::string& name) const {
   const Owned* e = find_entry(name);
   return (e != nullptr && e->type == Type::kCounter) ? e->counter.get() : nullptr;

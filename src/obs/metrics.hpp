@@ -210,17 +210,13 @@ class MetricsRegistry {
     }
   }
 
-  /// Visit (type, counter, gauge, histogram) for every instrument in
-  /// registration order without materializing name/help copies — the live
-  /// plane's zero-allocation value snapshots read through this.
-  template <typename Fn>
-  void for_each_value(Fn&& fn) const {
-    for (const auto& e : entries_) {
-      fn(e.type, e.counter.get(), e.gauge.get(), e.histogram.get());
-    }
-  }
-
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+
+  /// Make this registry a value copy of `src`, whose first size() entries
+  /// must be this registry's (a snapshot of an earlier `src`: registries
+  /// only grow). Entries registered since are cloned, then every instrument
+  /// is copy-assigned, which allocates nothing when `src` did not grow.
+  void refresh_from(const MetricsRegistry& src);
 
  private:
   struct Owned {

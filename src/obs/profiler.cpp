@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
 #include "src/obs/exporters.hpp"
@@ -11,38 +10,6 @@
 namespace faucets::obs {
 
 namespace {
-
-/// Shortest round-trippable decimal (%.17g), matching the report/exporter
-/// convention so profiler artifacts are as deterministic as the clock allows.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::uint64_t sat_sub(std::uint64_t a, std::uint64_t b) noexcept {
   return a > b ? a - b : 0;

@@ -28,7 +28,7 @@ enum class MessageKind : std::uint8_t {
   kDirectoryReply,
   kRequestForBids,
   kBid,
-  kAward,
+  kAward,  // reserved: the one-phase award is gone (awards reserve, then commit)
   kAwardAck,
   kReserve,
   kReserveAck,

@@ -19,6 +19,19 @@ class GougingBidGenerator final : public market::BidGenerator {
   }
 };
 
+/// Bids fairly once, then gouges at 50x.
+class LateGougingBidGenerator final : public market::BidGenerator {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "late-gouger"; }
+  [[nodiscard]] std::optional<double> multiplier(const market::BidContext& ctx) override {
+    if (ctx.admission == nullptr || !ctx.admission->accept) return std::nullopt;
+    return bids_++ == 0 ? 1.0 : 50.0;
+  }
+
+ private:
+  int bids_ = 0;
+};
+
 ClusterSetup make_cluster(const std::string& name, bool gouger) {
   ClusterSetup setup;
   setup.machine.name = name;
@@ -70,6 +83,33 @@ TEST(Regulation, GougerWinsNothingOnceNormalPriceExists) {
   // gouger's 50x bids are outside the 3x band and never win.
   EXPECT_LE(report.clusters[1].completed, 1u);
   EXPECT_GT(grid.client(0).regulated_out(), 0u);
+}
+
+TEST(Regulation, BrokeredGougerWinsNothingOnceNormalPriceExists) {
+  // The broker evaluates on the client's behalf and masks bids with the
+  // price band of its own directory reply. The gouger is the faster
+  // machine and bids fairly for the first job, which it wins and which sets
+  // the normal price; only regulation keeps its later 50x bids from winning.
+  CentralServerConfig central;
+  central.price_band = 3.0;
+  ClusterSetup gouger = make_cluster("gouger", true);
+  gouger.machine.speed_factor = 2.0;
+  gouger.bid_generator = [] { return std::make_unique<LateGougingBidGenerator>(); };
+  auto grid_ptr =
+      GridBuilder()
+          .central(central)
+          .brokered(proto::SelectionCriteria::kEarliestCompletion)
+          .cluster(make_cluster("honest", false))
+          .cluster(std::move(gouger))
+          .users(1)
+          .build();
+  GridSystem& grid = *grid_ptr;
+
+  const auto report = grid.run(jobs(6));
+  EXPECT_EQ(report.jobs_completed, 6u);
+  EXPECT_EQ(report.clusters[1].completed, 1u);
+  ASSERT_NE(grid.broker(), nullptr);
+  EXPECT_GT(grid.broker()->regulated_out(), 0u);
 }
 
 TEST(Regulation, DisabledBandLetsAnyPriceWin) {

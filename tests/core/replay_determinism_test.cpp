@@ -9,9 +9,12 @@
 //     byte-identical at 1 vs 8 worker threads.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "src/core/scenario.hpp"
@@ -36,11 +39,20 @@ std::string swf_text() {
 }
 
 /// Write the fixture once per process; scenarios reference it by path.
+/// ctest runs each test in its own process, in parallel, all on this one
+/// path: each process writes a private copy and renames it into place, so
+/// a reader never sees another process's half-written file.
 const std::string& trace_path() {
   static const std::string path = [] {
     const std::string p = testing::TempDir() + "faucets_replay_fixture.swf";
-    std::ofstream f(p);
-    f << swf_text();
+    const std::string tmp = p + "." + std::to_string(::getpid());
+    {
+      std::ofstream f(tmp);
+      f << swf_text();
+    }
+    if (std::rename(tmp.c_str(), p.c_str()) != 0) {
+      throw std::runtime_error("cannot publish " + p);
+    }
     return p;
   }();
   return path;

@@ -102,6 +102,42 @@ TEST(Broker, NoServersReportsFailure) {
   EXPECT_EQ(grid.broker()->failed(), 1u);
 }
 
+TEST(Broker, CentralUnreachableAfterLoginEndsTimedOut) {
+  auto grid_ptr = core::GridBuilder()
+                      .brokered()
+                      .cluster(make_cluster("a", 0.0008))
+                      .users(1)
+                      .build();
+  core::GridSystem& grid = *grid_ptr;
+  // The client logs in at t = 0; from t = 5 on the Central Server is cut
+  // off, so the broker's directory lookups for the job submitted at t = 10
+  // all time out.
+  grid.network().set_faults({.partitions = {{grid.central().id(), 5.0, 1e9}}});
+  const auto report = grid.run({simple_job(10.0)}, 1e6);
+  EXPECT_EQ(report.jobs_unplaced, 1u);
+  EXPECT_EQ(grid.broker()->failed(), 1u);
+  EXPECT_TRUE(grid.client(0).logged_in());
+  EXPECT_EQ(grid.client(0).outcomes().at(0).status,
+            SubmissionOutcome::Status::kTimedOut)
+      << "a directory timeout must not read as 'no bids'";
+}
+
+TEST(Broker, HomeClusterWinsOverCheaperBids) {
+  // One user, whose home is cluster 0: the dearer home bid wins outright.
+  auto grid_ptr = core::GridBuilder()
+                      .brokered()
+                      .prefer_home()
+                      .cluster(make_cluster("home", 0.0008))
+                      .cluster(make_cluster("cheap", 0.0002))
+                      .users(1)
+                      .build();
+  core::GridSystem& grid = *grid_ptr;
+  const auto report = grid.run({simple_job()});
+  EXPECT_EQ(report.jobs_completed, 1u);
+  EXPECT_EQ(report.clusters[0].completed, 1u);
+  EXPECT_EQ(report.clusters[1].completed, 0u);
+}
+
 TEST(Broker, TwoPhaseRetryGoesToNextBest) {
   core::GridBuilder builder;
   builder.brokered();

@@ -22,6 +22,17 @@ class ScriptedClient final : public sim::Entity {
       case sim::MessageKind::kBid:
         bids.push_back(sim::message_cast<proto::BidReply>(msg).bid);
         break;
+      case sim::MessageKind::kReserveAck: {
+        const auto& reply = sim::message_cast<proto::ReserveReply>(msg);
+        reserves.push_back(reply);
+        if (reply.accepted) {
+          auto commit = std::make_unique<proto::CommitRequest>();
+          commit->request = reply.request;
+          commit->reservation = reply.reservation;
+          network_->send(*this, msg.from, std::move(commit));
+        }
+        break;
+      }
       case sim::MessageKind::kAwardAck:
         acks.push_back(sim::message_cast<proto::AwardAck>(msg));
         break;
@@ -43,9 +54,11 @@ class ScriptedClient final : public sim::Entity {
     network_->send(*this, daemon, std::move(rfb));
   }
 
+  /// Two-phase award (§5.3): reserve the bid's capacity; on_message commits
+  /// as soon as the reservation is granted.
   void award(EntityId daemon, BidId bid, const qos::QosContract& contract,
              UserId user) {
-    auto msg = std::make_unique<proto::AwardJob>();
+    auto msg = std::make_unique<proto::ReserveRequest>();
     msg->request = RequestId{777};
     msg->bid = bid;
     msg->username = "alice";
@@ -56,6 +69,7 @@ class ScriptedClient final : public sim::Entity {
   }
 
   std::vector<market::Bid> bids;
+  std::vector<proto::ReserveReply> reserves;
   std::vector<proto::AwardAck> acks;
   std::vector<proto::JobCompleteNotice> completions;
 
@@ -134,8 +148,9 @@ TEST(Daemon, AwardOfUnknownBidRefused) {
   f.client.award(f.daemon->id(), BidId{424242}, qos::make_contract(4, 32, 1000.0),
                  UserId{0});
   f.engine.run(5.0);
-  ASSERT_EQ(f.client.acks.size(), 1u);
-  EXPECT_FALSE(f.client.acks[0].accepted);
+  ASSERT_EQ(f.client.reserves.size(), 1u);
+  EXPECT_FALSE(f.client.reserves[0].accepted);
+  EXPECT_TRUE(f.client.acks.empty());
   EXPECT_EQ(f.daemon->awards_refused(), 1u);
 }
 
@@ -153,9 +168,10 @@ TEST(Daemon, ExpiredBidRefused) {
     f.client.award(f.daemon->id(), bid.id, contract, UserId{0});
   });
   f.engine.run(105.0);
-  ASSERT_EQ(f.client.acks.size(), 1u);
-  EXPECT_FALSE(f.client.acks[0].accepted);
-  EXPECT_EQ(f.client.acks[0].reason, "bid unknown or expired");
+  ASSERT_EQ(f.client.reserves.size(), 1u);
+  EXPECT_FALSE(f.client.reserves[0].accepted);
+  EXPECT_EQ(f.client.reserves[0].reason, "bid unknown or expired");
+  EXPECT_TRUE(f.client.acks.empty());
 }
 
 TEST(Daemon, FullAwardRunsJobAndReportsCompletion) {
@@ -166,6 +182,8 @@ TEST(Daemon, FullAwardRunsJobAndReportsCompletion) {
   ASSERT_EQ(f.client.bids.size(), 1u);
   f.client.award(f.daemon->id(), f.client.bids[0].id, contract, UserId{0});
   f.engine.run(500.0);
+  ASSERT_EQ(f.client.reserves.size(), 1u);
+  EXPECT_TRUE(f.client.reserves[0].accepted);
   ASSERT_EQ(f.client.acks.size(), 1u);
   EXPECT_TRUE(f.client.acks[0].accepted);
   ASSERT_EQ(f.client.completions.size(), 1u);

@@ -12,10 +12,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/obs/exporters.hpp"
 #include "src/obs/live/http.hpp"
 #include "src/obs/live/monitor.hpp"
 #include "src/obs/live/plane.hpp"
@@ -381,6 +383,47 @@ TEST(LivePlane, MetricsEndpointRendersPrometheusText) {
             std::string::npos);
   EXPECT_NE(res.body.find("faucets_alerts_total{monitor=\"lease_leak\"} 0"),
             std::string::npos);
+}
+
+TEST(LivePlane, MetricsEndpointIsTheArtifactExporterPlusPlaneSeries) {
+  PlaneFixture fx;
+  // Labelled series sharing a base name with the fixture's plain ones.
+  fx.metrics.counter("faucets_test_events_total{cluster=\"b\"}", "events").inc(3);
+  fx.metrics.histogram("faucets_test_wait_seconds{cluster=\"b\"}", {1.0, 10.0},
+                       "wait")
+      .observe(30.0);
+  // Overflow the 1024-record ring so the dropped-records counter shows.
+  for (int i = 0; i < 1100; ++i) {
+    fx.trace.record(job_event(1.0, EntityId{1}, TraceEventKind::kJobStarted,
+                              ClusterId{0}, JobId{11}, UserId{2}, 4));
+  }
+  fx.plane->begin_run();
+  fx.plane->publish(1.0, false);
+  // The registry grows and moves between publishes.
+  fx.metrics.gauge("faucets_test_late", "registered after a publish").set(0.1);
+  fx.metrics.counter("faucets_test_events_total").inc(5);
+  fx.plane->publish(2.0, false);
+
+  std::ostringstream want;
+  write_prometheus(want, fx.metrics);
+  want << "# HELP faucets_live_publishes_total Snapshot publishes from the "
+          "simulation thread\n"
+          "# TYPE faucets_live_publishes_total counter\n"
+          "faucets_live_publishes_total 2\n"
+          "# HELP faucets_alerts_total Online invariant monitor alerts "
+          "(rising edges into violation)\n"
+          "# TYPE faucets_alerts_total counter\n";
+  for (std::size_t m = 0; m < kMonitorKindCount; ++m) {
+    want << "faucets_alerts_total{monitor=\""
+         << to_string(static_cast<MonitorKind>(m)) << "\"} 0\n";
+  }
+  want << "# HELP faucets_trace_dropped_total Trace events lost to the "
+          "bounded ring; the exported window is truncated\n"
+          "# TYPE faucets_trace_dropped_total counter\n"
+          "faucets_trace_dropped_total 76\n";
+  // Scrapes read the last publish, not the live registry.
+  fx.metrics.counter("faucets_test_events_total").inc(100);
+  EXPECT_EQ(fx.plane->handle("/metrics").body, want.str());
 }
 
 TEST(LivePlane, ProgressEndpointTracksJobs) {
