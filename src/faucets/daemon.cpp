@@ -113,7 +113,6 @@ void FaucetsDaemon::crash() {
   reserved_bids_.clear();
   committed_.clear();
   pending_auth_.clear();
-  auth_usernames_.clear();
   register_retry_.reset();
   monitor_timer_.cancel();
   network_->detach(id());
@@ -160,32 +159,35 @@ void FaucetsDaemon::on_message(const sim::Message& msg) {
 }
 
 void FaucetsDaemon::handle_rfb(const proto::RequestForBids& msg) {
-  PendingRfb rfb{msg.from, msg.request, msg.contract};
+  // A check whose AUTH_REQ or AUTH_ACK was lost would wait forever; any
+  // reply older than a bid's validity is no longer awaited.
+  pending_auth_.forget_front([this](const PendingRfb& p) {
+    return p.asked_at + config_.bid_validity < now();
+  });
+  PendingRfb rfb{msg.from, msg.request, msg.contract, now(), {}};
   // §2.2: the FD holds no account data; verify with the Central Server —
   // unless a cached verification exists (the single-sign-on optimization).
   if (config_.cache_auth && auth_cache_.contains(msg.username)) {
     answer_rfb(rfb);
     return;
   }
+  // Remember the username so a success can populate the cache.
+  if (config_.cache_auth) rfb.username = msg.username;
   const RequestId auth_id = auth_request_ids_.next();
-  pending_auth_.emplace(auth_id, std::move(rfb));
+  pending_auth_.push(auth_id, std::move(rfb));
   auto verify = std::make_unique<proto::AuthVerifyRequest>();
   verify->request = auth_id;
   verify->username = msg.username;
   verify->password = msg.password;
-  // Remember the username so a success can populate the cache.
-  auth_usernames_[auth_id] = msg.username;
   network_->send(*this, central_, std::move(verify));
 }
 
 void FaucetsDaemon::handle_auth_reply(const proto::AuthVerifyReply& msg) {
-  auto it = pending_auth_.find(msg.request);
-  if (it == pending_auth_.end()) return;
-  const PendingRfb rfb = std::move(it->second);
-  pending_auth_.erase(it);
-  auto name_it = auth_usernames_.find(msg.request);
+  PendingRfb* pending = pending_auth_.find(msg.request);
+  if (pending == nullptr) return;
+  const PendingRfb rfb = std::move(*pending);
+  pending_auth_.erase(msg.request);
   if (!msg.ok) {
-    if (name_it != auth_usernames_.end()) auth_usernames_.erase(name_it);
     auto reply = std::make_unique<proto::BidReply>();
     reply->request = rfb.request;
     reply->bid = market::Bid::decline(cluster_, id());
@@ -197,19 +199,17 @@ void FaucetsDaemon::handle_auth_reply(const proto::AuthVerifyReply& msg) {
     network_->send(*this, rfb.client, std::move(reply));
     return;
   }
-  if (config_.cache_auth && name_it != auth_usernames_.end()) {
-    auth_cache_.emplace(name_it->second, msg.user);
-  }
-  if (name_it != auth_usernames_.end()) auth_usernames_.erase(name_it);
+  if (config_.cache_auth) auth_cache_.emplace(rfb.username, msg.user);
   answer_rfb(rfb);
 }
 
 void FaucetsDaemon::answer_rfb(const PendingRfb& rfb) {
-  const auto admission = cm_->query(rfb.contract);
+  const qos::QosContract& contract = *rfb.contract;
+  const auto admission = cm_->query(contract);
   market::BidContext ctx;
   ctx.now = now();
   ctx.cm = cm_.get();
-  ctx.contract = &rfb.contract;
+  ctx.contract = &contract;
   ctx.admission = &admission;
   ctx.grid_history = grid_history_;
 
@@ -225,10 +225,14 @@ void FaucetsDaemon::answer_rfb(const PendingRfb& rfb) {
                                                rfb.request, BidId{}, 0.0));
   } else {
     const BidId bid_id = bid_ids_.next();
-    reply->bid = market::make_bid(bid_id, *cm_, id(), rfb.contract, admission,
+    reply->bid = market::make_bid(bid_id, *cm_, id(), contract, admission,
                                   *multiplier, now(), config_.bid_validity);
-    issued_bids_.emplace(
-        bid_id, IssuedBid{rfb.contract, reply->bid.price, reply->bid.expires_at});
+    // Every bid lives bid_validity, so the expired ones are the oldest. A
+    // reserve checks expiry itself; forgetting only bounds the memory.
+    issued_bids_.forget_front(
+        [this](const IssuedBid& b) { return b.expires_at < now(); });
+    issued_bids_.push(bid_id,
+                      IssuedBid{rfb.contract, reply->bid.price, reply->bid.expires_at});
     ++bids_issued_;
     bids_issued_ctr_->inc();
     context().trace().record(obs::market_event(now(), id(),
@@ -271,8 +275,8 @@ void FaucetsDaemon::handle_reserve(const proto::ReserveRequest& msg) {
   auto reply = std::make_unique<proto::ReserveReply>();
   reply->request = msg.request;
 
-  auto bid_it = issued_bids_.find(msg.bid);
-  if (bid_it == issued_bids_.end() || bid_it->second.expires_at < now()) {
+  const IssuedBid* bid = issued_bids_.find(msg.bid);
+  if (bid == nullptr || bid->expires_at < now()) {
     reply->accepted = false;
     reply->reason = "bid unknown or expired";
     ++awards_refused_;
@@ -285,7 +289,7 @@ void FaucetsDaemon::handle_reserve(const proto::ReserveRequest& msg) {
   }
 
   const double lease_until = now() + config_.reservation_lease;
-  const auto reservation = cm_->reserve(bid_it->second.contract, lease_until);
+  const auto reservation = cm_->reserve(*bid->contract, lease_until);
   if (!reservation) {
     reply->accepted = false;
     reply->reason = "cluster state changed since bid";
@@ -294,7 +298,7 @@ void FaucetsDaemon::handle_reserve(const proto::ReserveRequest& msg) {
     context().trace().record(obs::market_event(now(), id(),
                                                obs::TraceEventKind::kAwardRefused,
                                                msg.request, msg.bid, 0.0));
-    issued_bids_.erase(bid_it);
+    issued_bids_.erase(msg.bid);
     network_->send(*this, msg.from, std::move(reply));
     return;
   }
@@ -302,13 +306,13 @@ void FaucetsDaemon::handle_reserve(const proto::ReserveRequest& msg) {
   ReservedAward held;
   held.bid = msg.bid;
   held.request = msg.request;
-  held.price = bid_it->second.price;
+  held.price = bid->price;
   held.lease_until = lease_until;
-  held.contract = bid_it->second.contract;
+  held.contract = bid->contract;
   held.user = msg.user;
   reservations_.emplace(*reservation, std::move(held));
   reserved_bids_.emplace(msg.bid, *reservation);
-  issued_bids_.erase(bid_it);
+  issued_bids_.erase(msg.bid);
   context().trace().record(obs::market_event(now(), id(),
                                              obs::TraceEventKind::kAwardReserved,
                                              msg.request, msg.bid,
@@ -379,7 +383,7 @@ void FaucetsDaemon::handle_commit(const proto::CommitRequest& msg) {
     reg->job = *job_id;
     reg->cluster = cluster_;
     reg->user = held.user;
-    reg->application = held.contract.environment.application;
+    reg->application = held.contract->environment.application;
     network_->send(*this, appspector_, std::move(reg));
   }
   auto reply = std::make_unique<proto::AwardAck>();

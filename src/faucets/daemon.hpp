@@ -7,9 +7,12 @@
 // contracts for price history and accounting.
 #pragma once
 
+#include <cassert>
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "src/cluster/server.hpp"
 #include "src/faucets/protocol.hpp"
@@ -74,6 +77,10 @@ class FaucetsDaemon final : public sim::Entity {
   [[nodiscard]] std::uint64_t bids_declined() const noexcept { return bids_declined_; }
   [[nodiscard]] std::uint64_t awards_confirmed() const noexcept { return awards_confirmed_; }
   [[nodiscard]] std::uint64_t awards_refused() const noexcept { return awards_refused_; }
+  /// Issued bids still held for a reserve: neither taken nor forgotten.
+  [[nodiscard]] std::size_t open_bids() const noexcept { return issued_bids_.size(); }
+  /// RFBs waiting for the Central Server's credential check.
+  [[nodiscard]] std::size_t pending_auth() const noexcept { return pending_auth_.size(); }
 
   /// Point the daemon's market-aware bidder at the FS price history feed.
   void set_grid_history(const market::PriceHistory* history) noexcept {
@@ -83,15 +90,85 @@ class FaucetsDaemon final : public sim::Entity {
   void on_message(const sim::Message& msg) override;
 
  private:
+  /// Records filed under sequential ids, oldest first. This daemon hands
+  /// the ids out one by one and records leave only from the front, so the
+  /// held ids form one contiguous range and a lookup is an index. A record
+  /// erased from the middle leaves an empty slot that goes once it reaches
+  /// the front. The slots are a vector, which allocates nothing until the
+  /// first record (most daemons of a large grid never get one), and its
+  /// dead prefix is dropped once it is half the vector.
+  template <typename IdT, typename T>
+  class Book {
+   public:
+    /// File `value` under `id`, the id after the newest one filed.
+    void push(IdT id, T value) {
+      if (head_ == slots_.size()) {  // empty: the range restarts at `id`
+        slots_.clear();
+        head_ = 0;
+        first_ = id.value();
+      }
+      assert(id.value() == first_ + (slots_.size() - head_));
+      slots_.emplace_back(std::move(value));
+      ++held_;
+    }
+    /// The record under `id`, or null if it was erased, forgotten, or never
+    /// filed here.
+    [[nodiscard]] T* find(IdT id) noexcept {
+      if (id.value() < first_ || id.value() - first_ >= slots_.size() - head_) {
+        return nullptr;
+      }
+      std::optional<T>& slot = slots_[head_ + (id.value() - first_)];
+      return slot ? &*slot : nullptr;
+    }
+    void erase(IdT id) {
+      if (find(id) == nullptr) return;
+      slots_[head_ + (id.value() - first_)].reset();
+      --held_;
+      forget_front([](const T&) { return false; });
+    }
+    /// Drop records from the front while `stale` holds for them.
+    template <typename Stale>
+    void forget_front(Stale stale) {
+      while (head_ < slots_.size() && (!slots_[head_] || stale(*slots_[head_]))) {
+        if (slots_[head_]) {
+          slots_[head_].reset();
+          --held_;
+        }
+        ++head_;
+        ++first_;
+      }
+      if (2 * head_ >= slots_.size()) {
+        slots_.erase(slots_.begin(), slots_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+    void clear() noexcept {
+      slots_.clear();
+      head_ = 0;
+      held_ = 0;
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return held_; }
+
+   private:
+    std::vector<std::optional<T>> slots_;
+    std::size_t head_ = 0;                     // slots_[head_] is the oldest
+    typename IdT::underlying_type first_ = 0;  // id of slots_[head_]
+    std::size_t held_ = 0;
+  };
+
+  /// An offer the daemon stays bound to until `expires_at` (§5.2).
   struct IssuedBid {
-    qos::QosContract contract;
+    std::shared_ptr<const qos::QosContract> contract;
     double price = 0.0;
     double expires_at = 0.0;
   };
+  /// An RFB whose credentials are out for checking at the Central Server.
   struct PendingRfb {
     EntityId client;
     RequestId request;
-    qos::QosContract contract;
+    std::shared_ptr<const qos::QosContract> contract;
+    double asked_at = 0.0;
+    std::string username;  // kept only to fill the auth cache
   };
   struct RunningJob {
     EntityId client;
@@ -105,7 +182,7 @@ class FaucetsDaemon final : public sim::Entity {
     RequestId request;
     double price = 0.0;
     double lease_until = 0.0;
-    qos::QosContract contract;
+    std::shared_ptr<const qos::QosContract> contract;
     UserId user;
   };
   /// Remembered outcome of a committed reservation, so a duplicate
@@ -141,9 +218,10 @@ class FaucetsDaemon final : public sim::Entity {
 
   IdGenerator<BidId> bid_ids_;
   IdGenerator<RequestId> auth_request_ids_;
-  std::unordered_map<BidId, IssuedBid> issued_bids_;
-  std::unordered_map<RequestId, PendingRfb> pending_auth_;  // by auth request id
-  std::unordered_map<RequestId, std::string> auth_usernames_;
+  // Both books forget lazily, when the next record is filed: a sweep timer
+  // would add events to every run.
+  Book<BidId, IssuedBid> issued_bids_;
+  Book<RequestId, PendingRfb> pending_auth_;  // by auth request id
   std::unordered_map<std::string, UserId> auth_cache_;
   std::unordered_map<JobId, RunningJob> running_;
   std::unordered_map<ReservationId, ReservedAward> reservations_;

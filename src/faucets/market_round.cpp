@@ -1,6 +1,7 @@
 #include "src/faucets/market_round.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "src/sim/context.hpp"
@@ -143,12 +144,14 @@ void MarketRound::handle_directory(const proto::DirectoryReply& msg) {
                                              static_cast<double>(msg.servers.size())));
   round->expected_bids = msg.servers.size();
   const Principal& who = principal(*round);
+  // Every daemon reads the same terms: one immutable copy for the broadcast.
+  const auto contract = std::make_shared<const qos::QosContract>(round->contract);
   for (const auto& server : msg.servers) {
     auto rfb = std::make_unique<proto::RequestForBids>();
     rfb->request = msg.request;
     rfb->username = who.username;
     rfb->password = who.password;
-    rfb->contract = round->contract;
+    rfb->contract = contract;
     network()->send(*this, server.daemon, std::move(rfb));
   }
   round->bid_timer = engine().schedule_after(
@@ -328,6 +331,9 @@ void MarketRound::handle_award_ack(const proto::AwardAck& msg) {
     return;
   }
   round->phase = AwardPhase::kNone;
+  // The job keeps its round until it completes; the bids are done with.
+  round->bids = std::vector<market::Bid>{};
+  round->refused = std::vector<BidId>{};
   on_awarded(msg.request, *round, msg);
 }
 

@@ -5,6 +5,7 @@
 // bandwidth model is meaningful.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -80,7 +81,9 @@ struct RequestForBids final : sim::Message {
   RequestId request;
   std::string username;  // §2.2: credentials embedded in every message
   std::string password;
-  qos::QosContract contract;
+  /// One immutable contract shared by every RFB of a round's broadcast and
+  /// by the bids the daemons keep for it; never null on the wire.
+  std::shared_ptr<const qos::QosContract> contract;
   static constexpr sim::MessageKind kKind = sim::MessageKind::kRequestForBids;
   [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
   [[nodiscard]] std::size_t size_bytes() const noexcept override { return 1024; }

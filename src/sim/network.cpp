@@ -37,23 +37,25 @@ void Network::register_metrics() {
 }
 
 EntityId Network::attach(Entity& entity) {
-  const EntityId id{next_id_++};
+  const EntityId id{slots_.size()};
   entity.id_ = id;
   entity.network_ = this;
-  entities_.emplace(id, &entity);
+  slots_.push_back(Slot{&entity, 0});
   return id;
 }
 
-void Network::detach(EntityId id) { entities_.erase(id); }
+void Network::detach(EntityId id) {
+  if (Slot* s = slot(id)) s->entity = nullptr;
+}
 
 void Network::reattach(Entity& entity) {
   entity.network_ = this;
-  entities_.emplace(entity.id_, &entity);
+  // Only an id this network handed out can come back.
+  slots_.at(entity.id_.value()).entity = &entity;
 }
 
 Entity* Network::find(EntityId id) const {
-  auto it = entities_.find(id);
-  return it == entities_.end() ? nullptr : it->second;
+  return id.value() < slots_.size() ? slots_[id.value()].entity : nullptr;
 }
 
 double Network::delay(EntityId from, EntityId to, std::size_t bytes) const noexcept {
@@ -75,7 +77,8 @@ void Network::drop(MessageKind kind, EntityId at, EntityId peer,
 
 void Network::send(const Entity& from, EntityId to, MessagePtr msg) {
   const MessageKind kind = msg->kind();
-  if (entities_.find(from.id()) == entities_.end()) {
+  Slot* sender = slot(from.id());
+  if (sender == nullptr || sender->entity == nullptr) {
     // A detached (crashed) entity cannot put anything on the wire.
     drop(kind, from.id(), to, obs::DropReason::kSenderDetached);
     return;
@@ -85,8 +88,10 @@ void Network::send(const Entity& from, EntityId to, MessagePtr msg) {
   msg->sent_at = engine_->now();
   ++messages_sent_;
   ++sent_by_kind_[static_cast<std::size_t>(kind)];
-  ++per_entity_traffic_[from.id()];
-  ++per_entity_traffic_[to];
+  ++sender->traffic;
+  // A receiver id never handed out still counts as sent; it drops on
+  // delivery like a detached one.
+  if (Slot* receiver = slot(to)) ++receiver->traffic;
   bytes_sent_ += msg->size_bytes();
   if (sent_ctr_ != nullptr) {
     sent_ctr_->inc();
@@ -125,8 +130,7 @@ void Network::deliver(MessageKind kind, MessagePtr msg) {
 }
 
 std::uint64_t Network::traffic_of(EntityId id) const {
-  auto it = per_entity_traffic_.find(id);
-  return it == per_entity_traffic_.end() ? 0 : it->second;
+  return id.value() < slots_.size() ? slots_[id.value()].traffic : 0;
 }
 
 void Network::reset_counters() noexcept {
@@ -134,7 +138,7 @@ void Network::reset_counters() noexcept {
   sent_by_kind_.fill(0);
   delivered_by_kind_.fill(0);
   dropped_by_reason_.fill(0);
-  per_entity_traffic_.clear();
+  for (Slot& s : slots_) s.traffic = 0;
   if (sent_ctr_ != nullptr) {
     sent_ctr_->reset();
     delivered_ctr_->reset();

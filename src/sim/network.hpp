@@ -5,7 +5,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/obs/trace.hpp"
@@ -41,6 +40,7 @@ class Network {
                    obs::Observability* obs = nullptr);
 
   /// Register an entity; assigns its EntityId. The caller keeps ownership.
+  /// Ids are dense (0, 1, 2, ...) and index the entity table directly.
   EntityId attach(Entity& entity);
 
   /// Remove an entity (e.g. a Compute Server going down). In-flight messages
@@ -58,9 +58,12 @@ class Network {
   /// kNetDrop trace event and counted in messages_dropped().
   void send(const Entity& from, EntityId to, MessagePtr msg);
 
+  /// The attached entity with this id, or null (detached, never attached,
+  /// or invalid).
   [[nodiscard]] Entity* find(EntityId id) const;
   /// Messages sent + delivered involving one entity (scalability metric:
   /// "impractical for each client to deal with a flood of bids", §5.3).
+  /// 0 for an id this network never handed out.
   [[nodiscard]] std::uint64_t traffic_of(EntityId id) const;
   [[nodiscard]] std::uint64_t messages_sent() const noexcept { return messages_sent_; }
   [[nodiscard]] std::uint64_t messages_delivered() const noexcept { return messages_delivered_; }
@@ -111,6 +114,17 @@ class Network {
   void set_profiler(obs::ProfilerLane* lane) noexcept { prof_ = lane; }
 
  private:
+  /// One row of the entity table, indexed by EntityId value.
+  struct Slot {
+    Entity* entity = nullptr;  // null while detached
+    std::uint64_t traffic = 0;
+  };
+
+  /// The row of `id`, or null for an id never handed out (EntityId{}
+  /// included).
+  [[nodiscard]] Slot* slot(EntityId id) noexcept {
+    return id.value() < slots_.size() ? &slots_[id.value()] : nullptr;
+  }
   void drop(MessageKind kind, EntityId at, EntityId peer, obs::DropReason reason);
   void register_metrics();
   void deliver(MessageKind kind, MessagePtr msg);
@@ -125,9 +139,7 @@ class Network {
   obs::Counter* delivered_ctr_ = nullptr;
   obs::Counter* dropped_ctr_ = nullptr;
   obs::Counter* bytes_ctr_ = nullptr;
-  std::unordered_map<EntityId, Entity*> entities_;
-  std::unordered_map<EntityId, std::uint64_t> per_entity_traffic_;
-  std::uint64_t next_id_ = 0;
+  std::vector<Slot> slots_;  // attach() hands out ids 0, 1, 2, ...
   std::uint64_t messages_sent_ = 0;
   std::uint64_t messages_delivered_ = 0;
   std::uint64_t messages_dropped_ = 0;

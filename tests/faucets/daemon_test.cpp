@@ -50,7 +50,7 @@ class ScriptedClient final : public sim::Entity {
     rfb->request = RequestId{next_request_++};
     rfb->username = user;
     rfb->password = password;
-    rfb->contract = contract;
+    rfb->contract = std::make_shared<const qos::QosContract>(contract);
     network_->send(*this, daemon, std::move(rfb));
   }
 
@@ -206,6 +206,79 @@ TEST(Daemon, AuthCacheSkipsSecondVerification) {
   f.engine.run(10.0);
   // Second round trip: RFB + bid only (no AuthVerify pair).
   EXPECT_EQ(f.network.messages_sent() - msgs_after_first, 2u);
+}
+
+TEST(Daemon, BidBookForgetsExpiredBids) {
+  DaemonConfig config;
+  config.bid_validity = 1.0;
+  Fixture f{config};
+  const auto contract = qos::make_contract(4, 32, 1000.0);
+  for (int i = 0; i < 3; ++i) {
+    f.client.request_bid(f.daemon->id(), contract, "alice", "pw");
+  }
+  f.engine.run(5.0);
+  ASSERT_EQ(f.client.bids.size(), 3u);
+  EXPECT_EQ(f.daemon->open_bids(), 3u);
+  f.engine.schedule_at(10.0, [&] {
+    f.client.request_bid(f.daemon->id(), contract, "alice", "pw");
+  });
+  f.engine.run(11.0);
+  ASSERT_EQ(f.client.bids.size(), 4u);
+  // Issuing the t=10 bid forgot the three that expired at t~1.
+  EXPECT_EQ(f.daemon->open_bids(), 1u);
+  f.client.award(f.daemon->id(), f.client.bids[0].id, contract, UserId{0});
+  f.engine.run(15.0);
+  ASSERT_EQ(f.client.reserves.size(), 1u);
+  EXPECT_FALSE(f.client.reserves[0].accepted);
+  EXPECT_EQ(f.client.reserves[0].reason, "bid unknown or expired");
+}
+
+TEST(Daemon, LiveBidSurvivesPruning) {
+  DaemonConfig config;
+  config.bid_validity = 10.0;
+  Fixture f{config};
+  const auto contract = qos::make_contract(4, 32, 1000.0);
+  for (const double at : {0.0, 8.0, 12.0}) {
+    f.engine.schedule_at(at, [&f, &contract] {
+      f.client.request_bid(f.daemon->id(), contract, "alice", "pw");
+    });
+  }
+  f.engine.run(13.0);
+  ASSERT_EQ(f.client.bids.size(), 3u);
+  // Only the t=0 bid had expired when the t=12 bid was issued.
+  EXPECT_EQ(f.daemon->open_bids(), 2u);
+  f.client.award(f.daemon->id(), f.client.bids[1].id, contract, UserId{0});
+  f.engine.run(15.0);
+  ASSERT_EQ(f.client.reserves.size(), 1u);
+  EXPECT_TRUE(f.client.reserves[0].accepted);
+  EXPECT_EQ(f.daemon->open_bids(), 1u) << "a reserved bid leaves the book";
+}
+
+TEST(Daemon, LostAuthExchangeIsForgotten) {
+  DaemonConfig config;
+  config.bid_validity = 10.0;
+  Fixture f{config};
+  const auto contract = qos::make_contract(4, 32, 1000.0);
+  // The Central Server is cut off while the RFB's credential check is in
+  // flight, so the AUTH_REQ is lost and no reply will ever come.
+  sim::FaultConfig faults;
+  faults.partitions.push_back(sim::Partition{f.central.id(), 5.0, 6.0});
+  f.network.set_faults(faults);
+  f.engine.schedule_at(5.0, [&] {
+    f.client.request_bid(f.daemon->id(), contract, "alice", "pw");
+  });
+  f.engine.run(7.0);
+  EXPECT_TRUE(f.client.bids.empty());
+  EXPECT_EQ(f.daemon->pending_auth(), 1u);
+  // The next RFB, past bid_validity, forgets the lost check; its own check
+  // completes normally.
+  f.engine.schedule_at(20.0, [&] {
+    f.client.request_bid(f.daemon->id(), contract, "alice", "pw");
+  });
+  f.engine.run(21.0);
+  ASSERT_EQ(f.client.bids.size(), 1u);
+  EXPECT_FALSE(f.client.bids[0].declined);
+  EXPECT_EQ(f.daemon->pending_auth(), 0u);
 }
 
 TEST(Daemon, PollReportsClusterState) {

@@ -92,7 +92,7 @@ class ScriptedBroker final : public sim::Entity {
     rfb->request = RequestId{next_request_++};
     rfb->username = "alice";
     rfb->password = "pw";
-    rfb->contract = contract;
+    rfb->contract = std::make_shared<const qos::QosContract>(contract);
     network_->send(*this, daemon, std::move(rfb));
   }
 

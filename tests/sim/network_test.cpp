@@ -205,6 +205,24 @@ TEST_F(NetworkTest, MessageMetadataFilledIn) {
   EXPECT_EQ(checker.sent_at, 5.0);
 }
 
+TEST_F(NetworkTest, SendToNeverAttachedIdDropsOnDelivery) {
+  Recorder a{"a", ctx};
+  Recorder b{"b", ctx};
+  net.attach(a);
+  net.attach(b);
+  const EntityId past_last{b.id().value() + 1};
+  net.send(a, EntityId{}, std::make_unique<Ping>());
+  net.send(a, past_last, std::make_unique<Ping>());
+  engine.run();
+  EXPECT_EQ(net.messages_sent(), 2u);
+  EXPECT_EQ(net.messages_delivered(), 0u);
+  EXPECT_EQ(net.dropped_of(obs::DropReason::kReceiverDetached), 2u);
+  EXPECT_EQ(net.traffic_of(a.id()), 2u);
+  EXPECT_EQ(net.traffic_of(EntityId{}), 0u);
+  EXPECT_EQ(net.traffic_of(past_last), 0u);
+  EXPECT_EQ(net.find(past_last), nullptr);
+}
+
 TEST_F(NetworkTest, FindUnknownReturnsNull) {
   EXPECT_EQ(net.find(EntityId{999}), nullptr);
 }
