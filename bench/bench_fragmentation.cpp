@@ -6,7 +6,7 @@
 //
 // Part 2 — allocator-level fragmentation: contiguous allocation (the §4.1
 // locality constraint) vs scattered allocation under a churn workload.
-// Both parts fan out over the sweep subsystem's work-stealing pool
+// Both parts fan out over the sweep subsystem's shared-cursor pool
 // (sweep::parallel_map, DESIGN.md §9); every run owns its SimContext, so
 // results are independent of thread count.
 #include <iostream>

@@ -8,7 +8,7 @@
 // it can run "now or at a finite lookahead in future") and (b) charging the
 // displacement loss.
 //
-// All three loops fan out over the sweep subsystem's work-stealing pool
+// All three loops fan out over the sweep subsystem's shared-cursor pool
 // (sweep::parallel_map): every run owns its SimContext, results land in
 // index-ordered slots, so the tables are identical to the old serial loops
 // at any thread count.

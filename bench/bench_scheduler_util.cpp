@@ -7,7 +7,7 @@
 // especially as load approaches saturation.
 //
 // The scheduler × load grid runs through the sweep subsystem (DESIGN.md
-// §9): declarative [sweep] spec, work-stealing pool, seed derived per grid
+// §9): declarative [sweep] spec, shared-cursor pool, seed derived per grid
 // point — the same engine `faucets_sweep --grid` drives, so this bench's
 // table can also be regenerated (with replicates and CIs) from the CLI.
 #include <iostream>

@@ -1,15 +1,11 @@
 // Experiment E16 (DESIGN.md §14): the durable state store's cost envelope.
 //
-// Three sections:
+// Two sections:
 //   wal      — append throughput under each sync policy (none / batch /
 //              always), records/s and framed MB/s for ledger-sized records.
 //   snapshot — full-image snapshot latency and crash-recovery latency
 //              (decode snapshot + replay a WAL suffix) for a Central state
 //              holding thousands of journaled operations.
-//   warmfork — wall clock of a loss sweep with [sweep] warmup_until run
-//              from scratch vs warm-state forked, asserting the ordered
-//              JSONL artifacts are byte-identical and reporting the
-//              amortization speedup.
 //
 //   ./bench/bench_store [--ops N] [--out BENCH_store.json]
 //
@@ -19,16 +15,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/faucets/central_store.hpp"
 #include "src/store/codec.hpp"
 #include "src/store/store.hpp"
-#include "src/sweep/runner.hpp"
-#include "src/sweep/sink.hpp"
-#include "src/sweep/spec.hpp"
 #include "src/util/table.hpp"
 
 using namespace faucets;
@@ -141,70 +133,6 @@ SnapshotRow snapshot_latency(const std::string& dir, std::uint64_t ops) {
   return row;
 }
 
-struct WarmForkRow {
-  std::uint64_t runs = 0;
-  double warmup = 0.0;
-  double makespan = 0.0;
-  double scratch_ms = 0.0;
-  double forked_ms = 0.0;
-  [[nodiscard]] double speedup() const {
-    return forked_ms > 0.0 ? scratch_ms / forked_ms : 0.0;
-  }
-};
-
-std::string sweep_ini(std::uint64_t jobs, double warmup) {
-  std::ostringstream ini;
-  // watchdog: lossy cells must be able to restart a job whose JobDone the
-  // wire ate, or the sweep never drains.
-  ini << "[grid]\nbilling = barter\nusers = 6\nseed = 1616\nwatchdog = 600\n"
-      << "[cluster]\nname = a\nprocs = 16\ncost = 0.001\ncredits = 200\n"
-      << "[cluster]\nname = b\nprocs = 16\ncost = 0.002\ncredits = 200\n"
-      << "[workload]\njobs = " << jobs << "\nload = 0.75\n"
-      << "[sweep]\nloss = 0, 0.05, 0.1, 0.2\nreplicates = 2\n";
-  if (warmup > 0.0) ini << "warmup_until = " << warmup << "\n";
-  return ini.str();
-}
-
-WarmForkRow warmfork_amortization(std::uint64_t jobs) {
-  WarmForkRow row;
-  // Probe the lead cell's makespan, then put the fork point at 60% of it:
-  // a realistic "shared warm-up, divergent treatment tail" split.
-  {
-    const auto probe = sweep::SweepSpec::parse_string(sweep_ini(jobs, 0.0));
-    auto scenario = probe.materialize(probe.expand().front());
-    row.makespan = scenario.run().makespan;
-  }
-  row.warmup = 0.6 * row.makespan;
-
-  const auto spec =
-      sweep::SweepSpec::parse_string(sweep_ini(jobs, row.warmup));
-  const sweep::SweepRunner runner(spec);
-  row.runs = spec.run_count();
-
-  auto timed = [&](bool warm_fork, std::string* jsonl) {
-    sweep::SweepOptions options;
-    options.threads = 1;  // compare sequential from-scratch vs forked
-    options.warm_fork = warm_fork;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto results = runner.run(options);
-    const double ms = ms_since(t0);
-    std::ostringstream os;
-    sweep::write_ordered(os, results);
-    *jsonl = os.str();
-    return ms;
-  };
-
-  std::string scratch_jsonl;
-  std::string forked_jsonl;
-  row.scratch_ms = timed(false, &scratch_jsonl);
-  row.forked_ms = timed(true, &forked_jsonl);
-  if (scratch_jsonl != forked_jsonl) {
-    std::cerr << "FAIL: warm-forked sweep artifact differs from scratch\n";
-    std::exit(2);
-  }
-  return row;
-}
-
 double round2(double v) {
   return static_cast<double>(static_cast<std::int64_t>(v * 100 + 0.5)) / 100.0;
 }
@@ -255,18 +183,11 @@ int main(int argc, char** argv) {
             << " ms, recover(snapshot) " << snap.recover_snapshot_ms
             << " ms\n";
 
-  const WarmForkRow wf = warmfork_amortization(400);
-  std::cout << "\nwarm-fork: " << wf.runs << " runs, warmup " << wf.warmup
-            << " s of " << wf.makespan << " s makespan; scratch "
-            << wf.scratch_ms << " ms, forked " << wf.forked_ms << " ms ("
-            << round2(wf.speedup()) << "x)\n"
-            << "artifacts byte-identical forked vs scratch\n";
-
   if (!out_path.empty()) {
     std::ofstream out{out_path};
     out << "{\n"
         << "  \"benchmark\": \"bench_store (E16: durable state store)\",\n"
-        << "  \"schema_version\": 1,\n"
+        << "  \"schema_version\": 2,\n"
         << "  \"wal\": [\n";
     for (std::size_t i = 0; i < wal_rows.size(); ++i) {
       const WalRow& r = wal_rows[i];
@@ -285,13 +206,6 @@ int main(int argc, char** argv) {
         << ", \"recover_replay_ms\": " << round2(snap.recover_replay_ms)
         << ", \"recover_snapshot_ms\": " << round2(snap.recover_snapshot_ms)
         << "},\n"
-        << "  \"warmfork\": {\"runs\": " << wf.runs
-        << ", \"warmup_s\": " << round2(wf.warmup)
-        << ", \"makespan_s\": " << round2(wf.makespan)
-        << ", \"scratch_ms\": " << round2(wf.scratch_ms)
-        << ", \"forked_ms\": " << round2(wf.forked_ms)
-        << ", \"speedup\": " << round2(wf.speedup())
-        << ", \"artifacts_identical\": true},\n"
         << "  \"build\": \"release-bench (-O3 -DNDEBUG)\",\n"
         << "  \"source\": \"ci/run.sh\"\n"
         << "}\n";

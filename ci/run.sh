@@ -686,10 +686,9 @@ if hw >= 8:
                 % (ratio, jobs))
 PY
 
-echo "==> bench_store (E16: WAL throughput, snapshot latency, warm-fork amortization)"
+echo "==> bench_store (E16: WAL throughput, snapshot latency)"
 # The binary asserts (exit 2) that recovery replays every journaled
-# transfer and that the warm-forked sweep artifact is byte-identical to
-# the from-scratch artifact.
+# transfer.
 ./build-release-bench/bench/bench_store --ops 50000 --out BENCH_store.json
 
 python3 - <<'PY'
@@ -713,12 +712,6 @@ print("  snapshot: %d ops, image %d B, write %.2f ms, recover replay "
       "%.2f ms vs snapshot %.2f ms"
       % (snap["ops"], snap["image_bytes"], snap["snapshot_ms"],
          snap["recover_replay_ms"], snap["recover_snapshot_ms"]))
-wf = out["warmfork"]
-assert wf["artifacts_identical"], "forked sweep artifact diverged"
-print("  warm-fork: %d runs, warmup %.1f/%.1f s, %.0f ms scratch vs "
-      "%.0f ms forked (%.2fx), artifacts byte-identical"
-      % (wf["runs"], wf["warmup_s"], wf["makespan_s"], wf["scratch_ms"],
-         wf["forked_ms"], wf["speedup"]))
 PY
 
 echo "==> bench_telemetry (sampling overhead on a full grid run)"

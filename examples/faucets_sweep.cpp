@@ -1,9 +1,10 @@
 // faucets_sweep: batch parameter-study driver (DESIGN.md §9).
 //
 // Expands the [sweep] section of a scenario file into a cartesian run grid,
-// executes every run on a work-stealing thread pool (results bit-identical
-// at any --threads value), prints the replicate-aggregated table, and
-// optionally gates the aggregate against a committed regression baseline.
+// runs every cell from scratch on --threads workers that take the next run
+// from a shared cursor (results bit-identical at any --threads value),
+// prints the replicate-aggregated table, and optionally gates the aggregate
+// against a committed regression baseline.
 //
 //   faucets_sweep --grid ci/sweep_gate.ini --threads 8
 //                 --out results.jsonl --baseline ci/sweep_baseline.json
@@ -40,8 +41,7 @@ struct Options {
   std::optional<std::string> write_baseline;  // snapshot aggregate here
   double tolerance = 0.05;
   bool quiet = false;
-  bool profile = false;    // append host-time prof_* columns per run
-  bool warm_fork = true;   // warm-state forking when [sweep] warmup_until set
+  bool profile = false;  // append host-time prof_* columns per run
   std::optional<std::string> serve;  // fleet /progress port ("0" = ephemeral)
 };
 
@@ -57,8 +57,6 @@ void usage(std::ostream& os) {
         "  --profile               run points under the host-time profiler and\n"
         "                          append prof_* columns (host-time: not\n"
         "                          byte-stable across machines)\n"
-        "  --no-warm-fork          run every cell from scratch even when the\n"
-        "                          sweep sets [sweep] warmup_until\n"
         "  --serve[=PORT]          fleet-level /progress + /healthz on\n"
         "                          127.0.0.1 (bare --serve picks a port and\n"
         "                          prints it)\n"
@@ -92,8 +90,6 @@ Options parse_args(int argc, char** argv) {
       opt.quiet = true;
     } else if (arg == "--profile") {
       opt.profile = true;
-    } else if (arg == "--no-warm-fork") {
-      opt.warm_fork = false;
     } else if (arg == "--serve") {
       opt.serve = "0";
     } else if (arg.rfind("--serve=", 0) == 0) {
@@ -180,7 +176,6 @@ int main(int argc, char** argv) {
     run_options.threads = opt.threads;
     run_options.sink = sink ? &*sink : nullptr;
     run_options.profile = opt.profile;
-    run_options.warm_fork = opt.warm_fork;
 
     const auto t0 = std::chrono::steady_clock::now();
 

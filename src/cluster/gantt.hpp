@@ -2,15 +2,15 @@
 //
 // §4.1: "The strategy must find time windows for the job in its
 // processor-time Gantt chart before the job's deadline." This profile
-// tracks committed processors over future time; the payoff scheduler uses
-// it for admission, backfill uses it for reservations, and bid generators
-// use its average to project utilization up to a deadline (§5.2).
+// tracks committed processors over future time. Its one user is the payoff
+// scheduler, which builds a chart of its running and queued jobs for
+// admission (earliest_fit, peak_committed). Bid generators do not query it:
+// they read ClusterManager::projected_utilization.
 //
 // Mutations (reserve/release/compact) edit a delta map; queries run against
 // a memoized step profile with prefix integrals, rebuilt lazily after a
-// mutation. Bid generation issues many queries per mutation (one
-// average_committed + earliest_fit per request-for-bids), so queries are
-// O(log n) between mutations instead of a linear rescan each time.
+// mutation, so queries are O(log n) between mutations instead of a linear
+// rescan each time.
 #pragma once
 
 #include <cstddef>

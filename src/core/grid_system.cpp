@@ -71,13 +71,7 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
     faults.partitions.push_back(
         {daemons_.at(p.cluster)->id(), p.from, p.until});
   }
-  // An armed activation gate means a loss/jitter treatment may be swapped
-  // in at the boundary (warm-state forking), so such a grid provisions for
-  // chaos even when its warm prefix is fault-free — otherwise a forked cell
-  // and a from-scratch cell would disagree on construction-time knobs like
-  // bid_rounds and diverge after the boundary.
-  const bool chaos = faults.any() || faults.active_from > 0.0 ||
-                     !config_.crashes.empty();
+  const bool chaos = faults.any() || !config_.crashes.empty();
   ctx_.network().set_faults(faults);
   for (const auto& c : config_.crashes) {
     schedule_cluster_shutdown(c.cluster, c.at, c.graceful);
@@ -250,8 +244,7 @@ bool GridSystem::maybe_pause(double now) {
   // One-shot: at most one pause per run, at the first event boundary with
   // time >= pause_at_. The run loop passes the next event's timestamp
   // BEFORE stepping it, so nothing at or past the boundary has executed
-  // when the hook runs — a forked child's treatment swap then covers
-  // exactly the sends a from-scratch run would gate on active_from.
+  // when the hook runs.
   if (!pause_hook_ || pause_fired_ || now < pause_at_) return true;
   pause_fired_ = true;
   // Hold the live plane's stall watchdog: a checkpoint capture can exceed
@@ -334,8 +327,8 @@ GridReport GridSystem::run(job::WorkloadSource& source, double until) {
   if (live_ != nullptr) live_->end_run(ctx_.now(), !abandoned_ && all_done());
   if (profiler_ != nullptr) write_profile_artifacts();
   // A clean end of run rolls the WAL into a fresh snapshot: restart from
-  // here replays zero operations. Abandoned runs skip it (the warm-fork
-  // parent's state is mid-flight and must not overwrite the store).
+  // here replays zero operations. Abandoned runs skip it (their state is
+  // mid-flight and must not overwrite the store).
   if (store_ != nullptr && !abandoned_) central_->snapshot_to_store();
   workload_high_water_ = demux.high_water();
   demux_ = nullptr;

@@ -280,8 +280,8 @@ class GridSystem {
   /// Fire `hook` once, the first time simulated time reaches `at` during the
   /// next run() — at an event boundary, before the first event at or past
   /// `at` executes. Return true to continue the run; false
-  /// abandons it (run() returns promptly with partial state — the warm-fork
-  /// parent's path, whose report is discarded).
+  /// abandons it (run() returns promptly with partial state — the path a
+  /// restore takes when its replay fails verification).
   ///
   /// While the hook runs, the live plane's stall watchdog is held: a
   /// checkpoint capture longer than stall_timeout is a deliberate pause,
@@ -294,13 +294,6 @@ class GridSystem {
     pause_at_ = at;
     pause_hook_ = std::move(hook);
     pause_holds_watchdog_ = hold_watchdog;
-  }
-
-  /// Swap the stochastic fault treatment (loss, jitter) without reseeding
-  /// the injector stream. Used by forked warm runs at the activation
-  /// boundary; see sim::FaultInjector::set_treatment.
-  void set_fault_treatment(double loss_rate, double jitter) noexcept {
-    ctx_.network().set_fault_treatment(loss_rate, jitter);
   }
 
   // Observability views for exporters: the run's registry and span tracker,
@@ -352,7 +345,7 @@ class GridSystem {
   job::WorkloadDemux* demux_ = nullptr;
   std::size_t workload_high_water_ = 0;
   double opening_credits_ = 0.0;  // ledger total right after construction
-  // One-shot pause hook (checkpointing, warm-state forking); +inf = unarmed.
+  // One-shot pause hook (checkpoint and restore); +inf = unarmed.
   double pause_at_ = std::numeric_limits<double>::infinity();
   std::function<bool()> pause_hook_;
   bool pause_holds_watchdog_ = true;  // see set_pause_hook

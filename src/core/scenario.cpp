@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "src/faucets/central_store.hpp"
+#include "src/obs/exporters.hpp"
 #include "src/sched/backfill.hpp"
 #include "src/sweep/jsonio.hpp"
 #include "src/sched/equipartition.hpp"
@@ -401,7 +402,7 @@ void write_report_json(std::ostream& os, const GridReport& report) {
   os << ",\"clusters\":[";
   for (std::size_t i = 0; i < report.clusters.size(); ++i) {
     const ClusterReport& c = report.clusters[i];
-    os << (i == 0 ? "" : ",") << "{\"name\":\"" << sweep::escape_json(c.name)
+    os << (i == 0 ? "" : ",") << "{\"name\":\"" << obs::json_escape(c.name)
        << "\",\"utilization\":" << num(c.utilization)
        << ",\"completed\":" << c.completed
        << ",\"rejected\":" << c.rejected

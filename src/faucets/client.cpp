@@ -102,11 +102,6 @@ void FaucetsClient::run_source(job::WorkloadSource& source) {
   arm_next_submission();
 }
 
-void FaucetsClient::run_workload(std::vector<job::JobRequest> requests) {
-  owned_source_ = std::make_unique<job::VectorSource>(std::move(requests));
-  run_source(*owned_source_);
-}
-
 void FaucetsClient::arm_next_submission() {
   const double t = source_->peek_next_submit_time();
   if (std::isinf(t)) return;  // drained; workload_drained() flips true

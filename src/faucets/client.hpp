@@ -76,10 +76,6 @@ class FaucetsClient final : public MarketRound {
   /// source must outlive the run and yield nondecreasing submit times.
   void run_source(job::WorkloadSource& source);
 
-  /// Compatibility adapter kept for tests: wraps the vector in an owned
-  /// VectorSource and streams it through run_source().
-  void run_workload(std::vector<job::JobRequest> requests);
-
   /// Submit one contract right away (used by examples and tests).
   void submit_now(const qos::QosContract& contract);
 
@@ -157,10 +153,8 @@ class FaucetsClient final : public MarketRound {
   std::unique_ptr<market::BidEvaluator> evaluator_;
   ClientConfig config_;
 
-  // Pull-based workload feed (null until run_source). owned_source_ backs
-  // the run_workload vector adapter only.
+  // Pull-based workload feed (null until run_source).
   job::WorkloadSource* source_ = nullptr;
-  std::unique_ptr<job::WorkloadSource> owned_source_;
 
   Principal me_;  // session and user are valid once logged in
   bool login_sent_ = false;

@@ -44,7 +44,7 @@ class WorkloadSource {
 
 /// Adapter over an in-memory vector. Kept for tests and small examples;
 /// the vector is stably sorted by submit time on construction so callers
-/// may hand over requests in any order (as run_workload always allowed).
+/// may hand over requests in any order.
 class VectorSource final : public WorkloadSource {
  public:
   explicit VectorSource(std::vector<JobRequest> requests);

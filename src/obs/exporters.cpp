@@ -22,7 +22,7 @@ std::string json_number(double v) {
   return buf;
 }
 
-std::string json_escape(const std::string& in) {
+std::string json_escape(std::string_view in) {
   std::string out;
   out.reserve(in.size() + 2);
   for (const char c : in) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/util/ids.hpp"
@@ -25,8 +26,9 @@ struct TraceEvent;
 /// Shortest round-trippable decimal (%.17g); JSON has no Inf/NaN, so those
 /// map to 0. Every artifact writer formats doubles through this.
 [[nodiscard]] std::string json_number(double v);
-/// `in` escaped for a JSON string literal.
-[[nodiscard]] std::string json_escape(const std::string& in);
+/// `in` escaped for a JSON string literal (quotes, backslashes, control
+/// characters). Every JSON writer in the library escapes through this.
+[[nodiscard]] std::string json_escape(std::string_view in);
 
 /// Serialize one trace event as a single JSONL line (newline included) —
 /// the exact line write_trace_jsonl emits for it. The live plane's

@@ -79,7 +79,7 @@ class Histogram {
   [[nodiscard]] double min() const noexcept { return count_ == 0 ? 0.0 : min_; }
   [[nodiscard]] double max() const noexcept { return count_ == 0 ? 0.0 : max_; }
   [[nodiscard]] double mean() const noexcept {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+    return count_ == 0 ? 0.0 : sum() / static_cast<double>(count_);
   }
   [[nodiscard]] const std::vector<double>& bounds() const noexcept { return bounds_; }
   /// Per-bucket counts; index bounds().size() is the overflow bucket.

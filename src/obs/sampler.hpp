@@ -84,11 +84,12 @@ class Series {
   std::uint64_t observations_ = 0;
 };
 
-/// The per-run sampler. GridSystem drives it from a periodic engine event;
-/// entities register their signals at construction through
-/// ctx.sampler().add_series(...). Registration is idempotent by name, so
-/// several clients can all ask for the shared "in-flight RFBs" series and
-/// only one buffer exists.
+/// The per-run sampler. GridSystem samples it from its run loop, after the
+/// first dispatched event past each sample interval; it schedules no engine
+/// event of its own (DESIGN.md §10.1). Entities register their signals at
+/// construction through ctx.sampler().add_series(...). Registration is
+/// idempotent by name, so several clients can all ask for the shared
+/// "in-flight RFBs" series and only one buffer exists.
 class Sampler {
  public:
   /// Register a probe under `name` (Prometheus-style, may carry a label

@@ -38,12 +38,6 @@ struct FaultConfig {
   /// Seed of the injector's private RNG stream.
   std::uint64_t seed = 0xfa0c7e75ULL;
   std::vector<Partition> partitions;
-  /// Loss and jitter draws only start once now >= active_from, and the
-  /// injector consumes no randomness before then. Warm-fork sweeps set this
-  /// to the warm-up boundary so a run forked at that instant and a run that
-  /// carried the treatment from t = 0 draw identical fault streams.
-  /// Partitions are absolute-time windows and ignore this gate.
-  double active_from = 0.0;
 
   [[nodiscard]] bool any() const noexcept {
     return loss_rate > 0.0 || jitter > 0.0 || !partitions.empty();
@@ -70,16 +64,6 @@ class FaultInjector {
   [[nodiscard]] const FaultConfig& config() const noexcept { return config_; }
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
-  /// Swap in a new loss/jitter treatment mid-run WITHOUT reseeding the RNG.
-  /// A forked warm run calls this at the activation boundary; because the
-  /// gate above kept the stream untouched until then, the child's draws
-  /// match a run configured with this treatment from the start.
-  void set_treatment(double loss_rate, double jitter) noexcept {
-    config_.loss_rate = loss_rate;
-    config_.jitter = jitter;
-    enabled_ = config_.any();
-  }
-
   /// Decide the fate of one message. Allocation-free and, when no faults are
   /// configured, a single branch that touches no RNG state. Loopback
   /// (from == to) models in-process delivery and is never faulted.
@@ -91,10 +75,6 @@ class FaultInjector {
       v.reason = obs::DropReason::kPartitioned;
       return v;
     }
-    // Before activation the stochastic faults are dormant AND no random
-    // numbers are drawn — the stream's phase at activation is identical
-    // whether the treatment was configured at t = 0 or injected just now.
-    if (now < config_.active_from) return v;
     if (config_.loss_rate > 0.0 && rng_.bernoulli(config_.loss_rate)) {
       v.drop = true;
       v.reason = obs::DropReason::kFaultInjected;

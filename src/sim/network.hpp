@@ -75,11 +75,6 @@ class Network {
   /// May be called after construction but before (or between) runs.
   void set_faults(FaultConfig faults) { faults_.configure(std::move(faults)); }
   [[nodiscard]] const FaultInjector& faults() const noexcept { return faults_; }
-  /// Swap the loss/jitter treatment mid-run without reseeding the injector's
-  /// RNG (warm-fork sweeps; see FaultInjector::set_treatment).
-  void set_fault_treatment(double loss_rate, double jitter) noexcept {
-    faults_.set_treatment(loss_rate, jitter);
-  }
 
   /// Messages dropped for one specific reason (lifecycle or injected).
   [[nodiscard]] std::uint64_t dropped_of(obs::DropReason reason) const noexcept {

@@ -24,8 +24,6 @@ std::string Checkpoint::encode() const {
     e.put_string(value);
   }
   e.put_f64(sim_time);
-  e.put_u64(shards);
-  e.put_u32(1);
   e.put_u64(executed);
   e.put_string(state_image);
   return e.take();
@@ -48,19 +46,6 @@ Checkpoint Checkpoint::decode(const std::string& body) {
     out.overrides.emplace_back(std::move(flag), std::move(value));
   }
   out.sim_time = d.get_f64();
-  out.shards = d.get_u64();
-  if (out.shards != 0) {
-    throw std::runtime_error(
-        "checkpoint: written by the sharded executor (" +
-        std::to_string(out.shards) +
-        " shards), which has been removed; re-run the scenario on the single "
-        "event loop and checkpoint it again");
-  }
-  const std::uint32_t counts = d.get_u32();
-  if (counts != 1) {
-    throw std::runtime_error("checkpoint: expected one executed-event count, found " +
-                             std::to_string(counts));
-  }
   out.executed = d.get_u64();
   out.state_image = d.get_string();
   return out;

@@ -11,21 +11,18 @@
 // artifacts are then byte-identical to an uninterrupted run by determinism,
 // not by hope.
 //
-// File format (version 1): 8-byte magic "FAUCCKP\x01", then u32 length +
+// File format (version 2): 8-byte magic "FAUCCKP\x01", then u32 length +
 // u32 CRC-32 framing one encoded body:
 //
 //   u32 version | string scenario_text | u32 n_overrides | n x (string flag,
-//   string value) | f64 sim_time | u64 shards | u32 n_shards | n x u64
-//   executed | string state_image
+//   string value) | f64 sim_time | u64 executed | string state_image
 //
-// `shards` and the executed-count list are the removed sharded executor's
-// fields: writers record shards = 0 and one count, and readers reject any
-// other shape, because such a checkpoint pins a run that can no longer be
-// replayed.
+// Version 1 also carried the removed sharded executor's shard count and a
+// per-shard executed-count list between sim_time and executed.
 //
-// Version policy: readers reject a different major version outright (a
-// checkpoint is a precise replay contract, not a migratable database); new
-// fields mean a new version byte and a new magic-tail.
+// Version policy: readers reject any other version outright (a checkpoint
+// is a precise replay contract, not a migratable database); a change to the
+// body's fields means a new version.
 #pragma once
 
 #include <cstdint>
@@ -36,20 +33,18 @@
 namespace faucets::store {
 
 struct Checkpoint {
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
 
   std::string scenario_text;  // the full INI the run was parsed from
   /// Simulation-affecting CLI overrides, re-applied verbatim on restore.
   std::vector<std::pair<std::string, std::string>> overrides;
   double sim_time = 0.0;      // the pause boundary the state was captured at
-  std::uint64_t shards = 0;   // nonzero only in sharded-executor checkpoints
   std::uint64_t executed = 0; // executed-event count at T
   std::string state_image;    // encoded Central Server durable state at T
 
   /// Serialize to / parse from the framed on-disk format. write_file is
   /// atomic (tmp + rename); read_file and decode throw std::runtime_error on
-  /// a missing, torn, or wrong-version file, or on one written by the
-  /// sharded executor.
+  /// a missing, torn, or wrong-version file.
   void write_file(const std::string& path) const;
   [[nodiscard]] static Checkpoint read_file(const std::string& path);
 

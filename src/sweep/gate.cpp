@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/obs/exporters.hpp"
 #include "src/sweep/jsonio.hpp"
 
 namespace faucets::sweep {
@@ -48,12 +49,12 @@ std::string Baseline::to_json() const {
   for (const auto& [point_key, metrics] : points_) {
     if (!first_point) out += ',';
     first_point = false;
-    out += "\n    \"" + escape_json(point_key) + "\": {";
+    out += "\n    \"" + obs::json_escape(point_key) + "\": {";
     bool first_metric = true;
     for (const auto& [metric, entry] : metrics) {
       if (!first_metric) out += ',';
       first_metric = false;
-      out += "\n      \"" + escape_json(metric) + "\": {\"mean\": " +
+      out += "\n      \"" + obs::json_escape(metric) + "\": {\"mean\": " +
              format_double(entry.mean) +
              ", \"tolerance\": " + format_double(entry.tolerance) +
              ", \"abs\": " + format_double(entry.abs_slack) + "}";

@@ -24,9 +24,6 @@ namespace faucets::sweep {
 /// "0.9", not "0.90000000000000002".
 [[nodiscard]] std::string format_double(double value);
 
-/// JSON string escaping (quotes, backslashes, control characters).
-[[nodiscard]] std::string escape_json(std::string_view text);
-
 /// Parsed JSON value: an object tree with number/string leaves.
 class JsonValue {
  public:

@@ -1,5 +1,6 @@
 #include "src/sweep/result.hpp"
 
+#include "src/obs/exporters.hpp"
 #include "src/sweep/jsonio.hpp"
 
 namespace faucets::sweep {
@@ -62,10 +63,10 @@ RunResult make_result(const RunPoint& point, SweepMode mode,
   line += ",\"point\":" + std::to_string(point.point_index);
   line += ",\"replicate\":" + std::to_string(point.replicate);
   line += ",\"seed\":" + std::to_string(point.seed);
-  line += ",\"axes\":{\"scheduler\":\"" + escape_json(point.scheduler) + "\"";
+  line += ",\"axes\":{\"scheduler\":\"" + obs::json_escape(point.scheduler) + "\"";
   if (mode == SweepMode::kGrid) {
-    line += ",\"bidgen\":\"" + escape_json(point.bidgen) + "\"";
-    line += ",\"evaluator\":\"" + escape_json(point.evaluator) + "\"";
+    line += ",\"bidgen\":\"" + obs::json_escape(point.bidgen) + "\"";
+    line += ",\"evaluator\":\"" + obs::json_escape(point.evaluator) + "\"";
   }
   line += ",\"load\":" + format_double(point.load);
   if (mode == SweepMode::kGrid) {
@@ -82,7 +83,7 @@ RunResult make_result(const RunPoint& point, SweepMode mode,
   for (const auto& [name, value] : out.metrics) {
     if (!first) line += ',';
     first = false;
-    line += '"' + escape_json(name) + "\":" + format_double(value);
+    line += '"' + obs::json_escape(name) + "\":" + format_double(value);
   }
   line += "}}";
   return out;

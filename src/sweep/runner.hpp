@@ -1,4 +1,4 @@
-// SweepRunner: execute every run of a SweepSpec on a work-stealing pool.
+// SweepRunner: execute every run of a SweepSpec on the sweep pool.
 //
 // Determinism contract: each run materializes its own Scenario (seed from
 // SeedSequence) and builds a fully private SimContext/GridSystem, so runs
@@ -29,15 +29,6 @@ struct SweepOptions {
   /// unlike every other sweep column they are NOT byte-stable across
   /// machines or thread counts.
   bool profile = false;
-  /// Warm-state forking (DESIGN.md §14.3). When the spec sets
-  /// [sweep] warmup_until and the sweep is eligible (grid mode, no trace,
-  /// no profiling, no durable store), each warm group — the
-  /// cells that differ only in message loss — is simulated once up to the
-  /// warm-up instant, then fork(2)ed per cell, resuming each from the
-  /// shared warm image. Results are byte-identical to in-process runs
-  /// because the fault gate draws nothing before warmup_until. Off, or an
-  /// ineligible sweep, falls back to the in-process thread pool.
-  bool warm_fork = true;
   /// Fleet progress callback, invoked once per completed run with
   /// (completed so far, total). Called from worker threads concurrently —
   /// the callback must be thread-safe (faucets_sweep --serve feeds an
@@ -49,17 +40,15 @@ class SweepRunner {
  public:
   explicit SweepRunner(SweepSpec spec) : spec_(std::move(spec)) {}
 
-  /// Run the whole grid; returns results in run-id order.
+  /// Run every cell from scratch on `options.threads` workers; returns
+  /// results in run-id order. A run that throws does not stop the others:
+  /// the lowest failing run id's exception is rethrown once all have run.
   [[nodiscard]] std::vector<RunResult> run(const SweepOptions& options) const;
 
   [[nodiscard]] const SweepSpec& spec() const noexcept { return spec_; }
 
-  /// True when run() would take the warm-fork path for these options.
-  [[nodiscard]] bool warm_fork_eligible(const SweepOptions& options) const;
-
  private:
   [[nodiscard]] RunResult execute(const RunPoint& point, bool profile) const;
-  [[nodiscard]] std::vector<RunResult> run_forked(const SweepOptions& options) const;
 
   SweepSpec spec_;
 };

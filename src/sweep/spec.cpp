@@ -112,9 +112,10 @@ SweepSpec SweepSpec::parse(const ConfigFile& config) {
     out.replicates_ = static_cast<std::size_t>(reps);
     out.base_seed_ = static_cast<std::uint64_t>(
         sweep->get_int("base_seed", static_cast<long>(out.base_seed_)));
-    out.warmup_until_ = sweep->get_double("warmup_until", 0.0);
-    if (out.warmup_until_ < 0.0) {
-      throw std::invalid_argument("[sweep] warmup_until must be >= 0");
+    if (sweep->get("warmup_until")) {
+      throw std::invalid_argument(
+          "[sweep] warmup_until selected warm-state forking, which has been "
+          "removed; delete the key (every sweep runs each cell from scratch)");
     }
 
     if (out.mode_ == SweepMode::kCluster &&
@@ -244,12 +245,6 @@ core::Scenario SweepSpec::materialize(const RunPoint& point) const {
   // seed so replicates see independent fault patterns (a fixed fault seed
   // across replicates would correlate every replicate's message drops).
   scenario.grid.faults.seed = splitmix64(point.seed ^ 0xf3a5c1e28b6d94ULL);
-  // Warm-state forking contract: defer fault activation to the fork point
-  // on EVERY cell (forked or not), so loss cells forked from one warm image
-  // and cells run from scratch consume identical fault-RNG streams.
-  if (warmup_until_ > 0.0) {
-    scenario.grid.faults.active_from = warmup_until_;
-  }
 
   if (point.scheduler != kBaseValue) {
     for (auto& cluster : scenario.clusters) {

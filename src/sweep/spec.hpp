@@ -22,9 +22,6 @@
 //   user_multipliers = 1, 4   # [trace] scenarios: CRN-paired user cloning
 //   replicates = 4            # seeds per grid point
 //   base_seed = 42            # SeedSequence root (defaults to [grid] seed)
-//   warmup_until = 3600       # warm-state forking: checkpoint each warm
-//                             # group once at this sim time and fork the
-//                             # loss cells from the shared image (§14.3)
 #pragma once
 
 #include <cstddef>
@@ -90,11 +87,6 @@ class SweepSpec {
   [[nodiscard]] SweepMode mode() const noexcept { return mode_; }
   [[nodiscard]] std::size_t replicates() const noexcept { return replicates_; }
   [[nodiscard]] std::uint64_t base_seed() const noexcept { return base_seed_; }
-  /// Warm-state forking horizon (seconds of sim time); 0 = disabled. When
-  /// set, materialize() also defers fault activation to this instant on
-  /// every cell, so a forked run and a from-scratch run draw identical
-  /// fault streams after the fork point.
-  [[nodiscard]] double warmup_until() const noexcept { return warmup_until_; }
   [[nodiscard]] const core::Scenario& base() const noexcept { return base_; }
   [[nodiscard]] std::size_t run_count() const noexcept {
     return schedulers_.size() * bidgens_.size() * evaluators_.size() *
@@ -117,7 +109,6 @@ class SweepSpec {
   std::vector<std::size_t> user_multipliers_;
   std::size_t replicates_ = 1;
   std::uint64_t base_seed_ = 0;
-  double warmup_until_ = 0.0;
 };
 
 }  // namespace faucets::sweep

@@ -1,5 +1,5 @@
 // Umbrella header for the batch sweep-execution subsystem (DESIGN.md §9):
-// declarative parameter grids over scenarios, executed on a work-stealing
+// declarative parameter grids over scenarios, executed on a shared-cursor
 // pool with order-independent determinism, aggregated across replicate
 // seeds, and gated against committed regression baselines.
 #pragma once

@@ -1,106 +1,35 @@
 #include "src/sweep/thread_pool.hpp"
 
-#include <chrono>
-#include <utility>
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
 
 namespace faucets::sweep {
 
-ThreadPool::ThreadPool(std::size_t thread_count) {
-  if (thread_count == 0) thread_count = 1;
-  workers_.reserve(thread_count);
-  for (std::size_t i = 0; i < thread_count; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(thread_count);
-  for (std::size_t i = 0; i < thread_count; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  wait_idle();
-  {
-    std::lock_guard lock(state_mutex_);
-    stopping_ = true;
-  }
-  work_ready_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-void ThreadPool::submit(Task task) {
-  std::size_t target = 0;
-  {
-    std::lock_guard lock(state_mutex_);
-    target = next_;
-    next_ = (next_ + 1) % workers_.size();
-    ++pending_;
-  }
-  {
-    std::lock_guard lock(workers_[target]->mutex);
-    workers_[target]->tasks.push_front(std::move(task));
-  }
-  work_ready_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(state_mutex_);
-  all_done_.wait(lock, [this] { return pending_ == 0; });
-}
-
-std::uint64_t ThreadPool::steals() const noexcept {
-  std::lock_guard lock(state_mutex_);
-  return steals_;
-}
-
-bool ThreadPool::try_run_one(std::size_t index) {
-  Task task;
-  bool stolen = false;
-  // Own deque first (front = most recently submitted, cache-warm)...
-  {
-    auto& own = *workers_[index];
-    std::lock_guard lock(own.mutex);
-    if (!own.tasks.empty()) {
-      task = std::move(own.tasks.front());
-      own.tasks.pop_front();
-    }
-  }
-  // ...then steal from the back of the first non-empty victim.
-  if (!task) {
-    for (std::size_t k = 1; k < workers_.size() && !task; ++k) {
-      auto& victim = *workers_[(index + k) % workers_.size()];
-      std::lock_guard lock(victim.mutex);
-      if (!victim.tasks.empty()) {
-        task = std::move(victim.tasks.back());
-        victim.tasks.pop_back();
-        stolen = true;
+void parallel_for(std::size_t count, std::size_t threads,
+                  const std::function<void(std::size_t)>& body) {
+  std::atomic<std::size_t> cursor{0};
+  // One slot per index, so no two workers write the same slot; joining the
+  // workers publishes every slot (and every body's writes) to this thread.
+  std::vector<std::exception_ptr> errors(count);
+  const auto work = [&] {
+    for (std::size_t i = cursor++; i < count; i = cursor++) {
+      try {
+        body(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
       }
     }
-  }
-  if (!task) return false;
-
-  task();
-
+  };
   {
-    std::lock_guard lock(state_mutex_);
-    if (stolen) ++steals_;
-    if (--pending_ == 0) all_done_.notify_all();
+    std::vector<std::jthread> helpers;
+    const std::size_t workers = std::min(std::max<std::size_t>(threads, 1), count);
+    for (std::size_t w = 1; w < workers; ++w) helpers.emplace_back(work);
+    work();
   }
-  return true;
-}
-
-void ThreadPool::worker_loop(std::size_t index) {
-  for (;;) {
-    if (try_run_one(index)) continue;
-    std::unique_lock lock(state_mutex_);
-    if (stopping_) return;
-    if (pending_ == 0) {
-      work_ready_.wait(lock, [this] { return stopping_ || pending_ > 0; });
-      continue;
-    }
-    // pending_ > 0 but every deque looked empty: tasks are in flight on
-    // other workers. Sleep until something is submitted or we stop.
-    work_ready_.wait_for(lock, std::chrono::milliseconds(1),
-                         [this] { return stopping_; });
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
 }
 

@@ -1,8 +1,7 @@
 // Whole-simulation checkpoint/restore (DESIGN.md §14): checkpoint files
-// round-trip exactly, readers reject damaged, wrong-version, or
-// sharded-executor files, the pause hook does not perturb the run, and a
-// restore replayed from t = 0 passes verification and produces a
-// byte-identical report.
+// round-trip exactly, readers reject damaged or wrong-version files, the
+// pause hook does not perturb the run, and a restore replayed from t = 0
+// passes verification and produces a byte-identical report.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,6 +11,7 @@
 
 #include "src/core/scenario.hpp"
 #include "src/store/checkpoint.hpp"
+#include "src/store/codec.hpp"
 
 namespace faucets::core {
 namespace {
@@ -49,7 +49,6 @@ TEST(Checkpoint, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back.scenario_text, ckpt.scenario_text);
   EXPECT_EQ(back.overrides, ckpt.overrides);
   EXPECT_EQ(back.sim_time, ckpt.sim_time);
-  EXPECT_EQ(back.shards, ckpt.shards);
   EXPECT_EQ(back.executed, ckpt.executed);
   EXPECT_EQ(back.state_image, ckpt.state_image);
 }
@@ -79,24 +78,27 @@ TEST(Checkpoint, FileRoundTripAndDamageRejection) {
       << "missing file";
 }
 
-// The file format still carries the removed sharded executor's shard count;
-// a checkpoint that recorded one pins a run that can no longer be replayed,
-// so restoring it must fail up front and say why.
-TEST(Checkpoint, RestoringAShardedCheckpointNamesTheRemovedExecutor) {
-  const std::string path = testing::TempDir() + "sharded_checkpoint_test.ckpt";
-  store::Checkpoint ckpt;
-  ckpt.scenario_text = grid_ini();
-  ckpt.sim_time = 40.0;
-  ckpt.shards = 4;
-  ckpt.write_file(path);
+// Version 1 carried the removed sharded executor's shard count and a
+// per-shard executed-count list. A version-2 reader refuses such a body up
+// front rather than misreading its fields.
+TEST(Checkpoint, RefusesAVersionOneBody) {
+  store::Encoder v1;
+  v1.put_u32(1);
+  v1.put_string(grid_ini());
+  v1.put_u32(0);     // no overrides
+  v1.put_f64(40.0);  // sim_time
+  v1.put_u64(0);     // shards
+  v1.put_u32(1);     // one executed-event count
+  v1.put_u64(1234);  // executed
+  v1.put_string("image");
   try {
-    (void)store::Checkpoint::read_file(path);
-    ADD_FAILURE() << "a sharded checkpoint must not restore";
+    (void)store::Checkpoint::decode(v1.take());
+    ADD_FAILURE() << "a version-1 checkpoint must not restore";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("sharded executor"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("version 1 is not supported"),
+              std::string::npos)
         << e.what();
   }
-  std::remove(path.c_str());
 }
 
 TEST(CheckpointRestore, RestoredRunIsByteIdentical) {

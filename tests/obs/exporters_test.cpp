@@ -1,6 +1,7 @@
-// Exporter smoke tests: JSONL line shape, Prometheus text conventions
-// (HELP/TYPE once per base name, cumulative le buckets, labels preserved),
-// and the Chrome trace-event JSON structure Perfetto expects.
+// Exporter smoke tests: JSON string escaping, JSONL line shape, Prometheus
+// text conventions (HELP/TYPE once per base name, cumulative le buckets,
+// labels preserved), and the Chrome trace-event JSON structure Perfetto
+// expects.
 #include "src/obs/exporters.hpp"
 
 #include <gtest/gtest.h>
@@ -31,6 +32,14 @@ std::size_t count_of(const std::string& haystack, const std::string& needle) {
     ++n;
   }
   return n;
+}
+
+TEST(EscapeJson, EscapesQuotesBackslashesAndControls) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
 }
 
 TEST(Jsonl, OneObjectPerEventWithPayloadFields) {

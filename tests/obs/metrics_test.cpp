@@ -128,6 +128,17 @@ TEST(Histogram, CountsSumAndBuckets) {
   EXPECT_EQ(h.buckets()[3], 1u);  // 10.0 overflows
 }
 
+// mean() divides the compensated sum: 1e16 absorbs each +1.0 in the
+// running sum (the spacing of doubles there is 2), and only the Neumaier
+// term keeps the ten of them.
+TEST(Histogram, MeanUsesTheCompensatedSum) {
+  Histogram h{{1.0}};
+  h.observe(1e16);
+  for (int i = 0; i < 10; ++i) h.observe(1.0);
+  EXPECT_EQ(h.sum(), 1e16 + 10.0);
+  EXPECT_EQ(h.mean(), h.sum() / static_cast<double>(h.count()));
+}
+
 TEST(Histogram, EmptyHistogramIsAllZero) {
   Histogram h{{1.0, 2.0}};
   EXPECT_EQ(h.count(), 0u);

@@ -152,59 +152,5 @@ TEST(FaultyNetwork, ReattachKeepsTheAddress) {
   EXPECT_EQ(b.arrivals.size(), 1u);
 }
 
-
-TEST(FaultInjector, ActivationGateDrawsNothingBeforeTheBoundary) {
-  // Warm-fork identity (DESIGN.md Â§14.3): a run that carried a treatment
-  // from t = 0 with active_from = T and a run that swapped the treatment in
-  // at T over a dormant injector must draw the identical fault stream.
-  auto pattern = [](FaultInjector& inj, double from) {
-    std::vector<double> out;
-    for (int i = 0; i < 200; ++i) {
-      const auto v = inj.inspect(EntityId{1}, EntityId{2}, from + i);
-      out.push_back(v.drop ? -1.0 : v.extra_delay);
-    }
-    return out;
-  };
-
-  FaultConfig carried_cfg;
-  carried_cfg.loss_rate = 0.3;
-  carried_cfg.jitter = 0.5;
-  carried_cfg.seed = 7;
-  carried_cfg.active_from = 100.0;
-  FaultInjector carried;
-  carried.configure(carried_cfg);
-  // Pre-activation traffic is untouched and consumes no randomness.
-  for (int i = 0; i < 500; ++i) {
-    const auto v = carried.inspect(EntityId{1}, EntityId{2}, 1.0 * i / 10.0);
-    EXPECT_FALSE(v.drop);
-    EXPECT_DOUBLE_EQ(v.extra_delay, 0.0);
-  }
-
-  FaultConfig forked_cfg;
-  forked_cfg.seed = 7;
-  forked_cfg.active_from = 100.0;
-  FaultInjector forked;
-  forked.configure(forked_cfg);
-  for (int i = 0; i < 123; ++i) {  // different pre-warmup traffic volume
-    (void)forked.inspect(EntityId{1}, EntityId{2}, 1.0 * i / 5.0);
-  }
-  forked.set_treatment(0.3, 0.5);
-  EXPECT_TRUE(forked.enabled());
-
-  EXPECT_EQ(pattern(carried, 100.0), pattern(forked, 100.0))
-      << "the RNG phase at activation must not depend on pre-warmup traffic";
-}
-
-TEST(FaultInjector, PartitionsIgnoreTheActivationGate) {
-  FaultConfig cfg;
-  cfg.partitions = {{EntityId{3}, 10.0, 20.0}};
-  cfg.active_from = 1e9;
-  FaultInjector inj;
-  inj.configure(cfg);
-  EXPECT_TRUE(inj.inspect(EntityId{3}, EntityId{4}, 15.0).drop)
-      << "partition windows are absolute sim time";
-  EXPECT_FALSE(inj.inspect(EntityId{3}, EntityId{4}, 25.0).drop);
-}
-
 }  // namespace
 }  // namespace faucets::sim

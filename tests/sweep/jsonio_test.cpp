@@ -30,14 +30,6 @@ TEST(FormatDouble, RejectsNonFinite) {
                std::invalid_argument);
 }
 
-TEST(EscapeJson, EscapesQuotesBackslashesAndControls) {
-  EXPECT_EQ(escape_json("plain"), "plain");
-  EXPECT_EQ(escape_json("a\"b"), "a\\\"b");
-  EXPECT_EQ(escape_json("a\\b"), "a\\\\b");
-  EXPECT_EQ(escape_json("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(escape_json(std::string(1, '\x01')), "\\u0001");
-}
-
 TEST(JsonValue, ParsesNestedObjects) {
   const auto v = JsonValue::parse(
       R"({"tolerance": 0.05, "points": {"a": {"mean": -1.5}}, "name": "x"})");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace faucets::sweep {
 namespace {
@@ -108,6 +109,17 @@ TEST(SweepSpec, RejectsBadInput) {
                std::invalid_argument);
   EXPECT_THROW((void)SweepSpec::parse_string(with_sweep("loss = 1.5\n")),
                std::invalid_argument);
+}
+
+// The removed warm-state forking's key is rejected, not silently ignored.
+TEST(SweepSpec, WarmupUntilNamesTheRemovedWarmStateForking) {
+  try {
+    (void)SweepSpec::parse_string(with_sweep("warmup_until = 25\n"));
+    ADD_FAILURE() << "warmup_until must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("warm-state forking"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SweepSpec, ClusterModeSweepsSchedulersAndLoadsOnly) {
