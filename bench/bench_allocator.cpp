@@ -70,20 +70,6 @@ void BM_GanttEarliestFit(benchmark::State& state) {
 }
 BENCHMARK(BM_GanttEarliestFit)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_GanttAverageCommitted(benchmark::State& state) {
-  Rng rng{17};
-  GanttChart gantt{1024};
-  for (int i = 0; i < 512; ++i) {
-    const double start = rng.uniform(0.0, 1e5);
-    gantt.reserve(start, start + rng.uniform(10.0, 5000.0),
-                  static_cast<int>(rng.uniform_int(1, 200)));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gantt.average_committed(1e4, 9e4));
-  }
-}
-BENCHMARK(BM_GanttAverageCommitted);
-
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -11,88 +11,60 @@ GanttChart::GanttChart(int capacity) : capacity_(capacity) {
 
 void GanttChart::reserve(double start, double end, int procs) {
   if (end <= start || procs <= 0) return;
-  deltas_[start] += procs;
-  deltas_[end] -= procs;
-  if (deltas_[start] == 0) deltas_.erase(start);
-  if (auto it = deltas_.find(end); it != deltas_.end() && it->second == 0) {
-    deltas_.erase(it);
-  }
-  invalidate();
+  add(start, end, procs);
 }
 
 void GanttChart::release(double start, double end, int procs) {
   if (end <= start || procs <= 0) return;
-  deltas_[start] -= procs;
-  deltas_[end] += procs;
-  if (deltas_[start] == 0) deltas_.erase(start);
-  if (auto it = deltas_.find(end); it != deltas_.end() && it->second == 0) {
-    deltas_.erase(it);
-  }
-  invalidate();
+  add(start, end, -procs);
 }
 
-void GanttChart::rebuild_profile() const {
-  profile_.clear();
-  profile_.reserve(deltas_.size());
-  int level = baseline_;
-  int prev_level = baseline_;
-  double prev_time = 0.0;
-  double area = 0.0;
-  for (const auto& [time, delta] : deltas_) {
-    if (!profile_.empty()) area += static_cast<double>(prev_level) * (time - prev_time);
-    level += delta;
-    profile_.push_back(ProfilePoint{time, level, area});
-    prev_level = level;
-    prev_time = time;
-  }
-  profile_valid_ = true;
+void GanttChart::add(double start, double end, int delta) {
+  // Split at both ends, so [start, end) is a run of whole steps. A new step
+  // copies the level it splits.
+  const auto split = [this](double t, std::size_t from) {
+    auto it = std::lower_bound(steps_.begin() + static_cast<std::ptrdiff_t>(from),
+                               steps_.end(), t,
+                               [](const Step& s, double value) { return s.time < value; });
+    if (it == steps_.end() || it->time != t) {
+      const int level = it == steps_.begin() ? 0 : std::prev(it)->level;
+      it = steps_.insert(it, Step{t, level});
+    }
+    return static_cast<std::size_t>(it - steps_.begin());
+  };
+  const std::size_t first = split(start, 0);
+  const std::size_t last = split(end, first + 1);
+  for (std::size_t i = first; i < last; ++i) steps_[i].level += delta;
+  // Only the two split steps can end up at their predecessor's level, where
+  // this interval cancels an edge of another; such a step marks no change,
+  // so drop it. Erasing the later one first keeps `first` valid.
+  const auto flat = [this](std::size_t i) {
+    return steps_[i].level == (i == 0 ? 0 : steps_[i - 1].level);
+  };
+  if (flat(last)) steps_.erase(steps_.begin() + static_cast<std::ptrdiff_t>(last));
+  if (flat(first)) steps_.erase(steps_.begin() + static_cast<std::ptrdiff_t>(first));
 }
 
-std::ptrdiff_t GanttChart::floor_index(double t) const {
-  const auto& prof = profile();
-  auto it = std::upper_bound(
-      prof.begin(), prof.end(), t,
-      [](double value, const ProfilePoint& p) { return value < p.time; });
-  return (it - prof.begin()) - 1;
+std::size_t GanttChart::upper_index(double t) const {
+  const auto it = std::upper_bound(
+      steps_.begin(), steps_.end(), t,
+      [](double value, const Step& s) { return value < s.time; });
+  return static_cast<std::size_t>(it - steps_.begin());
 }
 
 int GanttChart::committed_at(double t) const {
-  const std::ptrdiff_t i = floor_index(t);
-  return i < 0 ? baseline_ : profile()[static_cast<std::size_t>(i)].level;
+  const std::size_t i = upper_index(t);
+  return i == 0 ? 0 : steps_[i - 1].level;
 }
 
 int GanttChart::peak_committed(double from, double to) const {
-  const auto& prof = profile();
-  int peak = committed_at(from);
-  // Profile points strictly inside (from, to) raise the level.
-  auto it = std::upper_bound(
-      prof.begin(), prof.end(), from,
-      [](double value, const ProfilePoint& p) { return value < p.time; });
-  for (; it != prof.end() && it->time < to; ++it) peak = std::max(peak, it->level);
-  return peak;
-}
-
-double GanttChart::average_committed(double from, double to) const {
-  if (to <= from) return static_cast<double>(committed_at(from));
-  const auto& prof = profile();
-  if (prof.empty()) return static_cast<double>(baseline_);
-
-  // Integral of the level from the first profile point's time up to t,
-  // using the memoized prefix areas. Requires t >= prof.front().time.
-  auto integral_to = [&](double t) {
-    const std::ptrdiff_t i = floor_index(t);
-    const ProfilePoint& p = prof[static_cast<std::size_t>(i)];
-    return p.area + static_cast<double>(p.level) * (t - p.time);
-  };
-
-  const double start = prof.front().time;
-  double area = 0.0;
-  if (from < start) area += static_cast<double>(baseline_) * (std::min(to, start) - from);
-  if (to > start) {
-    const double lo = std::max(from, start);
-    area += integral_to(to) - integral_to(lo);
+  std::size_t i = upper_index(from);
+  int peak = i == 0 ? 0 : steps_[i - 1].level;
+  // Steps strictly inside (from, to) raise the level.
+  for (; i < steps_.size() && steps_[i].time < to; ++i) {
+    peak = std::max(peak, steps_[i].level);
   }
-  return area / (to - from);
+  return peak;
 }
 
 double GanttChart::earliest_fit(double after, double duration, int procs,
@@ -100,43 +72,29 @@ double GanttChart::earliest_fit(double after, double duration, int procs,
   if (procs > capacity_) return horizon;
   if (duration < 0.0) duration = 0.0;
 
-  // Single sweep over the memoized profile: O(events). `candidate` is the
-  // earliest possible start given everything seen so far; a segment whose
-  // level exceeds the limit pushes it to the segment's end; once a feasible
+  // Single sweep from the step in force at `after`. `candidate` is the
+  // earliest possible start given everything seen so far; a step whose
+  // level exceeds the limit pushes it to the step's end; once a feasible
   // stretch of at least `duration` follows `candidate`, it wins.
   const int limit = capacity_ - procs;
-  const auto& prof = profile();
   double candidate = after;
-  // Points at or before `after` only establish the starting level; skip to
-  // them via the memoized profile instead of sweeping from the beginning.
-  const std::ptrdiff_t start = floor_index(after);
-  int level = start < 0 ? baseline_ : prof[static_cast<std::size_t>(start)].level;
-  for (std::size_t j = static_cast<std::size_t>(start + 1); j < prof.size(); ++j) {
-    const ProfilePoint& p = prof[j];
-    if (p.time > candidate) {
+  std::size_t j = upper_index(after);
+  int level = j == 0 ? 0 : steps_[j - 1].level;
+  for (; j < steps_.size(); ++j) {
+    const Step& s = steps_[j];
+    if (s.time > candidate) {
       if (level > limit) {
-        candidate = p.time;  // blocked until this boundary
+        candidate = s.time;  // blocked until this boundary
         if (candidate >= horizon) return horizon;
-      } else if (candidate + duration <= p.time) {
+      } else if (candidate + duration <= s.time) {
         return candidate;  // whole window fits before the next change
       }
     }
-    level = p.level;
+    level = s.level;
   }
-  // Tail segment: level holds forever after the last event.
+  // Tail: the last level holds forever.
   if (level > limit) return horizon;
   return candidate < horizon ? candidate : horizon;
-}
-
-void GanttChart::compact(double t) {
-  auto it = deltas_.begin();
-  bool changed = false;
-  while (it != deltas_.end() && it->first <= t) {
-    baseline_ += it->second;
-    it = deltas_.erase(it);
-    changed = true;
-  }
-  if (changed) invalidate();
 }
 
 }  // namespace faucets::cluster

@@ -7,14 +7,15 @@
 // admission (earliest_fit, peak_committed). Bid generators do not query it:
 // they read ClusterManager::projected_utilization.
 //
-// Mutations (reserve/release/compact) edit a delta map; queries run against
-// a memoized step profile with prefix integrals, rebuilt lazily after a
-// mutation, so queries are O(log n) between mutations instead of a linear
-// rescan each time.
+// The chart is one sorted vector of steps: each step's level holds from its
+// time until the next step's, and the level is 0 before the first. A
+// reserve/release splits at most two steps and adds to the levels between
+// them; a step that no longer changes the level is erased. Queries scan the
+// vector directly, so there is nothing to rebuild between a mutation and a
+// query.
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <vector>
 
 namespace faucets::cluster {
@@ -35,9 +36,6 @@ class GanttChart {
   /// Peak commitment over [from, to).
   [[nodiscard]] int peak_committed(double from, double to) const;
 
-  /// Time-weighted average commitment over [from, to).
-  [[nodiscard]] double average_committed(double from, double to) const;
-
   /// Earliest start >= `after` such that `procs` extra processors are free
   /// for the whole window [start, start + duration). Searches event
   /// boundaries up to `horizon`; returns `horizon` if none fits (callers
@@ -46,37 +44,22 @@ class GanttChart {
                                     double horizon) const;
 
   [[nodiscard]] int capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool empty() const noexcept { return deltas_.empty(); }
-
-  /// Drop events at or before `t` (they can no longer affect queries),
-  /// folding them into the baseline. Keeps long simulations O(live events).
-  void compact(double t);
+  [[nodiscard]] bool empty() const noexcept { return steps_.empty(); }
 
  private:
-  /// One step of the memoized commitment profile. `level` is the commitment
-  /// from `time` until the next point; `area` is the integral of the level
-  /// from the first point's time up to `time`.
-  struct ProfilePoint {
+  /// The commitment is `level` from `time` until the next step.
+  struct Step {
     double time;
     int level;
-    double area;
   };
 
-  void invalidate() noexcept { profile_valid_ = false; }
-  void rebuild_profile() const;
-  [[nodiscard]] const std::vector<ProfilePoint>& profile() const {
-    if (!profile_valid_) rebuild_profile();
-    return profile_;
-  }
-  /// Index of the last profile point with time <= t, or -1 if t precedes
-  /// every point.
-  [[nodiscard]] std::ptrdiff_t floor_index(double t) const;
+  /// Add `delta` processors over [start, end) (start < end).
+  void add(double start, double end, int delta);
+  /// Index of the first step with time > t.
+  [[nodiscard]] std::size_t upper_index(double t) const;
 
   int capacity_;
-  int baseline_ = 0;              // commitment carried from compacted past
-  std::map<double, int> deltas_;  // time -> change in committed procs
-  mutable std::vector<ProfilePoint> profile_;  // memoized; rebuilt on demand
-  mutable bool profile_valid_ = false;
+  std::vector<Step> steps_;  // strictly increasing times; adjacent levels differ
 };
 
 }  // namespace faucets::cluster

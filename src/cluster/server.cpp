@@ -16,6 +16,21 @@ constexpr double kDoneTolerance = 1e-6;
 std::string labelled(const std::string& base, const std::string& cluster) {
   return base + "{cluster=\"" + cluster + "\"}";
 }
+
+/// Where job `id` is, or belongs, in a list kept in id order.
+std::vector<job::Job*>::iterator id_position(std::vector<job::Job*>& jobs, JobId id) {
+  return std::lower_bound(jobs.begin(), jobs.end(), id,
+                          [](const job::Job* j, JobId value) { return j->id() < value; });
+}
+
+void insert_by_id(std::vector<job::Job*>& jobs, job::Job* j) {
+  jobs.insert(id_position(jobs, j->id()), j);
+}
+
+void erase_by_id(std::vector<job::Job*>& jobs, JobId id) {
+  const auto it = id_position(jobs, id);
+  if (it != jobs.end() && (*it)->id() == id) jobs.erase(it);
+}
 }  // namespace
 
 ClusterManager::ClusterManager(sim::SimContext& ctx, MachineSpec machine,
@@ -98,15 +113,17 @@ void ClusterManager::close_job_spans(JobId id, obs::SpanKind kind, double now) {
 }
 
 sched::SchedulerContext ClusterManager::context() const {
-  sched::SchedulerContext ctx;
-  ctx.now = engine_->now();
-  ctx.sim = ctx_;
-  ctx.machine = &machine_;
-  ctx.running.reserve(running_.size());
-  for (JobId id : running_) ctx.running.push_back(jobs_.at(id).get());
-  ctx.queued.reserve(queued_.size());
-  for (JobId id : queued_) ctx.queued.push_back(jobs_.at(id).get());
-  return ctx;
+  return {.now = engine_->now(), .sim = ctx_, .machine = &machine_,
+          .running = running_, .queued = queued_};
+}
+
+double ClusterManager::queued_work() const {
+  if (!queued_work_) {
+    double sum = 0.0;
+    for (const job::Job* j : queued_) sum += j->remaining_work();
+    queued_work_ = sum;
+  }
+  return *queued_work_;
 }
 
 sched::AdmissionDecision ClusterManager::query(const qos::QosContract& contract) const {
@@ -114,7 +131,9 @@ sched::AdmissionDecision ClusterManager::query(const qos::QosContract& contract)
   if (!machine_.can_ever_run(contract)) {
     return sched::AdmissionDecision::rejected("machine cannot run this contract");
   }
-  return strategy_->admit(context(), contract);
+  sched::SchedulerContext ctx = context();
+  ctx.queued_work = queued_work();
+  return strategy_->admit(ctx, contract);
 }
 
 std::optional<JobId> ClusterManager::submit(UserId owner,
@@ -137,10 +156,12 @@ std::optional<JobId> ClusterManager::submit(UserId owner,
   spans.set_user(js.queue, owner);
   spans.bind_job(js.queue, id_, id);
   job_spans_.emplace(id, js);
-  auto j = std::make_unique<job::Job>(id, owner, contract, now);
+  job::Job* j =
+      jobs_.emplace(id, std::make_unique<job::Job>(id, owner, contract, now))
+          .first->second.get();
   j->mark_queued();
-  jobs_.emplace(id, std::move(j));
-  queued_.push_back(id);
+  queued_.push_back(j);  // ids increase, so the queue stays in id order
+  queued_work_.reset();
   reschedule();
   return id;
 }
@@ -202,7 +223,7 @@ void ClusterManager::expire_reservation(ReservationId id) {
 
 void ClusterManager::advance_all() {
   const double now = engine_->now();
-  for (JobId id : running_) jobs_.at(id)->advance_to(now);
+  for (job::Job* j : running_) j->advance_to(now);
 }
 
 void ClusterManager::apply_allocations(const std::vector<sched::Allocation>& allocations) {
@@ -235,15 +256,14 @@ void ClusterManager::apply_allocations(const std::vector<sched::Allocation>& all
       js.run = spans.start_span(obs::SpanKind::kRun, now, EntityId{id_.value()},
                                 js.queue);
       spans.set_value(js.run, target);
-      std::erase(queued_, a.job);
-      running_.push_back(a.job);
-      // Keep running_ in submit order for deterministic contexts.
-      std::sort(running_.begin(), running_.end());
+      erase_by_id(queued_, a.job);
+      queued_work_.reset();
+      insert_by_id(running_, &j);
     } else if (was_running && target == 0) {
       j.reallocate(now, 0);
-      std::erase(running_, a.job);
-      queued_.push_back(a.job);
-      std::sort(queued_.begin(), queued_.end());
+      erase_by_id(running_, a.job);
+      insert_by_id(queued_, &j);
+      queued_work_.reset();
       emit(obs::TraceEventKind::kJobVacated, a.job, j.owner(), 0);
       spans.end_span(js.run, now);
       js.queue = spans.start_span(obs::SpanKind::kQueue, now, EntityId{id_.value()},
@@ -292,11 +312,11 @@ void ClusterManager::reschedule() {
 void ClusterManager::arm_completion_timer() {
   completion_timer_.cancel();
   double next = kInf;
-  for (JobId id : running_) {
+  for (const job::Job* j : running_) {
     // Phase boundaries also wake the scheduler: the paper notes the
     // scheduler benefits from knowing when a job's performance parameters
     // shift between phases (§2.1).
-    next = std::min(next, jobs_.at(id)->next_event_time(engine_->now()));
+    next = std::min(next, j->next_event_time(engine_->now()));
   }
   if (next >= kInf) return;
   completion_timer_ = engine_->schedule_at(next, [this] { handle_completions(); });
@@ -306,16 +326,15 @@ void ClusterManager::handle_completions() {
   advance_all();
   const double now = engine_->now();
   std::vector<JobId> done;
-  for (JobId id : running_) {
-    job::Job& j = *jobs_.at(id);
-    if (j.remaining_work() <= kDoneTolerance * std::max(1.0, j.total_work())) {
-      done.push_back(id);
+  for (const job::Job* j : running_) {
+    if (j->remaining_work() <= kDoneTolerance * std::max(1.0, j->total_work())) {
+      done.push_back(j->id());
     }
   }
   for (JobId id : done) {
     job::Job& j = *jobs_.at(id);
     j.complete(now);
-    std::erase(running_, id);
+    erase_by_id(running_, id);
     metrics_.on_completed(j);
     completed_ctr_->inc();
     wait_hist_->observe(j.wait_time());
@@ -348,8 +367,9 @@ std::optional<ClusterManager::Evicted> ClusterManager::evict_job(JobId id) {
   out.completed_work = j.total_work() - j.remaining_work();
   emit(obs::TraceEventKind::kJobEvicted, id, j.owner(), j.procs());
   close_job_spans(id, obs::SpanKind::kEvicted, now);
-  std::erase(running_, id);
-  std::erase(queued_, id);
+  erase_by_id(running_, id);
+  erase_by_id(queued_, id);
+  queued_work_.reset();
   jobs_.erase(it);
   observe_busy(now, busy_procs());
   reschedule();
@@ -357,10 +377,11 @@ std::optional<ClusterManager::Evicted> ClusterManager::evict_job(JobId id) {
 }
 
 std::vector<ClusterManager::Evicted> ClusterManager::evict_all() {
+  // Each eviction reschedules, so snapshot the ids first.
   std::vector<JobId> ids;
   ids.reserve(running_.size() + queued_.size());
-  ids.insert(ids.end(), running_.begin(), running_.end());
-  ids.insert(ids.end(), queued_.begin(), queued_.end());
+  for (const job::Job* j : running_) ids.push_back(j->id());
+  for (const job::Job* j : queued_) ids.push_back(j->id());
   std::vector<Evicted> out;
   for (JobId id : ids) {
     if (auto e = evict_job(id)) out.push_back(std::move(*e));
@@ -372,19 +393,17 @@ std::vector<ClusterManager::Evicted> ClusterManager::evict_all() {
 void ClusterManager::halt() {
   completion_timer_.cancel();
   const double now = engine_->now();
-  std::vector<JobId> lost;
-  lost.reserve(running_.size() + queued_.size());
-  lost.insert(lost.end(), running_.begin(), running_.end());
-  lost.insert(lost.end(), queued_.begin(), queued_.end());
-  for (JobId id : lost) {
-    job::Job& j = *jobs_.at(id);
-    j.mark_failed(now);
-    metrics_.on_failed();
-    emit(obs::TraceEventKind::kJobFailed, id, j.owner(), 0);
-    close_job_spans(id, obs::SpanKind::kFailed, now);
+  for (const auto* list : {&running_, &queued_}) {
+    for (job::Job* j : *list) {
+      j->mark_failed(now);
+      metrics_.on_failed();
+      emit(obs::TraceEventKind::kJobFailed, j->id(), j->owner(), 0);
+      close_job_spans(j->id(), obs::SpanKind::kFailed, now);
+    }
   }
   running_.clear();
   queued_.clear();
+  queued_work_.reset();
   release_all_reservations();
   observe_busy(now, 0);
   on_complete_ = nullptr;
@@ -393,24 +412,22 @@ void ClusterManager::halt() {
 
 int ClusterManager::busy_procs() const noexcept {
   int n = 0;
-  for (JobId id : running_) n += jobs_.at(id)->procs();
+  for (const job::Job* j : running_) n += j->procs();
   return n;
 }
 
 double ClusterManager::projected_utilization(double from, double to) const {
   if (to <= from || machine_.total_procs <= 0) return 0.0;
   double proc_seconds = 0.0;
-  for (JobId id : running_) {
-    const job::Job& j = *jobs_.at(id);
-    const double finish = std::min(j.projected_finish(from), to);
-    if (finish > from) proc_seconds += j.procs() * (finish - from);
+  for (const job::Job* j : running_) {
+    const double finish = std::min(j->projected_finish(from), to);
+    if (finish > from) proc_seconds += j->procs() * (finish - from);
   }
   // Queued jobs will occupy at least min_procs for their minimal runtime.
-  for (JobId id : queued_) {
-    const job::Job& j = *jobs_.at(id);
-    const double runtime = j.time_to_finish_on(j.contract().min_procs);
+  for (const job::Job* j : queued_) {
+    const double runtime = j->time_to_finish_on(j->contract().min_procs);
     const double span = std::min(runtime, to - from);
-    if (span > 0.0 && runtime < kInf) proc_seconds += j.contract().min_procs * span;
+    if (span > 0.0 && runtime < kInf) proc_seconds += j->contract().min_procs * span;
   }
   // Reserved-but-uncommitted capacity counts too, so concurrent bidders see
   // the held lease priced into the utilization signal.
@@ -427,20 +444,6 @@ double ClusterManager::projected_utilization(double from, double to) const {
 const job::Job* ClusterManager::find_job(JobId id) const {
   auto it = jobs_.find(id);
   return it == jobs_.end() ? nullptr : it->second.get();
-}
-
-std::vector<const job::Job*> ClusterManager::running_jobs() const {
-  std::vector<const job::Job*> out;
-  out.reserve(running_.size());
-  for (JobId id : running_) out.push_back(jobs_.at(id).get());
-  return out;
-}
-
-std::vector<const job::Job*> ClusterManager::queued_jobs() const {
-  std::vector<const job::Job*> out;
-  out.reserve(queued_.size());
-  for (JobId id : queued_) out.push_back(jobs_.at(id).get());
-  return out;
 }
 
 }  // namespace faucets::cluster

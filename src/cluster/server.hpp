@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -137,8 +138,14 @@ class ClusterManager {
   [[nodiscard]] double projected_utilization(double from, double to) const;
 
   [[nodiscard]] const job::Job* find_job(JobId id) const;
-  [[nodiscard]] std::vector<const job::Job*> running_jobs() const;
-  [[nodiscard]] std::vector<const job::Job*> queued_jobs() const;
+  /// Live jobs in submit (id) order. The views are invalidated by the next
+  /// submission, allocation change, completion or eviction.
+  [[nodiscard]] std::span<const job::Job* const> running_jobs() const noexcept {
+    return running_;
+  }
+  [[nodiscard]] std::span<const job::Job* const> queued_jobs() const noexcept {
+    return queued_;
+  }
 
   [[nodiscard]] sched::MetricsCollector& metrics() noexcept { return metrics_; }
   [[nodiscard]] const sched::MetricsCollector& metrics() const noexcept { return metrics_; }
@@ -164,6 +171,9 @@ class ClusterManager {
 
   void expire_reservation(ReservationId id);
 
+  /// Remaining work of the queued jobs, summed in queue order (memoized).
+  [[nodiscard]] double queued_work() const;
+
   void reschedule();
   void apply_allocations(const std::vector<sched::Allocation>& allocations);
   void arm_completion_timer();
@@ -186,8 +196,11 @@ class ClusterManager {
 
   IdGenerator<JobId> job_ids_;
   std::unordered_map<JobId, std::unique_ptr<job::Job>> jobs_;
-  std::vector<JobId> running_;  // submit order
-  std::vector<JobId> queued_;   // submit order
+  std::vector<job::Job*> running_;  // owned by jobs_; submit (id) order
+  std::vector<job::Job*> queued_;   // owned by jobs_; submit (id) order
+  /// queued_work()'s memo, reset by every change to queued_. Queued jobs
+  /// make no progress, so the sum changes only when the queue does.
+  mutable std::optional<double> queued_work_;
   std::unordered_map<JobId, JobSpans> job_spans_;
   sched::MetricsCollector metrics_;
   sim::EventHandle completion_timer_;

@@ -34,11 +34,9 @@ AdmissionDecision BackfillStrategy::admit(const SchedulerContext& ctx,
   const double speed = ctx.machine != nullptr ? ctx.machine->speed_factor : 1.0;
   // Estimate: it starts no earlier than its own shadow time behind the
   // current queue's aggregate demand.
-  double backlog = 0.0;
-  for (const auto* j : ctx.queued) backlog += j->remaining_work();
   const Shadow s = shadow_for(ctx, size);
   const double queue_drain =
-      backlog / (static_cast<double>(ctx.total_procs()) * speed);
+      ctx.queued_work / (static_cast<double>(ctx.total_procs()) * speed);
   return AdmissionDecision::accepted(std::max(s.time, ctx.now + queue_drain) +
                                      contract.estimated_runtime(size, speed));
 }

@@ -8,6 +8,7 @@
 // current job hold right now.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,17 +29,21 @@ struct Allocation {
   int procs = 0;
 };
 
-/// Read-only view of the cluster state handed to strategies. Jobs are
-/// non-owning pointers; `running` jobs hold processors, `queued` jobs wait.
-/// Both lists are ordered by submission time.
+/// Read-only view of the cluster state handed to strategies. `running`
+/// jobs hold processors, `queued` jobs wait; both are ordered by submission
+/// time (job id). The spans view the Cluster Manager's own lists, so they
+/// are valid only during the strategy call they are passed to.
 struct SchedulerContext {
   double now = 0.0;
   /// The run's simulation context (trace sink, RNG, network counters).
   /// Null when a strategy is exercised standalone in unit tests.
   sim::SimContext* sim = nullptr;
   const cluster::MachineSpec* machine = nullptr;
-  std::vector<const job::Job*> running;
-  std::vector<const job::Job*> queued;
+  std::span<const job::Job* const> running;
+  std::span<const job::Job* const> queued;
+  /// Remaining work of the queued jobs, summed in queue order. Filled for
+  /// admission queries (Strategy::admit) only; 0 in schedule() calls.
+  double queued_work = 0.0;
 
   [[nodiscard]] int total_procs() const noexcept {
     return machine != nullptr ? machine->total_procs : 0;

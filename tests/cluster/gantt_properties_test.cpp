@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -65,23 +66,6 @@ TEST_P(GanttProperties, ReserveReleaseRoundTripsToEmpty) {
   EXPECT_EQ(gantt.committed_at(5000.0), 0);
 }
 
-TEST_P(GanttProperties, AverageBoundedByPeak) {
-  Rng rng{GetParam() * 131 + 3};
-  GanttChart gantt{512};
-  for (int i = 0; i < 100; ++i) {
-    const double start = rng.uniform(0.0, 1e4);
-    gantt.reserve(start, start + rng.uniform(1.0, 2000.0),
-                  static_cast<int>(rng.uniform_int(1, 300)));
-  }
-  for (int q = 0; q < 50; ++q) {
-    const double from = rng.uniform(0.0, 9e3);
-    const double to = from + rng.uniform(1.0, 3000.0);
-    const double avg = gantt.average_committed(from, to);
-    EXPECT_GE(avg, -1e-9);
-    EXPECT_LE(avg, static_cast<double>(gantt.peak_committed(from, to)) + 1e-9);
-  }
-}
-
 TEST_P(GanttProperties, EarliestFitMatchesBruteForceReference) {
   Rng rng{GetParam() * 977 + 11};
   GanttChart gantt{128};
@@ -120,10 +104,10 @@ TEST_P(GanttProperties, EarliestFitMatchesBruteForceReference) {
   }
 }
 
-// Independent reference for the memoized profile: a plain delta map swept
-// linearly on every query, mirroring what the chart did before memoization.
+// Independent reference for the step profile: a delta map (time -> change
+// in committed procs, zero changes erased) swept linearly on every query.
 struct BruteForceChart {
-  int baseline = 0;
+  int capacity = 0;
   std::map<double, int> deltas;
 
   void reserve(double start, double end, int procs) {
@@ -137,84 +121,136 @@ struct BruteForceChart {
     auto it = deltas.find(key);
     if (it != deltas.end() && it->second == 0) deltas.erase(it);
   }
-  void compact(double t) {
-    for (auto it = deltas.begin(); it != deltas.end() && it->first <= t;) {
-      baseline += it->second;
-      it = deltas.erase(it);
-    }
-  }
   [[nodiscard]] int committed_at(double t) const {
-    int level = baseline;
+    int level = 0;
     for (const auto& [time, d] : deltas) {
       if (time > t) break;
       level += d;
     }
     return level;
   }
-  [[nodiscard]] double average_committed(double from, double to) const {
-    if (to <= from) return 0.0;
-    double area = 0.0;
-    double cursor = from;
+  [[nodiscard]] int peak_committed(double from, double to) const {
     int level = committed_at(from);
+    int peak = level;
     for (const auto& [time, d] : deltas) {
       if (time <= from) continue;
       if (time >= to) break;
-      area += level * (time - cursor);
-      cursor = time;
+      level += d;
+      peak = std::max(peak, level);
+    }
+    return peak;
+  }
+  [[nodiscard]] double earliest_fit(double after, double duration, int procs,
+                                    double horizon) const {
+    if (procs > capacity) return horizon;
+    if (duration < 0.0) duration = 0.0;
+    const int limit = capacity - procs;
+    double candidate = after;
+    int level = 0;
+    for (const auto& [time, d] : deltas) {
+      if (time > candidate) {
+        if (level > limit) {
+          candidate = time;
+          if (candidate >= horizon) return horizon;
+        } else if (candidate + duration <= time) {
+          return candidate;
+        }
+      }
       level += d;
     }
-    area += level * (to - cursor);
-    return area / (to - from);
+    if (level > limit) return horizon;
+    return candidate < horizon ? candidate : horizon;
   }
 };
 
 TEST_P(GanttProperties, IncrementalMatchesBruteForceUnderMixedMutation) {
-  // The memoized profile must be indistinguishable from a from-scratch
-  // sweep no matter how reserve/release/compact and queries interleave —
-  // this is exactly the invalidation logic's failure surface.
+  // The step vector must be indistinguishable from a from-scratch sweep of
+  // the delta map no matter how reserve/release and queries interleave —
+  // splitting and erasing steps is exactly its failure surface.
   Rng rng{GetParam() * 8191 + 17};
   GanttChart gantt{256};
-  BruteForceChart ref;
+  BruteForceChart ref{256, {}};
   std::vector<Reservation> live;
-  double compacted_to = -1e300;
 
   for (int step = 0; step < 400; ++step) {
     const double roll = rng.uniform(0.0, 1.0);
     if (roll < 0.40 || live.empty()) {
-      Reservation r{rng.uniform(0.0, 5e3), 0.0,
+      // Whole-second bounds make reservations abut and share boundaries.
+      Reservation r{std::floor(rng.uniform(0.0, 5e3)), 0.0,
                     static_cast<int>(rng.uniform_int(1, 150))};
-      r.end = r.start + rng.uniform(1.0, 800.0);
+      r.end = r.start + (rng.bernoulli(0.5) ? std::floor(rng.uniform(1.0, 800.0))
+                                            : rng.uniform(1.0, 800.0));
       gantt.reserve(r.start, r.end, r.procs);
       ref.reserve(r.start, r.end, r.procs);
       live.push_back(r);
-    } else if (roll < 0.55) {
+    } else if (roll < 0.60) {
       const auto idx = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
       const auto r = live[idx];
       gantt.release(r.start, r.end, r.procs);
       ref.release(r.start, r.end, r.procs);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-    } else if (roll < 0.60) {
-      const double t = rng.uniform(0.0, 2e3);
-      gantt.compact(t);
-      ref.compact(t);
-      compacted_to = std::max(compacted_to, t);
     } else {
-      // Queries strictly after the compacted prefix (compact folds the
-      // past into the baseline, so earlier times are intentionally lossy).
-      const double from =
-          std::max(compacted_to, 0.0) + rng.uniform(1e-3, 4e3);
+      const double from = rng.bernoulli(0.3) ? live.front().start : rng.uniform(0.0, 6e3);
       const double to = from + rng.uniform(1.0, 2e3);
       ASSERT_EQ(gantt.committed_at(from), ref.committed_at(from))
           << "seed " << GetParam() << " step " << step;
-      ASSERT_NEAR(gantt.average_committed(from, to),
-                  ref.average_committed(from, to), 1e-6)
+      ASSERT_EQ(gantt.peak_committed(from, to), ref.peak_committed(from, to))
           << "seed " << GetParam() << " step " << step;
       const int procs = static_cast<int>(rng.uniform_int(1, 256));
-      const double fit = gantt.earliest_fit(from, to - from, procs, 1e6);
-      if (fit < 1e6) {
-        EXPECT_LE(gantt.peak_committed(fit, to - from + fit) + procs, 256);
+      ASSERT_EQ(gantt.earliest_fit(from, to - from, procs, 1e6),
+                ref.earliest_fit(from, to - from, procs, 1e6))
+          << "seed " << GetParam() << " step " << step;
+    }
+  }
+  EXPECT_EQ(gantt.empty(), ref.deltas.empty());
+}
+
+TEST_P(GanttProperties, CommitmentsPatternMatchesDeltaMapExactly) {
+  // The call pattern of PayoffStrategy::commitments: running jobs reserve
+  // from one `now` to their projected finish, then queued jobs are placed
+  // greedily at their earliest fit, then admission asks for a window and
+  // the peak inside it. Every answer must equal the delta-map sweep's, not
+  // merely fit: a window shifted to another feasible start would change
+  // which jobs a cluster admits.
+  Rng rng{GetParam() * 4099 + 5};
+  constexpr int kCapacity = 512;
+  for (int round = 0; round < 20; ++round) {
+    GanttChart gantt{kCapacity};
+    BruteForceChart ref{kCapacity, {}};
+    const double now = rng.uniform(0.0, 1e5);
+    const double horizon = now + 24.0 * 3600.0 + rng.uniform(0.0, 5e3);
+    const auto running = rng.uniform_int(0, 60);
+    for (std::int64_t i = 0; i < running; ++i) {
+      // Some running jobs share a finish time, as jobs started together do.
+      const double finish =
+          now + (rng.bernoulli(0.3) ? 600.0 : rng.uniform(1.0, 2e4));
+      const int procs = static_cast<int>(rng.uniform_int(1, 64));
+      gantt.reserve(now, finish, procs);
+      ref.reserve(now, finish, procs);
+    }
+    const auto queued = rng.uniform_int(0, 200);
+    for (std::int64_t i = 0; i < queued; ++i) {
+      const int procs = static_cast<int>(rng.uniform_int(1, kCapacity));
+      const double runtime =
+          rng.bernoulli(0.3) ? 600.0 : rng.uniform(1.0, 3e4);
+      const double start = gantt.earliest_fit(now, runtime, procs, horizon);
+      ASSERT_EQ(start, ref.earliest_fit(now, runtime, procs, horizon))
+          << "seed " << GetParam() << " round " << round << " job " << i;
+      if (start < horizon) {
+        gantt.reserve(start, start + runtime, procs);
+        ref.reserve(start, start + runtime, procs);
       }
+    }
+    for (int q = 0; q < 20; ++q) {
+      const int procs = static_cast<int>(rng.uniform_int(1, kCapacity));
+      const double runtime = rng.uniform(1.0, 3e4);
+      const double start = gantt.earliest_fit(now, runtime, procs, horizon);
+      ASSERT_EQ(start, ref.earliest_fit(now, runtime, procs, horizon))
+          << "seed " << GetParam() << " round " << round << " query " << q;
+      ASSERT_EQ(gantt.peak_committed(start, start + runtime),
+                ref.peak_committed(start, start + runtime))
+          << "seed " << GetParam() << " round " << round << " query " << q;
     }
   }
 }

@@ -52,15 +52,6 @@ TEST(Gantt, PeakCommitted) {
   EXPECT_EQ(g.peak_committed(16.0, 20.0), 0);
 }
 
-TEST(Gantt, AverageCommitted) {
-  GanttChart g{100};
-  g.reserve(0.0, 10.0, 40);
-  // Over [0, 20): 10 s at 40, 10 s at 0 -> average 20.
-  EXPECT_DOUBLE_EQ(g.average_committed(0.0, 20.0), 20.0);
-  EXPECT_DOUBLE_EQ(g.average_committed(0.0, 10.0), 40.0);
-  EXPECT_DOUBLE_EQ(g.average_committed(10.0, 20.0), 0.0);
-}
-
 TEST(Gantt, EarliestFitImmediateWhenIdle) {
   GanttChart g{100};
   EXPECT_DOUBLE_EQ(g.earliest_fit(0.0, 10.0, 50, 1e6), 0.0);
@@ -90,16 +81,6 @@ TEST(Gantt, EarliestFitHorizonMeansNever) {
   EXPECT_DOUBLE_EQ(g.earliest_fit(0.0, 5.0, 1, 50.0), 50.0);
   // Larger than capacity can never fit.
   EXPECT_DOUBLE_EQ(g.earliest_fit(0.0, 5.0, 11, 1e6), 1e6);
-}
-
-TEST(Gantt, CompactPreservesFutureQueries) {
-  GanttChart g{100};
-  g.reserve(0.0, 10.0, 30);
-  g.reserve(5.0, 20.0, 20);
-  g.compact(7.0);
-  EXPECT_EQ(g.committed_at(8.0), 50);
-  EXPECT_EQ(g.committed_at(12.0), 20);
-  EXPECT_EQ(g.committed_at(25.0), 0);
 }
 
 }  // namespace

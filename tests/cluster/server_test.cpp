@@ -6,6 +6,7 @@
 #include "src/sched/equipartition.hpp"
 #include "src/sched/fcfs.hpp"
 #include "src/sched/payoff_sched.hpp"
+#include "src/sched/priority_sched.hpp"
 
 namespace faucets::cluster {
 namespace {
@@ -213,6 +214,57 @@ TEST(ClusterManager, ManyJobsAllComplete) {
   EXPECT_EQ(cm.running_count(), 0u);
   EXPECT_EQ(cm.queued_count(), 0u);
   EXPECT_GT(accepted, 50u);
+}
+
+std::vector<JobId> ids_of(std::span<const job::Job* const> jobs) {
+  std::vector<JobId> out;
+  for (const auto* j : jobs) out.push_back(j->id());
+  return out;
+}
+
+TEST(ClusterManager, RunningAndQueuedStayInIdOrder) {
+  // Jobs move between the running and queued lists by binary search on id;
+  // strategies and every artifact rely on both lists staying in submit
+  // (id) order through start, preemptive vacate, resume, eviction and
+  // completion.
+  sim::SimContext ctx;
+  ClusterManager cm{ctx, small_machine(100),
+                    std::make_unique<sched::PriorityStrategy>(), zero_costs()};
+  const auto submit = [&cm](int procs, double seconds, int priority) {
+    auto c = qos::make_contract(procs, procs, procs * seconds, 1.0, 1.0);
+    c.priority = priority;
+    const auto id = cm.submit(UserId{1}, c);
+    EXPECT_TRUE(id.has_value());
+    return id.value_or(JobId{});
+  };
+  using Ids = std::vector<JobId>;
+  const JobId a = submit(30, 1000.0, 0);
+  const JobId b = submit(30, 1000.0, 0);
+  const JobId c = submit(30, 1000.0, 0);
+  const JobId d = submit(30, 1000.0, 0);
+  EXPECT_EQ(ids_of(cm.running_jobs()), (Ids{a, b, c}));
+  EXPECT_EQ(ids_of(cm.queued_jobs()), (Ids{d}));
+
+  // A management-priority job preempts b and c; they are vacated into the
+  // queue ahead of d.
+  const JobId e = submit(60, 100.0, 5);
+  EXPECT_EQ(ids_of(cm.running_jobs()), (Ids{a, e}));
+  EXPECT_EQ(ids_of(cm.queued_jobs()), (Ids{b, c, d}));
+
+  ASSERT_TRUE(cm.evict_job(c).has_value());
+  EXPECT_EQ(ids_of(cm.running_jobs()), (Ids{a, e}));
+  EXPECT_EQ(ids_of(cm.queued_jobs()), (Ids{b, d}));
+
+  // e completes at t=100; b resumes and d starts, so b lands between a
+  // and d in the running list.
+  ASSERT_TRUE(ctx.engine().step());
+  EXPECT_DOUBLE_EQ(ctx.engine().now(), 100.0);
+  EXPECT_EQ(ids_of(cm.running_jobs()), (Ids{a, b, d}));
+  EXPECT_TRUE(cm.queued_jobs().empty());
+
+  ctx.engine().run();
+  EXPECT_TRUE(cm.running_jobs().empty());
+  EXPECT_EQ(cm.metrics().completed(), 4u);
 }
 
 }  // namespace
