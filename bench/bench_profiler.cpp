@@ -50,8 +50,8 @@ core::GridReport run_grid(bool profiled) {
       .cluster(make_cluster("beta", 0.0005))
       .cluster(make_cluster("gamma", 0.0009))
       .users(4);
-  // Enabled with no artifact paths: every hot-path hook and the end-of-run
-  // finalize pass run, only the file writes are skipped.
+  // The run only records, so this arm pays every hot-path hook and no
+  // export.
   if (profiled) b.profile();
   auto grid = b.build();
   return grid->run(workload(48), /*until=*/1e7);

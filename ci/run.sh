@@ -21,8 +21,8 @@
 # host-time profiler overhead (E14) in BENCH_profiler.json (must also
 # stay under 5%), and record the live-plane overhead (E17) in
 # BENCH_live.json (same 5% budget). The chaos run executes under --profile
-# and its profile.json is schema-checked (the execute and idle phases must
-# sum to the run's wall clock, no negative self times).
+# and its profile.json is schema-checked (schema 3, per-kind self time must
+# sum to at most the run's wall clock, no negative self times).
 #
 # Usage: ci/run.sh [--skip-bench]
 set -euo pipefail
@@ -272,30 +272,28 @@ python3 - "${CHAOS_DIR}" <<'PY'
 import json, sys
 d = sys.argv[1]
 
-# profile.json (DESIGN.md §12, schema 2): clock calibration sane, event
-# totals populated, and the exclusive execute/idle phases non-negative and
-# summing to the run's wall clock within tolerance (host clocks jitter;
-# allow 5% of wall or 5 ms, whichever is larger).
+# profile.json (DESIGN.md §12, schema 3): clock calibration sane, event
+# totals populated, no phase split, and the per-kind self times (each event
+# is timed inside the run) summing to at most the run's wall clock within
+# tolerance (host clocks jitter; allow 5% of wall or 5 ms, whichever is
+# larger).
 prof = json.load(open(f"{d}/profile.json"))
-assert prof["schema"] == 2, prof["schema"]
+assert prof["schema"] == 3, prof["schema"]
+assert "phases" not in prof, sorted(prof)
 assert prof["clock"]["source"] in ("tsc", "steady_clock"), prof["clock"]
 assert prof["clock"]["ns_per_tick"] > 0, prof["clock"]
 wall = prof["wall_seconds"]
 assert wall > 0, "profiled run recorded no wall time"
 assert prof["events_total"] > 0, "profiled run attributed no events"
-phases = prof["phases"]
-assert set(phases) == {"execute", "idle"}, phases
-for name, seconds in phases.items():
-    assert seconds >= 0, f"{name} < 0: {seconds}"
-total = sum(phases.values())
-tol = max(0.05 * wall, 0.005)
-assert abs(total - wall) <= tol, f"phases sum {total} vs wall {wall}"
 for row in prof["kinds"] + prof["entities"]:
     assert row["count"] > 0 and row["seconds"] >= 0, row
     assert row["min_us"] - 1e-9 <= row["p50_us"] <= row["p99_us"] + 1e-9, row
     assert row["mean_us"] >= 0, row
+self_time = sum(row["seconds"] for row in prof["kinds"])
+tol = max(0.05 * wall, 0.005)
+assert self_time <= wall + tol, f"per-kind self time {self_time} vs wall {wall}"
 print(f"profile.json: {prof['events_total']} events, {len(prof['kinds'])} "
-      f"kinds, execute {phases['execute']:.3f} s of {wall:.3f} s wall, "
+      f"kinds, self time {self_time:.3f} s of {wall:.3f} s wall, "
       f"clock {prof['clock']['source']}")
 PY
 
@@ -374,7 +372,7 @@ while time.monotonic() < deadline:
     status, body = get("/progress")
     assert status == 200, (status, body)
     progress = json.loads(body)
-    assert progress["schema"] == "faucets.live.progress.v2", progress
+    assert progress["schema"] == "faucets.live.progress.v3", progress
     if progress["publishes"] > 0 and progress["run_active"]:
         break
     time.sleep(0.1)
@@ -782,7 +780,7 @@ out = {
     "workload": "end-to-end GridSystem::run with the host-time profiler "
                 "(DESIGN.md §12) off vs on, timed as an "
                 "order-alternating pair per iteration; per-event TSC "
-                "bracketing + kind/entity attribution + phase accounting, "
+                "bracketing + kind/entity attribution, "
                 "zero allocations on the hot path "
                 "(tests/obs/profiler_alloc_test.cpp)",
     "run_ms_profiler_off": round(t_off, 3),

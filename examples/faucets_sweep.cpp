@@ -55,7 +55,8 @@ void usage(std::ostream& os) {
         "  --write-baseline FILE.json  snapshot this aggregate as baseline\n"
         "  --tolerance FRAC        relative band for --write-baseline (default 0.05)\n"
         "  --profile               run points under the host-time profiler and\n"
-        "                          append prof_* columns (host-time: not\n"
+        "                          append prof_wall_ms, prof_events and\n"
+        "                          prof_events_per_sec (host-time: not\n"
         "                          byte-stable across machines)\n"
         "  --serve[=PORT]          fleet-level /progress + /healthz on\n"
         "                          127.0.0.1 (bare --serve picks a port and\n"

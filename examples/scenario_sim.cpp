@@ -63,6 +63,7 @@
 
 #include "src/core/scenario.hpp"
 #include "src/obs/exporters.hpp"
+#include "src/obs/profiler.hpp"
 #include "src/obs/report.hpp"
 #include "src/store/checkpoint.hpp"
 
@@ -341,19 +342,7 @@ int main(int argc, char** argv) {
       scenario.grid.live.progress = true;
     }
 
-    // --profile[=path] writes the JSON summary to `path` and derives the
-    // sibling Prometheus artifact from its stem.
-    if (opts.profile) {
-      std::string stem = *opts.profile;
-      const std::string suffix = ".json";
-      if (stem.size() > suffix.size() &&
-          stem.compare(stem.size() - suffix.size(), suffix.size(), suffix) == 0) {
-        stem.resize(stem.size() - suffix.size());
-      }
-      scenario.grid.profile.enabled = true;
-      scenario.grid.profile.json_path = *opts.profile;
-      scenario.grid.profile.metrics_path = stem + ".prom";
-    }
+    if (opts.profile) scenario.grid.profile.enabled = true;
 
     // Reports want time-series charts, so turn sampling on whenever any
     // telemetry output is requested (explicit --sample-interval wins).
@@ -435,12 +424,27 @@ int main(int argc, char** argv) {
       std::cout << "wrote report JSON to " << *opts.report_json << "\n";
     }
     if (opts.profile) {
-      std::cout << "wrote host-time profile to " << scenario.grid.profile.json_path
-                << " (+ " << scenario.grid.profile.metrics_path << ")\n";
+      // --profile[=path] writes the JSON summary to `path` and the sibling
+      // Prometheus artifact next to it, named after its stem.
+      std::string stem = *opts.profile;
+      const std::string suffix = ".json";
+      if (stem.size() > suffix.size() &&
+          stem.compare(stem.size() - suffix.size(), suffix.size(), suffix) == 0) {
+        stem.resize(stem.size() - suffix.size());
+      }
+      const faucets::obs::Profiler& prof = *grid->profiler();
+      auto json = open_out(*opts.profile);
+      prof.write_json(json);
+      auto prom = open_out(stem + ".prom");
+      faucets::obs::write_prometheus(prom, prof.metrics());
+      std::cout << "wrote host-time profile to " << *opts.profile << " (+ "
+                << stem << ".prom)\n";
     }
+    // One time-ordered copy of the trace ring feeds every trace writer.
+    const faucets::obs::TraceView trace = grid->merged_trace();
     if (opts.trace_jsonl) {
       auto out = open_out(*opts.trace_jsonl);
-      faucets::obs::write_trace_jsonl(out, grid->merged_trace());
+      faucets::obs::write_trace_jsonl(out, trace);
       std::cout << "wrote typed trace to " << *opts.trace_jsonl << "\n";
     }
     if (opts.metrics) {
@@ -473,8 +477,7 @@ int main(int argc, char** argv) {
         }
       }
       faucets::obs::write_html_report(out, grid->obs().sampler(), tel.analysis,
-                                      tel.users, tel.clusters,
-                                      &grid->obs().trace(), ropts);
+                                      tel.users, tel.clusters, &trace, ropts);
       std::cout << "wrote HTML report to " << *opts.report << "\n";
     }
     if (opts.phases_csv) {
@@ -493,9 +496,7 @@ int main(int argc, char** argv) {
       for (const auto& c : scenario.clusters) {
         chrome.cluster_names.push_back(c.machine.name);
       }
-      const faucets::obs::TraceView merged = grid->merged_trace();
-      faucets::obs::write_chrome_trace(out, grid->merged_spans(), merged,
-                                       chrome);
+      faucets::obs::write_chrome_trace(out, grid->merged_spans(), trace, chrome);
       std::cout << "wrote Chrome trace to " << *opts.chrome_trace
                 << " (load it at https://ui.perfetto.dev)\n";
     }

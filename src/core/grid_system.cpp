@@ -1,7 +1,6 @@
 #include "src/core/grid_system.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -20,11 +19,55 @@ double GridReport::grid_utilization_weighted() const {
   return sum / static_cast<double>(clusters.size());
 }
 
+namespace {
+
+/// Every way a grid can be assembled goes through the GridSystem
+/// constructor, so it checks here, before any entity exists.
+void validate_grid(const GridConfig& config,
+                   const std::vector<ClusterSetup>& clusters,
+                   std::size_t user_count) {
+  if (clusters.empty()) {
+    throw std::invalid_argument("grid: at least one cluster is required");
+  }
+  if (user_count == 0) {
+    throw std::invalid_argument("grid: at least one user is required");
+  }
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    const ClusterSetup& setup = clusters[i];
+    const std::string where = "grid: cluster " + std::to_string(i);
+    if (setup.machine.total_procs <= 0) {
+      throw std::invalid_argument(where + " (" + setup.machine.name +
+                                  ") has no processors");
+    }
+    if (!setup.strategy) {
+      throw std::invalid_argument(where + " is missing a strategy factory");
+    }
+    if (!setup.bid_generator) {
+      throw std::invalid_argument(where + " is missing a bid generator factory");
+    }
+  }
+  for (const auto& c : config.crashes) {
+    if (c.cluster >= clusters.size()) {
+      throw std::invalid_argument("grid: crash schedule names cluster " +
+                                  std::to_string(c.cluster) + " but only " +
+                                  std::to_string(clusters.size()) + " exist");
+    }
+  }
+  for (const auto& p : config.partitions) {
+    if (p.cluster >= clusters.size()) {
+      throw std::invalid_argument("grid: partition names cluster " +
+                                  std::to_string(p.cluster) + " but only " +
+                                  std::to_string(clusters.size()) + " exist");
+    }
+  }
+}
+
+}  // namespace
+
 GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
                        std::size_t user_count)
     : config_(std::move(config)), ctx_(config_.network) {
-  if (clusters.empty()) throw std::invalid_argument("grid needs >= 1 cluster");
-  if (user_count == 0) throw std::invalid_argument("grid needs >= 1 user");
+  validate_grid(config_, clusters, user_count);
 
   // The point budget must be in place before any entity registers a series.
   ctx_.sampler().set_default_capacity(config_.telemetry.series_capacity);
@@ -154,7 +197,6 @@ void GridSystem::setup_live_plane() {
   b.metrics = &ctx_.metrics();
   b.trace = &ctx_.trace();
   b.executed = [eng = &ctx_.engine()] { return eng->executed(); };
-  b.profiler = profiler_.get();
   // Alerts are recorded by the simulation thread into the trace ring at
   // publish boundaries, so they reach artifacts like any other trace event
   // — and clean runs record none, keeping artifacts byte-identical with the
@@ -208,25 +250,6 @@ void GridSystem::setup_live_plane() {
            static_cast<std::int64_t>(value_of(unplaced));
   };
   live_ = std::make_unique<obs::live::LivePlane>(config_.live, std::move(b));
-}
-
-void GridSystem::write_profile_artifacts() const {
-  if (profiler_ == nullptr) return;
-  if (config_.profile.json_path.empty() && config_.profile.metrics_path.empty()) {
-    return;  // nothing to export: skip the registry build entirely
-  }
-  // Building the faucets_prof_* registry (dozens of named instruments)
-  // costs far more than the whole hot path on a short run, so it's paid
-  // here — at export time — not inside run().
-  profiler_->finalize();
-  if (!config_.profile.json_path.empty()) {
-    std::ofstream os{config_.profile.json_path};
-    profiler_->write_json(os);
-  }
-  if (!config_.profile.metrics_path.empty()) {
-    std::ofstream os{config_.profile.metrics_path};
-    profiler_->write_prometheus(os);
-  }
 }
 
 void GridSystem::maybe_sample() {
@@ -291,7 +314,6 @@ GridReport GridSystem::run(job::WorkloadSource& source, double until) {
   };
   if (profiler_ != nullptr) profiler_->begin_run();
   if (live_ != nullptr) live_->begin_run();
-  const std::uint64_t loop_start = obs::HostClock::ticks();
   while (!all_done()) {
     if (!maybe_pause(ctx_.engine().next_time())) break;
     if (!ctx_.engine().step(until)) break;
@@ -305,11 +327,7 @@ GridReport GridSystem::run(job::WorkloadSource& source, double until) {
   // ContractSettled reports to the Central Server (price history, billing,
   // barter transfers) trail the completion notices clients wait for.
   if (!abandoned_) ctx_.engine().run(std::min(until, ctx_.now() + 1.0));
-  if (profiler_ != nullptr) {
-    // The whole loop is one execute span; the rest of the run is idle.
-    profiler_->lane().add_execute(obs::HostClock::ticks() - loop_start);
-    profiler_->end_run();
-  }
+  if (profiler_ != nullptr) profiler_->end_run();
   for (auto& d : daemons_) d->cm().finish_metrics();
   if (config_.telemetry.sample_interval > 0.0) {
     // Close the series on the final state so a chart's last point reflects
@@ -325,7 +343,6 @@ GridReport GridSystem::run(job::WorkloadSource& source, double until) {
   // counts) when the run actually drained; abandoned or `until`-bounded
   // runs keep the in-flight grace semantics.
   if (live_ != nullptr) live_->end_run(ctx_.now(), !abandoned_ && all_done());
-  if (profiler_ != nullptr) write_profile_artifacts();
   // A clean end of run rolls the WAL into a fresh snapshot: restart from
   // here replays zero operations. Abandoned runs skip it (their state is
   // mid-flight and must not overwrite the store).
@@ -358,40 +375,6 @@ void GridSystem::schedule_cluster_restart(std::size_t i, double when) {
 }
 
 std::unique_ptr<GridSystem> GridBuilder::build() {
-  if (clusters_.empty()) {
-    throw std::invalid_argument("GridBuilder: at least one cluster is required");
-  }
-  if (users_ == 0) {
-    throw std::invalid_argument("GridBuilder: at least one user is required");
-  }
-  for (std::size_t i = 0; i < clusters_.size(); ++i) {
-    const ClusterSetup& setup = clusters_[i];
-    const std::string where = "GridBuilder: cluster " + std::to_string(i);
-    if (setup.machine.total_procs <= 0) {
-      throw std::invalid_argument(where + " (" + setup.machine.name +
-                                  ") has no processors");
-    }
-    if (!setup.strategy) {
-      throw std::invalid_argument(where + " is missing a strategy factory");
-    }
-    if (!setup.bid_generator) {
-      throw std::invalid_argument(where + " is missing a bid generator factory");
-    }
-  }
-  for (const auto& c : config_.crashes) {
-    if (c.cluster >= clusters_.size()) {
-      throw std::invalid_argument("GridBuilder: crash schedule names cluster " +
-                                  std::to_string(c.cluster) + " but only " +
-                                  std::to_string(clusters_.size()) + " exist");
-    }
-  }
-  for (const auto& p : config_.partitions) {
-    if (p.cluster >= clusters_.size()) {
-      throw std::invalid_argument("GridBuilder: partition names cluster " +
-                                  std::to_string(p.cluster) + " but only " +
-                                  std::to_string(clusters_.size()) + " exist");
-    }
-  }
   return std::make_unique<GridSystem>(std::move(config_), std::move(clusters_),
                                       users_);
 }

@@ -67,15 +67,13 @@ struct ClusterPartition {
   double until = 0.0;
 };
 
-/// Opt-in host-time profiling (DESIGN.md §12): per-event self-time
-/// attribution and an execute/idle split of the run's wall clock.
-/// Profiling records into its own registry and artifacts only, so report
-/// JSON / trace JSONL stay byte-identical with it on or off.
+/// Opt-in host-time profiling (DESIGN.md §12): the run's wall clock and
+/// per-event self time by message kind and entity class. The run only
+/// records; callers export GridSystem::profiler() after run(). Profiling
+/// touches no simulation state, so report JSON / trace JSONL stay
+/// byte-identical with it on or off.
 struct ProfileConfig {
   bool enabled = false;
-  /// Artifact paths written at the end of run(); empty skips that artifact.
-  std::string json_path;     // profile.json summary
-  std::string metrics_path;  // Prometheus faucets_prof_* text
 };
 
 /// Durable persistence of the Central Server's accounting state
@@ -214,6 +212,10 @@ struct GridTelemetry {
 /// Owns every entity of one simulated grid.
 class GridSystem {
  public:
+  /// Validates the grid first: at least one cluster and one user, no
+  /// zero-processor machine, non-null strategy and bid generator factories,
+  /// crash and partition indices in range. Throws std::invalid_argument
+  /// with a precise message instead of failing deep inside construction.
   GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
              std::size_t user_count);
   ~GridSystem();
@@ -312,7 +314,7 @@ class GridSystem {
   [[nodiscard]] GridTelemetry telemetry() const;
 
   /// The host-time profiler, when GridConfig::profile.enabled; null
-  /// otherwise. Phase decompositions are valid after run().
+  /// otherwise. Its wall clock is valid after run().
   [[nodiscard]] const obs::Profiler* profiler() const noexcept {
     return profiler_.get();
   }
@@ -331,7 +333,6 @@ class GridSystem {
   [[nodiscard]] const obs::SpanAnalysis& analysis() const;
   void setup_profiler();
   void setup_live_plane();
-  void write_profile_artifacts() const;
 
   GridConfig config_;
   sim::SimContext ctx_;
@@ -356,7 +357,7 @@ class GridSystem {
   double next_sample_due_ = std::numeric_limits<double>::infinity();
   mutable std::optional<obs::SpanAnalysis> analysis_;  // cached by run()
   // Host-time profiler (null unless config_.profile.enabled): its own
-  // registry and artifacts, never the simulation's.
+  // accumulators, never the simulation's registry.
   std::unique_ptr<obs::Profiler> profiler_;
   // Live operations plane (null unless config_.live is enabled): HTTP
   // monitoring + online invariant monitors over published snapshots.
@@ -375,12 +376,10 @@ class GridSystem {
 ///                   .crash(0, 120.0, /*restart_at=*/300.0)
 ///                   .build();
 ///
-/// build() validates the assembled grid (at least one cluster, no
-/// zero-processor machines, non-null factories, crash/partition indices in
-/// range) and throws std::invalid_argument with a precise message instead
-/// of failing deep inside the constructor. The old positional
-/// GridSystem(GridConfig, clusters, users) constructor stays available as
-/// the internal representation (benchmarks construct it directly).
+/// build() constructs the grid through the positional
+/// GridSystem(GridConfig, clusters, users) constructor, which validates
+/// every grid, however it is assembled (scenarios and benchmarks call it
+/// directly).
 class GridBuilder {
  public:
   GridBuilder& central(CentralServerConfig config) {
@@ -468,12 +467,10 @@ class GridBuilder {
     config_.partitions.push_back({index, from, until});
     return *this;
   }
-  /// Enable host-time profiling (DESIGN.md §12). Pass a ProfileConfig to
-  /// also write profile.json / Prometheus artifacts at the end of run(); the
-  /// no-argument form keeps everything in memory for GridSystem::profiler().
-  GridBuilder& profile(ProfileConfig config = {}) {
-    config_.profile = std::move(config);
-    config_.profile.enabled = true;
+  /// Enable host-time profiling (DESIGN.md §12); read it back through
+  /// GridSystem::profiler() after run().
+  GridBuilder& profile(bool on = true) {
+    config_.profile.enabled = on;
     return *this;
   }
   /// Serve the live monitoring endpoints (/metrics /healthz /progress
@@ -508,7 +505,7 @@ class GridBuilder {
     return *this;
   }
 
-  /// Validate and assemble. Throws std::invalid_argument on a bad grid.
+  /// Assemble. Throws std::invalid_argument on a bad grid.
   [[nodiscard]] std::unique_ptr<GridSystem> build();
 
  private:

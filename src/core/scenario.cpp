@@ -294,14 +294,10 @@ Scenario Scenario::parse(const ConfigFile& config) {
         "delete the section (every run uses the single event loop)");
   }
 
-  // [profile] — opt-in host-time profiling (DESIGN.md §12). `enabled`
-  // defaults to true when the section is present; artifact paths are
-  // optional (empty = keep the profile in memory only).
-  const ConfigSection* profile = config.section("profile");
-  if (profile != nullptr) {
-    out.grid.profile.enabled = profile->get_bool("enabled", true);
-    out.grid.profile.json_path = profile->get_string("json", "");
-    out.grid.profile.metrics_path = profile->get_string("metrics", "");
+  if (config.section("profile") != nullptr) {
+    throw std::invalid_argument(
+        "[profile] is no longer a scenario section; profile a run with "
+        "scenario_sim --profile[=path] or a sweep with faucets_sweep --profile");
   }
 
   // [live] — the live operations plane (DESIGN.md §15). `serve` defaults to

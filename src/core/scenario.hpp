@@ -57,11 +57,6 @@
 //
 //   [sweep]                  # optional: parameter grid (see src/sweep/spec.hpp)
 //
-//   [profile]                # optional: host-time profiling (§12)
-//   enabled = true           # default when the section is present
-//   json = profile.json      # summary artifact; omit = keep in memory
-//   metrics = profile.prom   # faucets_prof_* Prometheus text
-//
 //   [market]                 # optional: price-history retention (§5.2.1)
 //   history_capacity = 4096  # settled contracts the bounded deque keeps
 //   history_window = 86400   # how far back queries look, seconds

@@ -120,12 +120,6 @@ void CentralServer::on_message(const sim::Message& msg) {
     case sim::MessageKind::kSettled:
       handle_settled(sim::message_cast<proto::ContractSettled>(msg));
       break;
-    case sim::MessageKind::kPeerDirectoryRequest:
-      handle_peer_directory(sim::message_cast<proto::PeerDirectoryRequest>(msg));
-      break;
-    case sim::MessageKind::kPeerDirectoryReply:
-      handle_peer_reply(sim::message_cast<proto::PeerDirectoryReply>(msg));
-      break;
     default:
       break;
   }
@@ -153,74 +147,17 @@ void CentralServer::handle_login(const proto::LoginRequest& msg) {
 }
 
 void CentralServer::handle_directory(const proto::DirectoryRequest& msg) {
-  const auto user = sessions_.lookup(msg.session);
-  std::vector<proto::ServerInfo> local;
-  if (user) local = filter_servers(msg.contract, *user);
-
-  if (peers_.empty() || !user) {
-    auto reply = std::make_unique<proto::DirectoryReply>();
-    reply->request = msg.request;
-    reply->servers = std::move(local);
-    if (config_.price_band && *config_.price_band > 1.0) {
-      if (const auto normal = price_history_.average_unit_price(now())) {
-        reply->regulation = proto::PriceBand{*normal, *config_.price_band};
-      }
-    }
-    network_->send(*this, msg.from, std::move(reply));
-    return;
-  }
-
-  // Federated (§5.1): gather the peers' matching servers, then answer.
-  const RequestId id = federated_ids_.next();
-  FederatedQuery query;
-  query.client = msg.from;
-  query.client_request = msg.request;
-  query.servers = std::move(local);
-  query.outstanding = peers_.size();
-  query.timeout =
-      engine().schedule_after(1.0, [this, id] { finish_federated(id); });
-  federated_.emplace(id, std::move(query));
-  for (EntityId peer : peers_) {
-    auto fwd = std::make_unique<proto::PeerDirectoryRequest>();
-    fwd->request = id;
-    fwd->contract = msg.contract;
-    network_->send(*this, peer, std::move(fwd));
-  }
-}
-
-void CentralServer::handle_peer_directory(const proto::PeerDirectoryRequest& msg) {
-  auto reply = std::make_unique<proto::PeerDirectoryReply>();
-  reply->request = msg.request;
-  // No user context across regions: static + dynamic filtering only.
-  reply->servers = filter_servers(msg.contract, UserId{});
-  network_->send(*this, msg.from, std::move(reply));
-}
-
-void CentralServer::handle_peer_reply(const proto::PeerDirectoryReply& msg) {
-  auto it = federated_.find(msg.request);
-  if (it == federated_.end()) return;
-  FederatedQuery& query = it->second;
-  query.servers.insert(query.servers.end(), msg.servers.begin(),
-                       msg.servers.end());
-  if (query.outstanding > 0) --query.outstanding;
-  if (query.outstanding == 0) finish_federated(msg.request);
-}
-
-void CentralServer::finish_federated(RequestId id) {
-  auto it = federated_.find(id);
-  if (it == federated_.end()) return;
-  FederatedQuery& query = it->second;
-  query.timeout.cancel();
   auto reply = std::make_unique<proto::DirectoryReply>();
-  reply->request = query.client_request;
-  reply->servers = std::move(query.servers);
+  reply->request = msg.request;
+  if (const auto user = sessions_.lookup(msg.session)) {
+    reply->servers = filter_servers(msg.contract, *user);
+  }
   if (config_.price_band && *config_.price_band > 1.0) {
     if (const auto normal = price_history_.average_unit_price(now())) {
       reply->regulation = proto::PriceBand{*normal, *config_.price_band};
     }
   }
-  network_->send(*this, query.client, std::move(reply));
-  federated_.erase(it);
+  network_->send(*this, msg.from, std::move(reply));
 }
 
 void CentralServer::handle_register(const proto::RegisterDaemon& msg) {

@@ -67,12 +67,6 @@ class CentralServer final : public sim::Entity {
   /// Open a barter account for a cluster with an opening credit.
   void open_barter_account(ClusterId cluster, double credits);
 
-  /// Federate with another regional Central Server (§5.1): directory
-  /// queries from local clients also cover the peer's Compute Servers.
-  /// Symmetric federation requires both sides to add each other.
-  void add_peer(EntityId peer) { peers_.push_back(peer); }
-  [[nodiscard]] std::size_t peer_count() const noexcept { return peers_.size(); }
-
   // --- queries used by tests/benchmarks -----------------------------------
   [[nodiscard]] std::size_t directory_size() const noexcept { return directory_.size(); }
   [[nodiscard]] const market::PriceHistory& price_history() const noexcept {
@@ -112,19 +106,8 @@ class CentralServer final : public sim::Entity {
     bool alive = true;
   };
 
-  struct FederatedQuery {
-    EntityId client;
-    RequestId client_request;
-    std::vector<proto::ServerInfo> servers;
-    std::size_t outstanding = 0;
-    sim::EventHandle timeout;
-  };
-
   void handle_login(const proto::LoginRequest& msg);
   void handle_directory(const proto::DirectoryRequest& msg);
-  void handle_peer_directory(const proto::PeerDirectoryRequest& msg);
-  void handle_peer_reply(const proto::PeerDirectoryReply& msg);
-  void finish_federated(RequestId id);
   void handle_register(const proto::RegisterDaemon& msg);
   void handle_poll_reply(const proto::PollReply& msg);
   void handle_auth_verify(const proto::AuthVerifyRequest& msg);
@@ -152,9 +135,6 @@ class CentralServer final : public sim::Entity {
   store::StateStore* store_ = nullptr;
   std::uint64_t snapshot_every_ = 0;  // settled contracts per snapshot; 0 = never
   std::uint64_t settled_since_snapshot_ = 0;
-  std::vector<EntityId> peers_;
-  IdGenerator<RequestId> federated_ids_;
-  std::unordered_map<RequestId, FederatedQuery> federated_;
 };
 
 }  // namespace faucets

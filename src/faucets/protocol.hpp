@@ -256,31 +256,6 @@ struct SubmitJobReply final : sim::Message {
   [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
 };
 
-// ---------------------------------------------------------------- FS <-> FS
-
-/// Federation (§5.1 future work: "the broadcast itself will be handled by
-/// a distributed Faucets system"). A regional Central Server answers its
-/// own clients from its own directory plus what its peer regions report.
-/// Peers filter on static/dynamic properties only; user-specific rules
-/// (home cluster, barter credits) apply in the user's home region.
-struct PeerDirectoryRequest final : sim::Message {
-  RequestId request;
-  qos::QosContract contract;
-  static constexpr sim::MessageKind kKind = sim::MessageKind::kPeerDirectoryRequest;
-  [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
-  [[nodiscard]] std::size_t size_bytes() const noexcept override { return 1024; }
-};
-
-struct PeerDirectoryReply final : sim::Message {
-  RequestId request;
-  std::vector<ServerInfo> servers;
-  static constexpr sim::MessageKind kKind = sim::MessageKind::kPeerDirectoryReply;
-  [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
-  [[nodiscard]] std::size_t size_bytes() const noexcept override {
-    return 128 + servers.size() * 96;
-  }
-};
-
 // ---------------------------------------------------------------- FD <-> FS
 
 struct RegisterDaemon final : sim::Message {

@@ -56,19 +56,6 @@ std::string json_id(Id<Tag> id) {
 
 // ----------------------------------------------------------------- JSONL
 
-namespace {
-
-template <typename TraceLike>
-void write_trace_jsonl_impl(std::ostream& os, const TraceLike& trace) {
-  if (trace.dropped() > 0) {
-    os << "{\"meta\":\"trace\",\"dropped\":" << trace.dropped()
-       << ",\"total_recorded\":" << trace.total_recorded() << "}\n";
-  }
-  trace.for_each([&](const TraceEvent& ev) { write_trace_event_jsonl(os, ev); });
-}
-
-}  // namespace
-
 void write_trace_event_jsonl(std::ostream& os, const TraceEvent& ev) {
   os << "{\"t\":" << json_number(ev.time) << ",\"entity\":"
      << json_id(ev.entity) << ",\"kind\":\"" << to_string(ev.kind) << '"';
@@ -103,12 +90,12 @@ void write_trace_event_jsonl(std::ostream& os, const TraceEvent& ev) {
   os << "}\n";
 }
 
-void write_trace_jsonl(std::ostream& os, const TraceBuffer& trace) {
-  write_trace_jsonl_impl(os, trace);
-}
-
 void write_trace_jsonl(std::ostream& os, const TraceView& trace) {
-  write_trace_jsonl_impl(os, trace);
+  if (trace.dropped() > 0) {
+    os << "{\"meta\":\"trace\",\"dropped\":" << trace.dropped()
+       << ",\"total_recorded\":" << trace.total_recorded() << "}\n";
+  }
+  trace.for_each([&](const TraceEvent& ev) { write_trace_event_jsonl(os, ev); });
 }
 
 // ------------------------------------------------------------- Prometheus
@@ -129,10 +116,8 @@ void split_labels(const std::string& name, std::string& base, std::string& label
 
 }  // namespace
 
-namespace {
-
-void write_prometheus_impl(std::ostream& os, const MetricsRegistry& metrics,
-                           std::uint64_t trace_dropped) {
+void write_prometheus(std::ostream& os, const MetricsRegistry& metrics,
+                      const TraceView* trace) {
   std::unordered_set<std::string> typed;  // base names already announced
   metrics.for_each([&](const MetricsRegistry::Entry& e) {
     std::string base;
@@ -175,10 +160,8 @@ void write_prometheus_impl(std::ostream& os, const MetricsRegistry& metrics,
       }
     }
   });
-  write_prometheus_trace_dropped(os, trace_dropped);
+  write_prometheus_trace_dropped(os, trace != nullptr ? trace->dropped() : 0);
 }
-
-}  // namespace
 
 void write_prometheus_trace_dropped(std::ostream& os, std::uint64_t dropped) {
   if (dropped == 0) return;
@@ -186,16 +169,6 @@ void write_prometheus_trace_dropped(std::ostream& os, std::uint64_t dropped) {
         "bounded ring; the exported window is truncated\n"
      << "# TYPE faucets_trace_dropped_total counter\n"
      << "faucets_trace_dropped_total " << dropped << '\n';
-}
-
-void write_prometheus(std::ostream& os, const MetricsRegistry& metrics,
-                      const TraceBuffer* trace) {
-  write_prometheus_impl(os, metrics, trace != nullptr ? trace->dropped() : 0);
-}
-
-void write_prometheus(std::ostream& os, const MetricsRegistry& metrics,
-                      const TraceView* trace) {
-  write_prometheus_impl(os, metrics, trace != nullptr ? trace->dropped() : 0);
 }
 
 // ----------------------------------------------------------- Chrome trace
@@ -272,12 +245,9 @@ std::string cluster_display_name(const ChromeTraceOptions& options, ClusterId id
 
 }  // namespace
 
-namespace {
-
-template <typename TraceLike>
-void write_chrome_trace_impl(std::ostream& os, const SpanTracker& spans,
-                             const TraceLike& trace,
-                             const ChromeTraceOptions& options) {
+void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
+                        const TraceView& trace,
+                        const ChromeTraceOptions& options) {
   ChromeWriter w{os};
   w.open(trace.dropped());
 
@@ -367,20 +337,6 @@ void write_chrome_trace_impl(std::ostream& os, const SpanTracker& spans,
   });
 
   w.close();
-}
-
-}  // namespace
-
-void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
-                        const TraceBuffer& trace,
-                        const ChromeTraceOptions& options) {
-  write_chrome_trace_impl(os, spans, trace, options);
-}
-
-void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
-                        const TraceView& trace,
-                        const ChromeTraceOptions& options) {
-  write_chrome_trace_impl(os, spans, trace, options);
 }
 
 }  // namespace faucets::obs

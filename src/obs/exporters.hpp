@@ -5,6 +5,9 @@
 //  - write_chrome_trace: Chrome trace-event JSON (open in Perfetto or
 //    chrome://tracing). One process track per cluster with a thread per job,
 //    plus a "market" process whose threads are client submissions.
+//
+// Each writer exists once. Trace input is always a TraceView, the
+// time-ordered copy of the ring that GridSystem::merged_trace() returns.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +20,6 @@
 
 namespace faucets::obs {
 
-class TraceBuffer;
 class TraceView;
 class MetricsRegistry;
 class SpanTracker;
@@ -38,17 +40,13 @@ void write_trace_event_jsonl(std::ostream& os, const TraceEvent& ev);
 /// One JSON object per line per trace event. When the bounded ring dropped
 /// events, the first line is a meta object ({"meta":"trace","dropped":N,...})
 /// so consumers know the window is truncated instead of silently partial.
-void write_trace_jsonl(std::ostream& os, const TraceBuffer& trace);
-/// Same format over a time-ordered TraceView.
 void write_trace_jsonl(std::ostream& os, const TraceView& trace);
 
 /// Prometheus text exposition of the metrics snapshot. When `trace` is given
 /// and its ring dropped events, a synthetic faucets_trace_dropped_total
 /// counter is appended so scrapes surface the data loss.
 void write_prometheus(std::ostream& os, const MetricsRegistry& metrics,
-                      const TraceBuffer* trace = nullptr);
-void write_prometheus(std::ostream& os, const MetricsRegistry& metrics,
-                      const TraceView* trace);
+                      const TraceView* trace = nullptr);
 /// The synthetic faucets_trace_dropped_total counter write_prometheus
 /// appends; writes nothing when `dropped` is 0.
 void write_prometheus_trace_dropped(std::ostream& os, std::uint64_t dropped);
@@ -61,9 +59,6 @@ struct ChromeTraceOptions {
   double us_per_sim_second = 1e6;
 };
 
-void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
-                        const TraceBuffer& trace,
-                        const ChromeTraceOptions& options = {});
 void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
                         const TraceView& trace,
                         const ChromeTraceOptions& options = {});

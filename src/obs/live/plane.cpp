@@ -136,10 +136,6 @@ void LivePlane::capture() {
     snap.recent_n = n;
     snap.trace_dropped = b.trace->dropped();
   }
-  if (b.profiler != nullptr) {
-    snap.has_phases = true;
-    snap.phases = b.profiler->phases();
-  }
 }
 
 void LivePlane::begin_pause() noexcept {
@@ -260,7 +256,7 @@ std::string LivePlane::render_progress_locked() const {
                       static_cast<double>(p.completed));
   }
   std::ostringstream os;
-  os << "{\"schema\":\"faucets.live.progress.v2\""
+  os << "{\"schema\":\"faucets.live.progress.v3\""
      << ",\"run_active\":" << (p.run_active ? "true" : "false")
      << ",\"finished\":" << (p.finished ? "true" : "false")
      << ",\"publishes\":" << p.publish_seq
@@ -278,21 +274,7 @@ std::string LivePlane::render_progress_locked() const {
      << ",\"events_per_second\":" << json_number(ev_rate)
      << ",\"sim_seconds_per_second\":"
      << json_number(elapsed > 0.0 ? p.sim_time / elapsed : 0.0)
-     << "},\"eta_seconds\":" << eta;
-  // Fraction of the profiled wall clock spent in each exclusive phase.
-  if (snapshot_.has_phases) {
-    const Profiler::Phases& ph = snapshot_.phases;
-    os << ",\"phases\":{";
-    for (std::size_t i = 0; i < kProfPhaseCount; ++i) {
-      if (i > 0) os << ',';
-      const double frac =
-          ph.wall_seconds > 0.0 ? ph.seconds[i] / ph.wall_seconds : 0.0;
-      os << '"' << to_string(static_cast<ProfPhase>(i))
-         << "\":" << json_number(frac);
-    }
-    os << '}';
-  }
-  os << "}\n";
+     << "},\"eta_seconds\":" << eta << "}\n";
   return os.str();
 }
 

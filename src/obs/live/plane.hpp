@@ -71,9 +71,6 @@ class LivePlane {
     /// Sink for kAlert records (the simulation's ring). May be null
     /// (alerts then only reach /healthz and /metrics).
     TraceBuffer* alert_sink = nullptr;
-    /// Host-time profiler when enabled; phase fractions for /progress come
-    /// from here. May be null.
-    const Profiler* profiler = nullptr;
     MonitorProbes monitors{};
     /// Grid-wide job counters.
     std::function<void(std::uint64_t& submitted, std::uint64_t& completed,
@@ -129,9 +126,6 @@ class LivePlane {
     std::vector<TraceEvent> recent;
     std::size_t recent_n = 0;
     std::uint64_t trace_dropped = 0;
-    // Host-time phases, when profiled.
-    bool has_phases = false;
-    Profiler::Phases phases;
   };
 
   struct Progress {

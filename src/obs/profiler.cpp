@@ -69,14 +69,6 @@ const char* to_string(ProfClass c) noexcept {
   return "other";
 }
 
-const char* to_string(ProfPhase p) noexcept {
-  switch (p) {
-    case ProfPhase::kExecute: return "execute";
-    case ProfPhase::kIdle: return "idle";
-  }
-  return "unknown";
-}
-
 Profiler::Profiler() : kind_names_(ProfilerLane::kKindSlots) {
   // Force calibration now so the first hot-path conversion and the A/B bench
   // arms never observe the spin.
@@ -93,46 +85,21 @@ void Profiler::end_run() noexcept {
   wall_ticks_ += sat_sub(HostClock::ticks(), run_start_);
 }
 
-Profiler::Phases Profiler::phases() const noexcept {
-  Phases out;
-  const double scale = HostClock::ns_per_tick() * 1e-9;
-  const double execute = static_cast<double>(lane_.execute_) * scale;
-  out.wall_seconds = static_cast<double>(wall_ticks_) * scale;
-  // Idle is the explicit remainder, so the phases sum to the wall clock
-  // exactly (clamped at zero against sub-microsecond clock skew).
-  out.seconds[static_cast<std::size_t>(ProfPhase::kExecute)] = execute;
-  out.seconds[static_cast<std::size_t>(ProfPhase::kIdle)] =
-      std::max(0.0, out.wall_seconds - execute);
-  return out;
-}
-
 double Profiler::wall_seconds() const noexcept {
   return static_cast<double>(wall_ticks_) * HostClock::ns_per_tick() * 1e-9;
 }
 
-void Profiler::finalize() {
-  metrics_ = MetricsRegistry{};
+MetricsRegistry Profiler::metrics() const {
+  MetricsRegistry out;
   const double scale = HostClock::ns_per_tick() * 1e-9;
 
-  metrics_.gauge("faucets_prof_wall_seconds", "Profiled run wall clock")
+  out.gauge("faucets_prof_wall_seconds", "Profiled run wall clock")
       .set(wall_seconds());
-  metrics_
-      .gauge("faucets_prof_calibration_ns_per_tick",
-             "Host clock calibration (nanoseconds per tick)")
+  out.gauge("faucets_prof_calibration_ns_per_tick",
+            "Host clock calibration (nanoseconds per tick)")
       .set(HostClock::ns_per_tick());
-  metrics_
-      .counter("faucets_prof_events_total",
-               "Events dispatched under the profiler")
+  out.counter("faucets_prof_events_total", "Events dispatched under the profiler")
       .inc(events_total());
-
-  const Phases run = phases();
-  for (std::size_t p = 0; p < kProfPhaseCount; ++p) {
-    metrics_
-        .gauge(std::string("faucets_prof_phase_seconds{phase=\"") +
-                   to_string(static_cast<ProfPhase>(p)) + "\"}",
-               "Exclusive wall-clock phase of the run")
-        .set(run.seconds[p]);
-  }
 
   // Per-event self time by message kind and by entity class: fold the POD
   // tick buckets into MetricsRegistry histograms whose bounds are the
@@ -143,8 +110,8 @@ void Profiler::finalize() {
   }
   const auto fold = [&](const std::string& name, const ProfStats& stats) {
     if (stats.count == 0) return;
-    Histogram& h = metrics_.histogram(
-        name, bounds, "Per-event self time (host seconds)");
+    Histogram& h =
+        out.histogram(name, bounds, "Per-event self time (host seconds)");
     h.fold_prebinned(stats.buckets.data(), stats.buckets.size(),
                      static_cast<double>(stats.total) * scale,
                      static_cast<double>(stats.min_or_zero()) * scale,
@@ -161,6 +128,7 @@ void Profiler::finalize() {
              std::string(to_string(static_cast<ProfClass>(c))) + "\"}",
          lane_.by_class_[c]);
   }
+  return out;
 }
 
 void Profiler::write_json(std::ostream& os) const {
@@ -168,19 +136,12 @@ void Profiler::write_json(std::ostream& os) const {
   const double us = HostClock::ns_per_tick() * 1e-3;
 
   os << "{\n";
-  os << "  \"schema\": 2,\n";
+  os << "  \"schema\": 3,\n";
   os << "  \"clock\": {\"source\": \"" << HostClock::source()
      << "\", \"ns_per_tick\": " << json_number(HostClock::ns_per_tick())
      << "},\n";
   os << "  \"wall_seconds\": " << json_number(wall_seconds()) << ",\n";
   os << "  \"events_total\": " << events_total() << ",\n";
-  const Phases run = phases();
-  os << "  \"phases\": {";
-  for (std::size_t p = 0; p < kProfPhaseCount; ++p) {
-    os << (p == 0 ? "" : ", ") << "\"" << to_string(static_cast<ProfPhase>(p))
-       << "\": " << json_number(run.seconds[p]);
-  }
-  os << "},\n";
 
   const auto stats_json = [&](std::ostream& o, const char* key,
                               const std::string& name,
@@ -223,17 +184,10 @@ void Profiler::write_json(std::ostream& os) const {
   os << "}\n";
 }
 
-void Profiler::write_prometheus(std::ostream& os) const {
-  obs::write_prometheus(os, metrics_);
-}
-
 void Profiler::append_sweep_metrics(
     std::vector<std::pair<std::string, double>>& metrics) const {
-  const Phases run = phases();
-  const double wall = run.wall_seconds;
+  const double wall = wall_seconds();
   metrics.emplace_back("prof_wall_ms", wall * 1e3);
-  metrics.emplace_back("prof_execute_ms", run.of(ProfPhase::kExecute) * 1e3);
-  metrics.emplace_back("prof_idle_ms", run.of(ProfPhase::kIdle) * 1e3);
   metrics.emplace_back("prof_events", static_cast<double>(events_total()));
   metrics.emplace_back(
       "prof_events_per_sec",

@@ -4,9 +4,8 @@
 // discipline the grid applies to simulated time (telemetry, spans, traces),
 // pointed at the machine underneath. A Profiler owns one ProfilerLane: the
 // engine wraps each event dispatch in one timestamp pair, the network tags
-// the in-flight event with (MessageKind, entity class), and the run loop
-// splits the run's wall clock into two exclusive phases, execute (the event
-// loop) and idle (everything else between begin_run and end_run).
+// the in-flight event with (MessageKind, entity class), and begin_run /
+// end_run bracket the run's wall clock.
 //
 // Everything on the hot path writes into fixed preallocated POD arrays —
 // zero allocations after construction (tests/obs/profiler_alloc_test.cpp
@@ -111,16 +110,6 @@ enum class ProfClass : std::uint8_t {
 inline constexpr std::size_t kProfClassCount = 6;
 [[nodiscard]] const char* to_string(ProfClass c) noexcept;
 
-/// Exclusive wall-clock phases of a run. Every tick between begin_run and
-/// end_run lands in exactly one phase (idle is the explicit remainder), so
-/// the two sum to the run's wall clock.
-enum class ProfPhase : std::uint8_t {
-  kExecute = 0,  // inside the event loop: handlers plus the loop's dispatch
-  kIdle,         // inside begin_run/end_run but outside the event loop
-};
-inline constexpr std::size_t kProfPhaseCount = 2;
-[[nodiscard]] const char* to_string(ProfPhase p) noexcept;
-
 /// Hot-path recorder. The engine drives begin_event/end_event around every
 /// dispatched handler; the network tags the event in between. All fields
 /// are plain PODs sized at construction — record paths never allocate.
@@ -145,9 +134,6 @@ class ProfilerLane {
     ++events_;
   }
 
-  /// The run loop is one execute span; it adds its duration here.
-  void add_execute(std::uint64_t ticks) noexcept { execute_ += ticks; }
-
   [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
   [[nodiscard]] const ProfStats& by_kind(std::size_t slot) const noexcept {
     return by_kind_[slot];
@@ -165,12 +151,11 @@ class ProfilerLane {
   std::uint64_t start_ = 0;
   std::size_t kind_ = 0;
   std::size_t cls_ = 0;
-  std::uint64_t execute_ = 0;  // ticks
 };
 
-/// The profiler: the lane plus run bracketing, finalized into its OWN
-/// MetricsRegistry (faucets_prof_* — never the simulation's registry) and
-/// exported as profile.json and Prometheus text.
+/// The profiler: the lane plus run bracketing. It records only; callers
+/// export after the run, through write_json (profile.json) and metrics(),
+/// its OWN faucets_prof_* registry (never the simulation's).
 class Profiler {
  public:
   Profiler();
@@ -186,31 +171,17 @@ class Profiler {
   void begin_run() noexcept;
   void end_run() noexcept;
 
-  /// Exclusive phase decomposition in seconds; phases sum to wall.
-  struct Phases {
-    std::array<double, kProfPhaseCount> seconds{};
-    double wall_seconds = 0.0;
-    [[nodiscard]] double of(ProfPhase p) const noexcept {
-      return seconds[static_cast<std::size_t>(p)];
-    }
-  };
-  [[nodiscard]] Phases phases() const noexcept;
-
   [[nodiscard]] double wall_seconds() const noexcept;
   [[nodiscard]] std::uint64_t events_total() const noexcept { return lane_.events_; }
 
-  /// Publish everything into the profiler's own registry (idempotent: each
-  /// call rebuilds it from the raw accumulators). Deliberately not part of
-  /// the run path — building the named instruments costs more than the
-  /// whole hot path on a short run — so GridSystem calls it at
-  /// artifact-export time; metrics() is empty until the first finalize().
-  void finalize();
-  [[nodiscard]] const MetricsRegistry& metrics() const noexcept { return metrics_; }
+  /// The faucets_prof_* registry, built from the raw accumulators on each
+  /// call. Building the named instruments costs more than the whole hot
+  /// path on a short run, so only exporters call it, after the run; export
+  /// it with obs::write_prometheus like any other registry.
+  [[nodiscard]] MetricsRegistry metrics() const;
 
-  /// profile.json summary (schema 2).
+  /// profile.json summary (schema 3).
   void write_json(std::ostream& os) const;
-  /// Prometheus text exposition of the faucets_prof_* registry.
-  void write_prometheus(std::ostream& os) const;
 
   /// Append per-run prof_* columns for faucets_sweep rows.
   void append_sweep_metrics(
@@ -221,7 +192,6 @@ class Profiler {
   std::vector<std::string> kind_names_;
   std::uint64_t run_start_ = 0;
   std::uint64_t wall_ticks_ = 0;
-  MetricsRegistry metrics_;
 };
 
 }  // namespace faucets::obs

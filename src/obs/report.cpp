@@ -184,7 +184,7 @@ void write_html_report(std::ostream& os, const Sampler& sampler,
                        const SpanAnalysis& analysis,
                        const std::vector<DeadlineRow>& users,
                        const std::vector<DeadlineRow>& clusters,
-                       const TraceBuffer* trace, const ReportOptions& options) {
+                       const TraceView* trace, const ReportOptions& options) {
   os << "<!doctype html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">\n"
      << "<title>" << html_escape(options.title) << "</title>\n"
      << "<style>" << kStyle << "</style></head>\n<body>\n"

@@ -18,7 +18,7 @@
 namespace faucets::obs {
 
 class Sampler;
-class TraceBuffer;
+class TraceView;
 
 /// One online monitor's outcome for the report's Alerts table (populated
 /// from the live plane's MonitorState rows; see DESIGN.md §15.3).
@@ -47,7 +47,7 @@ void write_html_report(std::ostream& os, const Sampler& sampler,
                        const SpanAnalysis& analysis,
                        const std::vector<DeadlineRow>& users,
                        const std::vector<DeadlineRow>& clusters,
-                       const TraceBuffer* trace = nullptr,
+                       const TraceView* trace = nullptr,
                        const ReportOptions& options = {});
 
 void write_phases_csv(std::ostream& os, const SpanAnalysis& analysis);

@@ -6,7 +6,9 @@
 namespace faucets::obs {
 
 std::vector<const Span*> SpanTracker::for_job(ClusterId cluster, JobId job) const {
-  if (job_index_.find(JobKey{cluster, job}) == job_index_.end()) return {};
+  // Unbound spans carry an invalid job, so without this guard an invalid
+  // query would match them.
+  if (!job.valid()) return {};
   // Children inherit their parent's identity at start_span() and bind_job()
   // back-fills ancestors, so one identity scan plus ancestor chains covers
   // the whole submission tree.

@@ -11,9 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/util/ids.hpp"
@@ -114,9 +112,10 @@ class SpanTracker {
     if (Span* s = find_mutable(id)) s->user = user;
   }
 
-  /// Attach a (cluster, job) identity to `id` and index it so for_job() can
-  /// find the whole submission tree. Also back-fills ancestors that do not
-  /// yet carry an identity, so client-side spans become queryable by JobId.
+  /// Attach a (cluster, job) identity to `id`, so for_job() can find the
+  /// whole submission tree. Also back-fills ancestors that do not yet carry
+  /// an identity, so client-side spans become queryable by JobId. This is
+  /// the only way a span gets a job identity, and `job` is always valid.
   void bind_job(SpanId id, ClusterId cluster, JobId job) {
     Span* s = find_mutable(id);
     if (s == nullptr) return;
@@ -127,7 +126,6 @@ class SpanTracker {
     }
     s->cluster = cluster;
     s->job = job;
-    job_index_[JobKey{cluster, job}].push_back(id);
   }
 
   [[nodiscard]] const Span* find(SpanId id) const {
@@ -148,7 +146,8 @@ class SpanTracker {
 
   /// Spans bound to (cluster, job) plus every ancestor of those spans,
   /// deduplicated and ordered by start time (ties: by id). This is the full
-  /// causal history of one placement, root first.
+  /// causal history of one placement, root first. Empty for an invalid
+  /// `job`: no span is ever bound to one.
   [[nodiscard]] std::vector<const Span*> for_job(ClusterId cluster, JobId job) const;
 
   /// Walk parent links from `leaf` to the root; returns root-first.
@@ -163,18 +162,6 @@ class SpanTracker {
   }
 
  private:
-  struct JobKey {
-    ClusterId cluster;
-    JobId job;
-    bool operator==(const JobKey&) const = default;
-  };
-  struct JobKeyHash {
-    std::size_t operator()(const JobKey& k) const noexcept {
-      return std::hash<std::uint64_t>{}(k.cluster.value() * 1000003ULL ^
-                                        k.job.value());
-    }
-  };
-
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
   /// Dense index of `id` in the store, kNpos when the id is invalid or out
@@ -208,7 +195,6 @@ class SpanTracker {
   }
 
   std::vector<Span> spans_;
-  std::unordered_map<JobKey, std::vector<SpanId>, JobKeyHash> job_index_;
   std::uint64_t open_submissions_ = 0;
 };
 

@@ -38,6 +38,8 @@ enum class MessageKind : std::uint8_t {
   kJobDone,
   kSubmit,
   kSubmitAck,
+  // Reserved and never sent (directory queries between Central Servers).
+  // They keep their slots for the same reason as kPeerRfb below.
   kPeerDirectoryRequest,
   kPeerDirectoryReply,
   kRegisterDaemon,

@@ -24,7 +24,7 @@ struct SweepOptions {
   /// Optional streaming sink; lines arrive in completion order.
   JsonlSink* sink = nullptr;
   /// Run every grid point under the host-time profiler and append per-run
-  /// prof_* columns (wall/phase milliseconds, events) to each
+  /// prof_* columns (wall milliseconds, events, events per second) to each
   /// result. Off by default: the columns are host-time measurements, so
   /// unlike every other sweep column they are NOT byte-stable across
   /// machines or thread counts.

@@ -37,38 +37,39 @@ job::JobRequest simple_request(double t, double work = 6400.0,
 }
 
 TEST(GridSystem, RequiresClustersAndUsers) {
+  // The positional constructor is the path scenarios, sweeps and benchmarks
+  // take, so it validates every grid itself.
   GridConfig config;
+  // No clusters / no users.
   EXPECT_THROW(GridSystem(config, {}, 1), std::invalid_argument);
   EXPECT_THROW(GridSystem(config, {make_cluster("a", 64)}, 0),
                std::invalid_argument);
-}
-
-TEST(GridBuilder, ValidatesBeforeConstruction) {
-  // No clusters / no users.
-  EXPECT_THROW((void)GridBuilder().build(), std::invalid_argument);
-  EXPECT_THROW((void)GridBuilder().cluster(make_cluster("a", 64)).users(0).build(),
-               std::invalid_argument);
   // Zero-processor machine.
-  EXPECT_THROW((void)GridBuilder().cluster(make_cluster("empty", 0)).build(),
+  EXPECT_THROW(GridSystem(config, {make_cluster("empty", 0)}, 1),
                std::invalid_argument);
   // Missing factories.
   ClusterSetup no_strategy = make_cluster("b", 64);
   no_strategy.strategy = nullptr;
-  EXPECT_THROW((void)GridBuilder().cluster(std::move(no_strategy)).build(),
-               std::invalid_argument);
+  EXPECT_THROW(GridSystem(config, {no_strategy}, 1), std::invalid_argument);
   ClusterSetup no_bidgen = make_cluster("c", 64);
   no_bidgen.bid_generator = nullptr;
-  EXPECT_THROW((void)GridBuilder().cluster(std::move(no_bidgen)).build(),
-               std::invalid_argument);
+  EXPECT_THROW(GridSystem(config, {no_bidgen}, 1), std::invalid_argument);
   // Fault plan naming clusters that do not exist.
+  GridConfig crash = config;
+  crash.crashes.push_back({3, 100.0, std::nullopt, false});
+  EXPECT_THROW(GridSystem(crash, {make_cluster("d", 64)}, 1),
+               std::invalid_argument);
+  GridConfig partition = config;
+  partition.partitions.push_back({2, 0.0, 10.0});
+  EXPECT_THROW(GridSystem(partition, {make_cluster("e", 64)}, 1),
+               std::invalid_argument);
+}
+
+TEST(GridBuilder, ValidatesBeforeConstruction) {
+  // build() constructs through the validating constructor.
   EXPECT_THROW((void)GridBuilder()
                    .cluster(make_cluster("d", 64))
                    .crash(3, 100.0)
-                   .build(),
-               std::invalid_argument);
-  EXPECT_THROW((void)GridBuilder()
-                   .cluster(make_cluster("e", 64))
-                   .partition(2, 0.0, 10.0)
                    .build(),
                std::invalid_argument);
 }

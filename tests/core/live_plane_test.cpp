@@ -135,7 +135,7 @@ TEST(LivePlaneGrid, EndpointsServeDuringARealRun) {
   grid->set_pause_hook(50.0, [&] {
     const auto progress = grid->live()->handle("/progress");
     EXPECT_EQ(progress.status, 200);
-    EXPECT_NE(progress.body.find("\"schema\":\"faucets.live.progress.v2\""),
+    EXPECT_NE(progress.body.find("\"schema\":\"faucets.live.progress.v3\""),
               std::string::npos);
     EXPECT_NE(progress.body.find("\"run_active\":true"), std::string::npos);
     EXPECT_EQ(grid->live()->handle("/healthz").status, 200);

@@ -42,6 +42,15 @@ TEST(Scenario, UnknownNamesRejectedWithHints) {
   // The removed sharded executor's section is rejected, not ignored.
   EXPECT_THROW(Scenario::parse_string("[cluster]\n[shards]\ncount = 2\n"),
                std::invalid_argument);
+  // So is the removed [profile] section, and the error names the flags
+  // that replaced it.
+  try {
+    (void)Scenario::parse_string("[cluster]\n[profile]\njson = p.json\n");
+    ADD_FAILURE() << "[profile] was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--profile"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Scenario, FactoriesProduceNamedObjects) {

@@ -204,9 +204,10 @@ TEST(Telemetry, HtmlReportRendersFromALiveGrid) {
   grid.run(workload(12), 1e6);
 
   const GridTelemetry tel = grid.telemetry();
+  const obs::TraceView trace = grid.merged_trace();
   std::ostringstream os;
   obs::write_html_report(os, grid.obs().sampler(), tel.analysis, tel.users,
-                         tel.clusters, &grid.obs().trace());
+                         tel.clusters, &trace);
   const std::string html = os.str();
   EXPECT_EQ(html.rfind("<!doctype html>", 0), 0u);
   EXPECT_NE(html.find("</html>"), std::string::npos);

@@ -54,7 +54,7 @@ TEST(Jsonl, OneObjectPerEventWithPayloadFields) {
                           UserId{}, RequestId{8}));
 
   std::ostringstream out;
-  write_trace_jsonl(out, trace);
+  write_trace_jsonl(out, TraceView(trace));
   const auto lines = lines_of(out.str());
   ASSERT_EQ(lines.size(), 4u);
   for (const auto& line : lines) {
@@ -136,7 +136,7 @@ TEST(ChromeTrace, TracksSlicesAndInstants) {
   ChromeTraceOptions options;
   options.cluster_names = {"turing", "hopper"};  // hopper stays idle
   std::ostringstream out;
-  write_chrome_trace(out, spans, trace, options);
+  write_chrome_trace(out, spans, TraceView(trace), options);
   const std::string text = out.str();
 
   EXPECT_NE(text.find("\"traceEvents\":["), std::string::npos);
@@ -170,7 +170,7 @@ TEST(ChromeTrace, OpenSpansClampToHorizon) {
                             RequestId{0}, BidId{}, 3.0));
 
   std::ostringstream out;
-  write_chrome_trace(out, spans, trace, {});
+  write_chrome_trace(out, spans, TraceView(trace), {});
   // Horizon is 11 s, span starts at 1 s -> clamped duration 10 s.
   EXPECT_NE(out.str().find("\"dur\":10000000"), std::string::npos);
 }
@@ -184,7 +184,7 @@ TEST(Jsonl, DroppedEventsAnnotateWithMetaLine) {
                               1.0));
   }
   std::ostringstream out;
-  write_trace_jsonl(out, trace);
+  write_trace_jsonl(out, TraceView(trace));
   const auto lines = lines_of(out.str());
   ASSERT_EQ(lines.size(), 1u + trace.size())
       << "one meta line plus one line per surviving event";
@@ -198,7 +198,7 @@ TEST(Jsonl, NoMetaLineWithoutDrops) {
   trace.record(market_event(1.0, EntityId{1}, TraceEventKind::kBidIssued,
                             RequestId{0}, BidId{0}, 1.0));
   std::ostringstream out;
-  write_trace_jsonl(out, trace);
+  write_trace_jsonl(out, TraceView(trace));
   EXPECT_EQ(out.str().find("\"meta\""), std::string::npos)
       << "lossless exports stay backwards-compatible, no meta line";
 }
@@ -213,15 +213,16 @@ TEST(Prometheus, DroppedEventsExportACounter) {
                               RequestId{static_cast<std::uint64_t>(i)}, BidId{0},
                               1.0));
   }
+  const TraceView view(trace);
   std::ostringstream out;
-  write_prometheus(out, reg, &trace);
+  write_prometheus(out, reg, &view);
   const std::string text = out.str();
   EXPECT_NE(text.find("# TYPE faucets_trace_dropped_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("faucets_trace_dropped_total 5"), std::string::npos);
 
   // Without drops (or without a trace at all) the metric is absent.
-  TraceBuffer quiet{16};
+  const TraceView quiet(TraceBuffer{16});
   std::ostringstream out2;
   write_prometheus(out2, reg, &quiet);
   EXPECT_EQ(out2.str().find("faucets_trace_dropped_total"), std::string::npos);
@@ -240,7 +241,7 @@ TEST(ChromeTrace, DroppedEventsAnnotateOtherData) {
                               1.0));
   }
   std::ostringstream out;
-  write_chrome_trace(out, spans, trace, {});
+  write_chrome_trace(out, spans, TraceView(trace), {});
   EXPECT_NE(out.str().find("\"otherData\":{\"trace_dropped\":3}"),
             std::string::npos);
 }
@@ -249,7 +250,7 @@ TEST(ChromeTrace, EmptyInputsProduceValidSkeleton) {
   SpanTracker spans;
   TraceBuffer trace{1};
   std::ostringstream out;
-  write_chrome_trace(out, spans, trace, {});
+  write_chrome_trace(out, spans, TraceView(trace), {});
   const std::string text = out.str();
   EXPECT_NE(text.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(text.find("\"name\":\"market\""), std::string::npos);

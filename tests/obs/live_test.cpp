@@ -435,7 +435,7 @@ TEST(LivePlane, ProgressEndpointTracksJobs) {
   fx.plane->publish(42.0, false);
   const HttpResponse res = fx.plane->handle("/progress");
   EXPECT_EQ(res.status, 200);
-  EXPECT_NE(res.body.find("\"schema\":\"faucets.live.progress.v2\""),
+  EXPECT_NE(res.body.find("\"schema\":\"faucets.live.progress.v3\""),
             std::string::npos);
   EXPECT_NE(res.body.find("\"sim_time\":42"), std::string::npos) << res.body;
   EXPECT_NE(res.body.find("\"events_executed\":1000"), std::string::npos);

@@ -30,18 +30,15 @@ TEST(ProfilerAlloc, EventRecordPathIsAllocationFree) {
   EXPECT_EQ(lane.events(), 10'000u);
 }
 
-TEST(ProfilerAlloc, LanePhaseReadsDoNotAllocate) {
+TEST(ProfilerAlloc, RunBracketAndTotalsDoNotAllocate) {
   Profiler prof;
   const auto before_run = allocations();
   prof.begin_run();
-  prof.lane().add_execute(100);
   prof.end_run();
   EXPECT_EQ(allocations(), before_run) << "run bracketing must never allocate";
   const auto before = allocations();
-  double sum = 0.0;
-  const auto phases = prof.phases();
-  for (std::size_t p = 0; p < kProfPhaseCount; ++p) sum += phases.seconds[p];
-  sum += prof.wall_seconds() + static_cast<double>(prof.events_total());
+  const double sum =
+      prof.wall_seconds() + static_cast<double>(prof.events_total());
   EXPECT_EQ(allocations(), before);
   EXPECT_GE(sum, 0.0);
 }

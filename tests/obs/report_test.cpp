@@ -95,8 +95,9 @@ TEST(HtmlReport, DroppedEventsRaiseBanner) {
                            TraceEventKind::kJobStarted, ClusterId{0},
                            JobId{static_cast<std::uint64_t>(i)}, UserId{0}, 1));
   }
+  const TraceView view(trace);
   std::ostringstream os;
-  write_html_report(os, sampler, analysis, {}, {}, &trace);
+  write_html_report(os, sampler, analysis, {}, {}, &view);
   const std::string html = os.str();
   EXPECT_NE(html.find("class=\"warn\""), std::string::npos);
   EXPECT_NE(html.find("dropped 6 of 10"), std::string::npos);

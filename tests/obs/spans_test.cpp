@@ -85,6 +85,8 @@ TEST(Span, ForJobUnknownJobIsEmpty) {
   SpanTracker t;
   t.start_span(SpanKind::kSubmission, 0.0, EntityId{1});
   EXPECT_TRUE(t.for_job(ClusterId{9}, JobId{9}).empty());
+  // The unbound root carries the invalid identity; it is still no job's.
+  EXPECT_TRUE(t.for_job(ClusterId{}, JobId{}).empty());
 }
 
 TEST(Span, ChainOfWalksRootFirst) {
