@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Behaviour parity against another revision: build scenario_sim from REV and
 # from the working tree, run the parity scenarios (ci/parity_scenarios.sh:
-# demo, chaos, golden, direct, broadcast and deep) through both, and
+# demo, chaos, golden, direct, broadcast, deep and weather) through both, and
 # byte-compare every artifact (report JSON, trace JSONL, Prometheus text,
 # Chrome trace, phases CSV). Exits non-zero if any artifact differs.
 #

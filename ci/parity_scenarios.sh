@@ -22,6 +22,13 @@
 #              ci/replay_fixture.swf with replay_deep's [trace] settings,
 #              trace seed 1, cut to 3000 jobs: deep queues on payoff and
 #              backfill servers
+#   weather    8 direct servers cycling the market/futures/utilization/
+#              baseline bid generators, [grid] price_band = 3 and
+#              watchdog = 600, 5% loss and 0.5 s jitter, a 900 s / 48-record
+#              price history and 400 jobs at load 0.8: every market and
+#              futures bid and every directory reply reads the grid-weather
+#              average while settlements arrive out of time order and
+#              window and capacity evictions churn the history
 #
 # Usage: ci/parity_scenarios.sh SCENARIO_SIM OUT [check|write]
 #   check  verify the artifacts against ci/parity.sha256 (sha256sum -c)
@@ -40,7 +47,7 @@ mkdir -p "$2"
 OUT="$(cd "$2" && pwd)"
 MODE="${3:-}"
 DIGESTS="${ROOT}/ci/parity.sha256"
-SCENARIOS=(demo chaos golden direct broadcast deep)
+SCENARIOS=(demo chaos golden direct broadcast deep weather)
 
 IN="${OUT}/inputs"
 rm -rf "${IN}"
@@ -113,6 +120,20 @@ INI
   printf 'time_compression = 0.05\nuser_multiplier = 416\njitter = 3600\n'
   printf 'max_jobs = 3000\nmalleability = 0.5\ndeadline_fraction = 0.5\nseed = 1\n'
 } >"${IN}/deep.ini"
+{
+  bidgens=(market futures utilization baseline)
+  strategies=(payoff backfill equipartition fcfs priority)
+  procs=(64 128 256)
+  printf '[grid]\nusers = 16\nevaluator = least-cost\nbrokered = false\n'
+  printf 'price_band = 3\nwatchdog = 600\nseed = 19\n\n'
+  printf '[faults]\nloss = 0.05\njitter = 0.5\nseed = 19\n\n'
+  printf '[market]\nhistory_window = 900\nhistory_capacity = 48\n\n'
+  for i in $(seq 0 7); do
+    printf '[cluster]\nname = w%d\nprocs = %d\ncost = 0.000%d\nstrategy = %s\nbidgen = %s\n\n' \
+      "${i}" "${procs[i % 3]}" $((5 + i % 5)) "${strategies[i % 5]}" "${bidgens[i % 4]}"
+  done
+  printf '[workload]\njobs = 400\nload = 0.8\n'
+} >"${IN}/weather.ini"
 
 run() {  # run <scenario> [scenario_sim args...]
   local dir="${OUT}/$1"
@@ -130,6 +151,7 @@ run golden "${IN}/golden.ini"
 run direct "${IN}/direct.ini"
 run broadcast "${IN}/broadcast.ini" --until 6000
 run deep "${IN}/deep.ini"
+run weather "${IN}/weather.ini"
 
 cd "${OUT}"
 case "${MODE}" in

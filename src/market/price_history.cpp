@@ -1,6 +1,7 @@
 #include "src/market/price_history.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/store/codec.hpp"
 #include "src/store/ops.hpp"
@@ -36,9 +37,7 @@ void PriceHistory::record(ContractRecord record) {
     put_record(e, record);
     store_->append(store::op::kPriceRecord, e.bytes());
   }
-  records_.push_back(record);
-  while (records_.size() > capacity_) records_.pop_front();
-  evict(record.time);
+  push(record);
 }
 
 void PriceHistory::save(store::Encoder& out) const {
@@ -48,36 +47,54 @@ void PriceHistory::save(store::Encoder& out) const {
 
 void PriceHistory::load(store::Decoder& in) {
   records_.clear();
+  memo_.valid = false;
   const std::uint32_t n = in.get_u32();
   for (std::uint32_t i = 0; i < n; ++i) records_.push_back(get_record(in));
 }
 
 bool PriceHistory::apply_op(std::uint16_t type, store::Decoder& in) {
   if (type != store::op::kPriceRecord) return false;
-  const ContractRecord r = get_record(in);
-  records_.push_back(r);
-  while (records_.size() > capacity_) records_.pop_front();
-  evict(r.time);
+  push(get_record(in));
   return true;
 }
 
-void PriceHistory::evict(double now) {
-  while (!records_.empty() && records_.front().time < now - window_) {
+void PriceHistory::push(const ContractRecord& record) {
+  records_.push_back(record);
+  while (records_.size() > capacity_) records_.pop_front();
+  while (!records_.empty() && records_.front().time < record.time - window_) {
     records_.pop_front();
   }
+  memo_.valid = false;
 }
 
 std::optional<double> PriceHistory::average_unit_price(double now) const {
+  // With no mutation since the memo's scan at `at <= now`, a scan at `now`
+  // averages the same records: none averaged then has left the window
+  // (now - window_ <= lo) and none dated in (at, now] exists (now < hi).
+  // The same records in the same deque order give the same Welford
+  // sequence, so the memo is bit-equal to a fresh scan.
+  if (memo_.valid && now >= memo_.at && now - window_ <= memo_.lo &&
+      now < memo_.hi) {
+    return memo_.value;
+  }
   // Records after `now` are excluded, so a query about the past sees only
   // the contracts settled by then.
+  constexpr double kNone = std::numeric_limits<double>::infinity();
   OnlineStats stats;
+  double lo = kNone;
+  double hi = kNone;
   for (const auto& r : records_) {
-    if (r.time >= now - window_ && r.time <= now && r.work > 0.0) {
+    if (r.time > now) {
+      hi = std::min(hi, r.time);
+    } else if (r.time >= now - window_ && r.work > 0.0) {
       stats.add(r.unit_price());
+      lo = std::min(lo, r.time);
     }
   }
-  if (stats.empty()) return std::nullopt;
-  return stats.mean();
+  std::optional<double> value;
+  if (!stats.empty()) value = stats.mean();
+  memo_ = AverageMemo{true, now, lo, hi, value};
+  return value;
 }
 
 std::optional<double> PriceHistory::average_unit_price_for_size(double now,

@@ -30,6 +30,16 @@ struct ContractRecord {
   }
 };
 
+/// Records are kept in arrival order, which is not time order: under
+/// jitter a settlement can arrive after a later-dated one. Eviction goes by
+/// arrival order (capacity drops the earliest arrival; the window drops
+/// arrivals from the front while they are dated before the newest record's
+/// time minus the window), and every query filters on record time, so no
+/// result depends on the order.
+///
+/// Single-threaded: `average_unit_price` fills a memo through a const
+/// call, so one history is read and written by one thread only (one grid
+/// per thread; DESIGN.md §6.7).
 class PriceHistory {
  public:
   explicit PriceHistory(std::size_t capacity = 4096, double window = 24.0 * 3600.0)
@@ -38,7 +48,9 @@ class PriceHistory {
   void record(ContractRecord record);
 
   /// Mean unit price over contracts settled in the last `window` seconds
-  /// before `now`. nullopt when no history is available.
+  /// before `now`. nullopt when no history is available. Repeated queries
+  /// are answered from a memo while they would average the same records
+  /// (DESIGN.md §6.7), so the result is bit-equal to a fresh scan.
   [[nodiscard]] std::optional<double> average_unit_price(double now) const;
 
   /// Mean unit price restricted to jobs whose processor demand falls in
@@ -82,11 +94,23 @@ class PriceHistory {
   bool apply_op(std::uint16_t type, store::Decoder& in);
 
  private:
-  void evict(double now);
+  void push(const ContractRecord& record);
+
+  /// The last average_unit_price scan: its query time `at`, the earliest
+  /// time among the records it averaged (`lo`) and among the records dated
+  /// after `at` (`hi`). Any mutation clears `valid`.
+  struct AverageMemo {
+    bool valid = false;
+    double at = 0.0;
+    double lo = 0.0;
+    double hi = 0.0;
+    std::optional<double> value;
+  };
 
   std::size_t capacity_;
   double window_;
-  std::deque<ContractRecord> records_;  // time-ordered
+  std::deque<ContractRecord> records_;  // arrival order
+  mutable AverageMemo memo_;
   store::StateStore* store_ = nullptr;
 };
 
