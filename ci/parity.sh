@@ -3,7 +3,8 @@
 # from the working tree, run the parity scenarios (ci/parity_scenarios.sh:
 # demo, chaos, golden, direct, broadcast, deep and weather) through both, and
 # byte-compare every artifact (report JSON, trace JSONL, Prometheus text,
-# Chrome trace, phases CSV). Exits non-zero if any artifact differs.
+# Chrome trace, phases CSV, and the series CSV of every scenario but
+# broadcast: 41 in all). Exits non-zero if any artifact differs.
 #
 # REV is exported with `git archive` into build-parity/ (gitignored), so the
 # script leaves the repository's git metadata alone. It needs a second build,

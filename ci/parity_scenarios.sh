@@ -5,7 +5,9 @@
 # every artifact against the committed ci/parity.sha256.
 #
 # Each scenario writes report JSON, trace JSONL, Prometheus text, Chrome
-# trace and phases CSV into OUT/<scenario>/:
+# trace and phases CSV into OUT/<scenario>/. Every scenario but broadcast
+# also writes the sampled time series (series CSV, which turns sampling on
+# every 5 s); broadcast's 804 series would be a 17 MB file:
 #   demo       the built-in demo grid (brokered)
 #   chaos      ci/run.sh's chaos.ini with --loss 0.1 --crash-at 0:2000:6000
 #              --until 1000000 (brokered)
@@ -145,13 +147,19 @@ run() {  # run <scenario> [scenario_sim args...]
     --phases-csv "${dir}/phases.csv" >/dev/null
 }
 
-run demo
-run chaos "${IN}/chaos.ini" --loss 0.1 --crash-at 0:2000:6000 --until 1000000
-run golden "${IN}/golden.ini"
-run direct "${IN}/direct.ini"
+sampled() {  # sampled <scenario> [scenario_sim args...]: run + series CSV
+  local name="$1"
+  shift
+  run "${name}" "$@" --series-csv "${OUT}/${name}/series.csv"
+}
+
+sampled demo
+sampled chaos "${IN}/chaos.ini" --loss 0.1 --crash-at 0:2000:6000 --until 1000000
+sampled golden "${IN}/golden.ini"
+sampled direct "${IN}/direct.ini"
 run broadcast "${IN}/broadcast.ini" --until 6000
-run deep "${IN}/deep.ini"
-run weather "${IN}/weather.ini"
+sampled deep "${IN}/deep.ini"
+sampled weather "${IN}/weather.ini"
 
 cd "${OUT}"
 case "${MODE}" in

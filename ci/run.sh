@@ -739,7 +739,8 @@ out = {
     "workload": "end-to-end GridSystem::run with periodic telemetry sampling "
                 "off vs on at the default 5 sim-second cadence, timed as an "
                 "order-alternating pair per iteration "
-                "(13 series into 512-point downsampling buffers; zero "
+                "(16 series, 4N + 4 for N = 3 clusters, into 512-point "
+                "downsampling buffers, and none with sampling off; zero "
                 "allocations per snapshot, see tests/obs/sampler_alloc_test.cpp)",
     "run_ms_sampling_off": round(t_off, 3),
     "run_ms_sampling_on": round(t_on, 3),

@@ -476,7 +476,7 @@ int main(int argc, char** argv) {
           ropts.alerts.push_back(std::move(row));
         }
       }
-      faucets::obs::write_html_report(out, grid->obs().sampler(), tel.analysis,
+      faucets::obs::write_html_report(out, grid->sampler(), tel.analysis,
                                       tel.users, tel.clusters, &trace, ropts);
       std::cout << "wrote HTML report to " << *opts.report << "\n";
     }
@@ -487,7 +487,7 @@ int main(int argc, char** argv) {
     }
     if (opts.series_csv) {
       auto out = open_out(*opts.series_csv);
-      faucets::obs::write_series_csv(out, grid->obs().sampler());
+      faucets::obs::write_series_csv(out, grid->sampler());
       std::cout << "wrote sampled series to " << *opts.series_csv << "\n";
     }
     if (opts.chrome_trace) {

@@ -61,23 +61,6 @@ ClusterManager::ClusterManager(sim::SimContext& ctx, MachineSpec machine,
                                    obs::linear_buckets(0.05, 0.05, 20),
                                    "Fraction of processors busy, sampled at "
                                    "every allocation change");
-  // Time-series signals: inert unless GridSystem arms periodic sampling.
-  auto& sampler = ctx_->sampler();
-  sampler.add_series(
-      labelled("faucets_cluster_utilization", machine_.name),
-      [this] {
-        return machine_.total_procs == 0
-                   ? 0.0
-                   : static_cast<double>(metrics_.current_busy()) /
-                         static_cast<double>(machine_.total_procs);
-      },
-      "fraction");
-  sampler.add_series(labelled("faucets_cluster_queue_depth", machine_.name),
-                     [this] { return static_cast<double>(queued_.size()); },
-                     "jobs");
-  sampler.add_series(
-      labelled("faucets_cluster_reservations", machine_.name),
-      [this] { return static_cast<double>(reservations_.size()); }, "leases");
   metrics_.record_busy(engine_->now(), 0);
 }
 

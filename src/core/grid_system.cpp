@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "src/obs/profiler.hpp"
@@ -32,8 +34,17 @@ void validate_grid(const GridConfig& config,
   if (user_count == 0) {
     throw std::invalid_argument("grid: at least one user is required");
   }
+  // Per-cluster instruments are keyed by name, so two clusters sharing one
+  // would sum into, and overwrite, each other's.
+  std::unordered_map<std::string_view, std::size_t> index_of_name;
   for (std::size_t i = 0; i < clusters.size(); ++i) {
     const ClusterSetup& setup = clusters[i];
+    const auto [first, fresh] = index_of_name.emplace(setup.machine.name, i);
+    if (!fresh) {
+      throw std::invalid_argument(
+          "grid: clusters " + std::to_string(first->second) + " and " +
+          std::to_string(i) + " share the name \"" + setup.machine.name + "\"");
+    }
     const std::string where = "grid: cluster " + std::to_string(i);
     if (setup.machine.total_procs <= 0) {
       throw std::invalid_argument(where + " (" + setup.machine.name +
@@ -68,9 +79,6 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
                        std::size_t user_count)
     : config_(std::move(config)), ctx_(config_.network) {
   validate_grid(config_, clusters, user_count);
-
-  // The point budget must be in place before any entity registers a series.
-  ctx_.sampler().set_default_capacity(config_.telemetry.series_capacity);
 
   central_ = std::make_unique<CentralServer>(ctx_, config_.central);
   if (!config_.store.dir.empty()) {
@@ -152,30 +160,57 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
         ctx_, central_->id(), std::move(evaluator), std::move(cc)));
   }
 
-  if (config_.telemetry.sample_interval > 0.0) {
-    next_sample_due_ = config_.telemetry.sample_interval;
-  }
-
-  // Tag every entity with its coarse category so the host-time profiler can
-  // attribute per-event self time by entity type. The byte is inert (and the
-  // tagging deterministic) when profiling is off.
-  central_->set_profile_class(static_cast<std::uint8_t>(obs::ProfClass::kCentral));
-  appspector_->set_profile_class(
-      static_cast<std::uint8_t>(obs::ProfClass::kAppSpector));
-  if (broker_) {
-    broker_->set_profile_class(static_cast<std::uint8_t>(obs::ProfClass::kBroker));
-  }
-  for (auto& d : daemons_) {
-    d->set_profile_class(static_cast<std::uint8_t>(obs::ProfClass::kDaemon));
-  }
-  for (auto& c : clients_) {
-    c->set_profile_class(static_cast<std::uint8_t>(obs::ProfClass::kClient));
-  }
   // Conservation baseline: every account is open and no transfer has run
   // yet, so this is the sum of the clusters' opening contributions.
   opening_credits_ = std::as_const(*central_).barter_ledger().total_credits();
+  setup_sampler();
   setup_profiler();
   setup_live_plane();
+}
+
+void GridSystem::setup_sampler() {
+  const TelemetryConfig& tel = config_.telemetry;
+  if (tel.sample_interval <= 0.0) return;
+  next_sample_due_ = tel.sample_interval;
+  const auto add = [this, capacity = tel.series_capacity](
+                       std::string name, obs::Series::Probe probe,
+                       const char* unit) {
+    sampler_.add_series(std::move(name), std::move(probe), unit, capacity);
+  };
+  const market::PriceHistory* history = &central_->price_history();
+  add("faucets_grid_unit_price", [history] { return history->last_unit_price(); },
+      "dollars/proc-second");
+  // Clients and daemons register these grid-wide instruments; a valid grid
+  // has at least one of each, so none is null.
+  const obs::MetricsRegistry& m = ctx_.metrics();
+  const obs::Gauge* revenue = m.find_gauge("faucets_market_revenue_total");
+  const obs::Gauge* inflight = m.find_gauge("faucets_market_inflight_requests");
+  const obs::Counter* retries = m.find_counter("faucets_retry_attempts_total");
+  for (std::size_t i = 0; i < daemons_.size(); ++i) {
+    const FaucetsDaemon* d = daemons_[i].get();
+    const std::string label = "{cluster=\"" + d->cm().machine().name + "\"}";
+    add("faucets_cluster_utilization" + label,
+        [d] {
+          return static_cast<double>(d->cm().metrics().current_busy()) /
+                 static_cast<double>(d->cm().machine().total_procs);
+        },
+        "fraction");
+    add("faucets_cluster_queue_depth" + label,
+        [d] { return static_cast<double>(d->cm().queued_count()); }, "jobs");
+    add("faucets_cluster_reservations" + label,
+        [d] { return static_cast<double>(d->cm().active_reservations()); },
+        "leases");
+    // Grid-wide revenue charts the rate the end-of-run gauge cannot show.
+    if (i == 0) {
+      add("faucets_market_revenue_total", [revenue] { return revenue->value(); },
+          "dollars");
+    }
+    add("faucets_revenue" + label, [d] { return d->revenue(); }, "dollars");
+  }
+  add("faucets_market_inflight_requests", [inflight] { return inflight->value(); },
+      "requests");
+  add("faucets_retry_attempts_total",
+      [retries] { return static_cast<double>(retries->value()); }, "retries");
 }
 
 void GridSystem::setup_profiler() {
@@ -187,6 +222,16 @@ void GridSystem::setup_profiler() {
         1 + k,
         std::string(sim::to_string(static_cast<sim::MessageKind>(k))));
   }
+  // Tag every entity with its coarse category so the profiler can attribute
+  // per-event self time by entity type.
+  const auto tag = [](sim::Entity& e, obs::ProfClass c) {
+    e.set_profile_class(static_cast<std::uint8_t>(c));
+  };
+  tag(*central_, obs::ProfClass::kCentral);
+  tag(*appspector_, obs::ProfClass::kAppSpector);
+  if (broker_) tag(*broker_, obs::ProfClass::kBroker);
+  for (auto& d : daemons_) tag(*d, obs::ProfClass::kDaemon);
+  for (auto& c : clients_) tag(*c, obs::ProfClass::kClient);
   ctx_.engine().set_profiler(&profiler_->lane());
   ctx_.network().set_profiler(&profiler_->lane());
 }
@@ -259,7 +304,7 @@ void GridSystem::maybe_sample() {
   // timer firing at the tick would have seen — and the sampler adds zero
   // events to the engine (it cannot perturb schedules or pay heap churn).
   if (ctx_.now() < next_sample_due_) return;
-  ctx_.sampler().sample(ctx_.now());
+  sampler_.sample(ctx_.now());
   next_sample_due_ = ctx_.now() + config_.telemetry.sample_interval;
 }
 
@@ -332,7 +377,7 @@ GridReport GridSystem::run(job::WorkloadSource& source, double until) {
   if (config_.telemetry.sample_interval > 0.0) {
     // Close the series on the final state so a chart's last point reflects
     // the drained grid.
-    ctx_.sampler().sample(ctx_.now());
+    sampler_.sample(ctx_.now());
     next_sample_due_ = ctx_.now() + config_.telemetry.sample_interval;
   }
   // The span trees are final now: analyze once, publish the per-phase

@@ -25,6 +25,7 @@
 #include "src/market/bidgen.hpp"
 #include "src/market/evaluation.hpp"
 #include "src/obs/live/plane.hpp"
+#include "src/obs/sampler.hpp"
 #include "src/sim/context.hpp"
 #include "src/sim/network.hpp"
 #include "src/store/store.hpp"
@@ -91,10 +92,10 @@ struct StoreConfig {
   std::uint64_t snapshot_every = 0;
 };
 
-/// Periodic time-series sampling of registered telemetry signals.
+/// Periodic time-series sampling of grid signals (DESIGN.md §10.1).
 struct TelemetryConfig {
-  /// Seconds between sampler snapshots; 0 disables sampling entirely (no
-  /// periodic event is armed, so fault-free runs pay nothing).
+  /// Seconds between sampler snapshots; 0 disables sampling entirely: no
+  /// series is built and the run loop's check never fires.
   double sample_interval = 0.0;
   /// Point budget per series; buffers downsample past it (see
   /// src/obs/sampler.hpp).
@@ -313,6 +314,10 @@ class GridSystem {
   /// post-run call costs one join, not a re-walk.
   [[nodiscard]] GridTelemetry telemetry() const;
 
+  /// The time-series sampler. It holds the grid's series only when
+  /// GridConfig::telemetry.sample_interval > 0; otherwise it is empty.
+  [[nodiscard]] const obs::Sampler& sampler() const noexcept { return sampler_; }
+
   /// The host-time profiler, when GridConfig::profile.enabled; null
   /// otherwise. Its wall clock is valid after run().
   [[nodiscard]] const obs::Profiler* profiler() const noexcept {
@@ -331,6 +336,9 @@ class GridSystem {
   /// Fire the pause hook if due; false = the hook abandoned the run.
   bool maybe_pause(double now);
   [[nodiscard]] const obs::SpanAnalysis& analysis() const;
+  // Each optional observer is bound in its own setup function, and only
+  // when it is on.
+  void setup_sampler();
   void setup_profiler();
   void setup_live_plane();
 
@@ -352,8 +360,10 @@ class GridSystem {
   bool pause_holds_watchdog_ = true;  // see set_pause_hook
   bool pause_fired_ = false;
   bool abandoned_ = false;  // the hook told run() to bail out
-  // Sim-time of the next sampler snapshot; +inf when sampling is disabled so
-  // the run loop's check is one always-false branch. See maybe_sample().
+  // Time-series sampler (empty unless config_.telemetry.sample_interval > 0)
+  // and the sim-time of its next snapshot; +inf when sampling is disabled
+  // so the run loop's check is one always-false branch. See maybe_sample().
+  obs::Sampler sampler_;
   double next_sample_due_ = std::numeric_limits<double>::infinity();
   mutable std::optional<obs::SpanAnalysis> analysis_;  // cached by run()
   // Host-time profiler (null unless config_.profile.enabled): its own

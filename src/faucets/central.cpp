@@ -18,11 +18,6 @@ CentralServer::CentralServer(sim::SimContext& ctx, CentralServerConfig config)
                                   "Successful logins and credential checks");
   auth_denied_ctr_ = &metrics.counter("faucets_auth_denied_total",
                                       "Rejected logins and credential checks");
-  // Live "grid weather" signal for the time-series sampler (inert unless
-  // GridSystem arms periodic sampling).
-  ctx.sampler().add_series("faucets_grid_unit_price",
-                           [this] { return price_history_.last_unit_price(); },
-                           "dollars/proc-second");
   ledger_.set_debt_limit(config_.barter_debt_limit);
   ledger_.set_clock(&now_cache_);
   if (config_.poll_interval > 0.0) {

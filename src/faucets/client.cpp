@@ -37,13 +37,6 @@ FaucetsClient::FaucetsClient(sim::SimContext& ctx, EntityId central,
   inflight_gauge_ = &reg.gauge("faucets_market_inflight_requests",
                                "Submissions between submit and a terminal "
                                "outcome, grid-wide");
-  // Time-series registration is idempotent by name: every client asks, one
-  // buffer exists. Inert unless GridSystem arms periodic sampling.
-  auto& sampler = ctx.sampler();
-  sampler.add_gauge_series("faucets_market_inflight_requests", *inflight_gauge_,
-                           "requests");
-  sampler.add_counter_series("faucets_retry_attempts_total",
-                             *retry_attempts_ctr_, "retries");
 }
 
 void FaucetsClient::login() {
@@ -91,7 +84,6 @@ void FaucetsClient::fail_unsubmitted(const qos::QosContract& contract) {
   outcome.span = spans.start_span(obs::SpanKind::kSubmission, now(), id());
   spans.instant_span(obs::SpanKind::kUnplaced, now(), id(), outcome.span);
   spans.end_span(outcome.span, now());
-  ++unplaced_;
   unplaced_ctr_->inc();
   outcomes_.push_back(outcome);
 }
@@ -238,7 +230,6 @@ void FaucetsClient::handle_evicted(const proto::JobEvicted& msg) {
   // Resume from the checkpoint: only the remaining work goes back to the
   // market. Deadlines stay absolute — lost time is lost.
   pending.contract = pending.contract.reduced_by(msg.completed_work);
-  ++migrations_;
   migrations_ctr_->inc();
   context().trace().record(obs::market_event(now(), id(),
                                              obs::TraceEventKind::kJobMigrated,
@@ -278,7 +269,6 @@ void FaucetsClient::arm_watchdog(RequestId request, double promised_completion) 
         SubmissionOutcome::Status::kPlaced) {
       return;
     }
-    ++watchdog_restarts_;
     watchdog_ctr_->inc();
     context().trace().record(
         obs::market_event(now(), id(), obs::TraceEventKind::kWatchdogRestart,
@@ -388,7 +378,6 @@ void FaucetsClient::handle_complete(const proto::JobCompleteNotice& msg) {
   outcome.payoff = pending.contract.payoff.value_at(msg.finish_time);
   total_spent_ += msg.price_charged;
   total_payoff_ += outcome.payoff;
-  ++completed_;
   completed_ctr_->inc();
   context().spans().end_span(pending.root, now());
   pending_.erase(it);
@@ -420,7 +409,6 @@ void FaucetsClient::finish_request(RequestId request,
   SubmissionOutcome& outcome = outcomes_[pending.outcome_index];
   outcome.status = status;
   outcome.bids_received = pending.offered;
-  ++unplaced_;
   unplaced_ctr_->inc();
   auto& spans = context().spans();
   spans.end_span(pending.rfb, now());

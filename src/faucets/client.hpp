@@ -96,19 +96,10 @@ class FaucetsClient final : public MarketRound {
   [[nodiscard]] bool idle() const noexcept {
     return pending_.empty() && pre_login_queue_.empty();
   }
-  [[nodiscard]] std::size_t submissions() const noexcept { return outcomes_.size(); }
   [[nodiscard]] double total_spent() const noexcept { return total_spent_; }
   [[nodiscard]] double total_payoff() const noexcept { return total_payoff_; }
-  [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
-  [[nodiscard]] std::uint64_t unplaced() const noexcept { return unplaced_; }
   /// Seconds from submission to confirmed award (E7's time-to-award).
   [[nodiscard]] const Samples& award_latency() const noexcept { return award_latency_; }
-  /// Jobs moved to another Compute Server after an eviction notice.
-  [[nodiscard]] std::uint64_t migrations() const noexcept { return migrations_; }
-  /// Jobs restarted from scratch by the watchdog after a silent crash.
-  [[nodiscard]] std::uint64_t watchdog_restarts() const noexcept {
-    return watchdog_restarts_;
-  }
   void on_message(const sim::Message& msg) override;
 
  private:
@@ -169,10 +160,6 @@ class FaucetsClient final : public MarketRound {
   Samples award_latency_;
   double total_spent_ = 0.0;
   double total_payoff_ = 0.0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t unplaced_ = 0;
-  std::uint64_t migrations_ = 0;
-  std::uint64_t watchdog_restarts_ = 0;
 
   // Grid-wide registry instruments (shared across clients).
   obs::Counter* submitted_ctr_ = nullptr;

@@ -32,14 +32,6 @@ FaucetsDaemon::FaucetsDaemon(sim::SimContext& ctx, ClusterId cluster,
                                      "Awards refused (stale bid or state change)");
   revenue_gauge_ = &reg.gauge("faucets_market_revenue_total",
                               "Revenue collected from settled contracts");
-  // Grid-wide revenue as a time series (shared across daemons; charting it
-  // shows the revenue *rate* the end-of-run gauge cannot), plus this
-  // cluster's own take.
-  ctx.sampler().add_gauge_series("faucets_market_revenue_total", *revenue_gauge_,
-                                 "dollars");
-  ctx.sampler().add_series(
-      "faucets_revenue{cluster=\"" + cm_->machine().name + "\"}",
-      [this] { return revenue_; }, "dollars");
   // Namespace bid ids by cluster so they are unique grid-wide.
   bid_ids_.reset(cluster_.value() << 32);
   wire_cm_callbacks();

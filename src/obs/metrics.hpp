@@ -121,9 +121,10 @@ class Histogram {
   }
 
   /// Fold pre-aggregated observations in one call (the host-time profiler's
-  /// POD tick histograms publish this way at finalize): `counts[i]` samples
-  /// land in bucket i (anything past the end goes to the overflow bucket),
-  /// plus the summary moments of those samples.
+  /// POD tick histograms publish this way when Profiler::metrics() builds
+  /// its registry): `counts[i]` samples land in bucket i (anything past the
+  /// end goes to the overflow bucket), plus the summary moments of those
+  /// samples.
   void fold_prebinned(const std::uint64_t* counts, std::size_t n, double sum,
                       double mn, double mx) noexcept {
     std::uint64_t total = 0;

@@ -1,15 +1,15 @@
-// The observability bundle SimContext owns: one trace ring, one metrics
-// registry, one span tracker, one time-series sampler per simulation.
-// Entities reach it through ctx.trace() / ctx.metrics() / ctx.spans() /
-// ctx.sampler(); exporters (src/obs/exporters.hpp, src/obs/report.hpp)
-// serialize it after the run.
+// The observability bundle SimContext owns: what entities record into —
+// one trace ring, one metrics registry, one span tracker per simulation.
+// Entities reach it through ctx.trace() / ctx.metrics() / ctx.spans();
+// exporters (src/obs/exporters.hpp, src/obs/report.hpp) serialize it after
+// the run. The optional observers that only read the run (time-series
+// sampler, host-time profiler, live plane) belong to GridSystem.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 #include "src/obs/metrics.hpp"
-#include "src/obs/sampler.hpp"
 #include "src/obs/spans.hpp"
 #include "src/obs/trace.hpp"
 
@@ -28,14 +28,11 @@ class Observability {
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept { return metrics_; }
   [[nodiscard]] SpanTracker& spans() noexcept { return spans_; }
   [[nodiscard]] const SpanTracker& spans() const noexcept { return spans_; }
-  [[nodiscard]] Sampler& sampler() noexcept { return sampler_; }
-  [[nodiscard]] const Sampler& sampler() const noexcept { return sampler_; }
 
  private:
   TraceBuffer trace_;
   MetricsRegistry metrics_;
   SpanTracker spans_;
-  Sampler sampler_;
 };
 
 }  // namespace faucets::obs

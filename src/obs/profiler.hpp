@@ -97,8 +97,8 @@ struct ProfStats {
 };
 
 /// Coarse entity category for self-time attribution. Entities carry the raw
-/// byte (sim::Entity::prof_class()); GridSystem assigns one per entity it
-/// stands up, everything else reports as kOther.
+/// byte (sim::Entity::profile_class()); GridSystem assigns one per entity it
+/// stands up when profiling is on, everything else reports as kOther.
 enum class ProfClass : std::uint8_t {
   kOther = 0,
   kCentral,

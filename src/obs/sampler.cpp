@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/obs/metrics.hpp"
-
 namespace faucets::obs {
 
 namespace {
@@ -90,26 +88,9 @@ void Series::compact() noexcept {
 
 std::size_t Sampler::add_series(std::string name, Series::Probe probe,
                                 std::string unit, std::size_t capacity) {
-  for (std::size_t i = 0; i < series_.size(); ++i) {
-    if (series_[i].name() == name) return i;
-  }
-  if (capacity == 0) capacity = default_capacity_;
   series_.emplace_back(std::move(name), std::move(unit), std::move(probe),
                        capacity);
   return series_.size() - 1;
-}
-
-std::size_t Sampler::add_gauge_series(std::string name, const Gauge& gauge,
-                                      std::string unit, std::size_t capacity) {
-  return add_series(std::move(name), [&gauge] { return gauge.value(); },
-                    std::move(unit), capacity);
-}
-
-std::size_t Sampler::add_counter_series(std::string name, const Counter& counter,
-                                        std::string unit, std::size_t capacity) {
-  return add_series(std::move(name),
-                    [&counter] { return static_cast<double>(counter.value()); },
-                    std::move(unit), capacity);
 }
 
 void Sampler::sample(double now) noexcept {

@@ -1,4 +1,4 @@
-// Time-series sampling for the observability bundle.
+// Time-series sampling of grid signals.
 //
 // A Sampler holds named Series, each backed by a fixed-capacity downsampling
 // buffer: points are appended at the current resolution until the buffer is
@@ -8,9 +8,9 @@
 // resolution, never existence — which is exactly what the HTML report's
 // charts want.
 //
-// Probes are registered once at construction time (that allocates); from
-// then on Sampler::sample() is zero-allocation: it invokes each probe and
-// folds the value into preallocated storage. The guarantee is pinned by
+// Probes are registered once, before the run (that allocates); from then
+// on Sampler::sample() is zero-allocation: it invokes each probe and folds
+// the value into preallocated storage. The guarantee is pinned by
 // tests/obs/sampler_alloc_test.cpp with the same counting-operator-new
 // technique as the trace ring and fault injector.
 #pragma once
@@ -23,9 +23,6 @@
 #include <vector>
 
 namespace faucets::obs {
-
-class Gauge;
-class Counter;
 
 /// One downsampled bucket of a series: the aggregate of `count` raw samples
 /// taken over [t_begin, t_end].
@@ -84,27 +81,16 @@ class Series {
   std::uint64_t observations_ = 0;
 };
 
-/// The per-run sampler. GridSystem samples it from its run loop, after the
-/// first dispatched event past each sample interval; it schedules no engine
-/// event of its own (DESIGN.md §10.1). Entities register their signals at
-/// construction through ctx.sampler().add_series(...). Registration is
-/// idempotent by name, so several clients can all ask for the shared
-/// "in-flight RFBs" series and only one buffer exists.
+/// The per-run sampler. GridSystem owns it, registers every series when
+/// sampling is on, and samples it from its run loop after the first
+/// dispatched event past each sample interval; it schedules no engine event
+/// of its own (DESIGN.md §10.1).
 class Sampler {
  public:
   /// Register a probe under `name` (Prometheus-style, may carry a label
-  /// block). Returns the series index. If the name is already registered the
-  /// existing series is kept and its index returned — the new probe is
-  /// ignored, mirroring MetricsRegistry's shared-instrument semantics.
+  /// block) with a budget of `capacity` points. Returns the series index.
   std::size_t add_series(std::string name, Series::Probe probe,
-                         std::string unit = "", std::size_t capacity = 0);
-
-  /// Convenience: sample an already-registered Gauge / Counter. The
-  /// instrument must outlive the sampler's last sample() call.
-  std::size_t add_gauge_series(std::string name, const Gauge& gauge,
-                               std::string unit = "", std::size_t capacity = 0);
-  std::size_t add_counter_series(std::string name, const Counter& counter,
-                                 std::string unit = "", std::size_t capacity = 0);
+                         std::string unit = "", std::size_t capacity = 512);
 
   /// Take one snapshot of every registered signal at simulated time `now`.
   /// Zero-allocation in steady state.
@@ -116,14 +102,6 @@ class Sampler {
   [[nodiscard]] std::uint64_t samples_taken() const noexcept { return samples_; }
   [[nodiscard]] bool empty() const noexcept { return series_.empty(); }
 
-  /// Default point budget for series registered with capacity = 0.
-  void set_default_capacity(std::size_t capacity) noexcept {
-    default_capacity_ = capacity;
-  }
-  [[nodiscard]] std::size_t default_capacity() const noexcept {
-    return default_capacity_;
-  }
-
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const Series& s : series_) fn(s);
@@ -132,7 +110,6 @@ class Sampler {
  private:
   std::vector<Series> series_;
   std::uint64_t samples_ = 0;
-  std::size_t default_capacity_ = 512;
 };
 
 }  // namespace faucets::obs

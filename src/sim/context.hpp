@@ -33,13 +33,14 @@ struct SimConfig {
 
 /// Owns the Engine, Network, observability bundle, and run RNG of one
 /// simulation; the Observability is constructed before the Network because
-/// the Network records drops into the trace ring.
+/// the Network counts traffic in the registry and records drops into the
+/// trace ring.
 class SimContext {
  public:
   SimContext() : SimContext(SimConfig{}) {}
   explicit SimContext(SimConfig config)
       : obs_(config.trace_capacity),
-        network_(engine_, config.network, &obs_),
+        network_(engine_, obs_, config.network),
         rng_(config.seed) {}
   explicit SimContext(NetworkConfig network) : SimContext(SimConfig{.network = network}) {}
 
@@ -60,8 +61,6 @@ class SimContext {
   }
   [[nodiscard]] obs::SpanTracker& spans() noexcept { return obs_.spans(); }
   [[nodiscard]] const obs::SpanTracker& spans() const noexcept { return obs_.spans(); }
-  [[nodiscard]] obs::Sampler& sampler() noexcept { return obs_.sampler(); }
-  [[nodiscard]] const obs::Sampler& sampler() const noexcept { return obs_.sampler(); }
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
 
   [[nodiscard]] SimTime now() const noexcept { return engine_.now(); }

@@ -161,7 +161,7 @@ class Entity {
   /// Coarse category byte for host-time profiler attribution (the value
   /// space is obs::ProfClass; kept as a raw byte so sim stays free of obs
   /// profiler types). Defaults to 0 = "other"; GridSystem tags the entities
-  /// it stands up.
+  /// it stands up when profiling is on.
   [[nodiscard]] std::uint8_t profile_class() const noexcept {
     return prof_class_;
   }

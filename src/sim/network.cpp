@@ -12,29 +12,19 @@ namespace faucets::sim {
 static_assert(kMessageKindCount + 1 <= obs::ProfilerLane::kKindSlots,
               "grow ProfilerLane::kKindSlots to fit MessageKind");
 
-Network::Network(Engine& engine, NetworkConfig config, obs::Observability* obs)
-    : engine_(&engine), config_(config), obs_(obs) {
-  register_metrics();
-}
-
-void Network::set_observability(obs::Observability* obs) {
-  obs_ = obs;
-  sent_ctr_ = delivered_ctr_ = dropped_ctr_ = bytes_ctr_ = nullptr;
-  register_metrics();
-}
-
-void Network::register_metrics() {
-  if (obs_ == nullptr) return;
-  auto& m = obs_->metrics();
-  sent_ctr_ = &m.counter("faucets_net_messages_sent_total",
-                         "Messages put on the wire");
-  delivered_ctr_ = &m.counter("faucets_net_messages_delivered_total",
-                              "Messages handed to a receiver");
-  dropped_ctr_ = &m.counter("faucets_net_messages_dropped_total",
-                            "Messages lost to a detached sender or receiver");
-  bytes_ctr_ = &m.counter("faucets_net_bytes_sent_total",
-                          "Payload bytes put on the wire");
-}
+Network::Network(Engine& engine, obs::Observability& obs, NetworkConfig config)
+    : engine_(&engine),
+      config_(config),
+      trace_(&obs.trace()),
+      sent_ctr_(&obs.metrics().counter("faucets_net_messages_sent_total",
+                                       "Messages put on the wire")),
+      delivered_ctr_(&obs.metrics().counter("faucets_net_messages_delivered_total",
+                                            "Messages handed to a receiver")),
+      dropped_ctr_(&obs.metrics().counter(
+          "faucets_net_messages_dropped_total",
+          "Messages lost to a detached sender or receiver")),
+      bytes_ctr_(&obs.metrics().counter("faucets_net_bytes_sent_total",
+                                        "Payload bytes put on the wire")) {}
 
 EntityId Network::attach(Entity& entity) {
   const EntityId id{slots_.size()};
@@ -66,13 +56,10 @@ double Network::delay(EntityId from, EntityId to, std::size_t bytes) const noexc
 
 void Network::drop(MessageKind kind, EntityId at, EntityId peer,
                    obs::DropReason reason) {
-  ++messages_dropped_;
+  dropped_ctr_->inc();
   ++dropped_by_reason_[static_cast<std::size_t>(reason)];
-  if (obs_ != nullptr) {
-    obs_->trace().record(obs::net_event(engine_->now(), at, peer,
-                                        static_cast<std::uint8_t>(kind), reason));
-    dropped_ctr_->inc();
-  }
+  trace_->record(obs::net_event(engine_->now(), at, peer,
+                                static_cast<std::uint8_t>(kind), reason));
 }
 
 void Network::send(const Entity& from, EntityId to, MessagePtr msg) {
@@ -86,17 +73,13 @@ void Network::send(const Entity& from, EntityId to, MessagePtr msg) {
   msg->from = from.id();
   msg->to = to;
   msg->sent_at = engine_->now();
-  ++messages_sent_;
+  sent_ctr_->inc();
   ++sent_by_kind_[static_cast<std::size_t>(kind)];
   ++sender->traffic;
   // A receiver id never handed out still counts as sent; it drops on
   // delivery like a detached one.
   if (Slot* receiver = slot(to)) ++receiver->traffic;
-  bytes_sent_ += msg->size_bytes();
-  if (sent_ctr_ != nullptr) {
-    sent_ctr_->inc();
-    bytes_ctr_->inc(msg->size_bytes());
-  }
+  bytes_ctr_->inc(msg->size_bytes());
   double d = delay(from.id(), to, msg->size_bytes());
   // Fault injection happens after the sent-side accounting: a lost message
   // was genuinely put on the wire, it just never arrives.
@@ -119,9 +102,8 @@ void Network::deliver(MessageKind kind, MessagePtr msg) {
     drop(kind, msg->to, msg->from, obs::DropReason::kReceiverDetached);
     return;
   }
-  ++messages_delivered_;
+  delivered_ctr_->inc();
   ++delivered_by_kind_[static_cast<std::size_t>(kind)];
-  if (delivered_ctr_ != nullptr) delivered_ctr_->inc();
   if (prof_ != nullptr) {
     prof_->set_event_tag(1 + static_cast<std::size_t>(kind),
                          target->profile_class());
@@ -134,17 +116,14 @@ std::uint64_t Network::traffic_of(EntityId id) const {
 }
 
 void Network::reset_counters() noexcept {
-  messages_sent_ = messages_delivered_ = messages_dropped_ = bytes_sent_ = 0;
+  sent_ctr_->reset();
+  delivered_ctr_->reset();
+  dropped_ctr_->reset();
+  bytes_ctr_->reset();
   sent_by_kind_.fill(0);
   delivered_by_kind_.fill(0);
   dropped_by_reason_.fill(0);
   for (Slot& s : slots_) s.traffic = 0;
-  if (sent_ctr_ != nullptr) {
-    sent_ctr_->reset();
-    delivered_ctr_->reset();
-    dropped_ctr_->reset();
-    bytes_ctr_->reset();
-  }
 }
 
 }  // namespace faucets::sim

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/entity.hpp"
@@ -14,9 +15,6 @@
 
 namespace faucets::obs {
 class Observability;
-class Counter;
-class Gauge;
-class Histogram;
 class ProfilerLane;
 }
 
@@ -36,8 +34,9 @@ struct NetworkConfig {
 /// simulation.
 class Network {
  public:
-  explicit Network(Engine& engine, NetworkConfig config = {},
-                   obs::Observability* obs = nullptr);
+  /// Traffic is counted in `obs`'s registry (faucets_net_*_total) and
+  /// drops are traced into its ring.
+  Network(Engine& engine, obs::Observability& obs, NetworkConfig config);
 
   /// Register an entity; assigns its EntityId. The caller keeps ownership.
   /// Ids are dense (0, 1, 2, ...) and index the entity table directly.
@@ -65,10 +64,14 @@ class Network {
   /// "impractical for each client to deal with a flood of bids", §5.3).
   /// 0 for an id this network never handed out.
   [[nodiscard]] std::uint64_t traffic_of(EntityId id) const;
-  [[nodiscard]] std::uint64_t messages_sent() const noexcept { return messages_sent_; }
-  [[nodiscard]] std::uint64_t messages_delivered() const noexcept { return messages_delivered_; }
-  [[nodiscard]] std::uint64_t messages_dropped() const noexcept { return messages_dropped_; }
-  [[nodiscard]] std::uint64_t bytes_sent() const noexcept { return bytes_sent_; }
+  [[nodiscard]] std::uint64_t messages_sent() const noexcept { return sent_ctr_->value(); }
+  [[nodiscard]] std::uint64_t messages_delivered() const noexcept {
+    return delivered_ctr_->value();
+  }
+  [[nodiscard]] std::uint64_t messages_dropped() const noexcept {
+    return dropped_ctr_->value();
+  }
+  [[nodiscard]] std::uint64_t bytes_sent() const noexcept { return bytes_ctr_->value(); }
   [[nodiscard]] const NetworkConfig& config() const noexcept { return config_; }
 
   /// Configure deterministic fault injection (loss, jitter, partitions).
@@ -94,9 +97,6 @@ class Network {
     return delivered_by_kind_[static_cast<std::size_t>(kind)];
   }
 
-  /// Where drop events and fabric counters go; may be null (no observability).
-  void set_observability(obs::Observability* obs);
-
   /// Delay a payload of `bytes` experiences between `from` and `to`.
   [[nodiscard]] double delay(EntityId from, EntityId to, std::size_t bytes) const noexcept;
 
@@ -121,24 +121,19 @@ class Network {
     return id.value() < slots_.size() ? &slots_[id.value()] : nullptr;
   }
   void drop(MessageKind kind, EntityId at, EntityId peer, obs::DropReason reason);
-  void register_metrics();
   void deliver(MessageKind kind, MessagePtr msg);
 
   Engine* engine_;
   NetworkConfig config_;
-  obs::Observability* obs_;
+  obs::TraceBuffer* trace_;
   obs::ProfilerLane* prof_ = nullptr;  // host-time recorder; null = off
   // Registry instruments, resolved once so the send path never does a
-  // by-name lookup. Null when obs_ is null.
-  obs::Counter* sent_ctr_ = nullptr;
-  obs::Counter* delivered_ctr_ = nullptr;
-  obs::Counter* dropped_ctr_ = nullptr;
-  obs::Counter* bytes_ctr_ = nullptr;
+  // by-name lookup; the fabric's totals live only here.
+  obs::Counter* sent_ctr_;
+  obs::Counter* delivered_ctr_;
+  obs::Counter* dropped_ctr_;
+  obs::Counter* bytes_ctr_;
   std::vector<Slot> slots_;  // attach() hands out ids 0, 1, 2, ...
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t messages_delivered_ = 0;
-  std::uint64_t messages_dropped_ = 0;
-  std::uint64_t bytes_sent_ = 0;
   KindCounters sent_by_kind_{};
   KindCounters delivered_by_kind_{};
   std::array<std::uint64_t, obs::kDropReasonCount> dropped_by_reason_{};

@@ -63,6 +63,17 @@ TEST(GridSystem, RequiresClustersAndUsers) {
   partition.partitions.push_back({2, 0.0, 10.0});
   EXPECT_THROW(GridSystem(partition, {make_cluster("e", 64)}, 1),
                std::invalid_argument);
+  // Two clusters sharing a name would share every {cluster="..."}
+  // instrument; the message names both indices.
+  try {
+    GridSystem(config, {make_cluster("f", 64), make_cluster("g", 64),
+                        make_cluster("f", 32)},
+               1);
+    ADD_FAILURE() << "a repeated cluster name must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("clusters 0 and 2"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(GridBuilder, ValidatesBeforeConstruction) {

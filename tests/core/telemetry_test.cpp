@@ -1,15 +1,17 @@
 // Telemetry analytics over a full chaos grid (ISSUE acceptance): the
 // exclusive-phase decomposition must partition every submission's makespan
 // within 1e-9 under loss + crash + retries, the sampler must capture the
-// run's signals without perturbing the simulation, and the derived report
-// surfaces (GridReport phase means, deadline accounting, HTML) must agree
-// with each other deterministically.
+// run's signals without perturbing the simulation (and build no series when
+// sampling is off), and the derived report surfaces (GridReport phase
+// means, deadline accounting, HTML) must agree with each other
+// deterministically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/core/grid_system.hpp"
 #include "src/obs/report.hpp"
@@ -105,10 +107,10 @@ TEST(Telemetry, SamplerCapturesGridSignals) {
   GridSystem& grid = *grid_ptr;
   grid.run(workload(12), /*until=*/1e6);
 
-  const obs::Sampler& sampler = grid.obs().sampler();
+  const obs::Sampler& sampler = grid.sampler();
   EXPECT_GT(sampler.samples_taken(), 0u);
 
-  // Per-cluster signals registered by the Cluster Managers.
+  // Per-cluster signals and the market-wide series GridSystem registers.
   for (const char* name :
        {"faucets_cluster_utilization{cluster=\"alpha\"}",
         "faucets_cluster_queue_depth{cluster=\"beta\"}",
@@ -143,8 +145,33 @@ TEST(Telemetry, SamplingDoesNotPerturbTheSimulation) {
   const GridReport b = without->run(workload(12), 1e6);
   const GridReport c = coarse->run(workload(12), 1e6);
 
-  EXPECT_EQ(without->obs().sampler().samples_taken(), 0u)
+  EXPECT_EQ(without->sampler().samples_taken(), 0u)
       << "sampling is off by default";
+  EXPECT_EQ(without->sampler().series_count(), 0u)
+      << "a grid that never samples builds no series";
+
+  // With sampling on, the grid registers 4N + 4 series: the unit price,
+  // then each cluster's three signals and its revenue (the grid-wide
+  // revenue once, after the first cluster's three), then the market-wide
+  // in-flight and retry series.
+  std::vector<std::string> expected = {"faucets_grid_unit_price"};
+  for (const char* cluster : {"alpha", "beta", "gamma"}) {
+    const std::string label = std::string("{cluster=\"") + cluster + "\"}";
+    for (const char* signal : {"faucets_cluster_utilization",
+                               "faucets_cluster_queue_depth",
+                               "faucets_cluster_reservations"}) {
+      expected.push_back(signal + label);
+    }
+    if (cluster == std::string("alpha")) {
+      expected.push_back("faucets_market_revenue_total");
+    }
+    expected.push_back("faucets_revenue" + label);
+  }
+  expected.push_back("faucets_market_inflight_requests");
+  expected.push_back("faucets_retry_attempts_total");
+  std::vector<std::string> names;
+  with->sampler().for_each([&](const obs::Series& s) { names.push_back(s.name()); });
+  EXPECT_EQ(names, expected);
 
   for (const GridReport* r : {&b, &c}) {
     EXPECT_EQ(a.jobs_completed, r->jobs_completed);
@@ -206,7 +233,7 @@ TEST(Telemetry, HtmlReportRendersFromALiveGrid) {
   const GridTelemetry tel = grid.telemetry();
   const obs::TraceView trace = grid.merged_trace();
   std::ostringstream os;
-  obs::write_html_report(os, grid.obs().sampler(), tel.analysis, tel.users,
+  obs::write_html_report(os, grid.sampler(), tel.analysis, tel.users,
                          tel.clusters, &trace);
   const std::string html = os.str();
   EXPECT_EQ(html.rfind("<!doctype html>", 0), 0u);

@@ -1,6 +1,5 @@
 // Time-series sampler: downsampling buffer semantics (pair-merge compaction,
-// stride doubling, aggregate preservation), idempotent registration, and the
-// gauge/counter conveniences.
+// stride doubling, aggregate preservation) and registration order.
 #include "src/obs/sampler.hpp"
 
 #include <gtest/gtest.h>
@@ -8,19 +7,19 @@
 #include <cmath>
 #include <string>
 
-#include "src/obs/metrics.hpp"
-
 namespace faucets::obs {
 namespace {
 
 TEST(Series, CapacityIsNormalizedToEvenAtLeastTwo) {
   Sampler s;
-  s.add_series("a", [] { return 0.0; }, "", 0);  // 0 -> default (512)
+  s.add_series("a", [] { return 0.0; });  // the default budget
   s.add_series("b", [] { return 0.0; }, "", 1);
   s.add_series("c", [] { return 0.0; }, "", 7);
+  s.add_series("d", [] { return 0.0; }, "", 0);
   EXPECT_EQ(s.find("a")->capacity(), 512u);
   EXPECT_EQ(s.find("b")->capacity(), 2u);
   EXPECT_EQ(s.find("c")->capacity(), 8u);
+  EXPECT_EQ(s.find("d")->capacity(), 2u);
 }
 
 TEST(Series, PointsAppendAtStrideOneUntilFull) {
@@ -91,56 +90,6 @@ TEST(Series, LongRunNeverExceedsCapacity) {
   // The whole run stays covered, only at coarser resolution.
   EXPECT_DOUBLE_EQ(series->points().front().t_begin, 0.0);
   EXPECT_GT(series->points().back().t_end, 90'000.0);
-}
-
-TEST(Sampler, RegistrationIsIdempotentByName) {
-  Sampler s;
-  int probe_a_calls = 0;
-  int probe_b_calls = 0;
-  const std::size_t first =
-      s.add_series("shared", [&] { ++probe_a_calls; return 1.0; });
-  const std::size_t second =
-      s.add_series("shared", [&] { ++probe_b_calls; return 2.0; });
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(s.series_count(), 1u);
-  s.sample(0.0);
-  EXPECT_EQ(probe_a_calls, 1) << "the first registration's probe is kept";
-  EXPECT_EQ(probe_b_calls, 0) << "the duplicate registration's probe is dropped";
-}
-
-TEST(Sampler, DefaultCapacityAppliesToLaterRegistrations) {
-  Sampler s;
-  s.set_default_capacity(32);
-  s.add_series("sig", [] { return 0.0; });
-  EXPECT_EQ(s.find("sig")->capacity(), 32u);
-  EXPECT_EQ(s.default_capacity(), 32u);
-}
-
-TEST(Sampler, GaugeAndCounterConveniences) {
-  MetricsRegistry reg;
-  Gauge& g = reg.gauge("g");
-  Counter& c = reg.counter("c");
-  Sampler s;
-  s.add_gauge_series("g", g, "procs");
-  s.add_counter_series("c", c, "events");
-
-  g.set(4.0);
-  c.inc(7);
-  s.sample(1.0);
-  g.set(6.0);
-  c.inc(1);
-  s.sample(2.0);
-
-  const Series* gs = s.find("g");
-  const Series* cs = s.find("c");
-  ASSERT_NE(gs, nullptr);
-  ASSERT_NE(cs, nullptr);
-  EXPECT_EQ(gs->unit(), "procs");
-  EXPECT_DOUBLE_EQ(gs->value_min(), 4.0);
-  EXPECT_DOUBLE_EQ(gs->value_max(), 6.0);
-  EXPECT_DOUBLE_EQ(cs->value_min(), 7.0);
-  EXPECT_DOUBLE_EQ(cs->value_max(), 8.0);
-  EXPECT_EQ(s.samples_taken(), 2u);
 }
 
 TEST(Sampler, FindUnknownReturnsNullAndEmptyWorks) {
