@@ -4,7 +4,9 @@
 # run scenario_sim with every observability exporter and validate the
 # emitted JSONL/Prometheus/Chrome-trace files, run the regression-gated
 # parameter sweep (ci/sweep_gate.ini vs ci/sweep_baseline.json) and record
-# its serial-vs-parallel throughput in BENCH_sweep.json, run the streaming
+# its serial-vs-parallel throughput in BENCH_sweep.json (with --skip-bench,
+# in build-release-bench/BENCH_sweep.json instead, so a run leaves the
+# tracked files as they were), run the streaming
 # replay gate (ci/replay_gate.ini streams ci/replay_fixture.swf over the
 # time-compression/user-multiplier axes vs ci/replay_baseline.json) and
 # record stream-vs-preload replay memory/throughput (E15) in
@@ -58,7 +60,9 @@ TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ./build-tsan/tests/test_obs --gtest_filter='HttpServer.*:LivePlane.*'
 
 echo "==> sweep regression gate + serial-vs-parallel throughput"
-python3 - <<'PY'
+SWEEP_JSON="BENCH_sweep.json"
+[[ "${SKIP_BENCH}" == "1" ]] && SWEEP_JSON="build-release-bench/BENCH_sweep.json"
+python3 - "${SWEEP_JSON}" <<'PY'
 import json, os, subprocess, sys, time
 
 sweep = "./build-release-bench/examples/faucets_sweep"
@@ -98,10 +102,10 @@ out = {
     "build": "release-bench (-O3 -DNDEBUG)",
     "source": "ci/run.sh",
 }
-json.dump(out, open("BENCH_sweep.json", "w"), indent=2)
-print("BENCH_sweep.json: serial %.1f runs/s, %d threads %.1f runs/s "
+json.dump(out, open(sys.argv[1], "w"), indent=2)
+print("%s: serial %.1f runs/s, %d threads %.1f runs/s "
       "(speedup %.2fx on %d hardware threads)"
-      % (out["serial_runs_per_sec"], par_threads,
+      % (sys.argv[1], out["serial_runs_per_sec"], par_threads,
          out["parallel_runs_per_sec"], out["speedup"], hw))
 
 # The >=4x scaling criterion only means something with real parallelism

@@ -1,6 +1,7 @@
 #include "src/core/grid_system.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
@@ -57,11 +58,23 @@ void validate_grid(const GridConfig& config,
       throw std::invalid_argument(where + " is missing a bid generator factory");
     }
   }
+  // A zero or negative first timeout times every exchange out at once; a
+  // NaN one would arm timers at no valid time.
+  if (!(std::isfinite(config.retry.base_timeout) && config.retry.base_timeout > 0.0)) {
+    throw std::invalid_argument(
+        "grid: retry.base_timeout ([faults] retry_base) must be finite and > 0, got " +
+        std::to_string(config.retry.base_timeout));
+  }
   for (const auto& c : config.crashes) {
     if (c.cluster >= clusters.size()) {
       throw std::invalid_argument("grid: crash schedule names cluster " +
                                   std::to_string(c.cluster) + " but only " +
                                   std::to_string(clusters.size()) + " exist");
+    }
+    if (!std::isfinite(c.at) || (c.restart_at && !std::isfinite(*c.restart_at))) {
+      throw std::invalid_argument(
+          "grid: crash of cluster " + std::to_string(c.cluster) +
+          " needs finite at/restart_at ([faults] crash_at, crash_restart)");
     }
   }
   for (const auto& p : config.partitions) {
@@ -69,6 +82,11 @@ void validate_grid(const GridConfig& config,
       throw std::invalid_argument("grid: partition names cluster " +
                                   std::to_string(p.cluster) + " but only " +
                                   std::to_string(clusters.size()) + " exist");
+    }
+    if (!std::isfinite(p.from) || !std::isfinite(p.until)) {
+      throw std::invalid_argument(
+          "grid: partition of cluster " + std::to_string(p.cluster) +
+          " needs finite from/until ([faults] partition_from, partition_until)");
     }
   }
 }
@@ -350,12 +368,17 @@ GridReport GridSystem::run(job::WorkloadSource& source, double until) {
   // Run until every submission has reached a terminal state. The engine's
   // queue never drains on its own: the Central Server's poll timer and the
   // daemons' monitor timers re-arm forever, exactly like the real system's
-  // daemons.
+  // daemons. A drained, idle client stays done: only its submission timer
+  // and its pre-login queue feed submit(), and both are empty by then. So
+  // the check resumes from the first client not yet done instead of
+  // rescanning the finished ones.
+  std::size_t first_busy = 0;
   auto all_done = [&] {
-    for (const auto& client : clients_) {
-      if (!client->workload_drained() || !client->idle()) return false;
+    while (first_busy < clients_.size() && clients_[first_busy]->workload_drained() &&
+           clients_[first_busy]->idle()) {
+      ++first_busy;
     }
-    return true;
+    return first_busy == clients_.size();
   };
   if (profiler_ != nullptr) profiler_->begin_run();
   if (live_ != nullptr) live_->begin_run();

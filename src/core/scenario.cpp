@@ -132,7 +132,8 @@ Scenario Scenario::parse(const ConfigFile& config) {
       crash.cluster = static_cast<std::size_t>(crash_cluster);
       crash.at = faults->get_double("crash_at", 0.0);
       const double restart = faults->get_double("crash_restart", -1.0);
-      if (restart >= 0.0) crash.restart_at = restart;
+      // Negative means "stays down"; NaN is kept for validate_grid to reject.
+      if (!(restart < 0.0)) crash.restart_at = restart;
       out.grid.crashes.push_back(crash);
     }
     const long part_cluster = faults->get_int("partition_cluster", -1);

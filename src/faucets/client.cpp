@@ -111,11 +111,6 @@ void FaucetsClient::on_submission_due() {
   submit(req.contract);
 }
 
-void FaucetsClient::submit_now(const qos::QosContract& contract) {
-  login();
-  submit(contract);
-}
-
 void FaucetsClient::submit(const qos::QosContract& contract) {
   if (!logged_in()) {
     if (login_failed_) {

@@ -76,12 +76,10 @@ class FaucetsClient final : public MarketRound {
   /// source must outlive the run and yield nondecreasing submit times.
   void run_source(job::WorkloadSource& source);
 
-  /// Submit one contract right away (used by examples and tests).
-  void submit_now(const qos::QosContract& contract);
-
   /// True once the submission-timer chain has pulled everything its source
   /// will ever yield (vacuously true without a source). The run loop is
-  /// finished when every client is drained *and* idle.
+  /// finished when every client is drained *and* idle; a client that is
+  /// both stays so, since only its source feeds submit().
   [[nodiscard]] bool workload_drained() {
     return source_ == nullptr || source_->exhausted();
   }

@@ -13,8 +13,16 @@
 // ordering keys (time, seq) are stored inside the heap entries themselves:
 // sift comparisons stay within the contiguous heap array instead of chasing
 // slot indices into the slab, which is what makes million-event queues fast
-// (each slab lookup is a cache miss at that size). The slab entry is left
-// at exactly one cache line: callable + generation + back-pointer.
+// (each slab lookup is a cache miss at that size).
+//
+// Most events of a grid run are scheduled a recurring delay ahead: a
+// message's latency for its size, or a timer period. schedule_after() puts
+// such an event in the FIFO lane of its delay. Because now() never
+// decreases, each lane is already in (time, seq) order, so only a lane's
+// head sits in the heap; when it leaves, the lane's next event takes its
+// place. The heap still pops in its own (time, seq) order, so lanes change
+// what a pop costs, never which event it returns.
+//
 // Handles are {slot, generation} pairs: firing or cancelling bumps the
 // slot's generation, so a stale handle can neither cancel nor report active
 // for a recycled slot. Closures are stored in a SmallFunction, so scheduling
@@ -22,6 +30,7 @@
 // is warm.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -74,14 +83,18 @@ class Engine {
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
   /// Schedule `fn` to run at absolute time `when` (>= now). Scheduling in
-  /// the past is clamped to `now` rather than rejected: entities routinely
-  /// react "immediately".
+  /// the past, or at NaN, is clamped to `now` rather than rejected: entities
+  /// routinely react "immediately". The event goes straight into the heap.
+  /// Throws std::length_error past 2^24 concurrently pending events.
   EventHandle schedule_at(SimTime when, SmallFunction fn);
 
-  /// Schedule `fn` after a relative delay.
-  EventHandle schedule_after(SimTime delay, SmallFunction fn) {
-    return schedule_at(now_ + delay, std::move(fn));
-  }
+  /// Schedule `fn` to run at `now() + delay`. A delay >= 0 joins the FIFO
+  /// lane of that exact delay, or claims an idle lane; with every lane
+  /// taken by other delays, or a negative or NaN delay, the event goes to
+  /// the heap as schedule_at() would. Either way it fires at the same time
+  /// in the same (time, seq) order. Call schedule_at() for a delay that
+  /// will not recur, such as a random jitter, so it does not hold a lane.
+  EventHandle schedule_after(SimTime delay, SmallFunction fn);
 
   /// Run until the queue drains or `until` is reached (whichever first).
   /// Returns the number of events executed.
@@ -91,8 +104,10 @@ class Engine {
   /// or the next event lies beyond `until`.
   bool step(SimTime until = kForever);
 
+  // Every busy lane has its head in the heap, so an empty heap means no
+  // event is pending, and the heap's root is the earliest one.
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size() + buffered_; }
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
   /// Time of the earliest pending event, kForever when the queue is empty.
@@ -115,16 +130,31 @@ class Engine {
  private:
   friend class EventHandle;
 
-  struct Slot {
-    std::uint32_t generation = 0;
-    SmallFunction fn;
-  };
-
   /// Slot numbers fit 24 bits (16M concurrently pending events); the
   /// insertion sequence takes the upper 40 bits of the packed key, so a
   /// plain integer compare breaks time ties in scheduling order.
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
+
+  /// Lane table size. A grid run keeps at most seven delays busy at once
+  /// (a latency per message size and the timer periods, DESIGN.md §6.1);
+  /// a lookup compares against every lane, so the table stays small.
+  static constexpr std::uint32_t kLanes = 8;
+  static constexpr std::uint32_t kNoLane = kLanes;
+  static_assert(kLanes <= 32, "busy_lanes_ holds one bit per lane");
+  /// `key` of a free slot: no queued event packs to it (that would take
+  /// 2^40 scheduled events).
+  static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+  /// pos_ values besides a heap position.
+  static constexpr std::int32_t kFree = -1;      // not queued
+  static constexpr std::int32_t kBuffered = -2;  // queued behind its lane's head
+
+  struct Slot {
+    std::uint32_t generation = 0;
+    std::uint32_t lane = kNoLane;  // lane the event joined; kNoLane = heap only
+    std::uint64_t key = kNoKey;    // the event's packed key while queued
+    SmallFunction fn;
+  };
 
   /// Heap entry carrying the ordering keys, so comparisons never touch the
   /// slab: 16 bytes, four children per cache line. 4-ary layout: parent
@@ -138,11 +168,34 @@ class Engine {
     }
   };
 
+  /// The events of one recurring delay, in (time, seq) order. The head is
+  /// in the heap; the events behind it wait in a ring of power-of-two
+  /// capacity that keeps its buffer when it drains. An event cancelled
+  /// behind the head stays as a stale entry until the head reaches it: its
+  /// slot's key no longer matches.
+  struct Lane {
+    std::vector<HeapEntry> ring;
+    std::size_t first = 0;  // ring index of the oldest entry
+    std::size_t count = 0;  // entries behind the head, stale ones included
+
+    [[nodiscard]] HeapEntry pop_front() noexcept {
+      const HeapEntry e = ring[first];
+      first = (first + 1) & (ring.size() - 1);
+      --count;
+      return e;
+    }
+    void push_back(const HeapEntry& e);
+  };
+
   [[nodiscard]] bool slot_active(std::uint32_t slot, std::uint32_t generation) const noexcept {
     return slot < slots_.size() && slots_[slot].generation == generation &&
-           pos_[slot] >= 0;
+           pos_[slot] != kFree;
   }
   void cancel_slot(std::uint32_t slot, std::uint32_t generation) noexcept;
+  std::uint32_t acquire_slot(SmallFunction&& fn, std::uint32_t lane);
+  [[nodiscard]] std::uint32_t find_lane(SimTime delay) noexcept;
+  void push_heap(const HeapEntry& e);
+  void advance_lane(std::uint32_t lane, std::size_t pos) noexcept;
 
   [[nodiscard]] static bool earlier(const HeapEntry& a, const HeapEntry& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
@@ -163,9 +216,13 @@ class Engine {
   std::uint64_t executed_ = 0;
   obs::ProfilerLane* prof_ = nullptr;  // host-time recorder; null = off
   std::vector<Slot> slots_;         // slab of pooled callables
-  std::vector<std::int32_t> pos_;   // heap position per slot; -1 = not queued
+  std::vector<std::int32_t> pos_;   // heap position per slot, kFree or kBuffered
   std::vector<std::uint32_t> free_; // recycled slot numbers
   std::vector<HeapEntry> heap_;     // indexed 4-ary heap
+  std::array<Lane, kLanes> lanes_;  // FIFO lanes of recurring delays
+  std::array<SimTime, kLanes> lane_delay_{};  // each lane's delay; stale while idle
+  std::uint32_t busy_lanes_ = 0;    // bit i: lane i has a head in the heap
+  std::size_t buffered_ = 0;        // live events queued behind a lane head
 };
 
 inline void EventHandle::cancel() noexcept {

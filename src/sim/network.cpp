@@ -91,9 +91,16 @@ void Network::send(const Entity& from, EntityId to, MessagePtr msg) {
   d += verdict.extra_delay;
   // SmallFunction accepts move-only captures, so the message rides in the
   // delivery event itself — no shared_ptr box, no extra allocation.
-  engine_->schedule_after(d, [this, kind, msg = std::move(msg)]() mutable {
+  SmallFunction delivery{[this, kind, msg = std::move(msg)]() mutable {
     deliver(kind, std::move(msg));
-  });
+  }};
+  // A jittered delay does not recur: scheduled by absolute time, it stays
+  // out of the engine's recurring-delay lanes.
+  if (verdict.extra_delay > 0.0) {
+    engine_->schedule_at(engine_->now() + d, std::move(delivery));
+  } else {
+    engine_->schedule_after(d, std::move(delivery));
+  }
 }
 
 void Network::deliver(MessageKind kind, MessagePtr msg) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 namespace faucets::core {
 namespace {
@@ -155,6 +157,39 @@ TEST(Scenario, TraceSectionValidates) {
                    "[cluster]\nprocs = 4\n[trace]\nfile = x.swf\n"
                    "user_multiplier = 0\n"),
                std::invalid_argument);
+}
+
+// The retry timeout and the fault instants are checked when the grid is
+// built, and the error names the INI key. A NaN retry_base armed every retry
+// timer at NaN, which broke the engine's ordering and grew the event pool
+// until memory ran out; 0 timed every exchange out at once; a NaN crash_at
+// silently emptied a cluster.
+TEST(Scenario, RejectsNonFiniteFaultTimes) {
+  auto build = [](const std::string& faults) {
+    return Scenario::parse_string("[grid]\nusers = 4\n[faults]\nloss = 0.2\n" + faults +
+                                  "\n[cluster]\nname = a\nprocs = 64\n"
+                                  "[cluster]\nname = b\nprocs = 64\n")
+        .make_grid();
+  };
+  const std::pair<const char*, const char*> bad[] = {
+      {"retry_base = nan", "retry_base"},
+      {"retry_base = 0", "retry_base"},
+      {"retry_base = -5", "retry_base"},
+      {"crash_cluster = 0\ncrash_at = nan", "crash_at"},
+      {"crash_cluster = 0\ncrash_at = 10\ncrash_restart = inf", "crash_restart"},
+      {"crash_cluster = 0\ncrash_at = 10\ncrash_restart = nan", "crash_restart"},
+      {"partition_cluster = 1\npartition_from = 0\npartition_until = nan",
+       "partition_until"},
+  };
+  for (const auto& [faults, key] : bad) {
+    try {
+      (void)build(faults);
+      ADD_FAILURE() << "accepted: " << faults;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_NE(build("retry_base = 2.5\ncrash_cluster = 0\ncrash_at = 100"), nullptr);
 }
 
 TEST(Scenario, BrokeredFlagHonored) {

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -55,6 +56,24 @@ TEST(Engine, PastSchedulingClampsToNow) {
   });
   e.run();
   EXPECT_EQ(fired_at, 10.0);
+}
+
+TEST(Engine, NanTimeClampsToNow) {
+  // A NaN time would compare false against every key and break the heap's
+  // order; it fires now, after what is already due now.
+  Engine e;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<int> order;
+  std::vector<double> at;
+  e.schedule_at(10.0, [&] {
+    e.schedule_at(10.0, [&] { order.push_back(1); });
+    e.schedule_at(nan, [&] { order.push_back(2); at.push_back(e.now()); });
+    e.schedule_after(nan, [&] { order.push_back(3); at.push_back(e.now()); });
+  });
+  e.schedule_at(11.0, [&] { order.push_back(4); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(at, (std::vector<double>{10.0, 10.0}));
 }
 
 TEST(Engine, CancelPreventsExecution) {
