@@ -5,7 +5,12 @@
 // credit conservation, (b) that heavy consumers drain their balance and
 // heavy providers accumulate, and (c) that the debt limit throttles
 // freeloading once credits run out.
+//
+// (a) is the grid's end-of-run audit (DESIGN.md §16), which also covers job
+// accounting, leases and spans: the binary exits 1 when any of its five
+// grids fails it, so ctest runs it as `bench_bartering`.
 #include <iostream>
+#include <string>
 
 #include "src/core/grid_system.hpp"
 #include "src/sched/equipartition.hpp"
@@ -51,9 +56,18 @@ std::vector<job::JobRequest> skewed_workload(double skew, std::uint64_t seed) {
   return reqs;
 }
 
+/// The end-of-run audit's verdict on one grid; a failure names its first
+/// failing term on stderr.
+bool audit_ok(const core::GridSystem& grid, const std::string& what) {
+  const auto term = grid.audit().first_failure();
+  if (term) std::cerr << what << ": audit failed: " << obs::to_string(*term) << "\n";
+  return !term;
+}
+
 }  // namespace
 
 int main() {
+  int failed = 0;
   std::cout << "=== E8a: credit flow under skewed demand (dept0 submits "
                "3x work) ===\n";
   {
@@ -79,10 +93,10 @@ int main() {
       total += c.barter_balance;
     }
     t.print(std::cout);
+    const bool ok = audit_ok(grid, "E8a");
+    if (!ok) ++failed;
     std::cout << "total credits: " << total << " of " << kClusters * kOpening
-              << " (conservation "
-              << (std::abs(total - kClusters * kOpening) < 1e-6 ? "holds" : "FAILS")
-              << "); transfers logged: "
+              << " (audit " << (ok ? "holds" : "FAILS") << "); transfers logged: "
               << grid.central().barter_ledger().log().size() << "\n";
     std::cout << "jobs completed " << report.jobs_completed << "/"
               << report.jobs_submitted << "\n\n";
@@ -101,6 +115,7 @@ int main() {
     };
     core::GridSystem grid{config, make_clusters(opening), 8};
     const auto report = grid.run(skewed_workload(4.0, 912));
+    if (!audit_ok(grid, "E8b opening " + std::to_string(opening))) ++failed;
     t2.row()
         .cell(opening, 0)
         .cell(report.clusters[0].completed)
@@ -112,5 +127,9 @@ int main() {
   std::cout << "\nShape check: with zero credits the overloaded department is\n"
                "confined to its own cluster (more unplaced jobs); richer\n"
                "opening balances buy more off-cluster completions.\n";
+  if (failed > 0) {
+    std::cerr << failed << " of 5 grids failed the audit\n";
+    return 1;
+  }
   return 0;
 }

@@ -121,7 +121,7 @@ struct PlaneHarness {
     b.executed = [this] { return executed; };
     plane = std::make_unique<obs::live::LivePlane>(config, std::move(b));
     plane->begin_run();
-    plane->publish(0.0, false);  // schema capture off the timed path
+    plane->publish(0.0);  // schema capture off the timed path
   }
 };
 
@@ -148,7 +148,7 @@ void BM_LivePublishSnapshot(benchmark::State& state) {
   double t = 1.0;
   for (auto _ : state) {
     ++h.executed;
-    h.plane->publish(t, false);
+    h.plane->publish(t);
     t += 1.0;
   }
   benchmark::DoNotOptimize(h.plane->publishes());

@@ -4,6 +4,9 @@
 # `parity_digests` runs them through the just-built scenario_sim and checks
 # every artifact against the committed ci/parity.sha256.
 #
+# scenario_sim exits 2 when a run fails the grid's end-of-run audit
+# (DESIGN.md §16), so every scenario here is audit-gated as well.
+#
 # Each scenario writes report JSON, trace JSONL, Prometheus text, Chrome
 # trace and phases CSV into OUT/<scenario>/. Every scenario but broadcast
 # also writes the sampled time series (series CSV, which turns sampling on

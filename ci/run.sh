@@ -247,6 +247,10 @@ INI
   --series-csv "${CHAOS_DIR}/series.csv" \
   --profile="${CHAOS_DIR}/profile.json"
 
+# scenario_sim itself exits 2 when the grid's end-of-run audit fails (every
+# scenario_sim run here is gated that way). The audit does not hold a run cut
+# off by --until to termination, so the accounting below is the chaos run's
+# termination check.
 python3 - "${CHAOS_DIR}" <<'PY'
 import sys
 d = sys.argv[1]
@@ -386,7 +390,8 @@ assert progress["events_executed"] > 0, progress
 
 status, body = get("/healthz")
 health = json.loads(body)
-assert health["schema"] == "faucets.live.healthz.v1", health
+assert health["schema"] == "faucets.live.healthz.v2", health
+assert "monitors_enabled" not in health, health  # the monitors always run
 assert status == 200 and health["status"] == "ok", (status, health)
 assert {m["monitor"] for m in health["monitors"]} == {
     "ledger_conservation", "lease_leak", "span_balance", "barrier_stall"}

@@ -37,6 +37,10 @@
 //   ./examples/scenario_sim --profile                 # writes profile.json
 //   ./examples/scenario_sim --profile=perf/run.json   # + run.prom
 //
+// Every run ends with the grid's audit (DESIGN.md §16): when an invariant
+// failed, scenario_sim writes the requested artifacts, names the failing
+// term on stderr and exits 2.
+//
 // Live monitoring (DESIGN.md §15):
 //
 //   ./examples/scenario_sim --serve                   # ephemeral port,
@@ -499,6 +503,15 @@ int main(int argc, char** argv) {
       faucets::obs::write_chrome_trace(out, grid->merged_spans(), trace, chrome);
       std::cout << "wrote Chrome trace to " << *opts.chrome_trace
                 << " (load it at https://ui.perfetto.dev)\n";
+    }
+    // Every run is gated on the grid's end-of-run audit, after the
+    // artifacts are written so a failing run can still be inspected.
+    const faucets::obs::live::Audit& audit = grid->audit();
+    if (const auto term = audit.first_failure()) {
+      std::cerr << "error: audit failed: " << faucets::obs::to_string(*term)
+                << " observed " << audit.observed(*term) << ", threshold "
+                << faucets::obs::live::Audit::threshold(*term) << "\n";
+      return 2;
     }
     return 0;
   } catch (const std::exception& e) {

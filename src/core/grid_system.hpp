@@ -136,8 +136,8 @@ struct GridConfig {
   /// Durable persistence; off by default (empty dir).
   StoreConfig store{};
   /// Live operations plane (DESIGN.md §15): embedded HTTP monitoring,
-  /// online invariant monitors, stderr progress ticker. Off by default;
-  /// artifacts stay byte-identical with it on or off.
+  /// online monitors over the audit, stderr progress ticker. Off by
+  /// default; artifacts stay byte-identical with it on or off.
   obs::live::LiveConfig live{};
 };
 
@@ -164,8 +164,8 @@ struct LedgerReport {
   double opening_credits = 0.0;   // ledger total right after construction
   double total_credits = 0.0;     // ledger total now
   /// total - opening; conservation keeps it within float rounding of the
-  /// transferred volume (each paired -= / += rounds once per side), so the
-  /// CI asserts |residual| <= 1e-9, matching the accounting unit tests.
+  /// transferred volume (each paired -= / += rounds once per side), which
+  /// the audit bounds by obs::live::Audit::kLedgerResidualMax.
   double conservation_residual = 0.0;
   std::uint64_t transfers = 0;    // settled cross-cluster barter moves
   double total_charged = 0.0;     // dollars/SU billed in pay-per-use modes
@@ -276,6 +276,10 @@ class GridSystem {
   /// Build the report from current state (run() calls this at the end).
   [[nodiscard]] GridReport report() const;
 
+  /// The last run's end-of-run audit (DESIGN.md §16). run() never throws
+  /// on a failed one: check ok() and name first_failure().
+  [[nodiscard]] const obs::live::Audit& audit() const noexcept { return audit_; }
+
   /// The durable store backing the Central Server, when GridConfig::store
   /// names a directory; null otherwise.
   [[nodiscard]] store::StateStore* store() noexcept { return store_.get(); }
@@ -335,6 +339,9 @@ class GridSystem {
   void maybe_sample();
   /// Fire the pause hook if due; false = the hook abandoned the run.
   bool maybe_pause(double now);
+  /// The one definition of the grid's invariants, at `now`: allocation-free
+  /// and O(clusters + held leases), so the live plane calls it per publish.
+  [[nodiscard]] obs::live::Audit measure_audit(double now, bool drained) const;
   [[nodiscard]] const obs::SpanAnalysis& analysis() const;
   // Each optional observer is bound in its own setup function, and only
   // when it is on.
@@ -354,6 +361,11 @@ class GridSystem {
   job::WorkloadDemux* demux_ = nullptr;
   std::size_t workload_high_water_ = 0;
   double opening_credits_ = 0.0;  // ledger total right after construction
+  // The grid-wide job counters the clients register, resolved once.
+  const obs::Counter* submitted_ = nullptr;
+  const obs::Counter* completed_ = nullptr;
+  const obs::Counter* unplaced_ = nullptr;
+  obs::live::Audit audit_;  // the last run's end-of-run audit
   // One-shot pause hook (checkpoint and restore); +inf = unarmed.
   double pause_at_ = std::numeric_limits<double>::infinity();
   std::function<bool()> pause_hook_;
@@ -370,7 +382,7 @@ class GridSystem {
   // accumulators, never the simulation's registry.
   std::unique_ptr<obs::Profiler> profiler_;
   // Live operations plane (null unless config_.live is enabled): HTTP
-  // monitoring + online invariant monitors over published snapshots.
+  // monitoring + online monitors over published snapshots.
   std::unique_ptr<obs::live::LivePlane> live_;
 };
 
@@ -496,8 +508,8 @@ class GridBuilder {
     config_.live.progress = on;
     return *this;
   }
-  /// Replace the whole live-plane configuration (monitor thresholds,
-  /// publish pacing, recent-trace depth).
+  /// Replace the whole live-plane configuration (stall timeout, publish
+  /// pacing, recent-trace depth).
   GridBuilder& live(obs::live::LiveConfig config) {
     config_.live = std::move(config);
     return *this;

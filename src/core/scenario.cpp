@@ -1,6 +1,7 @@
 #include "src/core/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -108,10 +109,18 @@ Scenario Scenario::parse(const ConfigFile& config) {
     out.grid.clients_prefer_home = grid->get_bool("prefer_home", false);
     out.grid.brokered_submission = grid->get_bool("brokered", false);
     // Optional knobs keep their INI spelling: a negative watchdog and a
-    // price band <= 1 mean "off", and map onto disengaged optionals.
+    // price band <= 1 mean "off", and map onto disengaged optionals. NaN
+    // fails both comparisons, so it would read as "off" too: reject it.
     const double watchdog = grid->get_double("watchdog", -1.0);
-    if (watchdog >= 0.0) out.grid.client_watchdog_margin = watchdog;
     const double band = grid->get_double("price_band", 0.0);
+    for (const auto& [key, value] : {std::pair{"watchdog", watchdog},
+                                     std::pair{"price_band", band}}) {
+      if (std::isnan(value)) {
+        throw std::invalid_argument(std::string("[grid] ") + key +
+                                    " must be a number, got nan");
+      }
+    }
+    if (watchdog >= 0.0) out.grid.client_watchdog_margin = watchdog;
     if (band > 1.0) out.grid.central.price_band = band;
     out.grid.evaluator =
         evaluator_factory(grid->get_string("evaluator", "least-cost"));
@@ -302,9 +311,17 @@ Scenario Scenario::parse(const ConfigFile& config) {
   }
 
   // [live] — the live operations plane (DESIGN.md §15). `serve` defaults to
-  // true when the section is present; monitor thresholds are optional.
+  // true when the section is present.
   const ConfigSection* live = config.section("live");
   if (live != nullptr) {
+    for (const char* key : {"monitors", "ledger_residual_max", "lease_grace"}) {
+      if (live->has(key)) {
+        throw std::invalid_argument(
+            std::string("[live] ") + key +
+            " is no longer a key: the monitors always run and read the "
+            "grid's audit, whose thresholds are fixed (DESIGN.md §16)");
+      }
+    }
     out.grid.live.serve = live->get_bool("serve", true);
     const long port = live->get_int("port", 0);
     if (port < 0 || port > 65535) {
@@ -312,18 +329,13 @@ Scenario Scenario::parse(const ConfigFile& config) {
     }
     out.grid.live.port = static_cast<std::uint16_t>(port);
     out.grid.live.progress = live->get_bool("progress", out.grid.live.progress);
-    out.grid.live.monitors = live->get_bool("monitors", true);
     out.grid.live.publish_interval =
         live->get_double("publish_interval", out.grid.live.publish_interval);
     out.grid.live.recent_events = static_cast<std::size_t>(std::max(
         1L, live->get_int("recent_events",
                           static_cast<long>(out.grid.live.recent_events))));
-    out.grid.live.monitor.stall_timeout = live->get_double(
-        "stall_timeout", out.grid.live.monitor.stall_timeout);
-    out.grid.live.monitor.lease_grace =
-        live->get_double("lease_grace", out.grid.live.monitor.lease_grace);
-    out.grid.live.monitor.ledger_residual_max = live->get_double(
-        "ledger_residual_max", out.grid.live.monitor.ledger_residual_max);
+    out.grid.live.stall_timeout =
+        live->get_double("stall_timeout", out.grid.live.stall_timeout);
   }
 
   const double load = wl != nullptr ? wl->get_double("load", 0.8) : 0.8;

@@ -1,16 +1,11 @@
 #include "src/obs/live/monitor.hpp"
 
-#include <utility>
-
 namespace faucets::obs::live {
 
-MonitorSuite::MonitorSuite(MonitorConfig config, MonitorProbes probes)
-    : config_(config), probes_(std::move(probes)) {}
-
-void MonitorSuite::report_stall(double stalled_at, double host_seconds) {
-  if (!config_.enabled) return;
+void MonitorSuite::report_stall(double stalled_at, double host_seconds,
+                                double timeout) {
   MonitorState& s = states_[static_cast<std::size_t>(MonitorKind::kBarrierStall)];
-  s.threshold = config_.stall_timeout;
+  s.threshold = timeout;
   s.last_observed = host_seconds;
   s.last_sim_time = stalled_at;
   if (s.firing) return;  // one alert per stall episode
@@ -20,7 +15,7 @@ void MonitorSuite::report_stall(double stalled_at, double host_seconds) {
   pending_[pending_count_ % kPendingCap] =
       alert_event(stalled_at,
                   static_cast<std::uint8_t>(MonitorKind::kBarrierStall),
-                  host_seconds, config_.stall_timeout);
+                  host_seconds, timeout);
   ++pending_count_;
 }
 

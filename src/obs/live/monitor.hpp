@@ -1,12 +1,13 @@
-// Online invariant monitors (DESIGN.md §15.3): the checks CI historically
-// ran only at exit — ledger conservation, reservation-lease leaks, open-span
-// balance, barrier progress — evaluated periodically in host time while the
-// run is in flight.
+// The grid's invariants (DESIGN.md §16) and the live plane's online monitors
+// over them (DESIGN.md §15.3).
 //
-// The suite is pure over injected probes so tests can drive it with
-// fabricated values, and it never allocates after construction: states live
-// in a fixed array indexed by obs::MonitorKind, and the deferred-alert queue
-// is a fixed ring. Alerts are edge-triggered: one kAlert trace event and one
+// `Audit` is the one definition of the invariants: GridSystem fills it, run()
+// evaluates it at the end of every run, and the monitors read the same value
+// at every publish. It lives here because src/obs cannot include src/core.
+//
+// The suite never allocates after construction: states live in a fixed
+// array indexed by obs::MonitorKind, and the deferred-alert queue is a fixed
+// ring. Alerts are edge-triggered: one kAlert trace event and one
 // faucets_alerts_total increment per transition into violation, not per
 // evaluation — a run that goes wrong once does not flood the ring.
 //
@@ -19,39 +20,81 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <optional>
 
 #include "src/obs/trace.hpp"
 
 namespace faucets::obs::live {
 
-struct MonitorConfig {
-  bool enabled = true;
-  /// |barter ledger total - opening total| above this is a conservation
-  /// violation (matches the CI exit assert).
-  double ledger_residual_max = 1e-9;
-  /// A reservation still held this many sim-seconds past its lease expiry
-  /// is a leak; at the final (end-of-run) check any held lease counts.
-  double lease_grace = 5.0;
-  /// Host seconds without sim time advancing before the stall watchdog
-  /// fires (checked on the server thread).
-  double stall_timeout = 10.0;
-};
+/// The grid's invariants at one instant: one plain value, cheap to copy.
+struct Audit {
+  /// |ledger residual| above this means credits were minted or lost:
+  /// transfers move one value between two balances, so only rounding
+  /// separates the total from the opening total.
+  static constexpr double kLedgerResidualMax = 1e-9;
+  /// Sim-seconds a lease may stay held past its expiry before it is overdue.
+  static constexpr double kLeaseGrace = 5.0;
+  /// The terms in first-failure order; each is also the monitor that
+  /// alerts on it.
+  static constexpr std::array<MonitorKind, 3> kTerms = {
+      MonitorKind::kLedgerConservation, MonitorKind::kLeaseLeak,
+      MonitorKind::kSpanBalance};
 
-/// Read-only views into live grid state, called at publish boundaries on
-/// the simulation thread. All must be non-null
-/// when monitors are enabled; each must be allocation-free.
-struct MonitorProbes {
-  /// Signed barter-credit conservation residual (total - opening).
-  std::function<double()> ledger_residual;
-  /// Reservations held past lease expiry + `grace` across all CMs; with
-  /// `final_check`, every still-held reservation.
-  std::function<std::uint64_t(double sim_now, double grace, bool final_check)>
-      leaked_leases;
-  /// Open kSubmission root spans.
-  std::function<std::uint64_t()> open_submission_roots;
-  /// Jobs submitted - completed - unplaced.
-  std::function<std::int64_t()> jobs_in_flight;
+  std::uint64_t submitted = 0;  // the registry's grid-wide job counters
+  std::uint64_t completed = 0;
+  std::uint64_t unplaced = 0;
+  double ledger_residual = 0.0;        // barter total - opening total
+  std::uint64_t held_leases = 0;       // reservations held on every daemon
+  std::uint64_t overdue_leases = 0;    // held past expiry + kLeaseGrace
+  std::uint64_t open_submissions = 0;  // open kSubmission roots
+  std::uint64_t open_spans = 0;        // open spans of every kind
+  /// The run ended because every client was drained and idle, not at
+  /// `until` and not abandoned. Then nothing may be in flight, held or open.
+  bool drained = false;
+
+  [[nodiscard]] std::int64_t in_flight() const noexcept {
+    return static_cast<std::int64_t>(submitted) -
+           static_cast<std::int64_t>(completed) -
+           static_cast<std::int64_t>(unplaced);
+  }
+  /// What `term` measures; it holds while observed <= threshold.
+  [[nodiscard]] double observed(MonitorKind term) const noexcept {
+    const auto abs_of = [](double v) { return v < 0.0 ? -v : v; };
+    switch (term) {
+      case MonitorKind::kLedgerConservation:
+        return abs_of(ledger_residual);
+      case MonitorKind::kLeaseLeak:
+        // Mid-run a held lease may still be expiring; at a drained end none
+        // may be held.
+        return static_cast<double>(drained ? held_leases : overdue_leases);
+      case MonitorKind::kSpanBalance:
+        // Mid-run every job in flight has one open root. At a drained end
+        // nothing is in flight and no span of any kind is open (open roots
+        // are among the open spans, so they balance too).
+        return drained ? static_cast<double>(open_spans) +
+                             abs_of(static_cast<double>(in_flight()))
+                       : abs_of(static_cast<double>(open_submissions) -
+                                static_cast<double>(in_flight()));
+      case MonitorKind::kBarrierStall:
+        return 0.0;  // host time: the stall watchdog measures it, not the audit
+    }
+    return 0.0;
+  }
+  [[nodiscard]] static double threshold(MonitorKind term) noexcept {
+    return term == MonitorKind::kLedgerConservation ? kLedgerResidualMax : 0.0;
+  }
+  /// The one predicate of a term (false for a NaN observation).
+  [[nodiscard]] bool holds(MonitorKind term) const noexcept {
+    return observed(term) <= threshold(term);
+  }
+  /// The first term that fails, to name in an error; nullopt when ok().
+  [[nodiscard]] std::optional<MonitorKind> first_failure() const noexcept {
+    for (const MonitorKind term : kTerms) {
+      if (!holds(term)) return term;
+    }
+    return std::nullopt;
+  }
+  [[nodiscard]] bool ok() const noexcept { return !first_failure(); }
 };
 
 /// Rolling per-monitor outcome, exported to /healthz, /metrics
@@ -67,40 +110,38 @@ struct MonitorState {
 
 class MonitorSuite {
  public:
-  MonitorSuite(MonitorConfig config, MonitorProbes probes);
-
-  /// Evaluate every probe-backed monitor at a consistent boundary, then
-  /// drain stall alerts queued by the server thread. `emit` receives one
+  /// Edge-trigger every audit term at a consistent boundary, then drain
+  /// stall alerts queued by the server thread. `emit` receives one
   /// TraceEvent per new alert (the caller records it into the sim trace
-  /// ring). `final_check` switches the lease monitor to exit semantics.
+  /// ring).
   template <typename Emit>
-  void evaluate(double sim_now, bool final_check, Emit&& emit) {
-    if (!config_.enabled) return;
-    check(MonitorKind::kLedgerConservation, sim_now,
-          probes_.ledger_residual ? abs_of(probes_.ledger_residual()) : 0.0,
-          config_.ledger_residual_max, emit);
-    check(MonitorKind::kLeaseLeak, sim_now,
-          probes_.leaked_leases
-              ? static_cast<double>(
-                    probes_.leaked_leases(sim_now, config_.lease_grace, final_check))
-              : 0.0,
-          0.0, emit);
-    if (probes_.open_submission_roots && probes_.jobs_in_flight) {
-      const double open =
-          static_cast<double>(probes_.open_submission_roots());
-      const double in_flight =
-          static_cast<double>(probes_.jobs_in_flight());
-      check(MonitorKind::kSpanBalance, sim_now, abs_of(open - in_flight), 0.0,
-            emit);
+  void evaluate(double sim_now, const Audit& audit, Emit&& emit) {
+    for (const MonitorKind m : Audit::kTerms) {
+      MonitorState& s = states_[static_cast<std::size_t>(m)];
+      const double observed = audit.observed(m);
+      s.threshold = Audit::threshold(m);
+      const bool violated = !audit.holds(m);
+      if (violated) {
+        s.last_observed = observed;
+        s.last_sim_time = sim_now;
+        if (!s.firing) {
+          if (s.alerts == 0) s.first_sim_time = sim_now;
+          ++s.alerts;
+          emit(alert_event(sim_now, static_cast<std::uint8_t>(m), observed,
+                           s.threshold));
+        }
+      }
+      s.firing = violated;
     }
     drain_pending(emit);
   }
 
   /// Server-thread half of the stall watchdog: sim time `stalled_at` has not
-  /// advanced for `host_seconds`. Counted and surfaced in /healthz
-  /// immediately; the kAlert trace event is queued for the next simulation-
-  /// thread publish (the sim thread may be the thing that is stuck).
-  void report_stall(double stalled_at, double host_seconds);
+  /// advanced for `host_seconds`, past `timeout`. Counted and surfaced in
+  /// /healthz immediately; the kAlert trace event is queued for the next
+  /// simulation-thread publish (the sim thread may be the thing that is
+  /// stuck).
+  void report_stall(double stalled_at, double host_seconds, double timeout);
   /// Sim time advanced again: re-arm the stall monitor's edge trigger.
   void clear_stall() noexcept;
 
@@ -128,37 +169,10 @@ class MonitorSuite {
     return n;
   }
   [[nodiscard]] bool healthy() const noexcept { return total_alerts() == 0; }
-  [[nodiscard]] const MonitorConfig& config() const noexcept { return config_; }
 
  private:
   static constexpr std::size_t kPendingCap = 16;
 
-  [[nodiscard]] static double abs_of(double v) noexcept {
-    return v < 0.0 ? -v : v;
-  }
-
-  /// Shared edge-trigger: in violation when observed > threshold.
-  template <typename Emit>
-  void check(MonitorKind m, double sim_now, double observed, double threshold,
-             Emit&& emit) {
-    MonitorState& s = states_[static_cast<std::size_t>(m)];
-    s.threshold = threshold;
-    const bool violated = observed > threshold;
-    if (violated) {
-      s.last_observed = observed;
-      s.last_sim_time = sim_now;
-      if (!s.firing) {
-        if (s.alerts == 0) s.first_sim_time = sim_now;
-        ++s.alerts;
-        emit(alert_event(sim_now, static_cast<std::uint8_t>(m), observed,
-                         threshold));
-      }
-    }
-    s.firing = violated;
-  }
-
-  MonitorConfig config_;
-  MonitorProbes probes_;
   std::array<MonitorState, kMonitorKindCount> states_{};
   // Fixed ring of stall alerts awaiting a sim-thread publish. Overwrites
   // past kPendingCap are harmless: the alert count is already in states_.

@@ -26,15 +26,7 @@ std::uint64_t seconds_to_ticks(double seconds) {
 }  // namespace
 
 LivePlane::LivePlane(LiveConfig config, Bindings bindings)
-    : config_(config),
-      bindings_(std::move(bindings)),
-      suite_(
-          [&config] {
-            MonitorConfig mc = config.monitor;
-            mc.enabled = mc.enabled && config.monitors;
-            return mc;
-          }(),
-          bindings_.monitors) {
+    : config_(config), bindings_(std::move(bindings)) {
   (void)HostClock::ns_per_tick();  // calibrate once, off the publish path
   publish_interval_ticks_ = seconds_to_ticks(config_.publish_interval);
   snapshot_.recent.resize(config_.recent_events);
@@ -74,18 +66,19 @@ void LivePlane::begin_run() {
   next_publish_ticks_ = 0;  // first boundary publishes immediately
 }
 
-void LivePlane::publish(double sim_now, bool final_check) {
+void LivePlane::publish(double sim_now) {
+  const Audit audit = bindings_.audit ? bindings_.audit(sim_now) : Audit{};
   {
     std::lock_guard<std::mutex> lk(mu_);
-    publish_locked(sim_now, final_check);
+    publish_locked(sim_now, audit);
   }
   next_publish_ticks_ = HostClock::ticks() + publish_interval_ticks_;
 }
 
-void LivePlane::end_run(double sim_now, bool quiescent) {
+void LivePlane::end_run(double sim_now, const Audit& audit) {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    publish_locked(sim_now, /*final_check=*/quiescent);
+    publish_locked(sim_now, audit);
     progress_.run_active = false;
     progress_.finished = true;
   }
@@ -93,15 +86,12 @@ void LivePlane::end_run(double sim_now, bool quiescent) {
   if (config_.progress) render_ticker_line(/*last=*/true);
 }
 
-void LivePlane::publish_locked(double sim_now, bool final_check) {
+void LivePlane::publish_locked(double sim_now, const Audit& audit) {
   capture();
 
   progress_.sim_time = sim_now;
+  progress_.audit = audit;
   progress_.events_executed = bindings_.executed ? bindings_.executed() : 0;
-  if (bindings_.job_counts) {
-    bindings_.job_counts(progress_.submitted, progress_.completed,
-                         progress_.unplaced);
-  }
   progress_.workload_exhausted =
       bindings_.workload_exhausted ? bindings_.workload_exhausted() : true;
   progress_.workload_buffered =
@@ -118,7 +108,7 @@ void LivePlane::publish_locked(double sim_now, bool final_check) {
   last_sim_time_bits_.store(std::bit_cast<std::uint64_t>(sim_now),
                             std::memory_order_relaxed);
 
-  suite_.evaluate(sim_now, final_check, [this](const TraceEvent& ev) {
+  suite_.evaluate(sim_now, audit, [this](const TraceEvent& ev) {
     if (bindings_.alert_sink != nullptr) bindings_.alert_sink->record(ev);
   });
 }
@@ -159,11 +149,11 @@ void LivePlane::check_stall() {
   // and the unsigned difference must not wrap to an enormous one.
   if (now <= last) return;
   const double stalled_for = ticks_to_seconds(now - last);
-  if (stalled_for <= config_.monitor.stall_timeout) return;
+  if (stalled_for <= config_.stall_timeout) return;
   const double sim_time = std::bit_cast<double>(
       last_sim_time_bits_.load(std::memory_order_relaxed));
   std::lock_guard<std::mutex> lk(mu_);
-  suite_.report_stall(sim_time, stalled_for);
+  suite_.report_stall(sim_time, stalled_for, config_.stall_timeout);
 }
 
 void LivePlane::ticker_loop() {
@@ -191,14 +181,15 @@ void LivePlane::render_ticker_line(bool last) const {
   const double rate =
       elapsed > 0.0 ? static_cast<double>(p.events_executed) / elapsed : 0.0;
   char eta[32] = "?";
-  const std::uint64_t done = p.completed + p.unplaced;
+  const Audit& jobs = p.audit;
+  const std::uint64_t done = jobs.completed + jobs.unplaced;
   if (p.finished) {
     std::snprintf(eta, sizeof(eta), "done");
-  } else if (p.workload_exhausted && p.completed > 0 && p.submitted > done &&
-             elapsed > 0.0) {
-    const double jobs_rate = static_cast<double>(p.completed) / elapsed;
+  } else if (p.workload_exhausted && jobs.completed > 0 &&
+             jobs.submitted > done && elapsed > 0.0) {
+    const double jobs_rate = static_cast<double>(jobs.completed) / elapsed;
     std::snprintf(eta, sizeof(eta), "%.0fs",
-                  static_cast<double>(p.submitted - done) / jobs_rate);
+                  static_cast<double>(jobs.submitted - done) / jobs_rate);
   }
   std::fprintf(
       stderr,
@@ -206,8 +197,8 @@ void LivePlane::render_ticker_line(bool last) const {
       "(%llu unplaced) alerts %llu eta %s        %s",
       p.sim_time, static_cast<unsigned long long>(p.events_executed),
       rate * 1e-6, static_cast<unsigned long long>(done),
-      static_cast<unsigned long long>(p.submitted),
-      static_cast<unsigned long long>(p.unplaced),
+      static_cast<unsigned long long>(jobs.submitted),
+      static_cast<unsigned long long>(jobs.unplaced),
       static_cast<unsigned long long>(alerts), eta, last ? "\n" : "");
   std::fflush(stderr);
 }
@@ -248,12 +239,13 @@ std::string LivePlane::render_progress_locked() const {
           : ticks_to_seconds(HostClock::ticks() - p.publish_ticks);
   const double ev_rate =
       elapsed > 0.0 ? static_cast<double>(p.events_executed) / elapsed : 0.0;
-  const std::uint64_t done = p.completed + p.unplaced;
+  const Audit& jobs = p.audit;
+  const std::uint64_t done = jobs.completed + jobs.unplaced;
   std::string eta = "null";
-  if (!p.finished && p.workload_exhausted && p.completed > 0 &&
-      p.submitted > done && elapsed > 0.0) {
-    eta = json_number(static_cast<double>(p.submitted - done) * elapsed /
-                      static_cast<double>(p.completed));
+  if (!p.finished && p.workload_exhausted && jobs.completed > 0 &&
+      jobs.submitted > done && elapsed > 0.0) {
+    eta = json_number(static_cast<double>(jobs.submitted - done) * elapsed /
+                      static_cast<double>(jobs.completed));
   }
   std::ostringstream os;
   os << "{\"schema\":\"faucets.live.progress.v3\""
@@ -262,11 +254,9 @@ std::string LivePlane::render_progress_locked() const {
      << ",\"publishes\":" << p.publish_seq
      << ",\"sim_time\":" << json_number(p.sim_time)
      << ",\"events_executed\":" << p.events_executed << ",\"jobs\":{"
-     << "\"submitted\":" << p.submitted << ",\"completed\":" << p.completed
-     << ",\"unplaced\":" << p.unplaced << ",\"in_flight\":"
-     << (static_cast<std::int64_t>(p.submitted) -
-         static_cast<std::int64_t>(done))
-     << "},\"workload\":{\"exhausted\":"
+     << "\"submitted\":" << jobs.submitted << ",\"completed\":"
+     << jobs.completed << ",\"unplaced\":" << jobs.unplaced
+     << ",\"in_flight\":" << jobs.in_flight() << "},\"workload\":{\"exhausted\":"
      << (p.workload_exhausted ? "true" : "false")
      << ",\"buffered\":" << p.workload_buffered << "},\"host\":{"
      << "\"elapsed_seconds\":" << json_number(elapsed)
@@ -282,12 +272,10 @@ std::string LivePlane::render_healthz_locked() const {
   std::ostringstream os;
   const MonitorState& stall =
       suite_.state(MonitorKind::kBarrierStall);
-  os << "{\"schema\":\"faucets.live.healthz.v1\",\"status\":\""
+  os << "{\"schema\":\"faucets.live.healthz.v2\",\"status\":\""
      << (suite_.healthy() ? "ok" : "alert")
      << "\",\"alerts_total\":" << suite_.total_alerts()
      << ",\"stalled\":" << (stall.firing ? "true" : "false")
-     << ",\"monitors_enabled\":"
-     << (suite_.config().enabled ? "true" : "false")
      << ",\"sim_time\":" << json_number(progress_.sim_time)
      << ",\"publishes\":" << progress_.publish_seq << ",\"monitors\":[";
   for (std::size_t m = 0; m < kMonitorKindCount; ++m) {

@@ -44,8 +44,6 @@ struct LiveConfig {
   std::uint16_t port = 0;  // 0 picks an ephemeral port (see LivePlane::port)
   /// Single-line host-time progress/ETA ticker on stderr.
   bool progress = false;
-  /// Evaluate the online invariant monitors at publish boundaries.
-  bool monitors = true;
   /// Host seconds between snapshot publishes; 0 publishes at every
   /// consistent boundary (tests use 0 for deterministic coverage).
   double publish_interval = 0.1;
@@ -55,7 +53,9 @@ struct LiveConfig {
   double progress_interval = 0.5;
   /// Server accept-poll timeout; also the stall watchdog's check cadence.
   int poll_interval_ms = 100;
-  MonitorConfig monitor{};
+  /// Host seconds without sim time advancing before the stall watchdog
+  /// fires (checked on the server thread).
+  double stall_timeout = 10.0;
 
   [[nodiscard]] bool enabled() const noexcept { return serve || progress; }
 };
@@ -71,11 +71,10 @@ class LivePlane {
     /// Sink for kAlert records (the simulation's ring). May be null
     /// (alerts then only reach /healthz and /metrics).
     TraceBuffer* alert_sink = nullptr;
-    MonitorProbes monitors{};
-    /// Grid-wide job counters.
-    std::function<void(std::uint64_t& submitted, std::uint64_t& completed,
-                       std::uint64_t& unplaced)>
-        job_counts;
+    /// The grid's audit at `sim_now`, evaluated once per publish: /progress
+    /// job counts and the monitors read it. Must be allocation-free; null
+    /// reads as an empty, clean grid.
+    std::function<Audit(double sim_now)> audit;
     /// Streaming workload state (null-safe: unknown outside run()).
     std::function<bool()> workload_exhausted;
     std::function<std::uint64_t()> workload_buffered;
@@ -91,13 +90,14 @@ class LivePlane {
   /// Paced publish: no-op until publish_interval host time elapsed.
   void maybe_publish(double sim_now) {
     if (HostClock::ticks() < next_publish_ticks_) return;
-    publish(sim_now, /*final_check=*/false);
+    publish(sim_now);
   }
   /// Unconditional snapshot publish + monitor evaluation.
-  void publish(double sim_now, bool final_check);
-  /// Final publish (with `quiescent` enabling exit-semantics monitor
-  /// checks), then mark the run finished for /progress and the ticker.
-  void end_run(double sim_now, bool quiescent);
+  void publish(double sim_now);
+  /// Final publish of the run's end-of-run audit (its `drained` selects the
+  /// exit semantics), then mark the run finished for /progress and the
+  /// ticker.
+  void end_run(double sim_now, const Audit& audit);
   /// Bracket a deliberate pause (checkpoint capture via
   /// GridSystem::maybe_pause): the stall watchdog is held while the bracket
   /// is open and re-armed from the release instant, so a pause of any
@@ -130,9 +130,7 @@ class LivePlane {
 
   struct Progress {
     double sim_time = 0.0;
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t unplaced = 0;
+    Audit audit;  // the job counts /progress shows come from here
     std::uint64_t events_executed = 0;
     bool workload_exhausted = false;
     std::uint64_t workload_buffered = 0;
@@ -143,7 +141,7 @@ class LivePlane {
     std::uint64_t run_start_ticks = 0;
   };
 
-  void publish_locked(double sim_now, bool final_check);
+  void publish_locked(double sim_now, const Audit& audit);
   void capture();
   void check_stall();  // server/ticker thread, every poll interval
   void ticker_loop();

@@ -73,6 +73,7 @@ class SpanTracker {
                     SpanId parent = {}) {
     const SpanId id{spans_.size()};
     start_local(id, kind, now, entity, parent);
+    ++open_spans_;
     if (kind == SpanKind::kSubmission) ++open_submissions_;
     return id;
   }
@@ -89,20 +90,20 @@ class SpanTracker {
 
   void end_span(SpanId id, double now) {
     if (Span* s = find_mutable(id); s != nullptr && s->open()) {
-      if (s->kind == SpanKind::kSubmission && open_submissions_ > 0) {
-        --open_submissions_;
-      }
+      --open_spans_;
+      if (s->kind == SpanKind::kSubmission) --open_submissions_;
       s->end = now;
     }
   }
 
-  /// Open (un-ended) kSubmission root spans, maintained incrementally. At
-  /// an event boundary this equals jobs still in flight (submitted -
-  /// completed - unplaced) — the span-balance invariant the live monitor
-  /// checks online.
+  /// Open (un-ended) kSubmission root spans and open spans of every kind,
+  /// both maintained incrementally (only start_span opens a span). At an
+  /// event boundary the roots equal jobs still in flight; at a drained end
+  /// both are zero (the audit's span-balance term).
   [[nodiscard]] std::uint64_t open_submissions() const noexcept {
     return open_submissions_;
   }
+  [[nodiscard]] std::uint64_t open_spans() const noexcept { return open_spans_; }
 
   void set_value(SpanId id, double value) {
     if (Span* s = find_mutable(id)) s->value = value;
@@ -196,6 +197,7 @@ class SpanTracker {
 
   std::vector<Span> spans_;
   std::uint64_t open_submissions_ = 0;
+  std::uint64_t open_spans_ = 0;
 };
 
 }  // namespace faucets::obs

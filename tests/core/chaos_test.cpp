@@ -1,10 +1,14 @@
 // The fault-tolerance acceptance scenario: a lossy WAN plus a mid-run
 // cluster crash, run under a fixed seed, and a brokered variant that adds a
 // network partition. Every submitted job must reach a terminal state
-// (completed or unplaced, never stranded), every reservation lease must be
-// released, every lifecycle span closed — and the whole thing must be
-// bit-for-bit repeatable.
+// (completed or unplaced, never stranded), and the run must drain and pass
+// the grid's end-of-run audit (no lease held, no span open, credits
+// conserved) — and the whole thing must be bit-for-bit repeatable. The
+// Audit tests break each audited invariant on purpose, with the live plane
+// off, and check that the audit names it.
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "src/core/grid_system.hpp"
 #include "src/sched/equipartition.hpp"
@@ -38,20 +42,32 @@ std::vector<job::JobRequest> workload(std::size_t n) {
   return reqs;
 }
 
+/// Passes when the run drained and every audit term holds; a failure names
+/// the first failing term.
+::testing::AssertionResult drained_clean(const obs::live::Audit& audit) {
+  if (!audit.drained) return ::testing::AssertionFailure() << "the run did not drain";
+  if (const auto term = audit.first_failure()) {
+    return ::testing::AssertionFailure()
+           << "audit failed: " << obs::to_string(*term) << " observed "
+           << audit.observed(*term);
+  }
+  return ::testing::AssertionSuccess();
+}
+
 struct ChaosOutcome {
   GridReport report;
+  obs::live::Audit audit;
   std::uint64_t retry_attempts = 0;
   std::uint64_t retry_timeouts = 0;
   std::uint64_t completed = 0;
   std::uint64_t unplaced = 0;
   std::uint64_t pending = 0;
-  std::size_t open_spans = 0;
-  std::size_t live_leases = 0;
 };
 
 ChaosOutcome run_grid(GridSystem& grid, std::vector<job::JobRequest> requests) {
   ChaosOutcome out;
   out.report = grid.run(std::move(requests), /*until=*/1e6);
+  out.audit = grid.audit();
   out.retry_attempts =
       grid.context().metrics().counter_value("faucets_retry_attempts_total");
   out.retry_timeouts =
@@ -74,12 +90,6 @@ ChaosOutcome run_grid(GridSystem& grid, std::vector<job::JobRequest> requests) {
           break;
       }
     }
-  }
-  for (const obs::Span& s : grid.obs().spans().spans()) {
-    if (s.open()) ++out.open_spans;
-  }
-  for (std::size_t d = 0; d < grid.cluster_count(); ++d) {
-    out.live_leases += grid.daemon(d).cm().active_reservations();
   }
   return out;
 }
@@ -145,8 +155,7 @@ TEST(Chaos, LossAndCrashLeaveNoStrandedJobs) {
   EXPECT_GT(out.retry_timeouts, 0u);
 
   // No capacity is still held hostage and no lifecycle span dangles.
-  EXPECT_EQ(out.live_leases, 0u);
-  EXPECT_EQ(out.open_spans, 0u);
+  EXPECT_TRUE(drained_clean(out.audit));
 }
 
 TEST(Chaos, BrokeredLossPartitionAndCrashLeaveNoStrandedJobs) {
@@ -155,16 +164,14 @@ TEST(Chaos, BrokeredLossPartitionAndCrashLeaveNoStrandedJobs) {
   EXPECT_EQ(out.pending, 0u) << "every submission must reach a terminal state";
   EXPECT_EQ(out.completed + out.unplaced, out.report.jobs_submitted);
   EXPECT_GE(out.completed, 15u) << "the surviving clusters carry the load";
-  EXPECT_EQ(out.live_leases, 0u);
-  EXPECT_EQ(out.open_spans, 0u);
+  EXPECT_TRUE(drained_clean(out.audit));
 }
 
 TEST(Chaos, CrashWithoutRestartStillTerminates) {
   const auto out = run_chaos(/*restart=*/false);
   EXPECT_EQ(out.pending, 0u);
   EXPECT_EQ(out.completed + out.unplaced, 12u);
-  EXPECT_EQ(out.live_leases, 0u);
-  EXPECT_EQ(out.open_spans, 0u);
+  EXPECT_TRUE(drained_clean(out.audit));
 }
 
 TEST(Chaos, FixedSeedIsDeterministic) {
@@ -198,9 +205,7 @@ TEST(Chaos, PartitionHealLetsTheJobThrough) {
   EXPECT_GT(grid.network().dropped_of(obs::DropReason::kPartitioned), 0u);
   EXPECT_GT(grid.context().metrics().counter_value("faucets_retry_attempts_total"),
             0u);
-  for (const obs::Span& s : grid.obs().spans().spans()) {
-    EXPECT_FALSE(s.open());
-  }
+  EXPECT_TRUE(drained_clean(grid.audit()));
 }
 
 TEST(Chaos, FaultFreeGridsKeepTheOneShotMarket) {
@@ -215,6 +220,69 @@ TEST(Chaos, FaultFreeGridsKeepTheOneShotMarket) {
   EXPECT_EQ(grid.context().metrics().counter_value("faucets_retry_attempts_total"),
             0u)
       << "a fault-free grid must not retry";
+}
+
+// ------------------------------------------------------------------ Audit
+
+/// Two 64-proc clusters, eight jobs, live plane off; `sabotage` runs from a
+/// pause hook at t = 50, mid-run.
+obs::live::Audit audit_after(const std::function<void(GridSystem&)>& sabotage) {
+  auto grid = GridBuilder()
+                  .cluster(make_cluster("alpha", 0.0001))
+                  .cluster(make_cluster("beta", 0.0005))
+                  .users(3)
+                  .build();
+  EXPECT_EQ(grid->live(), nullptr);
+  bool fired = false;
+  if (sabotage) {
+    grid->set_pause_hook(50.0, [&] {
+      sabotage(*grid);
+      fired = true;
+      return true;
+    });
+  }
+  (void)grid->run(workload(8), /*until=*/1e6);
+  EXPECT_EQ(fired, static_cast<bool>(sabotage));
+  EXPECT_TRUE(grid->audit().drained);
+  return grid->audit();
+}
+
+TEST(Audit, CleanRunPasses) {
+  const obs::live::Audit audit = audit_after(nullptr);
+  EXPECT_TRUE(drained_clean(audit));
+  EXPECT_EQ(audit.submitted, 8u);
+  EXPECT_EQ(audit.in_flight(), 0);
+}
+
+TEST(Audit, LeakedLeaseFailsTheLeaseTerm) {
+  // A lease whose expiry timer is cancelled stays held forever.
+  const obs::live::Audit audit = audit_after([](GridSystem& grid) {
+    auto& cm = grid.daemon(1).cm();
+    const auto id = cm.reserve(qos::make_contract(1, 2, 10.0), 51.0);
+    ASSERT_TRUE(id.has_value());
+    EXPECT_TRUE(cm.leak_reservation_for_test(*id));
+  });
+  EXPECT_EQ(audit.held_leases, 1u);
+  EXPECT_EQ(audit.first_failure(), obs::MonitorKind::kLeaseLeak);
+}
+
+TEST(Audit, MintedCreditsFailTheLedgerTerm) {
+  // An account for a cluster that does not exist adds credits no transfer
+  // moved.
+  const obs::live::Audit audit = audit_after([](GridSystem& grid) {
+    grid.central().open_barter_account(ClusterId{99}, 5.0);
+  });
+  EXPECT_DOUBLE_EQ(audit.ledger_residual, 5.0);
+  EXPECT_EQ(audit.first_failure(), obs::MonitorKind::kLedgerConservation);
+}
+
+TEST(Audit, UnendedSpanFailsTheSpanTerm) {
+  const obs::live::Audit audit = audit_after([](GridSystem& grid) {
+    (void)grid.context().spans().start_span(obs::SpanKind::kRfb, 50.0, EntityId{});
+  });
+  EXPECT_EQ(audit.open_spans, 1u);
+  EXPECT_EQ(audit.open_submissions, 0u);
+  EXPECT_EQ(audit.first_failure(), obs::MonitorKind::kSpanBalance);
 }
 
 }  // namespace

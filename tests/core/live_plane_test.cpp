@@ -156,14 +156,13 @@ TEST(LivePlaneGrid, LeakedLeaseRaisesTheLeaseLeakAlert) {
   Scenario scenario = Scenario::parse_string(grid_ini());
   scenario.grid.live.serve = true;
   scenario.grid.live.publish_interval = 0.0;
-  scenario.grid.live.monitor.lease_grace = 0.5;
   auto grid = scenario.make_grid();
   ASSERT_NE(grid->live(), nullptr);
 
   // Chaos: take a reservation and cancel its expiry timer while keeping the
   // lease held — the lost-expiry failure mode. Cluster 1 is a 4-proc box the
   // §5.1 filter keeps idle, so admission always accepts. The lease lapses at
-  // t=51; past the 0.5s grace every subsequent publish sees it.
+  // t=51; past the audit's 5 s grace every subsequent publish sees it.
   grid->set_pause_hook(50.0, [&] {
     auto& cm = grid->daemon(1).cm();
     const auto id = cm.reserve(qos::make_contract(1, 2, 10.0), 51.0);
@@ -179,6 +178,8 @@ TEST(LivePlaneGrid, LeakedLeaseRaisesTheLeaseLeakAlert) {
   EXPECT_GE(state.last_observed, 1.0);
   EXPECT_GE(grid->live()->alerts_total(), 1u);
   EXPECT_EQ(grid->live()->handle("/healthz").status, 503);
+  // The end-of-run audit the final publish used names the same term.
+  EXPECT_EQ(grid->audit().first_failure(), obs::MonitorKind::kLeaseLeak);
   // The kAlert reached the simulation trace ring, and therefore the
   // exported artifacts.
   const auto alerts = alert_events(grid->merged_trace());
@@ -192,7 +193,7 @@ TEST(LivePlaneGrid, HostTimeStallTripsTheWatchdogMidRun) {
   scenario.grid.live.serve = true;
   scenario.grid.live.publish_interval = 0.0;
   scenario.grid.live.poll_interval_ms = 2;
-  scenario.grid.live.monitor.stall_timeout = 0.05;  // 50ms of host time
+  scenario.grid.live.stall_timeout = 0.05;  // 50ms of host time
   auto grid = scenario.make_grid();
   ASSERT_NE(grid->live(), nullptr);
 

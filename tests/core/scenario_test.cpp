@@ -163,10 +163,13 @@ TEST(Scenario, TraceSectionValidates) {
 // built, and the error names the INI key. A NaN retry_base armed every retry
 // timer at NaN, which broke the engine's ordering and grew the event pool
 // until memory ran out; 0 timed every exchange out at once; a NaN crash_at
-// silently emptied a cluster.
+// silently emptied a cluster. A NaN loss or jitter, and a NaN [grid]
+// watchdog or price band, read as "off"; a loss above 1 dropped every
+// message.
 TEST(Scenario, RejectsNonFiniteFaultTimes) {
-  auto build = [](const std::string& faults) {
-    return Scenario::parse_string("[grid]\nusers = 4\n[faults]\nloss = 0.2\n" + faults +
+  auto build = [](const std::string& faults, const std::string& grid = "") {
+    return Scenario::parse_string("[grid]\nusers = 4\n" + grid +
+                                  "\n[faults]\nloss = 0.2\n" + faults +
                                   "\n[cluster]\nname = a\nprocs = 64\n"
                                   "[cluster]\nname = b\nprocs = 64\n")
         .make_grid();
@@ -180,16 +183,49 @@ TEST(Scenario, RejectsNonFiniteFaultTimes) {
       {"crash_cluster = 0\ncrash_at = 10\ncrash_restart = nan", "crash_restart"},
       {"partition_cluster = 1\npartition_from = 0\npartition_until = nan",
        "partition_until"},
+      {"loss = nan", "loss"},
+      {"loss = 1.5", "loss"},
+      {"loss = -0.1", "loss"},
+      {"jitter = nan", "jitter"},
+      {"jitter = inf", "jitter"},
+      {"jitter = -1", "jitter"},
   };
-  for (const auto& [faults, key] : bad) {
+  const std::pair<const char*, const char*> bad_grid[] = {
+      {"watchdog = nan", "watchdog"},
+      {"price_band = nan", "price_band"},
+  };
+  const auto expect_rejected = [&](const std::string& faults,
+                                   const std::string& grid, const char* key) {
     try {
-      (void)build(faults);
-      ADD_FAILURE() << "accepted: " << faults;
+      (void)build(faults, grid);
+      ADD_FAILURE() << "accepted: " << grid << faults;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
     }
-  }
+  };
+  for (const auto& [faults, key] : bad) expect_rejected(faults, "", key);
+  for (const auto& [grid, key] : bad_grid) expect_rejected("", grid, key);
   EXPECT_NE(build("retry_base = 2.5\ncrash_cluster = 0\ncrash_at = 100"), nullptr);
+  // The "off" spellings stay valid.
+  EXPECT_NE(build("loss = 1\njitter = 0", "watchdog = -1\nprice_band = 1"), nullptr);
+}
+
+// The audit's thresholds are constants and the monitors always run, so the
+// [live] keys that set them are rejected, naming the audit.
+TEST(Scenario, RejectsRemovedLiveMonitorKeys) {
+  for (const char* key : {"monitors = false", "ledger_residual_max = 1e-6",
+                          "lease_grace = 0.5"}) {
+    try {
+      (void)Scenario::parse_string(std::string("[live]\nserve = false\n") + key +
+                                   "\n[cluster]\nprocs = 64\n");
+      ADD_FAILURE() << "accepted: " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("audit"), std::string::npos) << e.what();
+    }
+  }
+  const Scenario ok = Scenario::parse_string(
+      "[live]\nserve = false\nstall_timeout = 0.5\n[cluster]\nprocs = 64\n");
+  EXPECT_DOUBLE_EQ(ok.grid.live.stall_timeout, 0.5);
 }
 
 TEST(Scenario, BrokeredFlagHonored) {

@@ -46,18 +46,13 @@ struct Fixture {
     b.trace = &trace;
     b.executed = [this] { return executed; };
     b.alert_sink = &alerts;
-    b.job_counts = [](std::uint64_t& sub, std::uint64_t& comp,
-                      std::uint64_t& unp) {
-      sub = 10;
-      comp = 4;
-      unp = 0;
+    b.audit = [](double) {
+      Audit a;
+      a.submitted = 10;
+      a.completed = 4;
+      a.open_submissions = 6;
+      return a;
     };
-    b.monitors.ledger_residual = [] { return 0.0; };
-    b.monitors.leaked_leases = [](double, double, bool) {
-      return std::uint64_t{0};
-    };
-    b.monitors.open_submission_roots = [] { return std::uint64_t{6}; };
-    b.monitors.jobs_in_flight = [] { return std::int64_t{6}; };
     plane = std::make_unique<LivePlane>(config, std::move(b));
   }
 };
@@ -69,7 +64,7 @@ TEST(LiveAlloc, SteadyStatePublishesAreAllocationFree) {
   auto& submitted = fx.metrics.counter("faucets_grid_jobs_submitted_total");
   auto& wait = fx.metrics.histogram("faucets_test_wait_seconds", {});
   fx.plane->begin_run();
-  fx.plane->publish(0.0, false);  // first publish: schema capture allocates
+  fx.plane->publish(0.0);  // first publish: schema capture allocates
   const auto before = allocations();
   for (int i = 1; i <= 10'000; ++i) {
     const auto now = static_cast<double>(i);
@@ -80,7 +75,7 @@ TEST(LiveAlloc, SteadyStatePublishesAreAllocationFree) {
                               4));
     submitted.inc();
     wait.observe(static_cast<double>(i % 7));
-    fx.plane->publish(now, false);
+    fx.plane->publish(now);
   }
   EXPECT_EQ(allocations(), before)
       << "steady-state publish must not allocate on the simulation thread";
@@ -99,25 +94,24 @@ TEST(LiveAlloc, MonitorEvaluationAndAlertEmissionAreAllocationFree) {
     b.metrics = &fx.metrics;
     b.trace = &fx.trace;
     b.alert_sink = &fx.alerts;
-    b.monitors.ledger_residual = [&residual] { return residual; };
-    b.monitors.leaked_leases = [](double, double, bool) {
-      return std::uint64_t{0};
+    b.audit = [&residual](double) {
+      Audit a;
+      a.ledger_residual = residual;
+      return a;
     };
-    b.monitors.open_submission_roots = [] { return std::uint64_t{0}; };
-    b.monitors.jobs_in_flight = [] { return std::int64_t{0}; };
     fx.plane = std::make_unique<LivePlane>(config, std::move(b));
   }
   fx.plane->begin_run();
-  fx.plane->publish(0.0, false);
+  fx.plane->publish(0.0);
   const auto before = allocations();
   // A full violate/recover cycle: the kAlert record goes through the
   // preallocated trace ring, so even alerting publishes stay heap-free.
   residual = 1.0;
-  fx.plane->publish(1.0, false);
+  fx.plane->publish(1.0);
   residual = 0.0;
-  fx.plane->publish(2.0, false);
+  fx.plane->publish(2.0);
   residual = 2.0;
-  fx.plane->publish(3.0, false);
+  fx.plane->publish(3.0);
   EXPECT_EQ(allocations(), before)
       << "monitor evaluation and alert emission must not allocate";
   EXPECT_EQ(fx.plane->alerts_total(), 2u);
@@ -127,14 +121,14 @@ TEST(LiveAlloc, MonitorEvaluationAndAlertEmissionAreAllocationFree) {
 TEST(LiveAlloc, RegistryGrowthReCapturesSchemaOnce) {
   Fixture fx;
   fx.plane->begin_run();
-  fx.plane->publish(0.0, false);
+  fx.plane->publish(0.0);
   // Growth: the next publish may allocate (schema re-capture)...
   fx.metrics.counter("faucets_test_late_total").inc();
-  fx.plane->publish(1.0, false);
+  fx.plane->publish(1.0);
   // ...but the state after it is steady again.
   const auto before = allocations();
   for (int i = 2; i < 100; ++i) {
-    fx.plane->publish(static_cast<double>(i), false);
+    fx.plane->publish(static_cast<double>(i));
   }
   EXPECT_EQ(allocations(), before);
 }

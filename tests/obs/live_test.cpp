@@ -1,5 +1,5 @@
 // Live operations plane (DESIGN.md §15): the embedded HTTP server, the
-// online monitor suite driven through fabricated probes, and the LivePlane
+// online monitor suite driven through fabricated audits, and the LivePlane
 // endpoint rendering over published snapshots.
 #include <gtest/gtest.h>
 
@@ -183,56 +183,65 @@ TEST(HttpServer, StopIsIdempotentAndRestartable) {
 
 // ----------------------------------------------------------- MonitorSuite
 
-MonitorProbes clean_probes() {
-  MonitorProbes p;
-  p.ledger_residual = [] { return 0.0; };
-  p.leaked_leases = [](double, double, bool) { return std::uint64_t{0}; };
-  p.open_submission_roots = [] { return std::uint64_t{0}; };
-  p.jobs_in_flight = [] { return std::int64_t{0}; };
-  return p;
+/// A clean grid in flight: every job in flight has its open root.
+Audit clean_audit() {
+  Audit a;
+  a.submitted = 10;
+  a.completed = 4;
+  a.unplaced = 1;
+  a.open_submissions = 5;
+  a.open_spans = 12;
+  return a;
 }
 
 std::vector<TraceEvent> evaluate_collect(MonitorSuite& suite, double now,
-                                         bool final_check = false) {
+                                         const Audit& audit) {
   std::vector<TraceEvent> out;
-  suite.evaluate(now, final_check,
+  suite.evaluate(now, audit,
                  [&out](const TraceEvent& ev) { out.push_back(ev); });
   return out;
 }
 
 TEST(MonitorSuite, CleanProbesNeverAlert) {
-  MonitorSuite suite(MonitorConfig{}, clean_probes());
+  MonitorSuite suite;
+  Audit audit = clean_audit();
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(evaluate_collect(suite, i, i == 99).empty());
+    EXPECT_TRUE(evaluate_collect(suite, i, audit).empty());
   }
+  // The drained end: nothing in flight, held or open.
+  audit.completed = 9;
+  audit.open_submissions = 0;
+  audit.open_spans = 0;
+  audit.drained = true;
+  EXPECT_TRUE(audit.ok());
+  EXPECT_TRUE(evaluate_collect(suite, 100.0, audit).empty());
   EXPECT_TRUE(suite.healthy());
   EXPECT_EQ(suite.total_alerts(), 0u);
 }
 
 TEST(MonitorSuite, LedgerViolationIsEdgeTriggered) {
-  MonitorProbes probes = clean_probes();
-  double residual = 0.0;
-  probes.ledger_residual = [&residual] { return residual; };
-  MonitorSuite suite(MonitorConfig{}, std::move(probes));
+  MonitorSuite suite;
+  Audit audit = clean_audit();
 
-  EXPECT_TRUE(evaluate_collect(suite, 1.0).empty());
-  residual = -1e-3;  // |residual| matters, sign does not
-  const auto first = evaluate_collect(suite, 2.0);
+  EXPECT_TRUE(evaluate_collect(suite, 1.0, audit).empty());
+  audit.ledger_residual = -1e-3;  // |residual| matters, sign does not
+  const auto first = evaluate_collect(suite, 2.0, audit);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].kind, TraceEventKind::kAlert);
   EXPECT_EQ(static_cast<MonitorKind>(first[0].payload.alert.monitor),
             MonitorKind::kLedgerConservation);
   EXPECT_DOUBLE_EQ(first[0].payload.alert.observed, 1e-3);
+  EXPECT_DOUBLE_EQ(first[0].payload.alert.threshold, Audit::kLedgerResidualMax);
   // Still violated: counted once, no new trace event.
-  EXPECT_TRUE(evaluate_collect(suite, 3.0).empty());
+  EXPECT_TRUE(evaluate_collect(suite, 3.0, audit).empty());
   EXPECT_EQ(suite.state(MonitorKind::kLedgerConservation).alerts, 1u);
   EXPECT_DOUBLE_EQ(suite.state(MonitorKind::kLedgerConservation).last_sim_time,
                    3.0);
   // Recovers, then violates again: a second rising edge.
-  residual = 0.0;
-  EXPECT_TRUE(evaluate_collect(suite, 4.0).empty());
-  residual = 2e-3;
-  EXPECT_EQ(evaluate_collect(suite, 5.0).size(), 1u);
+  audit.ledger_residual = 0.0;
+  EXPECT_TRUE(evaluate_collect(suite, 4.0, audit).empty());
+  audit.ledger_residual = 2e-3;
+  EXPECT_EQ(evaluate_collect(suite, 5.0, audit).size(), 1u);
   EXPECT_EQ(suite.state(MonitorKind::kLedgerConservation).alerts, 2u);
   EXPECT_DOUBLE_EQ(suite.state(MonitorKind::kLedgerConservation).first_sim_time,
                    2.0);
@@ -240,81 +249,78 @@ TEST(MonitorSuite, LedgerViolationIsEdgeTriggered) {
 }
 
 TEST(MonitorSuite, LeaseLeakUsesGraceAndFinalSemantics) {
-  MonitorProbes probes = clean_probes();
-  double seen_grace = -1.0;
-  bool seen_final = false;
-  std::uint64_t leaked = 0;
-  probes.leaked_leases = [&](double, double grace, bool final_check) {
-    seen_grace = grace;
-    seen_final = final_check;
-    return leaked;
-  };
-  MonitorConfig config;
-  config.lease_grace = 7.5;
-  MonitorSuite suite(config, std::move(probes));
-
-  EXPECT_TRUE(evaluate_collect(suite, 1.0).empty());
-  EXPECT_DOUBLE_EQ(seen_grace, 7.5);
-  EXPECT_FALSE(seen_final);
-  leaked = 3;
-  const auto events = evaluate_collect(suite, 2.0, /*final_check=*/true);
-  EXPECT_TRUE(seen_final);
+  MonitorSuite suite;
+  Audit audit = clean_audit();
+  // Mid-run, held leases within their grace are fine; only overdue ones
+  // alert.
+  audit.held_leases = 3;
+  EXPECT_TRUE(evaluate_collect(suite, 1.0, audit).empty());
+  audit.overdue_leases = 1;
+  auto events = evaluate_collect(suite, 2.0, audit);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(static_cast<MonitorKind>(events[0].payload.alert.monitor),
             MonitorKind::kLeaseLeak);
+  EXPECT_DOUBLE_EQ(events[0].payload.alert.observed, 1.0);
+  // At a drained end every held lease counts.
+  audit.overdue_leases = 0;
+  EXPECT_TRUE(evaluate_collect(suite, 3.0, audit).empty());
+  audit.completed = 9;
+  audit.open_submissions = 0;
+  audit.open_spans = 0;
+  audit.drained = true;
+  events = evaluate_collect(suite, 4.0, audit);
+  ASSERT_EQ(events.size(), 1u);
   EXPECT_DOUBLE_EQ(events[0].payload.alert.observed, 3.0);
+  EXPECT_EQ(audit.first_failure(), MonitorKind::kLeaseLeak);
 }
 
 TEST(MonitorSuite, SpanBalanceComparesOpenRootsToInFlight) {
-  MonitorProbes probes = clean_probes();
-  std::uint64_t open = 5;
-  std::int64_t in_flight = 5;
-  probes.open_submission_roots = [&open] { return open; };
-  probes.jobs_in_flight = [&in_flight] { return in_flight; };
-  MonitorSuite suite(MonitorConfig{}, std::move(probes));
+  MonitorSuite suite;
+  Audit audit = clean_audit();
 
-  EXPECT_TRUE(evaluate_collect(suite, 1.0).empty());
-  open = 6;  // one span left open without a matching in-flight job
-  const auto events = evaluate_collect(suite, 2.0);
+  EXPECT_TRUE(evaluate_collect(suite, 1.0, audit).empty());
+  audit.open_submissions = 6;  // one root left open without a job in flight
+  const auto events = evaluate_collect(suite, 2.0, audit);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(static_cast<MonitorKind>(events[0].payload.alert.monitor),
             MonitorKind::kSpanBalance);
   EXPECT_DOUBLE_EQ(events[0].payload.alert.observed, 1.0);
+  // At a drained end any open span, root or not, breaks the balance, and
+  // so does a job still counted in flight.
+  Audit end = clean_audit();
+  end.completed = 9;
+  end.open_submissions = 0;
+  end.open_spans = 1;
+  end.drained = true;
+  EXPECT_EQ(end.first_failure(), MonitorKind::kSpanBalance);
+  end.open_spans = 0;
+  EXPECT_TRUE(end.ok());
+  end.completed = 8;
+  EXPECT_EQ(end.first_failure(), MonitorKind::kSpanBalance);
 }
 
 TEST(MonitorSuite, StallIsCountedImmediatelyAndDrainedAtNextPublish) {
-  MonitorSuite suite(MonitorConfig{}, clean_probes());
+  MonitorSuite suite;
+  const Audit audit = clean_audit();
   // Server thread reports the stall: visible in states at once, the trace
   // event deferred.
-  suite.report_stall(123.0, 42.0);
+  suite.report_stall(123.0, 42.0, 10.0);
   EXPECT_EQ(suite.state(MonitorKind::kBarrierStall).alerts, 1u);
   EXPECT_TRUE(suite.state(MonitorKind::kBarrierStall).firing);
   // Re-reports of the same episode do not double-count.
-  suite.report_stall(123.0, 43.0);
+  suite.report_stall(123.0, 43.0, 10.0);
   EXPECT_EQ(suite.state(MonitorKind::kBarrierStall).alerts, 1u);
   // Next sim-thread publish drains exactly one queued kAlert.
-  const auto events = evaluate_collect(suite, 123.0);
+  const auto events = evaluate_collect(suite, 123.0, audit);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(static_cast<MonitorKind>(events[0].payload.alert.monitor),
             MonitorKind::kBarrierStall);
   EXPECT_DOUBLE_EQ(events[0].time, 123.0);
-  EXPECT_TRUE(evaluate_collect(suite, 124.0).empty());
+  EXPECT_TRUE(evaluate_collect(suite, 124.0, audit).empty());
   // After progress resumes, a new stall is a new episode.
   suite.clear_stall();
-  suite.report_stall(200.0, 50.0);
+  suite.report_stall(200.0, 50.0, 10.0);
   EXPECT_EQ(suite.state(MonitorKind::kBarrierStall).alerts, 2u);
-}
-
-TEST(MonitorSuite, DisabledSuiteIsInert) {
-  MonitorProbes probes = clean_probes();
-  probes.ledger_residual = [] { return 1e9; };  // wildly violated
-  MonitorConfig config;
-  config.enabled = false;
-  MonitorSuite suite(config, std::move(probes));
-  EXPECT_TRUE(evaluate_collect(suite, 1.0).empty());
-  suite.report_stall(1.0, 1e9);
-  EXPECT_EQ(suite.total_alerts(), 0u);
-  EXPECT_TRUE(suite.healthy());
 }
 
 // -------------------------------------------------------------- LivePlane
@@ -346,19 +352,18 @@ struct PlaneFixture {
     b.trace = &trace;
     b.executed = [this] { return executed; };
     b.alert_sink = &alerts;
-    b.job_counts = [this](std::uint64_t& sub, std::uint64_t& comp,
-                          std::uint64_t& unp) {
-      sub = submitted;
-      comp = completed;
-      unp = 0;
-    };
-    b.monitors.ledger_residual = [this] { return residual; };
-    b.monitors.leaked_leases = [](double, double, bool) {
-      return std::uint64_t{0};
-    };
-    b.monitors.open_submission_roots = [] { return std::uint64_t{0}; };
-    b.monitors.jobs_in_flight = [] { return std::int64_t{0}; };
+    b.audit = [this](double) { return audit(); };
     plane = std::make_unique<LivePlane>(config, std::move(b));
+  }
+
+  /// A clean grid in flight: one open root per job in flight.
+  [[nodiscard]] Audit audit() const {
+    Audit a;
+    a.submitted = submitted;
+    a.completed = completed;
+    a.open_submissions = submitted - completed;
+    a.ledger_residual = residual;
+    return a;
   }
 };
 
@@ -366,7 +371,7 @@ TEST(LivePlane, MetricsEndpointRendersPrometheusText) {
   PlaneFixture fx;
   fx.plane->begin_run();
   fx.executed = 123;
-  fx.plane->publish(10.0, false);
+  fx.plane->publish(10.0);
   const HttpResponse res = fx.plane->handle("/metrics");
   EXPECT_EQ(res.status, 200);
   EXPECT_NE(res.body.find("# TYPE faucets_test_events_total counter"),
@@ -398,11 +403,11 @@ TEST(LivePlane, MetricsEndpointIsTheArtifactExporterPlusPlaneSeries) {
                               ClusterId{0}, JobId{11}, UserId{2}, 4));
   }
   fx.plane->begin_run();
-  fx.plane->publish(1.0, false);
+  fx.plane->publish(1.0);
   // The registry grows and moves between publishes.
   fx.metrics.gauge("faucets_test_late", "registered after a publish").set(0.1);
   fx.metrics.counter("faucets_test_events_total").inc(5);
-  fx.plane->publish(2.0, false);
+  fx.plane->publish(2.0);
 
   std::ostringstream want;
   write_prometheus(want, fx.metrics);
@@ -432,7 +437,7 @@ TEST(LivePlane, ProgressEndpointTracksJobs) {
   fx.executed = 1000;
   fx.submitted = 30;
   fx.completed = 12;
-  fx.plane->publish(42.0, false);
+  fx.plane->publish(42.0);
   const HttpResponse res = fx.plane->handle("/progress");
   EXPECT_EQ(res.status, 200);
   EXPECT_NE(res.body.find("\"schema\":\"faucets.live.progress.v3\""),
@@ -442,7 +447,7 @@ TEST(LivePlane, ProgressEndpointTracksJobs) {
   EXPECT_NE(res.body.find("\"submitted\":30"), std::string::npos);
   EXPECT_NE(res.body.find("\"in_flight\":18"), std::string::npos);
   EXPECT_NE(res.body.find("\"run_active\":true"), std::string::npos);
-  fx.plane->end_run(50.0, /*quiescent=*/true);
+  fx.plane->end_run(50.0, fx.audit());
   const HttpResponse done = fx.plane->handle("/progress");
   EXPECT_NE(done.body.find("\"finished\":true"), std::string::npos);
 }
@@ -452,7 +457,7 @@ TEST(LivePlane, HealthzFlipsTo503OnViolationAndAlertLandsInSinkOnce) {
   fx.plane->begin_run();
   EXPECT_EQ(fx.plane->handle("/healthz").status, 200);
   fx.residual = 0.5;  // conservation broken
-  fx.plane->publish(5.0, false);
+  fx.plane->publish(5.0);
   const HttpResponse res = fx.plane->handle("/healthz");
   EXPECT_EQ(res.status, 503);
   EXPECT_NE(res.body.find("\"status\":\"alert\""), std::string::npos);
@@ -462,7 +467,7 @@ TEST(LivePlane, HealthzFlipsTo503OnViolationAndAlertLandsInSinkOnce) {
       std::string::npos)
       << res.body;
   // Edge-triggered: a second violated publish adds no second trace event.
-  fx.plane->publish(6.0, false);
+  fx.plane->publish(6.0);
   ASSERT_EQ(fx.alerts.size(), 1u);
   EXPECT_EQ(fx.alerts.at(0).kind, TraceEventKind::kAlert);
   EXPECT_EQ(fx.plane->alerts_total(), 1u);
@@ -475,7 +480,7 @@ TEST(LivePlane, TracesRecentRendersRingTailAsJsonl) {
                             ClusterId{0}, JobId{11}, UserId{2}, 4));
   fx.trace.record(job_event(2.0, EntityId{1}, TraceEventKind::kJobCompleted,
                             ClusterId{0}, JobId{11}, UserId{2}, 4));
-  fx.plane->publish(2.0, false);
+  fx.plane->publish(2.0);
   const HttpResponse res = fx.plane->handle("/traces/recent");
   EXPECT_EQ(res.status, 200);
   EXPECT_NE(res.body.find("\"kind\":\"JOB_STARTED\""), std::string::npos)
@@ -493,9 +498,9 @@ TEST(LivePlane, UnknownPathIs404) {
 TEST(LivePlane, SchemaRecaptureFollowsRegistryGrowth) {
   PlaneFixture fx;
   fx.plane->begin_run();
-  fx.plane->publish(1.0, false);
+  fx.plane->publish(1.0);
   fx.metrics.counter("faucets_test_late_total", "registered mid-run").inc(9);
-  fx.plane->publish(2.0, false);
+  fx.plane->publish(2.0);
   const HttpResponse res = fx.plane->handle("/metrics");
   EXPECT_NE(res.body.find("faucets_test_late_total 9"), std::string::npos)
       << res.body;
@@ -529,13 +534,15 @@ TEST(LivePlane, ConcurrentScrapesDuringPublishesAreRaceFree) {
       ++fx.executed;
       fx.trace.record(job_event(t, EntityId{1}, TraceEventKind::kJobStarted,
                                 ClusterId{0}, JobId{1}, UserId{1}, 1));
-      fx.plane->publish(t, false);
+      fx.plane->publish(t);
     }
   });
   for (auto& s : scrapers) s.join();
   stop.store(true, std::memory_order_relaxed);
   sim.join();
-  fx.plane->end_run(1000.0, true);
+  Audit end = fx.audit();
+  end.drained = true;
+  fx.plane->end_run(1000.0, end);
   EXPECT_EQ(fx.plane->alerts_total(), 0u);
 }
 
@@ -548,7 +555,7 @@ TEST(LivePlane, StallWatchdogFiresFromServerThreadWhileSimIsStuck) {
   config.serve = true;
   config.publish_interval = 0.0;
   config.poll_interval_ms = 2;
-  config.monitor.stall_timeout = 0.02;  // 20ms of host time
+  config.stall_timeout = 0.02;  // 20ms of host time
   LivePlane::Bindings b;
   b.metrics = &metrics;
   b.trace = &trace;
@@ -558,7 +565,7 @@ TEST(LivePlane, StallWatchdogFiresFromServerThreadWhileSimIsStuck) {
   ASSERT_TRUE(plane.serving());
 
   plane.begin_run();
-  plane.publish(5.0, false);
+  plane.publish(5.0);
   // The "simulation" now hangs. The server thread must notice on its own.
   for (int i = 0; i < 500; ++i) {
     if (plane.handle("/healthz").status == 503) break;
@@ -572,12 +579,12 @@ TEST(LivePlane, StallWatchdogFiresFromServerThreadWhileSimIsStuck) {
       << res.body;
   // The deferred kAlert reaches the sim ring at the next publish.
   EXPECT_EQ(alerts.size(), 0u);
-  plane.publish(5.0, false);
+  plane.publish(5.0);
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(static_cast<MonitorKind>(alerts.at(0).payload.alert.monitor),
             MonitorKind::kBarrierStall);
   // Progress resumes: healthz keeps the alert count but stops firing.
-  plane.publish(6.0, false);
+  plane.publish(6.0);
   EXPECT_NE(plane.handle("/healthz").body.find("\"stalled\":false"),
             std::string::npos);
 }
@@ -594,7 +601,7 @@ TEST(LivePlane, StallWatchdogIsHeldAcrossDeliberatePauses) {
   config.serve = true;
   config.publish_interval = 0.0;
   config.poll_interval_ms = 2;
-  config.monitor.stall_timeout = 0.02;  // 20ms of host time
+  config.stall_timeout = 0.02;  // 20ms of host time
   LivePlane::Bindings b;
   b.metrics = &metrics;
   b.trace = &trace;
@@ -604,14 +611,14 @@ TEST(LivePlane, StallWatchdogIsHeldAcrossDeliberatePauses) {
   ASSERT_TRUE(plane.serving());
 
   plane.begin_run();
-  plane.publish(5.0, false);
+  plane.publish(5.0);
   plane.begin_pause();
   // "Checkpoint capture" for 5x the stall timeout: no alert may fire.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_EQ(plane.handle("/healthz").status, 200);
   EXPECT_EQ(plane.alerts_total(), 0u);
   plane.end_pause();
-  plane.publish(5.0, false);  // drains nothing: no alert was queued
+  plane.publish(5.0);  // drains nothing: no alert was queued
   EXPECT_EQ(alerts.size(), 0u);
   EXPECT_EQ(plane.handle("/healthz").status, 200);
   // Released and re-armed, not disarmed: a real post-pause stall still fires.
