@@ -48,49 +48,42 @@ std::optional<ClusterId> CentralServer::home_cluster_of(UserId user) const {
 std::vector<proto::ServerInfo> CentralServer::filter_servers(
     const qos::QosContract& contract, UserId user) const {
   std::vector<proto::ServerInfo> out;
+  // Known-applications policy (§2.2): a fact about the contract alone.
+  if (!application_known(contract.environment.application)) return out;
   const auto home = home_cluster_of(user);
+  const bool barter = config_.billing == BillingMode::kBarter && home.has_value();
 
-  for (const auto& [cluster, entry] : directory_) {
-    if (!entry.alive) continue;
-    // Static properties (§5.1): size, memory, software environment.
-    if (!entry.machine.can_ever_run(contract)) continue;
-    // Known-applications policy (§2.2).
-    if (!application_known(contract.environment.application)) continue;
+  for (const Listing& row : listing_) {
+    // Static properties (§5.1): size, memory, software environment; the
+    // checks of MachineSpec::can_ever_run, on the listed fields.
+    if (contract.min_procs > row.total_procs) continue;
+    if (contract.resources.memory_per_proc_mb > row.memory_per_proc_mb) continue;
+    if (!contract.environment.satisfied_by(row.provides)) continue;
+    const DirectoryEntry& poll = *row.poll;
+    if (!poll.alive) continue;
     // Dynamic properties: recent queue depth.
     if (config_.dynamic_queue_limit >= 0 &&
-        entry.queued_jobs > static_cast<std::size_t>(config_.dynamic_queue_limit)) {
+        poll.queued_jobs > static_cast<std::size_t>(config_.dynamic_queue_limit)) {
       continue;
     }
     // Barter mode (§5.5.3): foreign clusters are only offered when the home
     // cluster can pay for the run with credits.
-    if (config_.billing == BillingMode::kBarter && home.has_value() &&
-        cluster != *home) {
-      const double est_credits = contract.total_work() *
-                                 entry.machine.cost_per_cpu_second /
-                                 std::max(entry.machine.speed_factor, 1e-9);
+    if (barter && row.cluster != *home) {
+      const double est_credits = contract.total_work() * row.cost_per_cpu_second /
+                                 std::max(row.speed_factor, 1e-9);
       if (!ledger_.can_spend(*home, est_credits)) continue;
     }
-    proto::ServerInfo info;
-    info.cluster = cluster;
-    info.daemon = entry.daemon;
-    info.name = entry.machine.name;
-    info.total_procs = entry.machine.total_procs;
-    info.memory_per_proc_mb = entry.machine.memory_per_proc_mb;
-    info.speed_factor = entry.machine.speed_factor;
-    out.push_back(std::move(info));
+    out.push_back(proto::ServerInfo{row.cluster, poll.daemon});
   }
 
-  // Deterministic order; in barter mode the home cluster goes first ("the
-  // system tries to submit the job to the user's Home Cluster").
-  std::sort(out.begin(), out.end(),
-            [&](const proto::ServerInfo& a, const proto::ServerInfo& b) {
-              if (home.has_value()) {
-                const bool ah = a.cluster == *home;
-                const bool bh = b.cluster == *home;
-                if (ah != bh) return ah;
-              }
-              return a.cluster < b.cluster;
-            });
+  // The listing is in ClusterId order. A user's home cluster goes first ("the
+  // system tries to submit the job to the user's Home Cluster", §5.5.3) in
+  // every billing mode, so dollar-mode RFBs reach it first too.
+  if (home.has_value()) {
+    const auto it = std::find_if(out.begin(), out.end(),
+                                 [&](const proto::ServerInfo& s) { return s.cluster == *home; });
+    if (it != out.end()) std::rotate(out.begin(), it, std::next(it));
+  }
   return out;
 }
 
@@ -156,10 +149,25 @@ void CentralServer::handle_directory(const proto::DirectoryRequest& msg) {
 }
 
 void CentralServer::handle_register(const proto::RegisterDaemon& msg) {
-  DirectoryEntry entry;
-  entry.daemon = msg.from;
-  entry.machine = msg.machine;
-  directory_[msg.cluster] = std::move(entry);
+  // A repeat registration (a retry, or a restarted daemon) replaces both
+  // the poll state and the listing; the map node, and so the poll order,
+  // stays.
+  DirectoryEntry& entry = directory_[msg.cluster];
+  entry = DirectoryEntry{.daemon = msg.from};
+  auto row = std::lower_bound(
+      listing_.begin(), listing_.end(), msg.cluster,
+      [](const Listing& l, ClusterId cluster) { return l.cluster < cluster; });
+  if (row == listing_.end() || row->cluster != msg.cluster) {
+    row = listing_.insert(row, Listing{});
+  }
+  const cluster::MachineSpec& m = msg.machine;
+  *row = Listing{.cluster = msg.cluster,
+                 .total_procs = m.total_procs,
+                 .memory_per_proc_mb = m.memory_per_proc_mb,
+                 .cost_per_cpu_second = m.cost_per_cpu_second,
+                 .speed_factor = m.speed_factor,
+                 .poll = &entry,
+                 .provides = m.provides};
   auto ack = std::make_unique<proto::RegisterAck>();
   ack->ok = true;
   FAUCETS_DEBUG("fs") << "registered cluster " << msg.cluster << " ("
@@ -170,7 +178,6 @@ void CentralServer::handle_register(const proto::RegisterDaemon& msg) {
 void CentralServer::handle_poll_reply(const proto::PollReply& msg) {
   auto it = directory_.find(msg.cluster);
   if (it == directory_.end()) return;
-  it->second.busy_procs = msg.busy_procs;
   it->second.queued_jobs = msg.queued_jobs;
   it->second.missed_polls = 0;
   it->second.alive = true;

@@ -81,7 +81,9 @@ class CentralServer final : public sim::Entity {
   [[nodiscard]] std::optional<ClusterId> home_cluster_of(UserId user) const;
 
   /// The filtering core (§5.1), exposed for unit tests: which directory
-  /// entries could serve `contract` for `user`?
+  /// entries could serve `contract` for `user`? Servers come in ClusterId
+  /// order, except that the user's home cluster, when it qualifies, comes
+  /// first in every billing mode.
   [[nodiscard]] std::vector<proto::ServerInfo> filter_servers(
       const qos::QosContract& contract, UserId user) const;
 
@@ -97,13 +99,26 @@ class CentralServer final : public sim::Entity {
   void on_message(const sim::Message& msg) override;
 
  private:
+  /// A registered server's poll state: all that a poll reply writes.
   struct DirectoryEntry {
     EntityId daemon;
-    cluster::MachineSpec machine;
-    int busy_procs = 0;
     std::size_t queued_jobs = 0;
     int missed_polls = 0;
     bool alive = true;
+  };
+
+  /// A registered server's static listing: its ClusterId and the
+  /// MachineSpec fields the filter reads, with the fields most queries
+  /// reject on first. `poll` is the server's node in `directory_`, which
+  /// no rehash moves and nothing erases.
+  struct Listing {
+    ClusterId cluster;
+    int total_procs = 0;
+    double memory_per_proc_mb = 0.0;
+    double cost_per_cpu_second = 0.0;
+    double speed_factor = 1.0;
+    const DirectoryEntry* poll = nullptr;
+    qos::SoftwareEnvironment provides;
   };
 
   void handle_login(const proto::LoginRequest& msg);
@@ -126,7 +141,11 @@ class CentralServer final : public sim::Entity {
   SessionManager sessions_;
   std::unordered_map<UserId, ClusterId> home_clusters_;
   std::unordered_set<std::string> applications_;
+  // Iteration order is the poll send order, which decides the loss and
+  // jitter draws: the chaos, golden and weather digests pin it, so polls
+  // are not sent in ClusterId order.
   std::unordered_map<ClusterId, DirectoryEntry> directory_;
+  std::vector<Listing> listing_;  // one row per directory_ entry, ClusterId order
   market::PriceHistory price_history_;
   BarterLedger ledger_;
   UserAccounts accounts_;

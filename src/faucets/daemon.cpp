@@ -412,8 +412,6 @@ void FaucetsDaemon::handle_upload(const proto::UploadFiles& msg) {
 void FaucetsDaemon::handle_poll(const proto::PollRequest& msg) {
   auto reply = std::make_unique<proto::PollReply>();
   reply->cluster = cluster_;
-  reply->busy_procs = cm_->busy_procs();
-  reply->total_procs = cm_->machine().total_procs;
   reply->queued_jobs = cm_->queued_count();
   network_->send(*this, msg.from, std::move(reply));
 }

@@ -35,15 +35,11 @@ struct LoginReply final : sim::Message {
   [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
 };
 
-/// One directory row: enough for the client to contact the daemon and for
-/// static filtering to have already happened server-side.
+/// One directory row: enough for the client to contact the daemon, the
+/// filtering (§5.1) having happened server-side.
 struct ServerInfo {
   ClusterId cluster;
   EntityId daemon;
-  std::string name;
-  int total_procs = 0;
-  double memory_per_proc_mb = 0.0;
-  double speed_factor = 1.0;
 };
 
 struct DirectoryRequest final : sim::Message {
@@ -70,6 +66,8 @@ struct DirectoryReply final : sim::Message {
   std::optional<PriceBand> regulation;
   static constexpr sim::MessageKind kKind = sim::MessageKind::kDirectoryReply;
   [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
+  /// The modelled wire size: 96 bytes per listed server, fixed whatever
+  /// fields the simulated ServerInfo keeps.
   [[nodiscard]] std::size_t size_bytes() const noexcept override {
     return 128 + servers.size() * 96;
   }
@@ -280,8 +278,6 @@ struct PollRequest final : sim::Message {
 
 struct PollReply final : sim::Message {
   ClusterId cluster;
-  int busy_procs = 0;
-  int total_procs = 0;
   std::size_t queued_jobs = 0;
   static constexpr sim::MessageKind kKind = sim::MessageKind::kPollReply;
   [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
