@@ -68,14 +68,14 @@ int main() {
   };
 
   for (const auto& row : rows) {
-    core::GridConfig config;
-    if (row.watchdog >= 0.0) config.client_watchdog_margin = row.watchdog;
-    core::GridSystem grid{config, make_clusters(), 8};
     auto reqs = workload(111);
     const double horizon = reqs.back().submit_time;
+    core::GridConfig config;
+    if (row.watchdog >= 0.0) config.client_watchdog_margin = row.watchdog;
     if (row.kill) {
-      grid.schedule_cluster_shutdown(0, horizon * 0.25, row.graceful);
+      config.crashes.push_back({0, horizon * 0.25, std::nullopt, row.graceful});
     }
+    core::GridSystem grid{config, make_clusters(), 8};
     // Crashed jobs without a watchdog never resolve; bound the run.
     const auto report = grid.run(std::move(reqs), horizon * 20.0);
     t.row()

@@ -45,22 +45,21 @@ std::vector<job::JobRequest> workload(std::size_t n) {
 }
 
 core::GridReport run_grid(bool live) {
-  core::GridBuilder b;
-  b.cluster(make_cluster("alpha", 0.0001))
-      .cluster(make_cluster("beta", 0.0005))
-      .cluster(make_cluster("gamma", 0.0009))
-      .users(4);
+  core::GridConfig config;
   // The full production configuration: HTTP server on an ephemeral port,
   // monitors on, default 0.1s publish pacing — every hook the simulation
   // loop pays runs; only actual scrapes are absent (a scrape never touches
   // the simulation thread anyway).
-  if (live) b.serve(0);
-  auto grid = b.build();
+  config.live.serve = live;
+  core::GridSystem grid(config,
+                        {make_cluster("alpha", 0.0001), make_cluster("beta", 0.0005),
+                         make_cluster("gamma", 0.0009)},
+                        4);
   // 512 jobs ≈ 15ms of host time per run: long enough that the plane's
   // fixed setup (server thread spawn, socket bind, teardown join) amortizes
   // and the measured overhead is the steady-state publish cost, which is
   // what the <5% budget is about.
-  return grid->run(workload(512), /*until=*/1e7);
+  return grid.run(workload(512), /*until=*/1e7);
 }
 
 // The headline figure: a full market run with the plane off vs on. The two

@@ -45,16 +45,15 @@ std::vector<job::JobRequest> workload(std::size_t n) {
 }
 
 core::GridReport run_grid(bool profiled) {
-  core::GridBuilder b;
-  b.cluster(make_cluster("alpha", 0.0001))
-      .cluster(make_cluster("beta", 0.0005))
-      .cluster(make_cluster("gamma", 0.0009))
-      .users(4);
+  core::GridConfig config;
   // The run only records, so this arm pays every hot-path hook and no
   // export.
-  if (profiled) b.profile();
-  auto grid = b.build();
-  return grid->run(workload(48), /*until=*/1e7);
+  config.profile.enabled = profiled;
+  core::GridSystem grid(config,
+                        {make_cluster("alpha", 0.0001), make_cluster("beta", 0.0005),
+                         make_cluster("gamma", 0.0009)},
+                        4);
+  return grid.run(workload(48), /*until=*/1e7);
 }
 
 // The headline figure: a full market run with the profiler off vs on. The

@@ -47,14 +47,13 @@ std::vector<job::JobRequest> workload(std::size_t n) {
 }
 
 core::GridReport run_grid(double sample_interval) {
-  core::GridBuilder b;
-  b.cluster(make_cluster("alpha", 0.0001))
-      .cluster(make_cluster("beta", 0.0005))
-      .cluster(make_cluster("gamma", 0.0009))
-      .users(4);
-  if (sample_interval > 0.0) b.sampling(sample_interval, 512);
-  auto grid = b.build();
-  return grid->run(workload(48), /*until=*/1e7);
+  core::GridConfig config;
+  config.telemetry.sample_interval = sample_interval;  // 0 = sampling off
+  core::GridSystem grid(config,
+                        {make_cluster("alpha", 0.0001), make_cluster("beta", 0.0005),
+                         make_cluster("gamma", 0.0009)},
+                        4);
+  return grid.run(workload(48), /*until=*/1e7);
 }
 
 // The headline figure: a full market run with sampling off vs on at the

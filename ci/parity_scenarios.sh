@@ -12,8 +12,8 @@
 # also writes the sampled time series (series CSV, which turns sampling on
 # every 5 s); broadcast's 804 series would be a 17 MB file:
 #   demo       the built-in demo grid (brokered)
-#   chaos      ci/run.sh's chaos.ini with --loss 0.1 --crash-at 0:2000:6000
-#              --until 1000000 (brokered)
+#   chaos      ci/run.sh's chaos.ini (brokered, 10% loss, cluster 0 crashes
+#              at 2000 and restarts at 6000) with --until 1000000
 #   golden     ci/run.sh's store golden.ini (direct, barter, loss + jitter)
 #   direct     a direct, fault-free grid
 #   broadcast  200 direct servers (2 x 64-proc payoff, 198 x 4-proc fcfs)
@@ -157,7 +157,7 @@ sampled() {  # sampled <scenario> [scenario_sim args...]: run + series CSV
 }
 
 sampled demo
-sampled chaos "${IN}/chaos.ini" --loss 0.1 --crash-at 0:2000:6000 --until 1000000
+sampled chaos "${IN}/chaos.ini" --until 1000000
 sampled golden "${IN}/golden.ini"
 sampled direct "${IN}/direct.ini"
 run broadcast "${IN}/broadcast.ini" --until 6000

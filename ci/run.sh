@@ -212,6 +212,12 @@ brokered = true
 watchdog = 600
 seed = 2004
 
+[faults]
+loss = 0.1
+crash_cluster = 0
+crash_at = 2000
+crash_restart = 6000
+
 [cluster]
 name = turing
 procs = 256
@@ -238,8 +244,6 @@ jobs = 120
 load = 0.6
 INI
 ./build-release-bench/examples/scenario_sim "${CHAOS_DIR}/chaos.ini" \
-  --loss 0.1 \
-  --crash-at 0:2000:6000 \
   --until 1000000 \
   --metrics "${CHAOS_DIR}/metrics.prom" \
   --report "${CHAOS_DIR}/report.html" \
@@ -346,12 +350,14 @@ echo "==> live operations plane: mid-run endpoint scrape (DESIGN.md §15)"
 LIVE_DIR="build-release-bench/live-artifacts"
 rm -rf "${LIVE_DIR}"
 mkdir -p "${LIVE_DIR}"
-# Same grid as the chaos run with the workload inflated so the run is still
-# mid-flight while we scrape; the process is torn down after the checks.
-sed 's/^jobs = 120$/jobs = 200000/' "${CHAOS_DIR}/chaos.ini" \
+# The chaos grid without its crash (10% loss only), with the workload
+# inflated so the run is still mid-flight while we scrape; the process is
+# torn down after the checks. ConfigFile reads only the first [faults]
+# section, so the crash is deleted from it rather than overridden.
+sed -e 's/^jobs = 120$/jobs = 200000/' -e '/^crash_/d' "${CHAOS_DIR}/chaos.ini" \
   > "${LIVE_DIR}/live.ini"
 ./build-release-bench/examples/scenario_sim "${LIVE_DIR}/live.ini" \
-  --loss 0.1 --until 100000000 --serve --no-progress \
+  --until 100000000 --serve --no-progress \
   > "${LIVE_DIR}/stdout.txt" &
 LIVE_PID=$!
 python3 - "${LIVE_DIR}/stdout.txt" <<'PY'
@@ -426,13 +432,15 @@ rm -rf "${LIVE_DIR}/stdout.txt"
 echo "==> live plane byte-identity: --serve on/off"
 # The hard observability guarantee: serving the monitoring endpoints moves
 # no bytes of the report JSON or trace JSONL
-# (tests/core/live_plane_test.cpp pins the same property in-process).
-./build-release-bench/examples/scenario_sim "${CHAOS_DIR}/chaos.ini" \
-  --loss 0.1 --until 1000000 --no-progress \
+# (tests/core/live_plane_test.cpp pins the same property in-process). The
+# grid is the chaos grid without its crash: 10% loss only.
+sed '/^crash_/d' "${CHAOS_DIR}/chaos.ini" > "${LIVE_DIR}/lossy.ini"
+./build-release-bench/examples/scenario_sim "${LIVE_DIR}/lossy.ini" \
+  --until 1000000 --no-progress \
   --report-json "${LIVE_DIR}/off.json" \
   --trace-jsonl "${LIVE_DIR}/off.jsonl" >/dev/null
-./build-release-bench/examples/scenario_sim "${CHAOS_DIR}/chaos.ini" \
-  --loss 0.1 --until 1000000 --no-progress --serve \
+./build-release-bench/examples/scenario_sim "${LIVE_DIR}/lossy.ini" \
+  --until 1000000 --no-progress --serve \
   --report-json "${LIVE_DIR}/on.json" \
   --trace-jsonl "${LIVE_DIR}/on.jsonl" >/dev/null
 cmp "${LIVE_DIR}/off.json" "${LIVE_DIR}/on.json"

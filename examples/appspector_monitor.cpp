@@ -53,14 +53,9 @@ int main() {
   setup.strategy = [] { return std::make_unique<sched::EquipartitionStrategy>(); };
   setup.bid_generator = [] { return std::make_unique<market::BaselineBidGenerator>(); };
 
-  DaemonConfig daemon;
-  daemon.monitor_interval = 60.0;  // periodic AppSpector pushes
-  auto grid_ptr = core::GridBuilder()
-                      .daemon(daemon)
-                      .cluster(std::move(setup))
-                      .users(1)
-                      .build();
-  core::GridSystem& grid = *grid_ptr;
+  core::GridConfig config;
+  config.daemon.monitor_interval = 60.0;  // periodic AppSpector pushes
+  core::GridSystem grid(config, {std::move(setup)}, 1);
   grid.central().register_application("namd");
 
   Watcher watcher{grid.context(), grid.appspector().id()};

@@ -14,7 +14,7 @@ using namespace faucets;
 
 int main() {
   constexpr double kOpeningCredits = 500.0;
-  core::GridBuilder builder;
+  std::vector<core::ClusterSetup> clusters;
   const char* names[] = {"physics", "chemistry", "biology", "engineering"};
   for (int i = 0; i < 4; ++i) {
     core::ClusterSetup setup;
@@ -26,19 +26,16 @@ int main() {
       return std::make_unique<market::BaselineBidGenerator>();
     };
     setup.barter_credits = kOpeningCredits;
-    builder.cluster(std::move(setup));
+    clusters.push_back(std::move(setup));
   }
 
-  CentralServerConfig central;
-  central.billing = BillingMode::kBarter;
-  auto grid_ptr = builder.central(central)
-                      .prefer_home()
-                      .evaluator([] {
-                        return std::make_unique<market::EarliestCompletionEvaluator>();
-                      })
-                      .users(8)
-                      .build();
-  core::GridSystem& grid = *grid_ptr;
+  core::GridConfig config;
+  config.central.billing = BillingMode::kBarter;
+  config.clients_prefer_home = true;
+  config.evaluator = [] {
+    return std::make_unique<market::EarliestCompletionEvaluator>();
+  };
+  core::GridSystem grid(config, std::move(clusters), 8);
 
   // Skewed demand: physics users (home cluster 0) submit three times the
   // work of everyone else, so physics must buy cycles from the others.

@@ -13,7 +13,7 @@
 using namespace faucets;
 
 int main() {
-  core::GridBuilder builder;
+  std::vector<core::ClusterSetup> clusters;
   for (int i = 0; i < 4; ++i) {
     core::ClusterSetup setup;
     setup.machine.name = "c" + std::to_string(i);
@@ -23,10 +23,9 @@ int main() {
     setup.bid_generator = [] {
       return std::make_unique<market::UtilizationBidGenerator>();
     };
-    builder.cluster(std::move(setup));
+    clusters.push_back(std::move(setup));
   }
-  auto grid_ptr = builder.users(8).build();
-  core::GridSystem& grid = *grid_ptr;
+  core::GridSystem grid({}, std::move(clusters), 8);
 
   // A demand wave: quiet start, rush hour in the middle, quiet end.
   job::WorkloadParams params;

@@ -13,7 +13,7 @@
 using namespace faucets;
 
 int main() {
-  core::GridBuilder builder;
+  std::vector<core::ClusterSetup> clusters;
   const char* names[] = {"flat-a", "flat-b", "util-a", "util-b", "mkt-a", "mkt-b"};
   for (int i = 0; i < 6; ++i) {
     core::ClusterSetup setup;
@@ -37,11 +37,10 @@ int main() {
         return std::make_unique<market::MarketAwareBidGenerator>(1.0, 0.5, 2.0, 0.4);
       };
     }
-    builder.cluster(std::move(setup));
+    clusters.push_back(std::move(setup));
   }
 
-  auto grid_ptr = builder.users(12).build();
-  core::GridSystem& grid = *grid_ptr;
+  core::GridSystem grid({}, std::move(clusters), 12);
 
   job::WorkloadParams params;
   params.job_count = 300;

@@ -14,9 +14,9 @@ using namespace faucets;
 int main() {
   // 1-2. Describe the Compute Servers (name, size, price, scheduler,
   //      bidder) and build the grid: Central Server, AppSpector, one
-  //      daemon per cluster, one client per user. GridBuilder validates
-  //      the whole assembly before anything is constructed.
-  core::GridBuilder builder;
+  //      daemon per cluster, one client per user. The GridSystem
+  //      constructor validates the whole assembly before it builds anything.
+  std::vector<core::ClusterSetup> clusters;
   for (const auto& [name, procs, cost] :
        {std::tuple{"turing", 512, 0.0008}, std::tuple{"hopper", 256, 0.0005},
         std::tuple{"lovelace", 1024, 0.0012}}) {
@@ -28,10 +28,9 @@ int main() {
     setup.bid_generator = [] {
       return std::make_unique<market::UtilizationBidGenerator>();  // k=1, a=.5, b=2
     };
-    builder.cluster(std::move(setup));
+    clusters.push_back(std::move(setup));
   }
-  auto grid_ptr = builder.users(4).build();
-  core::GridSystem& grid = *grid_ptr;
+  core::GridSystem grid({}, std::move(clusters), /*user_count=*/4);
 
   // 3. Create a synthetic workload: 40 malleable jobs with deadlines.
   job::WorkloadParams params;

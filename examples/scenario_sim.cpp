@@ -15,12 +15,11 @@
 //                           --series-csv series.csv    # sampled time series
 //                           --sample-interval 5        # snapshot cadence, s
 //
-// Chaos testing (overrides any [faults] section in the scenario):
+// Chaos testing: the scenario's [faults] section holds the fault plan
+// (loss, jitter, a crash and restart, a partition; see
+// src/core/scenario.hpp), and the command line only bounds the run:
 //
-//   ./examples/scenario_sim --loss 0.1 --jitter 0.5
-//                           --crash-at 0:120:300      # cluster:at[:restart]
-//                           --partition 1:50:90       # cluster:from:until
-//                           --until 36000             # hard stop, seconds
+//   ./examples/scenario_sim chaos.ini --until 36000   # hard stop, seconds
 //
 // Durable state + checkpoint/restore (DESIGN.md §14):
 //
@@ -28,7 +27,7 @@
 //                           --checkpoint-at 1800      # pause time, seconds
 //                           --checkpoint grid.ckpt    # checkpoint file
 //   ./examples/scenario_sim --restore grid.ckpt       # resume: replays the
-//                           # pinned scenario + overrides from t = 0,
+//                           # pinned scenario and --until from t = 0,
 //                           # PROVES the state matches at the checkpoint
 //                           # instant, then continues to completion.
 //
@@ -61,7 +60,6 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/sim/engine.hpp"
 
@@ -118,10 +116,6 @@ struct Options {
   std::optional<std::string> phases_csv;
   std::optional<std::string> series_csv;
   std::optional<std::string> sample_interval;
-  std::optional<std::string> loss;
-  std::optional<std::string> jitter;
-  std::optional<std::string> partition;  // CLUSTER:FROM:UNTIL
-  std::optional<std::string> crash_at;   // CLUSTER:AT[:RESTART]
   std::optional<std::string> until;
   std::optional<std::string> report_json;
   std::optional<std::string> profile;  // profile.json path
@@ -133,36 +127,6 @@ struct Options {
   bool progress = false;                     // force the stderr ticker on
   bool no_progress = false;                  // force it off
 };
-
-/// Split "a:b[:c]" into its numeric fields.
-std::vector<double> split_colon_numbers(const std::string& flag,
-                                        const std::string& value,
-                                        std::size_t min_fields,
-                                        std::size_t max_fields) {
-  std::vector<double> out;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const std::size_t colon = value.find(':', start);
-    const std::string field = value.substr(
-        start, colon == std::string::npos ? std::string::npos : colon - start);
-    try {
-      out.push_back(std::stod(field));
-    } catch (const std::exception&) {
-      throw std::invalid_argument(flag + ": bad number '" + field + "' in '" +
-                                  value + "'");
-    }
-    if (colon == std::string::npos) break;
-    start = colon + 1;
-  }
-  if (out.size() < min_fields || out.size() > max_fields) {
-    throw std::invalid_argument(flag + " expects " + std::to_string(min_fields) +
-                                (max_fields > min_fields
-                                     ? ".." + std::to_string(max_fields)
-                                     : "") +
-                                " colon-separated fields, got '" + value + "'");
-  }
-  return out;
-}
 
 /// Accepts both `--flag path` and `--flag=path`.
 bool take_flag(const std::string& arg, int argc, char** argv, int& i,
@@ -191,10 +155,6 @@ Options parse_args(int argc, char** argv) {
     if (take_flag(arg, argc, argv, i, "--phases-csv", opts.phases_csv)) continue;
     if (take_flag(arg, argc, argv, i, "--series-csv", opts.series_csv)) continue;
     if (take_flag(arg, argc, argv, i, "--sample-interval", opts.sample_interval)) continue;
-    if (take_flag(arg, argc, argv, i, "--loss", opts.loss)) continue;
-    if (take_flag(arg, argc, argv, i, "--jitter", opts.jitter)) continue;
-    if (take_flag(arg, argc, argv, i, "--partition", opts.partition)) continue;
-    if (take_flag(arg, argc, argv, i, "--crash-at", opts.crash_at)) continue;
     if (take_flag(arg, argc, argv, i, "--until", opts.until)) continue;
     if (take_flag(arg, argc, argv, i, "--report-json", opts.report_json)) continue;
     if (take_flag(arg, argc, argv, i, "--store-dir", opts.store_dir)) continue;
@@ -243,56 +203,27 @@ std::ofstream open_out(const std::string& path) {
   return out;
 }
 
-/// Apply one simulation-affecting override. Checkpoints pin these (flag,
-/// value) pairs verbatim so --restore reconstructs the identical run; keep
-/// this the single dispatch point for both the live CLI and replay.
-void apply_override(faucets::core::Scenario& scenario, double& until,
-                    const std::string& flag, const std::string& value) {
-  if (flag == "--loss") {
-    scenario.grid.faults.loss_rate = std::stod(value);
-  } else if (flag == "--jitter") {
-    scenario.grid.faults.jitter = std::stod(value);
-  } else if (flag == "--partition") {
-    const auto f = split_colon_numbers("--partition", value, 3, 3);
-    scenario.grid.partitions.push_back(
-        {static_cast<std::size_t>(f[0]), f[1], f[2]});
-  } else if (flag == "--crash-at") {
-    const auto f = split_colon_numbers("--crash-at", value, 2, 3);
-    faucets::core::CrashSchedule crash;
-    crash.cluster = static_cast<std::size_t>(f[0]);
-    crash.at = f[1];
-    if (f.size() == 3) crash.restart_at = f[2];
-    scenario.grid.crashes.push_back(crash);
-  } else if (flag == "--until") {
-    until = std::stod(value);
-  } else {
-    throw std::invalid_argument("checkpoint carries unknown override " + flag);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     const Options opts = parse_args(argc, argv);
 
-    // The simulation is defined by (scenario text, overrides): live runs
+    // The simulation is defined by (scenario text, --until): live runs
     // collect both from the command line; --restore reads the exact pair a
     // checkpoint pinned and replays it.
     std::string scenario_text;
-    std::vector<std::pair<std::string, std::string>> overrides;
+    double until = faucets::sim::Engine::kForever;
     std::optional<faucets::store::Checkpoint> restore_ckpt;
     if (opts.restore) {
-      if (opts.scenario_file || opts.loss || opts.jitter || opts.partition ||
-          opts.crash_at || opts.until || opts.checkpoint_at) {
+      if (opts.scenario_file || opts.until || opts.checkpoint_at) {
         throw std::invalid_argument(
-            "--restore replays the checkpointed scenario and overrides; drop "
-            "the scenario file and --loss/--jitter/--partition/--crash-at/"
-            "--until/--checkpoint-at");
+            "--restore replays the checkpointed scenario and --until; drop "
+            "the scenario file, --until and --checkpoint-at");
       }
       restore_ckpt = faucets::store::Checkpoint::read_file(*opts.restore);
       scenario_text = restore_ckpt->scenario_text;
-      overrides = restore_ckpt->overrides;
+      until = restore_ckpt->until;
     } else {
       if (opts.scenario_file) {
         std::ifstream file{*opts.scenario_file};
@@ -307,27 +238,17 @@ int main(int argc, char** argv) {
         std::cout << "(no scenario file given; running the built-in demo)\n\n";
         scenario_text = kDemoScenario;
       }
-      // Chaos flags override the scenario's [faults] section; the same
-      // (flag, value) pairs go into any checkpoint this run writes.
-      if (opts.loss) overrides.emplace_back("--loss", *opts.loss);
-      if (opts.jitter) overrides.emplace_back("--jitter", *opts.jitter);
-      if (opts.partition) overrides.emplace_back("--partition", *opts.partition);
-      if (opts.crash_at) overrides.emplace_back("--crash-at", *opts.crash_at);
-      if (opts.until) overrides.emplace_back("--until", *opts.until);
+      if (opts.until) until = std::stod(*opts.until);
     }
 
     faucets::core::Scenario scenario =
         faucets::core::Scenario::parse_string(scenario_text);
-    double until = faucets::sim::Engine::kForever;
-    for (const auto& [flag, value] : overrides) {
-      apply_override(scenario, until, flag, value);
-    }
     // The store directory is host-side persistence, not part of the
-    // simulation: it never goes into a checkpoint's override list.
+    // simulation: it never goes into a checkpoint.
     if (opts.store_dir) scenario.grid.store.dir = *opts.store_dir;
 
     // Live monitoring is host-side observation of the run, never part of a
-    // checkpoint's override list — artifacts are byte-identical either way.
+    // checkpoint — artifacts are byte-identical either way.
     if (opts.serve) {
       const long port = std::stol(*opts.serve);
       if (port < 0 || port > 65535) {
@@ -394,7 +315,7 @@ int main(int argc, char** argv) {
         pause_reached = true;
         faucets::store::Checkpoint ckpt;
         ckpt.scenario_text = scenario_text;
-        ckpt.overrides = overrides;
+        ckpt.until = until;
         faucets::core::fill_checkpoint(ckpt, *grid, at);
         ckpt.write_file(path);
         std::cout << "checkpoint written to " << path << " at t=" << at << "\n";

@@ -70,12 +70,12 @@ void validate_grid(const GridConfig& config,
   const sim::FaultConfig& faults = config.faults;
   if (!(faults.loss_rate >= 0.0 && faults.loss_rate <= 1.0)) {
     throw std::invalid_argument(
-        "grid: faults.loss_rate ([faults] loss, --loss) must be in [0, 1], got " +
+        "grid: faults.loss_rate ([faults] loss) must be in [0, 1], got " +
         std::to_string(faults.loss_rate));
   }
   if (!(std::isfinite(faults.jitter) && faults.jitter >= 0.0)) {
     throw std::invalid_argument(
-        "grid: faults.jitter ([faults] jitter, --jitter) must be finite and >= 0, got " +
+        "grid: faults.jitter ([faults] jitter) must be finite and >= 0, got " +
         std::to_string(faults.jitter));
   }
   for (const auto& c : config.crashes) {
@@ -156,8 +156,17 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
   const bool chaos = faults.any() || !config_.crashes.empty();
   ctx_.network().set_faults(faults);
   for (const auto& c : config_.crashes) {
-    schedule_cluster_shutdown(c.cluster, c.at, c.graceful);
-    if (c.restart_at) schedule_cluster_restart(c.cluster, *c.restart_at);
+    FaucetsDaemon* daemon = daemons_.at(c.cluster).get();
+    ctx_.engine().schedule_at(c.at, [daemon, graceful = c.graceful] {
+      if (graceful) {
+        daemon->drain_and_shutdown();
+      } else {
+        daemon->crash();
+      }
+    });
+    if (c.restart_at) {
+      ctx_.engine().schedule_at(*c.restart_at, [daemon] { daemon->restart(); });
+    }
   }
 
   // One client per user, each with an account at the Central Server. Users
@@ -420,28 +429,6 @@ GridReport GridSystem::run(job::WorkloadSource& source, double until) {
 const obs::SpanAnalysis& GridSystem::analysis() const {
   if (!analysis_) analysis_ = obs::analyze_spans(ctx_.spans());
   return *analysis_;
-}
-
-void GridSystem::schedule_cluster_shutdown(std::size_t i, double when,
-                                           bool graceful) {
-  FaucetsDaemon* daemon = daemons_.at(i).get();
-  ctx_.engine().schedule_at(when, [daemon, graceful] {
-    if (graceful) {
-      daemon->drain_and_shutdown();
-    } else {
-      daemon->crash();
-    }
-  });
-}
-
-void GridSystem::schedule_cluster_restart(std::size_t i, double when) {
-  FaucetsDaemon* daemon = daemons_.at(i).get();
-  ctx_.engine().schedule_at(when, [daemon] { daemon->restart(); });
-}
-
-std::unique_ptr<GridSystem> GridBuilder::build() {
-  return std::make_unique<GridSystem>(std::move(config_), std::move(clusters_),
-                                      users_);
 }
 
 GridReport GridSystem::report() const {

@@ -263,16 +263,6 @@ class GridSystem {
   [[nodiscard]] std::size_t cluster_count() const noexcept { return daemons_.size(); }
   [[nodiscard]] std::size_t client_count() const noexcept { return clients_.size(); }
 
-  /// Take cluster `i` down gracefully at simulated time `when`: running
-  /// jobs checkpoint and migrate (§3). Pass `graceful = false` for a crash
-  /// with no eviction notices (clients need the watchdog to recover).
-  void schedule_cluster_shutdown(std::size_t i, double when, bool graceful = true);
-
-  /// Bring a crashed cluster `i` back at `when`: the daemon reattaches
-  /// under its old network address and re-registers with the Central
-  /// Server (with retry, in case the registration races a partition).
-  void schedule_cluster_restart(std::size_t i, double when);
-
   /// Build the report from current state (run() calls this at the end).
   [[nodiscard]] GridReport report() const;
 
@@ -384,156 +374,6 @@ class GridSystem {
   // Live operations plane (null unless config_.live is enabled): HTTP
   // monitoring + online monitors over published snapshots.
   std::unique_ptr<obs::live::LivePlane> live_;
-};
-
-/// Fluent construction of a GridSystem. Replaces hand-assembled
-/// GridConfig / ClusterSetup aggregates in examples and tests:
-///
-///   auto grid = GridBuilder()
-///                   .central({.poll_interval = 30.0})
-///                   .cluster(spec, fifo_factory, bidgen_factory)
-///                   .users(8)
-///                   .watchdog(60.0)
-///                   .loss(0.10)
-///                   .crash(0, 120.0, /*restart_at=*/300.0)
-///                   .build();
-///
-/// build() constructs the grid through the positional
-/// GridSystem(GridConfig, clusters, users) constructor, which validates
-/// every grid, however it is assembled (scenarios and benchmarks call it
-/// directly).
-class GridBuilder {
- public:
-  GridBuilder& central(CentralServerConfig config) {
-    config_.central = std::move(config);
-    return *this;
-  }
-  GridBuilder& network(sim::NetworkConfig config) {
-    config_.network = config;
-    return *this;
-  }
-  GridBuilder& daemon(DaemonConfig config) {
-    config_.daemon = config;
-    return *this;
-  }
-  GridBuilder& evaluator(EvaluatorFactory factory) {
-    config_.evaluator = std::move(factory);
-    return *this;
-  }
-  GridBuilder& users(std::size_t count) {
-    users_ = count;
-    return *this;
-  }
-  GridBuilder& user_funds(double funds) {
-    config_.user_initial_funds = funds;
-    return *this;
-  }
-  /// Engage the babysitting watchdog with the given margin in seconds.
-  GridBuilder& watchdog(double margin) {
-    config_.client_watchdog_margin = margin;
-    return *this;
-  }
-  GridBuilder& prefer_home(bool on = true) {
-    config_.clients_prefer_home = on;
-    return *this;
-  }
-  GridBuilder& brokered(
-      proto::SelectionCriteria criteria = proto::SelectionCriteria::kLeastCost) {
-    config_.brokered_submission = true;
-    config_.broker_criteria = criteria;
-    return *this;
-  }
-  GridBuilder& retry(RetryPolicy policy) {
-    config_.retry = policy;
-    return *this;
-  }
-  /// Snapshot registered telemetry signals every `interval` sim-seconds into
-  /// fixed-capacity downsampling buffers (the HTML report's time series).
-  GridBuilder& sampling(double interval, std::size_t capacity = 512) {
-    config_.telemetry.sample_interval = interval;
-    config_.telemetry.series_capacity = capacity;
-    return *this;
-  }
-  /// Replace the whole fault configuration at once.
-  GridBuilder& faults(sim::FaultConfig faults) {
-    config_.faults = std::move(faults);
-    return *this;
-  }
-  /// Drop each message independently with this probability.
-  GridBuilder& loss(double rate) {
-    config_.faults.loss_rate = rate;
-    return *this;
-  }
-  /// Add up to this many seconds of uniform random extra delay per message.
-  GridBuilder& jitter(double seconds) {
-    config_.faults.jitter = seconds;
-    return *this;
-  }
-  GridBuilder& fault_seed(std::uint64_t seed) {
-    config_.faults.seed = seed;
-    return *this;
-  }
-  /// Hard-crash cluster `index` at `at`; optionally restart it later.
-  GridBuilder& crash(std::size_t index, double at,
-                     std::optional<double> restart_at = std::nullopt) {
-    config_.crashes.push_back({index, at, restart_at, /*graceful=*/false});
-    return *this;
-  }
-  /// Gracefully drain cluster `index` at `at` (checkpoint + migrate, §3).
-  GridBuilder& drain(std::size_t index, double at) {
-    config_.crashes.push_back({index, at, std::nullopt, /*graceful=*/true});
-    return *this;
-  }
-  /// Isolate cluster `index`'s daemon from the network during [from, until).
-  GridBuilder& partition(std::size_t index, double from, double until) {
-    config_.partitions.push_back({index, from, until});
-    return *this;
-  }
-  /// Enable host-time profiling (DESIGN.md §12); read it back through
-  /// GridSystem::profiler() after run().
-  GridBuilder& profile(bool on = true) {
-    config_.profile.enabled = on;
-    return *this;
-  }
-  /// Serve the live monitoring endpoints (/metrics /healthz /progress
-  /// /traces/recent) on 127.0.0.1:`port` during run(); 0 picks an ephemeral
-  /// port (read it back via GridSystem::live()->port()).
-  GridBuilder& serve(std::uint16_t port = 0) {
-    config_.live.serve = true;
-    config_.live.port = port;
-    return *this;
-  }
-  /// Single-line stderr progress/ETA ticker during run().
-  GridBuilder& progress(bool on = true) {
-    config_.live.progress = on;
-    return *this;
-  }
-  /// Replace the whole live-plane configuration (stall timeout, publish
-  /// pacing, recent-trace depth).
-  GridBuilder& live(obs::live::LiveConfig config) {
-    config_.live = std::move(config);
-    return *this;
-  }
-  GridBuilder& cluster(ClusterSetup setup) {
-    clusters_.push_back(std::move(setup));
-    return *this;
-  }
-  GridBuilder& cluster(cluster::MachineSpec machine, StrategyFactory strategy,
-                       BidGeneratorFactory bid_generator,
-                       job::AdaptiveCosts costs = {},
-                       double barter_credits = 0.0) {
-    clusters_.push_back({std::move(machine), std::move(strategy),
-                         std::move(bid_generator), costs, barter_credits});
-    return *this;
-  }
-
-  /// Assemble. Throws std::invalid_argument on a bad grid.
-  [[nodiscard]] std::unique_ptr<GridSystem> build();
-
- private:
-  GridConfig config_;
-  std::vector<ClusterSetup> clusters_;
-  std::size_t users_ = 1;
 };
 
 }  // namespace faucets::core

@@ -136,7 +136,7 @@ void write_report_json(std::ostream& os, const GridReport& report);
 
 /// Checkpoint glue (DESIGN.md §14). fill_checkpoint captures a *paused*
 /// grid's progress fingerprint (executed-event count, encoded Central
-/// Server state) into `ckpt`; the caller owns scenario_text / overrides.
+/// Server state) into `ckpt`; the caller owns scenario_text and until.
 /// verify_checkpoint re-checks a paused grid against a checkpoint at
 /// its sim_time — empty string on a byte-for-byte match, otherwise a
 /// description of the first mismatch.

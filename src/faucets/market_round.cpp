@@ -245,14 +245,10 @@ void MarketRound::send_reserve(RequestId request) {
   Round* round = find_round(request);
   if (round == nullptr) return;
   round->phase = AwardPhase::kReserving;
-  const Principal& who = principal(*round);
   auto msg = std::make_unique<proto::ReserveRequest>();
   msg->request = request;
   msg->bid = round->winner_bid;
-  msg->username = who.username;
-  msg->password = who.password;
-  msg->user = who.user;
-  msg->contract = round->contract;
+  msg->user = principal(*round).user;
   network()->send(*this, round->winner_daemon, std::move(msg));
   const double timeout = round->award_retry.arm(retry_);
   round->award_retry.set_timer(engine().schedule_after(

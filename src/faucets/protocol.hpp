@@ -110,14 +110,13 @@ struct AwardAck final : sim::Message {
 /// winner asks the daemon to reserve capacity for the winning bid before
 /// committing. The daemon answers with a ReserveReply carrying a lease; if
 /// no CommitRequest arrives before the lease expires, the reservation is
-/// released and the capacity returns to the market.
+/// released and the capacity returns to the market. It carries no contract
+/// and no credentials: the daemon reads the contract from the bid it issued,
+/// and the Central Server checked the user at RFB time (§2.2).
 struct ReserveRequest final : sim::Message {
   RequestId request;
   BidId bid;
-  std::string username;
-  std::string password;
   UserId user;
-  qos::QosContract contract;
   static constexpr sim::MessageKind kKind = sim::MessageKind::kReserve;
   [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
   [[nodiscard]] std::size_t size_bytes() const noexcept override { return 1024; }

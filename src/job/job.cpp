@@ -15,8 +15,6 @@ constexpr double kInf = 1e300;
 std::string_view to_string(JobState state) noexcept {
   switch (state) {
     case JobState::kCreated: return "created";
-    case JobState::kBidding: return "bidding";
-    case JobState::kAwarded: return "awarded";
     case JobState::kQueued: return "queued";
     case JobState::kRunning: return "running";
     case JobState::kCheckpointed: return "checkpointed";
@@ -68,23 +66,14 @@ void Job::phased_state_at(double now, std::vector<double>& rem,
 
 void Job::transition(JobState next) { state_ = next; }
 
-void Job::mark_bidding() { transition(JobState::kBidding); }
-void Job::mark_awarded() { transition(JobState::kAwarded); }
 void Job::mark_queued() { transition(JobState::kQueued); }
 
 void Job::mark_rejected() { transition(JobState::kRejected); }
 
 void Job::mark_failed(double time) {
-  close_history(time);
   procs_ = 0;
   finish_time_ = time;
   transition(JobState::kFailed);
-}
-
-void Job::close_history(double time) {
-  if (!history_.empty() && history_.back().end == AllocationRecord::kOpen) {
-    history_.back().end = time;
-  }
 }
 
 void Job::start(double time, int procs, double speed_factor,
@@ -98,7 +87,6 @@ void Job::start(double time, int procs, double speed_factor,
   start_time_ = time;
   last_update_ = time;
   stall_until_ = time;  // no startup stall; staging is modeled by the daemon
-  history_.push_back(AllocationRecord{time, AllocationRecord::kOpen, procs_});
   transition(JobState::kRunning);
 }
 
@@ -124,7 +112,6 @@ void Job::advance_to(double time) {
 void Job::reallocate(double time, int new_procs) {
   advance_to(time);
   if (new_procs == procs_) return;
-  close_history(time);
   ++reconfig_count_;
   if (new_procs <= 0) {
     procs_ = 0;
@@ -133,13 +120,11 @@ void Job::reallocate(double time, int new_procs) {
   }
   procs_ = std::clamp(new_procs, contract_.min_procs, contract_.max_procs);
   stall_until_ = time + costs_.reconfig_seconds;
-  history_.push_back(AllocationRecord{time, AllocationRecord::kOpen, procs_});
   transition(JobState::kRunning);
 }
 
 void Job::checkpoint(double time) {
   advance_to(time);
-  close_history(time + costs_.checkpoint_seconds);
   procs_ = 0;
   transition(JobState::kCheckpointed);
 }
@@ -163,7 +148,6 @@ void Job::restart(double time, int procs, double speed_factor) {
   procs_ = std::clamp(procs, contract_.min_procs, contract_.max_procs);
   last_update_ = time;
   stall_until_ = time + costs_.restart_seconds;
-  history_.push_back(AllocationRecord{time, AllocationRecord::kOpen, procs_});
   transition(JobState::kRunning);
 }
 
@@ -171,7 +155,6 @@ void Job::complete(double time) {
   advance_to(time);
   assert(remaining_work_ <= kEpsWork * std::max(1.0, total_work()));
   remaining_work_ = 0.0;
-  close_history(time);
   procs_ = 0;
   finish_time_ = time;
   transition(JobState::kCompleted);

@@ -13,8 +13,6 @@ namespace faucets::job {
 
 enum class JobState {
   kCreated,     // constructed, not yet submitted
-  kBidding,     // request-for-bids in flight
-  kAwarded,     // a Compute Server accepted it
   kQueued,      // in the server's queue, no processors yet
   kRunning,     // progressing on >= min_procs processors
   kCheckpointed,  // stopped with state saved; can restart (possibly elsewhere)
@@ -24,14 +22,6 @@ enum class JobState {
 };
 
 [[nodiscard]] std::string_view to_string(JobState state) noexcept;
-
-/// One allocation interval, recorded for Gantt output and tests.
-struct AllocationRecord {
-  double start = 0.0;
-  double end = 0.0;  // kOpen while current
-  int procs = 0;
-  static constexpr double kOpen = -1.0;
-};
 
 /// Runtime costs of malleability. The paper notes shrink/expand and
 /// checkpoint/restart overheads must be justified by phases lasting minutes.
@@ -58,14 +48,9 @@ class Job {
   [[nodiscard]] int procs() const noexcept { return procs_; }
   [[nodiscard]] double remaining_work() const noexcept { return remaining_work_; }
   [[nodiscard]] double total_work() const noexcept { return contract_.total_work(); }
-  [[nodiscard]] const std::vector<AllocationRecord>& history() const noexcept {
-    return history_;
-  }
   [[nodiscard]] int reconfig_count() const noexcept { return reconfig_count_; }
 
   // --- lifecycle transitions (validated; misuse is a logic error) --------
-  void mark_bidding();
-  void mark_awarded();
   void mark_queued();
   void mark_rejected();
   void mark_failed(double time);
@@ -133,7 +118,6 @@ class Job {
 
  private:
   void transition(JobState next);
-  void close_history(double time);
 
   /// Rate (work per second) of phase `phase` on `procs` of this machine.
   [[nodiscard]] double rate_for(std::size_t phase, int procs) const noexcept;
@@ -158,7 +142,6 @@ class Job {
   double last_update_ = 0.0;
   AdaptiveCosts costs_;
   int reconfig_count_ = 0;
-  std::vector<AllocationRecord> history_;
   std::size_t phase_ = 0;
   std::vector<double> phase_remaining_;  // empty = no phase structure
 };

@@ -13,6 +13,8 @@ namespace faucets::obs::live {
 
 namespace {
 
+constexpr double kProgressIntervalSeconds = 0.5;  // between ticker repaints
+
 double ticks_to_seconds(std::uint64_t ticks) {
   return static_cast<double>(ticks) * HostClock::ns_per_tick() * 1e-9;
 }
@@ -160,7 +162,7 @@ void LivePlane::ticker_loop() {
   std::unique_lock<std::mutex> lk(ticker_mu_);
   while (!ticker_stop_) {
     ticker_cv_.wait_for(
-        lk, std::chrono::duration<double>(config_.progress_interval));
+        lk, std::chrono::duration<double>(kProgressIntervalSeconds));
     if (ticker_stop_) break;
     if (!server_.serving()) check_stall();  // no server thread to host it
     render_ticker_line(/*last=*/false);

@@ -49,8 +49,6 @@ struct LiveConfig {
   double publish_interval = 0.1;
   /// Last-N trace-ring events kept for /traces/recent.
   std::size_t recent_events = 256;
-  /// Host seconds between ticker repaints.
-  double progress_interval = 0.5;
   /// Server accept-poll timeout; also the stall watchdog's check cadence.
   int poll_interval_ms = 100;
   /// Host seconds without sim time advancing before the stall watchdog

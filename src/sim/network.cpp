@@ -79,8 +79,9 @@ void Network::send(const Entity& from, EntityId to, MessagePtr msg) {
   // A receiver id never handed out still counts as sent; it drops on
   // delivery like a detached one.
   if (Slot* receiver = slot(to)) ++receiver->traffic;
-  bytes_ctr_->inc(msg->size_bytes());
-  double d = delay(from.id(), to, msg->size_bytes());
+  const std::size_t bytes = msg->size_bytes();
+  bytes_ctr_->inc(bytes);
+  double d = delay(from.id(), to, bytes);
   // Fault injection happens after the sent-side accounting: a lost message
   // was genuinely put on the wire, it just never arrives.
   const FaultInjector::Verdict verdict = faults_.inspect(from.id(), to, engine_->now());

@@ -18,11 +18,7 @@ std::string Checkpoint::encode() const {
   Encoder e;
   e.put_u32(kVersion);
   e.put_string(scenario_text);
-  e.put_u32(static_cast<std::uint32_t>(overrides.size()));
-  for (const auto& [flag, value] : overrides) {
-    e.put_string(flag);
-    e.put_string(value);
-  }
+  e.put_f64(until);
   e.put_f64(sim_time);
   e.put_u64(executed);
   e.put_string(state_image);
@@ -39,12 +35,7 @@ Checkpoint Checkpoint::decode(const std::string& body) {
                              std::to_string(kVersion) + ")");
   }
   out.scenario_text = d.get_string();
-  const std::uint32_t n_overrides = d.get_u32();
-  for (std::uint32_t i = 0; i < n_overrides; ++i) {
-    std::string flag = d.get_string();
-    std::string value = d.get_string();
-    out.overrides.emplace_back(std::move(flag), std::move(value));
-  }
+  out.until = d.get_f64();
   out.sim_time = d.get_f64();
   out.executed = d.get_u64();
   out.state_image = d.get_string();

@@ -95,36 +95,36 @@ ChaosOutcome run_grid(GridSystem& grid, std::vector<job::JobRequest> requests) {
 }
 
 ChaosOutcome run_chaos(bool restart) {
-  auto grid = GridBuilder()
-                  .cluster(make_cluster("alpha", 0.0001))
-                  .cluster(make_cluster("beta", 0.0005))
-                  .cluster(make_cluster("gamma", 0.0009))
-                  .watchdog(120.0)
-                  .loss(0.10)
-                  .fault_seed(0xc0ffee)
-                  .crash(0, 200.0,
-                         restart ? std::optional<double>(600.0) : std::nullopt)
-                  .users(3)
-                  .build();
-  return run_grid(*grid, workload(12));
+  GridConfig config;
+  config.client_watchdog_margin = 120.0;
+  config.faults.loss_rate = 0.10;
+  config.faults.seed = 0xc0ffee;
+  config.crashes.push_back(
+      {0, 200.0, restart ? std::optional<double>(600.0) : std::nullopt,
+       /*graceful=*/false});
+  GridSystem grid(config,
+                  {make_cluster("alpha", 0.0001), make_cluster("beta", 0.0005),
+                   make_cluster("gamma", 0.0009)},
+                  3);
+  return run_grid(grid, workload(12));
 }
 
 /// Brokered submission on eight clusters under 5% loss, a partition of
 /// cluster 2 during [100, 300), and a crash of cluster 0 at 200 that
 /// restarts at 700.
 ChaosOutcome run_brokered_chaos() {
-  GridBuilder builder;
+  std::vector<ClusterSetup> clusters;
   for (int i = 0; i < 8; ++i) {
-    builder.cluster(make_cluster("chaos" + std::to_string(i), 0.0002 + i * 0.0001));
+    clusters.push_back(make_cluster("chaos" + std::to_string(i), 0.0002 + i * 0.0001));
   }
-  auto grid = builder.users(6)
-                  .watchdog(120.0)
-                  .brokered()
-                  .loss(0.05)
-                  .fault_seed(0xfa11)
-                  .partition(2, 100.0, 300.0)
-                  .crash(0, 200.0, /*restart_at=*/700.0)
-                  .build();
+  GridConfig config;
+  config.client_watchdog_margin = 120.0;
+  config.brokered_submission = true;
+  config.faults.loss_rate = 0.05;
+  config.faults.seed = 0xfa11;
+  config.partitions.push_back({2, 100.0, 300.0});
+  config.crashes.push_back({0, 200.0, /*restart_at=*/700.0, /*graceful=*/false});
+  GridSystem grid(config, std::move(clusters), 6);
   std::vector<job::JobRequest> reqs;
   for (std::size_t i = 0; i < 30; ++i) {
     job::JobRequest req;
@@ -134,7 +134,7 @@ ChaosOutcome run_brokered_chaos() {
     req.contract.payoff = qos::PayoffFunction::flat(10.0);
     reqs.push_back(std::move(req));
   }
-  return run_grid(*grid, std::move(reqs));
+  return run_grid(grid, std::move(reqs));
 }
 
 TEST(Chaos, LossAndCrashLeaveNoStrandedJobs) {
@@ -190,14 +190,11 @@ TEST(Chaos, PartitionHealLetsTheJobThrough) {
   // One cluster, partitioned from before the submission until t=400: the
   // first rounds time out, then the healed link gets a fresh RFB round and
   // the job lands.
-  auto grid_ptr = GridBuilder()
-                      .cluster(make_cluster("solo", 0.0005))
-                      .retry({.max_attempts = 6, .base_timeout = 30.0,
-                              .multiplier = 2.0, .max_timeout = 240.0})
-                      .partition(0, 0.0, 400.0)
-                      .users(1)
-                      .build();
-  GridSystem& grid = *grid_ptr;
+  GridConfig config;
+  config.retry = {.max_attempts = 6, .base_timeout = 30.0, .multiplier = 2.0,
+                  .max_timeout = 240.0};
+  config.partitions.push_back({0, 0.0, 400.0});
+  GridSystem grid(config, {make_cluster("solo", 0.0005)}, 1);
 
   const auto report = grid.run(workload(1), /*until=*/1e6);
   EXPECT_EQ(report.jobs_completed, 1u)
@@ -211,8 +208,7 @@ TEST(Chaos, PartitionHealLetsTheJobThrough) {
 TEST(Chaos, FaultFreeGridsKeepTheOneShotMarket) {
   // No faults configured: bid_rounds stays 1 and a grid with no viable
   // server fails a job immediately instead of burning the backoff budget.
-  auto grid_ptr = GridBuilder().cluster(make_cluster("tiny", 0.0005)).users(1).build();
-  GridSystem& grid = *grid_ptr;
+  GridSystem grid({}, {make_cluster("tiny", 0.0005)}, 1);
   std::vector<job::JobRequest> reqs = workload(1);
   reqs[0].contract = qos::make_contract(128, 256, 1000.0);  // never fits
   const auto report = grid.run(std::move(reqs), 1e6);
@@ -227,24 +223,21 @@ TEST(Chaos, FaultFreeGridsKeepTheOneShotMarket) {
 /// Two 64-proc clusters, eight jobs, live plane off; `sabotage` runs from a
 /// pause hook at t = 50, mid-run.
 obs::live::Audit audit_after(const std::function<void(GridSystem&)>& sabotage) {
-  auto grid = GridBuilder()
-                  .cluster(make_cluster("alpha", 0.0001))
-                  .cluster(make_cluster("beta", 0.0005))
-                  .users(3)
-                  .build();
-  EXPECT_EQ(grid->live(), nullptr);
+  GridSystem grid({}, {make_cluster("alpha", 0.0001), make_cluster("beta", 0.0005)},
+                  3);
+  EXPECT_EQ(grid.live(), nullptr);
   bool fired = false;
   if (sabotage) {
-    grid->set_pause_hook(50.0, [&] {
-      sabotage(*grid);
+    grid.set_pause_hook(50.0, [&] {
+      sabotage(grid);
       fired = true;
       return true;
     });
   }
-  (void)grid->run(workload(8), /*until=*/1e6);
+  (void)grid.run(workload(8), /*until=*/1e6);
   EXPECT_EQ(fired, static_cast<bool>(sabotage));
-  EXPECT_TRUE(grid->audit().drained);
-  return grid->audit();
+  EXPECT_TRUE(grid.audit().drained);
+  return grid.audit();
 }
 
 TEST(Audit, CleanRunPasses) {

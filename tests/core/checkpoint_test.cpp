@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "src/core/scenario.hpp"
 #include "src/store/checkpoint.hpp"
@@ -40,14 +41,14 @@ std::string report_json(Scenario scenario) {
 TEST(Checkpoint, EncodeDecodeRoundTrip) {
   store::Checkpoint ckpt;
   ckpt.scenario_text = "[grid]\nusers = 2\n";
-  ckpt.overrides = {{"--loss", "0.1"}, {"--until", "3600"}};
+  ckpt.until = 3600.0;
   ckpt.sim_time = 1234.5;
   ckpt.executed = 40;
   ckpt.state_image = std::string("\x00\x01\x02 binary", 10);
 
   const auto back = store::Checkpoint::decode(ckpt.encode());
   EXPECT_EQ(back.scenario_text, ckpt.scenario_text);
-  EXPECT_EQ(back.overrides, ckpt.overrides);
+  EXPECT_EQ(back.until, ckpt.until);
   EXPECT_EQ(back.sim_time, ckpt.sim_time);
   EXPECT_EQ(back.executed, ckpt.executed);
   EXPECT_EQ(back.state_image, ckpt.state_image);
@@ -79,8 +80,9 @@ TEST(Checkpoint, FileRoundTripAndDamageRejection) {
 }
 
 // Version 1 carried the removed sharded executor's shard count and a
-// per-shard executed-count list. A version-2 reader refuses such a body up
-// front rather than misreading its fields.
+// per-shard executed-count list; version 2 a list of (flag, value) CLI
+// overrides where version 3 has `until`. The reader refuses both bodies up
+// front rather than misreading their fields, and names both versions.
 TEST(Checkpoint, RefusesAVersionOneBody) {
   store::Encoder v1;
   v1.put_u32(1);
@@ -91,13 +93,28 @@ TEST(Checkpoint, RefusesAVersionOneBody) {
   v1.put_u32(1);     // one executed-event count
   v1.put_u64(1234);  // executed
   v1.put_string("image");
-  try {
-    (void)store::Checkpoint::decode(v1.take());
-    ADD_FAILURE() << "a version-1 checkpoint must not restore";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version 1 is not supported"),
-              std::string::npos)
-        << e.what();
+
+  store::Encoder v2;
+  v2.put_u32(2);
+  v2.put_string(grid_ini());
+  v2.put_u32(1);  // one override
+  v2.put_string("--loss");
+  v2.put_string("0.1");
+  v2.put_f64(40.0);  // sim_time
+  v2.put_u64(1234);  // executed
+  v2.put_string("image");
+
+  for (const auto& [version, body] :
+       {std::pair{1, v1.take()}, std::pair{2, v2.take()}}) {
+    try {
+      (void)store::Checkpoint::decode(body);
+      ADD_FAILURE() << "a version-" << version << " checkpoint must not restore";
+    } catch (const std::runtime_error& e) {
+      const std::string expected = "version " + std::to_string(version) +
+                                   " is not supported (expected 3)";
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
   }
 }
 

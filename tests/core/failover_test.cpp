@@ -77,13 +77,9 @@ TEST(Failover, GracefulShutdownMigratesJobToSurvivor) {
   // Make the doomed cluster cheaper so the job lands there first.
   auto doomed = make_cluster("doomed");
   doomed.machine.cost_per_cpu_second = 0.0001;
-  auto grid_ptr = GridBuilder()
-                      .cluster(std::move(doomed))
-                      .cluster(make_cluster("survivor"))
-                      .drain(0, /*at=*/300.0)
-                      .users(1)
-                      .build();
-  GridSystem& grid = *grid_ptr;
+  GridConfig config;
+  config.crashes.push_back({0, /*at=*/300.0, std::nullopt, /*graceful=*/true});
+  GridSystem grid(config, {std::move(doomed), make_cluster("survivor")}, 1);
 
   const auto report = grid.run({long_job(1000.0)}, /*until=*/1e6);
 
@@ -98,13 +94,12 @@ TEST(Failover, GracefulShutdownMigratesJobToSurvivor) {
 }
 
 TEST(Failover, MigratedJobPaysOnlyForRemainingWork) {
-  auto grid_ptr = GridBuilder()
-                      .cluster(make_cluster("doomed"))    // same price both
-                      .cluster(make_cluster("survivor"))
-                      .users(1)
-                      .build();
-  GridSystem& grid = *grid_ptr;
-  grid.schedule_cluster_shutdown(0, 500.0, true);
+  GridConfig config;
+  config.crashes.push_back({0, 500.0, std::nullopt, /*graceful=*/true});
+  GridSystem grid(config,
+                  {make_cluster("doomed"),  // same price both
+                   make_cluster("survivor")},
+                  1);
 
   // 64 procs x 1000 s = 64000 proc-seconds; full price 51.2.
   const auto report = grid.run({long_job(1000.0)}, 1e6);
@@ -119,14 +114,10 @@ TEST(Failover, MigratedJobPaysOnlyForRemainingWork) {
 TEST(Failover, CrashRecoveredByWatchdog) {
   auto crashy = make_cluster("crashy");
   crashy.machine.cost_per_cpu_second = 0.0001;  // job lands here
-  auto grid_ptr = GridBuilder()
-                      .watchdog(60.0)
-                      .cluster(std::move(crashy))
-                      .cluster(make_cluster("survivor"))
-                      .crash(0, 300.0)
-                      .users(1)
-                      .build();
-  GridSystem& grid = *grid_ptr;
+  GridConfig config;
+  config.client_watchdog_margin = 60.0;
+  config.crashes.push_back({0, 300.0, std::nullopt, /*graceful=*/false});
+  GridSystem grid(config, {std::move(crashy), make_cluster("survivor")}, 1);
 
   const auto report = grid.run({long_job(1000.0)}, /*until=*/1e6);
 
@@ -137,10 +128,10 @@ TEST(Failover, CrashRecoveredByWatchdog) {
 }
 
 TEST(Failover, CrashWithoutWatchdogTimesOut) {
-  // No watchdog: the builder leaves the margin disengaged by default.
-  auto grid_ptr = GridBuilder().cluster(make_cluster("crashy")).users(1).build();
-  GridSystem& grid = *grid_ptr;
-  grid.schedule_cluster_shutdown(0, 300.0, false);
+  // No watchdog: GridConfig leaves the margin disengaged by default.
+  GridConfig config;
+  config.crashes.push_back({0, 300.0, std::nullopt, /*graceful=*/false});
+  GridSystem grid(config, {make_cluster("crashy")}, 1);
   // The run can only end at the horizon: the job is lost and nobody knows.
   const auto report = grid.run({long_job(1000.0)}, /*until=*/5000.0);
   EXPECT_EQ(report.jobs_completed, 0u);

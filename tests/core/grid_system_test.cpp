@@ -37,8 +37,8 @@ job::JobRequest simple_request(double t, double work = 6400.0,
 }
 
 TEST(GridSystem, RequiresClustersAndUsers) {
-  // The positional constructor is the path scenarios, sweeps and benchmarks
-  // take, so it validates every grid itself.
+  // The constructor is the one way to build a grid, so it validates every
+  // grid itself.
   GridConfig config;
   // No clusters / no users.
   EXPECT_THROW(GridSystem(config, {}, 1), std::invalid_argument);
@@ -76,28 +76,8 @@ TEST(GridSystem, RequiresClustersAndUsers) {
   }
 }
 
-TEST(GridBuilder, ValidatesBeforeConstruction) {
-  // build() constructs through the validating constructor.
-  EXPECT_THROW((void)GridBuilder()
-                   .cluster(make_cluster("d", 64))
-                   .crash(3, 100.0)
-                   .build(),
-               std::invalid_argument);
-}
-
-TEST(GridBuilder, BuildsAWorkingGrid) {
-  auto grid = GridBuilder()
-                  .cluster(make_cluster("alpha", 64))
-                  .users(1)
-                  .watchdog(120.0)
-                  .build();
-  const auto report = grid->run({simple_request(0.0)});
-  EXPECT_EQ(report.jobs_completed, 1u);
-}
-
 TEST(GridSystem, SingleJobFullProtocol) {
-  auto grid_ptr = GridBuilder().cluster(make_cluster("alpha", 64)).users(1).build();
-  GridSystem& grid = *grid_ptr;
+  GridSystem grid({}, {make_cluster("alpha", 64)}, 1);
 
   const auto report = grid.run({simple_request(0.0)});
   EXPECT_EQ(report.jobs_submitted, 1u);
@@ -114,8 +94,7 @@ TEST(GridSystem, SingleJobFullProtocol) {
 }
 
 TEST(GridSystem, JobRegisteredWithAppSpector) {
-  auto grid_ptr = GridBuilder().cluster(make_cluster("alpha", 64)).users(1).build();
-  GridSystem& grid = *grid_ptr;
+  GridSystem grid({}, {make_cluster("alpha", 64)}, 1);
   (void)grid.run({simple_request(0.0)});
   EXPECT_EQ(grid.appspector().monitored_jobs(), 1u);
   const auto* view = grid.appspector().find(ClusterId{0}, JobId{0});
@@ -124,12 +103,10 @@ TEST(GridSystem, JobRegisteredWithAppSpector) {
 }
 
 TEST(GridSystem, LeastCostClientPicksCheaperCluster) {
-  auto grid_ptr = GridBuilder()
-                      .cluster(make_cluster("pricey", 64, /*cost=*/0.01))
-                      .cluster(make_cluster("cheap", 64, /*cost=*/0.001))
-                      .users(1)
-                      .build();
-  GridSystem& grid = *grid_ptr;
+  GridSystem grid({},
+                  {make_cluster("pricey", 64, /*cost=*/0.01),
+                   make_cluster("cheap", 64, /*cost=*/0.001)},
+                  1);
 
   const auto report = grid.run({simple_request(0.0)});
   EXPECT_EQ(report.clusters[1].completed, 1u);
@@ -137,28 +114,25 @@ TEST(GridSystem, LeastCostClientPicksCheaperCluster) {
 }
 
 TEST(GridSystem, EarliestCompletionPrefersFasterMachine) {
-  auto grid_ptr =
-      GridBuilder()
-          .evaluator([] {
-            return std::make_unique<market::EarliestCompletionEvaluator>();
-          })
-          .cluster(make_cluster("slow", 64, 0.0001, /*speed=*/1.0))
-          .cluster(make_cluster("fast", 64, 0.01, /*speed=*/4.0))
-          .users(1)
-          .build();
-  GridSystem& grid = *grid_ptr;
+  GridConfig config;
+  config.evaluator = [] {
+    return std::make_unique<market::EarliestCompletionEvaluator>();
+  };
+  GridSystem grid(config,
+                  {make_cluster("slow", 64, 0.0001, /*speed=*/1.0),
+                   make_cluster("fast", 64, 0.01, /*speed=*/4.0)},
+                  1);
 
   const auto report = grid.run({simple_request(0.0)});
   EXPECT_EQ(report.clusters[1].completed, 1u) << "fast machine promises earlier";
 }
 
 TEST(GridSystem, ManyJobsAcrossClustersAllComplete) {
-  GridBuilder builder;
+  std::vector<ClusterSetup> clusters;
   for (int i = 0; i < 4; ++i) {
-    builder.cluster(make_cluster("c" + std::to_string(i), 128));
+    clusters.push_back(make_cluster("c" + std::to_string(i), 128));
   }
-  auto grid_ptr = builder.users(8).build();
-  GridSystem& grid = *grid_ptr;
+  GridSystem grid({}, std::move(clusters), 8);
 
   job::WorkloadParams params;
   params.job_count = 80;
@@ -179,8 +153,7 @@ TEST(GridSystem, ManyJobsAcrossClustersAllComplete) {
 }
 
 TEST(GridSystem, RejectedEverywhereIsUnplaced) {
-  auto grid_ptr = GridBuilder().cluster(make_cluster("tiny", 8)).users(1).build();
-  GridSystem& grid = *grid_ptr;
+  GridSystem grid({}, {make_cluster("tiny", 8)}, 1);
 
   job::JobRequest req;
   req.submit_time = 0.0;
@@ -196,16 +169,10 @@ TEST(GridSystem, BarterCreditsFlowToExecutor) {
   auto c1 = make_cluster("away", 64);
   c1.barter_credits = 1000.0;
   // One user, home cluster 0.
-  CentralServerConfig central;
-  central.billing = BillingMode::kBarter;
-  auto grid_ptr = GridBuilder()
-                      .central(central)
-                      .prefer_home()
-                      .cluster(std::move(c0))
-                      .cluster(std::move(c1))
-                      .users(1)
-                      .build();
-  GridSystem& grid = *grid_ptr;
+  GridConfig config;
+  config.central.billing = BillingMode::kBarter;
+  config.clients_prefer_home = true;
+  GridSystem grid(config, {std::move(c0), std::move(c1)}, 1);
 
   // Saturate the home cluster so the second job must go away.
   std::vector<job::JobRequest> reqs;
@@ -234,15 +201,10 @@ TEST(GridSystem, BarterCreditsFlowToExecutor) {
 }
 
 TEST(GridSystem, ServiceUnitModeChargesAccounts) {
-  CentralServerConfig central;
-  central.billing = BillingMode::kServiceUnits;
-  auto grid_ptr = GridBuilder()
-                      .central(central)
-                      .user_funds(500.0)
-                      .cluster(make_cluster("su", 64))
-                      .users(1)
-                      .build();
-  GridSystem& grid = *grid_ptr;
+  GridConfig config;
+  config.central.billing = BillingMode::kServiceUnits;
+  config.user_initial_funds = 500.0;
+  GridSystem grid(config, {make_cluster("su", 64)}, 1);
   const auto report = grid.run({simple_request(0.0)});
   EXPECT_EQ(report.jobs_completed, 1u);
   EXPECT_GT(grid.central().user_accounts().total_charged(), 0.0);

@@ -28,12 +28,10 @@ TEST(TwoPhase, ConcurrentAwardsRaceAndOneIsRefused) {
   // Two clients bid for the last slot of the cheap cluster at the same
   // instant. Both get bids; the award of the loser must be refused (the
   // second phase of the protocol) and retried on the expensive cluster.
-  auto grid_ptr = GridBuilder()
-                      .cluster(payoff_cluster("cheap", 64, 0.0001))
-                      .cluster(payoff_cluster("fallback", 64, 0.01))
-                      .users(2)
-                      .build();
-  GridSystem& grid = *grid_ptr;
+  GridSystem grid({},
+                  {payoff_cluster("cheap", 64, 0.0001),
+                   payoff_cluster("fallback", 64, 0.01)},
+                  2);
 
   std::vector<job::JobRequest> reqs;
   for (std::size_t u = 0; u < 2; ++u) {
@@ -58,7 +56,7 @@ TEST(TwoPhase, ConcurrentAwardsRaceAndOneIsRefused) {
 
 TEST(Determinism, IdenticalSeedsIdenticalReports) {
   auto run_once = [] {
-    GridBuilder builder;
+    std::vector<ClusterSetup> clusters;
     for (int i = 0; i < 3; ++i) {
       ClusterSetup setup;
       setup.machine.name = "c" + std::to_string(i);
@@ -68,15 +66,15 @@ TEST(Determinism, IdenticalSeedsIdenticalReports) {
       setup.bid_generator = [] {
         return std::make_unique<market::UtilizationBidGenerator>();
       };
-      builder.cluster(std::move(setup));
+      clusters.push_back(std::move(setup));
     }
-    auto grid = builder.users(6).build();
+    GridSystem grid({}, std::move(clusters), 6);
     job::WorkloadParams params;
     params.job_count = 120;
     params.user_count = 6;
     params.shaping.procs_cap = 128;
     job::WorkloadGenerator::calibrate_load(params, 0.8, 3 * 128);
-    return grid->run(job::WorkloadGenerator{params, 4242}.generate());
+    return grid.run(job::WorkloadGenerator{params, 4242}.generate());
   };
 
   const auto a = run_once();

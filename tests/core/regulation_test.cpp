@@ -61,21 +61,15 @@ std::vector<job::JobRequest> jobs(std::size_t n) {
 }
 
 TEST(Regulation, GougerWinsNothingOnceNormalPriceExists) {
-  CentralServerConfig central;
-  central.price_band = 3.0;
+  GridConfig config;
+  config.central.price_band = 3.0;
   // Earliest-completion would otherwise happily pick the gouger when it is
   // idle; regulation throws its bids out.
-  auto grid_ptr =
-      GridBuilder()
-          .central(central)
-          .evaluator([] {
-            return std::make_unique<market::EarliestCompletionEvaluator>();
-          })
-          .cluster(make_cluster("honest", false))
-          .cluster(make_cluster("gouger", true))
-          .users(1)
-          .build();
-  GridSystem& grid = *grid_ptr;
+  config.evaluator = [] {
+    return std::make_unique<market::EarliestCompletionEvaluator>();
+  };
+  GridSystem grid(config,
+                  {make_cluster("honest", false), make_cluster("gouger", true)}, 1);
 
   const auto report = grid.run(jobs(6));
   EXPECT_EQ(report.jobs_completed, 6u);
@@ -90,20 +84,14 @@ TEST(Regulation, BrokeredGougerWinsNothingOnceNormalPriceExists) {
   // price band of its own directory reply. The gouger is the faster
   // machine and bids fairly for the first job, which it wins and which sets
   // the normal price; only regulation keeps its later 50x bids from winning.
-  CentralServerConfig central;
-  central.price_band = 3.0;
+  GridConfig config;
+  config.central.price_band = 3.0;
+  config.brokered_submission = true;
+  config.broker_criteria = proto::SelectionCriteria::kEarliestCompletion;
   ClusterSetup gouger = make_cluster("gouger", true);
   gouger.machine.speed_factor = 2.0;
   gouger.bid_generator = [] { return std::make_unique<LateGougingBidGenerator>(); };
-  auto grid_ptr =
-      GridBuilder()
-          .central(central)
-          .brokered(proto::SelectionCriteria::kEarliestCompletion)
-          .cluster(make_cluster("honest", false))
-          .cluster(std::move(gouger))
-          .users(1)
-          .build();
-  GridSystem& grid = *grid_ptr;
+  GridSystem grid(config, {make_cluster("honest", false), std::move(gouger)}, 1);
 
   const auto report = grid.run(jobs(6));
   EXPECT_EQ(report.jobs_completed, 6u);
@@ -114,16 +102,12 @@ TEST(Regulation, BrokeredGougerWinsNothingOnceNormalPriceExists) {
 
 TEST(Regulation, DisabledBandLetsAnyPriceWin) {
   // price_band left disengaged: no regulation.
-  auto grid_ptr =
-      GridBuilder()
-          .evaluator([] {
-            return std::make_unique<market::EarliestCompletionEvaluator>();
-          })
-          .cluster(make_cluster("honest", false))
-          .cluster(make_cluster("gouger", true))
-          .users(1)
-          .build();
-  GridSystem& grid = *grid_ptr;
+  GridConfig config;
+  config.evaluator = [] {
+    return std::make_unique<market::EarliestCompletionEvaluator>();
+  };
+  GridSystem grid(config,
+                  {make_cluster("honest", false), make_cluster("gouger", true)}, 1);
   const auto report = grid.run(jobs(6));
   EXPECT_EQ(report.jobs_completed, 6u);
   EXPECT_EQ(grid.client(0).regulated_out(), 0u);

@@ -33,12 +33,7 @@ job::JobRequest request(std::size_t user, int procs, double work,
 }
 
 TEST(SpanCausality, FullRunProducesTimeOrderedCausalChains) {
-  auto grid_ptr = GridBuilder()
-                      .cluster(small_cluster("alpha", 64))
-                      .cluster(small_cluster("beta", 32))
-                      .users(2)
-                      .build();
-  GridSystem& grid = *grid_ptr;
+  GridSystem grid({}, {small_cluster("alpha", 64), small_cluster("beta", 32)}, 2);
 
   std::vector<job::JobRequest> reqs;
   for (std::size_t u = 0; u < 2; ++u) {
@@ -116,8 +111,7 @@ TEST(SpanCausality, FullRunProducesTimeOrderedCausalChains) {
 }
 
 TEST(SpanCausality, UnplacedJobEndsInTerminalSpan) {
-  auto grid_ptr = GridBuilder().cluster(small_cluster("tiny", 8)).users(1).build();
-  GridSystem& grid = *grid_ptr;
+  GridSystem grid({}, {small_cluster("tiny", 8)}, 1);
 
   // 64 procs can never fit the 8-proc cluster: the directory comes back
   // empty and the submission must close with an instant kUnplaced child.

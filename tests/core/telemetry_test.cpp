@@ -53,17 +53,20 @@ std::vector<job::JobRequest> workload(std::size_t n) {
 }
 
 std::unique_ptr<GridSystem> make_chaos_grid(double sample_interval) {
-  GridBuilder b;
-  b.cluster(make_cluster("alpha", 0.0001))
-      .cluster(make_cluster("beta", 0.0005))
-      .cluster(make_cluster("gamma", 0.0009))
-      .watchdog(120.0)
-      .loss(0.10)
-      .fault_seed(0xc0ffee)
-      .crash(0, 200.0, 600.0)
-      .users(3);
-  if (sample_interval > 0.0) b.sampling(sample_interval, 64);
-  return b.build();
+  GridConfig config;
+  config.client_watchdog_margin = 120.0;
+  config.faults.loss_rate = 0.10;
+  config.faults.seed = 0xc0ffee;
+  config.crashes.push_back({0, 200.0, 600.0, /*graceful=*/false});
+  if (sample_interval > 0.0) {
+    config.telemetry.sample_interval = sample_interval;
+    config.telemetry.series_capacity = 64;
+  }
+  return std::make_unique<GridSystem>(
+      std::move(config),
+      std::vector{make_cluster("alpha", 0.0001), make_cluster("beta", 0.0005),
+                  make_cluster("gamma", 0.0009)},
+      3);
 }
 
 TEST(Telemetry, PhaseDecompositionPartitionsEverySubmissionUnderChaos) {

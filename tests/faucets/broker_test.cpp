@@ -30,14 +30,18 @@ job::JobRequest simple_job(double t = 0.0) {
   return req;
 }
 
+/// A grid whose clients hand every job to the broker agent.
+core::GridConfig brokered(
+    proto::SelectionCriteria criteria = proto::SelectionCriteria::kLeastCost) {
+  core::GridConfig config;
+  config.brokered_submission = true;
+  config.broker_criteria = criteria;
+  return config;
+}
+
 TEST(Broker, PlacesJobEndToEnd) {
-  auto grid_ptr = core::GridBuilder()
-                      .brokered()
-                      .cluster(make_cluster("a", 0.0008))
-                      .cluster(make_cluster("b", 0.0002))
-                      .users(1)
-                      .build();
-  core::GridSystem& grid = *grid_ptr;
+  core::GridSystem grid(brokered(),
+                        {make_cluster("a", 0.0008), make_cluster("b", 0.0002)}, 1);
 
   const auto report = grid.run({simple_job()});
   EXPECT_EQ(report.jobs_completed, 1u);
@@ -50,15 +54,16 @@ TEST(Broker, PlacesJobEndToEnd) {
 }
 
 TEST(Broker, ClientTrafficIsConstantInServerCount) {
-  auto run_with = [](bool brokered, int servers) {
-    core::GridBuilder builder;
-    if (brokered) builder.brokered();
+  auto run_with = [](bool via_broker, int servers) {
+    core::GridConfig config;
+    config.brokered_submission = via_broker;
+    std::vector<core::ClusterSetup> clusters;
     for (int i = 0; i < servers; ++i) {
-      builder.cluster(make_cluster("c" + std::to_string(i), 0.0008));
+      clusters.push_back(make_cluster("c" + std::to_string(i), 0.0008));
     }
-    auto grid = builder.users(1).build();
-    (void)grid->run({simple_job()});
-    return grid->network().traffic_of(grid->client(0).id());
+    core::GridSystem grid(config, std::move(clusters), 1);
+    (void)grid.run({simple_job()});
+    return grid.network().traffic_of(grid.client(0).id());
   };
 
   // Direct mode: client traffic grows with server count (broadcast RFB).
@@ -76,13 +81,8 @@ TEST(Broker, ClientTrafficIsConstantInServerCount) {
 TEST(Broker, CriteriaRespected) {
   auto fast = make_cluster("fast", 0.01);
   fast.machine.speed_factor = 4.0;
-  auto grid_ptr = core::GridBuilder()
-                      .brokered(proto::SelectionCriteria::kEarliestCompletion)
-                      .cluster(make_cluster("slow", 0.0001))
-                      .cluster(std::move(fast))
-                      .users(1)
-                      .build();
-  core::GridSystem& grid = *grid_ptr;
+  core::GridSystem grid(brokered(proto::SelectionCriteria::kEarliestCompletion),
+                        {make_cluster("slow", 0.0001), std::move(fast)}, 1);
   const auto report = grid.run({simple_job()});
   EXPECT_EQ(report.clusters[1].completed, 1u)
       << "earliest-completion must pick the fast machine despite its price";
@@ -91,9 +91,7 @@ TEST(Broker, CriteriaRespected) {
 TEST(Broker, NoServersReportsFailure) {
   auto tiny = make_cluster("tiny", 0.0008);
   tiny.machine.total_procs = 8;
-  auto grid_ptr =
-      core::GridBuilder().brokered().cluster(std::move(tiny)).users(1).build();
-  core::GridSystem& grid = *grid_ptr;
+  core::GridSystem grid(brokered(), {std::move(tiny)}, 1);
   job::JobRequest req;
   req.submit_time = 0.0;
   req.contract = qos::make_contract(64, 128, 1000.0);
@@ -103,12 +101,7 @@ TEST(Broker, NoServersReportsFailure) {
 }
 
 TEST(Broker, CentralUnreachableAfterLoginEndsTimedOut) {
-  auto grid_ptr = core::GridBuilder()
-                      .brokered()
-                      .cluster(make_cluster("a", 0.0008))
-                      .users(1)
-                      .build();
-  core::GridSystem& grid = *grid_ptr;
+  core::GridSystem grid(brokered(), {make_cluster("a", 0.0008)}, 1);
   // The client logs in at t = 0; from t = 5 on the Central Server is cut
   // off, so the broker's directory lookups for the job submitted at t = 10
   // all time out.
@@ -124,14 +117,10 @@ TEST(Broker, CentralUnreachableAfterLoginEndsTimedOut) {
 
 TEST(Broker, HomeClusterWinsOverCheaperBids) {
   // One user, whose home is cluster 0: the dearer home bid wins outright.
-  auto grid_ptr = core::GridBuilder()
-                      .brokered()
-                      .prefer_home()
-                      .cluster(make_cluster("home", 0.0008))
-                      .cluster(make_cluster("cheap", 0.0002))
-                      .users(1)
-                      .build();
-  core::GridSystem& grid = *grid_ptr;
+  core::GridConfig config = brokered();
+  config.clients_prefer_home = true;
+  core::GridSystem grid(
+      config, {make_cluster("home", 0.0008), make_cluster("cheap", 0.0002)}, 1);
   const auto report = grid.run({simple_job()});
   EXPECT_EQ(report.jobs_completed, 1u);
   EXPECT_EQ(report.clusters[0].completed, 1u);
@@ -139,8 +128,7 @@ TEST(Broker, HomeClusterWinsOverCheaperBids) {
 }
 
 TEST(Broker, TwoPhaseRetryGoesToNextBest) {
-  core::GridBuilder builder;
-  builder.brokered();
+  std::vector<core::ClusterSetup> clusters;
   // Payoff strategy with zero lookahead: the second concurrent award to
   // the cheap cluster is refused at commit time.
   for (const auto& [name, cost] :
@@ -151,10 +139,9 @@ TEST(Broker, TwoPhaseRetryGoesToNextBest) {
       p.lookahead = 0.0;
       return std::make_unique<sched::PayoffStrategy>(p);
     };
-    builder.cluster(std::move(setup));
+    clusters.push_back(std::move(setup));
   }
-  auto grid_ptr = builder.users(2).build();
-  core::GridSystem& grid = *grid_ptr;
+  core::GridSystem grid(brokered(), std::move(clusters), 2);
 
   std::vector<job::JobRequest> reqs;
   for (std::size_t u = 0; u < 2; ++u) {
@@ -172,14 +159,10 @@ TEST(Broker, TwoPhaseRetryGoesToNextBest) {
 }
 
 TEST(Broker, EvictionStillReachesClientDirectly) {
-  auto grid_ptr = core::GridBuilder()
-                      .brokered()
-                      .cluster(make_cluster("doomed", 0.0001))
-                      .cluster(make_cluster("survivor", 0.01))
-                      .users(1)
-                      .build();
-  core::GridSystem& grid = *grid_ptr;
-  grid.schedule_cluster_shutdown(0, 30.0, true);
+  core::GridConfig config = brokered();
+  config.crashes.push_back({0, 30.0, std::nullopt, /*graceful=*/true});
+  core::GridSystem grid(
+      config, {make_cluster("doomed", 0.0001), make_cluster("survivor", 0.01)}, 1);
 
   job::JobRequest req;
   req.submit_time = 0.0;

@@ -56,15 +56,11 @@ class ScriptedClient final : public sim::Entity {
 
   /// Two-phase award (§5.3): reserve the bid's capacity; on_message commits
   /// as soon as the reservation is granted.
-  void award(EntityId daemon, BidId bid, const qos::QosContract& contract,
-             UserId user) {
+  void award(EntityId daemon, BidId bid, UserId user) {
     auto msg = std::make_unique<proto::ReserveRequest>();
     msg->request = RequestId{777};
     msg->bid = bid;
-    msg->username = "alice";
-    msg->password = "pw";
     msg->user = user;
-    msg->contract = contract;
     network_->send(*this, daemon, std::move(msg));
   }
 
@@ -145,8 +141,7 @@ TEST(Daemon, DeclinesOversizedJob) {
 
 TEST(Daemon, AwardOfUnknownBidRefused) {
   Fixture f;
-  f.client.award(f.daemon->id(), BidId{424242}, qos::make_contract(4, 32, 1000.0),
-                 UserId{0});
+  f.client.award(f.daemon->id(), BidId{424242}, UserId{0});
   f.engine.run(5.0);
   ASSERT_EQ(f.client.reserves.size(), 1u);
   EXPECT_FALSE(f.client.reserves[0].accepted);
@@ -165,7 +160,7 @@ TEST(Daemon, ExpiredBidRefused) {
   const auto bid = f.client.bids[0];
   // Award long after expiry.
   f.engine.schedule_at(100.0, [&] {
-    f.client.award(f.daemon->id(), bid.id, contract, UserId{0});
+    f.client.award(f.daemon->id(), bid.id, UserId{0});
   });
   f.engine.run(105.0);
   ASSERT_EQ(f.client.reserves.size(), 1u);
@@ -180,7 +175,7 @@ TEST(Daemon, FullAwardRunsJobAndReportsCompletion) {
   f.client.request_bid(f.daemon->id(), contract, "alice", "pw");
   f.engine.run(5.0);
   ASSERT_EQ(f.client.bids.size(), 1u);
-  f.client.award(f.daemon->id(), f.client.bids[0].id, contract, UserId{0});
+  f.client.award(f.daemon->id(), f.client.bids[0].id, UserId{0});
   f.engine.run(500.0);
   ASSERT_EQ(f.client.reserves.size(), 1u);
   EXPECT_TRUE(f.client.reserves[0].accepted);
@@ -226,7 +221,7 @@ TEST(Daemon, BidBookForgetsExpiredBids) {
   ASSERT_EQ(f.client.bids.size(), 4u);
   // Issuing the t=10 bid forgot the three that expired at t~1.
   EXPECT_EQ(f.daemon->open_bids(), 1u);
-  f.client.award(f.daemon->id(), f.client.bids[0].id, contract, UserId{0});
+  f.client.award(f.daemon->id(), f.client.bids[0].id, UserId{0});
   f.engine.run(15.0);
   ASSERT_EQ(f.client.reserves.size(), 1u);
   EXPECT_FALSE(f.client.reserves[0].accepted);
@@ -247,7 +242,7 @@ TEST(Daemon, LiveBidSurvivesPruning) {
   ASSERT_EQ(f.client.bids.size(), 3u);
   // Only the t=0 bid had expired when the t=12 bid was issued.
   EXPECT_EQ(f.daemon->open_bids(), 2u);
-  f.client.award(f.daemon->id(), f.client.bids[1].id, contract, UserId{0});
+  f.client.award(f.daemon->id(), f.client.bids[1].id, UserId{0});
   f.engine.run(15.0);
   ASSERT_EQ(f.client.reserves.size(), 1u);
   EXPECT_TRUE(f.client.reserves[0].accepted);
@@ -288,7 +283,7 @@ TEST(Daemon, PollReportsClusterState) {
   const auto contract = qos::make_contract(64, 64, 64.0 * 1e4, 1.0, 1.0);
   f.client.request_bid(f.daemon->id(), contract, "alice", "pw");
   f.engine.run(5.0);
-  f.client.award(f.daemon->id(), f.client.bids[0].id, contract, UserId{0});
+  f.client.award(f.daemon->id(), f.client.bids[0].id, UserId{0});
   f.engine.run(70.0);  // one poll cycle after the job started
   // Directory for a second job of the same size should still include the
   // cluster (no dynamic limit configured) — this exercises the poll path.

@@ -36,14 +36,13 @@ constexpr RetryPolicy kShortRetry{.max_attempts = 2, .base_timeout = 2.0};
 std::unique_ptr<core::GridSystem> build_grid(bool brokered,
                                              std::optional<double> cut_from = {},
                                              double cut_until = 0.0) {
-  core::GridBuilder builder;
-  if (brokered) builder.brokered();
-  builder.cluster(make_cluster("cheap", 0.0001))
-      .cluster(make_cluster("dear", 0.01))
-      .users(1)
-      .retry(kShortRetry);
-  if (cut_from) builder.partition(0, *cut_from, cut_until);
-  return builder.build();
+  core::GridConfig config;
+  config.brokered_submission = brokered;
+  config.retry = kShortRetry;
+  if (cut_from) config.partitions.push_back({0, *cut_from, cut_until});
+  return std::make_unique<core::GridSystem>(
+      std::move(config),
+      std::vector{make_cluster("cheap", 0.0001), make_cluster("dear", 0.01)}, 1);
 }
 
 /// Time of the first trace record of `kind` by `entity`, or -1.

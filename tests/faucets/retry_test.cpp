@@ -96,14 +96,11 @@ class ScriptedBroker final : public sim::Entity {
     network_->send(*this, daemon, std::move(rfb));
   }
 
-  void reserve(EntityId daemon, BidId bid, const qos::QosContract& contract) {
+  void reserve(EntityId daemon, BidId bid) {
     auto msg = std::make_unique<proto::ReserveRequest>();
     msg->request = RequestId{next_request_++};
     msg->bid = bid;
-    msg->username = "alice";
-    msg->password = "pw";
     msg->user = UserId{0};
-    msg->contract = contract;
     network_->send(*this, daemon, std::move(msg));
   }
 
@@ -163,8 +160,8 @@ TEST(TwoPhaseDaemon, DuplicateReserveConvergesToOneLease) {
 
   // The wire repeated our reserve: both copies must be answered with the
   // SAME acceptance, and only one lease may exist.
-  f.broker.reserve(f.daemon->id(), bid.id, contract);
-  f.broker.reserve(f.daemon->id(), bid.id, contract);
+  f.broker.reserve(f.daemon->id(), bid.id);
+  f.broker.reserve(f.daemon->id(), bid.id);
   f.engine.run(10.0);
   ASSERT_EQ(f.broker.reserve_replies.size(), 2u);
   const auto& first = f.broker.reserve_replies[0];
@@ -180,7 +177,7 @@ TEST(TwoPhaseDaemon, DuplicateCommitYieldsOneJob) {
   Fixture f;
   const auto contract = qos::make_contract(4, 64, 6400.0, 1.0, 1.0);
   const auto bid = f.bid_for(contract);
-  f.broker.reserve(f.daemon->id(), bid.id, contract);
+  f.broker.reserve(f.daemon->id(), bid.id);
   f.engine.run(10.0);
   ASSERT_EQ(f.broker.reserve_replies.size(), 1u);
   const auto reservation = f.broker.reserve_replies[0].reservation;
@@ -204,7 +201,7 @@ TEST(TwoPhaseDaemon, AbortReleasesCapacityImmediately) {
   Fixture f;
   const auto contract = qos::make_contract(4, 64, 6400.0, 1.0, 1.0);
   const auto bid = f.bid_for(contract);
-  f.broker.reserve(f.daemon->id(), bid.id, contract);
+  f.broker.reserve(f.daemon->id(), bid.id);
   f.engine.run(10.0);
   ASSERT_EQ(f.broker.reserve_replies.size(), 1u);
   EXPECT_EQ(f.daemon->cm().active_reservations(), 1u);
@@ -223,7 +220,7 @@ TEST(TwoPhaseDaemon, ExpiredLeaseRefusesTheLateCommit) {
   Fixture f{config};
   const auto contract = qos::make_contract(4, 64, 6400.0, 1.0, 1.0);
   const auto bid = f.bid_for(contract);
-  f.broker.reserve(f.daemon->id(), bid.id, contract);
+  f.broker.reserve(f.daemon->id(), bid.id);
   f.engine.run(10.0);
   ASSERT_EQ(f.broker.reserve_replies.size(), 1u);
   const auto reservation = f.broker.reserve_replies[0].reservation;

@@ -124,19 +124,21 @@ TEST(Job, RestartWithoutCheckpointThrows) {
   EXPECT_THROW(j.restart(10.0, 10, 1.0), std::logic_error);
 }
 
-TEST(Job, HistoryRecordsAllocations) {
+TEST(Job, ShrunkJobFinishesOnItsRemainingWork) {
   AdaptiveCosts costs{.reconfig_seconds = 0.0};
   Job j = make_job(1000.0, 2, 10);
   j.start(0.0, 10, 1.0, costs);
-  j.reallocate(50.0, 4);
+  j.reallocate(50.0, 4);  // 500 work left at rate 4
+  EXPECT_DOUBLE_EQ(j.remaining_work(), 500.0);
+  EXPECT_DOUBLE_EQ(j.projected_finish(50.0), 175.0);
+  j.advance_to(150.0);
+  EXPECT_DOUBLE_EQ(j.remaining_work(), 100.0);
   j.advance_to(175.0);
+  EXPECT_NEAR(j.remaining_work(), 0.0, 1e-9);
   j.complete(175.0);
-  ASSERT_EQ(j.history().size(), 2u);
-  EXPECT_EQ(j.history()[0].procs, 10);
-  EXPECT_DOUBLE_EQ(j.history()[0].start, 0.0);
-  EXPECT_DOUBLE_EQ(j.history()[0].end, 50.0);
-  EXPECT_EQ(j.history()[1].procs, 4);
-  EXPECT_DOUBLE_EQ(j.history()[1].end, 175.0);
+  EXPECT_EQ(j.state(), JobState::kCompleted);
+  EXPECT_DOUBLE_EQ(j.finish_time(), 175.0);
+  EXPECT_EQ(j.procs(), 0);
 }
 
 TEST(Job, EarnedPayoffUsesFinishTime) {
