@@ -352,8 +352,8 @@ rm -rf "${LIVE_DIR}"
 mkdir -p "${LIVE_DIR}"
 # The chaos grid without its crash (10% loss only), with the workload
 # inflated so the run is still mid-flight while we scrape; the process is
-# torn down after the checks. ConfigFile reads only the first [faults]
-# section, so the crash is deleted from it rather than overridden.
+# torn down after the checks. ConfigFile refuses a second [faults] section
+# (and a repeated key), so the crash is deleted rather than overridden.
 sed -e 's/^jobs = 120$/jobs = 200000/' -e '/^crash_/d' "${CHAOS_DIR}/chaos.ini" \
   > "${LIVE_DIR}/live.ini"
 ./build-release-bench/examples/scenario_sim "${LIVE_DIR}/live.ini" \

@@ -16,15 +16,15 @@ namespace {
 class Watcher final : public sim::Entity {
  public:
   Watcher(sim::SimContext& ctx, EntityId appspector)
-      : sim::Entity("watcher", ctx), network_(&ctx.network()), as_(appspector) {
-    network_->attach(*this);
+      : sim::Entity("watcher", ctx), as_(appspector) {
+    network().attach(*this);
   }
 
   void watch(ClusterId cluster, JobId job) {
     auto msg = std::make_unique<proto::WatchJob>();
     msg->cluster = cluster;
     msg->job = job;
-    network_->send(*this, as_, std::move(msg));
+    network().send(*this, as_, std::move(msg));
   }
 
   void on_message(const sim::Message& msg) override {
@@ -40,7 +40,6 @@ class Watcher final : public sim::Entity {
   }
 
  private:
-  sim::Network* network_;
   EntityId as_;
 };
 

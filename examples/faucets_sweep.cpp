@@ -24,6 +24,7 @@
 
 #include "src/obs/live/http.hpp"
 #include "src/sweep/sweep.hpp"
+#include "src/util/config.hpp"
 #include "src/util/table.hpp"
 
 using namespace faucets;
@@ -42,7 +43,7 @@ struct Options {
   double tolerance = 0.05;
   bool quiet = false;
   bool profile = false;  // append host-time prof_* columns per run
-  std::optional<std::string> serve;  // fleet /progress port ("0" = ephemeral)
+  std::optional<long> serve;  // fleet /progress port (0 = ephemeral)
 };
 
 void usage(std::ostream& os) {
@@ -75,8 +76,9 @@ Options parse_args(int argc, char** argv) {
     if (arg == "--grid") {
       opt.grid_file = value();
     } else if (arg == "--threads") {
-      opt.threads = static_cast<std::size_t>(std::stoul(value()));
-      if (opt.threads == 0) opt.threads = 1;
+      const long threads = parse_number<long>(value(), arg);
+      if (threads < 0) throw std::invalid_argument("--threads must not be negative");
+      opt.threads = threads == 0 ? 1 : static_cast<std::size_t>(threads);
     } else if (arg == "--out") {
       opt.out = value();
     } else if (arg == "--stream") {
@@ -86,15 +88,16 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--write-baseline") {
       opt.write_baseline = value();
     } else if (arg == "--tolerance") {
-      opt.tolerance = std::stod(value());
+      opt.tolerance = parse_number<double>(value(), arg);
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else if (arg == "--profile") {
       opt.profile = true;
     } else if (arg == "--serve") {
-      opt.serve = "0";
+      opt.serve = 0;
     } else if (arg.rfind("--serve=", 0) == 0) {
-      opt.serve = arg.substr(std::string("--serve=").size());
+      opt.serve =
+          parse_number<long>(arg.substr(std::string("--serve=").size()), "--serve");
     } else if (arg == "--help" || arg == "-h") {
       usage(std::cout);
       std::exit(0);
@@ -188,7 +191,7 @@ int main(int argc, char** argv) {
     std::atomic<std::size_t> fleet_completed{0};
     std::atomic<std::size_t> fleet_total{0};
     if (opt.serve) {
-      const long port = std::stol(*opt.serve);
+      const long port = *opt.serve;
       if (port < 0 || port > 65535) {
         throw std::invalid_argument("--serve port must be in [0, 65535]");
       }

@@ -59,6 +59,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "src/sim/engine.hpp"
@@ -68,6 +69,7 @@
 #include "src/obs/profiler.hpp"
 #include "src/obs/report.hpp"
 #include "src/store/checkpoint.hpp"
+#include "src/util/config.hpp"
 
 namespace {
 
@@ -115,33 +117,39 @@ struct Options {
   std::optional<std::string> report;
   std::optional<std::string> phases_csv;
   std::optional<std::string> series_csv;
-  std::optional<std::string> sample_interval;
-  std::optional<std::string> until;
+  std::optional<double> sample_interval;
+  std::optional<double> until;
   std::optional<std::string> report_json;
   std::optional<std::string> profile;  // profile.json path
   std::optional<std::string> store_dir;
-  std::optional<std::string> checkpoint_at;  // sim seconds
+  std::optional<double> checkpoint_at;       // sim seconds
   std::optional<std::string> checkpoint;     // checkpoint file to write
   std::optional<std::string> restore;        // checkpoint file to resume from
-  std::optional<std::string> serve;          // live monitoring port ("0" = ephemeral)
+  std::optional<long> serve;                 // live monitoring port (0 = ephemeral)
   bool progress = false;                     // force the stderr ticker on
   bool no_progress = false;                  // force it off
 };
 
-/// Accepts both `--flag path` and `--flag=path`.
+/// Accepts both `--flag value` and `--flag=value`; a numeric `out` takes
+/// only a value that is all number.
+template <typename T>
 bool take_flag(const std::string& arg, int argc, char** argv, int& i,
-               const std::string& flag, std::optional<std::string>& out) {
+               const std::string& flag, std::optional<T>& out) {
+  std::string value;
   if (arg == flag) {
-    if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a path");
-    out = argv[++i];
-    return true;
+    if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
+    value = argv[++i];
+  } else if (arg.rfind(flag + "=", 0) == 0) {
+    value = arg.substr(flag.size() + 1);
+  } else {
+    return false;
   }
-  const std::string prefix = flag + "=";
-  if (arg.rfind(prefix, 0) == 0) {
-    out = arg.substr(prefix.size());
-    return true;
+  if constexpr (std::is_same_v<T, std::string>) {
+    out = std::move(value);
+  } else {
+    out = faucets::parse_number<T>(value, flag);
   }
-  return false;
+  return true;
 }
 
 Options parse_args(int argc, char** argv) {
@@ -174,11 +182,12 @@ Options parse_args(int argc, char** argv) {
     // --serve's value is optional too: bare --serve binds an ephemeral port
     // (printed on stdout so scripts can scrape it).
     if (arg == "--serve") {
-      opts.serve = "0";
+      opts.serve = 0;
       continue;
     }
     if (arg.rfind("--serve=", 0) == 0) {
-      opts.serve = arg.substr(std::string("--serve=").size());
+      opts.serve = faucets::parse_number<long>(arg.substr(std::string("--serve=").size()),
+                                               "--serve");
       continue;
     }
     if (arg == "--progress") {
@@ -238,7 +247,7 @@ int main(int argc, char** argv) {
         std::cout << "(no scenario file given; running the built-in demo)\n\n";
         scenario_text = kDemoScenario;
       }
-      if (opts.until) until = std::stod(*opts.until);
+      if (opts.until) until = *opts.until;
     }
 
     faucets::core::Scenario scenario =
@@ -250,12 +259,11 @@ int main(int argc, char** argv) {
     // Live monitoring is host-side observation of the run, never part of a
     // checkpoint — artifacts are byte-identical either way.
     if (opts.serve) {
-      const long port = std::stol(*opts.serve);
-      if (port < 0 || port > 65535) {
+      if (*opts.serve < 0 || *opts.serve > 65535) {
         throw std::invalid_argument("--serve port must be in [0, 65535]");
       }
       scenario.grid.live.serve = true;
-      scenario.grid.live.port = static_cast<std::uint16_t>(port);
+      scenario.grid.live.port = static_cast<std::uint16_t>(*opts.serve);
     }
     // The progress ticker defaults on when stderr is an interactive
     // terminal; --progress / --no-progress override in either direction.
@@ -272,7 +280,7 @@ int main(int argc, char** argv) {
     // Reports want time-series charts, so turn sampling on whenever any
     // telemetry output is requested (explicit --sample-interval wins).
     if (opts.sample_interval) {
-      scenario.grid.telemetry.sample_interval = std::stod(*opts.sample_interval);
+      scenario.grid.telemetry.sample_interval = *opts.sample_interval;
     } else if (opts.report || opts.series_csv) {
       scenario.grid.telemetry.sample_interval = 5.0;
     }
@@ -309,7 +317,7 @@ int main(int argc, char** argv) {
     bool pause_reached = false;
     std::string restore_error;
     if (opts.checkpoint_at) {
-      const double at = std::stod(*opts.checkpoint_at);
+      const double at = *opts.checkpoint_at;
       const std::string path = opts.checkpoint.value_or("grid.ckpt");
       grid->set_pause_hook(at, [&, at, path] {
         pause_reached = true;

@@ -37,7 +37,6 @@ ClusterManager::ClusterManager(sim::SimContext& ctx, MachineSpec machine,
                                std::unique_ptr<sched::Strategy> strategy,
                                job::AdaptiveCosts costs, ClusterId id)
     : ctx_(&ctx),
-      engine_(&ctx.engine()),
       machine_(std::move(machine)),
       strategy_(std::move(strategy)),
       costs_(costs),
@@ -61,12 +60,12 @@ ClusterManager::ClusterManager(sim::SimContext& ctx, MachineSpec machine,
                                    obs::linear_buckets(0.05, 0.05, 20),
                                    "Fraction of processors busy, sampled at "
                                    "every allocation change");
-  metrics_.record_busy(engine_->now(), 0);
+  metrics_.record_busy(ctx_->now(), 0);
 }
 
 void ClusterManager::emit(obs::TraceEventKind kind, JobId job, UserId user,
                           int procs) {
-  ctx_->trace().record(obs::job_event(engine_->now(), EntityId{id_.value()}, kind,
+  ctx_->trace().record(obs::job_event(ctx_->now(), EntityId{id_.value()}, kind,
                                       id_, job, user, procs));
 }
 
@@ -96,7 +95,7 @@ void ClusterManager::close_job_spans(JobId id, obs::SpanKind kind, double now) {
 }
 
 sched::SchedulerContext ClusterManager::context() const {
-  return {.now = engine_->now(), .sim = ctx_, .machine = &machine_,
+  return {.now = ctx_->now(), .machine = &machine_,
           .running = running_, .queued = queued_};
 }
 
@@ -131,7 +130,7 @@ std::optional<JobId> ClusterManager::submit(UserId owner,
     return std::nullopt;
   }
   const JobId id = job_ids_.next();
-  const double now = engine_->now();
+  const double now = ctx_->now();
   emit(obs::TraceEventKind::kJobAccepted, id, owner, contract.min_procs);
   auto& spans = ctx_->spans();
   JobSpans js;
@@ -157,7 +156,8 @@ std::optional<ReservationId> ClusterManager::reserve(const qos::QosContract& con
   Reservation r;
   r.contract = contract;
   r.until = lease_until;
-  r.expiry = engine_->schedule_at(lease_until, [this, id] { expire_reservation(id); });
+  r.expiry =
+      ctx_->engine().schedule_at(lease_until, [this, id] { expire_reservation(id); });
   reservations_.emplace(id, std::move(r));
   return id;
 }
@@ -198,19 +198,19 @@ void ClusterManager::expire_reservation(ReservationId id) {
   auto it = reservations_.find(id);
   if (it == reservations_.end()) return;
   reservations_.erase(it);
-  ctx_->trace().record(obs::market_event(engine_->now(), EntityId{id_.value()},
+  ctx_->trace().record(obs::market_event(ctx_->now(), EntityId{id_.value()},
                                          obs::TraceEventKind::kLeaseExpired,
                                          RequestId{id.value()}, BidId{}, 0.0));
   if (on_lease_expired_) on_lease_expired_(id);
 }
 
 void ClusterManager::advance_all() {
-  const double now = engine_->now();
+  const double now = ctx_->now();
   for (job::Job* j : running_) j->advance_to(now);
 }
 
 void ClusterManager::apply_allocations(const std::vector<sched::Allocation>& allocations) {
-  const double now = engine_->now();
+  const double now = ctx_->now();
   auto& spans = ctx_->spans();
 
   // Apply shrinks and vacates first so capacity is never exceeded, then
@@ -299,15 +299,16 @@ void ClusterManager::arm_completion_timer() {
     // Phase boundaries also wake the scheduler: the paper notes the
     // scheduler benefits from knowing when a job's performance parameters
     // shift between phases (§2.1).
-    next = std::min(next, j->next_event_time(engine_->now()));
+    next = std::min(next, j->next_event_time(ctx_->now()));
   }
   if (next >= kInf) return;
-  completion_timer_ = engine_->schedule_at(next, [this] { handle_completions(); });
+  completion_timer_ =
+      ctx_->engine().schedule_at(next, [this] { handle_completions(); });
 }
 
 void ClusterManager::handle_completions() {
   advance_all();
-  const double now = engine_->now();
+  const double now = ctx_->now();
   std::vector<JobId> done;
   for (const job::Job* j : running_) {
     if (j->remaining_work() <= kDoneTolerance * std::max(1.0, j->total_work())) {
@@ -339,7 +340,7 @@ std::optional<ClusterManager::Evicted> ClusterManager::evict_job(JobId id) {
       j.state() == job::JobState::kFailed) {
     return std::nullopt;
   }
-  const double now = engine_->now();
+  const double now = ctx_->now();
   if (j.state() == job::JobState::kRunning) {
     j.checkpoint(now);
   }
@@ -375,7 +376,7 @@ std::vector<ClusterManager::Evicted> ClusterManager::evict_all() {
 
 void ClusterManager::halt() {
   completion_timer_.cancel();
-  const double now = engine_->now();
+  const double now = ctx_->now();
   for (const auto* list : {&running_, &queued_}) {
     for (job::Job* j : *list) {
       j->mark_failed(now);

@@ -151,7 +151,7 @@ class ClusterManager {
   [[nodiscard]] const sched::MetricsCollector& metrics() const noexcept { return metrics_; }
 
   /// Close the metrics window (call once when the experiment ends).
-  void finish_metrics() { metrics_.finish(engine_->now()); }
+  void finish_metrics() { metrics_.finish(ctx_->now()); }
 
   [[nodiscard]] const sched::Strategy& strategy() const noexcept { return *strategy_; }
 
@@ -188,7 +188,6 @@ class ClusterManager {
   void close_job_spans(JobId id, obs::SpanKind kind, double now);
 
   sim::SimContext* ctx_;
-  sim::Engine* engine_;
   MachineSpec machine_;
   std::unique_ptr<sched::Strategy> strategy_;
   job::AdaptiveCosts costs_;

@@ -108,7 +108,7 @@ void validate_grid(const GridConfig& config,
 
 GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
                        std::size_t user_count)
-    : config_(std::move(config)), ctx_(config_.network) {
+    : config_(std::move(config)) {
   validate_grid(config_, clusters, user_count);
 
   central_ = std::make_unique<CentralServer>(ctx_, config_.central);
@@ -128,8 +128,6 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
   }
 
   // Stand up one daemon + cluster manager per Compute Server.
-  DaemonConfig daemon_config = config_.daemon;
-  daemon_config.retry = config_.retry;
   for (std::size_t i = 0; i < clusters.size(); ++i) {
     ClusterSetup& setup = clusters[i];
     const ClusterId cluster_id{i};
@@ -137,7 +135,7 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
         ctx_, setup.machine, setup.strategy(), setup.costs, cluster_id);
     auto daemon = std::make_unique<FaucetsDaemon>(
         ctx_, cluster_id, std::move(cm), setup.bid_generator(),
-        central_->id(), appspector_->id(), daemon_config);
+        central_->id(), appspector_->id(), config_.daemon, config_.retry);
     daemon->set_grid_history(&central_->price_history());
     daemon->register_with_central();
     if (config_.central.billing == BillingMode::kBarter) {

@@ -104,7 +104,6 @@ struct TelemetryConfig {
 
 struct GridConfig {
   CentralServerConfig central{};
-  sim::NetworkConfig network{};
   DaemonConfig daemon{};
   EvaluatorFactory evaluator;       // defaults to least-cost
   bool clients_prefer_home = false; // §5.5.3 home-cluster-first submission
@@ -252,9 +251,7 @@ class GridSystem {
   [[nodiscard]] static constexpr std::size_t shard_count() noexcept { return 1; }
   [[nodiscard]] sim::Engine& engine() noexcept { return ctx_.engine(); }
   [[nodiscard]] sim::Network& network() noexcept { return ctx_.network(); }
-  [[nodiscard]] sim::TraceSink& trace() noexcept { return ctx_.trace(); }
-  [[nodiscard]] obs::Observability& obs() noexcept { return ctx_.obs(); }
-  [[nodiscard]] const obs::Observability& obs() const noexcept { return ctx_.obs(); }
+  [[nodiscard]] obs::TraceBuffer& trace() noexcept { return ctx_.trace(); }
   [[nodiscard]] CentralServer& central() noexcept { return *central_; }
   [[nodiscard]] AppSpector& appspector() noexcept { return *appspector_; }
   [[nodiscard]] BrokerAgent* broker() noexcept { return broker_.get(); }

@@ -1,7 +1,6 @@
 #include "src/core/scenario.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -109,17 +108,10 @@ Scenario Scenario::parse(const ConfigFile& config) {
     out.grid.clients_prefer_home = grid->get_bool("prefer_home", false);
     out.grid.brokered_submission = grid->get_bool("brokered", false);
     // Optional knobs keep their INI spelling: a negative watchdog and a
-    // price band <= 1 mean "off", and map onto disengaged optionals. NaN
-    // fails both comparisons, so it would read as "off" too: reject it.
+    // price band <= 1 mean "off", and map onto disengaged optionals.
+    // get_double refuses NaN, which would fail both comparisons.
     const double watchdog = grid->get_double("watchdog", -1.0);
     const double band = grid->get_double("price_band", 0.0);
-    for (const auto& [key, value] : {std::pair{"watchdog", watchdog},
-                                     std::pair{"price_band", band}}) {
-      if (std::isnan(value)) {
-        throw std::invalid_argument(std::string("[grid] ") + key +
-                                    " must be a number, got nan");
-      }
-    }
     if (watchdog >= 0.0) out.grid.client_watchdog_margin = watchdog;
     if (band > 1.0) out.grid.central.price_band = band;
     out.grid.evaluator =
@@ -141,8 +133,9 @@ Scenario Scenario::parse(const ConfigFile& config) {
       crash.cluster = static_cast<std::size_t>(crash_cluster);
       crash.at = faults->get_double("crash_at", 0.0);
       const double restart = faults->get_double("crash_restart", -1.0);
-      // Negative means "stays down"; NaN is kept for validate_grid to reject.
-      if (!(restart < 0.0)) crash.restart_at = restart;
+      // Negative means "stays down"; an infinite restart is kept for
+      // validate_grid to reject.
+      if (restart >= 0.0) crash.restart_at = restart;
       out.grid.crashes.push_back(crash);
     }
     const long part_cluster = faults->get_int("partition_cluster", -1);

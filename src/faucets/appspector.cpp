@@ -9,9 +9,8 @@ namespace faucets {
 
 AppSpector::AppSpector(sim::SimContext& ctx, std::size_t display_buffer_lines)
     : sim::Entity("appspector", ctx),
-      network_(&ctx.network()),
       buffer_lines_(display_buffer_lines) {
-  network_->attach(*this);
+  network().attach(*this);
 }
 
 const AppSpector::JobView* AppSpector::find(ClusterId cluster, JobId job) const {
@@ -73,7 +72,7 @@ void AppSpector::on_message(const sim::Message& msg) {
         reply->progress = view->progress;
         reply->display_buffer.assign(view->display.begin(), view->display.end());
       }
-      network_->send(*this, watch.from, std::move(reply));
+      network().send(*this, watch.from, std::move(reply));
       break;
     }
     default:

@@ -64,7 +64,6 @@ class AppSpector final : public sim::Entity {
     }
   };
 
-  sim::Network* network_;
   std::size_t buffer_lines_;
   std::unordered_map<Key, JobView, KeyHash> jobs_;
   std::uint64_t watch_requests_ = 0;

@@ -51,7 +51,7 @@ void BrokerAgent::handle_submit(const proto::SubmitJobRequest& msg) {
   // whole new market cycle.
   if (auto done = replied_.find(key); done != replied_.end()) {
     if (msg.attempt <= done->second.first) {
-      network()->send(*this, msg.from,
+      network().send(*this, msg.from,
                       std::make_unique<proto::SubmitJobReply>(done->second.second));
       return;
     }
@@ -113,7 +113,7 @@ void BrokerAgent::reply_to_client(RequestId id, proto::SubmitJobReply reply) {
   if (it == pending_.end()) return;
   const auto key = std::make_pair(it->second.notify, it->second.notify_request);
   replied_[key] = {it->second.client_attempt, reply};
-  network()->send(*this, it->second.notify,
+  network().send(*this, it->second.notify,
                   std::make_unique<proto::SubmitJobReply>(std::move(reply)));
   active_.erase(key);
   pending_.erase(it);

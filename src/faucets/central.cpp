@@ -9,10 +9,9 @@ namespace faucets {
 
 CentralServer::CentralServer(sim::SimContext& ctx, CentralServerConfig config)
     : sim::Entity("faucets-server", ctx),
-      network_(&ctx.network()),
       config_(config),
       price_history_(config.history_capacity, config.history_window) {
-  network_->attach(*this);
+  network().attach(*this);
   auto& metrics = ctx.metrics();
   auth_ok_ctr_ = &metrics.counter("faucets_auth_ok_total",
                                   "Successful logins and credential checks");
@@ -131,7 +130,7 @@ void CentralServer::handle_login(const proto::LoginRequest& msg) {
   }
   record_auth(reply->ok, user.value_or(UserId{}), RequestId{});
   FAUCETS_DEBUG("fs") << "login " << msg.username << (reply->ok ? " ok" : " DENIED");
-  network_->send(*this, msg.from, std::move(reply));
+  network().send(*this, msg.from, std::move(reply));
 }
 
 void CentralServer::handle_directory(const proto::DirectoryRequest& msg) {
@@ -145,7 +144,7 @@ void CentralServer::handle_directory(const proto::DirectoryRequest& msg) {
       reply->regulation = proto::PriceBand{*normal, *config_.price_band};
     }
   }
-  network_->send(*this, msg.from, std::move(reply));
+  network().send(*this, msg.from, std::move(reply));
 }
 
 void CentralServer::handle_register(const proto::RegisterDaemon& msg) {
@@ -172,7 +171,7 @@ void CentralServer::handle_register(const proto::RegisterDaemon& msg) {
   ack->ok = true;
   FAUCETS_DEBUG("fs") << "registered cluster " << msg.cluster << " ("
                       << msg.machine.name << ")";
-  network_->send(*this, msg.from, std::move(ack));
+  network().send(*this, msg.from, std::move(ack));
 }
 
 void CentralServer::handle_poll_reply(const proto::PollReply& msg) {
@@ -190,7 +189,7 @@ void CentralServer::handle_auth_verify(const proto::AuthVerifyRequest& msg) {
   reply->ok = user.has_value();
   if (user) reply->user = *user;
   record_auth(reply->ok, user.value_or(UserId{}), msg.request);
-  network_->send(*this, msg.from, std::move(reply));
+  network().send(*this, msg.from, std::move(reply));
 }
 
 void CentralServer::handle_settled(const proto::ContractSettled& msg) {
@@ -217,7 +216,7 @@ void CentralServer::poll_daemons() {
   for (auto& [cluster, entry] : directory_) {
     ++entry.missed_polls;
     if (entry.missed_polls > config_.max_missed_polls) entry.alive = false;
-    network_->send(*this, entry.daemon, std::make_unique<proto::PollRequest>());
+    network().send(*this, entry.daemon, std::make_unique<proto::PollRequest>());
   }
   poll_timer_ =
       engine().schedule_after(config_.poll_interval, [this] { poll_daemons(); });

@@ -131,7 +131,6 @@ class CentralServer final : public sim::Entity {
 
   void record_auth(bool ok, UserId user, RequestId request);
 
-  sim::Network* network_;
   CentralServerConfig config_;
 
   obs::Counter* auth_ok_ctr_ = nullptr;

@@ -8,6 +8,11 @@
 
 namespace faucets {
 
+namespace {
+/// Input upload size of a contract that names none.
+constexpr double kDefaultInputMb = 8.0;
+}  // namespace
+
 FaucetsClient::FaucetsClient(sim::SimContext& ctx, EntityId central,
                              std::unique_ptr<market::BidEvaluator> evaluator,
                              ClientConfig config)
@@ -50,7 +55,7 @@ void FaucetsClient::send_login() {
   auto msg = std::make_unique<proto::LoginRequest>();
   msg->username = config_.username;
   msg->password = config_.password;
-  network()->send(*this, central_, std::move(msg));
+  network().send(*this, central_, std::move(msg));
   const double timeout = login_retry_.arm(retry_);
   login_retry_.set_timer(engine().schedule_after(timeout, [this] {
     if (logged_in()) return;
@@ -303,8 +308,8 @@ void FaucetsClient::on_placed(RequestId request, double price, ClusterId cluster
   upload->job = job;
   upload->megabytes = pending.contract.resources.input_mb > 0.0
                           ? pending.contract.resources.input_mb
-                          : config_.default_input_mb;
-  network()->send(*this, daemon, std::move(upload));
+                          : kDefaultInputMb;
+  network().send(*this, daemon, std::move(upload));
 }
 
 void FaucetsClient::send_brokered(RequestId request) {
@@ -322,7 +327,7 @@ void FaucetsClient::send_brokered(RequestId request) {
   msg->home = config_.home_cluster;
   msg->contract = pending.contract;
   msg->span = pending.root;
-  network()->send(*this, *config_.broker, std::move(msg));
+  network().send(*this, *config_.broker, std::move(msg));
   // The broker runs a whole directory + bidding + award cycle before it can
   // answer, so each attempt waits the full market budget, not one RTT. The
   // broker deduplicates resubmissions by (client, request).

@@ -24,8 +24,6 @@ struct ClientConfig {
   /// Barter/home-cluster preference (§5.5.3): take a viable bid from the
   /// home cluster before comparing prices elsewhere.
   std::optional<ClusterId> home_cluster;
-  /// Input upload size if the contract does not specify one.
-  double default_input_mb = 8.0;
   /// Babysitting watchdog (§1, §3): if a placed job's promised completion
   /// passes by this margin without a completion notice, assume the server
   /// died and resubmit from scratch. Disengaged = no watchdog. (The old

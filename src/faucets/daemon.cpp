@@ -11,16 +11,16 @@ FaucetsDaemon::FaucetsDaemon(sim::SimContext& ctx, ClusterId cluster,
                              std::unique_ptr<cluster::ClusterManager> cm,
                              std::unique_ptr<market::BidGenerator> bidgen,
                              EntityId central_server, EntityId appspector,
-                             DaemonConfig config)
+                             DaemonConfig config, RetryPolicy retry)
     : sim::Entity("fd-" + cm->machine().name, ctx),
       cluster_(cluster),
-      network_(&ctx.network()),
       cm_(std::move(cm)),
       bidgen_(std::move(bidgen)),
       central_(central_server),
       appspector_(appspector),
-      config_(config) {
-  network_->attach(*this);
+      config_(config),
+      retry_(retry) {
+  network().attach(*this);
   auto& reg = ctx.metrics();
   bids_issued_ctr_ = &reg.counter("faucets_market_bids_issued_total",
                                   "Bids offered across all daemons");
@@ -55,13 +55,13 @@ void FaucetsDaemon::send_registration() {
   auto msg = std::make_unique<proto::RegisterDaemon>();
   msg->cluster = cluster_;
   msg->machine = cm_->machine();
-  network_->send(*this, central_, std::move(msg));
+  network().send(*this, central_, std::move(msg));
   // Registration must survive a lossy WAN: retry with backoff until the
   // Central Server acknowledges, otherwise this cluster never appears in
   // any directory.
-  const double timeout = register_retry_.arm(config_.retry);
+  const double timeout = register_retry_.arm(retry_);
   register_retry_.set_timer(engine().schedule_after(timeout, [this] {
-    if (register_retry_.exhausted(config_.retry)) {
+    if (register_retry_.exhausted(retry_)) {
       context().trace().record(obs::market_event(
           now(), id(), obs::TraceEventKind::kRetryExhausted, RequestId{}, BidId{},
           static_cast<double>(register_retry_.attempts())));
@@ -85,7 +85,7 @@ void FaucetsDaemon::drain_and_shutdown() {
     notice->completed_work = e.completed_work;
     notice->checkpoint_mb = e.contract.resources.total_memory_for(e.contract.min_procs) /
                             1024.0;  // rough checkpoint image size
-    network_->send(*this, it->second.client, std::move(notice));
+    network().send(*this, it->second.client, std::move(notice));
     running_.erase(it);
   }
   cm_->release_all_reservations();
@@ -94,7 +94,7 @@ void FaucetsDaemon::drain_and_shutdown() {
   committed_.clear();
   register_retry_.reset();
   monitor_timer_.cancel();
-  network_->detach(id());
+  network().detach(id());
 }
 
 void FaucetsDaemon::crash() {
@@ -107,11 +107,11 @@ void FaucetsDaemon::crash() {
   pending_auth_.clear();
   register_retry_.reset();
   monitor_timer_.cancel();
-  network_->detach(id());
+  network().detach(id());
 }
 
 void FaucetsDaemon::restart() {
-  network_->reattach(*this);
+  network().reattach(*this);
   // halt() cleared the CM callbacks; a restarted daemon must hear about
   // completions and expiring leases again.
   wire_cm_callbacks();
@@ -171,7 +171,7 @@ void FaucetsDaemon::handle_rfb(const proto::RequestForBids& msg) {
   verify->request = auth_id;
   verify->username = msg.username;
   verify->password = msg.password;
-  network_->send(*this, central_, std::move(verify));
+  network().send(*this, central_, std::move(verify));
 }
 
 void FaucetsDaemon::handle_auth_reply(const proto::AuthVerifyReply& msg) {
@@ -188,7 +188,7 @@ void FaucetsDaemon::handle_auth_reply(const proto::AuthVerifyReply& msg) {
     context().trace().record(obs::market_event(now(), id(),
                                                obs::TraceEventKind::kBidDeclined,
                                                rfb.request, BidId{}, 0.0));
-    network_->send(*this, rfb.client, std::move(reply));
+    network().send(*this, rfb.client, std::move(reply));
     return;
   }
   if (config_.cache_auth) auth_cache_.emplace(rfb.username, msg.user);
@@ -232,7 +232,7 @@ void FaucetsDaemon::answer_rfb(const PendingRfb& rfb) {
                                                rfb.request, bid_id,
                                                reply->bid.price));
   }
-  network_->send(*this, rfb.client, std::move(reply));
+  network().send(*this, rfb.client, std::move(reply));
 }
 
 void FaucetsDaemon::refuse_award(EntityId to, RequestId request, BidId bid,
@@ -246,7 +246,7 @@ void FaucetsDaemon::refuse_award(EntityId to, RequestId request, BidId bid,
   context().trace().record(obs::market_event(now(), id(),
                                              obs::TraceEventKind::kAwardRefused,
                                              request, bid, 0.0));
-  network_->send(*this, to, std::move(reply));
+  network().send(*this, to, std::move(reply));
 }
 
 void FaucetsDaemon::handle_reserve(const proto::ReserveRequest& msg) {
@@ -260,7 +260,7 @@ void FaucetsDaemon::handle_reserve(const proto::ReserveRequest& msg) {
     reply->reservation = dup->second;
     reply->price = held.price;
     reply->lease_until = held.lease_until;
-    network_->send(*this, msg.from, std::move(reply));
+    network().send(*this, msg.from, std::move(reply));
     return;
   }
 
@@ -276,7 +276,7 @@ void FaucetsDaemon::handle_reserve(const proto::ReserveRequest& msg) {
     context().trace().record(obs::market_event(now(), id(),
                                                obs::TraceEventKind::kAwardRefused,
                                                msg.request, msg.bid, 0.0));
-    network_->send(*this, msg.from, std::move(reply));
+    network().send(*this, msg.from, std::move(reply));
     return;
   }
 
@@ -291,7 +291,7 @@ void FaucetsDaemon::handle_reserve(const proto::ReserveRequest& msg) {
                                                obs::TraceEventKind::kAwardRefused,
                                                msg.request, msg.bid, 0.0));
     issued_bids_.erase(msg.bid);
-    network_->send(*this, msg.from, std::move(reply));
+    network().send(*this, msg.from, std::move(reply));
     return;
   }
 
@@ -314,7 +314,7 @@ void FaucetsDaemon::handle_reserve(const proto::ReserveRequest& msg) {
   reply->reservation = *reservation;
   reply->price = reservations_.at(*reservation).price;
   reply->lease_until = lease_until;
-  network_->send(*this, msg.from, std::move(reply));
+  network().send(*this, msg.from, std::move(reply));
 }
 
 void FaucetsDaemon::handle_commit(const proto::CommitRequest& msg) {
@@ -326,7 +326,7 @@ void FaucetsDaemon::handle_commit(const proto::CommitRequest& msg) {
     reply->accepted = true;
     reply->job = dup->second.job;
     reply->price = dup->second.price;
-    network_->send(*this, msg.from, std::move(reply));
+    network().send(*this, msg.from, std::move(reply));
     return;
   }
 
@@ -376,14 +376,14 @@ void FaucetsDaemon::handle_commit(const proto::CommitRequest& msg) {
     reg->cluster = cluster_;
     reg->user = held.user;
     reg->application = held.contract->environment.application;
-    network_->send(*this, appspector_, std::move(reg));
+    network().send(*this, appspector_, std::move(reg));
   }
   auto reply = std::make_unique<proto::AwardAck>();
   reply->request = msg.request;
   reply->accepted = true;
   reply->job = *job_id;
   reply->price = held.price;
-  network_->send(*this, msg.from, std::move(reply));
+  network().send(*this, msg.from, std::move(reply));
 }
 
 void FaucetsDaemon::on_lease_expired(ReservationId reservation) {
@@ -406,14 +406,14 @@ void FaucetsDaemon::handle_upload(const proto::UploadFiles& msg) {
   update->state = std::string(job::to_string(j->state()));
   update->procs = j->procs();
   update->progress = j->progress_at(now());
-  network_->send(*this, appspector_, std::move(update));
+  network().send(*this, appspector_, std::move(update));
 }
 
 void FaucetsDaemon::handle_poll(const proto::PollRequest& msg) {
   auto reply = std::make_unique<proto::PollReply>();
   reply->cluster = cluster_;
   reply->queued_jobs = cm_->queued_count();
-  network_->send(*this, msg.from, std::move(reply));
+  network().send(*this, msg.from, std::move(reply));
 }
 
 void FaucetsDaemon::on_job_complete(const job::Job& job) {
@@ -432,7 +432,7 @@ void FaucetsDaemon::on_job_complete(const job::Job& job) {
   notice->finish_time = job.finish_time();
   notice->price_charged = info.price;
   notice->output_mb = job.contract().resources.output_mb;
-  network_->send(*this, info.client, std::move(notice));
+  network().send(*this, info.client, std::move(notice));
 
   // Tell AppSpector.
   if (appspector_.valid()) {
@@ -442,7 +442,7 @@ void FaucetsDaemon::on_job_complete(const job::Job& job) {
     update->state = "completed";
     update->procs = 0;
     update->progress = 1.0;
-    network_->send(*this, appspector_, std::move(update));
+    network().send(*this, appspector_, std::move(update));
   }
 
   // Report the settled contract to the Central Server (price history +
@@ -454,7 +454,7 @@ void FaucetsDaemon::on_job_complete(const job::Job& job) {
   settled->record.work = job.total_work();
   settled->record.price = info.price;
   settled->user = info.user;
-  network_->send(*this, central_, std::move(settled));
+  network().send(*this, central_, std::move(settled));
 }
 
 void FaucetsDaemon::push_monitor_updates() {
@@ -468,7 +468,7 @@ void FaucetsDaemon::push_monitor_updates() {
       update->progress = j->progress_at(now());
       update->utilization = static_cast<double>(cm_->busy_procs()) /
                             std::max(1, cm_->machine().total_procs);
-      network_->send(*this, appspector_, std::move(update));
+      network().send(*this, appspector_, std::move(update));
     }
   }
   monitor_timer_ = engine().schedule_after(config_.monitor_interval,

@@ -35,18 +35,17 @@ struct DaemonConfig {
   /// How long a reserve holds capacity before the lease expires and the
   /// capacity returns to the market (two-phase award, §5.2).
   double reservation_lease = 30.0;
-  /// Backoff schedule for the daemon's own exchanges with the Central
-  /// Server (registration).
-  RetryPolicy retry;
 };
 
 class FaucetsDaemon final : public sim::Entity {
  public:
+  /// `retry` is the backoff schedule of the daemon's own exchange with the
+  /// Central Server (registration); a grid passes GridConfig::retry.
   FaucetsDaemon(sim::SimContext& ctx, ClusterId cluster,
                 std::unique_ptr<cluster::ClusterManager> cm,
                 std::unique_ptr<market::BidGenerator> bidgen,
                 EntityId central_server, EntityId appspector = EntityId{},
-                DaemonConfig config = {});
+                DaemonConfig config = {}, RetryPolicy retry = {});
 
   /// Announce this daemon to the Central Server (call once the FS is up).
   void register_with_central();
@@ -208,12 +207,12 @@ class FaucetsDaemon final : public sim::Entity {
   void send_registration();
 
   ClusterId cluster_;
-  sim::Network* network_;
   std::unique_ptr<cluster::ClusterManager> cm_;
   std::unique_ptr<market::BidGenerator> bidgen_;
   EntityId central_;
   EntityId appspector_;
   DaemonConfig config_;
+  RetryPolicy retry_;
   const market::PriceHistory* grid_history_ = nullptr;
 
   IdGenerator<BidId> bid_ids_;

@@ -102,7 +102,7 @@ void MarketRound::request_directory(RequestId request) {
   msg->request = request;
   msg->session = principal(*round).session;
   msg->contract = round->contract;
-  network()->send(*this, central_, std::move(msg));
+  network().send(*this, central_, std::move(msg));
   const double timeout = round->dir_retry.arm(retry_);
   round->dir_retry.set_timer(engine().schedule_after(
       timeout, [this, request] { on_directory_timeout(request); }));
@@ -152,7 +152,7 @@ void MarketRound::handle_directory(const proto::DirectoryReply& msg) {
     rfb->username = who.username;
     rfb->password = who.password;
     rfb->contract = contract;
-    network()->send(*this, server.daemon, std::move(rfb));
+    network().send(*this, server.daemon, std::move(rfb));
   }
   round->bid_timer = engine().schedule_after(
       kBidTimeout, [this, request = msg.request] { evaluate(request); });
@@ -249,7 +249,7 @@ void MarketRound::send_reserve(RequestId request) {
   msg->request = request;
   msg->bid = round->winner_bid;
   msg->user = principal(*round).user;
-  network()->send(*this, round->winner_daemon, std::move(msg));
+  network().send(*this, round->winner_daemon, std::move(msg));
   const double timeout = round->award_retry.arm(retry_);
   round->award_retry.set_timer(engine().schedule_after(
       timeout, [this, request] { on_award_timeout(request); }));
@@ -266,7 +266,7 @@ void MarketRound::send_commit(RequestId request) {
   msg->notify = round->notify;
   msg->notify_request = round->notify_request;
   msg->span = round->award;
-  network()->send(*this, round->winner_daemon, std::move(msg));
+  network().send(*this, round->winner_daemon, std::move(msg));
   const double timeout = round->award_retry.arm(retry_);
   round->award_retry.set_timer(engine().schedule_after(
       timeout, [this, request] { on_award_timeout(request); }));
@@ -294,7 +294,7 @@ void MarketRound::on_award_timeout(RequestId request) {
     abort_msg->request = request;
     abort_msg->reservation = round->reservation;
     abort_msg->commit = false;
-    network()->send(*this, round->winner_daemon, std::move(abort_msg));
+    network().send(*this, round->winner_daemon, std::move(abort_msg));
   }
   give_up_on_winner(request);
 }

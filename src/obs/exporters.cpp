@@ -177,6 +177,8 @@ namespace {
 
 constexpr std::int64_t kMarketPid = 1;
 constexpr std::int64_t kClusterPidBase = 100;
+/// Trace microseconds per simulated second.
+constexpr double kUsPerSimSecond = 1e6;
 
 struct ChromeWriter {
   std::ostream& os;
@@ -280,7 +282,6 @@ void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
 
   std::unordered_set<std::uint64_t> named_job_threads;   // (pid<<32)|tid keys
   std::unordered_set<std::uint64_t> named_market_threads;
-  const double scale = options.us_per_sim_second;
 
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const Span& s = spans.spans()[i];
@@ -319,10 +320,11 @@ void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
     const std::string name(to_string(s.kind));
     const char* cat = cluster_side ? "cluster" : "market";
     if (s.instant()) {
-      w.instant(pid, tid, name, cat, s.start * scale, args);
+      w.instant(pid, tid, name, cat, s.start * kUsPerSimSecond, args);
     } else {
       const double end = s.open() ? horizon : s.end;
-      w.slice(pid, tid, name, cat, s.start * scale, (end - s.start) * scale, args);
+      w.slice(pid, tid, name, cat, s.start * kUsPerSimSecond,
+              (end - s.start) * kUsPerSimSecond, args);
     }
   }
 
@@ -332,7 +334,7 @@ void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
       const std::string args =
           "\"peer\":" + json_id(ev.payload.net.peer) + ",\"reason\":\"" +
           std::string(to_string(ev.payload.net.reason)) + '"';
-      w.instant(kMarketPid, 0, "net_drop", "net", ev.time * scale, args);
+      w.instant(kMarketPid, 0, "net_drop", "net", ev.time * kUsPerSimSecond, args);
     }
   });
 

@@ -55,8 +55,6 @@ struct ChromeTraceOptions {
   /// Display names for cluster process tracks, parallel-indexed by
   /// ClusterId value; clusters beyond the list fall back to "cluster-N".
   std::vector<std::string> cluster_names;
-  /// Simulated seconds are scaled by this factor into trace microseconds.
-  double us_per_sim_second = 1e6;
 };
 
 void write_chrome_trace(std::ostream& os, const SpanTracker& spans,

@@ -55,9 +55,12 @@ std::string csv_quote(std::string_view in) {
 
 // ------------------------------------------------------------------ charts
 
-/// One series as an inline SVG: a min..max band behind the per-point mean
-/// line, with the value range and time range as corner labels.
-void svg_series(std::ostream& os, const Series& s, int width, int height) {
+/// One series as a 720x150 inline SVG: a min..max band behind the
+/// per-point mean line, with the value range and time range as corner
+/// labels.
+void svg_series(std::ostream& os, const Series& s) {
+  constexpr int width = 720;
+  constexpr int height = 150;
   const std::vector<SamplePoint>& pts = s.points();
   os << "<figure class=\"chart\"><figcaption>" << html_escape(s.name());
   if (!s.unit().empty()) os << " <small>(" << html_escape(s.unit()) << ")</small>";
@@ -237,7 +240,7 @@ void write_html_report(std::ostream& os, const Sampler& sampler,
   if (sampler.series_count() > 0) {
     os << "<h2>Time series</h2>\n";
     sampler.for_each([&](const Series& s) {
-      svg_series(os, s, options.chart_width, options.chart_height);
+      svg_series(os, s);
     });
   }
 

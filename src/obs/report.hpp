@@ -33,8 +33,6 @@ struct AlertRow {
 
 struct ReportOptions {
   std::string title = "Faucets grid report";
-  int chart_width = 720;
-  int chart_height = 150;
   /// Online monitor alerts; empty (the default) omits the Alerts section
   /// entirely, so reports stay byte-identical when nothing fired.
   std::vector<AlertRow> alerts;

@@ -313,7 +313,7 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>,
 class TraceBuffer {
  public:
   /// `capacity` is rounded up to the next power of two (minimum 1).
-  explicit TraceBuffer(std::size_t capacity = 1 << 16)
+  explicit TraceBuffer(std::size_t capacity)
       : ring_(round_up_pow2(capacity)), mask_(ring_.size() - 1) {}
 
   /// Record one event. Never allocates: the ring is preallocated and the
@@ -345,29 +345,6 @@ class TraceBuffer {
     const std::size_t n = size();
     for (std::size_t i = 0; i < n; ++i) fn(at(i));
   }
-
-  /// All surviving events of one kind, oldest first.
-  [[nodiscard]] std::vector<TraceEvent> filter(TraceEventKind kind) const {
-    std::vector<TraceEvent> out;
-    for_each([&](const TraceEvent& ev) {
-      if (ev.kind == kind) out.push_back(ev);
-    });
-    return out;
-  }
-
-  /// All surviving job-lifecycle events for one job on one cluster.
-  [[nodiscard]] std::vector<TraceEvent> for_job(ClusterId cluster, JobId job) const {
-    std::vector<TraceEvent> out;
-    for_each([&](const TraceEvent& ev) {
-      if (payload_of(ev.kind) == TracePayload::kJob &&
-          ev.payload.job.cluster == cluster && ev.payload.job.job == job) {
-        out.push_back(ev);
-      }
-    });
-    return out;
-  }
-
-  void clear() noexcept { head_ = 0; }
 
  private:
   [[nodiscard]] static std::size_t round_up_pow2(std::size_t n) noexcept {

@@ -115,7 +115,7 @@ AdmissionDecision PayoffStrategy::admit(const SchedulerContext& ctx,
     return AdmissionDecision::rejected("unprofitable at projected completion");
   }
   const double loss = estimate_displacement_loss(ctx, contract, start, runtime);
-  if (payoff < loss + params_.admission_threshold) {
+  if (payoff < loss) {
     return AdmissionDecision::rejected("payoff does not compensate inflicted loss");
   }
   return AdmissionDecision::accepted(completion);

@@ -22,9 +22,6 @@ struct PayoffStrategyParams {
   /// can start right now.
   double lookahead = 24.0 * 3600.0;
 
-  /// Minimum surplus (payoff minus inflicted loss) required to admit.
-  double admission_threshold = 0.0;
-
   /// Whether admission charges the estimated payoff loss inflicted on
   /// already-accepted deadline jobs (the compensation rule quoted above).
   bool charge_displacement_loss = true;

@@ -5,7 +5,8 @@
 // can be plugged into the Cluster Manager (§4.1). A strategy answers two
 // questions: should this job be admitted (and what completion can we
 // promise, which backs the bid), and how many processors should every
-// current job hold right now.
+// current job hold right now. It answers from a SchedulerContext, a view of
+// the cluster alone: no strategy reaches the simulation around it.
 #pragma once
 
 #include <span>
@@ -17,10 +18,6 @@
 #include "src/job/job.hpp"
 #include "src/qos/contract.hpp"
 
-namespace faucets::sim {
-class SimContext;
-}  // namespace faucets::sim
-
 namespace faucets::sched {
 
 /// Desired processor count for one job; 0 means vacate to the queue.
@@ -29,15 +26,14 @@ struct Allocation {
   int procs = 0;
 };
 
-/// Read-only view of the cluster state handed to strategies. `running`
-/// jobs hold processors, `queued` jobs wait; both are ordered by submission
-/// time (job id). The spans view the Cluster Manager's own lists, so they
-/// are valid only during the strategy call they are passed to.
+/// Read-only view of the cluster state handed to strategies: the clock,
+/// the machine and the job lists, and nothing of the simulation around
+/// them, so a strategy is a pure function of this view. `running` jobs hold
+/// processors, `queued` jobs wait; both are ordered by submission time (job
+/// id). The spans view the Cluster Manager's own lists, so they are valid
+/// only during the strategy call they are passed to.
 struct SchedulerContext {
   double now = 0.0;
-  /// The run's simulation context (trace sink, RNG, network counters).
-  /// Null when a strategy is exercised standalone in unit tests.
-  sim::SimContext* sim = nullptr;
   const cluster::MachineSpec* machine = nullptr;
   std::span<const job::Job* const> running;
   std::span<const job::Job* const> queued;

@@ -2,10 +2,12 @@
 //
 // Each component of the Faucets architecture (Central Server, Faucets
 // Daemons, clients, AppSpector) is an Entity registered with the Network.
-// Entities communicate exclusively by messages, mirroring the socket
-// protocol of the real system. Messages carry a MessageKind discriminant so
-// receivers dispatch with a switch instead of a dynamic_cast chain, and the
-// network keeps per-kind traffic counters.
+// An entity holds one pointer into the simulation, its SimContext
+// (context.hpp), and reaches the engine, the network and the recorders
+// through it. Entities communicate exclusively by messages, mirroring the
+// socket protocol of the real system. Messages carry a MessageKind
+// discriminant so receivers dispatch with a switch instead of a
+// dynamic_cast chain, and the network keeps per-kind traffic counters.
 #pragma once
 
 #include <cassert>
@@ -140,10 +142,13 @@ class Network;
 class SimContext;
 
 /// A simulated process: owns no thread, just reacts to delivered messages
-/// and timers scheduled on the shared Engine.
+/// and timers scheduled on the shared Engine. Its one pointer into the
+/// simulation is its SimContext; engine(), now() and network() read
+/// through it.
 class Entity {
  public:
-  /// Defined in context.hpp, next to SimContext.
+  /// This constructor and the accessors that read the context are defined
+  /// in context.hpp, next to SimContext.
   Entity(std::string name, SimContext& ctx);
   virtual ~Entity() = default;
   Entity(const Entity&) = delete;
@@ -152,8 +157,8 @@ class Entity {
   [[nodiscard]] EntityId id() const noexcept { return id_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] SimContext& context() const noexcept { return *ctx_; }
-  [[nodiscard]] Engine& engine() const noexcept { return *engine_; }
-  [[nodiscard]] SimTime now() const noexcept { return engine_->now(); }
+  [[nodiscard]] inline Engine& engine() const noexcept;
+  [[nodiscard]] inline SimTime now() const noexcept;
 
   /// Called by the Network when a message addressed to this entity arrives.
   virtual void on_message(const Message& msg) = 0;
@@ -168,14 +173,12 @@ class Entity {
   void set_profile_class(std::uint8_t c) noexcept { prof_class_ = c; }
 
  protected:
-  [[nodiscard]] Network* network() const noexcept { return network_; }
+  [[nodiscard]] inline Network& network() const noexcept;
 
  private:
   friend class Network;
   std::string name_;
   SimContext* ctx_;
-  Engine* engine_;
-  Network* network_;
   EntityId id_;
   std::uint8_t prof_class_ = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/obs/observability.hpp"
 #include "src/obs/profiler.hpp"
 
 namespace faucets::sim {
@@ -12,24 +11,22 @@ namespace faucets::sim {
 static_assert(kMessageKindCount + 1 <= obs::ProfilerLane::kKindSlots,
               "grow ProfilerLane::kKindSlots to fit MessageKind");
 
-Network::Network(Engine& engine, obs::Observability& obs, NetworkConfig config)
+Network::Network(Engine& engine, obs::TraceBuffer& trace,
+                 obs::MetricsRegistry& metrics)
     : engine_(&engine),
-      config_(config),
-      trace_(&obs.trace()),
-      sent_ctr_(&obs.metrics().counter("faucets_net_messages_sent_total",
-                                       "Messages put on the wire")),
-      delivered_ctr_(&obs.metrics().counter("faucets_net_messages_delivered_total",
-                                            "Messages handed to a receiver")),
-      dropped_ctr_(&obs.metrics().counter(
-          "faucets_net_messages_dropped_total",
-          "Messages lost to a detached sender or receiver")),
-      bytes_ctr_(&obs.metrics().counter("faucets_net_bytes_sent_total",
-                                        "Payload bytes put on the wire")) {}
+      trace_(&trace),
+      sent_ctr_(&metrics.counter("faucets_net_messages_sent_total",
+                                 "Messages put on the wire")),
+      delivered_ctr_(&metrics.counter("faucets_net_messages_delivered_total",
+                                      "Messages handed to a receiver")),
+      dropped_ctr_(&metrics.counter("faucets_net_messages_dropped_total",
+                                    "Messages lost to a detached sender or receiver")),
+      bytes_ctr_(&metrics.counter("faucets_net_bytes_sent_total",
+                                  "Payload bytes put on the wire")) {}
 
 EntityId Network::attach(Entity& entity) {
   const EntityId id{slots_.size()};
   entity.id_ = id;
-  entity.network_ = this;
   slots_.push_back(Slot{&entity, 0});
   return id;
 }
@@ -39,19 +36,12 @@ void Network::detach(EntityId id) {
 }
 
 void Network::reattach(Entity& entity) {
-  entity.network_ = this;
   // Only an id this network handed out can come back.
   slots_.at(entity.id_.value()).entity = &entity;
 }
 
 Entity* Network::find(EntityId id) const {
   return id.value() < slots_.size() ? slots_[id.value()].entity : nullptr;
-}
-
-double Network::delay(EntityId from, EntityId to, std::size_t bytes) const noexcept {
-  double d = from == to ? config_.local_latency : config_.base_latency;
-  if (config_.bandwidth > 0) d += static_cast<double>(bytes) / config_.bandwidth;
-  return d;
 }
 
 void Network::drop(MessageKind kind, EntityId at, EntityId peer,

@@ -1,6 +1,6 @@
-// Simulated network: delivers messages between entities with configurable
-// latency and bandwidth, and counts traffic for the scalability experiments
-// (E7 in DESIGN.md).
+// Simulated network: delivers messages between entities after a fixed
+// latency plus a bandwidth term (DESIGN.md §6.4), and counts traffic for the
+// scalability experiments (E7 in DESIGN.md).
 #pragma once
 
 #include <array>
@@ -14,29 +14,25 @@
 #include "src/sim/faults.hpp"
 
 namespace faucets::obs {
-class Observability;
 class ProfilerLane;
 }
 
 namespace faucets::sim {
 
-/// Latency/bandwidth parameters of the simulated WAN connecting the grid.
-struct NetworkConfig {
-  /// One-way base latency between any two distinct entities, seconds.
-  double base_latency = 0.010;
-  /// Bytes per second for the bandwidth term; 0 disables it.
-  double bandwidth = 1.25e8;  // ~1 Gbit/s
-  /// Latency for an entity messaging itself (local loopback).
-  double local_latency = 1e-6;
-};
-
 /// Registry of entities plus the message-passing fabric. Single instance per
 /// simulation.
 class Network {
  public:
-  /// Traffic is counted in `obs`'s registry (faucets_net_*_total) and
-  /// drops are traced into its ring.
-  Network(Engine& engine, obs::Observability& obs, NetworkConfig config);
+  /// One-way latency between two distinct entities, seconds.
+  static constexpr double kBaseLatency = 0.010;
+  /// Latency of an entity messaging itself (local loopback), seconds.
+  static constexpr double kLocalLatency = 1e-6;
+  /// Bytes per second of the bandwidth term (~1 Gbit/s).
+  static constexpr double kBandwidth = 1.25e8;
+
+  /// Traffic is counted in `metrics` (faucets_net_*_total) and drops are
+  /// traced into `trace`.
+  Network(Engine& engine, obs::TraceBuffer& trace, obs::MetricsRegistry& metrics);
 
   /// Register an entity; assigns its EntityId. The caller keeps ownership.
   /// Ids are dense (0, 1, 2, ...) and index the entity table directly.
@@ -72,7 +68,6 @@ class Network {
     return dropped_ctr_->value();
   }
   [[nodiscard]] std::uint64_t bytes_sent() const noexcept { return bytes_ctr_->value(); }
-  [[nodiscard]] const NetworkConfig& config() const noexcept { return config_; }
 
   /// Configure deterministic fault injection (loss, jitter, partitions).
   /// May be called after construction but before (or between) runs.
@@ -98,7 +93,11 @@ class Network {
   }
 
   /// Delay a payload of `bytes` experiences between `from` and `to`.
-  [[nodiscard]] double delay(EntityId from, EntityId to, std::size_t bytes) const noexcept;
+  [[nodiscard]] static double delay(EntityId from, EntityId to,
+                                    std::size_t bytes) noexcept {
+    return (from == to ? kLocalLatency : kBaseLatency) +
+           static_cast<double>(bytes) / kBandwidth;
+  }
 
   /// Reset traffic counters (used between benchmark phases).
   void reset_counters() noexcept;
@@ -124,7 +123,6 @@ class Network {
   void deliver(MessageKind kind, MessagePtr msg);
 
   Engine* engine_;
-  NetworkConfig config_;
   obs::TraceBuffer* trace_;
   obs::ProfilerLane* prof_ = nullptr;  // host-time recorder; null = off
   // Registry instruments, resolved once so the send path never does a

@@ -1,8 +1,10 @@
 #include "src/util/config.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace faucets {
 
@@ -12,6 +14,32 @@ std::string trim(const std::string& text) {
   const auto last = text.find_last_not_of(" \t\r\n");
   return text.substr(first, last - first + 1);
 }
+
+template <typename T>
+T parse_number(const std::string& text, const std::string& what) {
+  try {
+    std::size_t used = 0;
+    T value;
+    if constexpr (std::is_same_v<T, double>) {
+      value = std::stod(text, &used);
+    } else {
+      value = std::stol(text, &used);
+    }
+    // A NaN fails every comparison, so a check such as `until > now`
+    // cannot refuse it: it is no number here.
+    bool nan = false;
+    if constexpr (std::is_same_v<T, double>) nan = std::isnan(value);
+    if (!nan && trim(text.substr(used)).empty()) return value;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument(what +
+                              (std::is_same_v<T, double> ? " is not a number: '"
+                                                         : " is not an integer: '") +
+                              text + "'");
+}
+
+template double parse_number<double>(const std::string&, const std::string&);
+template long parse_number<long>(const std::string&, const std::string&);
 
 std::optional<std::string> ConfigSection::get(const std::string& key) const {
   auto it = values_.find(key);
@@ -26,28 +54,12 @@ std::string ConfigSection::get_string(const std::string& key,
 
 double ConfigSection::get_double(const std::string& key, double fallback) const {
   const auto raw = get(key);
-  if (!raw) return fallback;
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(*raw, &used);
-    if (trim(raw->substr(used)).empty()) return value;
-  } catch (const std::exception&) {
-  }
-  throw std::invalid_argument("config: [" + name_ + "] " + key +
-                              " is not a number: '" + *raw + "'");
+  return raw ? parse_number<double>(*raw, "config: [" + name_ + "] " + key) : fallback;
 }
 
 long ConfigSection::get_int(const std::string& key, long fallback) const {
   const auto raw = get(key);
-  if (!raw) return fallback;
-  try {
-    std::size_t used = 0;
-    const long value = std::stol(*raw, &used);
-    if (trim(raw->substr(used)).empty()) return value;
-  } catch (const std::exception&) {
-  }
-  throw std::invalid_argument("config: [" + name_ + "] " + key +
-                              " is not an integer: '" + *raw + "'");
+  return raw ? parse_number<long>(*raw, "config: [" + name_ + "] " + key) : fallback;
 }
 
 bool ConfigSection::get_bool(const std::string& key, bool fallback) const {
@@ -96,7 +108,12 @@ ConfigFile ConfigFile::parse(std::istream& in) {
       throw std::invalid_argument("config line " + std::to_string(line_number) +
                                   ": key outside any section");
     }
-    out.sections_.back().set(trim(text.substr(0, eq)), trim(text.substr(eq + 1)));
+    ConfigSection& section = out.sections_.back();
+    const std::string key = trim(text.substr(0, eq));
+    if (!section.set(key, trim(text.substr(eq + 1)))) {
+      throw std::invalid_argument("config line " + std::to_string(line_number) + ": [" +
+                                  section.name() + "] " + key + " is given twice");
+    }
   }
   return out;
 }
@@ -115,10 +132,11 @@ std::vector<const ConfigSection*> ConfigFile::sections(const std::string& name) 
 }
 
 const ConfigSection* ConfigFile::section(const std::string& name) const {
-  for (const auto& s : sections_) {
-    if (s.name() == name) return &s;
+  const auto all = sections(name);
+  if (all.size() > 1) {
+    throw std::invalid_argument("config: [" + name + "] appears more than once");
   }
-  return nullptr;
+  return all.empty() ? nullptr : all.front();
 }
 
 }  // namespace faucets

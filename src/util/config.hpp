@@ -1,8 +1,10 @@
 // Minimal INI-style configuration parser for scenario files.
 //
-// Sections may repeat (each [cluster] block describes one Compute Server).
-// Lines are `key = value`; `#` and `;` start comments; whitespace is
-// trimmed. No escapes, no quoting — scenario files are simple.
+// Sections may repeat (each [cluster] block describes one Compute Server):
+// sections() reads a repeated one, and section() refuses a name that
+// repeats. Lines are `key = value`, each key at most once per section; `#`
+// and `;` start comments; whitespace is trimmed. No escapes, no quoting —
+// scenario files are simple.
 #pragma once
 
 #include <istream>
@@ -19,8 +21,10 @@ class ConfigSection {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-  void set(std::string key, std::string value) {
-    values_[std::move(key)] = std::move(value);
+  /// Adds `key`; returns false, and changes nothing, when the section
+  /// already has it.
+  bool set(std::string key, std::string value) {
+    return values_.try_emplace(std::move(key), std::move(value)).second;
   }
   [[nodiscard]] bool has(const std::string& key) const { return values_.contains(key); }
 
@@ -50,7 +54,8 @@ class ConfigFile {
 
   /// All sections named `name`, in file order.
   [[nodiscard]] std::vector<const ConfigSection*> sections(const std::string& name) const;
-  /// First section named `name`, or nullptr.
+  /// The one section named `name`, or nullptr. Throws std::invalid_argument
+  /// when the name repeats, so a second [faults] is never ignored silently.
   [[nodiscard]] const ConfigSection* section(const std::string& name) const;
   [[nodiscard]] std::size_t section_count() const noexcept { return sections_.size(); }
 
@@ -60,5 +65,13 @@ class ConfigFile {
 
 /// Trim leading/trailing whitespace (helper, exposed for tests).
 [[nodiscard]] std::string trim(const std::string& text);
+
+/// The one number parser of config files and command lines: all of `text`
+/// must be a number of type T (double or long), give or take surrounding
+/// whitespace, and NaN is refused (infinities are numbers). Throws
+/// std::invalid_argument naming `what` (a flag such as "--until", or a
+/// section key) otherwise.
+template <typename T>
+[[nodiscard]] T parse_number(const std::string& text, const std::string& what);
 
 }  // namespace faucets

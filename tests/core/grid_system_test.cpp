@@ -102,6 +102,33 @@ TEST(GridSystem, JobRegisteredWithAppSpector) {
   EXPECT_EQ(view->state, "completed");
 }
 
+// DaemonConfig::monitor_interval pushes a status update for every running
+// job to AppSpector each interval, so a watched job's view moves while the
+// job runs, not only at its start and completion.
+TEST(GridSystem, MonitorIntervalPushesUpdatesWhileAJobRuns) {
+  GridConfig config;
+  config.daemon.monitor_interval = 60.0;
+  GridSystem grid(config, {make_cluster("alpha", 64)}, 1);
+  std::vector<std::uint64_t> seen;  // the job's update count at each probe
+  for (const double t : {150.0, 270.0, 390.0}) {
+    grid.engine().schedule_at(t, [&grid, &seen] {
+      const auto* view = grid.appspector().find(ClusterId{0}, JobId{0});
+      seen.push_back(view == nullptr ? 0 : view->updates);
+    });
+  }
+  // 64 processors for 600 s: the job runs through ten intervals.
+  const auto report = grid.run({simple_request(0.0, 64.0 * 600.0)});
+  EXPECT_EQ(report.jobs_completed, 1u);
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_GT(seen[0], 0u);
+  EXPECT_EQ(seen[1] - seen[0], 2u) << "one push per 60 s while running";
+  EXPECT_EQ(seen[2] - seen[1], 2u) << "one push per 60 s while running";
+  const auto* view = grid.appspector().find(ClusterId{0}, JobId{0});
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view->state, "completed");
+  EXPECT_GT(view->updates, seen[2]);
+}
+
 TEST(GridSystem, LeastCostClientPicksCheaperCluster) {
   GridSystem grid({},
                   {make_cluster("pricey", 64, /*cost=*/0.01),

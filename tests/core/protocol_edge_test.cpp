@@ -138,9 +138,14 @@ TEST(Trace, RejectionIsTraced) {
   cluster::ClusterManager cm{ctx, m,
                              std::make_unique<sched::EquipartitionStrategy>()};
   EXPECT_FALSE(cm.submit(UserId{1}, qos::make_contract(64, 64, 100.0)).has_value());
-  const auto rejected = ctx.trace().filter(obs::TraceEventKind::kJobRejected);
+  std::vector<UserId> rejected;
+  ctx.trace().for_each([&](const obs::TraceEvent& ev) {
+    if (ev.kind == obs::TraceEventKind::kJobRejected) {
+      rejected.push_back(ev.payload.job.user);
+    }
+  });
   ASSERT_EQ(rejected.size(), 1u);
-  EXPECT_EQ(rejected[0].payload.job.user, UserId{1});
+  EXPECT_EQ(rejected[0], UserId{1});
   EXPECT_EQ(ctx.metrics().counter_value(
                 "faucets_cm_jobs_rejected_total{cluster=\"cluster\"}"),
             1u);

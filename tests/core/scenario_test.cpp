@@ -168,9 +168,8 @@ TEST(Scenario, TraceSectionValidates) {
 // message.
 TEST(Scenario, RejectsNonFiniteFaultTimes) {
   auto build = [](const std::string& faults, const std::string& grid = "") {
-    return Scenario::parse_string("[grid]\nusers = 4\n" + grid +
-                                  "\n[faults]\nloss = 0.2\n" + faults +
-                                  "\n[cluster]\nname = a\nprocs = 64\n"
+    return Scenario::parse_string("[grid]\nusers = 4\n" + grid + "\n[faults]\n" +
+                                  faults + "\n[cluster]\nname = a\nprocs = 64\n"
                                   "[cluster]\nname = b\nprocs = 64\n")
         .make_grid();
   };
@@ -208,6 +207,23 @@ TEST(Scenario, RejectsNonFiniteFaultTimes) {
   EXPECT_NE(build("retry_base = 2.5\ncrash_cluster = 0\ncrash_at = 100"), nullptr);
   // The "off" spellings stay valid.
   EXPECT_NE(build("loss = 1\njitter = 0", "watchdog = -1\nprice_band = 1"), nullptr);
+}
+
+// A second [faults] section or a second `loss` used to be ignored or to
+// overwrite the first silently; both are refused, naming what repeats.
+TEST(Scenario, RefusesARepeatedSectionOrKey) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"[faults]\nloss = 0.1\n[faults]\njitter = 2\n", "[faults]"},
+      {"[faults]\nloss = 0.1\nloss = 0.2\n", "loss"},
+  };
+  for (const auto& [faults, what] : bad) {
+    try {
+      (void)Scenario::parse_string(std::string(faults) + "[cluster]\nprocs = 64\n");
+      ADD_FAILURE() << "accepted: " << faults;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+  }
 }
 
 // The audit's thresholds are constants and the monitors always run, so the

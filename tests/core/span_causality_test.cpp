@@ -43,7 +43,7 @@ TEST(SpanCausality, FullRunProducesTimeOrderedCausalChains) {
   const auto report = grid.run(std::move(reqs), 1e6);
   ASSERT_EQ(report.jobs_completed, 4u);
 
-  const obs::SpanTracker& spans = grid.obs().spans();
+  const obs::SpanTracker& spans = grid.context().spans();
   ASSERT_GT(spans.size(), 0u);
 
   std::size_t roots = 0;
@@ -119,7 +119,7 @@ TEST(SpanCausality, UnplacedJobEndsInTerminalSpan) {
   EXPECT_EQ(report.jobs_completed, 0u);
   ASSERT_EQ(report.jobs_unplaced, 1u);
 
-  const obs::SpanTracker& spans = grid.obs().spans();
+  const obs::SpanTracker& spans = grid.context().spans();
   std::size_t unplaced = 0;
   for (const obs::Span& s : spans.spans()) {
     if (s.kind != obs::SpanKind::kUnplaced) continue;

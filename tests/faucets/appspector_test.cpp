@@ -11,8 +11,8 @@ namespace {
 class WatcherProbe final : public sim::Entity {
  public:
   explicit WatcherProbe(sim::SimContext& ctx)
-      : sim::Entity("probe", ctx), network_(&ctx.network()) {
-    network_->attach(*this);
+      : sim::Entity("probe", ctx) {
+    network().attach(*this);
   }
   void on_message(const sim::Message& msg) override {
     if (msg.kind() == sim::MessageKind::kWatchReply) {
@@ -23,12 +23,11 @@ class WatcherProbe final : public sim::Entity {
     auto msg = std::make_unique<proto::WatchJob>();
     msg->cluster = cluster;
     msg->job = job;
-    network_->send(*this, as, std::move(msg));
+    network().send(*this, as, std::move(msg));
   }
   std::vector<proto::WatchReply> replies;
 
  private:
-  sim::Network* network_;
 };
 
 struct Fixture {

@@ -214,17 +214,16 @@ class StubDaemon final : public sim::Entity {
  public:
   StubDaemon(sim::SimContext& ctx, ClusterId cluster, EntityId central)
       : sim::Entity("stub-daemon", ctx),
-        network_(&ctx.network()),
         cluster_(cluster),
         central_(central) {
-    network_->attach(*this);
+    network().attach(*this);
   }
 
   void register_machine(const cluster::MachineSpec& machine) {
     auto msg = std::make_unique<proto::RegisterDaemon>();
     msg->cluster = cluster_;
     msg->machine = machine;
-    network_->send(*this, central_, std::move(msg));
+    network().send(*this, central_, std::move(msg));
     unanswered = 0;
     reported_queue = 0;
   }
@@ -238,7 +237,7 @@ class StubDaemon final : public sim::Entity {
     auto reply = std::make_unique<proto::PollReply>();
     reply->cluster = cluster_;
     reply->queued_jobs = queued;
-    network_->send(*this, msg.from, std::move(reply));
+    network().send(*this, msg.from, std::move(reply));
     unanswered = 0;
     reported_queue = queued;
   }
@@ -249,7 +248,6 @@ class StubDaemon final : public sim::Entity {
   int unanswered = 0;
 
  private:
-  sim::Network* network_;
   ClusterId cluster_;
   EntityId central_;
 };

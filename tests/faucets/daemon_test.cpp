@@ -13,8 +13,8 @@ namespace {
 class ScriptedClient final : public sim::Entity {
  public:
   explicit ScriptedClient(sim::SimContext& ctx)
-      : sim::Entity("scripted", ctx), network_(&ctx.network()) {
-    network_->attach(*this);
+      : sim::Entity("scripted", ctx) {
+    network().attach(*this);
   }
 
   void on_message(const sim::Message& msg) override {
@@ -29,7 +29,7 @@ class ScriptedClient final : public sim::Entity {
           auto commit = std::make_unique<proto::CommitRequest>();
           commit->request = reply.request;
           commit->reservation = reply.reservation;
-          network_->send(*this, msg.from, std::move(commit));
+          network().send(*this, msg.from, std::move(commit));
         }
         break;
       }
@@ -51,7 +51,7 @@ class ScriptedClient final : public sim::Entity {
     rfb->username = user;
     rfb->password = password;
     rfb->contract = std::make_shared<const qos::QosContract>(contract);
-    network_->send(*this, daemon, std::move(rfb));
+    network().send(*this, daemon, std::move(rfb));
   }
 
   /// Two-phase award (§5.3): reserve the bid's capacity; on_message commits
@@ -61,7 +61,7 @@ class ScriptedClient final : public sim::Entity {
     msg->request = RequestId{777};
     msg->bid = bid;
     msg->user = user;
-    network_->send(*this, daemon, std::move(msg));
+    network().send(*this, daemon, std::move(msg));
   }
 
   std::vector<market::Bid> bids;
@@ -70,7 +70,6 @@ class ScriptedClient final : public sim::Entity {
   std::vector<proto::JobCompleteNotice> completions;
 
  private:
-  sim::Network* network_;
   std::uint64_t next_request_ = 0;
 };
 

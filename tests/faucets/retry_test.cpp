@@ -67,8 +67,8 @@ TEST(RetryPolicy, SettleCancelsTheTimer) {
 class ScriptedBroker final : public sim::Entity {
  public:
   explicit ScriptedBroker(sim::SimContext& ctx)
-      : sim::Entity("scripted", ctx), network_(&ctx.network()) {
-    network_->attach(*this);
+      : sim::Entity("scripted", ctx) {
+    network().attach(*this);
   }
 
   void on_message(const sim::Message& msg) override {
@@ -93,7 +93,7 @@ class ScriptedBroker final : public sim::Entity {
     rfb->username = "alice";
     rfb->password = "pw";
     rfb->contract = std::make_shared<const qos::QosContract>(contract);
-    network_->send(*this, daemon, std::move(rfb));
+    network().send(*this, daemon, std::move(rfb));
   }
 
   void reserve(EntityId daemon, BidId bid) {
@@ -101,7 +101,7 @@ class ScriptedBroker final : public sim::Entity {
     msg->request = RequestId{next_request_++};
     msg->bid = bid;
     msg->user = UserId{0};
-    network_->send(*this, daemon, std::move(msg));
+    network().send(*this, daemon, std::move(msg));
   }
 
   void commit(EntityId daemon, ReservationId reservation, bool confirm) {
@@ -109,7 +109,7 @@ class ScriptedBroker final : public sim::Entity {
     msg->request = RequestId{next_request_++};
     msg->reservation = reservation;
     msg->commit = confirm;
-    network_->send(*this, daemon, std::move(msg));
+    network().send(*this, daemon, std::move(msg));
   }
 
   std::vector<market::Bid> bids;
@@ -117,7 +117,6 @@ class ScriptedBroker final : public sim::Entity {
   std::vector<proto::AwardAck> acks;
 
  private:
-  sim::Network* network_;
   std::uint64_t next_request_ = 100;
 };
 

@@ -87,40 +87,6 @@ TEST(TraceBuffer, WraparoundAtExactCapacityBoundary) {
   EXPECT_EQ(buf.at(3).payload.job.job, JobId{4});
 }
 
-TEST(TraceBuffer, FilterByKindAndJob) {
-  TraceBuffer buf{64};
-  buf.record(job_event(0.0, EntityId{1}, TraceEventKind::kJobAccepted,
-                       ClusterId{0}, JobId{0}, UserId{9}, 4));
-  buf.record(job_event(1.0, EntityId{1}, TraceEventKind::kJobStarted,
-                       ClusterId{0}, JobId{0}, UserId{9}, 4));
-  buf.record(job_event(1.5, EntityId{2}, TraceEventKind::kJobStarted,
-                       ClusterId{1}, JobId{0}, UserId{9}, 8));
-  buf.record(market_event(2.0, EntityId{3}, TraceEventKind::kBidIssued,
-                          RequestId{5}, BidId{6}, 1.25));
-
-  EXPECT_EQ(buf.filter(TraceEventKind::kJobStarted).size(), 2u);
-  EXPECT_EQ(buf.filter(TraceEventKind::kJobEvicted).size(), 0u);
-
-  const auto mine = buf.for_job(ClusterId{0}, JobId{0});
-  ASSERT_EQ(mine.size(), 2u);
-  EXPECT_EQ(mine[0].kind, TraceEventKind::kJobAccepted);
-  EXPECT_EQ(mine[1].kind, TraceEventKind::kJobStarted);
-
-  const auto bids = buf.filter(TraceEventKind::kBidIssued);
-  ASSERT_EQ(bids.size(), 1u);
-  EXPECT_EQ(bids[0].payload.market.request, RequestId{5});
-  EXPECT_DOUBLE_EQ(bids[0].payload.market.price, 1.25);
-}
-
-TEST(TraceBuffer, ClearResetsEverything) {
-  TraceBuffer buf{4};
-  for (int i = 0; i < 9; ++i) buf.record(numbered(i));
-  buf.clear();
-  EXPECT_EQ(buf.size(), 0u);
-  EXPECT_EQ(buf.dropped(), 0u);
-  EXPECT_EQ(buf.total_recorded(), 0u);
-}
-
 TEST(DropReason, HasStableNames) {
   EXPECT_EQ(to_string(DropReason::kSenderDetached), "sender_detached");
   EXPECT_EQ(to_string(DropReason::kReceiverDetached), "receiver_detached");

@@ -156,5 +156,48 @@ TEST(Recovery, GridRunStoreReproducesTheReportLedger) {
   fs::remove_all(dir);
 }
 
+// [store] snapshot_every rolls the WAL into a fresh snapshot every N
+// settled contracts. A roll is persistence only: the store still recovers
+// the exact live state, and the run reports what a grid without rolls does.
+TEST(Recovery, SnapshotEveryRollsTheStoreWithoutChangingTheRun) {
+  struct Outcome {
+    std::string report_json;
+    std::uint64_t generation = 0;
+    std::string recovered;
+    std::string live;
+  };
+  const auto run = [](long snapshot_every) {
+    const std::string dir = testing::TempDir() + "recovery_snapshot_every_" +
+                            std::to_string(snapshot_every);
+    fs::remove_all(dir);
+    std::ostringstream ini;
+    ini << "[grid]\nbilling = barter\nusers = 4\nseed = 7\n"
+        << "[store]\ndir = " << dir << "\nsync = none\nsnapshot_every = "
+        << snapshot_every << "\n"
+        << "[cluster]\nname = a\nprocs = 32\ncost = 0.001\ncredits = 500\n"
+        << "[cluster]\nname = b\nprocs = 32\ncost = 0.002\ncredits = 500\n"
+        << "[workload]\njobs = 60\nload = 0.8\n";
+    const auto scenario = core::Scenario::parse_string(ini.str());
+    auto grid = scenario.make_grid();
+    auto source = scenario.make_source();
+    std::ostringstream json;
+    core::write_report_json(json, grid->run(*source));
+    Outcome out;
+    out.report_json = json.str();
+    out.generation = dynamic_cast<store::DurableStore&>(*grid->store()).generation();
+    out.recovered = encode_central_state(recover_central_state(*grid->store()));
+    out.live = encode_central_state(grid->central());
+    grid.reset();
+    fs::remove_all(dir);
+    return out;
+  };
+  const Outcome rolled = run(5);
+  const Outcome plain = run(0);
+  EXPECT_EQ(plain.generation, 2u) << "the initial and end-of-run snapshots";
+  EXPECT_GT(rolled.generation, 2u) << "snapshot_every = 5 never rolled the store";
+  EXPECT_EQ(rolled.recovered, rolled.live);
+  EXPECT_EQ(rolled.report_json, plain.report_json);
+}
+
 }  // namespace
 }  // namespace faucets

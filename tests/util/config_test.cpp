@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 namespace faucets {
 namespace {
 
@@ -42,6 +46,53 @@ name = third
   ASSERT_EQ(clusters.size(), 3u);
   EXPECT_EQ(clusters[0]->get_string("name", ""), "first");
   EXPECT_EQ(clusters[2]->get_string("name", ""), "third");
+}
+
+// A second [faults] used to be ignored silently; section() now refuses a
+// name that repeats, and sections() still reads repeated sections in order.
+TEST(Config, SectionRefusesARepeatedName) {
+  const auto config = ConfigFile::parse_string(
+      "[faults]\nloss = 0.1\n[cluster]\nname = a\n[faults]\njitter = 2\n");
+  EXPECT_EQ(config.sections("faults").size(), 2u);
+  try {
+    (void)config.section("faults");
+    ADD_FAILURE() << "a repeated [faults] was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("[faults]"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(config.section("cluster")->get_string("name", ""), "a");
+}
+
+TEST(Config, RepeatedKeyThrowsWithLineNumber) {
+  try {
+    (void)ConfigFile::parse_string("[faults]\nloss = 0.1\njitter = 2\nloss = 0.2\n");
+    ADD_FAILURE() << "a repeated key was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("loss"), std::string::npos) << what;
+  }
+  // The same key in two sections is two keys.
+  const auto config = ConfigFile::parse_string("[a]\nx = 1\n[b]\nx = 2\n");
+  EXPECT_EQ(config.section("b")->get_int("x", 0), 2);
+}
+
+TEST(Config, ParseNumberTakesOnlyAWholeNumber) {
+  EXPECT_DOUBLE_EQ(parse_number<double>(" 2.5 ", "--until"), 2.5);
+  EXPECT_EQ(parse_number<long>("-1", "--threads"), -1);
+  // NaN fails every comparison, so no range check after the parse could
+  // refuse it; infinities are numbers.
+  EXPECT_EQ(parse_number<double>("inf", "--until"), HUGE_VAL);
+  for (const char* bad : {"100x", "abc", "", "1e", "nan", "-nan"}) {
+    try {
+      (void)parse_number<double>(bad, "--until");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--until"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW((void)parse_number<long>("2x", "--threads"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<long>("1.5", "--threads"), std::invalid_argument);
 }
 
 TEST(Config, CommentsAndBlankLines) {
