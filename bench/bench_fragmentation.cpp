@@ -40,9 +40,7 @@ ScenarioResult run_scenario(std::unique_ptr<sched::Strategy> strategy) {
   machine.total_procs = 1000;
   const bool adaptive = strategy->adaptive();
   cluster::ClusterManager cm{ctx, machine, std::move(strategy),
-                             job::AdaptiveCosts{.reconfig_seconds = 5.0,
-                                                .checkpoint_seconds = 30.0,
-                                                .restart_seconds = 30.0}};
+                             job::AdaptiveCosts{.reconfig_seconds = 5.0}};
   auto reqs = job::fragmentation_scenario(600.0);
   if (!adaptive) {
     // A traditional scheduler starts B at one fixed size (500, as told in

@@ -26,9 +26,7 @@ Result run(sched::PriorityStrategyParams params, std::uint64_t seed) {
   auto strategy = std::make_unique<sched::PriorityStrategy>(params);
   auto* strat = strategy.get();
   cluster::ClusterManager cm{ctx, machine, std::move(strategy),
-                             job::AdaptiveCosts{.reconfig_seconds = 2.0,
-                                                .checkpoint_seconds = 10.0,
-                                                .restart_seconds = 10.0}};
+                             job::AdaptiveCosts{.reconfig_seconds = 2.0}};
   cm.set_completion_callback([strat](const job::Job& j) {
     strat->charge_usage(j.owner(), j.total_work());
   });

@@ -25,9 +25,7 @@ core::ClusterSetup make_cluster(const std::string& name, double cost) {
   setup.machine.cost_per_cpu_second = cost;
   setup.strategy = [] { return std::make_unique<sched::EquipartitionStrategy>(); };
   setup.bid_generator = [] { return std::make_unique<market::BaselineBidGenerator>(); };
-  setup.costs = job::AdaptiveCosts{.reconfig_seconds = 0.0,
-                                   .checkpoint_seconds = 0.0,
-                                   .restart_seconds = 0.0};
+  setup.costs = job::AdaptiveCosts{.reconfig_seconds = 0.0};
   return setup;
 }
 

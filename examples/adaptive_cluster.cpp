@@ -33,9 +33,7 @@ Outcome replay(std::unique_ptr<sched::Strategy> strategy) {
   machine.name = "hpc-1000";
   machine.total_procs = 1000;
   cluster::ClusterManager cm{ctx, machine, std::move(strategy),
-                             job::AdaptiveCosts{.reconfig_seconds = 5.0,
-                                                .checkpoint_seconds = 30.0,
-                                                .restart_seconds = 30.0}};
+                             job::AdaptiveCosts{.reconfig_seconds = 5.0}};
 
   // Job B rigid at 500 for the rigid scheduler comparison? No: B is
   // malleable 400..1000 as in the paper; a rigid scheduler simply cannot

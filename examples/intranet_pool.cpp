@@ -31,9 +31,7 @@ RunResult run(sched::PriorityStrategyParams params) {
   auto strategy = std::make_unique<sched::PriorityStrategy>(params);
   auto* strat = strategy.get();
   cluster::ClusterManager cm{ctx, machine, std::move(strategy),
-                             job::AdaptiveCosts{.reconfig_seconds = 2.0,
-                                                .checkpoint_seconds = 10.0,
-                                                .restart_seconds = 10.0}};
+                             job::AdaptiveCosts{.reconfig_seconds = 2.0}};
 
   // Usage accounting feeds fair share.
   cm.set_completion_callback([strat](const job::Job& j) {

@@ -203,6 +203,18 @@ Options parse_args(int argc, char** argv) {
     }
     opts.scenario_file = arg;
   }
+  // Ranges, checked before any run: a horizon at or before t = 0 simulates
+  // nothing, a non-positive interval switches sampling off, and a pause
+  // before t = 0 never fires. parse_number has refused NaN already.
+  if (opts.until && *opts.until <= 0.0) {
+    throw std::invalid_argument("--until must be > 0");
+  }
+  if (opts.sample_interval && *opts.sample_interval <= 0.0) {
+    throw std::invalid_argument("--sample-interval must be > 0");
+  }
+  if (opts.checkpoint_at && *opts.checkpoint_at < 0.0) {
+    throw std::invalid_argument("--checkpoint-at must be >= 0");
+  }
   return opts;
 }
 

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "src/util/logging.hpp"
-
 namespace faucets::cluster {
 
 namespace {
@@ -109,9 +107,8 @@ double ClusterManager::queued_work() const {
 }
 
 sched::AdmissionDecision ClusterManager::query(const qos::QosContract& contract) const {
-  if (!contract.valid()) return sched::AdmissionDecision::rejected("invalid contract");
-  if (!machine_.can_ever_run(contract)) {
-    return sched::AdmissionDecision::rejected("machine cannot run this contract");
+  if (!contract.valid() || !machine_.can_ever_run(contract)) {
+    return sched::AdmissionDecision::rejected();
   }
   sched::SchedulerContext ctx = context();
   ctx.queued_work = queued_work();
@@ -126,7 +123,6 @@ std::optional<JobId> ClusterManager::submit(UserId owner,
     metrics_.on_rejected();
     rejected_ctr_->inc();
     emit(obs::TraceEventKind::kJobRejected, JobId{}, owner, contract.min_procs);
-    FAUCETS_DEBUG("cm") << machine_.name << " rejected job: " << decision.reason;
     return std::nullopt;
   }
   const JobId id = job_ids_.next();
@@ -325,7 +321,6 @@ void ClusterManager::handle_completions() {
     slowdown_hist_->observe(j.bounded_slowdown());
     emit(obs::TraceEventKind::kJobCompleted, id, j.owner(), j.procs());
     close_job_spans(id, obs::SpanKind::kComplete, now);
-    FAUCETS_DEBUG("cm") << machine_.name << " completed job " << id;
     if (on_complete_) on_complete_(j);
   }
   observe_busy(now, busy_procs());

@@ -80,9 +80,10 @@ void validate_grid(const GridConfig& config,
   }
   for (const auto& c : config.crashes) {
     if (c.cluster >= clusters.size()) {
-      throw std::invalid_argument("grid: crash schedule names cluster " +
-                                  std::to_string(c.cluster) + " but only " +
-                                  std::to_string(clusters.size()) + " exist");
+      throw std::invalid_argument(
+          "grid: crash schedule ([faults] crash_cluster) names cluster " +
+          std::to_string(c.cluster) + " but only " +
+          std::to_string(clusters.size()) + " exist");
     }
     if (!std::isfinite(c.at) || (c.restart_at && !std::isfinite(*c.restart_at))) {
       throw std::invalid_argument(
@@ -92,9 +93,10 @@ void validate_grid(const GridConfig& config,
   }
   for (const auto& p : config.partitions) {
     if (p.cluster >= clusters.size()) {
-      throw std::invalid_argument("grid: partition names cluster " +
-                                  std::to_string(p.cluster) + " but only " +
-                                  std::to_string(clusters.size()) + " exist");
+      throw std::invalid_argument(
+          "grid: partition ([faults] partition_cluster) names cluster " +
+          std::to_string(p.cluster) + " but only " +
+          std::to_string(clusters.size()) + " exist");
     }
     if (!std::isfinite(p.from) || !std::isfinite(p.until)) {
       throw std::invalid_argument(
@@ -187,10 +189,7 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
     // paper's one-shot market.
     cc.bid_rounds = chaos ? config_.retry.max_attempts : 1;
     if (config_.clients_prefer_home) cc.home_cluster = home;
-    if (broker_) {
-      cc.broker = broker_->id();
-      cc.criteria = config_.broker_criteria;
-    }
+    if (broker_) cc.broker = broker_->id();
     auto evaluator = config_.evaluator
                          ? config_.evaluator()
                          : std::make_unique<market::LeastCostEvaluator>();

@@ -114,10 +114,9 @@ struct GridConfig {
   std::optional<double> client_watchdog_margin;
   /// Brokered submission (§5.3): clients hand each job to a broker agent
   /// colocated with the Central Server instead of broadcasting
-  /// request-for-bids themselves. `criteria` is the user-specific
-  /// selection rule the agent applies.
+  /// request-for-bids themselves. The agent selects with each client's
+  /// `evaluator`.
   bool brokered_submission = false;
-  proto::SelectionCriteria broker_criteria = proto::SelectionCriteria::kLeastCost;
   /// Deterministic fault injection (message loss, delay jitter, entity
   /// partitions keyed by EntityId). Cluster-indexed partitions and crashes
   /// go in `partitions` / `crashes` below; they are resolved to daemon

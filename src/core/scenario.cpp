@@ -174,21 +174,6 @@ Scenario Scenario::parse(const ConfigFile& config) {
     ++index;
   }
 
-  for (const auto& crash : out.grid.crashes) {
-    if (crash.cluster >= out.clusters.size()) {
-      throw std::invalid_argument("[faults] crash_cluster " +
-                                  std::to_string(crash.cluster) +
-                                  " is out of range");
-    }
-  }
-  for (const auto& part : out.grid.partitions) {
-    if (part.cluster >= out.clusters.size()) {
-      throw std::invalid_argument("[faults] partition_cluster " +
-                                  std::to_string(part.cluster) +
-                                  " is out of range");
-    }
-  }
-
   const ConfigSection* wl = config.section("workload");
   std::size_t users = 8;
   if (grid != nullptr) {

@@ -9,19 +9,6 @@ BrokerAgent::BrokerAgent(sim::SimContext& ctx, EntityId central, RetryPolicy ret
   register_retry_counters();
 }
 
-const market::BidEvaluator& BrokerAgent::evaluator_for(
-    proto::SelectionCriteria criteria) const {
-  switch (criteria) {
-    case proto::SelectionCriteria::kLeastCost:
-      return least_cost_;
-    case proto::SelectionCriteria::kEarliestCompletion:
-      return earliest_completion_;
-    case proto::SelectionCriteria::kSurplus:
-      return surplus_;
-  }
-  return least_cost_;
-}
-
 void BrokerAgent::on_message(const sim::Message& msg) {
   if (msg.kind() == sim::MessageKind::kSubmit) {
     handle_submit(sim::message_cast<proto::SubmitJobRequest>(msg));
@@ -62,7 +49,7 @@ void BrokerAgent::handle_submit(const proto::SubmitJobRequest& msg) {
   const RequestId id = ids_.next();
   Pending pending;
   pending.contract = msg.contract;
-  pending.evaluator = &evaluator_for(msg.criteria);
+  pending.evaluator = msg.evaluator;
   pending.home = msg.home;
   pending.notify = msg.from;  // completion notices bypass the broker
   pending.notify_request = msg.request;

@@ -5,7 +5,7 @@
 // framework. [...] The client agents simply specify user-specific selection
 // criteria to evaluation." A BrokerAgent runs next to the Central Server,
 // takes one SubmitJobRequest per job and runs the client's own market round
-// (MarketRound) under the client's criteria, credentials and home cluster,
+// (MarketRound) under the client's evaluator, credentials and home cluster,
 // so the client exchanges O(1) messages per job instead of O(#servers).
 #pragma once
 
@@ -44,12 +44,7 @@ class BrokerAgent final : public MarketRound {
 
   void handle_submit(const proto::SubmitJobRequest& msg);
   void reply_to_client(RequestId id, proto::SubmitJobReply reply);
-  [[nodiscard]] const market::BidEvaluator& evaluator_for(
-      proto::SelectionCriteria criteria) const;
 
-  market::LeastCostEvaluator least_cost_;
-  market::EarliestCompletionEvaluator earliest_completion_;
-  market::SurplusEvaluator surplus_;
   IdGenerator<RequestId> ids_;
   std::unordered_map<RequestId, Pending> pending_;
   /// Deduplication of client resends: one live brokered cycle per

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/sim/context.hpp"
-#include "src/util/logging.hpp"
 
 namespace faucets {
 
@@ -129,7 +128,6 @@ void CentralServer::handle_login(const proto::LoginRequest& msg) {
     reply->session = sessions_.open(*user);
   }
   record_auth(reply->ok, user.value_or(UserId{}), RequestId{});
-  FAUCETS_DEBUG("fs") << "login " << msg.username << (reply->ok ? " ok" : " DENIED");
   network().send(*this, msg.from, std::move(reply));
 }
 
@@ -169,8 +167,6 @@ void CentralServer::handle_register(const proto::RegisterDaemon& msg) {
                  .provides = m.provides};
   auto ack = std::make_unique<proto::RegisterAck>();
   ack->ok = true;
-  FAUCETS_DEBUG("fs") << "registered cluster " << msg.cluster << " ("
-                      << msg.machine.name << ")";
   network().send(*this, msg.from, std::move(ack));
 }
 

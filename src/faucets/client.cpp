@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/sim/context.hpp"
-#include "src/util/logging.hpp"
 
 namespace faucets {
 
@@ -14,7 +13,7 @@ constexpr double kDefaultInputMb = 8.0;
 }  // namespace
 
 FaucetsClient::FaucetsClient(sim::SimContext& ctx, EntityId central,
-                             std::unique_ptr<market::BidEvaluator> evaluator,
+                             std::shared_ptr<const market::BidEvaluator> evaluator,
                              ClientConfig config)
     : MarketRound("fc-" + config.username, ctx, central, config.retry),
       evaluator_(std::move(evaluator)),
@@ -64,8 +63,6 @@ void FaucetsClient::send_login() {
       send_login();
       return;
     }
-    FAUCETS_WARN("fc") << config_.username
-                       << ": login retries exhausted, failing queued jobs";
     login_failed_ = true;
     while (!pre_login_queue_.empty()) {
       auto contract = std::move(pre_login_queue_.front());
@@ -76,7 +73,6 @@ void FaucetsClient::send_login() {
 }
 
 void FaucetsClient::fail_unsubmitted(const qos::QosContract& contract) {
-  (void)contract;
   submitted_ctr_->inc();
   auto& spans = context().spans();
   SubmissionOutcome outcome;
@@ -130,7 +126,7 @@ void FaucetsClient::submit(const qos::QosContract& contract) {
   PendingJob pending;
   pending.outcome_index = outcomes_.size();
   pending.contract = contract;
-  pending.evaluator = evaluator_.get();
+  pending.evaluator = evaluator_;
   pending.home = config_.home_cluster;
   pending.root = context().spans().start_span(obs::SpanKind::kSubmission, now(), id());
   context().spans().set_user(pending.root, me_.user);
@@ -234,17 +230,12 @@ void FaucetsClient::handle_evicted(const proto::JobEvicted& msg) {
   context().trace().record(obs::market_event(now(), id(),
                                              obs::TraceEventKind::kJobMigrated,
                                              msg.request, BidId{}, 0.0));
-  FAUCETS_INFO("fc") << config_.username << ": job evicted, resubmitting "
-                     << pending.contract.total_work() << " remaining work";
   resubmit(msg.request);
 }
 
 void FaucetsClient::handle_login(const proto::LoginReply& msg) {
   login_retry_.settle();
-  if (!msg.ok) {
-    FAUCETS_WARN("fc") << config_.username << ": login denied";
-    return;
-  }
+  if (!msg.ok) return;
   me_.session = msg.session;
   me_.user = msg.user;
   while (!pre_login_queue_.empty()) {
@@ -273,8 +264,6 @@ void FaucetsClient::arm_watchdog(RequestId request, double promised_completion) 
     context().trace().record(
         obs::market_event(now(), id(), obs::TraceEventKind::kWatchdogRestart,
                           request, BidId{}, 0.0));
-    FAUCETS_WARN("fc") << config_.username
-                       << ": watchdog fired, restarting lost job";
     resubmit(request);
   });
 }
@@ -323,7 +312,7 @@ void FaucetsClient::send_brokered(RequestId request) {
   msg->username = me_.username;
   msg->password = me_.password;
   msg->user = me_.user;
-  msg->criteria = config_.criteria;
+  msg->evaluator = evaluator_;
   msg->home = config_.home_cluster;
   msg->contract = pending.contract;
   msg->span = pending.root;

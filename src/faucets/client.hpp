@@ -37,9 +37,9 @@ struct ClientConfig {
   int bid_rounds = 1;
   /// Brokered submission (§5.3): when set, the client sends one
   /// SubmitJobRequest to this broker agent instead of broadcasting
-  /// request-for-bids itself. `criteria` replaces the local evaluator.
+  /// request-for-bids itself, and the broker selects with the client's
+  /// evaluator.
   std::optional<EntityId> broker;
-  proto::SelectionCriteria criteria = proto::SelectionCriteria::kLeastCost;
 };
 
 /// Outcome of one submission, for experiment bookkeeping.
@@ -66,7 +66,8 @@ struct SubmissionOutcome {
 class FaucetsClient final : public MarketRound {
  public:
   FaucetsClient(sim::SimContext& ctx, EntityId central,
-                std::unique_ptr<market::BidEvaluator> evaluator, ClientConfig config);
+                std::shared_ptr<const market::BidEvaluator> evaluator,
+                ClientConfig config);
 
   /// Pull-based submission (DESIGN.md §13): log in and arm one timer at
   /// `source`'s next submit time; each firing pulls exactly one request and
@@ -137,7 +138,7 @@ class FaucetsClient final : public MarketRound {
   /// Restart the bid/award cycle for a request already in pending_.
   void resubmit(RequestId request);
 
-  std::unique_ptr<market::BidEvaluator> evaluator_;
+  std::shared_ptr<const market::BidEvaluator> evaluator_;
   ClientConfig config_;
 
   // Pull-based workload feed (null until run_source).

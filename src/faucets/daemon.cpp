@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/sim/context.hpp"
-#include "src/util/logging.hpp"
 
 namespace faucets {
 

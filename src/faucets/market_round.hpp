@@ -10,6 +10,7 @@
 // at the bottom of the class.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -48,7 +49,7 @@ class MarketRound : public sim::Entity {
   /// through notify) and keeps the Round inside its own per-request record.
   struct Round {
     qos::QosContract contract;
-    const market::BidEvaluator* evaluator = nullptr;
+    std::shared_ptr<const market::BidEvaluator> evaluator;
     /// Barter/home-cluster preference (§5.5.3): a viable bid from this
     /// cluster wins before prices elsewhere are compared.
     std::optional<ClusterId> home;

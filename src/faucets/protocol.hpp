@@ -12,6 +12,7 @@
 
 #include "src/cluster/machine.hpp"
 #include "src/market/bid.hpp"
+#include "src/market/evaluation.hpp"
 #include "src/market/price_history.hpp"
 #include "src/qos/contract.hpp"
 #include "src/sim/entity.hpp"
@@ -197,11 +198,6 @@ struct JobCompleteNotice final : sim::Message {
 
 // ------------------------------------------------------------ FC <-> Broker
 
-/// User-specific selection criteria a client agent applies on the client's
-/// behalf (§5.3: "The client agents simply specify user-specific selection
-/// criteria to evaluation").
-enum class SelectionCriteria { kLeastCost, kEarliestCompletion, kSurplus };
-
 /// Where a submission stands. A broker's SubmitJobReply carries kPlaced or
 /// the failure that ended its market round; the client records the same
 /// values in its SubmissionOutcome.
@@ -228,7 +224,11 @@ struct SubmitJobRequest final : sim::Message {
   std::string username;
   std::string password;
   UserId user;
-  SelectionCriteria criteria = SelectionCriteria::kLeastCost;
+  /// The client's own bid evaluator, which the broker applies on its behalf
+  /// (§5.3: "The client agents simply specify user-specific selection
+  /// criteria to evaluation"). Shared, as an RFB shares its contract: the
+  /// simulated message carries the rule, not a copy of it.
+  std::shared_ptr<const market::BidEvaluator> evaluator;
   /// The client's home cluster when it prefers home bids (§5.5.3).
   std::optional<ClusterId> home;
   qos::QosContract contract;

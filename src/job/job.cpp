@@ -19,7 +19,6 @@ std::string_view to_string(JobState state) noexcept {
     case JobState::kRunning: return "running";
     case JobState::kCheckpointed: return "checkpointed";
     case JobState::kCompleted: return "completed";
-    case JobState::kRejected: return "rejected";
     case JobState::kFailed: return "failed";
   }
   return "?";
@@ -67,8 +66,6 @@ void Job::phased_state_at(double now, std::vector<double>& rem,
 void Job::transition(JobState next) { state_ = next; }
 
 void Job::mark_queued() { transition(JobState::kQueued); }
-
-void Job::mark_rejected() { transition(JobState::kRejected); }
 
 void Job::mark_failed(double time) {
   procs_ = 0;
@@ -127,28 +124,6 @@ void Job::checkpoint(double time) {
   advance_to(time);
   procs_ = 0;
   transition(JobState::kCheckpointed);
-}
-
-void Job::skip_work(double amount) noexcept {
-  amount = std::min(amount, remaining_work_);
-  remaining_work_ -= amount;
-  for (std::size_t p = phase_; p < phase_remaining_.size() && amount > 0.0; ++p) {
-    const double take = std::min(amount, phase_remaining_[p]);
-    phase_remaining_[p] -= take;
-    amount -= take;
-    if (phase_remaining_[p] <= 0.0 && p == phase_) ++phase_;
-  }
-}
-
-void Job::restart(double time, int procs, double speed_factor) {
-  if (state_ != JobState::kCheckpointed) {
-    throw std::logic_error("Job::restart: job is not checkpointed");
-  }
-  speed_factor_ = speed_factor;
-  procs_ = std::clamp(procs, contract_.min_procs, contract_.max_procs);
-  last_update_ = time;
-  stall_until_ = time + costs_.restart_seconds;
-  transition(JobState::kRunning);
 }
 
 void Job::complete(double time) {

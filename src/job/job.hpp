@@ -1,5 +1,8 @@
 // Job model: state machine plus the adaptive-job runtime mechanics
 // (shrink/expand with reconfiguration cost) described in §4 of the paper.
+// A Job runs on one Compute Server only: an evicted job is checkpointed
+// there, and its owner sends the work left back to the market as a reduced
+// contract (QosContract::reduced_by).
 #pragma once
 
 #include <string>
@@ -15,20 +18,18 @@ enum class JobState {
   kCreated,     // constructed, not yet submitted
   kQueued,      // in the server's queue, no processors yet
   kRunning,     // progressing on >= min_procs processors
-  kCheckpointed,  // stopped with state saved; can restart (possibly elsewhere)
+  kCheckpointed,  // evicted with its progress saved; never runs again
   kCompleted,
-  kRejected,    // no acceptable bid / admission refused
   kFailed,
 };
 
 [[nodiscard]] std::string_view to_string(JobState state) noexcept;
 
-/// Runtime costs of malleability. The paper notes shrink/expand and
-/// checkpoint/restart overheads must be justified by phases lasting minutes.
+/// Runtime cost of malleability. The paper notes shrink/expand overheads
+/// must be justified by phases lasting minutes. A checkpoint costs no stall
+/// here: it costs time on the wire, through `JobEvicted::checkpoint_mb`.
 struct AdaptiveCosts {
-  double reconfig_seconds = 1.0;    // wall-clock stall on shrink/expand
-  double checkpoint_seconds = 30.0; // stall to write a checkpoint
-  double restart_seconds = 30.0;    // stall to restart from a checkpoint
+  double reconfig_seconds = 1.0;  // wall-clock stall on shrink/expand
 };
 
 /// A job instance inside the simulation. Work accounting: `remaining_work`
@@ -52,7 +53,6 @@ class Job {
 
   // --- lifecycle transitions (validated; misuse is a logic error) --------
   void mark_queued();
-  void mark_rejected();
   void mark_failed(double time);
 
   /// Start running on `procs` processors of a machine with `speed_factor`.
@@ -68,14 +68,6 @@ class Job {
 
   /// Checkpoint at `time`: progress is retained, processors released.
   void checkpoint(double time);
-
-  /// Restart from checkpoint at `time` on a machine with `speed_factor`.
-  void restart(double time, int procs, double speed_factor);
-
-  /// Credit `amount` of already-completed work (processor-seconds), e.g.
-  /// when this Job object is reconstructed from a checkpoint shipped from
-  /// another Compute Server. Consumes phases front to back.
-  void skip_work(double amount) noexcept;
 
   /// Mark completion at `time`. Remaining work must be ~0.
   void complete(double time);
@@ -138,7 +130,7 @@ class Job {
   int procs_ = 0;
   double speed_factor_ = 1.0;
   double remaining_work_ = 0.0;
-  double stall_until_ = 0.0;  // reconfig/restart stall: no progress before this
+  double stall_until_ = 0.0;  // reconfiguration stall: no progress before this
   double last_update_ = 0.0;
   AdaptiveCosts costs_;
   int reconfig_count_ = 0;

@@ -24,7 +24,6 @@ class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept { value_ += n; }
   [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
-  void reset() noexcept { value_ = 0; }
 
  private:
   std::uint64_t value_ = 0;

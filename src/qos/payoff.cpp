@@ -34,13 +34,4 @@ double PayoffFunction::value_at(double completion) const noexcept {
   return payoff_soft_ + t * (payoff_hard_ - payoff_soft_);
 }
 
-PayoffFunction PayoffFunction::shifted(double delta) const noexcept {
-  PayoffFunction f = *this;
-  if (f.has_deadline_) {
-    f.soft_deadline_ += delta;
-    f.hard_deadline_ += delta;
-  }
-  return f;
-}
-
 }  // namespace faucets::qos

@@ -34,10 +34,6 @@ class PayoffFunction {
   [[nodiscard]] double max_payoff() const noexcept { return payoff_soft_; }
   [[nodiscard]] double penalty() const noexcept { return penalty_; }
 
-  /// Shift both deadlines by `delta` seconds (used when a job is re-issued
-  /// relative to a new submission time).
-  [[nodiscard]] PayoffFunction shifted(double delta) const noexcept;
-
  private:
   bool has_deadline_ = false;
   double soft_deadline_ = 0.0;

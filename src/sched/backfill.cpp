@@ -27,9 +27,6 @@ BackfillStrategy::Shadow BackfillStrategy::shadow_for(const SchedulerContext& ct
 
 AdmissionDecision BackfillStrategy::admit(const SchedulerContext& ctx,
                                           const qos::QosContract& contract) {
-  if (contract.min_procs > ctx.total_procs()) {
-    return AdmissionDecision::rejected("job larger than machine");
-  }
   const int size = request_size(ctx, contract);
   const double speed = ctx.machine != nullptr ? ctx.machine->speed_factor : 1.0;
   // Estimate: it starts no earlier than its own shadow time behind the

@@ -45,9 +45,6 @@ std::vector<int> EquipartitionStrategy::equipartition(
 
 AdmissionDecision EquipartitionStrategy::admit(const SchedulerContext& ctx,
                                                const qos::QosContract& contract) {
-  if (contract.min_procs > ctx.total_procs()) {
-    return AdmissionDecision::rejected("job larger than machine");
-  }
   const double speed = ctx.machine != nullptr ? ctx.machine->speed_factor : 1.0;
 
   // Estimate by running the actual water-filling with the candidate

@@ -32,9 +32,6 @@ int FcfsStrategy::request_size(const SchedulerContext& ctx,
 
 AdmissionDecision FcfsStrategy::admit(const SchedulerContext& ctx,
                                       const qos::QosContract& contract) {
-  if (contract.min_procs > ctx.total_procs()) {
-    return AdmissionDecision::rejected("job larger than machine");
-  }
   const int size = request_size(ctx, contract);
   // Completion estimate: all queued work drains at full machine rate, then
   // this job runs at its fixed size. Crude, as a real FCFS queue estimate is.

@@ -85,9 +85,6 @@ double PayoffStrategy::estimate_displacement_loss(const SchedulerContext& ctx,
 
 AdmissionDecision PayoffStrategy::admit(const SchedulerContext& ctx,
                                         const qos::QosContract& contract) {
-  if (contract.min_procs > ctx.total_procs()) {
-    return AdmissionDecision::rejected("job larger than machine");
-  }
   const double speed = speed_of(ctx);
   const double horizon = ctx.now + std::max(params_.lookahead, 0.0) +
                          contract.estimated_runtime(contract.min_procs, speed);
@@ -98,7 +95,7 @@ AdmissionDecision PayoffStrategy::admit(const SchedulerContext& ctx,
   const double start =
       gantt.earliest_fit(ctx.now, runtime_min, contract.min_procs, horizon);
   if (start > window_end) {
-    return AdmissionDecision::rejected("no window within lookahead");
+    return AdmissionDecision::rejected();
   }
 
   // Completion promise: assume the job runs at the larger of min_procs and
@@ -112,11 +109,11 @@ AdmissionDecision PayoffStrategy::admit(const SchedulerContext& ctx,
 
   const double payoff = contract.payoff.value_at(completion);
   if (payoff <= 0.0) {
-    return AdmissionDecision::rejected("unprofitable at projected completion");
+    return AdmissionDecision::rejected();
   }
   const double loss = estimate_displacement_loss(ctx, contract, start, runtime);
   if (payoff < loss) {
-    return AdmissionDecision::rejected("payoff does not compensate inflicted loss");
+    return AdmissionDecision::rejected();
   }
   return AdmissionDecision::accepted(completion);
 }

@@ -27,9 +27,6 @@ double PriorityStrategy::usage_of(UserId user) const {
 
 AdmissionDecision PriorityStrategy::admit(const SchedulerContext& ctx,
                                           const qos::QosContract& contract) {
-  if (contract.min_procs > ctx.total_procs()) {
-    return AdmissionDecision::rejected("job larger than machine");
-  }
   // Intranet pools accept everything; priorities settle who runs when.
   // Completion estimate: equal share among live jobs of this or higher
   // priority plus the newcomer.

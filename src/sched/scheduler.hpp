@@ -10,7 +10,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -57,13 +56,10 @@ struct SchedulerContext {
 struct AdmissionDecision {
   bool accept = false;
   double estimated_completion = 1e300;
-  std::string reason;
 
-  static AdmissionDecision rejected(std::string why) {
-    return AdmissionDecision{false, 1e300, std::move(why)};
-  }
+  static AdmissionDecision rejected() { return AdmissionDecision{false, 1e300}; }
   static AdmissionDecision accepted(double completion) {
-    return AdmissionDecision{true, completion, {}};
+    return AdmissionDecision{true, completion};
   }
 };
 
@@ -88,6 +84,9 @@ class Strategy {
 
   /// Decide whether to admit `contract` given the current state. Must not
   /// mutate anything; called both for bids and for actual submission.
+  /// Precondition: the contract is valid and the machine can ever run it
+  /// (`MachineSpec::can_ever_run`, so `min_procs <= total_procs`); the
+  /// Cluster Manager refuses any other contract before asking.
   [[nodiscard]] virtual AdmissionDecision admit(const SchedulerContext& ctx,
                                                 const qos::QosContract& contract) = 0;
 

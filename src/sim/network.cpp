@@ -113,15 +113,4 @@ std::uint64_t Network::traffic_of(EntityId id) const {
   return id.value() < slots_.size() ? slots_[id.value()].traffic : 0;
 }
 
-void Network::reset_counters() noexcept {
-  sent_ctr_->reset();
-  delivered_ctr_->reset();
-  dropped_ctr_->reset();
-  bytes_ctr_->reset();
-  sent_by_kind_.fill(0);
-  delivered_by_kind_.fill(0);
-  dropped_by_reason_.fill(0);
-  for (Slot& s : slots_) s.traffic = 0;
-}
-
 }  // namespace faucets::sim

@@ -99,9 +99,6 @@ class Network {
            static_cast<double>(bytes) / kBandwidth;
   }
 
-  /// Reset traffic counters (used between benchmark phases).
-  void reset_counters() noexcept;
-
   /// Attach the host-time profiler lane (DESIGN.md §12): deliver()
   /// tags the in-flight event with (MessageKind, entity class) so the
   /// engine's timestamp pair lands in the right attribution buckets.

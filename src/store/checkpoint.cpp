@@ -1,17 +1,14 @@
 #include "src/store/checkpoint.hpp"
 
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "src/store/codec.hpp"
+#include "src/store/framed.hpp"
 
 namespace faucets::store {
 
 namespace {
-constexpr char kCkptMagic[8] = {'F', 'A', 'U', 'C', 'C', 'K', 'P', '\x01'};
+constexpr std::string_view kCkptMagic{"FAUCCKP\x01", 8};
 }  // namespace
 
 std::string Checkpoint::encode() const {
@@ -43,42 +40,20 @@ Checkpoint Checkpoint::decode(const std::string& body) {
 }
 
 void Checkpoint::write_file(const std::string& path) const {
-  const std::string body = encode();
-  Encoder header;
-  header.put_u32(static_cast<std::uint32_t>(body.size()));
-  header.put_u32(crc32(body));
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out{tmp, std::ios::binary | std::ios::trunc};
-    if (!out) throw std::runtime_error("checkpoint: cannot write " + tmp);
-    out.write(kCkptMagic, sizeof kCkptMagic);
-    out.write(header.bytes().data(),
-              static_cast<std::streamsize>(header.bytes().size()));
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    if (!out) throw std::runtime_error("checkpoint: write failed on " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("checkpoint: cannot publish " + path);
-  }
+  write_framed_file(path, kCkptMagic, encode());
 }
 
 Checkpoint Checkpoint::read_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) throw std::runtime_error("checkpoint: cannot open " + path);
-  std::ostringstream raw;
-  raw << in.rdbuf();
-  const std::string data = raw.str();
-  if (data.size() < sizeof kCkptMagic + 8 ||
-      std::memcmp(data.data(), kCkptMagic, sizeof kCkptMagic) != 0) {
-    throw std::runtime_error("checkpoint: " + path + " is not a checkpoint file");
-  }
-  Decoder header{std::string_view(data).substr(sizeof kCkptMagic, 8)};
-  const std::uint32_t length = header.get_u32();
-  const std::uint32_t crc = header.get_u32();
-  const std::string body(std::string_view(data).substr(sizeof kCkptMagic + 8));
-  if (body.size() != length || crc32(body) != crc) {
-    throw std::runtime_error("checkpoint: " + path + " is torn or corrupt");
+  std::string body;
+  switch (read_framed_file(path, kCkptMagic, body)) {
+    case FrameCheck::kOk:
+      break;
+    case FrameCheck::kMissing:
+      throw std::runtime_error("checkpoint: cannot open " + path);
+    case FrameCheck::kNotFramed:
+      throw std::runtime_error("checkpoint: " + path + " is not a checkpoint file");
+    case FrameCheck::kCorrupt:
+      throw std::runtime_error("checkpoint: " + path + " is torn or corrupt");
   }
   try {
     return decode(body);

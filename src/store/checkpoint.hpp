@@ -11,8 +11,8 @@
 // artifacts are then byte-identical to an uninterrupted run by determinism,
 // not by hope.
 //
-// File format (version 3): 8-byte magic "FAUCCKP\x01", then u32 length +
-// u32 CRC-32 framing one encoded body:
+// File format (version 3): a framed file (src/store/framed.hpp) with the
+// magic "FAUCCKP\x01" around one encoded body:
 //
 //   u32 version | string scenario_text | f64 until | f64 sim_time |
 //   u64 executed | string state_image
@@ -44,8 +44,8 @@ struct Checkpoint {
   std::string state_image;    // encoded Central Server durable state at T
 
   /// Serialize to / parse from the framed on-disk format. write_file is
-  /// atomic (tmp + rename); read_file and decode throw std::runtime_error on
-  /// a missing, torn, or wrong-version file.
+  /// atomic and durable (write_framed_file); read_file and decode throw
+  /// std::runtime_error on a missing, torn, or wrong-version file.
   void write_file(const std::string& path) const;
   [[nodiscard]] static Checkpoint read_file(const std::string& path);
 

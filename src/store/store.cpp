@@ -1,32 +1,21 @@
 #include "src/store/store.hpp"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
-#include "src/store/codec.hpp"
+#include "src/store/framed.hpp"
 
 namespace faucets::store {
 
 namespace {
 
-constexpr char kSnapMagic[8] = {'F', 'A', 'U', 'C', 'S', 'N', 'P', '\x01'};
-
-void fsync_path(const std::string& path, bool directory) {
-  const int fd = ::open(path.c_str(), directory ? O_RDONLY | O_DIRECTORY : O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
+constexpr std::string_view kSnapMagic{"FAUCSNP\x01", 8};
 
 }  // namespace
 
@@ -51,27 +40,6 @@ StateStore::Recovered MemStore::recover() const {
 }
 
 // --- DurableStore -----------------------------------------------------------
-
-bool read_snapshot_file(const std::string& path, std::string& image) {
-  image.clear();
-  std::ifstream in{path, std::ios::binary};
-  if (!in) return false;
-  std::ostringstream raw;
-  raw << in.rdbuf();
-  const std::string data = raw.str();
-  // magic + u32 length + u32 crc + image bytes
-  if (data.size() < sizeof kSnapMagic + 8) return false;
-  if (std::memcmp(data.data(), kSnapMagic, sizeof kSnapMagic) != 0) return false;
-  Decoder header{std::string_view(data).substr(sizeof kSnapMagic, 8)};
-  const std::uint32_t length = header.get_u32();
-  const std::uint32_t crc = header.get_u32();
-  const std::string_view body =
-      std::string_view(data).substr(sizeof kSnapMagic + 8);
-  if (body.size() != length) return false;
-  if (crc32(body) != crc) return false;
-  image.assign(body);
-  return true;
-}
 
 DurableStore::DurableStore(std::string dir, DurableOptions options)
     : dir_(std::move(dir)), options_(options) {
@@ -128,41 +96,7 @@ void DurableStore::flush() {
 
 void DurableStore::snapshot(std::string_view image) {
   const std::uint64_t next = generation_ + 1;
-  const std::string path = snapshot_path(next);
-  const std::string tmp = path + ".tmp";
-  {
-    Encoder header;
-    header.put_u32(static_cast<std::uint32_t>(image.size()));
-    header.put_u32(crc32(image));
-    const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0) {
-      throw std::runtime_error("store: cannot write " + tmp + ": " +
-                               std::strerror(errno));
-    }
-    std::string blob{kSnapMagic, sizeof kSnapMagic};
-    blob += header.bytes();
-    blob.append(image.data(), image.size());
-    const char* p = blob.data();
-    std::size_t left = blob.size();
-    while (left > 0) {
-      const ssize_t n = ::write(fd, p, left);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        ::close(fd);
-        throw std::runtime_error("store: write failed on " + tmp + ": " +
-                                 std::strerror(errno));
-      }
-      p += n;
-      left -= static_cast<std::size_t>(n);
-    }
-    ::fsync(fd);
-    ::close(fd);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("store: cannot publish snapshot " + path + ": " +
-                             std::strerror(errno));
-  }
-  fsync_path(dir_, /*directory=*/true);
+  write_framed_file(snapshot_path(next), kSnapMagic, image);
 
   // The snapshot is durable: open the new generation's log, then retire the
   // old pair. A crash between these steps leaves extra files recover()
@@ -181,7 +115,10 @@ StateStore::Recovered DurableStore::recover() const {
   // Highest generation whose snapshot validates wins; a corrupt top
   // generation (crash mid-publish) falls back to its predecessor.
   for (std::uint64_t g = scan_latest_generation(); g >= 1; --g) {
-    if (!read_snapshot_file(snapshot_path(g), out.snapshot)) continue;
+    if (read_framed_file(snapshot_path(g), kSnapMagic, out.snapshot) !=
+        FrameCheck::kOk) {
+      continue;
+    }
     out.generation = g;
     WalReadResult wal = read_wal(wal_path(g));
     out.ops = std::move(wal.records);

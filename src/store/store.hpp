@@ -115,8 +115,4 @@ class DurableStore final : public StateStore {
   WalWriter wal_;
 };
 
-/// Read and validate one snapshot file. Returns false (and clears `image`)
-/// when the file is missing, torn, or fails its CRC.
-[[nodiscard]] bool read_snapshot_file(const std::string& path, std::string& image);
-
 }  // namespace faucets::store

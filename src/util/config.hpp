@@ -57,7 +57,6 @@ class ConfigFile {
   /// The one section named `name`, or nullptr. Throws std::invalid_argument
   /// when the name repeats, so a second [faults] is never ignored silently.
   [[nodiscard]] const ConfigSection* section(const std::string& name) const;
-  [[nodiscard]] std::size_t section_count() const noexcept { return sections_.size(); }
 
  private:
   std::vector<ConfigSection> sections_;

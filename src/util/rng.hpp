@@ -142,17 +142,6 @@ class Rng {
     return std::exp(normal(mu, sigma));
   }
 
-  /// Weibull(shape k, scale lambda): inter-arrival model used in several
-  /// supercomputer trace studies.
-  [[nodiscard]] double weibull(double shape, double scale) noexcept {
-    return scale * std::pow(-std::log1p(-uniform()), 1.0 / shape);
-  }
-
-  /// Pareto distribution with given minimum and tail index alpha.
-  [[nodiscard]] double pareto(double minimum, double alpha) noexcept {
-    return minimum / std::pow(1.0 - uniform(), 1.0 / alpha);
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

@@ -19,23 +19,6 @@ void OnlineStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-void OnlineStats::merge(const OnlineStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double OnlineStats::variance() const noexcept {
   return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
 }
@@ -82,15 +65,6 @@ void Histogram::add(double x) noexcept {
   }
   ++counts_[idx];
   ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const noexcept {
-  return bin_lo(i + 1);
 }
 
 std::string Histogram::to_string() const {

@@ -14,7 +14,6 @@ namespace faucets {
 class OnlineStats {
  public:
   void add(double x) noexcept;
-  void merge(const OnlineStats& other) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
@@ -70,8 +69,6 @@ class Histogram {
   [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
   [[nodiscard]] std::uint64_t count_in_bin(std::size_t i) const { return counts_.at(i); }
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_hi(std::size_t i) const noexcept;
 
   /// Render as a compact single-line summary, e.g. for AppSpector displays.
   [[nodiscard]] std::string to_string() const;

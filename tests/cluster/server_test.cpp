@@ -19,8 +19,7 @@ MachineSpec small_machine(int procs = 64) {
 }
 
 job::AdaptiveCosts zero_costs() {
-  return job::AdaptiveCosts{.reconfig_seconds = 0.0, .checkpoint_seconds = 0.0,
-                            .restart_seconds = 0.0};
+  return job::AdaptiveCosts{.reconfig_seconds = 0.0};
 }
 
 TEST(ClusterManager, RequiresStrategy) {

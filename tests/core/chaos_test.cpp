@@ -23,9 +23,7 @@ ClusterSetup make_cluster(const std::string& name, double cost) {
   setup.machine.cost_per_cpu_second = cost;
   setup.strategy = [] { return std::make_unique<sched::EquipartitionStrategy>(); };
   setup.bid_generator = [] { return std::make_unique<market::BaselineBidGenerator>(); };
-  setup.costs = job::AdaptiveCosts{.reconfig_seconds = 0.0,
-                                   .checkpoint_seconds = 0.0,
-                                   .restart_seconds = 0.0};
+  setup.costs = job::AdaptiveCosts{.reconfig_seconds = 0.0};
   return setup;
 }
 
@@ -216,6 +214,29 @@ TEST(Chaos, FaultFreeGridsKeepTheOneShotMarket) {
   EXPECT_EQ(grid.context().metrics().counter_value("faucets_retry_attempts_total"),
             0u)
       << "a fault-free grid must not retry";
+}
+
+TEST(Chaos, CentralUnreachableFromTheStartTimesOutEveryJob) {
+  // The Central Server is cut off before any login. Each client spends its
+  // login retry schedule (75 s by default) and then fails the jobs queued
+  // behind the login; a job that arrives later fails at once.
+  GridSystem grid({}, {make_cluster("alpha", 0.0001), make_cluster("beta", 0.0005)},
+                  2);
+  grid.network().set_faults({.partitions = {{grid.central().id(), 0.0, 1e9}}});
+  std::vector<job::JobRequest> reqs = workload(4);
+  for (std::size_t i = 0; i < reqs.size(); ++i) reqs[i].user_index = i % 2;
+  reqs[3].submit_time = 500.0;
+  const auto out = run_grid(grid, std::move(reqs));
+  EXPECT_EQ(out.report.jobs_submitted, 4u);
+  EXPECT_EQ(out.report.jobs_unplaced, out.report.jobs_submitted);
+  for (std::size_t c = 0; c < grid.client_count(); ++c) {
+    EXPECT_FALSE(grid.client(c).logged_in());
+    ASSERT_EQ(grid.client(c).outcomes().size(), 2u);
+    for (const auto& o : grid.client(c).outcomes()) {
+      EXPECT_EQ(o.status, SubmissionOutcome::Status::kTimedOut);
+    }
+  }
+  EXPECT_TRUE(drained_clean(out.audit));
 }
 
 // ------------------------------------------------------------------ Audit

@@ -16,9 +16,7 @@ ClusterSetup make_cluster(const std::string& name, int procs = 64) {
   setup.machine.cost_per_cpu_second = 0.0008;
   setup.strategy = [] { return std::make_unique<sched::EquipartitionStrategy>(); };
   setup.bid_generator = [] { return std::make_unique<market::BaselineBidGenerator>(); };
-  setup.costs = job::AdaptiveCosts{.reconfig_seconds = 0.0,
-                                   .checkpoint_seconds = 0.0,
-                                   .restart_seconds = 0.0};
+  setup.costs = job::AdaptiveCosts{.reconfig_seconds = 0.0};
   return setup;
 }
 
@@ -36,9 +34,7 @@ TEST(Failover, EvictJobCheckpointsAndRemoves) {
   m.total_procs = 64;
   cluster::ClusterManager cm{ctx, m,
                              std::make_unique<sched::EquipartitionStrategy>(),
-                             job::AdaptiveCosts{.reconfig_seconds = 0.0,
-                                                .checkpoint_seconds = 0.0,
-                                                .restart_seconds = 0.0}};
+                             job::AdaptiveCosts{.reconfig_seconds = 0.0}};
   const auto id = cm.submit(UserId{1}, qos::make_contract(4, 64, 6400.0, 1.0, 1.0));
   ASSERT_TRUE(id.has_value());
   ctx.engine().run(50.0);  // halfway: 64 procs x 50 s = 3200 done
@@ -135,17 +131,6 @@ TEST(Failover, CrashWithoutWatchdogTimesOut) {
   // The run can only end at the horizon: the job is lost and nobody knows.
   const auto report = grid.run({long_job(1000.0)}, /*until=*/5000.0);
   EXPECT_EQ(report.jobs_completed, 0u);
-}
-
-TEST(Failover, SkipWorkReducesPhasesInOrder) {
-  qos::QosContract c = qos::make_contract(2, 8, 0.0, 1.0, 1.0);
-  c.phases = {qos::Phase{"a", 100.0, c.efficiency, {}},
-              qos::Phase{"b", 200.0, c.efficiency, {}}};
-  job::Job j{JobId{1}, UserId{1}, c, 0.0};
-  j.skip_work(150.0);
-  EXPECT_DOUBLE_EQ(j.remaining_work(), 150.0);
-  EXPECT_EQ(j.current_phase(), 1u);
-  EXPECT_DOUBLE_EQ(j.phase_remaining(), 150.0);
 }
 
 TEST(Failover, ReducedContractPreservesDeadlines) {

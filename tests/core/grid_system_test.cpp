@@ -20,9 +20,7 @@ ClusterSetup make_cluster(const std::string& name, int procs,
   setup.machine.speed_factor = speed;
   setup.strategy = [] { return std::make_unique<sched::EquipartitionStrategy>(); };
   setup.bid_generator = [] { return std::make_unique<market::BaselineBidGenerator>(); };
-  setup.costs = job::AdaptiveCosts{.reconfig_seconds = 0.0,
-                                   .checkpoint_seconds = 0.0,
-                                   .restart_seconds = 0.0};
+  setup.costs = job::AdaptiveCosts{.reconfig_seconds = 0.0};
   return setup;
 }
 

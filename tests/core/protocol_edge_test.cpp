@@ -98,9 +98,7 @@ TEST(Trace, ClusterManagerEmitsLifecycleEvents) {
   m.total_procs = 64;
   cluster::ClusterManager cm{ctx, m,
                              std::make_unique<sched::EquipartitionStrategy>(),
-                             job::AdaptiveCosts{.reconfig_seconds = 0.0,
-                                                .checkpoint_seconds = 0.0,
-                                                .restart_seconds = 0.0}};
+                             job::AdaptiveCosts{.reconfig_seconds = 0.0}};
   ASSERT_TRUE(cm.submit(UserId{1}, qos::make_contract(4, 64, 3200.0, 1.0, 1.0)));
   ASSERT_TRUE(cm.submit(UserId{2}, qos::make_contract(4, 64, 6400.0, 1.0, 1.0)));
   ctx.engine().run();

@@ -87,7 +87,9 @@ TEST(Regulation, BrokeredGougerWinsNothingOnceNormalPriceExists) {
   GridConfig config;
   config.central.price_band = 3.0;
   config.brokered_submission = true;
-  config.broker_criteria = proto::SelectionCriteria::kEarliestCompletion;
+  config.evaluator = [] {
+    return std::make_unique<market::EarliestCompletionEvaluator>();
+  };
   ClusterSetup gouger = make_cluster("gouger", true);
   gouger.machine.speed_factor = 2.0;
   gouger.bid_generator = [] { return std::make_unique<LateGougingBidGenerator>(); };

@@ -159,13 +159,14 @@ TEST(Scenario, TraceSectionValidates) {
                std::invalid_argument);
 }
 
-// The retry timeout and the fault instants are checked when the grid is
-// built, and the error names the INI key. A NaN retry_base armed every retry
-// timer at NaN, which broke the engine's ordering and grew the event pool
-// until memory ran out; 0 timed every exchange out at once; a NaN crash_at
-// silently emptied a cluster. A NaN loss or jitter, and a NaN [grid]
-// watchdog or price band, read as "off"; a loss above 1 dropped every
-// message.
+// The retry timeout, the fault instants and the crash and partition cluster
+// indices are checked when the grid is built, and the error names the INI
+// key; the [market], [store] and [live] range checks, made at parse time,
+// name theirs too. A NaN retry_base armed every retry timer at NaN, which
+// broke the engine's ordering and grew the event pool until memory ran
+// out; 0 timed every exchange out at once; a NaN crash_at silently emptied
+// a cluster. A NaN loss or jitter, and a NaN [grid] watchdog or price band,
+// read as "off"; a loss above 1 dropped every message.
 TEST(Scenario, RejectsNonFiniteFaultTimes) {
   auto build = [](const std::string& faults, const std::string& grid = "") {
     return Scenario::parse_string("[grid]\nusers = 4\n" + grid + "\n[faults]\n" +
@@ -188,6 +189,14 @@ TEST(Scenario, RejectsNonFiniteFaultTimes) {
       {"jitter = nan", "jitter"},
       {"jitter = inf", "jitter"},
       {"jitter = -1", "jitter"},
+      {"crash_cluster = 2\ncrash_at = 10", "crash_cluster"},
+      {"partition_cluster = 2\npartition_until = 10", "partition_cluster"},
+      // Rows from here on open a section of their own after [faults].
+      {"[market]\nhistory_capacity = 0", "history_capacity"},
+      {"[market]\nhistory_window = 0", "history_window"},
+      {"[store]\nsync = none", "dir"},
+      {"[store]\ndir = unused\nsync = sometimes", "sync"},
+      {"[live]\nserve = false\nport = 70000", "port"},
   };
   const std::pair<const char*, const char*> bad_grid[] = {
       {"watchdog = nan", "watchdog"},
@@ -258,6 +267,29 @@ load = 0.4
   EXPECT_TRUE(scenario.grid.brokered_submission);
   const auto report = scenario.run();
   EXPECT_EQ(report.jobs_completed + report.jobs_unplaced, 10u);
+}
+
+// The broker selects with the client's evaluator, so `[grid] evaluator`
+// decides a brokered grid as it decides a direct one. It used to apply a
+// least-cost rule of its own, whatever the INI said.
+TEST(Scenario, BrokeredGridSelectsWithTheGridEvaluator) {
+  const auto winner = [](const std::string& evaluator) {
+    auto scenario = Scenario::parse_string(
+        "[grid]\nbrokered = true\nusers = 1\nevaluator = " + evaluator +
+        "\n[cluster]\nname = slow\nprocs = 64\ncost = 0.0001\n"
+        "[cluster]\nname = fast\nprocs = 64\ncost = 0.01\nspeed = 4\n");
+    auto grid = scenario.make_grid();
+    job::JobRequest job;
+    job.contract = qos::make_contract(4, 64, 6400.0, 1.0, 1.0);
+    job.contract.payoff = qos::PayoffFunction::flat(10.0);
+    const auto report = grid->run({job});
+    EXPECT_EQ(report.jobs_completed, 1u) << evaluator;
+    return grid->client(0).outcomes().at(0).cluster;
+  };
+  // The fast machine promises the earliest completion; the slow one is
+  // cheaper.
+  EXPECT_EQ(winner("earliest-completion"), ClusterId{1});
+  EXPECT_EQ(winner("least-cost"), ClusterId{0});
 }
 
 }  // namespace

@@ -16,9 +16,7 @@ core::ClusterSetup make_cluster(const std::string& name, double cost) {
   setup.machine.cost_per_cpu_second = cost;
   setup.strategy = [] { return std::make_unique<sched::EquipartitionStrategy>(); };
   setup.bid_generator = [] { return std::make_unique<market::BaselineBidGenerator>(); };
-  setup.costs = job::AdaptiveCosts{.reconfig_seconds = 0.0,
-                                   .checkpoint_seconds = 0.0,
-                                   .restart_seconds = 0.0};
+  setup.costs = job::AdaptiveCosts{.reconfig_seconds = 0.0};
   return setup;
 }
 
@@ -31,11 +29,9 @@ job::JobRequest simple_job(double t = 0.0) {
 }
 
 /// A grid whose clients hand every job to the broker agent.
-core::GridConfig brokered(
-    proto::SelectionCriteria criteria = proto::SelectionCriteria::kLeastCost) {
+core::GridConfig brokered() {
   core::GridConfig config;
   config.brokered_submission = true;
-  config.broker_criteria = criteria;
   return config;
 }
 
@@ -48,7 +44,7 @@ TEST(Broker, PlacesJobEndToEnd) {
   ASSERT_NE(grid.broker(), nullptr);
   EXPECT_EQ(grid.broker()->submissions(), 1u);
   EXPECT_EQ(grid.broker()->placed(), 1u);
-  // Least-cost criteria: the cheap cluster wins.
+  // The default least-cost evaluator: the cheap cluster wins.
   EXPECT_EQ(report.clusters[1].completed, 1u);
   EXPECT_GT(report.total_spent, 0.0);
 }
@@ -81,8 +77,11 @@ TEST(Broker, ClientTrafficIsConstantInServerCount) {
 TEST(Broker, CriteriaRespected) {
   auto fast = make_cluster("fast", 0.01);
   fast.machine.speed_factor = 4.0;
-  core::GridSystem grid(brokered(proto::SelectionCriteria::kEarliestCompletion),
-                        {make_cluster("slow", 0.0001), std::move(fast)}, 1);
+  core::GridConfig config = brokered();
+  config.evaluator = [] {
+    return std::make_unique<market::EarliestCompletionEvaluator>();
+  };
+  core::GridSystem grid(config, {make_cluster("slow", 0.0001), std::move(fast)}, 1);
   const auto report = grid.run({simple_job()});
   EXPECT_EQ(report.clusters[1].completed, 1u)
       << "earliest-completion must pick the fast machine despite its price";

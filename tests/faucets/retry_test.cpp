@@ -133,8 +133,7 @@ struct Fixture {
     machine.total_procs = 64;
     auto cm = std::make_unique<cluster::ClusterManager>(
         ctx, machine, std::make_unique<sched::EquipartitionStrategy>(),
-        job::AdaptiveCosts{.reconfig_seconds = 0.0, .checkpoint_seconds = 0.0,
-                           .restart_seconds = 0.0},
+        job::AdaptiveCosts{.reconfig_seconds = 0.0},
         ClusterId{0});
     daemon = std::make_unique<FaucetsDaemon>(
         ctx, ClusterId{0}, std::move(cm),

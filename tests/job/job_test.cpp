@@ -105,23 +105,13 @@ TEST(Job, VacateToQueue) {
 }
 
 TEST(Job, CheckpointAndRestartPreservesProgress) {
-  AdaptiveCosts costs{.reconfig_seconds = 0.0, .checkpoint_seconds = 0.0,
-                      .restart_seconds = 20.0};
+  AdaptiveCosts costs{.reconfig_seconds = 0.0};
   Job j = make_job(1000.0, 2, 10);
   j.start(0.0, 10, 1.0, costs);
   j.checkpoint(40.0);  // 600 left
   EXPECT_EQ(j.state(), JobState::kCheckpointed);
   EXPECT_DOUBLE_EQ(j.remaining_work(), 600.0);
-  j.restart(100.0, 10, 1.0);
-  EXPECT_EQ(j.state(), JobState::kRunning);
-  // Restart stall 20 s then 60 s of work.
-  EXPECT_DOUBLE_EQ(j.projected_finish(100.0), 180.0);
-}
-
-TEST(Job, RestartWithoutCheckpointThrows) {
-  Job j = make_job();
-  j.start(0.0, 10, 1.0);
-  EXPECT_THROW(j.restart(10.0, 10, 1.0), std::logic_error);
+  EXPECT_EQ(j.procs(), 0);
 }
 
 TEST(Job, ShrunkJobFinishesOnItsRemainingWork) {
@@ -171,7 +161,6 @@ TEST(Job, WaitTimeAndFailure) {
 TEST(Job, StateNames) {
   EXPECT_EQ(to_string(JobState::kRunning), "running");
   EXPECT_EQ(to_string(JobState::kCompleted), "completed");
-  EXPECT_EQ(to_string(JobState::kRejected), "rejected");
 }
 
 }  // namespace

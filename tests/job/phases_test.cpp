@@ -70,9 +70,7 @@ TEST(Phases, NextEventTimeIsPhaseBoundary) {
 
 TEST(Phases, ReallocationMidPhaseUsesPhaseModel) {
   Job j{JobId{1}, UserId{1}, phased_contract(), 0.0};
-  j.start(0.0, 10, 1.0,
-          AdaptiveCosts{.reconfig_seconds = 0.0, .checkpoint_seconds = 0.0,
-                        .restart_seconds = 0.0});
+  j.start(0.0, 10, 1.0, AdaptiveCosts{.reconfig_seconds = 0.0});
   j.advance_to(100.0);  // phase 2 begins, rate 5 on 10 procs
   j.reallocate(100.0, 2);  // rate = 2 * 0.5 = 1
   EXPECT_DOUBLE_EQ(j.projected_finish(100.0), 100.0 + 2000.0);
@@ -87,9 +85,7 @@ TEST(Phases, ProgressAtMidPhase) {
 
 TEST(Phases, TimeToFinishOnIntegratesPhases) {
   Job j{JobId{1}, UserId{1}, phased_contract(), 0.0};
-  j.start(0.0, 10, 1.0,
-          AdaptiveCosts{.reconfig_seconds = 0.0, .checkpoint_seconds = 0.0,
-                        .restart_seconds = 0.0});
+  j.start(0.0, 10, 1.0, AdaptiveCosts{.reconfig_seconds = 0.0});
   // On 2 procs: phase1 1000/2 = 500 s, phase2 2000/1 = 2000 s.
   EXPECT_DOUBLE_EQ(j.time_to_finish_on(2), 2500.0);
 }
@@ -100,9 +96,7 @@ TEST(Phases, ClusterManagerCompletesPhasedJob) {
   machine.total_procs = 10;
   cluster::ClusterManager cm{ctx, machine,
                              std::make_unique<sched::EquipartitionStrategy>(),
-                             AdaptiveCosts{.reconfig_seconds = 0.0,
-                                           .checkpoint_seconds = 0.0,
-                                           .restart_seconds = 0.0}};
+                             AdaptiveCosts{.reconfig_seconds = 0.0}};
   ASSERT_TRUE(cm.submit(UserId{1}, phased_contract()).has_value());
   ctx.engine().run();
   cm.finish_metrics();
@@ -120,9 +114,7 @@ TEST(Phases, SchedulerWakesAtBoundary) {
   machine.total_procs = 10;
   cluster::ClusterManager cm{ctx, machine,
                              std::make_unique<sched::EquipartitionStrategy>(),
-                             AdaptiveCosts{.reconfig_seconds = 0.0,
-                                           .checkpoint_seconds = 0.0,
-                                           .restart_seconds = 0.0}};
+                             AdaptiveCosts{.reconfig_seconds = 0.0}};
   ASSERT_TRUE(cm.submit(UserId{1}, phased_contract()).has_value());
   bool seen_boundary_event = false;
   ctx.engine().schedule_at(100.0, [&] { seen_boundary_event = true; });

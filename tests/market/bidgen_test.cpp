@@ -17,8 +17,7 @@ struct Fixture {
     machine.cost_per_cpu_second = 0.001;
     cm = std::make_unique<cluster::ClusterManager>(
         ctx, machine, std::make_unique<sched::EquipartitionStrategy>(),
-        job::AdaptiveCosts{.reconfig_seconds = 0.0, .checkpoint_seconds = 0.0,
-                           .restart_seconds = 0.0});
+        job::AdaptiveCosts{.reconfig_seconds = 0.0});
   }
 
   BidContext context(const qos::QosContract& contract,
@@ -49,7 +48,7 @@ TEST(BaselineBid, AlwaysOneWhenAdmitted) {
 TEST(BaselineBid, DeclinesWhenNotAdmitted) {
   Fixture f;
   const auto contract = qos::make_contract(4, 32, 1000.0);
-  const auto rejected = sched::AdmissionDecision::rejected("full");
+  const auto rejected = sched::AdmissionDecision::rejected();
   BaselineBidGenerator gen;
   auto ctx = f.context(contract, rejected);
   EXPECT_FALSE(gen.multiplier(ctx).has_value());

@@ -57,17 +57,6 @@ TEST(Payoff, HardBeforeSoftIsClampedToSoft) {
   EXPECT_EQ(f.hard_deadline(), 100.0);
 }
 
-TEST(Payoff, ShiftMovesDeadlines) {
-  auto f = PayoffFunction::deadline(100.0, 200.0, 1000.0, 400.0, 50.0);
-  auto g = f.shifted(50.0);
-  EXPECT_EQ(g.soft_deadline(), 150.0);
-  EXPECT_EQ(g.hard_deadline(), 250.0);
-  EXPECT_EQ(g.value_at(150.0), 1000.0);
-  // Flat payoffs are unchanged by shifting.
-  auto flat = PayoffFunction::flat(5.0).shifted(100.0);
-  EXPECT_EQ(flat.value_at(0.0), 5.0);
-}
-
 TEST(Payoff, MonotoneNonIncreasingProperty) {
   auto f = PayoffFunction::deadline(50.0, 150.0, 800.0, 200.0, 80.0);
   double prev = f.value_at(0.0);

@@ -15,8 +15,7 @@ cluster::MachineSpec machine_of(int procs) {
 }
 
 job::AdaptiveCosts zero_costs() {
-  return job::AdaptiveCosts{.reconfig_seconds = 0.0, .checkpoint_seconds = 0.0,
-                            .restart_seconds = 0.0};
+  return job::AdaptiveCosts{.reconfig_seconds = 0.0};
 }
 
 qos::QosContract job_with_priority(int priority, int min_procs = 20,

@@ -17,8 +17,7 @@ cluster::MachineSpec machine_of(int procs) {
 }
 
 job::AdaptiveCosts zero_costs() {
-  return job::AdaptiveCosts{.reconfig_seconds = 0.0, .checkpoint_seconds = 0.0,
-                            .restart_seconds = 0.0};
+  return job::AdaptiveCosts{.reconfig_seconds = 0.0};
 }
 
 TEST(RigidRequest, PolicySizes) {

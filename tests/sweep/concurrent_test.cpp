@@ -1,22 +1,17 @@
 // Thread-safety audit tests (DESIGN.md §9): the per-run state contract.
 //
 // SimContext owns every piece of mutable simulation state — engine, network,
-// RNG, observability — so two complete grid simulations running on two
-// threads must produce exactly the results they produce serially. The only
-// process-wide mutable state in the library is the logging configuration,
-// whose sink writes are mutex-guarded; the second test hammers it from four
-// threads and asserts no line is ever torn.
+// recorders — and the library keeps no process-wide mutable state, so two
+// complete grid simulations running on two threads must produce exactly the
+// results they produce serially.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/core/scenario.hpp"
 #include "src/sweep/result.hpp"
-#include "src/util/logging.hpp"
 
 namespace faucets {
 namespace {
@@ -98,56 +93,6 @@ TEST(ConcurrentEngines, RerunningTheSameScenarioConcurrentlyAgrees) {
   }
   for (auto& t : threads) t.join();
   for (const auto& result : out) EXPECT_EQ(result, reference);
-}
-
-TEST(ConcurrentLogging, NoTornLinesUnderContention) {
-  std::ostringstream captured;
-  Logging::set_sink(&captured);
-  Logging::set_level(LogLevel::kInfo);
-
-  constexpr int kThreads = 4;
-  constexpr int kLines = 250;
-  // A long payload makes a torn write (two interleaved partial lines)
-  // overwhelmingly likely to be caught by the exact-match check below.
-  const std::string payload(120, 'x');
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &payload] {
-      for (int i = 0; i < kLines; ++i) {
-        FAUCETS_INFO("worker" + std::to_string(t)) << payload << " line " << i;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  Logging::set_level(LogLevel::kOff);
-  Logging::set_sink(nullptr);
-
-  std::vector<std::string> lines;
-  std::istringstream in(captured.str());
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kThreads * kLines));
-
-  // Every line must be exactly one of the expected renderings — any tear
-  // produces a line matching no (t, i) pair.
-  std::vector<int> seen(kThreads, 0);
-  for (const auto& line : lines) {
-    bool matched = false;
-    for (int t = 0; t < kThreads && !matched; ++t) {
-      const std::string prefix = "[INFO] worker" + std::to_string(t) + ": " + payload + " line ";
-      if (line.rfind(prefix, 0) == 0) {
-        const int i = std::stoi(line.substr(prefix.size()));
-        EXPECT_GE(i, 0);
-        EXPECT_LT(i, kLines);
-        ++seen[static_cast<std::size_t>(t)];
-        matched = true;
-      }
-    }
-    EXPECT_TRUE(matched) << "torn line: " << line;
-  }
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(t)], kLines);
-  }
 }
 
 }  // namespace

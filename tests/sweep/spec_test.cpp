@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace faucets::sweep {
 namespace {
@@ -97,18 +98,27 @@ TEST(SweepSpec, BaseKeepsTheScenarioOwnStrategy) {
 }
 
 TEST(SweepSpec, RejectsBadInput) {
-  EXPECT_THROW((void)SweepSpec::parse_string(with_sweep("mode = banana\n")),
-               std::invalid_argument);
-  EXPECT_THROW((void)SweepSpec::parse_string(with_sweep("schedulers = sjf\n")),
-               std::invalid_argument);
-  EXPECT_THROW((void)SweepSpec::parse_string(with_sweep("replicates = 0\n")),
-               std::invalid_argument);
-  EXPECT_THROW((void)SweepSpec::parse_string(with_sweep("loads = -0.5\n")),
-               std::invalid_argument);
-  EXPECT_THROW((void)SweepSpec::parse_string(with_sweep("loads = fast\n")),
-               std::invalid_argument);
-  EXPECT_THROW((void)SweepSpec::parse_string(with_sweep("loss = 1.5\n")),
-               std::invalid_argument);
+  // The trace is only named, never opened: the spec is refused first.
+  const std::string traced = std::string(kBase) + "\n[trace]\nfile = x.swf\n\n[sweep]\n";
+  const std::pair<std::string, const char*> bad[] = {
+      {with_sweep("mode = banana\n"), "mode"},
+      {with_sweep("schedulers = sjf\n"), "sjf"},
+      {with_sweep("replicates = 0\n"), "replicates"},
+      {with_sweep("loads = -0.5\n"), "loads"},
+      {with_sweep("loads = fast\n"), "loads"},
+      {with_sweep("loss = 1.5\n"), "loss"},
+      {with_sweep("user_multipliers = 1.5\n"), "user_multipliers"},
+      {with_sweep("time_compressions = 2\n"), "[trace]"},
+      {traced + "time_compressions = 0\n", "time_compressions"},
+  };
+  for (const auto& [ini, key] : bad) {
+    try {
+      (void)SweepSpec::parse_string(ini);
+      ADD_FAILURE() << "accepted: " << ini;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
 }
 
 // The removed warm-state forking's key is rejected, not silently ignored.

@@ -88,19 +88,6 @@ TEST(Rng, LognormalIsPositive) {
   for (int i = 0; i < 1000; ++i) EXPECT_GT(rng.lognormal(2.0, 1.0), 0.0);
 }
 
-TEST(Rng, WeibullShapeOneIsExponential) {
-  Rng rng{29};
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.weibull(1.0, 3.0);
-  EXPECT_NEAR(sum / n, 3.0, 0.1);
-}
-
-TEST(Rng, ParetoRespectsMinimum) {
-  Rng rng{31};
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
-}
-
 TEST(Rng, BernoulliFrequency) {
   Rng rng{37};
   int hits = 0;

@@ -35,39 +35,6 @@ TEST(OnlineStats, KnownMeanAndVariance) {
   EXPECT_NEAR(s.sum(), 40.0, 1e-12);
 }
 
-TEST(OnlineStats, MergeMatchesCombined) {
-  OnlineStats a;
-  OnlineStats b;
-  OnlineStats all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.7 - 3.0;
-    a.add(x);
-    all.add(x);
-  }
-  for (int i = 0; i < 30; ++i) {
-    const double x = i * 1.3 + 10.0;
-    b.add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats a;
-  a.add(1.0);
-  OnlineStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_EQ(empty.mean(), 1.0);
-}
-
 TEST(Samples, PercentilesOfKnownData) {
   Samples s;
   for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
@@ -113,14 +80,6 @@ TEST(Histogram, BinningAndClamping) {
   EXPECT_EQ(h.count_in_bin(0), 2u);
   EXPECT_EQ(h.count_in_bin(1), 1u);
   EXPECT_EQ(h.count_in_bin(4), 2u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h{0.0, 10.0, 5};
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
 }
 
 TEST(Histogram, ToStringFormat) {
