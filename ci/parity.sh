@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Behaviour parity against another revision: build scenario_sim from REV and
 # from the working tree, run the parity scenarios (ci/parity_scenarios.sh:
-# demo, chaos, golden, direct, broadcast, deep and weather) through both, and
-# byte-compare every artifact (report JSON, trace JSONL, Prometheus text,
-# Chrome trace, phases CSV, and the series CSV of every scenario but
-# broadcast: 41 in all). Exits non-zero if any artifact differs.
+# demo, chaos, golden, direct, broadcast, deep, weather, earliest and
+# surplus) through both, and byte-compare every artifact (report JSON, trace
+# JSONL, Prometheus text, Chrome trace, phases CSV, and the series CSV of
+# every scenario but broadcast: 53 in all). Exits non-zero if any artifact
+# differs.
 #
 # REV is exported with `git archive` into build-parity/ (gitignored), so the
 # script leaves the repository's git metadata alone. It needs a second build,

@@ -34,6 +34,10 @@
 #              futures bid and every directory reply reads the grid-weather
 #              average while settlements arrive out of time order and
 #              window and capacity evictions churn the history
+#   earliest   the direct grid's turing and hopper servers, 150 jobs, with
+#              [grid] evaluator = earliest-completion
+#   surplus    the same two servers, brokered, 150 jobs, with
+#              [grid] evaluator = surplus
 #
 # Usage: ci/parity_scenarios.sh SCENARIO_SIM OUT [check|write]
 #   check  verify the artifacts against ci/parity.sha256 (sha256sum -c)
@@ -52,7 +56,7 @@ mkdir -p "$2"
 OUT="$(cd "$2" && pwd)"
 MODE="${3:-}"
 DIGESTS="${ROOT}/ci/parity.sha256"
-SCENARIOS=(demo chaos golden direct broadcast deep weather)
+SCENARIOS=(demo chaos golden direct broadcast deep weather earliest surplus)
 
 IN="${OUT}/inputs"
 rm -rf "${IN}"
@@ -139,6 +143,18 @@ INI
   done
   printf '[workload]\njobs = 400\nload = 0.8\n'
 } >"${IN}/weather.ini"
+# The two evaluators no other scenario selects with: earliest-completion on a
+# direct grid, surplus through the broker.
+evaluator_grid() {  # evaluator_grid <evaluator> <brokered> <seed>
+  printf '[grid]\nusers = 6\nevaluator = %s\nbrokered = %s\nseed = %s\n\n' "$@"
+  printf '[cluster]\nname = turing\nprocs = 128\ncost = 0.0008\n'
+  printf 'strategy = payoff\nbidgen = utilization\n\n'
+  printf '[cluster]\nname = hopper\nprocs = 64\ncost = 0.0005\n'
+  printf 'strategy = backfill\nbidgen = baseline\n\n'
+  printf '[workload]\njobs = 150\nload = 0.7\n'
+}
+evaluator_grid earliest-completion false 4243 >"${IN}/earliest.ini"
+evaluator_grid surplus true 4244 >"${IN}/surplus.ini"
 
 run() {  # run <scenario> [scenario_sim args...]
   local dir="${OUT}/$1"
@@ -163,6 +179,8 @@ sampled direct "${IN}/direct.ini"
 run broadcast "${IN}/broadcast.ini" --until 6000
 sampled deep "${IN}/deep.ini"
 sampled weather "${IN}/weather.ini"
+sampled earliest "${IN}/earliest.ini"
+sampled surplus "${IN}/surplus.ini"
 
 cd "${OUT}"
 case "${MODE}" in
