@@ -117,24 +117,22 @@ void BM_AnalyzeSpans(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   for (std::uint64_t i = 0; i < n; ++i) {
     const double base = static_cast<double>(i) * 50.0;
-    const SpanId root =
-        spans.start_span(obs::SpanKind::kSubmission, base, EntityId{1});
+    const SpanId root = spans.start_span(obs::SpanKind::kSubmission, base);
     spans.set_user(root, UserId{i % 4});
-    const SpanId rfb =
-        spans.start_span(obs::SpanKind::kRfb, base, EntityId{1}, root);
-    spans.instant_span(obs::SpanKind::kBid, base + 1.0, EntityId{1}, rfb, 0.5);
+    const SpanId rfb = spans.start_span(obs::SpanKind::kRfb, base, root);
+    spans.record_bid(rfb, base + 1.0, 0.5);
     spans.end_span(rfb, base + 2.0);
     const SpanId award =
-        spans.start_span(obs::SpanKind::kAward, base + 2.0, EntityId{1}, rfb);
+        spans.start_span(obs::SpanKind::kAward, base + 2.0, rfb);
     spans.end_span(award, base + 3.0);
     const SpanId queue =
-        spans.start_span(obs::SpanKind::kQueue, base + 3.0, EntityId{2}, award);
+        spans.start_span(obs::SpanKind::kQueue, base + 3.0, award);
     spans.bind_job(queue, ClusterId{i % 3}, JobId{i});
     spans.end_span(queue, base + 10.0);
     const SpanId run =
-        spans.start_span(obs::SpanKind::kRun, base + 10.0, EntityId{2}, queue);
+        spans.start_span(obs::SpanKind::kRun, base + 10.0, queue);
     spans.end_span(run, base + 40.0);
-    spans.instant_span(obs::SpanKind::kComplete, base + 40.0, EntityId{2}, run);
+    spans.instant_span(obs::SpanKind::kComplete, base + 40.0, run);
     spans.end_span(root, base + 40.0);
   }
   for (auto _ : state) {

@@ -738,7 +738,7 @@ TELEMETRY_JSON="build-release-bench/bench_telemetry_raw.json"
   --benchmark_out_format=json
 
 python3 - "${TELEMETRY_JSON}" <<'PY'
-import json, statistics, sys
+import json, os, statistics, sys
 raw = json.load(open(sys.argv[1]))
 
 # BM_GridRunTelemetry times the sampling-off and sampling-on runs as a pair
@@ -751,6 +751,10 @@ assert reps, "no paired GridRunTelemetry rows in benchmark output"
 t_off = statistics.median(b["off_ms_per_run"] for b in reps)
 t_on = statistics.median(b["on_ms_per_run"] for b in reps)
 overhead = statistics.median(b["overhead_pct"] for b in reps)
+cpu = "unknown"
+if os.path.exists("/proc/cpuinfo"):
+    cpu = next((line.split(":", 1)[1].strip() for line in open("/proc/cpuinfo")
+                if line.startswith("model name")), cpu)
 out = {
     "benchmark": "BM_GridRunTelemetry (48 jobs, 3 clusters, full market)",
     "workload": "end-to-end GridSystem::run with periodic telemetry sampling "
@@ -762,6 +766,7 @@ out = {
     "run_ms_sampling_off": round(t_off, 3),
     "run_ms_sampling_on": round(t_on, 3),
     "overhead_percent": round(overhead, 2),
+    "hardware": {"cpu": cpu, "hardware_concurrency": os.cpu_count() or 1},
     "build": "release-bench (-O3 -DNDEBUG)",
     "source": "ci/run.sh",
 }

@@ -88,7 +88,7 @@ void ClusterManager::close_job_spans(JobId id, obs::SpanKind kind, double now) {
     return it->second.queue;
   }();
   spans.end_span(open, now);
-  spans.instant_span(kind, now, EntityId{id_.value()}, open);
+  spans.instant_span(kind, now, open);
   job_spans_.erase(it);
 }
 
@@ -130,7 +130,7 @@ std::optional<JobId> ClusterManager::submit(UserId owner,
   emit(obs::TraceEventKind::kJobAccepted, id, owner, contract.min_procs);
   auto& spans = ctx_->spans();
   JobSpans js;
-  js.queue = spans.start_span(obs::SpanKind::kQueue, now, EntityId{id_.value()}, parent);
+  js.queue = spans.start_span(obs::SpanKind::kQueue, now, parent);
   spans.set_user(js.queue, owner);
   spans.bind_job(js.queue, id_, id);
   job_spans_.emplace(id, js);
@@ -232,8 +232,7 @@ void ClusterManager::apply_allocations(const std::vector<sched::Allocation>& all
         emit(obs::TraceEventKind::kJobResumed, a.job, j.owner(), target);
       }
       spans.end_span(js.queue, now);
-      js.run = spans.start_span(obs::SpanKind::kRun, now, EntityId{id_.value()},
-                                js.queue);
+      js.run = spans.start_span(obs::SpanKind::kRun, now, js.queue);
       spans.set_value(js.run, target);
       erase_by_id(queued_, a.job);
       queued_work_.reset();
@@ -245,16 +244,14 @@ void ClusterManager::apply_allocations(const std::vector<sched::Allocation>& all
       queued_work_.reset();
       emit(obs::TraceEventKind::kJobVacated, a.job, j.owner(), 0);
       spans.end_span(js.run, now);
-      js.queue = spans.start_span(obs::SpanKind::kQueue, now, EntityId{id_.value()},
-                                  js.run);
+      js.queue = spans.start_span(obs::SpanKind::kQueue, now, js.run);
       js.run = SpanId{};
     } else if (was_running) {
       const bool shrink = target < j.procs();
       j.reallocate(now, target);
       emit(shrink ? obs::TraceEventKind::kJobShrunk : obs::TraceEventKind::kJobExpanded,
            a.job, j.owner(), target);
-      spans.instant_span(obs::SpanKind::kReconfig, now, EntityId{id_.value()},
-                         js.run, target);
+      spans.instant_span(obs::SpanKind::kReconfig, now, js.run, target);
     }
   };
 

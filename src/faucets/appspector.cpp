@@ -20,7 +20,7 @@ const AppSpector::JobView* AppSpector::find(ClusterId cluster, JobId job) const 
 
 std::vector<obs::TimelineRow> AppSpector::job_timeline_rows(ClusterId cluster,
                                                             JobId job) const {
-  return obs::job_timeline_rows(context().spans(), cluster, job);
+  return context().spans().for_job(cluster, job);
 }
 
 std::vector<std::string> AppSpector::job_timeline(ClusterId cluster, JobId job) const {

@@ -82,8 +82,8 @@ void FaucetsClient::fail_unsubmitted(const qos::QosContract& contract) {
   outcome.soft_deadline = contract.payoff.soft_deadline();
   outcome.hard_deadline = contract.payoff.hard_deadline();
   outcome.payoff_max = contract.payoff.max_payoff();
-  outcome.span = spans.start_span(obs::SpanKind::kSubmission, now(), id());
-  spans.instant_span(obs::SpanKind::kUnplaced, now(), id(), outcome.span);
+  outcome.span = spans.start_span(obs::SpanKind::kSubmission, now());
+  spans.instant_span(obs::SpanKind::kUnplaced, now(), outcome.span);
   spans.end_span(outcome.span, now());
   unplaced_ctr_->inc();
   outcomes_.push_back(outcome);
@@ -128,7 +128,7 @@ void FaucetsClient::submit(const qos::QosContract& contract) {
   pending.contract = contract;
   pending.evaluator = evaluator_;
   pending.home = config_.home_cluster;
-  pending.root = context().spans().start_span(obs::SpanKind::kSubmission, now(), id());
+  pending.root = context().spans().start_span(obs::SpanKind::kSubmission, now());
   context().spans().set_user(pending.root, me_.user);
   submitted_ctr_->inc();
 
@@ -402,7 +402,7 @@ void FaucetsClient::finish_request(RequestId request,
   auto& spans = context().spans();
   spans.end_span(pending.rfb, now());
   spans.end_span(pending.award, now());
-  spans.instant_span(obs::SpanKind::kUnplaced, now(), id(), pending.root);
+  spans.instant_span(obs::SpanKind::kUnplaced, now(), pending.root);
   spans.end_span(pending.root, now());
   context().trace().record(obs::market_event(now(), id(),
                                              obs::TraceEventKind::kJobUnplaced,

@@ -136,8 +136,7 @@ void MarketRound::handle_directory(const proto::DirectoryReply& msg) {
 
   // Broadcast the request-for-bids to every matching daemon (§5.1's current
   // implementation).
-  round->rfb = context().spans().start_span(obs::SpanKind::kRfb, now(), id(),
-                                            round->root);
+  round->rfb = context().spans().start_span(obs::SpanKind::kRfb, now(), round->root);
   context().trace().record(obs::market_event(now(), id(),
                                              obs::TraceEventKind::kRfbIssued,
                                              msg.request, BidId{},
@@ -164,10 +163,12 @@ void MarketRound::handle_bid(const proto::BidReply& msg) {
   Round* round = find_round(msg.request);
   if (round == nullptr) return;
   if (round->evaluated) return;  // late bid after timeout evaluation
+  // A bid of an earlier round arriving before the next round's directory
+  // reply has no round to join.
+  if (!round->rfb.valid()) return;
   round->bids.push_back(msg.bid);
   if (!msg.bid.declined) {
-    context().spans().instant_span(obs::SpanKind::kBid, now(), id(), round->rfb,
-                                   msg.bid.price);
+    context().spans().record_bid(round->rfb, now(), msg.bid.price);
     on_offer(*round);
   }
   if (round->bids.size() >= round->expected_bids) evaluate(msg.request);
@@ -232,7 +233,7 @@ void MarketRound::evaluate(RequestId request) {
   round->award_retry.reset();
   auto& spans = context().spans();
   spans.end_span(round->rfb, now());
-  round->award = spans.start_span(obs::SpanKind::kAward, now(), id(),
+  round->award = spans.start_span(obs::SpanKind::kAward, now(),
                                   round->rfb.valid() ? round->rfb : round->root);
   spans.set_value(round->award, winner.price);
   on_selected(*round, winner);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <unordered_set>
 
 #include "src/obs/metrics.hpp"
 
@@ -11,50 +12,32 @@ namespace faucets::obs {
 
 namespace {
 
-TimelineRow to_row(const Span& s) {
-  TimelineRow row;
-  row.id = s.id;
-  row.kind = s.kind;
-  row.start = s.start;
-  row.end = s.end;
-  row.value = s.value;
-  return row;
-}
-
-void sort_rows(std::vector<TimelineRow>& rows) {
-  std::sort(rows.begin(), rows.end(),
-            [](const TimelineRow& a, const TimelineRow& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.id.value() < b.id.value();
-            });
-}
-
-/// children[i] = indices of spans whose parent is span i.
+/// children[i] = slots of the spans whose parent is spans()[i]. Bids are no
+/// one's children here: each kRfb span counts its own.
 std::vector<std::vector<std::size_t>> build_children(const SpanTracker& spans) {
-  std::vector<std::vector<std::size_t>> children(spans.size());
   const std::vector<Span>& all = spans.spans();
+  std::vector<std::vector<std::size_t>> children(all.size());
   for (std::size_t i = 0; i < all.size(); ++i) {
-    const SpanId parent = all[i].parent;
-    if (parent.valid() && parent.value() < all.size()) {
-      children[static_cast<std::size_t>(parent.value())].push_back(i);
+    if (const std::size_t p = spans.slot_of(all[i].parent); p != SpanTracker::kNpos) {
+      children[p].push_back(i);
     }
   }
   return children;
 }
 
+/// Rows of the spans (not the bids) of the tree at slot `root_slot`, unsorted.
 std::vector<TimelineRow> collect_subtree(
-    const SpanTracker& spans, std::size_t root_index,
+    const SpanTracker& spans, std::size_t root_slot,
     const std::vector<std::vector<std::size_t>>& children) {
   const std::vector<Span>& all = spans.spans();
   std::vector<TimelineRow> rows;
-  std::vector<std::size_t> stack{root_index};
+  std::vector<std::size_t> stack{root_slot};
   while (!stack.empty()) {
     const std::size_t i = stack.back();
     stack.pop_back();
     rows.push_back(to_row(all[i]));
     for (const std::size_t c : children[i]) stack.push_back(c);
   }
-  sort_rows(rows);
   return rows;
 }
 
@@ -86,17 +69,23 @@ struct Compensated {
 
 }  // namespace
 
-std::vector<TimelineRow> job_timeline_rows(const SpanTracker& spans,
-                                           ClusterId cluster, JobId job) {
-  std::vector<TimelineRow> rows;
-  for (const Span* span : spans.for_job(cluster, job)) rows.push_back(to_row(*span));
-  return rows;
-}
-
 std::vector<TimelineRow> subtree_rows(const SpanTracker& spans, SpanId root) {
-  if (!root.valid() || root.value() >= spans.size()) return {};
-  return collect_subtree(spans, static_cast<std::size_t>(root.value()),
-                         build_children(spans));
+  const std::size_t slot = spans.slot_of(root);
+  if (slot == SpanTracker::kNpos) return {};
+  std::vector<TimelineRow> rows = collect_subtree(spans, slot, build_children(spans));
+  std::unordered_set<std::uint64_t> rounds;
+  for (const TimelineRow& row : rows) {
+    if (row.bids > 0) rounds.insert(row.id.value());
+  }
+  if (!rounds.empty()) {
+    spans.for_each([&](const Span& s) {
+      if (s.kind == SpanKind::kBid && rounds.count(s.parent.value()) != 0) {
+        rows.push_back(to_row(s));
+      }
+    });
+  }
+  sort_rows(rows);
+  return rows;
 }
 
 std::string format_timeline_row(const TimelineRow& row) {
@@ -153,10 +142,8 @@ JobPhaseRecord decompose_rows(const std::vector<TimelineRow>& rows,
         break;
       case SpanKind::kRfb:
         ++rec.rfb_rounds;
+        rec.bids += row.bids;
         add_interval(rfb, row.start, end);
-        break;
-      case SpanKind::kBid:
-        ++rec.bids;
         break;
       case SpanKind::kReconfig:
         ++rec.reconfigs;
@@ -222,11 +209,14 @@ SpanAnalysis analyze_spans(const SpanTracker& spans) {
       ++out.open_roots;
       continue;
     }
-    const std::vector<TimelineRow> rows = collect_subtree(spans, i, children);
+    std::vector<TimelineRow> rows = collect_subtree(spans, i, children);
+    sort_rows(rows);
     JobPhaseRecord rec = decompose_rows(rows, to_row(root));
     rec.user = root.user;
     // Identity of the last placement: bind_job back-fills ancestors with the
-    // first placement, so prefer the latest-starting span carrying one.
+    // first placement, so prefer the latest-starting span carrying one. Bids
+    // are not candidates: a bid carries its round's identity, and the round
+    // is one.
     rec.cluster = root.cluster;
     rec.job = root.job;
     for (auto it = rows.rbegin(); it != rows.rend(); ++it) {

@@ -20,10 +20,10 @@
 // within 1e-9 sim-seconds (Kahan-compensated; the invariant is enforced by
 // tests/core/telemetry_test.cpp over a full chaos grid).
 //
-// The structured TimelineRow API here is shared with AppSpector: its
-// human-readable job_timeline() is now a thin formatter over
-// job_timeline_rows(), so the analyzer and the monitoring surface read one
-// code path.
+// The structured TimelineRow (spans.hpp) is shared with AppSpector: its
+// human-readable job_timeline() is a thin formatter over
+// SpanTracker::for_job(), so the analyzer and the monitoring surface read
+// one row type.
 #pragma once
 
 #include <array>
@@ -42,27 +42,9 @@ class MetricsRegistry;
 
 // ------------------------------------------------------------ timeline rows
 
-/// One span of a job's history as a structured row (kind, interval, value).
-/// AppSpector renders these as text; the analyzer decomposes them.
-struct TimelineRow {
-  SpanId id;
-  SpanKind kind = SpanKind::kSubmission;
-  double start = 0.0;
-  double end = -1.0;  // < 0 while the span is still open
-  double value = 0.0;
-
-  [[nodiscard]] bool open() const noexcept { return end < 0.0; }
-  [[nodiscard]] bool instant() const noexcept { return end == start; }
-};
-
-/// The full causal history of one placement as rows, oldest first (same
-/// order as SpanTracker::for_job).
-[[nodiscard]] std::vector<TimelineRow> job_timeline_rows(const SpanTracker& spans,
-                                                         ClusterId cluster,
-                                                         JobId job);
-
-/// Every span of the submission tree rooted at `root`, start-ordered
-/// (ties: by span id). Returns an empty vector when `root` is unknown.
+/// Every span and bid of the submission tree rooted at `root`, start-ordered
+/// (ties: by span id). Returns an empty vector when `root` is unknown or a
+/// bid's id.
 [[nodiscard]] std::vector<TimelineRow> subtree_rows(const SpanTracker& spans,
                                                     SpanId root);
 
@@ -104,7 +86,7 @@ struct JobPhaseRecord {
   double end = 0.0;
   SpanKind outcome = SpanKind::kSubmission;  // terminal kind; kSubmission = none found
   std::array<double, kPhaseCount> phases{};
-  std::uint32_t bids = 0;           // kBid instants received
+  std::uint32_t bids = 0;           // bids received over the kRfb rounds
   std::uint32_t rfb_rounds = 0;     // kRfb spans (re-bid rounds under chaos)
   std::uint32_t award_attempts = 0; // kAward spans
   std::uint32_t reconfigs = 0;      // kReconfig instants (shrink/expand)
@@ -126,7 +108,8 @@ struct JobPhaseRecord {
 
 /// Decompose one submission tree given as rows. `root` must be the first
 /// closed kSubmission row of `rows`; exposed separately so tests can feed
-/// synthetic timelines.
+/// synthetic timelines. Bids are counted from the kRfb rows' `bids`, so
+/// kBid rows add nothing.
 [[nodiscard]] JobPhaseRecord decompose_rows(const std::vector<TimelineRow>& rows,
                                             const TimelineRow& root);
 

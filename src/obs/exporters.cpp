@@ -259,6 +259,7 @@ void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
   for (const Span& s : spans.spans()) {
     horizon = std::max(horizon, std::max(s.start, s.end));
   }
+  for (const BidRecord& b : spans.bids()) horizon = std::max(horizon, b.time);
   trace.for_each([&](const TraceEvent& ev) { horizon = std::max(horizon, ev.time); });
 
   // Process tracks. Every named cluster gets a track even when idle, so a
@@ -273,18 +274,15 @@ void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
 
   // root_of[i]: id of the submission root above span i (tid on market track).
   std::vector<std::uint64_t> root_of(spans.size());
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const Span& s = spans.spans()[i];
-    root_of[i] = s.parent.valid() && s.parent.value() < i
-                     ? root_of[static_cast<std::size_t>(s.parent.value())]
-                     : i;
-  }
-
   std::unordered_set<std::uint64_t> named_job_threads;   // (pid<<32)|tid keys
   std::unordered_set<std::uint64_t> named_market_threads;
 
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const Span& s = spans.spans()[i];
+  // Every id in order; a bid is the instant kBid span it records.
+  spans.for_each([&](const Span& s) {
+    const auto i = static_cast<std::size_t>(s.id.value());
+    root_of[i] = s.parent.valid() && s.parent.value() < i
+                     ? root_of[static_cast<std::size_t>(s.parent.value())]
+                     : i;
     const bool cluster_side = on_cluster_track(s.kind) && s.cluster.valid();
     std::int64_t pid;
     std::int64_t tid;
@@ -326,7 +324,7 @@ void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
       w.slice(pid, tid, name, cat, s.start * kUsPerSimSecond,
               (end - s.start) * kUsPerSimSecond, args);
     }
-  }
+  });
 
   // Notable point events from the trace ring that have no span of their own.
   trace.for_each([&](const TraceEvent& ev) {

@@ -1,11 +1,10 @@
 #include "src/obs/spans.hpp"
 
-#include <algorithm>
 #include <unordered_set>
 
 namespace faucets::obs {
 
-std::vector<const Span*> SpanTracker::for_job(ClusterId cluster, JobId job) const {
+std::vector<TimelineRow> SpanTracker::for_job(ClusterId cluster, JobId job) const {
   // Unbound spans carry an invalid job, so without this guard an invalid
   // query would match them.
   if (!job.valid()) return {};
@@ -13,19 +12,19 @@ std::vector<const Span*> SpanTracker::for_job(ClusterId cluster, JobId job) cons
   // back-fills ancestors, so one identity scan plus ancestor chains covers
   // the whole submission tree.
   std::unordered_set<std::uint64_t> seen;
-  std::vector<const Span*> out;
-  for (const Span& s : spans_) {
-    if (s.cluster != cluster || s.job != job) continue;
-    for (const Span* cur = &s; cur != nullptr; cur = find(cur->parent)) {
+  std::vector<TimelineRow> out;
+  for_each([&](const Span& s) {
+    if (s.cluster != cluster || s.job != job) return;
+    if (!seen.insert(s.id.value()).second) return;
+    out.push_back(to_row(s));
+    if (!s.parent.valid()) return;
+    for (const Span* cur = find(s.parent); cur != nullptr; cur = find(cur->parent)) {
       if (!seen.insert(cur->id.value()).second) break;
-      out.push_back(cur);
+      out.push_back(to_row(*cur));
       if (!cur->parent.valid()) break;
     }
-  }
-  std::sort(out.begin(), out.end(), [](const Span* a, const Span* b) {
-    if (a->start != b->start) return a->start < b->start;
-    return a->id < b->id;
   });
+  sort_rows(out);
   return out;
 }
 

@@ -31,15 +31,7 @@ std::vector<std::string> split_list(const std::string& text) {
 std::vector<double> split_doubles(const std::string& text, const char* axis) {
   std::vector<double> out;
   for (const auto& item : split_list(text)) {
-    try {
-      std::size_t used = 0;
-      const double v = std::stod(item, &used);
-      if (used != item.size()) throw std::invalid_argument(item);
-      out.push_back(v);
-    } catch (const std::exception&) {
-      throw std::invalid_argument(std::string("[sweep] ") + axis +
-                                  ": cannot parse '" + item + "' as a number");
-    }
+    out.push_back(parse_number<double>(item, std::string("[sweep] ") + axis));
   }
   return out;
 }
@@ -95,7 +87,7 @@ SweepSpec SweepSpec::parse(const ConfigFile& config) {
     }
     if (const auto v = sweep->get("user_multipliers")) {
       for (const double m : split_doubles(*v, "user_multipliers")) {
-        if (m < 1.0 || m != std::floor(m)) {
+        if (!std::isfinite(m) || m < 1.0 || m != std::floor(m)) {
           throw std::invalid_argument(
               "[sweep] user_multipliers must be integers >= 1");
         }
@@ -158,7 +150,9 @@ SweepSpec SweepSpec::parse(const ConfigFile& config) {
     if (name != kBaseValue) (void)core::evaluator_factory(name);
   }
   for (const double load : out.loads_) {
-    if (load <= 0.0) throw std::invalid_argument("[sweep] loads must be positive");
+    if (!std::isfinite(load) || load <= 0.0) {
+      throw std::invalid_argument("[sweep] loads must be finite and positive");
+    }
   }
   for (const double loss : out.losses_) {
     if (loss < 0.0 || loss >= 1.0) {
@@ -166,8 +160,9 @@ SweepSpec SweepSpec::parse(const ConfigFile& config) {
     }
   }
   for (const double tc : out.time_compressions_) {
-    if (tc <= 0.0) {
-      throw std::invalid_argument("[sweep] time_compressions must be positive");
+    if (!std::isfinite(tc) || tc <= 0.0) {
+      throw std::invalid_argument(
+          "[sweep] time_compressions must be finite and positive");
     }
   }
   return out;

@@ -292,7 +292,7 @@ TEST(Audit, MintedCreditsFailTheLedgerTerm) {
 
 TEST(Audit, UnendedSpanFailsTheSpanTerm) {
   const obs::live::Audit audit = audit_after([](GridSystem& grid) {
-    (void)grid.context().spans().start_span(obs::SpanKind::kRfb, 50.0, EntityId{});
+    (void)grid.context().spans().start_span(obs::SpanKind::kRfb, 50.0);
   });
   EXPECT_EQ(audit.open_spans, 1u);
   EXPECT_EQ(audit.open_submissions, 0u);

@@ -1,7 +1,8 @@
-// Span causality after a full GridSystem::run (ISSUE satellite): every
-// parent link points backwards in time root-first, award spans descend from
-// an RFB round, completed jobs carry a full submission -> run -> complete
-// chain, and jobs nobody would take end in a terminal kUnplaced span.
+// Span causality after a full GridSystem::run: every parent link points
+// backwards in time root-first, award spans descend from an RFB round, every
+// bid falls inside its RFB round, completed jobs carry a full submission ->
+// run -> complete chain, and jobs nobody would take end in a terminal
+// kUnplaced span.
 #include <gtest/gtest.h>
 
 #include "src/core/grid_system.hpp"
@@ -83,6 +84,22 @@ TEST(SpanCausality, FullRunProducesTimeOrderedCausalChains) {
   EXPECT_EQ(roots, 4u) << "one root span per submission";
   EXPECT_GE(awards, 4u);
 
+  // Every bid hangs under an RFB round and arrived while it was open; the
+  // rounds' counts add up to the bid table, and ids cover spans and bids.
+  ASSERT_FALSE(spans.bids().empty());
+  std::uint64_t counted = 0;
+  for (const obs::Span& s : spans.spans()) counted += s.bids;
+  EXPECT_EQ(counted, spans.bids().size());
+  EXPECT_EQ(spans.size(), spans.spans().size() + spans.bids().size());
+  for (const obs::BidRecord& b : spans.bids()) {
+    ASSERT_LT(b.rfb, spans.spans().size());
+    const obs::Span& rfb = spans.spans()[b.rfb];
+    EXPECT_EQ(rfb.kind, obs::SpanKind::kRfb);
+    EXPECT_LE(rfb.start, b.time);
+    ASSERT_FALSE(rfb.open());
+    EXPECT_LE(b.time, rfb.end);
+  }
+
   // Every completed job's tree holds the whole lifecycle and a terminal
   // complete span; after the run no span in it is still open.
   std::size_t complete_trees = 0;
@@ -95,13 +112,13 @@ TEST(SpanCausality, FullRunProducesTimeOrderedCausalChains) {
     bool saw_submission = false;
     bool saw_queue = false;
     bool saw_run = false;
-    for (const obs::Span* t : tree) {
-      EXPECT_FALSE(t->open()) << "span " << t->id << " ("
-                              << obs::to_string(t->kind)
-                              << ") left open after completion";
-      saw_submission |= t->kind == obs::SpanKind::kSubmission;
-      saw_queue |= t->kind == obs::SpanKind::kQueue;
-      saw_run |= t->kind == obs::SpanKind::kRun;
+    for (const obs::TimelineRow& t : tree) {
+      EXPECT_FALSE(t.open()) << "span " << t.id << " ("
+                             << obs::to_string(t.kind)
+                             << ") left open after completion";
+      saw_submission |= t.kind == obs::SpanKind::kSubmission;
+      saw_queue |= t.kind == obs::SpanKind::kQueue;
+      saw_run |= t.kind == obs::SpanKind::kRun;
     }
     EXPECT_TRUE(saw_submission);
     EXPECT_TRUE(saw_queue);

@@ -132,11 +132,11 @@ TEST(AppSpector, TimelineRowsAndTextShareOneCodePath) {
   Fixture f;
   // Build a small lifecycle directly in the span tracker.
   obs::SpanTracker& spans = f.ctx.spans();
-  const SpanId root = spans.start_span(obs::SpanKind::kSubmission, 1.0, EntityId{1});
-  const SpanId q = spans.start_span(obs::SpanKind::kQueue, 2.0, EntityId{2}, root);
+  const SpanId root = spans.start_span(obs::SpanKind::kSubmission, 1.0);
+  const SpanId q = spans.start_span(obs::SpanKind::kQueue, 2.0, root);
   spans.bind_job(q, ClusterId{0}, JobId{1});
   spans.end_span(q, 4.0);
-  const SpanId r = spans.start_span(obs::SpanKind::kRun, 4.0, EntityId{2}, q);
+  const SpanId r = spans.start_span(obs::SpanKind::kRun, 4.0, q);
   spans.set_value(r, 16.0);
   spans.end_span(r, 9.0);
 

@@ -143,18 +143,26 @@ TEST(Decompose, TerminalTieBreaksByLaterSpanId) {
 }
 
 TEST(Decompose, CountsBidsAndReconfigInstants) {
+  // Bids come from each round's count; bid rows (as for_job lists them) add
+  // nothing, so they are not counted twice.
   const TimelineRow root = row(0, SpanKind::kSubmission, 0.0, 40.0);
+  TimelineRow first = row(1, SpanKind::kRfb, 0.0, 5.0);
+  first.bids = 2;
+  TimelineRow second = row(7, SpanKind::kRfb, 6.0, 7.0);
+  second.bids = 3;
   const std::vector<TimelineRow> rows{
       root,
-      row(1, SpanKind::kRfb, 0.0, 5.0),
+      first,
       row(2, SpanKind::kBid, 2.0, 2.0, 0.4),
       row(3, SpanKind::kBid, 3.0, 3.0, 0.6),
       row(4, SpanKind::kRun, 5.0, 40.0),
+      second,
       row(5, SpanKind::kReconfig, 20.0, 20.0, 16.0),
       row(6, SpanKind::kReconfig, 30.0, 30.0, 8.0),
   };
   const JobPhaseRecord rec = decompose_rows(rows, root);
-  EXPECT_EQ(rec.bids, 2u);
+  EXPECT_EQ(rec.bids, 5u);
+  EXPECT_EQ(rec.rfb_rounds, 2u);
   EXPECT_EQ(rec.reconfigs, 2u);
   EXPECT_DOUBLE_EQ(rec.phase_sum(), 40.0);
 }
@@ -194,23 +202,23 @@ TEST(DecomposeProperty, RandomTimelinesAlwaysPartitionTheMakespan) {
 
 TEST(Analyze, WalksTrackerAndOverlaysLastPlacementIdentity) {
   SpanTracker t;
-  const SpanId root = t.start_span(SpanKind::kSubmission, 0.0, EntityId{1});
+  const SpanId root = t.start_span(SpanKind::kSubmission, 0.0);
   t.set_user(root, UserId{4});
-  const SpanId q1 = t.start_span(SpanKind::kQueue, 1.0, EntityId{2}, root);
+  const SpanId q1 = t.start_span(SpanKind::kQueue, 1.0, root);
   t.bind_job(q1, ClusterId{0}, JobId{7});
   t.end_span(q1, 5.0);
-  t.instant_span(SpanKind::kEvicted, 5.0, EntityId{2}, q1);
+  t.instant_span(SpanKind::kEvicted, 5.0, q1);
   // Re-placed on another cluster after eviction.
-  const SpanId q2 = t.start_span(SpanKind::kQueue, 6.0, EntityId{3}, root);
+  const SpanId q2 = t.start_span(SpanKind::kQueue, 6.0, root);
   t.bind_job(q2, ClusterId{2}, JobId{1});
   t.end_span(q2, 8.0);
-  const SpanId r2 = t.start_span(SpanKind::kRun, 8.0, EntityId{3}, q2);
+  const SpanId r2 = t.start_span(SpanKind::kRun, 8.0, q2);
   t.end_span(r2, 20.0);
-  t.instant_span(SpanKind::kComplete, 20.0, EntityId{3}, r2);
+  t.instant_span(SpanKind::kComplete, 20.0, r2);
   t.end_span(root, 20.0);
 
   // A second, still-open submission must be skipped but counted.
-  t.start_span(SpanKind::kSubmission, 2.0, EntityId{1});
+  t.start_span(SpanKind::kSubmission, 2.0);
 
   const SpanAnalysis analysis = analyze_spans(t);
   ASSERT_EQ(analysis.jobs.size(), 1u);
@@ -225,16 +233,53 @@ TEST(Analyze, WalksTrackerAndOverlaysLastPlacementIdentity) {
   EXPECT_EQ(analysis.count_outcome(SpanKind::kComplete), 1u);
 }
 
+TEST(Analyze, BidsComeFromTheRoundCounts) {
+  // Two submissions whose bids interleave; the first re-bids once.
+  SpanTracker t;
+  const SpanId a = t.start_span(SpanKind::kSubmission, 0.0);
+  const SpanId b = t.start_span(SpanKind::kSubmission, 0.0);
+  const SpanId rfb_a = t.start_span(SpanKind::kRfb, 1.0, a);
+  const SpanId rfb_b = t.start_span(SpanKind::kRfb, 1.0, b);
+  for (int i = 0; i < 3; ++i) {
+    t.record_bid(rfb_a, 1.5, 0.4);
+    t.record_bid(rfb_b, 1.5, 0.3);
+  }
+  t.end_span(rfb_a, 2.0);
+  t.end_span(rfb_b, 2.0);
+  const SpanId rebid = t.start_span(SpanKind::kRfb, 3.0, a);
+  t.record_bid(rebid, 3.5, 0.6);
+  t.record_bid(rebid, 3.5, 0.7);
+  t.end_span(rebid, 4.0);
+  t.end_span(a, 5.0);
+  t.end_span(b, 5.0);
+
+  const SpanAnalysis analysis = analyze_spans(t);
+  ASSERT_EQ(analysis.jobs.size(), 2u);
+  EXPECT_EQ(analysis.jobs[0].bids, 5u);
+  EXPECT_EQ(analysis.jobs[0].rfb_rounds, 2u);
+  EXPECT_EQ(analysis.jobs[1].bids, 3u);
+  EXPECT_EQ(analysis.jobs[1].rfb_rounds, 1u);
+
+  // The subtree lists each of its bids as a row, and none of the other's.
+  const auto rows = subtree_rows(t, a);
+  EXPECT_EQ(rows.size(), 1u + 2u + 5u);
+  std::size_t bid_rows = 0;
+  for (const TimelineRow& r : rows) {
+    if (r.kind == SpanKind::kBid) ++bid_rows;
+  }
+  EXPECT_EQ(bid_rows, 5u);
+  EXPECT_EQ(decompose_rows(rows, rows.front()).bids, 5u);
+}
+
 TEST(Analyze, MeanAndQuantilesOverJobs) {
   SpanTracker t;
   for (int i = 0; i < 4; ++i) {
     const double base = i * 100.0;
-    const SpanId root = t.start_span(SpanKind::kSubmission, base, EntityId{1});
-    const SpanId q = t.start_span(SpanKind::kQueue, base, EntityId{2}, root);
+    const SpanId root = t.start_span(SpanKind::kSubmission, base);
+    const SpanId q = t.start_span(SpanKind::kQueue, base, root);
     t.bind_job(q, ClusterId{0}, JobId{static_cast<std::uint64_t>(i)});
     t.end_span(q, base + 10.0 * (i + 1));  // queue waits 10, 20, 30, 40
-    const SpanId r = t.start_span(SpanKind::kRun, base + 10.0 * (i + 1),
-                                  EntityId{2}, q);
+    const SpanId r = t.start_span(SpanKind::kRun, base + 10.0 * (i + 1), q);
     t.end_span(r, base + 50.0);
     t.end_span(root, base + 50.0);
   }
@@ -258,8 +303,8 @@ TEST(Analyze, EmptyTrackerYieldsEmptyAnalysis) {
 
 TEST(Analyze, PhaseHistogramsLandInRegistry) {
   SpanTracker t;
-  const SpanId root = t.start_span(SpanKind::kSubmission, 0.0, EntityId{1});
-  const SpanId q = t.start_span(SpanKind::kQueue, 0.0, EntityId{2}, root);
+  const SpanId root = t.start_span(SpanKind::kSubmission, 0.0);
+  const SpanId q = t.start_span(SpanKind::kQueue, 0.0, root);
   t.bind_job(q, ClusterId{0}, JobId{0});
   t.end_span(q, 3.0);
   t.end_span(root, 3.0);
@@ -276,31 +321,31 @@ TEST(Analyze, PhaseHistogramsLandInRegistry) {
 
 TEST(TimelineRows, SharedWithForJobAndFormatted) {
   SpanTracker t;
-  const SpanId root = t.start_span(SpanKind::kSubmission, 1.0, EntityId{1});
-  const SpanId q = t.start_span(SpanKind::kQueue, 2.0, EntityId{2}, root);
+  const SpanId root = t.start_span(SpanKind::kSubmission, 1.0);
+  const SpanId q = t.start_span(SpanKind::kQueue, 2.0, root);
   t.bind_job(q, ClusterId{3}, JobId{9});
-  const SpanId r = t.start_span(SpanKind::kRun, 4.0, EntityId{2}, q);
+  const SpanId r = t.start_span(SpanKind::kRun, 4.0, q);
   t.set_value(r, 8.0);
   t.end_span(r, 10.0);
 
-  const auto rows = job_timeline_rows(t, ClusterId{3}, JobId{9});
+  const auto rows = t.for_job(ClusterId{3}, JobId{9});
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].kind, SpanKind::kSubmission);
   EXPECT_TRUE(rows[0].open());
   EXPECT_EQ(format_timeline_row(rows[0]), "[1 ..) submission");
   EXPECT_EQ(format_timeline_row(rows[2]), "[4 10) run value=8");
-  EXPECT_TRUE(job_timeline_rows(t, ClusterId{9}, JobId{9}).empty());
+  EXPECT_TRUE(t.for_job(ClusterId{9}, JobId{9}).empty());
 }
 
 TEST(TimelineRows, SubtreeRowsAreStartOrdered) {
   SpanTracker t;
-  const SpanId root = t.start_span(SpanKind::kSubmission, 0.0, EntityId{1});
-  const SpanId rfb = t.start_span(SpanKind::kRfb, 1.0, EntityId{1}, root);
-  t.instant_span(SpanKind::kBid, 1.5, EntityId{1}, rfb, 0.4);
+  const SpanId root = t.start_span(SpanKind::kSubmission, 0.0);
+  const SpanId rfb = t.start_span(SpanKind::kRfb, 1.0, root);
+  t.record_bid(rfb, 1.5, 0.4);
   t.end_span(rfb, 2.0);
   t.end_span(root, 5.0);
   // An unrelated root must not leak into the subtree.
-  t.start_span(SpanKind::kSubmission, 0.5, EntityId{9});
+  t.start_span(SpanKind::kSubmission, 0.5);
 
   const auto rows = subtree_rows(t, root);
   ASSERT_EQ(rows.size(), 3u);

@@ -115,20 +115,20 @@ TEST(ChromeTrace, TracksSlicesAndInstants) {
 
   // One full submission: root -> rfb (2 bids) -> award -> queue -> run ->
   // complete, on cluster 0.
-  const SpanId root = spans.start_span(SpanKind::kSubmission, 0.0, EntityId{1});
+  const SpanId root = spans.start_span(SpanKind::kSubmission, 0.0);
   spans.set_user(root, UserId{4});
-  const SpanId rfb = spans.start_span(SpanKind::kRfb, 0.1, EntityId{1}, root);
-  spans.instant_span(SpanKind::kBid, 0.2, EntityId{1}, rfb, 0.5);
-  spans.instant_span(SpanKind::kBid, 0.3, EntityId{1}, rfb, 0.6);
+  const SpanId rfb = spans.start_span(SpanKind::kRfb, 0.1, root);
+  spans.record_bid(rfb, 0.2, 0.5);
+  spans.record_bid(rfb, 0.3, 0.6);
   spans.end_span(rfb, 0.4);
-  const SpanId award = spans.start_span(SpanKind::kAward, 0.4, EntityId{1}, rfb);
+  const SpanId award = spans.start_span(SpanKind::kAward, 0.4, rfb);
   spans.end_span(award, 0.5);
-  const SpanId queue = spans.start_span(SpanKind::kQueue, 0.5, EntityId{2}, award);
+  const SpanId queue = spans.start_span(SpanKind::kQueue, 0.5, award);
   spans.bind_job(queue, ClusterId{0}, JobId{0});
   spans.end_span(queue, 1.0);
-  const SpanId run = spans.start_span(SpanKind::kRun, 1.0, EntityId{2}, queue);
+  const SpanId run = spans.start_span(SpanKind::kRun, 1.0, queue);
   spans.end_span(run, 9.0);
-  spans.instant_span(SpanKind::kComplete, 9.0, EntityId{2}, run);
+  spans.instant_span(SpanKind::kComplete, 9.0, run);
 
   trace.record(net_event(5.0, EntityId{9}, EntityId{10}, 1,
                          DropReason::kReceiverDetached));
@@ -161,10 +161,80 @@ TEST(ChromeTrace, TracksSlicesAndInstants) {
   EXPECT_NE(text.find("\n]}"), std::string::npos);
 }
 
+TEST(ChromeTrace, BidsInterleaveAtTheirIds) {
+  // Two submissions whose bids interleave with awards, placements and a
+  // re-bid round; B's round stays open and its last bid sets the horizon.
+  // The expected text is what the writer produced when every bid was a
+  // stored instant span, so the bid table must render byte for byte alike.
+  SpanTracker spans;
+  TraceBuffer trace{16};
+  const SpanId a = spans.start_span(SpanKind::kSubmission, 0.0);
+  spans.set_user(a, UserId{4});
+  const SpanId b = spans.start_span(SpanKind::kSubmission, 0.05);
+  spans.set_user(b, UserId{5});
+  const SpanId rfb_a = spans.start_span(SpanKind::kRfb, 0.1, a);
+  const SpanId rfb_b = spans.start_span(SpanKind::kRfb, 0.15, b);
+  spans.record_bid(rfb_a, 0.2, 0.5);
+  spans.record_bid(rfb_b, 0.25, 0.0);
+  spans.record_bid(rfb_a, 0.3, 0.75);
+  spans.end_span(rfb_a, 0.4);
+  const SpanId award = spans.start_span(SpanKind::kAward, 0.4, rfb_a);
+  spans.set_value(award, 0.75);
+  spans.record_bid(rfb_b, 0.45, 1.25);
+  spans.end_span(award, 0.5);
+  const SpanId queue = spans.start_span(SpanKind::kQueue, 0.5, award);
+  spans.bind_job(queue, ClusterId{1}, JobId{3});
+  spans.end_span(queue, 1.0);
+  const SpanId run = spans.start_span(SpanKind::kRun, 1.0, queue);
+  spans.set_value(run, 8.0);
+  spans.end_span(run, 2.0);
+  spans.instant_span(SpanKind::kEvicted, 2.0, run);
+  const SpanId rfb_a2 = spans.start_span(SpanKind::kRfb, 2.5, a);
+  spans.record_bid(rfb_a2, 2.6, 0.9);
+  spans.end_span(rfb_a2, 2.7);
+  spans.instant_span(SpanKind::kUnplaced, 3.0, a);
+  spans.end_span(a, 3.0);
+  trace.record(net_event(5.0, EntityId{9}, EntityId{10}, 1,
+                         DropReason::kReceiverDetached));
+  spans.record_bid(rfb_b, 12.0, 2.0);
+
+  ChromeTraceOptions options;
+  options.cluster_names = {"turing", "hopper"};
+  std::ostringstream out;
+  write_chrome_trace(out, spans, TraceView(trace), options);
+  const std::string expected = R"json({"displayTimeUnit":"ms","traceEvents":[
+{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"market"}},
+{"ph":"M","pid":100,"tid":0,"name":"process_name","args":{"name":"cluster turing"}},
+{"ph":"M","pid":101,"tid":0,"name":"process_name","args":{"name":"cluster hopper"}},
+{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"submission 0 (job 3 @ hopper)"}},
+{"ph":"X","pid":1,"tid":0,"name":"submission","cat":"market","ts":0,"dur":3000000,"args":{"span":0,"user":4}},
+{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"submission 1"}},
+{"ph":"X","pid":1,"tid":1,"name":"submission","cat":"market","ts":50000,"dur":11950000,"args":{"span":1,"user":5}},
+{"ph":"X","pid":1,"tid":0,"name":"rfb","cat":"market","ts":100000,"dur":300000.00000000006,"args":{"span":2,"parent":0,"user":4}},
+{"ph":"X","pid":1,"tid":1,"name":"rfb","cat":"market","ts":150000,"dur":11850000,"args":{"span":3,"parent":1,"user":5}},
+{"ph":"i","s":"t","pid":1,"tid":0,"name":"bid","cat":"market","ts":200000,"args":{"span":4,"parent":2,"user":4,"value":0.5}},
+{"ph":"i","s":"t","pid":1,"tid":1,"name":"bid","cat":"market","ts":250000,"args":{"span":5,"parent":3,"user":5}},
+{"ph":"i","s":"t","pid":1,"tid":0,"name":"bid","cat":"market","ts":300000,"args":{"span":6,"parent":2,"user":4,"value":0.75}},
+{"ph":"X","pid":1,"tid":0,"name":"award","cat":"market","ts":400000,"dur":99999.999999999971,"args":{"span":7,"parent":2,"user":4,"value":0.75}},
+{"ph":"i","s":"t","pid":1,"tid":1,"name":"bid","cat":"market","ts":450000,"args":{"span":8,"parent":3,"user":5,"value":1.25}},
+{"ph":"M","pid":101,"tid":3,"name":"thread_name","args":{"name":"job 3"}},
+{"ph":"X","pid":101,"tid":3,"name":"queue","cat":"cluster","ts":500000,"dur":500000,"args":{"span":9,"parent":7,"user":4}},
+{"ph":"X","pid":101,"tid":3,"name":"run","cat":"cluster","ts":1000000,"dur":1000000,"args":{"span":10,"parent":9,"user":4,"value":8}},
+{"ph":"i","s":"t","pid":101,"tid":3,"name":"evicted","cat":"cluster","ts":2000000,"args":{"span":11,"parent":10,"user":4}},
+{"ph":"X","pid":1,"tid":0,"name":"rfb","cat":"market","ts":2500000,"dur":200000.00000000017,"args":{"span":12,"parent":0,"user":4}},
+{"ph":"i","s":"t","pid":1,"tid":0,"name":"bid","cat":"market","ts":2600000,"args":{"span":13,"parent":12,"user":4,"value":0.90000000000000002}},
+{"ph":"i","s":"t","pid":1,"tid":0,"name":"unplaced","cat":"market","ts":3000000,"args":{"span":14,"parent":0,"user":4}},
+{"ph":"i","s":"t","pid":1,"tid":1,"name":"bid","cat":"market","ts":12000000,"args":{"span":15,"parent":3,"user":5,"value":2}},
+{"ph":"i","s":"t","pid":1,"tid":0,"name":"net_drop","cat":"net","ts":5000000,"args":{"peer":10,"reason":"receiver_detached"}}
+]}
+)json";
+  EXPECT_EQ(out.str(), expected);
+}
+
 TEST(ChromeTrace, OpenSpansClampToHorizon) {
   SpanTracker spans;
   TraceBuffer trace{16};
-  const SpanId root = spans.start_span(SpanKind::kSubmission, 1.0, EntityId{1});
+  const SpanId root = spans.start_span(SpanKind::kSubmission, 1.0);
   (void)root;  // never ended: still open at export time
   trace.record(market_event(11.0, EntityId{1}, TraceEventKind::kRfbIssued,
                             RequestId{0}, BidId{}, 3.0));

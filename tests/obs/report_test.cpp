@@ -16,14 +16,14 @@ namespace {
 
 SpanAnalysis small_analysis() {
   SpanTracker t;
-  const SpanId root = t.start_span(SpanKind::kSubmission, 0.0, EntityId{1});
+  const SpanId root = t.start_span(SpanKind::kSubmission, 0.0);
   t.set_user(root, UserId{2});
-  const SpanId q = t.start_span(SpanKind::kQueue, 1.0, EntityId{2}, root);
+  const SpanId q = t.start_span(SpanKind::kQueue, 1.0, root);
   t.bind_job(q, ClusterId{0}, JobId{5});
   t.end_span(q, 4.0);
-  const SpanId r = t.start_span(SpanKind::kRun, 4.0, EntityId{2}, q);
+  const SpanId r = t.start_span(SpanKind::kRun, 4.0, q);
   t.end_span(r, 10.0);
-  t.instant_span(SpanKind::kComplete, 10.0, EntityId{2}, r);
+  t.instant_span(SpanKind::kComplete, 10.0, r);
   t.end_span(root, 10.0);
   return analyze_spans(t);
 }

@@ -105,11 +105,17 @@ TEST(SweepSpec, RejectsBadInput) {
       {with_sweep("schedulers = sjf\n"), "sjf"},
       {with_sweep("replicates = 0\n"), "replicates"},
       {with_sweep("loads = -0.5\n"), "loads"},
-      {with_sweep("loads = fast\n"), "loads"},
+      {with_sweep("loads = fast\n"), "[sweep] loads"},
+      {with_sweep("loads = nan\n"), "[sweep] loads"},
+      {with_sweep("loads = 0.5, inf\n"), "[sweep] loads"},
       {with_sweep("loss = 1.5\n"), "loss"},
+      {with_sweep("loss = nan\n"), "[sweep] loss"},
       {with_sweep("user_multipliers = 1.5\n"), "user_multipliers"},
+      {traced + "user_multipliers = inf\n", "user_multipliers"},
       {with_sweep("time_compressions = 2\n"), "[trace]"},
       {traced + "time_compressions = 0\n", "time_compressions"},
+      {traced + "time_compressions = nan\n", "[sweep] time_compressions"},
+      {traced + "time_compressions = inf\n", "[sweep] time_compressions"},
   };
   for (const auto& [ini, key] : bad) {
     try {
