@@ -1,11 +1,13 @@
 // The market round's commit-phase give-up (§5.3), run by a direct client and
 // by the broker: the reserve succeeds, every commit is lost, the awarder
 // aborts the lease best-effort, masks that daemon's bids and awards the
-// next-best bid.
+// next-best bid. And a bid that arrives while no round is open is dropped.
 #include <gtest/gtest.h>
 
 #include "src/core/grid_system.hpp"
+#include "src/faucets/market_round.hpp"
 #include "src/sched/equipartition.hpp"
+#include "src/sim/context.hpp"
 
 namespace faucets {
 namespace {
@@ -96,6 +98,72 @@ INSTANTIATE_TEST_SUITE_P(Awarders, CommitGiveUp, ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& p) {
                            return p.param ? "broker" : "client";
                          });
+
+/// The smallest awarder: one request (id 1), its directory request sent
+/// to a peer that never answers.
+class OneRound final : public MarketRound {
+ public:
+  OneRound(sim::SimContext& ctx, EntityId central)
+      : MarketRound("one-round", ctx, central, RetryPolicy{}) {
+    register_retry_counters();
+  }
+
+  void start() {
+    round_.contract = simple_job().contract;
+    round_.root = context().spans().start_span(obs::SpanKind::kSubmission, 0.0);
+    request_directory(RequestId{1});
+  }
+
+  [[nodiscard]] std::size_t bids_held() const { return round_.bids.size(); }
+  [[nodiscard]] bool evaluated() const { return round_.evaluated; }
+
+ private:
+  Round* find_round(RequestId request) override {
+    return request == RequestId{1} ? &round_ : nullptr;
+  }
+  const Principal& principal(const Round& /*round*/) const override { return who_; }
+  void on_awarded(RequestId, Round&, const proto::AwardAck&) override {}
+  void on_round_failed(RequestId, proto::SubmitStatus) override {}
+
+  Round round_;
+  Principal who_;
+};
+
+/// Sends one bid for request 1, as a daemon answering an earlier round's
+/// request-for-bids would.
+class LateBidder final : public sim::Entity {
+ public:
+  explicit LateBidder(sim::SimContext& ctx) : sim::Entity("late-bidder", ctx) {
+    network().attach(*this);
+  }
+  void on_message(const sim::Message& /*msg*/) override {}
+
+  void bid(EntityId to) {
+    auto msg = std::make_unique<proto::BidReply>();
+    msg->request = RequestId{1};
+    msg->bid.cluster = ClusterId{0};
+    msg->bid.daemon = id();
+    msg->bid.price = 1.0;
+    msg->bid.expires_at = 1e9;
+    network().send(*this, to, std::move(msg));
+  }
+};
+
+TEST(MarketRound, BidWithNoOpenRoundIsDropped) {
+  // While the round waits for its directory reply it has sent no
+  // request-for-bids, so a bid cannot be for it: the round must neither
+  // keep it, record it, nor evaluate on it.
+  sim::SimContext ctx;
+  LateBidder bidder{ctx};
+  OneRound round{ctx, bidder.id()};
+  round.start();
+  bidder.bid(round.id());
+  ctx.engine().run(1.0);
+  EXPECT_EQ(round.bids_held(), 0u);
+  EXPECT_FALSE(round.evaluated());
+  EXPECT_TRUE(ctx.spans().bids().empty());
+  EXPECT_EQ(ctx.spans().size(), 1u) << "only the submission span";
+}
 
 }  // namespace
 }  // namespace faucets
