@@ -46,7 +46,7 @@ ScenarioResult run_scenario(std::unique_ptr<sched::Strategy> strategy) {
     // A traditional scheduler starts B at one fixed size (500, as told in
     // the paper) and cannot change it.
     auto& b = reqs[0].contract;
-    b = qos::make_contract(500, 500, b.total_work(), 0.95, 0.95);
+    b = qos::make_contract(500, 500, b.work, 0.95, 0.95);
     b.payoff = qos::PayoffFunction::flat(10.0);
   }
   double a_start = -1.0;

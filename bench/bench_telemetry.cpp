@@ -162,7 +162,7 @@ void BM_WriteHtmlReport(benchmark::State& state) {
     rec.root = SpanId{static_cast<std::uint64_t>(i)};
     rec.submit = i * 10.0;
     rec.end = i * 10.0 + 40.0;
-    rec.phases = {1.0, 2.0, 5.0, 30.0, 1.0, 1.0};
+    rec.phase_seconds = {1.0, 2.0, 5.0, 30.0, 1.0, 1.0};
     rec.outcome = obs::SpanKind::kComplete;
     analysis.jobs.push_back(rec);
   }

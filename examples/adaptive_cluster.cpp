@@ -43,7 +43,7 @@ Outcome replay(std::unique_ptr<sched::Strategy> strategy) {
   // the traditional scheduler picks one size and sticks with it.
   if (!cm.strategy().adaptive()) {
     auto& b = reqs[0].contract;
-    b = qos::make_contract(500, 500, b.total_work(), 0.95, 0.95);
+    b = qos::make_contract(500, 500, b.work, 0.95, 0.95);
     b.payoff = qos::PayoffFunction::flat(10.0);
   }
 

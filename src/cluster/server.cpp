@@ -289,10 +289,7 @@ void ClusterManager::arm_completion_timer() {
   completion_timer_.cancel();
   double next = kInf;
   for (const job::Job* j : running_) {
-    // Phase boundaries also wake the scheduler: the paper notes the
-    // scheduler benefits from knowing when a job's performance parameters
-    // shift between phases (§2.1).
-    next = std::min(next, j->next_event_time(ctx_->now()));
+    next = std::min(next, j->projected_finish(ctx_->now()));
   }
   if (next >= kInf) return;
   completion_timer_ =

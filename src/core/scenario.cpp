@@ -1,6 +1,8 @@
 #include "src/core/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -97,6 +99,8 @@ void parse_shaping(const ConfigSection& section, job::JobShaping& shaping) {
       section.get_double("penalty_fraction", shaping.penalty_fraction);
 }
 
+bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
+
 }  // namespace
 
 Scenario Scenario::parse(const ConfigFile& config) {
@@ -166,6 +170,10 @@ Scenario Scenario::parse(const ConfigFile& config) {
     }
     setup.machine.cost_per_cpu_second = section->get_double("cost", 0.0008);
     setup.machine.speed_factor = section->get_double("speed", 1.0);
+    if (!finite_positive(setup.machine.speed_factor)) {  // at 0 no job finishes
+      throw std::invalid_argument("[cluster] speed of '" + setup.machine.name +
+                                  "' must be finite and > 0");
+    }
     setup.machine.memory_per_proc_mb = section->get_double("mem_mb", 4096.0);
     setup.strategy = strategy_factory(section->get_string("strategy", "payoff"));
     setup.bid_generator = bidgen_factory(section->get_string("bidgen", "baseline"));
@@ -175,17 +183,29 @@ Scenario Scenario::parse(const ConfigFile& config) {
   }
 
   const ConfigSection* wl = config.section("workload");
-  std::size_t users = 8;
+  long users = 8;
   if (grid != nullptr) {
-    users = static_cast<std::size_t>(grid->get_int("users", 8));
+    users = grid->get_int("users", 8);
+    if (users < 1) throw std::invalid_argument("[grid] users must be >= 1");
   }
-  out.workload.user_count = users;
+  out.workload.user_count = static_cast<std::size_t>(users);
   out.workload.cluster_count = out.clusters.size();
   if (wl != nullptr) {
-    out.workload.job_count = static_cast<std::size_t>(wl->get_int("jobs", 200));
+    const long jobs = wl->get_int("jobs", 200);
+    if (jobs < 0) throw std::invalid_argument("[workload] jobs must be >= 0");
+    out.workload.job_count = static_cast<std::size_t>(jobs);
     out.workload.rigid_fraction = wl->get_double("rigid_fraction", 0.0);
-    out.workload.min_procs_lo = static_cast<int>(wl->get_int("min_procs_lo", 4));
-    out.workload.min_procs_hi = static_cast<int>(wl->get_int("min_procs_hi", 32));
+    // A minimum of 0 processors makes every generated contract invalid.
+    // Checked before narrowing; the cap to the largest machine follows.
+    const auto min_procs = [&](const char* key, long fallback) {
+      const long v = wl->get_int(key, fallback);
+      if (v < 1) {
+        throw std::invalid_argument(std::string("[workload] ") + key + " must be >= 1");
+      }
+      return static_cast<int>(std::min<long>(v, std::numeric_limits<int>::max()));
+    };
+    out.workload.min_procs_lo = min_procs("min_procs_lo", 4);
+    out.workload.min_procs_hi = min_procs("min_procs_hi", 32);
     parse_shaping(*wl, out.workload.shaping);
   }
   // Clamp jobs to the smallest machine? No — clamp their processor demand
@@ -317,6 +337,10 @@ Scenario Scenario::parse(const ConfigFile& config) {
   }
 
   const double load = wl != nullptr ? wl->get_double("load", 0.8) : 0.8;
+  // At load 0 the mean interarrival is infinite: no job is ever submitted.
+  if (!finite_positive(load)) {
+    throw std::invalid_argument("[workload] load must be finite and > 0");
+  }
   int total = 0;
   for (const auto& c : out.clusters) total += c.machine.total_procs;
   job::WorkloadGenerator::calibrate_load(out.workload, load, total);

@@ -67,7 +67,7 @@ std::vector<proto::ServerInfo> CentralServer::filter_servers(
     // Barter mode (§5.5.3): foreign clusters are only offered when the home
     // cluster can pay for the run with credits.
     if (barter && row.cluster != *home) {
-      const double est_credits = contract.total_work() * row.cost_per_cpu_second /
+      const double est_credits = contract.work * row.cost_per_cpu_second /
                                  std::max(row.speed_factor, 1e-9);
       if (!ledger_.can_spend(*home, est_credits)) continue;
     }

@@ -186,7 +186,7 @@ void MarketRound::evaluate(RequestId request) {
   // Mask out bids of daemons that already refused or went silent, and bids
   // outside the regulated price band (§5.5.1) when regulation is in force.
   std::vector<market::Bid> candidates = round->bids;
-  const double work = round->contract.total_work();
+  const double work = round->contract.work;
   const std::optional<proto::PriceBand>& band = round->regulation;
   for (auto& b : candidates) {
     if (b.declined) continue;

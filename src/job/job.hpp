@@ -5,9 +5,7 @@
 // contract (QosContract::reduced_by).
 #pragma once
 
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/qos/contract.hpp"
 #include "src/util/ids.hpp"
@@ -48,7 +46,7 @@ class Job {
   [[nodiscard]] double finish_time() const noexcept { return finish_time_; }
   [[nodiscard]] int procs() const noexcept { return procs_; }
   [[nodiscard]] double remaining_work() const noexcept { return remaining_work_; }
-  [[nodiscard]] double total_work() const noexcept { return contract_.total_work(); }
+  [[nodiscard]] double total_work() const noexcept { return contract_.work; }
   [[nodiscard]] int reconfig_count() const noexcept { return reconfig_count_; }
 
   // --- lifecycle transitions (validated; misuse is a logic error) --------
@@ -85,21 +83,6 @@ class Job {
   /// since the last bookkeeping event (what AppSpector displays).
   [[nodiscard]] double progress_at(double now) const noexcept;
 
-  // --- phase structure (§2.1) ---------------------------------------------
-  /// True when the contract declares phases; execution then follows each
-  /// phase's own efficiency model in order.
-  [[nodiscard]] bool phased() const noexcept { return !phase_remaining_.empty(); }
-  /// Index of the phase currently executing (0 for single-phase jobs).
-  [[nodiscard]] std::size_t current_phase() const noexcept { return phase_; }
-  /// Work left in the current phase.
-  [[nodiscard]] double phase_remaining() const noexcept {
-    return phased() ? phase_remaining_[phase_] : remaining_work_;
-  }
-  /// Next scheduling-relevant instant at the current allocation: the end of
-  /// the current phase (when the scheduler should re-evaluate — the paper
-  /// notes performance parameters shift between phases) or completion.
-  [[nodiscard]] double next_event_time(double now) const noexcept;
-
   // --- derived metrics ----------------------------------------------------
   [[nodiscard]] double response_time() const noexcept { return finish_time_ - submit_time_; }
   [[nodiscard]] double wait_time() const noexcept { return start_time_ - submit_time_; }
@@ -111,12 +94,13 @@ class Job {
  private:
   void transition(JobState next);
 
-  /// Rate (work per second) of phase `phase` on `procs` of this machine.
-  [[nodiscard]] double rate_for(std::size_t phase, int procs) const noexcept;
-  /// Simulate execution of the phased copies from the last bookkeeping
-  /// point to `now` without mutating the job.
-  void phased_state_at(double now, std::vector<double>& rem,
-                       std::size_t& phase) const noexcept;
+  /// Rate (work per second) on `procs` of this machine.
+  [[nodiscard]] double rate_on(int procs) const noexcept {
+    return contract_.efficiency.rate(procs) * speed_factor_;
+  }
+  /// Work left at `now` while running at `rate`: `remaining_work_` less the
+  /// progress earned since the last bookkeeping point.
+  [[nodiscard]] double work_left_at(double now, double rate) const noexcept;
 
   JobId id_;
   UserId owner_;
@@ -134,8 +118,6 @@ class Job {
   double last_update_ = 0.0;
   AdaptiveCosts costs_;
   int reconfig_count_ = 0;
-  std::size_t phase_ = 0;
-  std::vector<double> phase_remaining_;  // empty = no phase structure
 };
 
 }  // namespace faucets::job

@@ -67,7 +67,7 @@ std::optional<double> FuturesBidGenerator::multiplier(const BidContext& ctx) {
 double contract_price(const cluster::MachineSpec& machine,
                       const qos::QosContract& contract, double multiplier) {
   const double cpu_seconds =
-      contract.total_work() / std::max(machine.speed_factor, 1e-9);
+      contract.work / std::max(machine.speed_factor, 1e-9);
   return multiplier * machine.cost_per_cpu_second * cpu_seconds;
 }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
-#include <unordered_set>
 
 #include "src/obs/metrics.hpp"
 
@@ -68,25 +67,6 @@ struct Compensated {
 };
 
 }  // namespace
-
-std::vector<TimelineRow> subtree_rows(const SpanTracker& spans, SpanId root) {
-  const std::size_t slot = spans.slot_of(root);
-  if (slot == SpanTracker::kNpos) return {};
-  std::vector<TimelineRow> rows = collect_subtree(spans, slot, build_children(spans));
-  std::unordered_set<std::uint64_t> rounds;
-  for (const TimelineRow& row : rows) {
-    if (row.bids > 0) rounds.insert(row.id.value());
-  }
-  if (!rounds.empty()) {
-    spans.for_each([&](const Span& s) {
-      if (s.kind == SpanKind::kBid && rounds.count(s.parent.value()) != 0) {
-        rows.push_back(to_row(s));
-      }
-    });
-  }
-  sort_rows(rows);
-  return rows;
-}
 
 std::string format_timeline_row(const TimelineRow& row) {
   std::ostringstream line;
@@ -194,7 +174,7 @@ JobPhaseRecord decompose_rows(const std::vector<TimelineRow>& rows,
       credit(Phase::kOther, dt);
     }
   }
-  for (std::size_t p = 0; p < kPhaseCount; ++p) rec.phases[p] = acc[p].sum;
+  for (std::size_t p = 0; p < kPhaseCount; ++p) rec.phase_seconds[p] = acc[p].sum;
   return rec;
 }
 
@@ -235,7 +215,7 @@ std::array<double, kPhaseCount> SpanAnalysis::mean_phases() const {
   std::array<double, kPhaseCount> out{};
   if (jobs.empty()) return out;
   for (const JobPhaseRecord& rec : jobs) {
-    for (std::size_t p = 0; p < kPhaseCount; ++p) out[p] += rec.phases[p];
+    for (std::size_t p = 0; p < kPhaseCount; ++p) out[p] += rec.phase_seconds[p];
   }
   for (double& v : out) v /= static_cast<double>(jobs.size());
   return out;

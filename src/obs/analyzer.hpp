@@ -42,12 +42,6 @@ class MetricsRegistry;
 
 // ------------------------------------------------------------ timeline rows
 
-/// Every span and bid of the submission tree rooted at `root`, start-ordered
-/// (ties: by span id). Returns an empty vector when `root` is unknown or a
-/// bid's id.
-[[nodiscard]] std::vector<TimelineRow> subtree_rows(const SpanTracker& spans,
-                                                    SpanId root);
-
 /// The one human-readable rendering of a row, e.g. "[12 157) run value=8".
 [[nodiscard]] std::string format_timeline_row(const TimelineRow& row);
 
@@ -85,7 +79,7 @@ struct JobPhaseRecord {
   double submit = 0.0;
   double end = 0.0;
   SpanKind outcome = SpanKind::kSubmission;  // terminal kind; kSubmission = none found
-  std::array<double, kPhaseCount> phases{};
+  std::array<double, kPhaseCount> phase_seconds{};
   std::uint32_t bids = 0;           // bids received over the kRfb rounds
   std::uint32_t rfb_rounds = 0;     // kRfb spans (re-bid rounds under chaos)
   std::uint32_t award_attempts = 0; // kAward spans
@@ -94,11 +88,11 @@ struct JobPhaseRecord {
 
   [[nodiscard]] double makespan() const noexcept { return end - submit; }
   [[nodiscard]] double phase(Phase p) const noexcept {
-    return phases[static_cast<std::size_t>(p)];
+    return phase_seconds[static_cast<std::size_t>(p)];
   }
   [[nodiscard]] double phase_sum() const noexcept {
     double s = 0.0;
-    for (const double v : phases) s += v;
+    for (const double v : phase_seconds) s += v;
     return s;
   }
   [[nodiscard]] bool completed() const noexcept {

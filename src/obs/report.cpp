@@ -261,7 +261,7 @@ void write_phases_csv(std::ostream& os, const SpanAnalysis& analysis) {
        << id_or_dash(rec.cluster) << ',' << id_or_dash(rec.job) << ','
        << json_number(rec.submit) << ',' << json_number(rec.end) << ','
        << json_number(rec.makespan()) << ',' << to_string(rec.outcome);
-    for (const double v : rec.phases) os << ',' << json_number(v);
+    for (const double v : rec.phase_seconds) os << ',' << json_number(v);
     os << ',' << rec.bids << ',' << rec.rfb_rounds << ',' << rec.award_attempts
        << ',' << rec.reconfigs << ',' << rec.evictions << '\n';
   }

@@ -6,54 +6,21 @@ namespace faucets::qos {
 
 double QosContract::estimated_runtime(int procs, double speed_factor) const {
   if (speed_factor <= 0.0) return EfficiencyModel::kNever;
-  return efficiency.time_to_complete(total_work() / speed_factor, procs);
+  return efficiency.time_to_complete(work / speed_factor, procs);
 }
 
 bool QosContract::valid() const noexcept {
   if (min_procs < 1 || max_procs < min_procs) return false;
-  if (total_work() <= 0.0) return false;
-  if (efficiency.min_procs() != min_procs || efficiency.max_procs() != max_procs) {
-    return false;
-  }
-  for (const auto& phase : phases) {
-    if (phase.work <= 0.0) return false;
-  }
-  return true;
-}
-
-double QosContract::total_work() const noexcept {
-  if (phases.empty()) return work;
-  double sum = 0.0;
-  for (const auto& phase : phases) sum += phase.work;
-  return sum;
+  if (work <= 0.0) return false;
+  return efficiency.min_procs() == min_procs && efficiency.max_procs() == max_procs;
 }
 
 QosContract QosContract::reduced_by(double completed) const {
   QosContract out = *this;
   if (completed <= 0.0) return out;
-  if (out.phases.empty()) {
-    // Keep a sliver of work so the contract stays valid even if the
-    // checkpoint covered everything (the restart still has to run).
-    out.work = std::max(out.work - completed, 1e-6);
-    return out;
-  }
-  std::vector<Phase> rest;
-  for (const auto& phase : out.phases) {
-    if (completed >= phase.work) {
-      completed -= phase.work;
-      continue;
-    }
-    Phase reduced = phase;
-    reduced.work -= completed;
-    completed = 0.0;
-    rest.push_back(std::move(reduced));
-  }
-  if (rest.empty()) {
-    Phase sliver = out.phases.back();
-    sliver.work = 1e-6;
-    rest.push_back(std::move(sliver));
-  }
-  out.phases = std::move(rest);
+  // Keep a sliver of work so the contract stays valid even if the
+  // checkpoint covered everything (the restart still has to run).
+  out.work = std::max(out.work - completed, 1e-6);
   return out;
 }
 

@@ -2,23 +2,11 @@
 // about a job when requesting bids.
 #pragma once
 
-#include <string>
-#include <vector>
-
 #include "src/qos/payoff.hpp"
 #include "src/qos/resources.hpp"
 #include "src/qos/speedup.hpp"
 
 namespace faucets::qos {
-
-/// A phase of a phase-structured application (§2.1 end): distinct resource
-/// behaviour that lasts long enough to justify re-evaluating placement.
-struct Phase {
-  std::string name;
-  double work = 0.0;  // processor-seconds at perfect efficiency
-  EfficiencyModel efficiency;
-  ResourceRequirements resources;
-};
 
 /// The full contract. `work` is in processor-seconds at perfect efficiency;
 /// the paper's machine-independent formulation (FLOP count / machine speed /
@@ -55,15 +43,9 @@ struct QosContract {
   /// True if the job is malleable (can usefully change its allocation).
   [[nodiscard]] bool adaptive() const noexcept { return max_procs > min_procs; }
 
-  // --- optional phase structure -----------------------------------------
-  std::vector<Phase> phases;
-
-  /// Sum of per-phase work when phases are present, else `work`.
-  [[nodiscard]] double total_work() const noexcept;
-
   /// The contract left after `completed` processor-seconds have already
-  /// been executed (checkpoint/migration, §4.1): work shrinks, phases are
-  /// consumed front to back, deadlines and payoff stay absolute.
+  /// been executed (checkpoint/migration, §4.1): work shrinks, deadlines
+  /// and payoff stay absolute.
   [[nodiscard]] QosContract reduced_by(double completed) const;
 };
 

@@ -23,14 +23,11 @@ struct SoftwareEnvironment {
 /// Hardware-side requirements beyond processor count.
 struct ResourceRequirements {
   double memory_per_proc_mb = 0.0;  // resident set per processor
-  double total_memory_mb = 0.0;     // aggregate footprint (0 = derive from per-proc)
-  double disk_mb = 0.0;             // scratch space during the run
   double input_mb = 0.0;            // staged in before the run
   double output_mb = 0.0;           // staged out after the run
 
   [[nodiscard]] double total_memory_for(int procs) const noexcept {
-    const double derived = memory_per_proc_mb * procs;
-    return total_memory_mb > 0.0 ? total_memory_mb : derived;
+    return memory_per_proc_mb * procs;
   }
 };
 

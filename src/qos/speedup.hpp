@@ -35,13 +35,8 @@ class EfficiencyModel {
     return r <= 0.0 ? kNever : work / r;
   }
 
-  /// Effective speedup over one processor at contract efficiency.
-  [[nodiscard]] double speedup(int procs) const noexcept { return rate(procs); }
-
   [[nodiscard]] int min_procs() const noexcept { return min_procs_; }
   [[nodiscard]] int max_procs() const noexcept { return max_procs_; }
-  [[nodiscard]] double eff_at_min() const noexcept { return eff_min_; }
-  [[nodiscard]] double eff_at_max() const noexcept { return eff_max_; }
 
   static constexpr double kNever = 1e300;
 

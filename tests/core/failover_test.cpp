@@ -137,23 +137,13 @@ TEST(Failover, ReducedContractPreservesDeadlines) {
   auto c = qos::make_contract(2, 8, 1000.0, 1.0, 1.0);
   c.payoff = qos::PayoffFunction::deadline(500.0, 900.0, 50.0, 20.0, 5.0);
   const auto reduced = c.reduced_by(400.0);
-  EXPECT_DOUBLE_EQ(reduced.total_work(), 600.0);
+  EXPECT_DOUBLE_EQ(reduced.work, 600.0);
   EXPECT_DOUBLE_EQ(reduced.payoff.soft_deadline(), 500.0);
   EXPECT_TRUE(reduced.valid());
   // Over-reduction clamps to a sliver instead of going invalid.
   const auto sliver = c.reduced_by(5000.0);
-  EXPECT_GT(sliver.total_work(), 0.0);
+  EXPECT_GT(sliver.work, 0.0);
   EXPECT_TRUE(sliver.valid());
-}
-
-TEST(Failover, ReducedPhasedContractDropsDonePhases) {
-  qos::QosContract c = qos::make_contract(2, 8, 0.0, 1.0, 1.0);
-  c.phases = {qos::Phase{"a", 100.0, c.efficiency, {}},
-              qos::Phase{"b", 200.0, c.efficiency, {}}};
-  const auto reduced = c.reduced_by(150.0);
-  ASSERT_EQ(reduced.phases.size(), 1u);
-  EXPECT_EQ(reduced.phases[0].name, "b");
-  EXPECT_DOUBLE_EQ(reduced.phases[0].work, 150.0);
 }
 
 }  // namespace

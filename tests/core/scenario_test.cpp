@@ -235,6 +235,41 @@ TEST(Scenario, RefusesARepeatedSectionOrKey) {
   }
 }
 
+// Values that would hang the run or wrap to a huge count are refused at
+// parse time, naming "[section] key": users = -1 would read as 2^64 - 1
+// clients and jobs = -1 as 2^64 - 1 jobs; at speed 0 no job finishes and at
+// load 0 none is submitted, so the run never ends; min_procs_lo = 0 makes
+// every contract invalid. Only parse_string is called, so no grid is built.
+TEST(Scenario, RefusesValuesThatHangOrWrapTheRun) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"[grid]\nusers = -1\n", "[grid] users"},
+      {"[grid]\nusers = 0\n", "[grid] users"},
+      {"[workload]\njobs = -1\n", "[workload] jobs"},
+      {"[workload]\nload = 0\n", "[workload] load"},
+      {"[workload]\nload = -0.5\n", "[workload] load"},
+      {"[workload]\nload = inf\n", "[workload] load"},
+      {"[workload]\nmin_procs_lo = 0\n", "[workload] min_procs_lo"},
+      {"[workload]\nmin_procs_hi = -3\n", "[workload] min_procs_hi"},
+      {"[cluster]\nspeed = 0\n", "[cluster] speed"},
+      {"[cluster]\nspeed = -2\n", "[cluster] speed"},
+      {"[cluster]\nspeed = inf\n", "[cluster] speed"},
+  };
+  for (const auto& [ini, key] : bad) {
+    try {
+      (void)Scenario::parse_string(std::string(ini) + "[cluster]\nname = z\n");
+      ADD_FAILURE() << "accepted: " << ini;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+  const Scenario edge = Scenario::parse_string(
+      "[grid]\nusers = 1\n[workload]\njobs = 0\nmin_procs_lo = 1\n"
+      "min_procs_hi = 1\nload = 0.1\n[cluster]\nspeed = 0.5\n");
+  EXPECT_EQ(edge.workload.user_count, 1u);
+  EXPECT_EQ(edge.workload.job_count, 0u);
+  EXPECT_DOUBLE_EQ(edge.clusters[0].machine.speed_factor, 0.5);
+}
+
 // The audit's thresholds are constants and the monitors always run, so the
 // [live] keys that set them are rejected, naming the audit.
 TEST(Scenario, RejectsRemovedLiveMonitorKeys) {

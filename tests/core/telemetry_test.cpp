@@ -80,7 +80,7 @@ TEST(Telemetry, PhaseDecompositionPartitionsEverySubmissionUnderChaos) {
     EXPECT_LE(std::fabs(rec.phase_sum() - rec.makespan()), 1e-9)
         << "root span " << rec.root.value()
         << ": exclusive phases must partition the makespan";
-    for (const double v : rec.phases) EXPECT_GE(v, 0.0);
+    for (const double v : rec.phase_seconds) EXPECT_GE(v, 0.0);
     EXPECT_NE(rec.outcome, obs::SpanKind::kSubmission)
         << "every closed submission carries a terminal outcome";
   }

@@ -280,7 +280,7 @@ std::vector<proto::ServerInfo> reference_filter(const CentralServer& central,
     }
     if (config.billing == BillingMode::kBarter && home.has_value() &&
         entry.cluster != *home) {
-      const double est_credits = contract.total_work() *
+      const double est_credits = contract.work *
                                  entry.machine.cost_per_cpu_second /
                                  std::max(entry.machine.speed_factor, 1e-9);
       if (!central.barter_ledger().can_spend(*home, est_credits)) continue;

@@ -82,6 +82,49 @@ TEST(Job, ReconfigurationCostStallsProgress) {
   EXPECT_DOUBLE_EQ(j.remaining_work(), 450.0);
 }
 
+// What AppSpector displays between bookkeeping events: progress earned
+// since the last advance_to counts before anything books it.
+TEST(Job, ProgressCountsWorkEarnedSinceTheLastEvent) {
+  Job j = make_job(1000.0, 2, 10);
+  EXPECT_DOUBLE_EQ(j.progress_at(0.0), 0.0);
+  j.start(0.0, 10, 1.0);
+  EXPECT_DOUBLE_EQ(j.progress_at(25.0), 0.25);
+  EXPECT_DOUBLE_EQ(j.projected_finish(25.0), 100.0);
+  EXPECT_DOUBLE_EQ(j.remaining_work(), 1000.0);  // nothing booked yet
+  j.advance_to(40.0);
+  EXPECT_DOUBLE_EQ(j.progress_at(40.0), 0.4);
+  EXPECT_DOUBLE_EQ(j.progress_at(70.0), 0.7);
+  EXPECT_DOUBLE_EQ(j.progress_at(500.0), 1.0);  // never past the end
+}
+
+TEST(Job, ProgressHoldsThroughAReconfigurationStall) {
+  AdaptiveCosts costs{.reconfig_seconds = 10.0};
+  Job j = make_job(1000.0, 2, 10);
+  j.start(0.0, 10, 1.0, costs);
+  j.reallocate(50.0, 5);  // 500 left; stalled until 60, then rate 5
+  EXPECT_DOUBLE_EQ(j.progress_at(50.0), 0.5);
+  EXPECT_DOUBLE_EQ(j.progress_at(58.0), 0.5);
+  EXPECT_DOUBLE_EQ(j.projected_finish(58.0), 160.0);
+  EXPECT_DOUBLE_EQ(j.progress_at(60.0), 0.5);
+  EXPECT_DOUBLE_EQ(j.progress_at(80.0), 0.6);  // 20 s at rate 5
+  // Vacated to the queue, it earns nothing.
+  j.reallocate(80.0, 0);
+  EXPECT_DOUBLE_EQ(j.progress_at(200.0), 0.6);
+}
+
+// ClusterManager::projected_utilization sizes queued work with this.
+TEST(Job, TimeToFinishOnAddsThePendingStall) {
+  AdaptiveCosts costs{.reconfig_seconds = 10.0};
+  Job j = make_job(1000.0, 2, 10);
+  EXPECT_DOUBLE_EQ(j.time_to_finish_on(5), 200.0);  // not running: no stall
+  j.start(0.0, 10, 1.0, costs);
+  j.advance_to(50.0);  // 500 left
+  EXPECT_DOUBLE_EQ(j.time_to_finish_on(10), 50.0);         // current size
+  EXPECT_DOUBLE_EQ(j.time_to_finish_on(20), 50.0);         // clamped to max 10
+  EXPECT_DOUBLE_EQ(j.time_to_finish_on(5), 10.0 + 100.0);  // resize stalls first
+  EXPECT_GE(j.time_to_finish_on(1), 1e300);                // below the minimum
+}
+
 TEST(Job, ReallocateToSameSizeIsNoop) {
   Job j = make_job();
   j.start(0.0, 10, 1.0);

@@ -65,8 +65,8 @@ TEST(GeneratorSource, MatchesPreloadedGenerateExactly) {
   for (std::size_t i = 0; i < streamed.size(); ++i) {
     EXPECT_DOUBLE_EQ(streamed[i].submit_time, preloaded[i].submit_time);
     EXPECT_EQ(streamed[i].user_index, preloaded[i].user_index);
-    EXPECT_DOUBLE_EQ(streamed[i].contract.total_work(),
-                     preloaded[i].contract.total_work());
+    EXPECT_DOUBLE_EQ(streamed[i].contract.work,
+                     preloaded[i].contract.work);
     EXPECT_DOUBLE_EQ(streamed[i].contract.payoff.max_payoff(),
                      preloaded[i].contract.payoff.max_payoff());
   }

@@ -83,10 +83,10 @@ TEST(Swf, PrefersRequestOverAllocation) {
   // Job 1: requested 64 procs for 4000 s.
   EXPECT_EQ(reqs[1].contract.min_procs, 64);
   EXPECT_EQ(reqs[1].contract.max_procs, 64);
-  EXPECT_DOUBLE_EQ(reqs[1].contract.total_work(), 64.0 * 4000.0);
+  EXPECT_DOUBLE_EQ(reqs[1].contract.work, 64.0 * 4000.0);
   // Job 3: request missing (-1) -> falls back to allocation 8 / runtime 50.
   EXPECT_EQ(reqs[0].contract.min_procs, 8);
-  EXPECT_DOUBLE_EQ(reqs[0].contract.total_work(), 8.0 * 50.0);
+  EXPECT_DOUBLE_EQ(reqs[0].contract.work, 8.0 * 50.0);
 }
 
 TEST(Swf, UserAndHomeCluster) {
@@ -148,8 +148,8 @@ TEST(Swf, MaxJobsIsAPrefixOfTheFullStream) {
   for (std::size_t i = 0; i < prefix.size(); ++i) {
     EXPECT_DOUBLE_EQ(prefix[i].submit_time, all[i].submit_time);
     EXPECT_EQ(prefix[i].user_index, all[i].user_index);
-    EXPECT_DOUBLE_EQ(prefix[i].contract.total_work(),
-                     all[i].contract.total_work());
+    EXPECT_DOUBLE_EQ(prefix[i].contract.work,
+                     all[i].contract.work);
   }
 }
 
@@ -253,8 +253,8 @@ TEST(Swf, StreamingPullsMatchPreload) {
   for (std::size_t i = 0; i < streamed.size(); ++i) {
     EXPECT_DOUBLE_EQ(streamed[i].submit_time, preloaded[i].submit_time);
     EXPECT_EQ(streamed[i].user_index, preloaded[i].user_index);
-    EXPECT_DOUBLE_EQ(streamed[i].contract.total_work(),
-                     preloaded[i].contract.total_work());
+    EXPECT_DOUBLE_EQ(streamed[i].contract.work,
+                     preloaded[i].contract.work);
     EXPECT_DOUBLE_EQ(streamed[i].contract.payoff.max_payoff(),
                      preloaded[i].contract.payoff.max_payoff());
   }
@@ -283,8 +283,8 @@ TEST(Swf, TimeCompressionScalesArrivalsOnly) {
   for (std::size_t i = 0; i < raw.size(); ++i) {
     EXPECT_DOUBLE_EQ(fast[i].submit_time, raw[i].submit_time / 4.0);
     // Work (procs x runtime) is untouched: compression raises offered load.
-    EXPECT_DOUBLE_EQ(fast[i].contract.total_work(),
-                     raw[i].contract.total_work());
+    EXPECT_DOUBLE_EQ(fast[i].contract.work,
+                     raw[i].contract.work);
   }
 }
 
@@ -309,7 +309,7 @@ TEST(Swf, UserMultiplierClonesAreCrnPairedWithRawTrace) {
     bool found = false;
     for (const JobRequest* cand : it->second) {
       if (cand->submit_time == req.submit_time &&
-          cand->contract.total_work() == req.contract.total_work()) {
+          cand->contract.work == req.contract.work) {
         found = true;
         break;
       }
@@ -347,13 +347,13 @@ TEST(Swf, CloneDrawsIndependentOfMultiplierCount) {
   // of a record draws identically regardless of how many siblings exist.
   std::map<std::pair<double, std::size_t>, double> small_times;
   for (const auto& req : small) {
-    small_times[{req.contract.total_work(), req.user_index % 2}] +=
+    small_times[{req.contract.work, req.user_index % 2}] +=
         req.submit_time;
   }
   std::map<std::pair<double, std::size_t>, double> large_times;
   for (const auto& req : large) {
     if (req.user_index % 4 >= 2) continue;  // only clones 0 and 1
-    large_times[{req.contract.total_work(), req.user_index % 4}] +=
+    large_times[{req.contract.work, req.user_index % 4}] +=
         req.submit_time;
   }
   EXPECT_EQ(small_times, large_times);

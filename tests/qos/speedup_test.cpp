@@ -51,8 +51,11 @@ TEST(Efficiency, InvalidInputsClamped) {
   EfficiencyModel m{-5, -10, 2.0, 0.0};
   EXPECT_GE(m.min_procs(), 1);
   EXPECT_GE(m.max_procs(), m.min_procs());
-  EXPECT_LE(m.eff_at_min(), 1.0);
-  EXPECT_GT(m.eff_at_max(), 0.0);
+  EXPECT_LE(m.efficiency(m.min_procs()), 1.0);
+  // Over a real range, an efficiency of 0 at the top is raised above 0.
+  EfficiencyModel ranged{1, 4, 2.0, 0.0};
+  EXPECT_DOUBLE_EQ(ranged.efficiency(1), 1.0);
+  EXPECT_GT(ranged.efficiency(4), 0.0);
 }
 
 TEST(Efficiency, MoreProcsNeverSlowsCompletion) {
