@@ -60,7 +60,7 @@ std::vector<job::JobRequest> skewed_workload(double skew, std::uint64_t seed) {
 /// failing term on stderr.
 bool audit_ok(const core::GridSystem& grid, const std::string& what) {
   const auto term = grid.audit().first_failure();
-  if (term) std::cerr << what << ": audit failed: " << obs::to_string(*term) << "\n";
+  if (term) std::cerr << what << ": audit failed: " << obs::live::to_string(*term) << "\n";
   return !term;
 }
 

@@ -1,8 +1,8 @@
 // Experiment E17: live operations plane overhead — the end-to-end cost of
 // serving the monitoring endpoints during a full grid market run (the
 // figure BENCH_live.json records: the plane must stay within 5% of a
-// plane-off run), plus microbenchmarks for the paced maybe_publish check
-// the simulation loop pays per boundary and for a full snapshot publish.
+// plane-off run), plus microbenchmarks for the paced due() check the
+// simulation loop pays per boundary and for a full snapshot publish.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -101,7 +101,7 @@ BENCHMARK(BM_GridRunLivePlane)->Unit(benchmark::kMillisecond);
 struct PlaneHarness {
   obs::MetricsRegistry metrics;
   obs::TraceBuffer trace{1 << 12};
-  std::uint64_t executed = 0;
+  obs::live::RunSample sample;
   std::unique_ptr<obs::live::LivePlane> plane;
 
   explicit PlaneHarness(double publish_interval) {
@@ -112,13 +112,9 @@ struct PlaneHarness {
         .observe(2.0);
     obs::live::LiveConfig config;
     config.publish_interval = publish_interval;
-    obs::live::LivePlane::Bindings b;
-    b.metrics = &metrics;
-    b.trace = &trace;
-    b.executed = [this] { return executed; };
-    plane = std::make_unique<obs::live::LivePlane>(config, std::move(b));
+    plane = std::make_unique<obs::live::LivePlane>(config, metrics, trace);
     plane->begin_run();
-    plane->publish(0.0);  // schema capture off the timed path
+    plane->publish(sample);  // schema capture off the timed path
   }
 };
 
@@ -127,10 +123,9 @@ struct PlaneHarness {
 // cost of having the plane enabled.
 void BM_LiveMaybePublishPaced(benchmark::State& state) {
   PlaneHarness h(/*publish_interval=*/3600.0);  // never due again
-  double t = 1.0;
   for (auto _ : state) {
-    h.plane->maybe_publish(t);
-    t += 1.0;
+    h.sample.sim_time += 1.0;
+    if (h.plane->due()) h.plane->publish(h.sample);
   }
   benchmark::DoNotOptimize(h.plane->publishes());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -142,11 +137,10 @@ BENCHMARK(BM_LiveMaybePublishPaced);
 // publish interval (default every 0.1 host seconds).
 void BM_LivePublishSnapshot(benchmark::State& state) {
   PlaneHarness h(/*publish_interval=*/0.0);
-  double t = 1.0;
   for (auto _ : state) {
-    ++h.executed;
-    h.plane->publish(t);
-    t += 1.0;
+    ++h.sample.events_executed;
+    h.sample.sim_time += 1.0;
+    h.plane->publish(h.sample);
   }
   benchmark::DoNotOptimize(h.plane->publishes());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

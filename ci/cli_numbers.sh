@@ -4,10 +4,12 @@
 # (--until and --sample-interval > 0, --checkpoint-at >= 0), is refused with
 # exit 1 and a first stderr line naming the flag (faucets_sweep's usage
 # text, which follows, names every flag), before any simulation starts.
-# Scenario INI values that would hang the run are refused the same way,
-# naming "[section] key": a 1-cluster fcfs grid with `[workload] load = 0`
-# (no job is ever submitted) or `[cluster] speed = 0` (no job ever
-# finishes), each written to a temporary INI.
+# Scenario INI values that would hang or empty the run are refused the same
+# way, naming "[section] key": a 1-cluster fcfs grid with `[workload] load =
+# 0` (no job is ever submitted), `[cluster] speed = 0` (no job ever
+# finishes) or `[cluster] mem_mb = 0` (no job is ever placed), each written
+# to a temporary INI. So is a key nothing reads, such as `[workload] lod =
+# 0.9`, which used to run at the default load.
 # Only refused values are tried, so no run and no sweep is ever started. A
 # NaN --until that got through would hang the run loop (NaN fails every
 # time comparison), and so would either INI value, so every call is bounded
@@ -59,6 +61,10 @@ grid_ini() {  # grid_ini <file> <workload line> <cluster line>
 }
 grid_ini "${tmp}/load0.ini" "load = 0" "speed = 1"
 grid_ini "${tmp}/speed0.ini" "load = 0.5" "speed = 0"
+grid_ini "${tmp}/lod.ini" "lod = 0.9" "speed = 1"
+grid_ini "${tmp}/mem0.ini" "load = 0.5" "mem_mb = 0"
 refused "[workload] load" "$1" --no-progress "${tmp}/load0.ini"
 refused "[cluster] speed" "$1" --no-progress "${tmp}/speed0.ini"
+refused "[workload] lod" "$1" --no-progress "${tmp}/lod.ini"
+refused "[cluster] mem_mb" "$1" --no-progress "${tmp}/mem0.ini"
 exit "${failed}"

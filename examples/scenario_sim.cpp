@@ -305,8 +305,7 @@ int main(int argc, char** argv) {
         std::cout << " at " << scenario.trace->options.time_compression
                   << "x compression";
       }
-      const std::size_t clones = scenario.trace->options.user_multiplier *
-                                 scenario.trace->options.cluster_multiplier;
+      const std::size_t clones = scenario.trace->options.user_multiplier;
       if (clones > 1) std::cout << ", " << clones << " clones per job";
     } else {
       std::cout << scenario.workload.job_count << " jobs";
@@ -385,8 +384,8 @@ int main(int argc, char** argv) {
       std::cout << "wrote host-time profile to " << *opts.profile << " (+ "
                 << stem << ".prom)\n";
     }
-    // One time-ordered copy of the trace ring feeds every trace writer.
-    const faucets::obs::TraceView trace = grid->merged_trace();
+    // The trace ring, time-ordered as recorded, feeds every trace writer.
+    const faucets::obs::TraceBuffer& trace = grid->merged_trace();
     if (opts.trace_jsonl) {
       auto out = open_out(*opts.trace_jsonl);
       faucets::obs::write_trace_jsonl(out, trace);
@@ -403,24 +402,8 @@ int main(int argc, char** argv) {
       faucets::obs::ReportOptions ropts;
       if (opts.scenario_file) ropts.title = "Faucets: " + *opts.scenario_file;
       // Monitors that fired during the run land in the report's Alerts
-      // table; a clean run contributes nothing, keeping the HTML identical
-      // with the plane on or off.
-      if (grid->live() != nullptr) {
-        const auto states = grid->live()->monitor_states();
-        for (std::size_t m = 0; m < states.size(); ++m) {
-          const auto& s = states[m];
-          if (s.alerts == 0) continue;
-          faucets::obs::AlertRow row;
-          row.monitor = faucets::obs::to_string(
-              static_cast<faucets::obs::MonitorKind>(m));
-          row.count = s.alerts;
-          row.first_sim_time = s.first_sim_time;
-          row.last_sim_time = s.last_sim_time;
-          row.last_observed = s.last_observed;
-          row.threshold = s.threshold;
-          ropts.alerts.push_back(std::move(row));
-        }
-      }
+      // table, the one artifact that records a mid-run alert.
+      if (grid->live() != nullptr) ropts.monitors = grid->live()->monitor_states();
       faucets::obs::write_html_report(out, grid->sampler(), tel.analysis,
                                       tel.users, tel.clusters, &trace, ropts);
       std::cout << "wrote HTML report to " << *opts.report << "\n";
@@ -449,7 +432,7 @@ int main(int argc, char** argv) {
     // artifacts are written so a failing run can still be inspected.
     const faucets::obs::live::Audit& audit = grid->audit();
     if (const auto term = audit.first_failure()) {
-      std::cerr << "error: audit failed: " << faucets::obs::to_string(*term)
+      std::cerr << "error: audit failed: " << faucets::obs::live::to_string(*term)
                 << " observed " << audit.observed(*term) << ", threshold "
                 << faucets::obs::live::Audit::threshold(*term) << "\n";
       return 2;

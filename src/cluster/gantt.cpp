@@ -11,15 +11,6 @@ GanttChart::GanttChart(int capacity) : capacity_(capacity) {
 
 void GanttChart::reserve(double start, double end, int procs) {
   if (end <= start || procs <= 0) return;
-  add(start, end, procs);
-}
-
-void GanttChart::release(double start, double end, int procs) {
-  if (end <= start || procs <= 0) return;
-  add(start, end, -procs);
-}
-
-void GanttChart::add(double start, double end, int delta) {
   // Split at both ends, so [start, end) is a run of whole steps. A new step
   // copies the level it splits.
   const auto split = [this](double t, std::size_t from) {
@@ -34,10 +25,11 @@ void GanttChart::add(double start, double end, int delta) {
   };
   const std::size_t first = split(start, 0);
   const std::size_t last = split(end, first + 1);
-  for (std::size_t i = first; i < last; ++i) steps_[i].level += delta;
+  for (std::size_t i = first; i < last; ++i) steps_[i].level += procs;
   // Only the two split steps can end up at their predecessor's level, where
-  // this interval cancels an edge of another; such a step marks no change,
-  // so drop it. Erasing the later one first keeps `first` valid.
+  // this interval begins as others end, or ends as others begin, by the same
+  // height; such a step marks no change, so drop it. Erasing the later one
+  // first keeps `first` valid.
   const auto flat = [this](std::size_t i) {
     return steps_[i].level == (i == 0 ? 0 : steps_[i - 1].level);
   };

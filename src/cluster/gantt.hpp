@@ -9,10 +9,10 @@
 //
 // The chart is one sorted vector of steps: each step's level holds from its
 // time until the next step's, and the level is 0 before the first. A
-// reserve/release splits at most two steps and adds to the levels between
-// them; a step that no longer changes the level is erased. Queries scan the
-// vector directly, so there is nothing to rebuild between a mutation and a
-// query.
+// reserve splits at most two steps and adds to the levels between them; a
+// step that no longer changes the level (where two reservations abut) is
+// erased. Queries scan the vector directly, so there is nothing to rebuild
+// between a mutation and a query.
 #pragma once
 
 #include <cstddef>
@@ -26,9 +26,6 @@ class GanttChart {
 
   /// Commit `procs` processors over [start, end).
   void reserve(double start, double end, int procs);
-
-  /// Undo a prior reserve with identical arguments.
-  void release(double start, double end, int procs);
 
   /// Processors committed at time t.
   [[nodiscard]] int committed_at(double t) const;
@@ -53,8 +50,6 @@ class GanttChart {
     int level;
   };
 
-  /// Add `delta` processors over [start, end) (start < end).
-  void add(double start, double end, int delta);
   /// Index of the first step with time > t.
   [[nodiscard]] std::size_t upper_index(double t) const;
 

@@ -205,7 +205,10 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
   unplaced_ = ctx_.metrics().find_counter("faucets_grid_jobs_unplaced_total");
   setup_sampler();
   setup_profiler();
-  setup_live_plane();
+  if (config_.live.enabled()) {
+    live_ = std::make_unique<obs::live::LivePlane>(config_.live, ctx_.metrics(),
+                                                   ctx_.trace());
+  }
 }
 
 void GridSystem::setup_sampler() {
@@ -276,29 +279,6 @@ void GridSystem::setup_profiler() {
   ctx_.network().set_profiler(&profiler_->lane());
 }
 
-void GridSystem::setup_live_plane() {
-  if (!config_.live.enabled()) return;
-  obs::live::LivePlane::Bindings b;
-  b.metrics = &ctx_.metrics();
-  b.trace = &ctx_.trace();
-  b.executed = [eng = &ctx_.engine()] { return eng->executed(); };
-  // Alerts are recorded by the simulation thread into the trace ring at
-  // publish boundaries, so they reach artifacts like any other trace event
-  // — and clean runs record none, keeping artifacts byte-identical with the
-  // plane on or off.
-  b.alert_sink = &ctx_.trace();
-  b.audit = [this](double now) { return measure_audit(now, /*drained=*/false); };
-  b.workload_exhausted = [this] {
-    return demux_ == nullptr || demux_->source_exhausted();
-  };
-  b.workload_buffered = [this] {
-    return demux_ == nullptr
-               ? std::uint64_t{0}
-               : static_cast<std::uint64_t>(demux_->buffered());
-  };
-  live_ = std::make_unique<obs::live::LivePlane>(config_.live, std::move(b));
-}
-
 obs::live::Audit GridSystem::measure_audit(double now, bool drained) const {
   obs::live::Audit a;
   a.submitted = submitted_->value();
@@ -336,12 +316,10 @@ bool GridSystem::maybe_pause(double now) {
   if (!pause_hook_ || pause_fired_ || now < pause_at_) return true;
   pause_fired_ = true;
   // Hold the live plane's stall watchdog: a checkpoint capture can exceed
-  // stall_timeout, and a stall kAlert here would land in the trace ring and
-  // break artifact parity with a run that never paused.
-  const bool hold = pause_holds_watchdog_ && live_ != nullptr;
-  if (hold) live_->begin_pause();
+  // stall_timeout without the run being wedged.
+  if (live_ != nullptr) live_->begin_pause();
   const bool resumed = pause_hook_();
-  if (hold) live_->end_pause();
+  if (live_ != nullptr) live_->end_pause();
   if (resumed) return true;
   abandoned_ = true;
   return false;
@@ -360,7 +338,6 @@ GridReport GridSystem::run(job::WorkloadSource& source, double until) {
   // Route the shared stream across the per-user clients.
   job::WorkloadDemux demux(source, clients_.size());
   demux.prime();
-  demux_ = &demux;
   for (std::size_t u = 0; u < clients_.size(); ++u) {
     // Each client schedules its first submission timer at now = 0, exactly
     // as the old preload did, so event order is source-independent.
@@ -382,6 +359,11 @@ GridReport GridSystem::run(job::WorkloadSource& source, double until) {
     }
     return first_busy == clients_.size();
   };
+  // What the live plane shows of the run at this boundary.
+  const auto live_sample = [&](const obs::live::Audit& audit) {
+    return obs::live::RunSample{ctx_.now(), audit, ctx_.engine().executed(),
+                                demux.source_exhausted(), demux.buffered()};
+  };
   if (profiler_ != nullptr) profiler_->begin_run();
   if (live_ != nullptr) live_->begin_run();
   while (!all_done()) {
@@ -391,7 +373,9 @@ GridReport GridSystem::run(job::WorkloadSource& source, double until) {
     // Between steps the grid is at an event boundary — the live plane's
     // consistent publish point (paced, so most iterations cost one clock
     // read and a compare).
-    if (live_ != nullptr) live_->maybe_publish(ctx_.now());
+    if (live_ != nullptr && live_->due()) {
+      live_->publish(live_sample(measure_audit(ctx_.now(), /*drained=*/false)));
+    }
   }
   // Drain in-flight housekeeping for one simulated second: the daemons'
   // ContractSettled reports to the Central Server (price history, billing,
@@ -413,13 +397,12 @@ GridReport GridSystem::run(job::WorkloadSource& source, double until) {
   // lanes. A drained run is held to exit semantics; a run that stopped at
   // `until` or was abandoned keeps the mid-run ones.
   audit_ = measure_audit(ctx_.now(), !abandoned_ && all_done());
-  if (live_ != nullptr) live_->end_run(ctx_.now(), audit_);
+  if (live_ != nullptr) live_->end_run(live_sample(audit_));
   // A clean end of run rolls the WAL into a fresh snapshot: restart from
   // here replays zero operations. Abandoned runs skip it (their state is
   // mid-flight and must not overwrite the store).
   if (store_ != nullptr && !abandoned_) central_->snapshot_to_store();
   workload_high_water_ = demux.high_water();
-  demux_ = nullptr;
   return report();
 }
 

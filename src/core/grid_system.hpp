@@ -278,26 +278,19 @@ class GridSystem {
   ///
   /// While the hook runs, the live plane's stall watchdog is held: a
   /// checkpoint capture longer than stall_timeout is a deliberate pause,
-  /// not a wedged run, and a stall kAlert would land in the trace ring and
-  /// break artifact parity with an unpaused run. Chaos fixtures that use
-  /// the hook to *simulate* a wedged simulation pass
-  /// `hold_watchdog = false` to leave the watchdog armed.
-  void set_pause_hook(double at, std::function<bool()> hook,
-                      bool hold_watchdog = true) {
+  /// not a wedged run.
+  void set_pause_hook(double at, std::function<bool()> hook) {
     pause_at_ = at;
     pause_hook_ = std::move(hook);
-    pause_holds_watchdog_ = hold_watchdog;
   }
 
-  // Observability views for exporters: the run's registry and span tracker,
-  // and a time-ordered copy of the trace ring's surviving events.
+  // Observability views for exporters: the run's registry, span tracker and
+  // trace ring, which is time-ordered as recorded.
   [[nodiscard]] const obs::MetricsRegistry& merged_metrics() const {
     return ctx_.metrics();
   }
   [[nodiscard]] const obs::SpanTracker& merged_spans() const { return ctx_.spans(); }
-  [[nodiscard]] obs::TraceView merged_trace() const {
-    return obs::TraceView(ctx_.trace());
-  }
+  [[nodiscard]] const obs::TraceBuffer& merged_trace() const { return ctx_.trace(); }
 
   /// Analyze the span trees and join them with the clients' submission
   /// outcomes. Callable any time; run() caches the end-of-run analysis so a
@@ -329,11 +322,10 @@ class GridSystem {
   /// and O(clusters + held leases), so the live plane calls it per publish.
   [[nodiscard]] obs::live::Audit measure_audit(double now, bool drained) const;
   [[nodiscard]] const obs::SpanAnalysis& analysis() const;
-  // Each optional observer is bound in its own setup function, and only
-  // when it is on.
+  // The sampler and the profiler are each bound in their own setup
+  // function, and only when they are on.
   void setup_sampler();
   void setup_profiler();
-  void setup_live_plane();
 
   GridConfig config_;
   sim::SimContext ctx_;
@@ -343,8 +335,6 @@ class GridSystem {
   std::unique_ptr<BrokerAgent> broker_;
   std::vector<std::unique_ptr<FaucetsDaemon>> daemons_;
   std::vector<std::unique_ptr<FaucetsClient>> clients_;
-  // Live only inside run(): the demux feeding the clients' lanes.
-  job::WorkloadDemux* demux_ = nullptr;
   std::size_t workload_high_water_ = 0;
   double opening_credits_ = 0.0;  // ledger total right after construction
   // The grid-wide job counters the clients register, resolved once.
@@ -355,7 +345,6 @@ class GridSystem {
   // One-shot pause hook (checkpoint and restore); +inf = unarmed.
   double pause_at_ = std::numeric_limits<double>::infinity();
   std::function<bool()> pause_hook_;
-  bool pause_holds_watchdog_ = true;  // see set_pause_hook
   bool pause_fired_ = false;
   bool abandoned_ = false;  // the hook told run() to bail out
   // Time-series sampler (empty unless config_.telemetry.sample_interval > 0)
@@ -368,7 +357,7 @@ class GridSystem {
   // accumulators, never the simulation's registry.
   std::unique_ptr<obs::Profiler> profiler_;
   // Live operations plane (null unless config_.live is enabled): HTTP
-  // monitoring + online monitors over published snapshots.
+  // monitoring + online monitors over the snapshots run() publishes.
   std::unique_ptr<obs::live::LivePlane> live_;
 };
 

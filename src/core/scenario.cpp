@@ -101,7 +101,43 @@ void parse_shaping(const ConfigSection& section, job::JobShaping& shaping) {
 
 bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
 
+constexpr const char* kAuditHint =
+    "is no longer a key: the monitors always run and read the grid's audit, "
+    "whose thresholds are fixed (DESIGN.md §16)";
+
+/// Sections and keys that once meant something, with what replaced them.
+constexpr const char* kRetired[][2] = {
+    {"[shards]",
+     "selected the sharded executor, which has been removed; delete the "
+     "section (every run uses the single event loop)"},
+    {"[profile]",
+     "is no longer a scenario section; profile a run with scenario_sim "
+     "--profile[=path] or a sweep with faucets_sweep --profile"},
+    {"[live] monitors", kAuditHint},
+    {"[live] ledger_residual_max", kAuditHint},
+    {"[live] lease_grace", kAuditHint},
+    {"[live] recent_events",
+     "is no longer a key: /traces/recent serves the newest 256 events"},
+    {"[sweep] warmup_until",
+     "selected warm-state forking, which has been removed; delete the key "
+     "(every sweep runs each cell from scratch)"},
+    {"[sweep]",
+     "is read by faucets_sweep --grid; scenario_sim runs the one scenario "
+     "without it"},
+};
+
 }  // namespace
+
+void refuse_unread(const ConfigFile& config) {
+  const std::optional<std::string> unread = config.first_unread();
+  if (!unread) return;
+  for (const auto& [what, hint] : kRetired) {
+    if (*unread == what) throw std::invalid_argument(*unread + " " + hint);
+  }
+  throw std::invalid_argument(*unread + " is not a " +
+                              (unread->back() == ']' ? "section" : "key") +
+                              " any reader knows; check its spelling");
+}
 
 Scenario Scenario::parse(const ConfigFile& config) {
   Scenario out;
@@ -175,6 +211,12 @@ Scenario Scenario::parse(const ConfigFile& config) {
                                   "' must be finite and > 0");
     }
     setup.machine.memory_per_proc_mb = section->get_double("mem_mb", 4096.0);
+    // Below a contract's memory per processor the Central Server lists no
+    // server, so every job goes unplaced.
+    if (!finite_positive(setup.machine.memory_per_proc_mb)) {
+      throw std::invalid_argument("[cluster] mem_mb of '" + setup.machine.name +
+                                  "' must be finite and > 0");
+    }
     setup.strategy = strategy_factory(section->get_string("strategy", "payoff"));
     setup.bid_generator = bidgen_factory(section->get_string("bidgen", "baseline"));
     setup.barter_credits = section->get_double("credits", 0.0);
@@ -231,12 +273,8 @@ Scenario Scenario::parse(const ConfigFile& config) {
       throw std::invalid_argument("[trace] time_compression must be positive");
     }
     const long um = trace->get_int("user_multiplier", 1);
-    const long cm = trace->get_int("cluster_multiplier", 1);
-    if (um < 1 || cm < 1) {
-      throw std::invalid_argument("[trace] multipliers must be >= 1");
-    }
+    if (um < 1) throw std::invalid_argument("[trace] user_multiplier must be >= 1");
     topt.user_multiplier = static_cast<std::size_t>(um);
-    topt.cluster_multiplier = static_cast<std::size_t>(cm);
     topt.clone_jitter = trace->get_double("jitter", topt.clone_jitter);
     topt.sort_window = trace->get_double("sort_window", 0.0);
     topt.max_jobs =
@@ -296,30 +334,10 @@ Scenario Scenario::parse(const ConfigFile& config) {
         std::max(0L, store_section->get_int("snapshot_every", 0)));
   }
 
-  if (config.section("shards") != nullptr) {
-    throw std::invalid_argument(
-        "[shards] selected the sharded executor, which has been removed; "
-        "delete the section (every run uses the single event loop)");
-  }
-
-  if (config.section("profile") != nullptr) {
-    throw std::invalid_argument(
-        "[profile] is no longer a scenario section; profile a run with "
-        "scenario_sim --profile[=path] or a sweep with faucets_sweep --profile");
-  }
-
   // [live] — the live operations plane (DESIGN.md §15). `serve` defaults to
   // true when the section is present.
   const ConfigSection* live = config.section("live");
   if (live != nullptr) {
-    for (const char* key : {"monitors", "ledger_residual_max", "lease_grace"}) {
-      if (live->has(key)) {
-        throw std::invalid_argument(
-            std::string("[live] ") + key +
-            " is no longer a key: the monitors always run and read the "
-            "grid's audit, whose thresholds are fixed (DESIGN.md §16)");
-      }
-    }
     out.grid.live.serve = live->get_bool("serve", true);
     const long port = live->get_int("port", 0);
     if (port < 0 || port > 65535) {
@@ -329,9 +347,6 @@ Scenario Scenario::parse(const ConfigFile& config) {
     out.grid.live.progress = live->get_bool("progress", out.grid.live.progress);
     out.grid.live.publish_interval =
         live->get_double("publish_interval", out.grid.live.publish_interval);
-    out.grid.live.recent_events = static_cast<std::size_t>(std::max(
-        1L, live->get_int("recent_events",
-                          static_cast<long>(out.grid.live.recent_events))));
     out.grid.live.stall_timeout =
         live->get_double("stall_timeout", out.grid.live.stall_timeout);
   }
@@ -348,7 +363,10 @@ Scenario Scenario::parse(const ConfigFile& config) {
 }
 
 Scenario Scenario::parse_string(const std::string& text) {
-  return parse(ConfigFile::parse_string(text));
+  const ConfigFile config = ConfigFile::parse_string(text);
+  Scenario out = parse(config);
+  refuse_unread(config);
+  return out;
 }
 
 int Scenario::total_procs() const {

@@ -47,7 +47,6 @@
 //   file = traces/month.swf  # path, relative to the scenario's cwd
 //   time_compression = 4     # replay a month in a week of simulated time
 //   user_multiplier = 2      # CRN-paired deterministic user clones
-//   cluster_multiplier = 1
 //   jitter = 60              # clone arrival jitter, seconds
 //   sort_window = 0          # tolerated out-of-order raw submits, seconds
 //   max_jobs = 0             # stop after N emitted jobs (0 = all)
@@ -55,7 +54,8 @@
 //   malleability = 0.5       # JobShaping keys work here too
 //   deadline_fraction = 0.0
 //
-//   [sweep]                  # optional: parameter grid (see src/sweep/spec.hpp)
+//   [sweep]                  # faucets_sweep only: parameter grid (see
+//                            # src/sweep/spec.hpp); scenario_sim refuses it
 //
 //   [market]                 # optional: price-history retention (§5.2.1)
 //   history_capacity = 4096  # settled contracts the bounded deque keeps
@@ -66,6 +66,11 @@
 //   sync = batch             # none | batch | always
 //   sync_every = 64          # group-commit batch size (batch only)
 //   snapshot_every = 0       # settled contracts per WAL roll-up; 0 = end only
+//
+// A section or key that no reader reads is refused, naming it: a typo such
+// as `lod = 0.9` must not run at the default load. Some keys are read only
+// with another: crash_at/crash_restart with crash_cluster, and
+// partition_from/partition_until with partition_cluster.
 #pragma once
 
 #include <iosfwd>
@@ -97,6 +102,9 @@ struct Scenario {
 
   /// Parse and validate. Throws std::invalid_argument with a useful
   /// message on unknown strategy/bidgen/billing names or missing sections.
+  /// parse() reads `config` and leaves keys it does not know for a caller
+  /// that reads more sections (SweepSpec) to check with refuse_unread();
+  /// parse_string() checks them itself.
   static Scenario parse(const ConfigFile& config);
   static Scenario parse_string(const std::string& text);
 
@@ -119,6 +127,10 @@ struct Scenario {
   /// Total processors across all clusters (used for load calibration).
   [[nodiscard]] int total_procs() const;
 };
+
+/// Throws std::invalid_argument naming the first section or key of `config`
+/// that nothing read, with what replaced it when it was retired.
+void refuse_unread(const ConfigFile& config);
 
 /// Name registries, exposed for the CLI's error messages and for tests.
 [[nodiscard]] StrategyFactory strategy_factory(const std::string& name);

@@ -27,8 +27,7 @@ SwfStreamSource::SwfStreamSource(std::istream& in, SwfOptions options)
     : in_(&in),
       opt_(options),
       seeds_(options.seed),
-      clones_(std::max<std::size_t>(1, options.user_multiplier) *
-              std::max<std::size_t>(1, options.cluster_multiplier)) {
+      clones_(std::max<std::size_t>(1, options.user_multiplier)) {
   if (opt_.time_compression <= 0.0) {
     throw std::invalid_argument("swf: time_compression must be positive");
   }

@@ -49,13 +49,10 @@ struct SwfOptions {
   double time_compression = 1.0;
 
   /// Clone every trace user into this many independent users, each with
-  /// its own id and arrival jitter. user_multiplier scales the user
-  /// population; cluster_multiplier replays the whole trace again as if
-  /// that many peer clusters contributed the same (jittered) stream. Both
-  /// multiply the job volume; clone 0 reproduces the raw trace exactly, so
-  /// scaled runs stay CRN-paired with unscaled ones.
+  /// its own id and arrival jitter, which multiplies the job volume; clone
+  /// 0 reproduces the raw trace exactly, so scaled runs stay CRN-paired
+  /// with unscaled ones.
   std::size_t user_multiplier = 1;
-  std::size_t cluster_multiplier = 1;
 
   /// Clones' arrivals are delayed by U[0, clone_jitter) seconds (applied
   /// after time compression), drawn per (line, clone) from `seed` via
@@ -134,7 +131,7 @@ class SwfStreamSource final : public WorkloadSource {
   std::istream* in_;
   SwfOptions opt_;
   SeedSequence seeds_;
-  std::size_t clones_;  // user_multiplier * cluster_multiplier
+  std::size_t clones_;  // user_multiplier, at least 1
 
   std::string line_;
   std::vector<Item> window_;  // min-heap on (submit_time, order)

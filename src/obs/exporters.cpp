@@ -80,17 +80,11 @@ void write_trace_event_jsonl(std::ostream& os, const TraceEvent& ev) {
       os << ",\"user\":" << json_id(ev.payload.auth.user)
          << ",\"request\":" << json_id(ev.payload.auth.request);
       break;
-    case TracePayload::kAlert:
-      os << ",\"monitor\":\""
-         << to_string(static_cast<MonitorKind>(ev.payload.alert.monitor))
-         << "\",\"observed\":" << json_number(ev.payload.alert.observed)
-         << ",\"threshold\":" << json_number(ev.payload.alert.threshold);
-      break;
   }
   os << "}\n";
 }
 
-void write_trace_jsonl(std::ostream& os, const TraceView& trace) {
+void write_trace_jsonl(std::ostream& os, const TraceBuffer& trace) {
   if (trace.dropped() > 0) {
     os << "{\"meta\":\"trace\",\"dropped\":" << trace.dropped()
        << ",\"total_recorded\":" << trace.total_recorded() << "}\n";
@@ -117,7 +111,7 @@ void split_labels(const std::string& name, std::string& base, std::string& label
 }  // namespace
 
 void write_prometheus(std::ostream& os, const MetricsRegistry& metrics,
-                      const TraceView* trace) {
+                      const TraceBuffer* trace) {
   std::unordered_set<std::string> typed;  // base names already announced
   metrics.for_each([&](const MetricsRegistry::Entry& e) {
     std::string base;
@@ -248,7 +242,7 @@ std::string cluster_display_name(const ChromeTraceOptions& options, ClusterId id
 }  // namespace
 
 void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
-                        const TraceView& trace,
+                        const TraceBuffer& trace,
                         const ChromeTraceOptions& options) {
   ChromeWriter w{os};
   w.open(trace.dropped());

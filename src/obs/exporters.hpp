@@ -6,8 +6,8 @@
 //    chrome://tracing). One process track per cluster with a thread per job,
 //    plus a "market" process whose threads are client submissions.
 //
-// Each writer exists once. Trace input is always a TraceView, the
-// time-ordered copy of the ring that GridSystem::merged_trace() returns.
+// Each writer exists once. Trace input is the trace ring itself, read in
+// place: it is time-ordered as recorded (GridSystem::merged_trace()).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,7 @@
 
 namespace faucets::obs {
 
-class TraceView;
+class TraceBuffer;
 class MetricsRegistry;
 class SpanTracker;
 struct TraceEvent;
@@ -40,13 +40,13 @@ void write_trace_event_jsonl(std::ostream& os, const TraceEvent& ev);
 /// One JSON object per line per trace event. When the bounded ring dropped
 /// events, the first line is a meta object ({"meta":"trace","dropped":N,...})
 /// so consumers know the window is truncated instead of silently partial.
-void write_trace_jsonl(std::ostream& os, const TraceView& trace);
+void write_trace_jsonl(std::ostream& os, const TraceBuffer& trace);
 
 /// Prometheus text exposition of the metrics snapshot. When `trace` is given
 /// and its ring dropped events, a synthetic faucets_trace_dropped_total
 /// counter is appended so scrapes surface the data loss.
 void write_prometheus(std::ostream& os, const MetricsRegistry& metrics,
-                      const TraceView* trace = nullptr);
+                      const TraceBuffer* trace = nullptr);
 /// The synthetic faucets_trace_dropped_total counter write_prometheus
 /// appends; writes nothing when `dropped` is 0.
 void write_prometheus_trace_dropped(std::ostream& os, std::uint64_t dropped);
@@ -58,7 +58,7 @@ struct ChromeTraceOptions {
 };
 
 void write_chrome_trace(std::ostream& os, const SpanTracker& spans,
-                        const TraceView& trace,
+                        const TraceBuffer& trace,
                         const ChromeTraceOptions& options = {});
 
 }  // namespace faucets::obs

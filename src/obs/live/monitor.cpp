@@ -3,7 +3,7 @@
 namespace faucets::obs::live {
 
 void MonitorSuite::report_stall(double stalled_at, double host_seconds,
-                                double timeout) {
+                                double timeout) noexcept {
   MonitorState& s = states_[static_cast<std::size_t>(MonitorKind::kBarrierStall)];
   s.threshold = timeout;
   s.last_observed = host_seconds;
@@ -12,11 +12,6 @@ void MonitorSuite::report_stall(double stalled_at, double host_seconds,
   s.firing = true;
   if (s.alerts == 0) s.first_sim_time = stalled_at;
   ++s.alerts;
-  pending_[pending_count_ % kPendingCap] =
-      alert_event(stalled_at,
-                  static_cast<std::uint8_t>(MonitorKind::kBarrierStall),
-                  host_seconds, timeout);
-  ++pending_count_;
 }
 
 void MonitorSuite::clear_stall() noexcept {

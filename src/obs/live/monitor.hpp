@@ -5,26 +5,47 @@
 // evaluates it at the end of every run, and the monitors read the same value
 // at every publish. It lives here because src/obs cannot include src/core.
 //
-// The suite never allocates after construction: states live in a fixed
-// array indexed by obs::MonitorKind, and the deferred-alert queue is a fixed
-// ring. Alerts are edge-triggered: one kAlert trace event and one
-// faucets_alerts_total increment per transition into violation, not per
-// evaluation — a run that goes wrong once does not flood the ring.
+// The suite never allocates: states live in a fixed array indexed by
+// MonitorKind. An alert is recorded once, in its monitor's MonitorState,
+// never in the simulation's trace ring, so the plane writes nothing into the
+// run it watches. Alerts are edge-triggered: one faucets_alerts_total
+// increment per transition into violation, not per evaluation.
 //
-// Thread model: the owner (LivePlane) serializes every call. evaluate() and
-// drain_pending() run on the simulation thread at publish
-// boundaries; report_stall()/clear_stall() run on the server thread, which
-// is why the stall monitor's kAlert is queued instead of recorded directly —
-// the simulation thread may be stuck, but /healthz must not wait for it.
+// Thread model: the owner (LivePlane) serializes every call. evaluate() runs
+// on the simulation thread at publish boundaries; report_stall() and
+// clear_stall() run on the server thread, because the simulation thread may
+// be the thing that is stuck.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-
-#include "src/obs/trace.hpp"
+#include <string_view>
 
 namespace faucets::obs::live {
+
+/// The online invariant monitors: the audit's three terms and the host-time
+/// stall watchdog.
+enum class MonitorKind : std::uint8_t {
+  kLedgerConservation = 0,  // barter-credit conservation residual drifted
+  kLeaseLeak = 1,           // a reservation outlived its lease expiry
+  kSpanBalance = 2,         // open submission roots != jobs still in flight
+  kBarrierStall = 3,        // sim time stopped advancing in host time
+};
+
+inline constexpr std::size_t kMonitorKindCount =
+    static_cast<std::size_t>(MonitorKind::kBarrierStall) + 1;
+
+[[nodiscard]] constexpr std::string_view to_string(MonitorKind monitor) noexcept {
+  switch (monitor) {
+    case MonitorKind::kLedgerConservation: return "ledger_conservation";
+    case MonitorKind::kLeaseLeak: return "lease_leak";
+    case MonitorKind::kSpanBalance: return "span_balance";
+    case MonitorKind::kBarrierStall: return "barrier_stall";
+  }
+  return "?";
+}
 
 /// The grid's invariants at one instant: one plain value, cheap to copy.
 struct Audit {
@@ -108,61 +129,38 @@ struct MonitorState {
   double threshold = 0.0;
 };
 
+using MonitorStates = std::array<MonitorState, kMonitorKindCount>;
+
 class MonitorSuite {
  public:
-  /// Edge-trigger every audit term at a consistent boundary, then drain
-  /// stall alerts queued by the server thread. `emit` receives one
-  /// TraceEvent per new alert (the caller records it into the sim trace
-  /// ring).
-  template <typename Emit>
-  void evaluate(double sim_now, const Audit& audit, Emit&& emit) {
+  /// Edge-trigger every audit term at a consistent boundary.
+  void evaluate(double sim_now, const Audit& audit) noexcept {
     for (const MonitorKind m : Audit::kTerms) {
       MonitorState& s = states_[static_cast<std::size_t>(m)];
-      const double observed = audit.observed(m);
       s.threshold = Audit::threshold(m);
       const bool violated = !audit.holds(m);
       if (violated) {
-        s.last_observed = observed;
+        s.last_observed = audit.observed(m);
         s.last_sim_time = sim_now;
         if (!s.firing) {
           if (s.alerts == 0) s.first_sim_time = sim_now;
           ++s.alerts;
-          emit(alert_event(sim_now, static_cast<std::uint8_t>(m), observed,
-                           s.threshold));
         }
       }
       s.firing = violated;
     }
-    drain_pending(emit);
   }
 
   /// Server-thread half of the stall watchdog: sim time `stalled_at` has not
-  /// advanced for `host_seconds`, past `timeout`. Counted and surfaced in
-  /// /healthz immediately; the kAlert trace event is queued for the next
-  /// simulation-thread publish (the sim thread may be the thing that is
-  /// stuck).
-  void report_stall(double stalled_at, double host_seconds, double timeout);
+  /// advanced for `host_seconds`, past `timeout`. One alert per episode.
+  void report_stall(double stalled_at, double host_seconds, double timeout) noexcept;
   /// Sim time advanced again: re-arm the stall monitor's edge trigger.
   void clear_stall() noexcept;
-
-  /// Record queued stall alerts through `emit` (simulation thread).
-  template <typename Emit>
-  void drain_pending(Emit&& emit) {
-    if (pending_count_ - pending_drained_ > kPendingCap) {
-      pending_drained_ = pending_count_ - kPendingCap;  // ring overwrote these
-    }
-    for (; pending_drained_ < pending_count_; ++pending_drained_) {
-      emit(pending_[pending_drained_ % kPendingCap]);
-    }
-  }
 
   [[nodiscard]] const MonitorState& state(MonitorKind m) const noexcept {
     return states_[static_cast<std::size_t>(m)];
   }
-  [[nodiscard]] const std::array<MonitorState, kMonitorKindCount>& states()
-      const noexcept {
-    return states_;
-  }
+  [[nodiscard]] const MonitorStates& states() const noexcept { return states_; }
   [[nodiscard]] std::uint64_t total_alerts() const noexcept {
     std::uint64_t n = 0;
     for (const auto& s : states_) n += s.alerts;
@@ -171,14 +169,7 @@ class MonitorSuite {
   [[nodiscard]] bool healthy() const noexcept { return total_alerts() == 0; }
 
  private:
-  static constexpr std::size_t kPendingCap = 16;
-
-  std::array<MonitorState, kMonitorKindCount> states_{};
-  // Fixed ring of stall alerts awaiting a sim-thread publish. Overwrites
-  // past kPendingCap are harmless: the alert count is already in states_.
-  std::array<TraceEvent, kPendingCap> pending_{};
-  std::uint64_t pending_count_ = 0;
-  std::uint64_t pending_drained_ = 0;
+  MonitorStates states_{};
 };
 
 }  // namespace faucets::obs::live

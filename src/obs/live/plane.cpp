@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <sstream>
-#include <utility>
 
 #include "src/obs/exporters.hpp"
 
@@ -27,16 +26,16 @@ std::uint64_t seconds_to_ticks(double seconds) {
 
 }  // namespace
 
-LivePlane::LivePlane(LiveConfig config, Bindings bindings)
-    : config_(config), bindings_(std::move(bindings)) {
+LivePlane::LivePlane(LiveConfig config, const MetricsRegistry& metrics,
+                     const TraceBuffer& trace)
+    : config_(config), metrics_(metrics), trace_(trace) {
   (void)HostClock::ns_per_tick();  // calibrate once, off the publish path
   publish_interval_ticks_ = seconds_to_ticks(config_.publish_interval);
-  snapshot_.recent.resize(config_.recent_events);
   if (config_.serve) {
     server_.start(
         config_.port,
         [this](const std::string& path) { return handle(path); },
-        [this] { check_stall(); }, config_.poll_interval_ms);
+        [this] { check_stall(); }, kPollIntervalMs);
   }
   if (config_.progress) {
     ticker_ = std::thread([this] { ticker_loop(); });
@@ -68,19 +67,18 @@ void LivePlane::begin_run() {
   next_publish_ticks_ = 0;  // first boundary publishes immediately
 }
 
-void LivePlane::publish(double sim_now) {
-  const Audit audit = bindings_.audit ? bindings_.audit(sim_now) : Audit{};
+void LivePlane::publish(const RunSample& sample) {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    publish_locked(sim_now, audit);
+    publish_locked(sample);
   }
   next_publish_ticks_ = HostClock::ticks() + publish_interval_ticks_;
 }
 
-void LivePlane::end_run(double sim_now, const Audit& audit) {
+void LivePlane::end_run(const RunSample& sample) {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    publish_locked(sim_now, audit);
+    publish_locked(sample);
     progress_.run_active = false;
     progress_.finished = true;
   }
@@ -88,19 +86,14 @@ void LivePlane::end_run(double sim_now, const Audit& audit) {
   if (config_.progress) render_ticker_line(/*last=*/true);
 }
 
-void LivePlane::publish_locked(double sim_now, const Audit& audit) {
+void LivePlane::publish_locked(const RunSample& sample) {
   capture();
 
-  progress_.sim_time = sim_now;
-  progress_.audit = audit;
-  progress_.events_executed = bindings_.executed ? bindings_.executed() : 0;
-  progress_.workload_exhausted =
-      bindings_.workload_exhausted ? bindings_.workload_exhausted() : true;
-  progress_.workload_buffered =
-      bindings_.workload_buffered ? bindings_.workload_buffered() : 0;
+  progress_.sample = sample;
   ++progress_.publish_seq;
   progress_.publish_ticks = HostClock::ticks();
 
+  const double sim_now = sample.sim_time;
   if (sim_now > last_published_time_) {
     last_published_time_ = sim_now;
     last_advance_ticks_.store(progress_.publish_ticks,
@@ -110,24 +103,19 @@ void LivePlane::publish_locked(double sim_now, const Audit& audit) {
   last_sim_time_bits_.store(std::bit_cast<std::uint64_t>(sim_now),
                             std::memory_order_relaxed);
 
-  suite_.evaluate(sim_now, audit, [this](const TraceEvent& ev) {
-    if (bindings_.alert_sink != nullptr) bindings_.alert_sink->record(ev);
-  });
+  suite_.evaluate(sim_now, sample.audit);
 }
 
 void LivePlane::capture() {
-  const Bindings& b = bindings_;
   Snapshot& snap = snapshot_;
-  if (b.metrics != nullptr) snap.metrics.refresh_from(*b.metrics);
-  if (b.trace != nullptr) {
-    const std::size_t have = b.trace->size();
-    const std::size_t n = std::min(have, snap.recent.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      snap.recent[i] = b.trace->at(have - n + i);
-    }
-    snap.recent_n = n;
-    snap.trace_dropped = b.trace->dropped();
+  snap.metrics.refresh_from(metrics_);
+  const std::size_t have = trace_.size();
+  const std::size_t n = std::min(have, snap.recent.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    snap.recent[i] = trace_.at(have - n + i);
   }
+  snap.recent_n = n;
+  snap.trace_dropped = trace_.dropped();
 }
 
 void LivePlane::begin_pause() noexcept {
@@ -169,6 +157,23 @@ void LivePlane::ticker_loop() {
   }
 }
 
+LivePlane::Rates LivePlane::rates(const Progress& p) {
+  Rates r;
+  if (p.publish_seq == 0) return r;
+  r.elapsed = ticks_to_seconds(p.publish_ticks - p.run_start_ticks);
+  if (r.elapsed <= 0.0) return r;
+  r.events_per_second =
+      static_cast<double>(p.sample.events_executed) / r.elapsed;
+  const Audit& jobs = p.sample.audit;
+  const std::uint64_t done = jobs.completed + jobs.unplaced;
+  if (!p.finished && p.sample.workload_exhausted && jobs.completed > 0 &&
+      jobs.submitted > done) {
+    r.eta = static_cast<double>(jobs.submitted - done) * r.elapsed /
+            static_cast<double>(jobs.completed);
+  }
+  return r;
+}
+
 void LivePlane::render_ticker_line(bool last) const {
   Progress p;
   std::uint64_t alerts = 0;
@@ -178,27 +183,22 @@ void LivePlane::render_ticker_line(bool last) const {
     alerts = suite_.total_alerts();
   }
   if (p.publish_seq == 0) return;
-  const double elapsed =
-      ticks_to_seconds(p.publish_ticks - p.run_start_ticks);
-  const double rate =
-      elapsed > 0.0 ? static_cast<double>(p.events_executed) / elapsed : 0.0;
+  const Rates r = rates(p);
   char eta[32] = "?";
-  const Audit& jobs = p.audit;
-  const std::uint64_t done = jobs.completed + jobs.unplaced;
   if (p.finished) {
     std::snprintf(eta, sizeof(eta), "done");
-  } else if (p.workload_exhausted && jobs.completed > 0 &&
-             jobs.submitted > done && elapsed > 0.0) {
-    const double jobs_rate = static_cast<double>(jobs.completed) / elapsed;
-    std::snprintf(eta, sizeof(eta), "%.0fs",
-                  static_cast<double>(jobs.submitted - done) / jobs_rate);
+  } else if (r.eta) {
+    std::snprintf(eta, sizeof(eta), "%.0fs", *r.eta);
   }
+  const Audit& jobs = p.sample.audit;
   std::fprintf(
       stderr,
       "\r[faucets] t=%.1f ev=%llu (%.2gM ev/s) jobs %llu/%llu done "
       "(%llu unplaced) alerts %llu eta %s        %s",
-      p.sim_time, static_cast<unsigned long long>(p.events_executed),
-      rate * 1e-6, static_cast<unsigned long long>(done),
+      p.sample.sim_time,
+      static_cast<unsigned long long>(p.sample.events_executed),
+      r.events_per_second * 1e-6,
+      static_cast<unsigned long long>(jobs.completed + jobs.unplaced),
       static_cast<unsigned long long>(jobs.submitted),
       static_cast<unsigned long long>(jobs.unplaced),
       static_cast<unsigned long long>(alerts), eta, last ? "\n" : "");
@@ -231,42 +231,31 @@ HttpResponse LivePlane::handle(const std::string& path) const {
 
 std::string LivePlane::render_progress_locked() const {
   const Progress& p = progress_;
-  const double elapsed =
-      p.publish_seq == 0
-          ? 0.0
-          : ticks_to_seconds(p.publish_ticks - p.run_start_ticks);
+  const Rates r = rates(p);
   const double since_publish =
       p.publish_seq == 0
           ? 0.0
           : ticks_to_seconds(HostClock::ticks() - p.publish_ticks);
-  const double ev_rate =
-      elapsed > 0.0 ? static_cast<double>(p.events_executed) / elapsed : 0.0;
-  const Audit& jobs = p.audit;
-  const std::uint64_t done = jobs.completed + jobs.unplaced;
-  std::string eta = "null";
-  if (!p.finished && p.workload_exhausted && jobs.completed > 0 &&
-      jobs.submitted > done && elapsed > 0.0) {
-    eta = json_number(static_cast<double>(jobs.submitted - done) * elapsed /
-                      static_cast<double>(jobs.completed));
-  }
+  const Audit& jobs = p.sample.audit;
   std::ostringstream os;
   os << "{\"schema\":\"faucets.live.progress.v3\""
      << ",\"run_active\":" << (p.run_active ? "true" : "false")
      << ",\"finished\":" << (p.finished ? "true" : "false")
      << ",\"publishes\":" << p.publish_seq
-     << ",\"sim_time\":" << json_number(p.sim_time)
-     << ",\"events_executed\":" << p.events_executed << ",\"jobs\":{"
+     << ",\"sim_time\":" << json_number(p.sample.sim_time)
+     << ",\"events_executed\":" << p.sample.events_executed << ",\"jobs\":{"
      << "\"submitted\":" << jobs.submitted << ",\"completed\":"
      << jobs.completed << ",\"unplaced\":" << jobs.unplaced
      << ",\"in_flight\":" << jobs.in_flight() << "},\"workload\":{\"exhausted\":"
-     << (p.workload_exhausted ? "true" : "false")
-     << ",\"buffered\":" << p.workload_buffered << "},\"host\":{"
-     << "\"elapsed_seconds\":" << json_number(elapsed)
+     << (p.sample.workload_exhausted ? "true" : "false")
+     << ",\"buffered\":" << p.sample.workload_buffered << "},\"host\":{"
+     << "\"elapsed_seconds\":" << json_number(r.elapsed)
      << ",\"since_publish_seconds\":" << json_number(since_publish)
-     << ",\"events_per_second\":" << json_number(ev_rate)
+     << ",\"events_per_second\":" << json_number(r.events_per_second)
      << ",\"sim_seconds_per_second\":"
-     << json_number(elapsed > 0.0 ? p.sim_time / elapsed : 0.0)
-     << "},\"eta_seconds\":" << eta << "}\n";
+     << json_number(r.elapsed > 0.0 ? p.sample.sim_time / r.elapsed : 0.0)
+     << "},\"eta_seconds\":" << (r.eta ? json_number(*r.eta) : "null")
+     << "}\n";
   return os.str();
 }
 
@@ -278,7 +267,7 @@ std::string LivePlane::render_healthz_locked() const {
      << (suite_.healthy() ? "ok" : "alert")
      << "\",\"alerts_total\":" << suite_.total_alerts()
      << ",\"stalled\":" << (stall.firing ? "true" : "false")
-     << ",\"sim_time\":" << json_number(progress_.sim_time)
+     << ",\"sim_time\":" << json_number(progress_.sample.sim_time)
      << ",\"publishes\":" << progress_.publish_seq << ",\"monitors\":[";
   for (std::size_t m = 0; m < kMonitorKindCount; ++m) {
     const MonitorState& s = suite_.states()[m];
@@ -336,7 +325,7 @@ std::uint64_t LivePlane::alerts_total() const {
   return suite_.total_alerts();
 }
 
-std::array<MonitorState, kMonitorKindCount> LivePlane::monitor_states() const {
+MonitorStates LivePlane::monitor_states() const {
   std::lock_guard<std::mutex> lk(mu_);
   return suite_.states();
 }

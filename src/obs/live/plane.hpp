@@ -2,16 +2,15 @@
 // snapshots of a running grid, plus the online invariant monitors and the
 // host-time stall watchdog.
 //
-// Read-only by construction: the simulation thread *publishes* value
-// snapshots into preallocated buffers at consistent boundaries (between
-// event steps), and the HTTP/ticker threads only ever read those snapshots
-// under the plane mutex. Nothing on a background thread touches the engine,
-// registry, ring, or RNG state, and the only simulation artifact the plane
-// can write is a kAlert trace event — recorded by the simulation thread
-// itself, at a publish boundary, and only when a monitor actually fires.
-// Clean runs therefore produce byte-identical report JSON / trace JSONL /
-// Chrome traces with the plane on or off (tests/core/live_plane_test.cpp
-// pins this).
+// Read-only by construction: the plane holds the simulation's registry and
+// trace ring by const reference and writes into neither. The run loop hands
+// it everything else (sim time, audit, events executed, workload state) at
+// consistent boundaries between event steps, where the simulation thread
+// copies values into preallocated snapshot buffers; the HTTP and ticker
+// threads only ever read those snapshots under the plane mutex. Monitor
+// alerts stay in the plane's MonitorStates. Every run therefore writes the
+// same report JSON / trace JSONL / Chrome trace with the plane on or off,
+// alerts or not (tests/core/live_plane_test.cpp pins this).
 //
 // Steady-state publishes are allocation-free on the simulation thread
 // (tests/obs/live_alloc_test.cpp pins this with a counting operator new):
@@ -24,11 +23,10 @@
 #include <array>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "src/obs/live/http.hpp"
 #include "src/obs/live/monitor.hpp"
@@ -47,10 +45,6 @@ struct LiveConfig {
   /// Host seconds between snapshot publishes; 0 publishes at every
   /// consistent boundary (tests use 0 for deterministic coverage).
   double publish_interval = 0.1;
-  /// Last-N trace-ring events kept for /traces/recent.
-  std::size_t recent_events = 256;
-  /// Server accept-poll timeout; also the stall watchdog's check cadence.
-  int poll_interval_ms = 100;
   /// Host seconds without sim time advancing before the stall watchdog
   /// fires (checked on the server thread).
   double stall_timeout = 10.0;
@@ -58,49 +52,47 @@ struct LiveConfig {
   [[nodiscard]] bool enabled() const noexcept { return serve || progress; }
 };
 
+/// The run's values at one publish, which the run loop hands the plane.
+struct RunSample {
+  double sim_time = 0.0;
+  Audit audit;  // the job counts /progress shows come from here
+  std::uint64_t events_executed = 0;
+  bool workload_exhausted = true;
+  std::uint64_t workload_buffered = 0;
+};
+
 class LivePlane {
  public:
-  /// Read-only taps into the simulation, called only at publish boundaries
-  /// on the simulation thread.
-  struct Bindings {
-    const MetricsRegistry* metrics = nullptr;
-    const TraceBuffer* trace = nullptr;
-    std::function<std::uint64_t()> executed;
-    /// Sink for kAlert records (the simulation's ring). May be null
-    /// (alerts then only reach /healthz and /metrics).
-    TraceBuffer* alert_sink = nullptr;
-    /// The grid's audit at `sim_now`, evaluated once per publish: /progress
-    /// job counts and the monitors read it. Must be allocation-free; null
-    /// reads as an empty, clean grid.
-    std::function<Audit(double sim_now)> audit;
-    /// Streaming workload state (null-safe: unknown outside run()).
-    std::function<bool()> workload_exhausted;
-    std::function<std::uint64_t()> workload_buffered;
-  };
+  /// Newest trace-ring events /traces/recent serves.
+  static constexpr std::size_t kRecentEvents = 256;
+  /// Server accept-poll timeout; also the stall watchdog's check cadence.
+  static constexpr int kPollIntervalMs = 100;
 
-  LivePlane(LiveConfig config, Bindings bindings);
+  /// `metrics` and `trace` are the simulation's; the plane reads them at
+  /// each publish and must not outlive them.
+  LivePlane(LiveConfig config, const MetricsRegistry& metrics,
+            const TraceBuffer& trace);
   ~LivePlane();
   LivePlane(const LivePlane&) = delete;
   LivePlane& operator=(const LivePlane&) = delete;
 
   // --- simulation thread ---------------------------------------------------
   void begin_run();
-  /// Paced publish: no-op until publish_interval host time elapsed.
-  void maybe_publish(double sim_now) {
-    if (HostClock::ticks() < next_publish_ticks_) return;
-    publish(sim_now);
+  /// publish_interval host seconds have passed since the last publish: the
+  /// run loop's one check per step, a clock read and a compare.
+  [[nodiscard]] bool due() const noexcept {
+    return HostClock::ticks() >= next_publish_ticks_;
   }
-  /// Unconditional snapshot publish + monitor evaluation.
-  void publish(double sim_now);
+  /// Snapshot publish + monitor evaluation.
+  void publish(const RunSample& sample);
   /// Final publish of the run's end-of-run audit (its `drained` selects the
   /// exit semantics), then mark the run finished for /progress and the
   /// ticker.
-  void end_run(double sim_now, const Audit& audit);
+  void end_run(const RunSample& sample);
   /// Bracket a deliberate pause (checkpoint capture via
   /// GridSystem::maybe_pause): the stall watchdog is held while the bracket
   /// is open and re-armed from the release instant, so a pause of any
-  /// length never fires the barrier-stall monitor — a kAlert there would
-  /// break the byte-identical-artifacts guarantee for runs that checkpoint.
+  /// length never fires the barrier-stall monitor.
   void begin_pause() noexcept;
   void end_pause() noexcept;
 
@@ -109,7 +101,7 @@ class LivePlane {
   [[nodiscard]] bool serving() const noexcept { return server_.serving(); }
   [[nodiscard]] std::uint64_t publishes() const;
   [[nodiscard]] std::uint64_t alerts_total() const;
-  [[nodiscard]] std::array<MonitorState, kMonitorKindCount> monitor_states() const;
+  [[nodiscard]] MonitorStates monitor_states() const;
   [[nodiscard]] const LiveConfig& config() const noexcept { return config_; }
 
   /// The HTTP handler, public so tests can exercise endpoints without a
@@ -120,18 +112,13 @@ class LivePlane {
   /// The published values.
   struct Snapshot {
     MetricsRegistry metrics;  // value copy of the simulation's registry
-    // Trace-ring tail (newest recent_events records).
-    std::vector<TraceEvent> recent;
+    std::array<TraceEvent, kRecentEvents> recent{};  // trace-ring tail
     std::size_t recent_n = 0;
     std::uint64_t trace_dropped = 0;
   };
 
   struct Progress {
-    double sim_time = 0.0;
-    Audit audit;  // the job counts /progress shows come from here
-    std::uint64_t events_executed = 0;
-    bool workload_exhausted = false;
-    std::uint64_t workload_buffered = 0;
+    RunSample sample;
     bool run_active = false;
     bool finished = false;
     std::uint64_t publish_seq = 0;
@@ -139,7 +126,18 @@ class LivePlane {
     std::uint64_t run_start_ticks = 0;
   };
 
-  void publish_locked(double sim_now, const Audit& audit);
+  /// Host-time rates of the run up to the last publish: /progress and the
+  /// ticker show the same numbers.
+  struct Rates {
+    double elapsed = 0.0;  // host seconds from begin_run to the last publish
+    double events_per_second = 0.0;
+    /// Host seconds left; known once the workload is exhausted and jobs
+    /// have completed.
+    std::optional<double> eta;
+  };
+  [[nodiscard]] static Rates rates(const Progress& p);
+
+  void publish_locked(const RunSample& sample);
   void capture();
   void check_stall();  // server/ticker thread, every poll interval
   void ticker_loop();
@@ -151,7 +149,8 @@ class LivePlane {
   [[nodiscard]] std::string render_traces_locked() const;
 
   LiveConfig config_;
-  Bindings bindings_;
+  const MetricsRegistry& metrics_;
+  const TraceBuffer& trace_;
 
   mutable std::mutex mu_;  // guards snapshot_, progress_, suite_
   Snapshot snapshot_;

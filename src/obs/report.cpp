@@ -187,7 +187,7 @@ void write_html_report(std::ostream& os, const Sampler& sampler,
                        const SpanAnalysis& analysis,
                        const std::vector<DeadlineRow>& users,
                        const std::vector<DeadlineRow>& clusters,
-                       const TraceView* trace, const ReportOptions& options) {
+                       const TraceBuffer* trace, const ReportOptions& options) {
   os << "<!doctype html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">\n"
      << "<title>" << html_escape(options.title) << "</title>\n"
      << "<style>" << kStyle << "</style></head>\n<body>\n"
@@ -214,19 +214,24 @@ void write_html_report(std::ostream& os, const Sampler& sampler,
     outcome_table(os, analysis);
   }
 
-  if (!options.alerts.empty()) {
+  const auto& monitors = options.monitors;
+  if (std::any_of(monitors.begin(), monitors.end(),
+                  [](const live::MonitorState& s) { return s.alerts > 0; })) {
     os << "<h2>Alerts</h2>\n"
        << "<p class=\"warn\">Online invariant monitors fired during this "
           "run.</p>\n"
        << "<table><thead><tr><th>monitor</th><th>alerts</th>"
           "<th>first&nbsp;sim&nbsp;t</th><th>last&nbsp;sim&nbsp;t</th>"
           "<th>last&nbsp;observed</th><th>threshold</th></tr></thead><tbody>\n";
-    for (const AlertRow& a : options.alerts) {
-      os << "<tr><td>" << html_escape(a.monitor) << "</td><td>" << a.count
-         << "</td><td>" << json_number(a.first_sim_time) << "</td><td>"
-         << json_number(a.last_sim_time) << "</td><td>"
-         << json_number(a.last_observed) << "</td><td>"
-         << json_number(a.threshold) << "</td></tr>\n";
+    for (std::size_t m = 0; m < monitors.size(); ++m) {
+      const live::MonitorState& s = monitors[m];
+      if (s.alerts == 0) continue;
+      os << "<tr><td>" << live::to_string(static_cast<live::MonitorKind>(m))
+         << "</td><td>" << s.alerts << "</td><td>"
+         << json_number(s.first_sim_time) << "</td><td>"
+         << json_number(s.last_sim_time) << "</td><td>"
+         << json_number(s.last_observed) << "</td><td>"
+         << json_number(s.threshold) << "</td></tr>\n";
     }
     os << "</tbody></table>\n";
   }

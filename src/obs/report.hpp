@@ -8,34 +8,24 @@
 //  - write_series_csv: every sampled series point as CSV.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "src/obs/analyzer.hpp"
+#include "src/obs/live/monitor.hpp"
 
 namespace faucets::obs {
 
 class Sampler;
-class TraceView;
-
-/// One online monitor's outcome for the report's Alerts table (populated
-/// from the live plane's MonitorState rows; see DESIGN.md §15.3).
-struct AlertRow {
-  std::string monitor;         // e.g. "lease_leak"
-  std::uint64_t count = 0;     // rising edges into violation
-  double first_sim_time = 0.0;
-  double last_sim_time = 0.0;
-  double last_observed = 0.0;
-  double threshold = 0.0;
-};
+class TraceBuffer;
 
 struct ReportOptions {
   std::string title = "Faucets grid report";
-  /// Online monitor alerts; empty (the default) omits the Alerts section
-  /// entirely, so reports stay byte-identical when nothing fired.
-  std::vector<AlertRow> alerts;
+  /// The live plane's monitor states (DESIGN.md §15.3): each monitor with
+  /// alerts gets a row in an Alerts table. Without alerts (the default) the
+  /// section is omitted.
+  live::MonitorStates monitors{};
 };
 
 /// Render the whole run as a single HTML document. `users` / `clusters` may
@@ -45,7 +35,7 @@ void write_html_report(std::ostream& os, const Sampler& sampler,
                        const SpanAnalysis& analysis,
                        const std::vector<DeadlineRow>& users,
                        const std::vector<DeadlineRow>& clusters,
-                       const TraceView* trace = nullptr,
+                       const TraceBuffer* trace = nullptr,
                        const ReportOptions& options = {});
 
 void write_phases_csv(std::ostream& os, const SpanAnalysis& analysis);

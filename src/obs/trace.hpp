@@ -9,7 +9,6 @@
 // events back oldest-first without reparsing strings.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -58,18 +57,13 @@ enum class TraceEventKind : std::uint8_t {
   // Authentication at the Central Server (AuthPayload).
   kAuthOk,
   kAuthDenied,
-  // Online invariant monitor violation (AlertPayload). Recorded only from
-  // the simulation thread at a publish boundary, and only when a monitor
-  // actually fires — clean runs never record one, which is what keeps trace
-  // artifacts byte-identical with the live plane on or off.
-  kAlert,
 };
 
 inline constexpr std::size_t kTraceEventKindCount =
-    static_cast<std::size_t>(TraceEventKind::kAlert) + 1;
+    static_cast<std::size_t>(TraceEventKind::kAuthDenied) + 1;
 
 /// Which member of TraceEvent::Payload a kind carries.
-enum class TracePayload : std::uint8_t { kJob, kMarket, kNet, kAuth, kAlert };
+enum class TracePayload : std::uint8_t { kJob, kMarket, kNet, kAuth };
 
 [[nodiscard]] constexpr TracePayload payload_of(TraceEventKind kind) noexcept {
   switch (kind) {
@@ -104,8 +98,6 @@ enum class TracePayload : std::uint8_t { kJob, kMarket, kNet, kAuth, kAlert };
     case TraceEventKind::kAuthOk:
     case TraceEventKind::kAuthDenied:
       return TracePayload::kAuth;
-    case TraceEventKind::kAlert:
-      return TracePayload::kAlert;
   }
   return TracePayload::kJob;
 }
@@ -140,7 +132,6 @@ enum class TracePayload : std::uint8_t { kJob, kMarket, kNet, kAuth, kAlert };
     case TraceEventKind::kNetDrop: return "NET_DROP";
     case TraceEventKind::kAuthOk: return "AUTH_OK";
     case TraceEventKind::kAuthDenied: return "AUTH_DENIED";
-    case TraceEventKind::kAlert: return "ALERT";
   }
   return "?";
 }
@@ -166,29 +157,6 @@ inline constexpr std::size_t kDropReasonCount =
     case DropReason::kFaultInjected: return "fault_injected";
     case DropReason::kPartitioned: return "partitioned";
     case DropReason::kTimeout: return "timeout";
-  }
-  return "?";
-}
-
-/// Online invariant monitors of the live plane (AlertPayload::monitor).
-/// Defined beside the payload so exporters can print stable names without
-/// depending on src/obs/live.
-enum class MonitorKind : std::uint8_t {
-  kLedgerConservation = 0,  // barter-credit conservation residual drifted
-  kLeaseLeak = 1,           // a reservation outlived its lease expiry
-  kSpanBalance = 2,         // open submission roots != jobs still in flight
-  kBarrierStall = 3,        // sim time stopped advancing in host time
-};
-
-inline constexpr std::size_t kMonitorKindCount =
-    static_cast<std::size_t>(MonitorKind::kBarrierStall) + 1;
-
-[[nodiscard]] constexpr std::string_view to_string(MonitorKind monitor) noexcept {
-  switch (monitor) {
-    case MonitorKind::kLedgerConservation: return "ledger_conservation";
-    case MonitorKind::kLeaseLeak: return "lease_leak";
-    case MonitorKind::kSpanBalance: return "span_balance";
-    case MonitorKind::kBarrierStall: return "barrier_stall";
   }
   return "?";
 }
@@ -222,21 +190,11 @@ struct TraceEvent {
     UserId user;
     RequestId request;
   };
-  /// Payload for online monitor violations. `monitor` is the raw
-  /// obs::live::Monitor value (kept as a byte so this header does not
-  /// depend on the live plane); `observed` broke `threshold`.
-  struct AlertPayload {
-    double observed = 0.0;
-    double threshold = 0.0;
-    std::uint8_t monitor = 0;
-  };
-
   union Payload {
     JobPayload job{};
     MarketPayload market;
     NetPayload net;
     AuthPayload auth;
-    AlertPayload alert;
   };
 
   double time = 0.0;
@@ -294,22 +252,14 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>,
   return ev;
 }
 
-[[nodiscard]] inline TraceEvent alert_event(double time, std::uint8_t monitor,
-                                            double observed, double threshold) {
-  TraceEvent ev;
-  ev.time = time;
-  ev.entity = EntityId{};  // grid-scoped, no single emitting entity
-  ev.kind = TraceEventKind::kAlert;
-  ev.payload.alert = {observed, threshold, monitor};
-  return ev;
-}
-
 // ------------------------------------------------------------------- buffer
 
 /// Bounded trace store: a power-of-two ring. When full, each new record
 /// overwrites the oldest one — O(1), unlike the old recorder's O(n)
 /// vector::erase compaction — mirroring AppSpector's display buffer that
-/// keeps recent output available to late-joining watchers.
+/// keeps recent output available to late-joining watchers. Every record is
+/// stamped with the engine clock when it is made, and the clock never runs
+/// back, so oldest-first is time order: exporters read the ring in place.
 class TraceBuffer {
  public:
   /// `capacity` is rounded up to the next power of two (minimum 1).
@@ -358,45 +308,8 @@ class TraceBuffer {
   std::uint64_t head_ = 0;  // total records ever; write index is head_ & mask_
 };
 
-/// A flattened, read-only copy of a ring's surviving events with the same
-/// read API as TraceBuffer, in time order. Records are stamped with the
-/// engine clock when they are made, so the ring is already time-ordered
-/// except for a stall alert, which the live plane records at the next
-/// publish with the sim time the stall began; the stable sort moves it back
-/// to follow the records of that time and leaves equal-time records in
-/// execution order.
-class TraceView {
- public:
-  TraceView() = default;
-  explicit TraceView(const TraceBuffer& ring)
-      : total_(ring.total_recorded()), capacity_(ring.capacity()) {
-    events_.reserve(ring.size());
-    ring.for_each([this](const TraceEvent& ev) { events_.push_back(ev); });
-    std::stable_sort(events_.begin(), events_.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                       return a.time < b.time;
-                     });
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::uint64_t total_recorded() const noexcept { return total_; }
-  [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return total_ - events_.size();
-  }
-  [[nodiscard]] const TraceEvent& at(std::size_t i) const noexcept {
-    return events_[i];
-  }
-
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const TraceEvent& ev : events_) fn(ev);
-  }
-
- private:
-  std::vector<TraceEvent> events_;
-  std::uint64_t total_ = 0;
-  std::size_t capacity_ = 0;
-};
+/// Another name for the ring, kept while bench_e2e.cpp uses it (ROADMAP
+/// item 6).
+using TraceView = TraceBuffer;
 
 }  // namespace faucets::obs

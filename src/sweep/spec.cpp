@@ -104,11 +104,6 @@ SweepSpec SweepSpec::parse(const ConfigFile& config) {
     out.replicates_ = static_cast<std::size_t>(reps);
     out.base_seed_ = static_cast<std::uint64_t>(
         sweep->get_int("base_seed", static_cast<long>(out.base_seed_)));
-    if (sweep->get("warmup_until")) {
-      throw std::invalid_argument(
-          "[sweep] warmup_until selected warm-state forking, which has been "
-          "removed; delete the key (every sweep runs each cell from scratch)");
-    }
 
     if (out.mode_ == SweepMode::kCluster &&
         (!out.bidgens_.empty() || !out.evaluators_.empty() || !out.losses_.empty())) {
@@ -117,6 +112,7 @@ SweepSpec SweepSpec::parse(const ConfigFile& config) {
           "(bidgens/evaluators/loss need the market)");
     }
   }
+  core::refuse_unread(config);
   if (out.mode_ == SweepMode::kCluster && out.base_.clusters.size() != 1) {
     throw std::invalid_argument(
         "[sweep] cluster mode runs one Compute Server: the scenario must "

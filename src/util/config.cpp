@@ -44,7 +44,8 @@ template long parse_number<long>(const std::string&, const std::string&);
 std::optional<std::string> ConfigSection::get(const std::string& key) const {
   auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
-  return it->second;
+  it->second.read = true;
+  return it->second.text;
 }
 
 std::string ConfigSection::get_string(const std::string& key,
@@ -126,7 +127,9 @@ ConfigFile ConfigFile::parse_string(const std::string& text) {
 std::vector<const ConfigSection*> ConfigFile::sections(const std::string& name) const {
   std::vector<const ConfigSection*> out;
   for (const auto& s : sections_) {
-    if (s.name() == name) out.push_back(&s);
+    if (s.name() != name) continue;
+    s.read_ = true;
+    out.push_back(&s);
   }
   return out;
 }
@@ -137,6 +140,16 @@ const ConfigSection* ConfigFile::section(const std::string& name) const {
     throw std::invalid_argument("config: [" + name + "] appears more than once");
   }
   return all.empty() ? nullptr : all.front();
+}
+
+std::optional<std::string> ConfigFile::first_unread() const {
+  for (const auto& s : sections_) {
+    if (!s.read_) return "[" + s.name() + "]";
+    for (const auto& [key, value] : s.values_) {
+      if (!value.read) return "[" + s.name() + "] " + key;
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace faucets

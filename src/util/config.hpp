@@ -4,7 +4,8 @@
 // sections() reads a repeated one, and section() refuses a name that
 // repeats. Lines are `key = value`, each key at most once per section; `#`
 // and `;` start comments; whitespace is trimmed. No escapes, no quoting —
-// scenario files are simple.
+// scenario files are simple. The file remembers which sections and keys its
+// readers asked for, so first_unread() can name a misspelled one.
 #pragma once
 
 #include <istream>
@@ -24,10 +25,11 @@ class ConfigSection {
   /// Adds `key`; returns false, and changes nothing, when the section
   /// already has it.
   bool set(std::string key, std::string value) {
-    return values_.try_emplace(std::move(key), std::move(value)).second;
+    return values_.try_emplace(std::move(key), Value{std::move(value)}).second;
   }
-  [[nodiscard]] bool has(const std::string& key) const { return values_.contains(key); }
 
+  /// The one read of a key, which every typed getter goes through: it marks
+  /// the key read.
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
@@ -36,13 +38,16 @@ class ConfigSection {
   [[nodiscard]] long get_int(const std::string& key, long fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
-  [[nodiscard]] const std::map<std::string, std::string>& values() const noexcept {
-    return values_;
-  }
-
  private:
+  friend class ConfigFile;
+  struct Value {
+    std::string text;
+    mutable bool read = false;
+  };
+
   std::string name_;
-  std::map<std::string, std::string> values_;
+  std::map<std::string, Value> values_;
+  mutable bool read_ = false;  // section() or sections() returned it
 };
 
 class ConfigFile {
@@ -57,6 +62,11 @@ class ConfigFile {
   /// The one section named `name`, or nullptr. Throws std::invalid_argument
   /// when the name repeats, so a second [faults] is never ignored silently.
   [[nodiscard]] const ConfigSection* section(const std::string& name) const;
+
+  /// In file order, the first section no reader asked for, as "[name]", or
+  /// key of a section (in key order) no reader read, as "[name] key";
+  /// nullopt when every one was read.
+  [[nodiscard]] std::optional<std::string> first_unread() const;
 
  private:
   std::vector<ConfigSection> sections_;

@@ -34,12 +34,24 @@ TEST(Gantt, OverlappingReservationsStack) {
   EXPECT_EQ(g.committed_at(12.0), 50);
 }
 
-TEST(Gantt, ReleaseUndoesReserve) {
+TEST(Gantt, AbuttingReservationsReadAsOneStretch) {
+  // [0, 10) and [10, 20) at the same height meet at a step that no longer
+  // changes the level, which reserve erases; the chart reads as [0, 20).
   GanttChart g{100};
   g.reserve(0.0, 10.0, 30);
-  g.release(0.0, 10.0, 30);
-  EXPECT_EQ(g.committed_at(5.0), 0);
-  EXPECT_TRUE(g.empty());
+  g.reserve(10.0, 20.0, 30);
+  EXPECT_EQ(g.committed_at(9.999), 30);
+  EXPECT_EQ(g.committed_at(10.0), 30);
+  EXPECT_EQ(g.committed_at(20.0), 0);
+  EXPECT_EQ(g.peak_committed(0.0, 20.0), 30);
+  // 70 free processors over [0, 20) without a break at 10.
+  EXPECT_DOUBLE_EQ(g.earliest_fit(0.0, 20.0, 70, 1e6), 0.0);
+  EXPECT_DOUBLE_EQ(g.earliest_fit(0.0, 5.0, 71, 1e6), 20.0);
+  // Degenerate reservations change nothing.
+  GanttChart idle{100};
+  idle.reserve(5.0, 5.0, 10);
+  idle.reserve(5.0, 9.0, 0);
+  EXPECT_TRUE(idle.empty());
 }
 
 TEST(Gantt, PeakCommitted) {

@@ -46,7 +46,7 @@ std::vector<job::JobRequest> workload(std::size_t n) {
   if (!audit.drained) return ::testing::AssertionFailure() << "the run did not drain";
   if (const auto term = audit.first_failure()) {
     return ::testing::AssertionFailure()
-           << "audit failed: " << obs::to_string(*term) << " observed "
+           << "audit failed: " << obs::live::to_string(*term) << " observed "
            << audit.observed(*term);
   }
   return ::testing::AssertionSuccess();
@@ -60,6 +60,8 @@ struct ChaosOutcome {
   std::uint64_t completed = 0;
   std::uint64_t unplaced = 0;
   std::uint64_t pending = 0;
+  std::size_t trace_events = 0;
+  std::size_t trace_out_of_order = 0;  // records older than the one before
 };
 
 ChaosOutcome run_grid(GridSystem& grid, std::vector<job::JobRequest> requests) {
@@ -70,6 +72,11 @@ ChaosOutcome run_grid(GridSystem& grid, std::vector<job::JobRequest> requests) {
       grid.context().metrics().counter_value("faucets_retry_attempts_total");
   out.retry_timeouts =
       grid.context().metrics().counter_value("faucets_retry_timeouts_total");
+  const obs::TraceBuffer& trace = grid.merged_trace();
+  out.trace_events = trace.size();
+  for (std::size_t i = 1; i < trace.size(); ++i) {
+    if (trace.at(i).time < trace.at(i - 1).time) ++out.trace_out_of_order;
+  }
   for (std::size_t c = 0; c < grid.client_count(); ++c) {
     for (const auto& o : grid.client(c).outcomes()) {
       switch (o.status) {
@@ -163,6 +170,15 @@ TEST(Chaos, BrokeredLossPartitionAndCrashLeaveNoStrandedJobs) {
   EXPECT_EQ(out.completed + out.unplaced, out.report.jobs_submitted);
   EXPECT_GE(out.completed, 15u) << "the surviving clusters carry the load";
   EXPECT_TRUE(drained_clean(out.audit));
+}
+
+// Exporters read the trace ring in place, so it must be time-ordered as
+// recorded: drops, retries, a crash, a restart and a partition included.
+TEST(Chaos, MergedTraceIsTimeOrdered) {
+  for (const ChaosOutcome& out : {run_chaos(/*restart=*/true), run_brokered_chaos()}) {
+    EXPECT_GT(out.trace_events, 0u);
+    EXPECT_EQ(out.trace_out_of_order, 0u);
+  }
 }
 
 TEST(Chaos, CrashWithoutRestartStillTerminates) {
@@ -277,7 +293,7 @@ TEST(Audit, LeakedLeaseFailsTheLeaseTerm) {
     EXPECT_TRUE(cm.leak_reservation_for_test(*id));
   });
   EXPECT_EQ(audit.held_leases, 1u);
-  EXPECT_EQ(audit.first_failure(), obs::MonitorKind::kLeaseLeak);
+  EXPECT_EQ(audit.first_failure(), obs::live::MonitorKind::kLeaseLeak);
 }
 
 TEST(Audit, MintedCreditsFailTheLedgerTerm) {
@@ -287,7 +303,7 @@ TEST(Audit, MintedCreditsFailTheLedgerTerm) {
     grid.central().open_barter_account(ClusterId{99}, 5.0);
   });
   EXPECT_DOUBLE_EQ(audit.ledger_residual, 5.0);
-  EXPECT_EQ(audit.first_failure(), obs::MonitorKind::kLedgerConservation);
+  EXPECT_EQ(audit.first_failure(), obs::live::MonitorKind::kLedgerConservation);
 }
 
 TEST(Audit, UnendedSpanFailsTheSpanTerm) {
@@ -296,7 +312,7 @@ TEST(Audit, UnendedSpanFailsTheSpanTerm) {
   });
   EXPECT_EQ(audit.open_spans, 1u);
   EXPECT_EQ(audit.open_submissions, 0u);
-  EXPECT_EQ(audit.first_failure(), obs::MonitorKind::kSpanBalance);
+  EXPECT_EQ(audit.first_failure(), obs::live::MonitorKind::kSpanBalance);
 }
 
 }  // namespace

@@ -2,14 +2,12 @@
 //
 //  1. Byte-identity — turning the monitoring endpoint on must not move a
 //     single byte of the report JSON, trace JSONL, Chrome trace, or
-//     Prometheus artifact. The plane only reads published snapshots; the
-//     one thing it may write into the simulation (a kAlert trace record)
-//     requires an actual invariant violation, and clean runs have none.
-//  2. Zero false positives — those same clean runs finish with every online
-//     monitor at zero alerts, including the end-of-run final check.
+//     Prometheus artifact, on a clean run or on one whose monitors fire:
+//     the plane writes nothing into the simulation.
+//  2. Zero false positives — clean runs finish with every online monitor
+//     at zero alerts, including the end-of-run final check.
 //  3. Chaos — a deliberately leaked reservation lease and a host-time stall
-//     both raise their monitor's alert, flip /healthz to 503, and land a
-//     kAlert record in the trace.
+//     both raise their monitor's alert and flip /healthz to 503.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -53,12 +51,19 @@ std::string grid_ini() {
   return ini.str();
 }
 
-std::vector<obs::TraceEvent> alert_events(const obs::TraceView& view) {
-  std::vector<obs::TraceEvent> out;
-  view.for_each([&](const obs::TraceEvent& ev) {
-    if (ev.kind == obs::TraceEventKind::kAlert) out.push_back(ev);
+/// Chaos: at t=50, take a reservation and cancel its expiry timer while
+/// keeping the lease held — the lost-expiry failure mode. Cluster 1 is a
+/// 4-proc box the §5.1 filter keeps idle, so admission always accepts. The
+/// lease lapses at t=51; past the audit's 5 s grace every later publish
+/// sees it.
+void leak_a_lease_at_50(GridSystem& grid) {
+  grid.set_pause_hook(50.0, [&grid] {
+    auto& cm = grid.daemon(1).cm();
+    const auto id = cm.reserve(qos::make_contract(1, 2, 10.0), 51.0);
+    EXPECT_TRUE(id.has_value());
+    EXPECT_TRUE(cm.leak_reservation_for_test(*id));
+    return true;
   });
-  return out;
 }
 
 struct Outputs {
@@ -67,21 +72,27 @@ struct Outputs {
   std::string chrome;
   std::string prometheus;
   std::uint64_t alerts = 0;
+  std::uint64_t lease_leak_alerts = 0;
+  int healthz_status = 0;
 };
 
-Outputs run_at(const std::string& ini, bool live) {
+Outputs run_at(const std::string& ini, bool live, bool leak = false) {
   Scenario scenario = Scenario::parse_string(ini);
   if (live) {
     scenario.grid.live.serve = true;  // ephemeral port
     scenario.grid.live.publish_interval = 0.0;  // publish at every boundary
   }
   auto grid = scenario.make_grid();
+  if (leak) leak_a_lease_at_50(*grid);
   const GridReport report = grid->run(scenario.make_requests(), /*until=*/1e9);
 
   Outputs out;
   if (live) {
     EXPECT_NE(grid->live(), nullptr);
     out.alerts = grid->live()->alerts_total();
+    out.lease_leak_alerts = grid->live()->monitor_states()[static_cast<std::size_t>(
+        obs::live::MonitorKind::kLeaseLeak)].alerts;
+    out.healthz_status = grid->live()->handle("/healthz").status;
   } else {
     EXPECT_EQ(grid->live(), nullptr);
   }
@@ -118,6 +129,21 @@ TEST(LivePlaneGrid, ServerOnAndOffAreByteIdentical) {
   EXPECT_EQ(off.prometheus, on.prometheus);
   // Zero false positives on the clean golden, including the final check.
   EXPECT_EQ(on.alerts, 0u);
+}
+
+// A run whose lease_leak monitor fires writes the same artifacts as the same
+// run with the plane off: the alert is counted in the plane, not recorded in
+// the trace.
+TEST(LivePlaneGrid, AlertingRunIsByteIdenticalWithThePlaneOnAndOff) {
+  const std::string ini = grid_ini();
+  const Outputs off = run_at(ini, /*live=*/false, /*leak=*/true);
+  const Outputs on = run_at(ini, /*live=*/true, /*leak=*/true);
+  EXPECT_EQ(off.trace_jsonl, on.trace_jsonl);
+  EXPECT_EQ(off.chrome, on.chrome);
+  EXPECT_EQ(off.report_json, on.report_json);
+  EXPECT_EQ(off.prometheus, on.prometheus);
+  EXPECT_GE(on.lease_leak_alerts, 1u);
+  EXPECT_EQ(on.healthz_status, 503);
 }
 
 TEST(LivePlaneGrid, EndpointsServeDuringARealRun) {
@@ -158,70 +184,44 @@ TEST(LivePlaneGrid, LeakedLeaseRaisesTheLeaseLeakAlert) {
   scenario.grid.live.publish_interval = 0.0;
   auto grid = scenario.make_grid();
   ASSERT_NE(grid->live(), nullptr);
-
-  // Chaos: take a reservation and cancel its expiry timer while keeping the
-  // lease held — the lost-expiry failure mode. Cluster 1 is a 4-proc box the
-  // §5.1 filter keeps idle, so admission always accepts. The lease lapses at
-  // t=51; past the audit's 5 s grace every subsequent publish sees it.
-  grid->set_pause_hook(50.0, [&] {
-    auto& cm = grid->daemon(1).cm();
-    const auto id = cm.reserve(qos::make_contract(1, 2, 10.0), 51.0);
-    EXPECT_TRUE(id.has_value());
-    EXPECT_TRUE(cm.leak_reservation_for_test(*id));
-    return true;
-  });
+  leak_a_lease_at_50(*grid);
   (void)grid->run(scenario.make_requests(), /*until=*/1e9);
 
   const auto state = grid->live()->monitor_states()[static_cast<std::size_t>(
-      obs::MonitorKind::kLeaseLeak)];
+      obs::live::MonitorKind::kLeaseLeak)];
   EXPECT_GE(state.alerts, 1u);
   EXPECT_GE(state.last_observed, 1.0);
+  EXPECT_GE(state.first_sim_time, 56.0) << "the lease is overdue past its grace";
   EXPECT_GE(grid->live()->alerts_total(), 1u);
   EXPECT_EQ(grid->live()->handle("/healthz").status, 503);
   // The end-of-run audit the final publish used names the same term.
-  EXPECT_EQ(grid->audit().first_failure(), obs::MonitorKind::kLeaseLeak);
-  // The kAlert reached the simulation trace ring, and therefore the
-  // exported artifacts.
-  const auto alerts = alert_events(grid->merged_trace());
-  ASSERT_GE(alerts.size(), 1u);
-  EXPECT_EQ(static_cast<obs::MonitorKind>(alerts[0].payload.alert.monitor),
-            obs::MonitorKind::kLeaseLeak);
+  EXPECT_EQ(grid->audit().first_failure(), obs::live::MonitorKind::kLeaseLeak);
 }
 
 TEST(LivePlaneGrid, HostTimeStallTripsTheWatchdogMidRun) {
   Scenario scenario = Scenario::parse_string(grid_ini());
   scenario.grid.live.serve = true;
   scenario.grid.live.publish_interval = 0.0;
-  scenario.grid.live.poll_interval_ms = 2;
   scenario.grid.live.stall_timeout = 0.05;  // 50ms of host time
   auto grid = scenario.make_grid();
   ASSERT_NE(grid->live(), nullptr);
 
-  // Chaos: park the simulation thread mid-run. The server thread's
-  // watchdog must notice on its own and flip /healthz while we sleep.
-  // hold_watchdog=false: this hook *simulates* a wedged simulation, unlike
-  // a deliberate checkpoint pause (which holds the watchdog).
-  grid->set_pause_hook(
-      50.0,
-      [&] {
-        for (int i = 0; i < 500; ++i) {
-          if (grid->live()->handle("/healthz").status == 503) break;
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-        EXPECT_EQ(grid->live()->handle("/healthz").status, 503);
-        return true;
-      },
-      /*hold_watchdog=*/false);
+  // Chaos: wedge one event's handler mid-run, so sim time stops advancing.
+  // The server thread's watchdog must notice on its own and flip /healthz
+  // while the handler waits.
+  grid->engine().schedule_at(50.0, [&grid] {
+    for (int i = 0; i < 500; ++i) {
+      if (grid->live()->handle("/healthz").status == 503) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_EQ(grid->live()->handle("/healthz").status, 503);
+  });
   (void)grid->run(scenario.make_requests(), /*until=*/1e9);
 
   const auto state = grid->live()->monitor_states()[static_cast<std::size_t>(
-      obs::MonitorKind::kBarrierStall)];
+      obs::live::MonitorKind::kBarrierStall)];
   EXPECT_GE(state.alerts, 1u);
-  // The deferred kAlert was drained into the trace at the next publish.
-  const auto alerts = alert_events(grid->merged_trace());
-  ASSERT_GE(alerts.size(), 1u);
-  EXPECT_EQ(static_cast<obs::MonitorKind>(alerts[0].payload.alert.monitor),
-            obs::MonitorKind::kBarrierStall);
+  EXPECT_LE(state.first_sim_time, 50.0) << "the last time published before it";
 }
 
 }  // namespace

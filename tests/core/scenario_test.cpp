@@ -121,7 +121,6 @@ procs = 256
 file = /data/month.swf
 time_compression = 4
 user_multiplier = 3
-cluster_multiplier = 2
 jitter = 45
 sort_window = 120
 max_jobs = 1000000
@@ -133,7 +132,6 @@ deadline_fraction = 0.25
   EXPECT_EQ(scenario.trace->path, "/data/month.swf");
   EXPECT_DOUBLE_EQ(scenario.trace->options.time_compression, 4.0);
   EXPECT_EQ(scenario.trace->options.user_multiplier, 3u);
-  EXPECT_EQ(scenario.trace->options.cluster_multiplier, 2u);
   EXPECT_DOUBLE_EQ(scenario.trace->options.clone_jitter, 45.0);
   EXPECT_DOUBLE_EQ(scenario.trace->options.sort_window, 120.0);
   EXPECT_EQ(scenario.trace->options.max_jobs, 1000000u);
@@ -239,7 +237,9 @@ TEST(Scenario, RefusesARepeatedSectionOrKey) {
 // parse time, naming "[section] key": users = -1 would read as 2^64 - 1
 // clients and jobs = -1 as 2^64 - 1 jobs; at speed 0 no job finishes and at
 // load 0 none is submitted, so the run never ends; min_procs_lo = 0 makes
-// every contract invalid. Only parse_string is called, so no grid is built.
+// every contract invalid, and mem_mb = 0 leaves every job unplaced (the
+// Central Server lists no server with less memory per processor than the
+// contract asks). Only parse_string is called, so no grid is built.
 TEST(Scenario, RefusesValuesThatHangOrWrapTheRun) {
   const std::pair<const char*, const char*> bad[] = {
       {"[grid]\nusers = -1\n", "[grid] users"},
@@ -253,6 +253,9 @@ TEST(Scenario, RefusesValuesThatHangOrWrapTheRun) {
       {"[cluster]\nspeed = 0\n", "[cluster] speed"},
       {"[cluster]\nspeed = -2\n", "[cluster] speed"},
       {"[cluster]\nspeed = inf\n", "[cluster] speed"},
+      {"[cluster]\nmem_mb = 0\n", "[cluster] mem_mb of 'cluster0'"},
+      {"[cluster]\nmem_mb = -512\n", "[cluster] mem_mb"},
+      {"[cluster]\nmem_mb = inf\n", "[cluster] mem_mb"},
   };
   for (const auto& [ini, key] : bad) {
     try {
@@ -268,6 +271,37 @@ TEST(Scenario, RefusesValuesThatHangOrWrapTheRun) {
   EXPECT_EQ(edge.workload.user_count, 1u);
   EXPECT_EQ(edge.workload.job_count, 0u);
   EXPECT_DOUBLE_EQ(edge.clusters[0].machine.speed_factor, 0.5);
+}
+
+// A section or key that nothing reads is refused, naming it: `lod = 0.9`
+// used to run at the default load of 0.8, and a misspelled [wrokload] was
+// ignored. A key read only with another (crash_at with crash_cluster) is
+// refused without it. scenario_sim runs one scenario, so a sweep file's
+// [sweep] is refused too: faucets_sweep reads it.
+TEST(Scenario, RefusesSectionsAndKeysNothingReads) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"[workload]\nlod = 0.9\n", "[workload] lod"},
+      {"[wrokload]\njobs = 5\n", "[wrokload]"},
+      {"[faults]\ncrash_at = 10\n", "[faults] crash_at"},
+      {"[faults]\npartition_until = 10\n", "[faults] partition_until"},
+      {"[trace]\nfile = x.swf\ncluster_multiplier = 2\n", "[trace] cluster_multiplier"},
+      {"[live]\nserve = false\nrecent_events = 64\n", "[live] recent_events"},
+      {"[sweep]\nloads = 0.5\n", "faucets_sweep"},
+      {"[grid]\nusers = 2\nseeds = 7\n", "[grid] seeds"},
+  };
+  for (const auto& [ini, what] : bad) {
+    try {
+      (void)Scenario::parse_string(std::string(ini) + "[cluster]\nname = z\n");
+      ADD_FAILURE() << "accepted: " << ini;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+  }
+  // Read under its condition, crash_at is accepted.
+  const Scenario crash = Scenario::parse_string(
+      "[faults]\ncrash_cluster = 0\ncrash_at = 10\n[cluster]\nname = z\n");
+  ASSERT_EQ(crash.grid.crashes.size(), 1u);
+  EXPECT_DOUBLE_EQ(crash.grid.crashes[0].at, 10.0);
 }
 
 // The audit's thresholds are constants and the monitors always run, so the

@@ -232,7 +232,7 @@ TEST(Telemetry, HtmlReportRendersFromALiveGrid) {
   grid.run(workload(12), 1e6);
 
   const GridTelemetry tel = grid.telemetry();
-  const obs::TraceView trace = grid.merged_trace();
+  const obs::TraceBuffer& trace = grid.merged_trace();
   std::ostringstream os;
   obs::write_html_report(os, grid.sampler(), tel.analysis, tel.users,
                          tel.clusters, &trace);

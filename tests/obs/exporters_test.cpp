@@ -54,7 +54,7 @@ TEST(Jsonl, OneObjectPerEventWithPayloadFields) {
                           UserId{}, RequestId{8}));
 
   std::ostringstream out;
-  write_trace_jsonl(out, TraceView(trace));
+  write_trace_jsonl(out, trace);
   const auto lines = lines_of(out.str());
   ASSERT_EQ(lines.size(), 4u);
   for (const auto& line : lines) {
@@ -136,7 +136,7 @@ TEST(ChromeTrace, TracksSlicesAndInstants) {
   ChromeTraceOptions options;
   options.cluster_names = {"turing", "hopper"};  // hopper stays idle
   std::ostringstream out;
-  write_chrome_trace(out, spans, TraceView(trace), options);
+  write_chrome_trace(out, spans, trace, options);
   const std::string text = out.str();
 
   EXPECT_NE(text.find("\"traceEvents\":["), std::string::npos);
@@ -201,7 +201,7 @@ TEST(ChromeTrace, BidsInterleaveAtTheirIds) {
   ChromeTraceOptions options;
   options.cluster_names = {"turing", "hopper"};
   std::ostringstream out;
-  write_chrome_trace(out, spans, TraceView(trace), options);
+  write_chrome_trace(out, spans, trace, options);
   const std::string expected = R"json({"displayTimeUnit":"ms","traceEvents":[
 {"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"market"}},
 {"ph":"M","pid":100,"tid":0,"name":"process_name","args":{"name":"cluster turing"}},
@@ -240,7 +240,7 @@ TEST(ChromeTrace, OpenSpansClampToHorizon) {
                             RequestId{0}, BidId{}, 3.0));
 
   std::ostringstream out;
-  write_chrome_trace(out, spans, TraceView(trace), {});
+  write_chrome_trace(out, spans, trace, {});
   // Horizon is 11 s, span starts at 1 s -> clamped duration 10 s.
   EXPECT_NE(out.str().find("\"dur\":10000000"), std::string::npos);
 }
@@ -254,7 +254,7 @@ TEST(Jsonl, DroppedEventsAnnotateWithMetaLine) {
                               1.0));
   }
   std::ostringstream out;
-  write_trace_jsonl(out, TraceView(trace));
+  write_trace_jsonl(out, trace);
   const auto lines = lines_of(out.str());
   ASSERT_EQ(lines.size(), 1u + trace.size())
       << "one meta line plus one line per surviving event";
@@ -268,7 +268,7 @@ TEST(Jsonl, NoMetaLineWithoutDrops) {
   trace.record(market_event(1.0, EntityId{1}, TraceEventKind::kBidIssued,
                             RequestId{0}, BidId{0}, 1.0));
   std::ostringstream out;
-  write_trace_jsonl(out, TraceView(trace));
+  write_trace_jsonl(out, trace);
   EXPECT_EQ(out.str().find("\"meta\""), std::string::npos)
       << "lossless exports stay backwards-compatible, no meta line";
 }
@@ -283,16 +283,15 @@ TEST(Prometheus, DroppedEventsExportACounter) {
                               RequestId{static_cast<std::uint64_t>(i)}, BidId{0},
                               1.0));
   }
-  const TraceView view(trace);
   std::ostringstream out;
-  write_prometheus(out, reg, &view);
+  write_prometheus(out, reg, &trace);
   const std::string text = out.str();
   EXPECT_NE(text.find("# TYPE faucets_trace_dropped_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("faucets_trace_dropped_total 5"), std::string::npos);
 
   // Without drops (or without a trace at all) the metric is absent.
-  const TraceView quiet(TraceBuffer{16});
+  const TraceBuffer quiet{16};
   std::ostringstream out2;
   write_prometheus(out2, reg, &quiet);
   EXPECT_EQ(out2.str().find("faucets_trace_dropped_total"), std::string::npos);
@@ -311,7 +310,7 @@ TEST(ChromeTrace, DroppedEventsAnnotateOtherData) {
                               1.0));
   }
   std::ostringstream out;
-  write_chrome_trace(out, spans, TraceView(trace), {});
+  write_chrome_trace(out, spans, trace, {});
   EXPECT_NE(out.str().find("\"otherData\":{\"trace_dropped\":3}"),
             std::string::npos);
 }
@@ -320,7 +319,7 @@ TEST(ChromeTrace, EmptyInputsProduceValidSkeleton) {
   SpanTracker spans;
   TraceBuffer trace{1};
   std::ostringstream out;
-  write_chrome_trace(out, spans, TraceView(trace), {});
+  write_chrome_trace(out, spans, trace, {});
   const std::string text = out.str();
   EXPECT_NE(text.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(text.find("\"name\":\"market\""), std::string::npos);

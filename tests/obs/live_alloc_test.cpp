@@ -23,12 +23,11 @@ using test::allocations;
 
 /// A plane over a fabricated simulation with no server and no ticker (those
 /// threads have their own setup allocations); publish() is driven directly
-/// the way GridSystem's loops drive it.
+/// the way GridSystem::run drives it.
 struct Fixture {
   MetricsRegistry metrics;
   TraceBuffer trace{256};
-  TraceBuffer alerts{64};
-  std::uint64_t executed = 0;
+  RunSample sample;
   std::unique_ptr<LivePlane> plane;
 
   Fixture() {
@@ -41,19 +40,15 @@ struct Fixture {
     config.serve = false;
     config.progress = false;
     config.publish_interval = 0.0;  // every publish() captures
-    LivePlane::Bindings b;
-    b.metrics = &metrics;
-    b.trace = &trace;
-    b.executed = [this] { return executed; };
-    b.alert_sink = &alerts;
-    b.audit = [](double) {
-      Audit a;
-      a.submitted = 10;
-      a.completed = 4;
-      a.open_submissions = 6;
-      return a;
-    };
-    plane = std::make_unique<LivePlane>(config, std::move(b));
+    plane = std::make_unique<LivePlane>(config, metrics, trace);
+    sample.audit.submitted = 10;
+    sample.audit.completed = 4;
+    sample.audit.open_submissions = 6;
+  }
+
+  void publish(double now) {
+    sample.sim_time = now;
+    plane->publish(sample);
   }
 };
 
@@ -64,18 +59,18 @@ TEST(LiveAlloc, SteadyStatePublishesAreAllocationFree) {
   auto& submitted = fx.metrics.counter("faucets_grid_jobs_submitted_total");
   auto& wait = fx.metrics.histogram("faucets_test_wait_seconds", {});
   fx.plane->begin_run();
-  fx.plane->publish(0.0);  // first publish: schema capture allocates
+  fx.publish(0.0);  // first publish: schema capture allocates
   const auto before = allocations();
   for (int i = 1; i <= 10'000; ++i) {
     const auto now = static_cast<double>(i);
-    ++fx.executed;
+    ++fx.sample.events_executed;
     fx.trace.record(job_event(now, EntityId{1},
                               TraceEventKind::kJobStarted, ClusterId{0},
                               JobId{static_cast<std::uint64_t>(i)}, UserId{2},
                               4));
     submitted.inc();
     wait.observe(static_cast<double>(i % 7));
-    fx.plane->publish(now);
+    fx.publish(now);
   }
   EXPECT_EQ(allocations(), before)
       << "steady-state publish must not allocate on the simulation thread";
@@ -85,50 +80,35 @@ TEST(LiveAlloc, SteadyStatePublishesAreAllocationFree) {
 
 TEST(LiveAlloc, MonitorEvaluationAndAlertEmissionAreAllocationFree) {
   Fixture fx;
-  double residual = 0.0;
-  {
-    // Rebuild the plane with a violating-then-recovering ledger probe.
-    LiveConfig config;
-    config.publish_interval = 0.0;
-    LivePlane::Bindings b;
-    b.metrics = &fx.metrics;
-    b.trace = &fx.trace;
-    b.alert_sink = &fx.alerts;
-    b.audit = [&residual](double) {
-      Audit a;
-      a.ledger_residual = residual;
-      return a;
-    };
-    fx.plane = std::make_unique<LivePlane>(config, std::move(b));
-  }
+  fx.sample.audit = Audit{};
   fx.plane->begin_run();
-  fx.plane->publish(0.0);
+  fx.publish(0.0);
   const auto before = allocations();
-  // A full violate/recover cycle: the kAlert record goes through the
-  // preallocated trace ring, so even alerting publishes stay heap-free.
-  residual = 1.0;
-  fx.plane->publish(1.0);
-  residual = 0.0;
-  fx.plane->publish(2.0);
-  residual = 2.0;
-  fx.plane->publish(3.0);
+  // A full violate/recover cycle: each alert is a count in a fixed array,
+  // so even alerting publishes stay heap-free.
+  fx.sample.audit.ledger_residual = 1.0;
+  fx.publish(1.0);
+  fx.sample.audit.ledger_residual = 0.0;
+  fx.publish(2.0);
+  fx.sample.audit.ledger_residual = 2.0;
+  fx.publish(3.0);
   EXPECT_EQ(allocations(), before)
       << "monitor evaluation and alert emission must not allocate";
   EXPECT_EQ(fx.plane->alerts_total(), 2u);
-  EXPECT_EQ(fx.alerts.size(), 2u);
+  EXPECT_EQ(fx.trace.total_recorded(), 0u);
 }
 
 TEST(LiveAlloc, RegistryGrowthReCapturesSchemaOnce) {
   Fixture fx;
   fx.plane->begin_run();
-  fx.plane->publish(0.0);
+  fx.publish(0.0);
   // Growth: the next publish may allocate (schema re-capture)...
   fx.metrics.counter("faucets_test_late_total").inc();
-  fx.plane->publish(1.0);
+  fx.publish(1.0);
   // ...but the state after it is steady again.
   const auto before = allocations();
   for (int i = 2; i < 100; ++i) {
-    fx.plane->publish(static_cast<double>(i));
+    fx.publish(static_cast<double>(i));
   }
   EXPECT_EQ(allocations(), before);
 }

@@ -194,19 +194,18 @@ Audit clean_audit() {
   return a;
 }
 
-std::vector<TraceEvent> evaluate_collect(MonitorSuite& suite, double now,
-                                         const Audit& audit) {
-  std::vector<TraceEvent> out;
-  suite.evaluate(now, audit,
-                 [&out](const TraceEvent& ev) { out.push_back(ev); });
-  return out;
+/// Alerts the evaluation raised (rising edges into violation).
+std::uint64_t evaluate_count(MonitorSuite& suite, double now, const Audit& audit) {
+  const std::uint64_t before = suite.total_alerts();
+  suite.evaluate(now, audit);
+  return suite.total_alerts() - before;
 }
 
 TEST(MonitorSuite, CleanProbesNeverAlert) {
   MonitorSuite suite;
   Audit audit = clean_audit();
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(evaluate_collect(suite, i, audit).empty());
+    EXPECT_EQ(evaluate_count(suite, i, audit), 0u);
   }
   // The drained end: nothing in flight, held or open.
   audit.completed = 9;
@@ -214,7 +213,7 @@ TEST(MonitorSuite, CleanProbesNeverAlert) {
   audit.open_spans = 0;
   audit.drained = true;
   EXPECT_TRUE(audit.ok());
-  EXPECT_TRUE(evaluate_collect(suite, 100.0, audit).empty());
+  EXPECT_EQ(evaluate_count(suite, 100.0, audit), 0u);
   EXPECT_TRUE(suite.healthy());
   EXPECT_EQ(suite.total_alerts(), 0u);
 }
@@ -222,55 +221,51 @@ TEST(MonitorSuite, CleanProbesNeverAlert) {
 TEST(MonitorSuite, LedgerViolationIsEdgeTriggered) {
   MonitorSuite suite;
   Audit audit = clean_audit();
+  const MonitorState& ledger = suite.state(MonitorKind::kLedgerConservation);
 
-  EXPECT_TRUE(evaluate_collect(suite, 1.0, audit).empty());
+  EXPECT_EQ(evaluate_count(suite, 1.0, audit), 0u);
   audit.ledger_residual = -1e-3;  // |residual| matters, sign does not
-  const auto first = evaluate_collect(suite, 2.0, audit);
-  ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0].kind, TraceEventKind::kAlert);
-  EXPECT_EQ(static_cast<MonitorKind>(first[0].payload.alert.monitor),
-            MonitorKind::kLedgerConservation);
-  EXPECT_DOUBLE_EQ(first[0].payload.alert.observed, 1e-3);
-  EXPECT_DOUBLE_EQ(first[0].payload.alert.threshold, Audit::kLedgerResidualMax);
-  // Still violated: counted once, no new trace event.
-  EXPECT_TRUE(evaluate_collect(suite, 3.0, audit).empty());
-  EXPECT_EQ(suite.state(MonitorKind::kLedgerConservation).alerts, 1u);
-  EXPECT_DOUBLE_EQ(suite.state(MonitorKind::kLedgerConservation).last_sim_time,
-                   3.0);
+  EXPECT_EQ(evaluate_count(suite, 2.0, audit), 1u);
+  EXPECT_TRUE(ledger.firing);
+  EXPECT_DOUBLE_EQ(ledger.last_observed, 1e-3);
+  EXPECT_DOUBLE_EQ(ledger.threshold, Audit::kLedgerResidualMax);
+  // Still violated: counted once.
+  EXPECT_EQ(evaluate_count(suite, 3.0, audit), 0u);
+  EXPECT_EQ(ledger.alerts, 1u);
+  EXPECT_DOUBLE_EQ(ledger.last_sim_time, 3.0);
   // Recovers, then violates again: a second rising edge.
   audit.ledger_residual = 0.0;
-  EXPECT_TRUE(evaluate_collect(suite, 4.0, audit).empty());
+  EXPECT_EQ(evaluate_count(suite, 4.0, audit), 0u);
+  EXPECT_FALSE(ledger.firing);
   audit.ledger_residual = 2e-3;
-  EXPECT_EQ(evaluate_collect(suite, 5.0, audit).size(), 1u);
-  EXPECT_EQ(suite.state(MonitorKind::kLedgerConservation).alerts, 2u);
-  EXPECT_DOUBLE_EQ(suite.state(MonitorKind::kLedgerConservation).first_sim_time,
-                   2.0);
+  EXPECT_EQ(evaluate_count(suite, 5.0, audit), 1u);
+  EXPECT_EQ(ledger.alerts, 2u);
+  EXPECT_DOUBLE_EQ(ledger.first_sim_time, 2.0);
   EXPECT_FALSE(suite.healthy());
 }
 
 TEST(MonitorSuite, LeaseLeakUsesGraceAndFinalSemantics) {
   MonitorSuite suite;
   Audit audit = clean_audit();
+  const MonitorState& leak = suite.state(MonitorKind::kLeaseLeak);
   // Mid-run, held leases within their grace are fine; only overdue ones
   // alert.
   audit.held_leases = 3;
-  EXPECT_TRUE(evaluate_collect(suite, 1.0, audit).empty());
+  EXPECT_EQ(evaluate_count(suite, 1.0, audit), 0u);
   audit.overdue_leases = 1;
-  auto events = evaluate_collect(suite, 2.0, audit);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(static_cast<MonitorKind>(events[0].payload.alert.monitor),
-            MonitorKind::kLeaseLeak);
-  EXPECT_DOUBLE_EQ(events[0].payload.alert.observed, 1.0);
+  EXPECT_EQ(evaluate_count(suite, 2.0, audit), 1u);
+  EXPECT_EQ(leak.alerts, 1u);
+  EXPECT_DOUBLE_EQ(leak.last_observed, 1.0);
   // At a drained end every held lease counts.
   audit.overdue_leases = 0;
-  EXPECT_TRUE(evaluate_collect(suite, 3.0, audit).empty());
+  EXPECT_EQ(evaluate_count(suite, 3.0, audit), 0u);
   audit.completed = 9;
   audit.open_submissions = 0;
   audit.open_spans = 0;
   audit.drained = true;
-  events = evaluate_collect(suite, 4.0, audit);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_DOUBLE_EQ(events[0].payload.alert.observed, 3.0);
+  EXPECT_EQ(evaluate_count(suite, 4.0, audit), 1u);
+  EXPECT_EQ(leak.alerts, 2u);
+  EXPECT_DOUBLE_EQ(leak.last_observed, 3.0);
   EXPECT_EQ(audit.first_failure(), MonitorKind::kLeaseLeak);
 }
 
@@ -278,13 +273,11 @@ TEST(MonitorSuite, SpanBalanceComparesOpenRootsToInFlight) {
   MonitorSuite suite;
   Audit audit = clean_audit();
 
-  EXPECT_TRUE(evaluate_collect(suite, 1.0, audit).empty());
+  EXPECT_EQ(evaluate_count(suite, 1.0, audit), 0u);
   audit.open_submissions = 6;  // one root left open without a job in flight
-  const auto events = evaluate_collect(suite, 2.0, audit);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(static_cast<MonitorKind>(events[0].payload.alert.monitor),
-            MonitorKind::kSpanBalance);
-  EXPECT_DOUBLE_EQ(events[0].payload.alert.observed, 1.0);
+  EXPECT_EQ(evaluate_count(suite, 2.0, audit), 1u);
+  EXPECT_EQ(suite.state(MonitorKind::kSpanBalance).alerts, 1u);
+  EXPECT_DOUBLE_EQ(suite.state(MonitorKind::kSpanBalance).last_observed, 1.0);
   // At a drained end any open span, root or not, breaks the balance, and
   // so does a job still counted in flight.
   Audit end = clean_audit();
@@ -299,38 +292,37 @@ TEST(MonitorSuite, SpanBalanceComparesOpenRootsToInFlight) {
   EXPECT_EQ(end.first_failure(), MonitorKind::kSpanBalance);
 }
 
-TEST(MonitorSuite, StallIsCountedImmediatelyAndDrainedAtNextPublish) {
+TEST(MonitorSuite, StallIsCountedOncePerEpisode) {
   MonitorSuite suite;
-  const Audit audit = clean_audit();
-  // Server thread reports the stall: visible in states at once, the trace
-  // event deferred.
+  const MonitorState& stall = suite.state(MonitorKind::kBarrierStall);
+  // The server thread reports the stall: visible in the states at once.
   suite.report_stall(123.0, 42.0, 10.0);
-  EXPECT_EQ(suite.state(MonitorKind::kBarrierStall).alerts, 1u);
-  EXPECT_TRUE(suite.state(MonitorKind::kBarrierStall).firing);
+  EXPECT_EQ(stall.alerts, 1u);
+  EXPECT_TRUE(stall.firing);
+  EXPECT_DOUBLE_EQ(stall.first_sim_time, 123.0);
   // Re-reports of the same episode do not double-count.
   suite.report_stall(123.0, 43.0, 10.0);
-  EXPECT_EQ(suite.state(MonitorKind::kBarrierStall).alerts, 1u);
-  // Next sim-thread publish drains exactly one queued kAlert.
-  const auto events = evaluate_collect(suite, 123.0, audit);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(static_cast<MonitorKind>(events[0].payload.alert.monitor),
-            MonitorKind::kBarrierStall);
-  EXPECT_DOUBLE_EQ(events[0].time, 123.0);
-  EXPECT_TRUE(evaluate_collect(suite, 124.0, audit).empty());
+  EXPECT_EQ(stall.alerts, 1u);
+  EXPECT_DOUBLE_EQ(stall.last_observed, 43.0);
+  EXPECT_DOUBLE_EQ(stall.threshold, 10.0);
+  // A publish evaluates the audit terms and leaves the stall alone.
+  EXPECT_EQ(evaluate_count(suite, 123.0, clean_audit()), 0u);
+  EXPECT_TRUE(stall.firing);
   // After progress resumes, a new stall is a new episode.
   suite.clear_stall();
   suite.report_stall(200.0, 50.0, 10.0);
-  EXPECT_EQ(suite.state(MonitorKind::kBarrierStall).alerts, 2u);
+  EXPECT_EQ(stall.alerts, 2u);
+  EXPECT_DOUBLE_EQ(stall.first_sim_time, 123.0);
+  EXPECT_DOUBLE_EQ(stall.last_sim_time, 200.0);
 }
 
 // -------------------------------------------------------------- LivePlane
 
 /// A plane over a fabricated simulation: its own registry + trace ring, no
-/// sockets unless `serve`.
+/// sockets unless `serve`. publish() hands the plane what a run loop would.
 struct PlaneFixture {
   MetricsRegistry metrics;
   TraceBuffer trace{1 << 10};
-  TraceBuffer alerts{1 << 10};
   std::uint64_t executed = 0;
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -346,32 +338,28 @@ struct PlaneFixture {
         .observe(3.0);
     config.serve = serve;
     config.publish_interval = 0.0;  // every publish() call captures
-    config.poll_interval_ms = 5;
-    LivePlane::Bindings b;
-    b.metrics = &metrics;
-    b.trace = &trace;
-    b.executed = [this] { return executed; };
-    b.alert_sink = &alerts;
-    b.audit = [this](double) { return audit(); };
-    plane = std::make_unique<LivePlane>(config, std::move(b));
+    plane = std::make_unique<LivePlane>(config, metrics, trace);
   }
 
   /// A clean grid in flight: one open root per job in flight.
-  [[nodiscard]] Audit audit() const {
-    Audit a;
-    a.submitted = submitted;
-    a.completed = completed;
-    a.open_submissions = submitted - completed;
-    a.ledger_residual = residual;
-    return a;
+  [[nodiscard]] RunSample sample(double sim_now) const {
+    RunSample s;
+    s.sim_time = sim_now;
+    s.audit.submitted = submitted;
+    s.audit.completed = completed;
+    s.audit.open_submissions = submitted - completed;
+    s.audit.ledger_residual = residual;
+    s.events_executed = executed;
+    return s;
   }
+  void publish(double sim_now) { plane->publish(sample(sim_now)); }
 };
 
 TEST(LivePlane, MetricsEndpointRendersPrometheusText) {
   PlaneFixture fx;
   fx.plane->begin_run();
   fx.executed = 123;
-  fx.plane->publish(10.0);
+  fx.publish(10.0);
   const HttpResponse res = fx.plane->handle("/metrics");
   EXPECT_EQ(res.status, 200);
   EXPECT_NE(res.body.find("# TYPE faucets_test_events_total counter"),
@@ -403,11 +391,11 @@ TEST(LivePlane, MetricsEndpointIsTheArtifactExporterPlusPlaneSeries) {
                               ClusterId{0}, JobId{11}, UserId{2}, 4));
   }
   fx.plane->begin_run();
-  fx.plane->publish(1.0);
+  fx.publish(1.0);
   // The registry grows and moves between publishes.
   fx.metrics.gauge("faucets_test_late", "registered after a publish").set(0.1);
   fx.metrics.counter("faucets_test_events_total").inc(5);
-  fx.plane->publish(2.0);
+  fx.publish(2.0);
 
   std::ostringstream want;
   write_prometheus(want, fx.metrics);
@@ -437,7 +425,7 @@ TEST(LivePlane, ProgressEndpointTracksJobs) {
   fx.executed = 1000;
   fx.submitted = 30;
   fx.completed = 12;
-  fx.plane->publish(42.0);
+  fx.publish(42.0);
   const HttpResponse res = fx.plane->handle("/progress");
   EXPECT_EQ(res.status, 200);
   EXPECT_NE(res.body.find("\"schema\":\"faucets.live.progress.v3\""),
@@ -447,17 +435,17 @@ TEST(LivePlane, ProgressEndpointTracksJobs) {
   EXPECT_NE(res.body.find("\"submitted\":30"), std::string::npos);
   EXPECT_NE(res.body.find("\"in_flight\":18"), std::string::npos);
   EXPECT_NE(res.body.find("\"run_active\":true"), std::string::npos);
-  fx.plane->end_run(50.0, fx.audit());
+  fx.plane->end_run(fx.sample(50.0));
   const HttpResponse done = fx.plane->handle("/progress");
   EXPECT_NE(done.body.find("\"finished\":true"), std::string::npos);
 }
 
-TEST(LivePlane, HealthzFlipsTo503OnViolationAndAlertLandsInSinkOnce) {
+TEST(LivePlane, HealthzFlipsTo503OnViolationAndCountsItOnce) {
   PlaneFixture fx;
   fx.plane->begin_run();
   EXPECT_EQ(fx.plane->handle("/healthz").status, 200);
   fx.residual = 0.5;  // conservation broken
-  fx.plane->publish(5.0);
+  fx.publish(5.0);
   const HttpResponse res = fx.plane->handle("/healthz");
   EXPECT_EQ(res.status, 503);
   EXPECT_NE(res.body.find("\"status\":\"alert\""), std::string::npos);
@@ -466,11 +454,11 @@ TEST(LivePlane, HealthzFlipsTo503OnViolationAndAlertLandsInSinkOnce) {
           "\"monitor\":\"ledger_conservation\",\"alerts\":1,\"firing\":true"),
       std::string::npos)
       << res.body;
-  // Edge-triggered: a second violated publish adds no second trace event.
-  fx.plane->publish(6.0);
-  ASSERT_EQ(fx.alerts.size(), 1u);
-  EXPECT_EQ(fx.alerts.at(0).kind, TraceEventKind::kAlert);
+  // Edge-triggered: a second violated publish counts no second alert, and
+  // the alert stays in the plane: the simulation's ring gets nothing.
+  fx.publish(6.0);
   EXPECT_EQ(fx.plane->alerts_total(), 1u);
+  EXPECT_EQ(fx.trace.total_recorded(), 0u);
 }
 
 TEST(LivePlane, TracesRecentRendersRingTailAsJsonl) {
@@ -480,7 +468,7 @@ TEST(LivePlane, TracesRecentRendersRingTailAsJsonl) {
                             ClusterId{0}, JobId{11}, UserId{2}, 4));
   fx.trace.record(job_event(2.0, EntityId{1}, TraceEventKind::kJobCompleted,
                             ClusterId{0}, JobId{11}, UserId{2}, 4));
-  fx.plane->publish(2.0);
+  fx.publish(2.0);
   const HttpResponse res = fx.plane->handle("/traces/recent");
   EXPECT_EQ(res.status, 200);
   EXPECT_NE(res.body.find("\"kind\":\"JOB_STARTED\""), std::string::npos)
@@ -498,9 +486,9 @@ TEST(LivePlane, UnknownPathIs404) {
 TEST(LivePlane, SchemaRecaptureFollowsRegistryGrowth) {
   PlaneFixture fx;
   fx.plane->begin_run();
-  fx.plane->publish(1.0);
+  fx.publish(1.0);
   fx.metrics.counter("faucets_test_late_total", "registered mid-run").inc(9);
-  fx.plane->publish(2.0);
+  fx.publish(2.0);
   const HttpResponse res = fx.plane->handle("/metrics");
   EXPECT_NE(res.body.find("faucets_test_late_total 9"), std::string::npos)
       << res.body;
@@ -534,38 +522,38 @@ TEST(LivePlane, ConcurrentScrapesDuringPublishesAreRaceFree) {
       ++fx.executed;
       fx.trace.record(job_event(t, EntityId{1}, TraceEventKind::kJobStarted,
                                 ClusterId{0}, JobId{1}, UserId{1}, 1));
-      fx.plane->publish(t);
+      fx.publish(t);
     }
   });
   for (auto& s : scrapers) s.join();
   stop.store(true, std::memory_order_relaxed);
   sim.join();
-  Audit end = fx.audit();
-  end.drained = true;
-  fx.plane->end_run(1000.0, end);
+  RunSample end = fx.sample(1000.0);
+  end.audit.drained = true;
+  fx.plane->end_run(end);
   EXPECT_EQ(fx.plane->alerts_total(), 0u);
 }
 
+/// A sample at `sim_now`: the stall tests need nothing else from a run.
+RunSample at(double sim_now) {
+  RunSample s;
+  s.sim_time = sim_now;
+  return s;
+}
+
 TEST(LivePlane, StallWatchdogFiresFromServerThreadWhileSimIsStuck) {
-  // Tiny thresholds so the watchdog trips within milliseconds of host time.
+  // A tiny threshold so the watchdog trips within one poll interval.
   MetricsRegistry metrics;
   TraceBuffer trace{64};
-  TraceBuffer alerts{64};
   LiveConfig config;
   config.serve = true;
   config.publish_interval = 0.0;
-  config.poll_interval_ms = 2;
   config.stall_timeout = 0.02;  // 20ms of host time
-  LivePlane::Bindings b;
-  b.metrics = &metrics;
-  b.trace = &trace;
-  b.executed = [] { return std::uint64_t{1}; };
-  b.alert_sink = &alerts;
-  LivePlane plane(config, std::move(b));
+  LivePlane plane(config, metrics, trace);
   ASSERT_TRUE(plane.serving());
 
   plane.begin_run();
-  plane.publish(5.0);
+  plane.publish(at(5.0));
   // The "simulation" now hangs. The server thread must notice on its own.
   for (int i = 0; i < 500; ++i) {
     if (plane.handle("/healthz").status == 503) break;
@@ -577,14 +565,16 @@ TEST(LivePlane, StallWatchdogFiresFromServerThreadWhileSimIsStuck) {
   EXPECT_NE(res.body.find("\"monitor\":\"barrier_stall\",\"alerts\":1"),
             std::string::npos)
       << res.body;
-  // The deferred kAlert reaches the sim ring at the next publish.
-  EXPECT_EQ(alerts.size(), 0u);
-  plane.publish(5.0);
-  ASSERT_EQ(alerts.size(), 1u);
-  EXPECT_EQ(static_cast<MonitorKind>(alerts.at(0).payload.alert.monitor),
-            MonitorKind::kBarrierStall);
+  // The next publish at the same sim time leaves it firing, and the alert
+  // stays in the plane's states, never in the simulation's ring.
+  plane.publish(at(5.0));
+  EXPECT_EQ(plane.monitor_states()[static_cast<std::size_t>(
+                                       MonitorKind::kBarrierStall)]
+                .alerts,
+            1u);
+  EXPECT_EQ(trace.total_recorded(), 0u);
   // Progress resumes: healthz keeps the alert count but stops firing.
-  plane.publish(6.0);
+  plane.publish(at(6.0));
   EXPECT_NE(plane.handle("/healthz").body.find("\"stalled\":false"),
             std::string::npos);
 }
@@ -592,34 +582,28 @@ TEST(LivePlane, StallWatchdogFiresFromServerThreadWhileSimIsStuck) {
 TEST(LivePlane, StallWatchdogIsHeldAcrossDeliberatePauses) {
   // A checkpoint capture (GridSystem::maybe_pause) may exceed stall_timeout;
   // the watchdog must stay quiet for the whole bracket and re-arm from the
-  // release instant, or the queued kAlert would land in the trace ring and
-  // break artifact parity for --serve runs that checkpoint.
+  // release instant, or a run that checkpoints would report a stall (and
+  // gain an Alerts table in its HTML report) that a run without one lacks.
   MetricsRegistry metrics;
   TraceBuffer trace{64};
-  TraceBuffer alerts{64};
   LiveConfig config;
   config.serve = true;
   config.publish_interval = 0.0;
-  config.poll_interval_ms = 2;
   config.stall_timeout = 0.02;  // 20ms of host time
-  LivePlane::Bindings b;
-  b.metrics = &metrics;
-  b.trace = &trace;
-  b.executed = [] { return std::uint64_t{1}; };
-  b.alert_sink = &alerts;
-  LivePlane plane(config, std::move(b));
+  LivePlane plane(config, metrics, trace);
   ASSERT_TRUE(plane.serving());
 
   plane.begin_run();
-  plane.publish(5.0);
+  plane.publish(at(5.0));
   plane.begin_pause();
-  // "Checkpoint capture" for 5x the stall timeout: no alert may fire.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // "Checkpoint capture" for 12 poll intervals, 60x the stall timeout: no
+  // alert may fire.
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(12 * LivePlane::kPollIntervalMs / 10));
   EXPECT_EQ(plane.handle("/healthz").status, 200);
   EXPECT_EQ(plane.alerts_total(), 0u);
   plane.end_pause();
-  plane.publish(5.0);  // drains nothing: no alert was queued
-  EXPECT_EQ(alerts.size(), 0u);
+  plane.publish(at(5.0));
   EXPECT_EQ(plane.handle("/healthz").status, 200);
   // Released and re-armed, not disarmed: a real post-pause stall still fires.
   for (int i = 0; i < 500; ++i) {

@@ -95,9 +95,8 @@ TEST(HtmlReport, DroppedEventsRaiseBanner) {
                            TraceEventKind::kJobStarted, ClusterId{0},
                            JobId{static_cast<std::uint64_t>(i)}, UserId{0}, 1));
   }
-  const TraceView view(trace);
   std::ostringstream os;
-  write_html_report(os, sampler, analysis, {}, {}, &view);
+  write_html_report(os, sampler, analysis, {}, {}, &trace);
   const std::string html = os.str();
   EXPECT_NE(html.find("class=\"warn\""), std::string::npos);
   EXPECT_NE(html.find("dropped 6 of 10"), std::string::npos);
@@ -121,6 +120,46 @@ TEST(HtmlReport, CustomTitleIsEscaped) {
   opts.title = "load < 1.0";
   write_html_report(os, Sampler{}, SpanAnalysis{}, {}, {}, nullptr, opts);
   EXPECT_NE(os.str().find("<title>load &lt; 1.0</title>"), std::string::npos);
+}
+
+// The Alerts table is the one artifact that records a mid-run alert: a row
+// per monitor that fired, read from the live plane's monitor states.
+TEST(HtmlReport, AlertsTableRowsEachMonitorThatFired) {
+  ReportOptions opts;
+  live::MonitorState& leak =
+      opts.monitors[static_cast<std::size_t>(live::MonitorKind::kLeaseLeak)];
+  leak.alerts = 2;
+  leak.first_sim_time = 60.0;
+  leak.last_sim_time = 95.5;
+  leak.last_observed = 3.0;
+  leak.threshold = 0.0;
+  // A monitor that was evaluated but never fired gets no row.
+  opts.monitors[static_cast<std::size_t>(live::MonitorKind::kLedgerConservation)]
+      .threshold = live::Audit::kLedgerResidualMax;
+  std::ostringstream os;
+  write_html_report(os, Sampler{}, small_analysis(), {}, {}, nullptr, opts);
+  const std::string html = os.str();
+  EXPECT_NE(html.find("<h2>Alerts</h2>"), std::string::npos) << html;
+  EXPECT_NE(html.find("<tr><td>lease_leak</td><td>2</td><td>60</td><td>95.5</td>"
+                      "<td>3</td><td>0</td></tr>\n"),
+            std::string::npos)
+      << html;
+  for (const char* quiet : {"ledger_conservation", "span_balance", "barrier_stall"}) {
+    EXPECT_EQ(html.find(quiet), std::string::npos) << quiet;
+  }
+}
+
+TEST(HtmlReport, NoAlertsMeansNoAlertsSection) {
+  const SpanAnalysis analysis = small_analysis();
+  ReportOptions quiet;
+  quiet.monitors[static_cast<std::size_t>(live::MonitorKind::kBarrierStall)]
+      .threshold = 10.0;
+  std::ostringstream with_states;
+  write_html_report(with_states, Sampler{}, analysis, {}, {}, nullptr, quiet);
+  std::ostringstream without;
+  write_html_report(without, Sampler{}, analysis, {}, {});
+  EXPECT_EQ(with_states.str().find("Alerts"), std::string::npos);
+  EXPECT_EQ(with_states.str(), without.str());
 }
 
 TEST(PhasesCsv, OneHeaderOneRowPerJob) {

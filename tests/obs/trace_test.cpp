@@ -27,11 +27,10 @@ TEST(TraceEvent, PayloadTaxonomyCoversEveryKind) {
   for (std::size_t k = 0; k < kTraceEventKindCount; ++k) {
     const auto kind = static_cast<TraceEventKind>(k);
     EXPECT_FALSE(to_string(kind).empty());
-    // payload_of is total: every kind maps to one of the five payloads.
+    // payload_of is total: every kind maps to one of the four payloads.
     const TracePayload p = payload_of(kind);
     EXPECT_TRUE(p == TracePayload::kJob || p == TracePayload::kMarket ||
-                p == TracePayload::kNet || p == TracePayload::kAuth ||
-                p == TracePayload::kAlert);
+                p == TracePayload::kNet || p == TracePayload::kAuth);
   }
 }
 

@@ -116,6 +116,9 @@ TEST(SweepSpec, RejectsBadInput) {
       {traced + "time_compressions = 0\n", "time_compressions"},
       {traced + "time_compressions = nan\n", "[sweep] time_compressions"},
       {traced + "time_compressions = inf\n", "[sweep] time_compressions"},
+      // A key nothing reads, in [sweep] or in the base scenario.
+      {with_sweep("schedulrs = fcfs\n"), "[sweep] schedulrs"},
+      {std::string(kBase) + "lod = 0.9\n", "[workload] lod"},
   };
   for (const auto& [ini, key] : bad) {
     try {

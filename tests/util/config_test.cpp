@@ -77,6 +77,22 @@ TEST(Config, RepeatedKeyThrowsWithLineNumber) {
   EXPECT_EQ(config.section("b")->get_int("x", 0), 2);
 }
 
+// first_unread() names, in file order, a section no reader asked for or a
+// key no getter read: what the scenario parser refuses.
+TEST(Config, FirstUnreadNamesWhatNoReaderAskedFor) {
+  const auto config = ConfigFile::parse_string("[a]\nx = 1\ny = 2\n[b]\nz = 3\n");
+  EXPECT_EQ(config.first_unread(), "[a]");
+  const auto* a = config.section("a");
+  EXPECT_EQ(config.first_unread(), "[a] x");
+  (void)a->get_int("x", 0);
+  (void)a->get_int("missing", 0);
+  EXPECT_EQ(config.first_unread(), "[a] y");
+  (void)a->get_string("y", "");
+  EXPECT_EQ(config.first_unread(), "[b]");
+  (void)config.sections("b").front()->get("z");
+  EXPECT_EQ(config.first_unread(), std::nullopt);
+}
+
 TEST(Config, ParseNumberTakesOnlyAWholeNumber) {
   EXPECT_DOUBLE_EQ(parse_number<double>(" 2.5 ", "--until"), 2.5);
   EXPECT_EQ(parse_number<long>("-1", "--threads"), -1);
