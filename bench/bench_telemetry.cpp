@@ -46,7 +46,7 @@ std::vector<job::JobRequest> workload(std::size_t n) {
 
 core::GridReport run_grid(double sample_interval) {
   core::GridConfig config;
-  config.telemetry.sample_interval = sample_interval;  // 0 = sampling off
+  config.sample_interval = sample_interval;  // 0 = sampling off
   core::GridSystem grid(config,
                         {make_cluster("alpha", 0.0001), make_cluster("beta", 0.0005),
                          make_cluster("gamma", 0.0009)},
@@ -97,8 +97,7 @@ void BM_SamplerSnapshot(benchmark::State& state) {
   obs::Sampler sampler;
   double value = 0.0;
   for (int i = 0; i < 13; ++i) {
-    sampler.add_series("signal_" + std::to_string(i), [&value] { return value; },
-                       "", 512);
+    sampler.add_series("signal_" + std::to_string(i), [&value] { return value; });
   }
   double t = 0.0;
   for (auto _ : state) {
@@ -149,8 +148,7 @@ void BM_WriteHtmlReport(benchmark::State& state) {
   obs::Sampler sampler;
   double value = 0.0;
   for (int i = 0; i < 13; ++i) {
-    sampler.add_series("signal_" + std::to_string(i), [&value] { return value; },
-                       "", 512);
+    sampler.add_series("signal_" + std::to_string(i), [&value] { return value; });
   }
   for (int t = 0; t < 2000; ++t) {
     value = static_cast<double>(t % 64);

@@ -13,6 +13,7 @@
 // Exit status: 0 ok, 1 usage/config error, 2 regression-gate violation.
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -42,7 +43,6 @@ struct Options {
   std::optional<std::string> write_baseline;  // snapshot aggregate here
   double tolerance = 0.05;
   bool quiet = false;
-  bool profile = false;  // append host-time prof_* columns per run
   std::optional<long> serve;  // fleet /progress port (0 = ephemeral)
 };
 
@@ -54,11 +54,8 @@ void usage(std::ostream& os) {
         "  --stream FILE.jsonl     per-run results, completion order\n"
         "  --baseline FILE.json    fail (exit 2) on metric drift vs baseline\n"
         "  --write-baseline FILE.json  snapshot this aggregate as baseline\n"
-        "  --tolerance FRAC        relative band for --write-baseline (default 0.05)\n"
-        "  --profile               run points under the host-time profiler and\n"
-        "                          append prof_wall_ms, prof_events and\n"
-        "                          prof_events_per_sec (host-time: not\n"
-        "                          byte-stable across machines)\n"
+        "  --tolerance FRAC        relative band for --write-baseline, finite\n"
+        "                          and >= 0 (default 0.05)\n"
         "  --serve[=PORT]          fleet-level /progress + /healthz on\n"
         "                          127.0.0.1 (bare --serve picks a port and\n"
         "                          prints it)\n"
@@ -89,10 +86,12 @@ Options parse_args(int argc, char** argv) {
       opt.write_baseline = value();
     } else if (arg == "--tolerance") {
       opt.tolerance = parse_number<double>(value(), arg);
+      // A negative band would pass only exact matches (check_gate's floor).
+      if (!(std::isfinite(opt.tolerance) && opt.tolerance >= 0.0)) {
+        throw std::invalid_argument("--tolerance must be finite and >= 0");
+      }
     } else if (arg == "--quiet") {
       opt.quiet = true;
-    } else if (arg == "--profile") {
-      opt.profile = true;
     } else if (arg == "--serve") {
       opt.serve = 0;
     } else if (arg.rfind("--serve=", 0) == 0) {
@@ -179,7 +178,6 @@ int main(int argc, char** argv) {
     sweep::SweepOptions run_options;
     run_options.threads = opt.threads;
     run_options.sink = sink ? &*sink : nullptr;
-    run_options.profile = opt.profile;
 
     const auto t0 = std::chrono::steady_clock::now();
 

@@ -292,9 +292,9 @@ int main(int argc, char** argv) {
     // Reports want time-series charts, so turn sampling on whenever any
     // telemetry output is requested (explicit --sample-interval wins).
     if (opts.sample_interval) {
-      scenario.grid.telemetry.sample_interval = *opts.sample_interval;
+      scenario.grid.sample_interval = *opts.sample_interval;
     } else if (opts.report || opts.series_csv) {
-      scenario.grid.telemetry.sample_interval = 5.0;
+      scenario.grid.sample_interval = 5.0;
     }
 
     std::cout << "Simulating " << scenario.clusters.size() << " Compute Servers ("

@@ -24,6 +24,9 @@ double GridReport::grid_utilization_weighted() const {
 
 namespace {
 
+/// Dollars each user's account opens with.
+constexpr double kUserInitialFunds = 1e6;
+
 /// Every way a grid can be assembled goes through the GridSystem
 /// constructor, so it checks here, before any entity exists.
 void validate_grid(const GridConfig& config,
@@ -177,7 +180,7 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
     const ClusterId home{u % daemons_.size()};
     const auto uid = central_->register_user(username, password, home);
     if (!uid) throw std::logic_error("duplicate user " + username);
-    central_->user_accounts().deposit(*uid, config_.user_initial_funds);
+    central_->user_accounts().deposit(*uid, kUserInitialFunds);
 
     ClientConfig cc;
     cc.username = username;
@@ -212,13 +215,10 @@ GridSystem::GridSystem(GridConfig config, std::vector<ClusterSetup> clusters,
 }
 
 void GridSystem::setup_sampler() {
-  const TelemetryConfig& tel = config_.telemetry;
-  if (tel.sample_interval <= 0.0) return;
-  next_sample_due_ = tel.sample_interval;
-  const auto add = [this, capacity = tel.series_capacity](
-                       std::string name, obs::Series::Probe probe,
-                       const char* unit) {
-    sampler_.add_series(std::move(name), std::move(probe), unit, capacity);
+  if (config_.sample_interval <= 0.0) return;
+  next_sample_due_ = config_.sample_interval;
+  const auto add = [this](std::string name, obs::Series::Probe probe, const char* unit) {
+    sampler_.add_series(std::move(name), std::move(probe), unit);
   };
   const market::PriceHistory* history = &central_->price_history();
   add("faucets_grid_unit_price", [history] { return history->last_unit_price(); },
@@ -305,7 +305,7 @@ void GridSystem::maybe_sample() {
   // events to the engine (it cannot perturb schedules or pay heap churn).
   if (ctx_.now() < next_sample_due_) return;
   sampler_.sample(ctx_.now());
-  next_sample_due_ = ctx_.now() + config_.telemetry.sample_interval;
+  next_sample_due_ = ctx_.now() + config_.sample_interval;
 }
 
 bool GridSystem::maybe_pause(double now) {
@@ -383,11 +383,11 @@ GridReport GridSystem::run(job::WorkloadSource& source, double until) {
   if (!abandoned_) ctx_.engine().run(std::min(until, ctx_.now() + 1.0));
   if (profiler_ != nullptr) profiler_->end_run();
   for (auto& d : daemons_) d->cm().finish_metrics();
-  if (config_.telemetry.sample_interval > 0.0) {
+  if (config_.sample_interval > 0.0) {
     // Close the series on the final state so a chart's last point reflects
     // the drained grid.
     sampler_.sample(ctx_.now());
-    next_sample_due_ = ctx_.now() + config_.telemetry.sample_interval;
+    next_sample_due_ = ctx_.now() + config_.sample_interval;
   }
   // The span trees are final now: analyze once, publish the per-phase
   // histograms, and cache the analysis for report()/telemetry().

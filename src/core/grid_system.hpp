@@ -92,22 +92,11 @@ struct StoreConfig {
   std::uint64_t snapshot_every = 0;
 };
 
-/// Periodic time-series sampling of grid signals (DESIGN.md §10.1).
-struct TelemetryConfig {
-  /// Seconds between sampler snapshots; 0 disables sampling entirely: no
-  /// series is built and the run loop's check never fires.
-  double sample_interval = 0.0;
-  /// Point budget per series; buffers downsample past it (see
-  /// src/obs/sampler.hpp).
-  std::size_t series_capacity = 512;
-};
-
 struct GridConfig {
   CentralServerConfig central{};
   DaemonConfig daemon{};
   EvaluatorFactory evaluator;       // defaults to least-cost
   bool clients_prefer_home = false; // §5.5.3 home-cluster-first submission
-  double user_initial_funds = 1e6;
   /// Client babysitting watchdog margin (seconds past the promised
   /// completion before a silent job is restarted). Disengaged = no
   /// watchdog. (The old `< 0` sentinel is gone; see DESIGN.md §8.)
@@ -127,8 +116,10 @@ struct GridConfig {
   /// Backoff schedule shared by clients, daemons, and the broker for every
   /// retried exchange (login, directory, registration, reserve/commit).
   RetryPolicy retry{};
-  /// Periodic telemetry sampling; off by default.
-  TelemetryConfig telemetry{};
+  /// Seconds between time-series snapshots of grid signals (DESIGN.md
+  /// §10.1); 0, the default, disables sampling entirely: no series is built
+  /// and the run loop's check never fires.
+  double sample_interval = 0.0;
   /// Host-time profiling; off by default.
   ProfileConfig profile{};
   /// Durable persistence; off by default (empty dir).
@@ -298,7 +289,7 @@ class GridSystem {
   [[nodiscard]] GridTelemetry telemetry() const;
 
   /// The time-series sampler. It holds the grid's series only when
-  /// GridConfig::telemetry.sample_interval > 0; otherwise it is empty.
+  /// GridConfig::sample_interval > 0; otherwise it is empty.
   [[nodiscard]] const obs::Sampler& sampler() const noexcept { return sampler_; }
 
   /// The host-time profiler, when GridConfig::profile.enabled; null
@@ -347,7 +338,7 @@ class GridSystem {
   std::function<bool()> pause_hook_;
   bool pause_fired_ = false;
   bool abandoned_ = false;  // the hook told run() to bail out
-  // Time-series sampler (empty unless config_.telemetry.sample_interval > 0)
+  // Time-series sampler (empty unless config_.sample_interval > 0)
   // and the sim-time of its next snapshot; +inf when sampling is disabled
   // so the run loop's check is one always-false branch. See maybe_sample().
   obs::Sampler sampler_;

@@ -101,6 +101,28 @@ void parse_shaping(const ConfigSection& section, job::JobShaping& shaping) {
 
 bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
 
+// The two refusals of a value that would hang or wrap the run, or be read
+// as something else, each naming "[section] key".
+long int_at_least(const ConfigSection& section, const char* key, long fallback,
+                  long min) {
+  const long v = section.get_int(key, fallback);
+  if (v < min) {
+    throw std::invalid_argument("[" + section.name() + "] " + key + " must be >= " +
+                                std::to_string(min));
+  }
+  return v;
+}
+/// Finite and > 0, or >= 0 when `zero_ok`.
+double finite_real(const ConfigSection& section, const char* key, double fallback,
+                   bool zero_ok) {
+  const double v = section.get_double(key, fallback);
+  if (!(std::isfinite(v) && (v > 0.0 || (zero_ok && v == 0.0)))) {
+    throw std::invalid_argument("[" + section.name() + "] " + key +
+                                " must be finite and " + (zero_ok ? ">= 0" : "> 0"));
+  }
+  return v;
+}
+
 constexpr const char* kAuditHint =
     "is no longer a key: the monitors always run and read the grid's audit, "
     "whose thresholds are fixed (DESIGN.md §16)";
@@ -112,7 +134,7 @@ constexpr const char* kRetired[][2] = {
      "section (every run uses the single event loop)"},
     {"[profile]",
      "is no longer a scenario section; profile a run with scenario_sim "
-     "--profile[=path] or a sweep with faucets_sweep --profile"},
+     "--profile[=path]"},
     {"[live] monitors", kAuditHint},
     {"[live] ledger_residual_max", kAuditHint},
     {"[live] lease_grace", kAuditHint},
@@ -149,9 +171,14 @@ Scenario Scenario::parse(const ConfigFile& config) {
     out.grid.brokered_submission = grid->get_bool("brokered", false);
     // Optional knobs keep their INI spelling: a negative watchdog and a
     // price band <= 1 mean "off", and map onto disengaged optionals.
-    // get_double refuses NaN, which would fail both comparisons.
+    // get_double refuses NaN, which would fail both comparisons. An
+    // infinite watchdog never fires, so it would read as "off" too.
     const double watchdog = grid->get_double("watchdog", -1.0);
     const double band = grid->get_double("price_band", 0.0);
+    if (std::isinf(watchdog)) {
+      throw std::invalid_argument(
+          "[grid] watchdog must be finite (a negative value turns it off)");
+    }
     if (watchdog >= 0.0) out.grid.client_watchdog_margin = watchdog;
     if (band > 1.0) out.grid.central.price_band = band;
     out.grid.evaluator =
@@ -185,8 +212,10 @@ Scenario Scenario::parse(const ConfigFile& config) {
            faults->get_double("partition_from", 0.0),
            faults->get_double("partition_until", 0.0)});
     }
-    out.grid.retry.max_attempts = static_cast<int>(
-        faults->get_int("retry_attempts", out.grid.retry.max_attempts));
+    // Below one try an exchange would still be sent once and read as 1.
+    out.grid.retry.max_attempts = static_cast<int>(std::min<long>(
+        int_at_least(*faults, "retry_attempts", out.grid.retry.max_attempts, 1),
+        std::numeric_limits<int>::max()));
     out.grid.retry.base_timeout =
         faults->get_double("retry_base", out.grid.retry.base_timeout);
   }
@@ -227,24 +256,18 @@ Scenario Scenario::parse(const ConfigFile& config) {
   const ConfigSection* wl = config.section("workload");
   long users = 8;
   if (grid != nullptr) {
-    users = grid->get_int("users", 8);
-    if (users < 1) throw std::invalid_argument("[grid] users must be >= 1");
+    users = int_at_least(*grid, "users", 8, 1);
   }
   out.workload.user_count = static_cast<std::size_t>(users);
   out.workload.cluster_count = out.clusters.size();
   if (wl != nullptr) {
-    const long jobs = wl->get_int("jobs", 200);
-    if (jobs < 0) throw std::invalid_argument("[workload] jobs must be >= 0");
-    out.workload.job_count = static_cast<std::size_t>(jobs);
+    out.workload.job_count = static_cast<std::size_t>(int_at_least(*wl, "jobs", 200, 0));
     out.workload.rigid_fraction = wl->get_double("rigid_fraction", 0.0);
     // A minimum of 0 processors makes every generated contract invalid.
     // Checked before narrowing; the cap to the largest machine follows.
     const auto min_procs = [&](const char* key, long fallback) {
-      const long v = wl->get_int(key, fallback);
-      if (v < 1) {
-        throw std::invalid_argument(std::string("[workload] ") + key + " must be >= 1");
-      }
-      return static_cast<int>(std::min<long>(v, std::numeric_limits<int>::max()));
+      return static_cast<int>(std::min<long>(int_at_least(*wl, key, fallback, 1),
+                                             std::numeric_limits<int>::max()));
     };
     out.workload.min_procs_lo = min_procs("min_procs_lo", 4);
     out.workload.min_procs_hi = min_procs("min_procs_hi", 32);
@@ -268,20 +291,20 @@ Scenario Scenario::parse(const ConfigFile& config) {
     }
     job::SwfOptions& topt = ts.options;
     topt.cluster_count = out.clusters.size();
-    topt.time_compression = trace->get_double("time_compression", 1.0);
-    if (topt.time_compression <= 0.0) {
-      throw std::invalid_argument("[trace] time_compression must be positive");
-    }
-    const long um = trace->get_int("user_multiplier", 1);
-    if (um < 1) throw std::invalid_argument("[trace] user_multiplier must be >= 1");
-    topt.user_multiplier = static_cast<std::size_t>(um);
-    topt.clone_jitter = trace->get_double("jitter", topt.clone_jitter);
-    topt.sort_window = trace->get_double("sort_window", 0.0);
-    topt.max_jobs =
-        static_cast<std::size_t>(std::max(0L, trace->get_int("max_jobs", 0)));
+    // An infinite compression would put every arrival at t = 0, a negative
+    // jitter let a clone arrive before its original, and a negative sort
+    // window move every record later.
+    topt.time_compression =
+        finite_real(*trace, "time_compression", 1.0, /*zero_ok=*/false);
+    topt.user_multiplier =
+        static_cast<std::size_t>(int_at_least(*trace, "user_multiplier", 1, 1));
+    topt.clone_jitter =
+        finite_real(*trace, "jitter", topt.clone_jitter, /*zero_ok=*/true);
+    topt.sort_window = finite_real(*trace, "sort_window", 0.0, /*zero_ok=*/true);
+    // 0 = the whole trace.
+    topt.max_jobs = static_cast<std::size_t>(int_at_least(*trace, "max_jobs", 0, 0));
     topt.read_ahead = static_cast<std::size_t>(
-        std::max(1L, trace->get_int("read_ahead",
-                                    static_cast<long>(topt.read_ahead))));
+        int_at_least(*trace, "read_ahead", static_cast<long>(topt.read_ahead), 1));
     // The trace draws its shaping/jitter randomness from the scenario seed
     // unless the section pins its own.
     topt.seed = static_cast<std::uint64_t>(
@@ -296,12 +319,9 @@ Scenario Scenario::parse(const ConfigFile& config) {
   // far back its queries look.
   const ConfigSection* market = config.section("market");
   if (market != nullptr) {
-    const long capacity = market->get_int(
-        "history_capacity", static_cast<long>(out.grid.central.history_capacity));
-    if (capacity < 1) {
-      throw std::invalid_argument("[market] history_capacity must be >= 1");
-    }
-    out.grid.central.history_capacity = static_cast<std::size_t>(capacity);
+    out.grid.central.history_capacity = static_cast<std::size_t>(int_at_least(
+        *market, "history_capacity",
+        static_cast<long>(out.grid.central.history_capacity), 1));
     out.grid.central.history_window = market->get_double(
         "history_window", out.grid.central.history_window);
     if (out.grid.central.history_window <= 0.0) {
@@ -327,11 +347,10 @@ Scenario Scenario::parse(const ConfigFile& config) {
       throw std::invalid_argument("[store] unknown sync '" + sync +
                                   "' (expected none|batch|always)");
     }
-    out.grid.store.sync_every = static_cast<std::size_t>(std::max(
-        1L, store_section->get_int("sync_every",
-                                   static_cast<long>(out.grid.store.sync_every))));
+    out.grid.store.sync_every = static_cast<std::size_t>(int_at_least(
+        *store_section, "sync_every", static_cast<long>(out.grid.store.sync_every), 1));
     out.grid.store.snapshot_every = static_cast<std::uint64_t>(
-        std::max(0L, store_section->get_int("snapshot_every", 0)));
+        int_at_least(*store_section, "snapshot_every", 0, 0));
   }
 
   // [live] — the live operations plane (DESIGN.md §15). `serve` defaults to
@@ -351,11 +370,9 @@ Scenario Scenario::parse(const ConfigFile& config) {
         live->get_double("stall_timeout", out.grid.live.stall_timeout);
   }
 
-  const double load = wl != nullptr ? wl->get_double("load", 0.8) : 0.8;
   // At load 0 the mean interarrival is infinite: no job is ever submitted.
-  if (!finite_positive(load)) {
-    throw std::invalid_argument("[workload] load must be finite and > 0");
-  }
+  const double load =
+      wl != nullptr ? finite_real(*wl, "load", 0.8, /*zero_ok=*/false) : 0.8;
   int total = 0;
   for (const auto& c : out.clusters) total += c.machine.total_procs;
   job::WorkloadGenerator::calibrate_load(out.workload, load, total);

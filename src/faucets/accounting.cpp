@@ -26,7 +26,7 @@ double BarterLedger::balance(ClusterId cluster) const {
 bool BarterLedger::can_spend(ClusterId home, double credits) const {
   auto it = balances_.find(home);
   if (it == balances_.end()) return false;
-  return it->second - credits >= -debt_limit_;
+  return it->second - credits >= 0.0;
 }
 
 bool BarterLedger::transfer(ClusterId home, ClusterId executor, double credits) {
@@ -35,7 +35,7 @@ bool BarterLedger::transfer(ClusterId home, ClusterId executor, double credits) 
   auto home_it = balances_.find(home);
   auto exec_it = balances_.find(executor);
   if (home_it == balances_.end() || exec_it == balances_.end()) return false;
-  if (home_it->second - credits < -debt_limit_) return false;
+  if (home_it->second - credits < 0.0) return false;
   home_it->second -= credits;
   exec_it->second += credits;
   const double when = clock_ != nullptr ? *clock_ : 0.0;

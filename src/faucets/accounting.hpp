@@ -45,8 +45,8 @@ class BarterLedger {
   }
   [[nodiscard]] double balance(ClusterId cluster) const;
 
-  /// Can `home` afford `credits` on another cluster? `allow_debt` permits a
-  /// bounded negative balance (a community policy knob).
+  /// Can `home` afford `credits` on another cluster? A balance may reach
+  /// zero but never go below it.
   [[nodiscard]] bool can_spend(ClusterId home, double credits) const;
 
   /// Move `credits` from the home cluster to the executing cluster.
@@ -60,9 +60,6 @@ class BarterLedger {
 
   [[nodiscard]] std::size_t account_count() const noexcept { return balances_.size(); }
 
-  /// Allow balances down to -`limit` (0 = strictly positive balances).
-  void set_debt_limit(double limit) noexcept { debt_limit_ = limit; }
-
   struct Transfer {
     double time = 0.0;
     ClusterId home;
@@ -72,8 +69,7 @@ class BarterLedger {
   [[nodiscard]] const std::vector<Transfer>& log() const noexcept { return log_; }
   void set_clock(const double* clock) noexcept { clock_ = clock; }
 
-  /// Journal every mutation through `store` (DESIGN.md §14). The debt limit
-  /// is config-owned and not journaled: recovery re-applies it from config.
+  /// Journal every mutation through `store` (DESIGN.md §14).
   void set_store(store::StateStore* store) noexcept { store_ = store; }
 
   /// Deterministic full-state encoding (balances sorted by cluster id, then
@@ -87,7 +83,6 @@ class BarterLedger {
  private:
   std::unordered_map<ClusterId, double> balances_;
   std::vector<Transfer> log_;
-  double debt_limit_ = 0.0;
   const double* clock_ = nullptr;  // optional sim-time source for the log
   store::StateStore* store_ = nullptr;
 };

@@ -7,9 +7,7 @@
 
 namespace faucets {
 
-AppSpector::AppSpector(sim::SimContext& ctx, std::size_t display_buffer_lines)
-    : sim::Entity("appspector", ctx),
-      buffer_lines_(display_buffer_lines) {
+AppSpector::AppSpector(sim::SimContext& ctx) : sim::Entity("appspector", ctx) {
   network().attach(*this);
 }
 
@@ -57,7 +55,7 @@ void AppSpector::on_message(const sim::Message& msg) {
            << " progress=" << update.progress;
       if (!update.display.empty()) line << " | " << update.display;
       view.display.push_back(line.str());
-      while (view.display.size() > buffer_lines_) view.display.pop_front();
+      while (view.display.size() > kDisplayBufferLines) view.display.pop_front();
       break;
     }
     case sim::MessageKind::kWatch: {

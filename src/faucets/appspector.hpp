@@ -19,7 +19,10 @@ namespace faucets {
 
 class AppSpector final : public sim::Entity {
  public:
-  explicit AppSpector(sim::SimContext& ctx, std::size_t display_buffer_lines = 64);
+  /// Lines of display data buffered per job; older lines are dropped.
+  static constexpr std::size_t kDisplayBufferLines = 64;
+
+  explicit AppSpector(sim::SimContext& ctx);
 
   void on_message(const sim::Message& msg) override;
 
@@ -64,7 +67,6 @@ class AppSpector final : public sim::Entity {
     }
   };
 
-  std::size_t buffer_lines_;
   std::unordered_map<Key, JobView, KeyHash> jobs_;
   std::uint64_t watch_requests_ = 0;
 };

@@ -16,12 +16,8 @@ CentralServer::CentralServer(sim::SimContext& ctx, CentralServerConfig config)
                                   "Successful logins and credential checks");
   auth_denied_ctr_ = &metrics.counter("faucets_auth_denied_total",
                                       "Rejected logins and credential checks");
-  ledger_.set_debt_limit(config_.barter_debt_limit);
   ledger_.set_clock(&now_cache_);
-  if (config_.poll_interval > 0.0) {
-    poll_timer_ = this->engine().schedule_after(config_.poll_interval,
-                                                [this] { poll_daemons(); });
-  }
+  this->engine().schedule_after(kPollInterval, [this] { poll_daemons(); });
 }
 
 std::optional<UserId> CentralServer::register_user(const std::string& username,
@@ -58,12 +54,8 @@ std::vector<proto::ServerInfo> CentralServer::filter_servers(
     if (contract.resources.memory_per_proc_mb > row.memory_per_proc_mb) continue;
     if (!contract.environment.satisfied_by(row.provides)) continue;
     const DirectoryEntry& poll = *row.poll;
+    // Dynamic property: the daemon answers its polls.
     if (!poll.alive) continue;
-    // Dynamic properties: recent queue depth.
-    if (config_.dynamic_queue_limit >= 0 &&
-        poll.queued_jobs > static_cast<std::size_t>(config_.dynamic_queue_limit)) {
-      continue;
-    }
     // Barter mode (§5.5.3): foreign clusters are only offered when the home
     // cluster can pay for the run with credits.
     if (barter && row.cluster != *home) {
@@ -173,7 +165,6 @@ void CentralServer::handle_register(const proto::RegisterDaemon& msg) {
 void CentralServer::handle_poll_reply(const proto::PollReply& msg) {
   auto it = directory_.find(msg.cluster);
   if (it == directory_.end()) return;
-  it->second.queued_jobs = msg.queued_jobs;
   it->second.missed_polls = 0;
   it->second.alive = true;
 }
@@ -211,11 +202,10 @@ void CentralServer::handle_settled(const proto::ContractSettled& msg) {
 void CentralServer::poll_daemons() {
   for (auto& [cluster, entry] : directory_) {
     ++entry.missed_polls;
-    if (entry.missed_polls > config_.max_missed_polls) entry.alive = false;
+    if (entry.missed_polls > kMaxMissedPolls) entry.alive = false;
     network().send(*this, entry.daemon, std::make_unique<proto::PollRequest>());
   }
-  poll_timer_ =
-      engine().schedule_after(config_.poll_interval, [this] { poll_daemons(); });
+  engine().schedule_after(kPollInterval, [this] { poll_daemons(); });
 }
 
 }  // namespace faucets

@@ -24,15 +24,6 @@ namespace faucets {
 
 struct CentralServerConfig {
   BillingMode billing = BillingMode::kDollars;
-  double poll_interval = 60.0;  // seconds between daemon polls; 0 disables
-  /// Directory entries whose daemon missed this many polls are considered
-  /// down and excluded.
-  int max_missed_polls = 3;
-  /// Dynamic filter (§5.1): exclude servers with more than this many queued
-  /// jobs at last poll. Negative disables the filter.
-  int dynamic_queue_limit = -1;
-  /// Barter mode: how deep a home cluster may go into debt.
-  double barter_debt_limit = 0.0;
   /// Market regulation (§5.5.1): bids priced outside
   /// [normal/price_band, normal*price_band] are rejected by clients.
   /// Disengaged (or <= 1) = no regulation. (The `price_band = 0` sentinel
@@ -47,6 +38,12 @@ struct CentralServerConfig {
 
 class CentralServer final : public sim::Entity {
  public:
+  /// Seconds between daemon polls.
+  static constexpr double kPollInterval = 60.0;
+  /// A server whose daemon missed more polls than this in a row is down:
+  /// the directory's one dynamic filter (§5.1).
+  static constexpr int kMaxMissedPolls = 3;
+
   explicit CentralServer(sim::SimContext& ctx, CentralServerConfig config = {});
 
   // --- administration (out of band, like the real system's admin tools) ---
@@ -102,7 +99,6 @@ class CentralServer final : public sim::Entity {
   /// A registered server's poll state: all that a poll reply writes.
   struct DirectoryEntry {
     EntityId daemon;
-    std::size_t queued_jobs = 0;
     int missed_polls = 0;
     bool alive = true;
   };
@@ -148,7 +144,6 @@ class CentralServer final : public sim::Entity {
   market::PriceHistory price_history_;
   BarterLedger ledger_;
   UserAccounts accounts_;
-  sim::EventHandle poll_timer_;
   double now_cache_ = 0.0;  // clock source for the ledger log
   store::StateStore* store_ = nullptr;
   std::uint64_t snapshot_every_ = 0;  // settled contracts per snapshot; 0 = never

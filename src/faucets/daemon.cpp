@@ -153,7 +153,7 @@ void FaucetsDaemon::handle_rfb(const proto::RequestForBids& msg) {
   // A check whose AUTH_REQ or AUTH_ACK was lost would wait forever; any
   // reply older than a bid's validity is no longer awaited.
   pending_auth_.forget_front([this](const PendingRfb& p) {
-    return p.asked_at + config_.bid_validity < now();
+    return p.asked_at + kBidValidity < now();
   });
   PendingRfb rfb{msg.from, msg.request, msg.contract, now(), {}};
   // §2.2: the FD holds no account data; verify with the Central Server —
@@ -217,8 +217,8 @@ void FaucetsDaemon::answer_rfb(const PendingRfb& rfb) {
   } else {
     const BidId bid_id = bid_ids_.next();
     reply->bid = market::make_bid(bid_id, *cm_, id(), contract, admission,
-                                  *multiplier, now(), config_.bid_validity);
-    // Every bid lives bid_validity, so the expired ones are the oldest. A
+                                  *multiplier, now(), kBidValidity);
+    // Every bid lives kBidValidity, so the expired ones are the oldest. A
     // reserve checks expiry itself; forgetting only bounds the memory.
     issued_bids_.forget_front(
         [this](const IssuedBid& b) { return b.expires_at < now(); });
@@ -279,7 +279,7 @@ void FaucetsDaemon::handle_reserve(const proto::ReserveRequest& msg) {
     return;
   }
 
-  const double lease_until = now() + config_.reservation_lease;
+  const double lease_until = now() + kReservationLease;
   const auto reservation = cm_->reserve(*bid->contract, lease_until);
   if (!reservation) {
     reply->accepted = false;
@@ -411,7 +411,6 @@ void FaucetsDaemon::handle_upload(const proto::UploadFiles& msg) {
 void FaucetsDaemon::handle_poll(const proto::PollRequest& msg) {
   auto reply = std::make_unique<proto::PollReply>();
   reply->cluster = cluster_;
-  reply->queued_jobs = cm_->queued_count();
   network().send(*this, msg.from, std::move(reply));
 }
 

@@ -23,8 +23,6 @@
 namespace faucets {
 
 struct DaemonConfig {
-  /// How long an issued bid stays binding (seconds).
-  double bid_validity = 120.0;
   /// Cache successful credential checks so repeat submissions by the same
   /// user skip the FS round trip (the GSI single-sign-on optimization the
   /// paper anticipates). Off = the paper's current behaviour.
@@ -32,13 +30,17 @@ struct DaemonConfig {
   /// Interval between AppSpector status pushes for running jobs; 0 = only
   /// on start/completion.
   double monitor_interval = 0.0;
-  /// How long a reserve holds capacity before the lease expires and the
-  /// capacity returns to the market (two-phase award, §5.2).
-  double reservation_lease = 30.0;
 };
 
 class FaucetsDaemon final : public sim::Entity {
  public:
+  /// How long an issued bid stays binding (seconds, §5.2); an RFB's
+  /// credential check is awaited as long.
+  static constexpr double kBidValidity = 120.0;
+  /// How long a reserve holds capacity before the lease expires and the
+  /// capacity returns to the market (two-phase award, §5.3).
+  static constexpr double kReservationLease = 30.0;
+
   /// `retry` is the backoff schedule of the daemon's own exchange with the
   /// Central Server (registration); a grid passes GridConfig::retry.
   FaucetsDaemon(sim::SimContext& ctx, ClusterId cluster,

@@ -269,7 +269,8 @@ struct RegisterAck final : sim::Message {
   [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
 };
 
-/// FS polls FDs periodically to refresh the directory's dynamic state (§2).
+/// FS polls FDs periodically to refresh the directory's dynamic state (§2):
+/// a reply says the server is up.
 struct PollRequest final : sim::Message {
   static constexpr sim::MessageKind kKind = sim::MessageKind::kPoll;
   [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
@@ -277,7 +278,6 @@ struct PollRequest final : sim::Message {
 
 struct PollReply final : sim::Message {
   ClusterId cluster;
-  std::size_t queued_jobs = 0;
   static constexpr sim::MessageKind kKind = sim::MessageKind::kPollReply;
   [[nodiscard]] sim::MessageKind kind() const noexcept override { return kKind; }
 };

@@ -14,24 +14,25 @@
 namespace faucets {
 
 struct RetryPolicy {
+  /// Each attempt waits twice as long as the one before...
+  static constexpr double kMultiplier = 2.0;
+  /// ...capped here, seconds.
+  static constexpr double kMaxTimeout = 60.0;
+
   /// Total tries, counting the first: 4 means one send plus three retries.
   int max_attempts = 4;
   /// Timeout of the first attempt, seconds.
   double base_timeout = 5.0;
-  /// Each subsequent attempt waits multiplier times longer...
-  double multiplier = 2.0;
-  /// ...capped here.
-  double max_timeout = 60.0;
 
-  /// Timeout of attempt `attempt` (1-based): base * multiplier^(attempt-1),
-  /// capped at max_timeout.
+  /// Timeout of attempt `attempt` (1-based): base * 2^(attempt-1), capped
+  /// at kMaxTimeout.
   [[nodiscard]] double timeout_for(int attempt) const noexcept {
     double t = base_timeout;
     for (int i = 1; i < attempt; ++i) {
-      t *= multiplier;
-      if (t >= max_timeout) return max_timeout;
+      t *= kMultiplier;
+      if (t >= kMaxTimeout) return kMaxTimeout;
     }
-    return std::min(t, max_timeout);
+    return std::min(t, kMaxTimeout);
   }
 
   /// Worst-case wall time the full schedule can take before exhaustion.

@@ -5,18 +5,29 @@
 
 namespace faucets::job {
 
+namespace {
+// Work per job (processor-seconds at perfect efficiency) is lognormal,
+// median ~13,360 proc-s; the rest are uniform draws: max_procs' expansion
+// over min_procs, the efficiency at each end of the processor range, and
+// memory per processor (MB).
+constexpr double kWorkLogMu = 9.5, kWorkLogSigma = 1.0;
+constexpr double kExpansionLo = 2.0, kExpansionHi = 8.0;
+constexpr double kEffMinLo = 0.85, kEffMinHi = 1.0;  // at min_procs
+constexpr double kEffMaxLo = 0.55, kEffMaxHi = 0.9;  // at max_procs
+constexpr double kMemPerProcLo = 256.0, kMemPerProcHi = 2048.0;
+}  // namespace
+
 WorkloadGenerator::WorkloadGenerator(WorkloadParams params, std::uint64_t seed)
     : params_(params), rng_(seed) {}
 
-double WorkloadGenerator::mean_work(const WorkloadParams& params) noexcept {
+double WorkloadGenerator::mean_work() noexcept {
   // Mean of lognormal(mu, sigma) = exp(mu + sigma^2 / 2).
-  return std::exp(params.work_log_mu +
-                  params.work_log_sigma * params.work_log_sigma / 2.0);
+  return std::exp(kWorkLogMu + kWorkLogSigma * kWorkLogSigma / 2.0);
 }
 
 void WorkloadGenerator::calibrate_load(WorkloadParams& params, double load,
                                        int total_procs) {
-  const double mw = mean_work(params);
+  const double mw = mean_work();
   params.mean_interarrival = mw / (load * static_cast<double>(total_procs));
 }
 
@@ -30,12 +41,12 @@ JobRequest WorkloadGenerator::next() {
       rng_.uniform_int(0, static_cast<std::int64_t>(params_.user_count) - 1));
   req.home_cluster = req.user_index % std::max<std::size_t>(1, params_.cluster_count);
 
-  const double work = rng_.lognormal(params_.work_log_mu, params_.work_log_sigma);
+  const double work = rng_.lognormal(kWorkLogMu, kWorkLogSigma);
   const int min_procs = static_cast<int>(
       rng_.uniform_int(params_.min_procs_lo, params_.min_procs_hi));
   int max_procs = min_procs;
   if (!rng_.bernoulli(params_.rigid_fraction)) {
-    const double expansion = rng_.uniform(params_.expansion_lo, params_.expansion_hi);
+    const double expansion = rng_.uniform(kExpansionLo, kExpansionHi);
     max_procs = static_cast<int>(std::lround(min_procs * expansion));
   }
   if (params_.shaping.procs_cap > 0) {
@@ -43,13 +54,12 @@ JobRequest WorkloadGenerator::next() {
   }
   max_procs = std::max(max_procs, min_procs);
 
-  const double eff_min = rng_.uniform(params_.eff_min_lo, params_.eff_min_hi);
-  const double eff_max = rng_.uniform(params_.eff_max_lo, params_.eff_max_hi);
+  const double eff_min = rng_.uniform(kEffMinLo, kEffMinHi);
+  const double eff_max = rng_.uniform(kEffMaxLo, kEffMaxHi);
 
   qos::QosContract c = qos::make_contract(min_procs, max_procs, work,
                                           eff_min, std::min(eff_min, eff_max));
-  c.resources.memory_per_proc_mb =
-      rng_.uniform(params_.mem_per_proc_lo, params_.mem_per_proc_hi);
+  c.resources.memory_per_proc_mb = rng_.uniform(kMemPerProcLo, kMemPerProcHi);
   c.environment.operating_system = "linux";
 
   apply_shaping(params_.shaping, t_, c.estimated_runtime(max_procs), work,

@@ -18,33 +18,25 @@ struct JobRequest {
   std::size_t home_cluster = 0;   // the user's Home Cluster (§5.5.3)
 };
 
-/// Tunable parameters of the generator. Defaults produce a moderately loaded
+/// Tunable parameters of the generator. It produces a moderately loaded
 /// malleable workload resembling supercomputer trace studies: Poisson
-/// arrivals, lognormal work, power-of-two-ish processor ranges.
+/// arrivals, lognormal work, power-of-two-ish processor ranges. The shapes
+/// of the work, expansion, efficiency and memory draws are constants in
+/// workload.cpp.
 struct WorkloadParams {
   std::size_t job_count = 200;
 
   // Arrivals: exponential inter-arrival with this mean (seconds).
   double mean_interarrival = 120.0;
 
-  // Work per job (processor-seconds at perfect efficiency): lognormal.
-  double work_log_mu = 9.5;     // median ~ 13,360 proc-s
-  double work_log_sigma = 1.0;
-
   // Malleability: min_procs uniform in [min_procs_lo, min_procs_hi];
-  // max_procs = min_procs * expansion chosen uniformly in
-  // [expansion_lo, expansion_hi]. Set rigid_fraction > 0 for a mix of
-  // traditional jobs (max = min). (The generator draws its own expansion;
-  // shaping.malleability is the trace backends' widening knob.)
+  // max_procs = min_procs times an expansion drawn uniformly in [2, 8].
+  // Set rigid_fraction > 0 for a mix of traditional jobs (max = min). (The
+  // generator draws its own expansion; shaping.malleability is the trace
+  // backends' widening knob.)
   int min_procs_lo = 4;
   int min_procs_hi = 32;
-  double expansion_lo = 2.0;
-  double expansion_hi = 8.0;
   double rigid_fraction = 0.0;
-
-  // Efficiency at the ends of the range.
-  double eff_min_lo = 0.85, eff_min_hi = 1.0;   // at min_procs
-  double eff_max_lo = 0.55, eff_max_hi = 0.9;   // at max_procs
 
   // Deadline / payoff widening and the max_procs clamp, shared with every
   // other workload backend (see src/job/shaping.hpp).
@@ -53,10 +45,6 @@ struct WorkloadParams {
   // Population for market experiments.
   std::size_t user_count = 16;
   std::size_t cluster_count = 1;
-
-  // Memory footprint per processor (MB), uniform.
-  double mem_per_proc_lo = 256.0;
-  double mem_per_proc_hi = 2048.0;
 };
 
 /// Deterministic generator: the same seed and params always yield the same
@@ -78,12 +66,11 @@ class WorkloadGenerator {
 
   /// Scale `mean_interarrival` so the stream offers `load` (fraction of
   /// capacity) to a machine with `total_procs` processors, given the mean
-  /// work implied by the parameters. load = mean_work / (interarrival *
-  /// total_procs).
+  /// work per job. load = mean_work / (interarrival * total_procs).
   static void calibrate_load(WorkloadParams& params, double load, int total_procs);
 
-  /// Mean work per job implied by the lognormal parameters.
-  [[nodiscard]] static double mean_work(const WorkloadParams& params) noexcept;
+  /// Mean work per job of the generator's lognormal draw.
+  [[nodiscard]] static double mean_work() noexcept;
 
  private:
   WorkloadParams params_;

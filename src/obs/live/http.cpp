@@ -33,8 +33,7 @@ const char* reason_of(int status) {
 
 }  // namespace
 
-bool HttpServer::start(std::uint16_t port, Handler handler, IdleHook idle,
-                       int poll_interval_ms) {
+bool HttpServer::start(std::uint16_t port, Handler handler, IdleHook idle) {
   if (listen_fd_.load(std::memory_order_relaxed) >= 0 || !handler) {
     return false;
   }
@@ -66,7 +65,6 @@ bool HttpServer::start(std::uint16_t port, Handler handler, IdleHook idle,
   wake_write_ = wake[1];
   listen_fd_.store(fd, std::memory_order_relaxed);
   port_.store(ntohs(bound.sin_port), std::memory_order_relaxed);
-  poll_interval_ms_ = poll_interval_ms;
   handler_ = std::move(handler);
   idle_ = std::move(idle);
   stop_requested_.store(false, std::memory_order_relaxed);
@@ -97,7 +95,7 @@ void HttpServer::loop() {
     pfds[0].events = POLLIN;
     pfds[1].fd = wake_read_;
     pfds[1].events = POLLIN;
-    const int r = ::poll(pfds, 2, poll_interval_ms_);
+    const int r = ::poll(pfds, 2, kPollIntervalMs);
     if (idle_) idle_();
     if (r <= 0 || (pfds[0].revents & POLLIN) == 0) continue;
     const int conn = ::accept(listen_fd_.load(std::memory_order_relaxed),

@@ -4,10 +4,10 @@
 // keep-alive, no TLS — this is a monitoring sidecar for curl / Prometheus
 // scrapes, one connection at a time, deliberately boring.
 //
-// The accept loop polls with a short timeout so stop() is prompt and so the
-// owner can piggyback periodic host-time work (the stall watchdog) on the
-// same thread via the idle hook — the server thread is the one thread that
-// is guaranteed alive even when the simulation thread is stuck.
+// The accept loop polls with a short timeout (kPollIntervalMs) so the owner
+// can piggyback periodic host-time work (the stall watchdog) on the same
+// thread via the idle hook — the server thread is the one thread that is
+// guaranteed alive even when the simulation thread is stuck.
 #pragma once
 
 #include <atomic>
@@ -34,6 +34,9 @@ class HttpServer {
   /// simulation thread making progress.
   using IdleHook = std::function<void()>;
 
+  /// Accept-poll timeout, and so the idle hook's cadence.
+  static constexpr int kPollIntervalMs = 100;
+
   HttpServer() = default;
   ~HttpServer() { stop(); }
   HttpServer(const HttpServer&) = delete;
@@ -41,8 +44,7 @@ class HttpServer {
 
   /// Bind 127.0.0.1:`port` (0 picks an ephemeral port) and start the accept
   /// thread. Returns false (and serves nothing) if the socket setup fails.
-  bool start(std::uint16_t port, Handler handler, IdleHook idle = {},
-             int poll_interval_ms = 100);
+  bool start(std::uint16_t port, Handler handler, IdleHook idle = {});
 
   /// Stop the accept thread and close the socket. Idempotent.
   void stop();
@@ -64,11 +66,10 @@ class HttpServer {
   std::atomic<int> listen_fd_{-1};
   // Self-pipe: stop() writes one byte so the accept poll wakes immediately
   // instead of riding out the poll timeout (teardown would otherwise cost up
-  // to poll_interval_ms per run — dominant for short runs, see bench_live).
+  // to kPollIntervalMs per run — dominant for short runs, see bench_live).
   int wake_read_ = -1;
   int wake_write_ = -1;
   std::atomic<std::uint16_t> port_{0};
-  int poll_interval_ms_ = 100;
   std::atomic<bool> stop_requested_{false};
   Handler handler_;
   IdleHook idle_;

@@ -32,10 +32,11 @@ LivePlane::LivePlane(LiveConfig config, const MetricsRegistry& metrics,
   (void)HostClock::ns_per_tick();  // calibrate once, off the publish path
   publish_interval_ticks_ = seconds_to_ticks(config_.publish_interval);
   if (config_.serve) {
+    // The server runs the stall check every HttpServer::kPollIntervalMs.
     server_.start(
         config_.port,
         [this](const std::string& path) { return handle(path); },
-        [this] { check_stall(); }, kPollIntervalMs);
+        [this] { check_stall(); });
   }
   if (config_.progress) {
     ticker_ = std::thread([this] { ticker_loop(); });

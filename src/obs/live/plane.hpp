@@ -65,8 +65,6 @@ class LivePlane {
  public:
   /// Newest trace-ring events /traces/recent serves.
   static constexpr std::size_t kRecentEvents = 256;
-  /// Server accept-poll timeout; also the stall watchdog's check cadence.
-  static constexpr int kPollIntervalMs = 100;
 
   /// `metrics` and `trace` are the simulation's; the plane reads them at
   /// each publish and must not outlive them.
@@ -139,7 +137,7 @@ class LivePlane {
 
   void publish_locked(const RunSample& sample);
   void capture();
-  void check_stall();  // server/ticker thread, every poll interval
+  void check_stall();  // server thread every HttpServer::kPollIntervalMs, or ticker
   void ticker_loop();
   void render_ticker_line(bool last) const;
 

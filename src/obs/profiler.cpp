@@ -184,14 +184,4 @@ void Profiler::write_json(std::ostream& os) const {
   os << "}\n";
 }
 
-void Profiler::append_sweep_metrics(
-    std::vector<std::pair<std::string, double>>& metrics) const {
-  const double wall = wall_seconds();
-  metrics.emplace_back("prof_wall_ms", wall * 1e3);
-  metrics.emplace_back("prof_events", static_cast<double>(events_total()));
-  metrics.emplace_back(
-      "prof_events_per_sec",
-      wall > 0.0 ? static_cast<double>(events_total()) / wall : 0.0);
-}
-
 }  // namespace faucets::obs

@@ -25,7 +25,6 @@
 #include <iosfwd>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/obs/metrics.hpp"
@@ -182,10 +181,6 @@ class Profiler {
 
   /// profile.json summary (schema 3).
   void write_json(std::ostream& os) const;
-
-  /// Append per-run prof_* columns for faucets_sweep rows.
-  void append_sweep_metrics(
-      std::vector<std::pair<std::string, double>>& metrics) const;
 
  private:
   ProfilerLane lane_;

@@ -5,22 +5,9 @@
 
 namespace faucets::obs {
 
-namespace {
-/// Buffers compact by pair-merge, so capacities must be even and hold at
-/// least one merged pair.
-std::size_t normalize_capacity(std::size_t capacity) {
-  if (capacity < 2) capacity = 2;
-  return capacity + (capacity & 1);
-}
-}  // namespace
-
-Series::Series(std::string name, std::string unit, Probe probe,
-               std::size_t capacity)
-    : name_(std::move(name)),
-      unit_(std::move(unit)),
-      probe_(std::move(probe)),
-      capacity_(normalize_capacity(capacity)) {
-  points_.reserve(capacity_);
+Series::Series(std::string name, std::string unit, Probe probe)
+    : name_(std::move(name)), unit_(std::move(unit)), probe_(std::move(probe)) {
+  points_.reserve(kCapacity);
 }
 
 double Series::value_min() const noexcept {
@@ -61,7 +48,7 @@ void Series::observe(double t, double v) noexcept {
 
 void Series::flush_accumulator() noexcept {
   if (acc_.count == 0) return;
-  if (points_.size() == capacity_) compact();
+  if (points_.size() == kCapacity) compact();
   // reserve() ran at construction, so this push_back never reallocates.
   points_.push_back(acc_);
   acc_ = SamplePoint{};
@@ -87,9 +74,8 @@ void Series::compact() noexcept {
 }
 
 std::size_t Sampler::add_series(std::string name, Series::Probe probe,
-                                std::string unit, std::size_t capacity) {
-  series_.emplace_back(std::move(name), std::move(unit), std::move(probe),
-                       capacity);
+                                std::string unit) {
+  series_.emplace_back(std::move(name), std::move(unit), std::move(probe));
   return series_.size() - 1;
 }
 

@@ -40,12 +40,15 @@ struct SamplePoint {
 };
 
 /// A named signal with its downsampling buffer. Buffers never grow past
-/// `capacity` points; when full they compact to half and the stride doubles.
+/// kCapacity points; when full they compact to half and the stride doubles.
 class Series {
  public:
   using Probe = std::function<double()>;
 
-  Series(std::string name, std::string unit, Probe probe, std::size_t capacity);
+  /// Point budget of every series (even, so pairs merge evenly).
+  static constexpr std::size_t kCapacity = 512;
+
+  Series(std::string name, std::string unit, Probe probe);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const std::string& unit() const noexcept { return unit_; }
@@ -54,7 +57,6 @@ class Series {
   }
   /// Raw samples folded into each emitted point at the current resolution.
   [[nodiscard]] std::uint32_t stride() const noexcept { return stride_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Total raw observations ever folded in (monotone).
   [[nodiscard]] std::uint64_t observations() const noexcept { return observations_; }
 
@@ -74,8 +76,7 @@ class Series {
   std::string name_;
   std::string unit_;
   Probe probe_;
-  std::size_t capacity_;       // even, >= 2
-  std::vector<SamplePoint> points_;  // reserved to capacity_ up front
+  std::vector<SamplePoint> points_;  // reserved to kCapacity up front
   SamplePoint acc_{};          // partial bucket being filled
   std::uint32_t stride_ = 1;   // raw samples per emitted point
   std::uint64_t observations_ = 0;
@@ -88,9 +89,8 @@ class Series {
 class Sampler {
  public:
   /// Register a probe under `name` (Prometheus-style, may carry a label
-  /// block) with a budget of `capacity` points. Returns the series index.
-  std::size_t add_series(std::string name, Series::Probe probe,
-                         std::string unit = "", std::size_t capacity = 512);
+  /// block). Returns the series index.
+  std::size_t add_series(std::string name, Series::Probe probe, std::string unit = "");
 
   /// Take one snapshot of every registered signal at simulated time `now`.
   /// Zero-allocation in steady state.

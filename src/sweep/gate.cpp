@@ -2,27 +2,48 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "src/obs/exporters.hpp"
 #include "src/sweep/jsonio.hpp"
 
 namespace faucets::sweep {
 
+namespace {
+
+/// A band below zero passes only exact matches, since check_gate allows
+/// max(tolerance * |mean|, abs).
+double band(const JsonValue& value, const std::string& what) {
+  const double v = value.number();
+  if (!(std::isfinite(v) && v >= 0.0)) {
+    throw std::invalid_argument(what + " must be finite and >= 0, got " +
+                                format_double(v));
+  }
+  return v;
+}
+
+}  // namespace
+
 Baseline Baseline::parse(const std::string& json_text) {
   const JsonValue doc = JsonValue::parse(json_text);
   Baseline out;
   if (const JsonValue* tol = doc.get("default_tolerance")) {
-    out.default_tolerance_ = tol->number();
+    out.default_tolerance_ = band(*tol, "baseline default_tolerance");
   }
   for (const auto& [point_key, metrics] : doc.at("points").members()) {
     MetricMap& map = out.points_[point_key];
     for (const auto& [metric, entry] : metrics.members()) {
+      const std::string where = "baseline '" + point_key + "' / " + metric;
       GateEntry e;
       e.mean = entry.at("mean").number();
-      e.tolerance = entry.get("tolerance") != nullptr
-                        ? entry.at("tolerance").number()
-                        : out.default_tolerance_;
-      if (const JsonValue* abs = entry.get("abs")) e.abs_slack = abs->number();
+      if (const JsonValue* tol = entry.get("tolerance")) {
+        e.tolerance = band(*tol, where + " tolerance");
+      } else {
+        e.tolerance = out.default_tolerance_;
+      }
+      if (const JsonValue* abs = entry.get("abs")) {
+        e.abs_slack = band(*abs, where + " abs");
+      }
       map[metric] = e;
     }
   }

@@ -23,12 +23,6 @@ struct SweepOptions {
   std::size_t threads = 1;
   /// Optional streaming sink; lines arrive in completion order.
   JsonlSink* sink = nullptr;
-  /// Run every grid point under the host-time profiler and append per-run
-  /// prof_* columns (wall milliseconds, events, events per second) to each
-  /// result. Off by default: the columns are host-time measurements, so
-  /// unlike every other sweep column they are NOT byte-stable across
-  /// machines or thread counts.
-  bool profile = false;
   /// Fleet progress callback, invoked once per completed run with
   /// (completed so far, total). Called from worker threads concurrently —
   /// the callback must be thread-safe (faucets_sweep --serve feeds an
@@ -48,7 +42,7 @@ class SweepRunner {
   [[nodiscard]] const SweepSpec& spec() const noexcept { return spec_; }
 
  private:
-  [[nodiscard]] RunResult execute(const RunPoint& point, bool profile) const;
+  [[nodiscard]] RunResult execute(const RunPoint& point) const;
 
   SweepSpec spec_;
 };

@@ -39,7 +39,7 @@ std::vector<double> split_doubles(const std::string& text, const char* axis) {
 /// The offered load the base scenario's calibrated workload implies, so a
 /// sweep without a `loads` axis still records the effective value.
 double implied_load(const core::Scenario& scenario) {
-  const double mean_work = job::WorkloadGenerator::mean_work(scenario.workload);
+  const double mean_work = job::WorkloadGenerator::mean_work();
   const double denominator =
       scenario.workload.mean_interarrival * static_cast<double>(scenario.total_procs());
   return denominator <= 0.0 ? 0.0 : mean_work / denominator;

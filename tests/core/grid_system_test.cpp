@@ -228,7 +228,6 @@ TEST(GridSystem, BarterCreditsFlowToExecutor) {
 TEST(GridSystem, ServiceUnitModeChargesAccounts) {
   GridConfig config;
   config.central.billing = BillingMode::kServiceUnits;
-  config.user_initial_funds = 500.0;
   GridSystem grid(config, {make_cluster("su", 64)}, 1);
   const auto report = grid.run({simple_request(0.0)});
   EXPECT_EQ(report.jobs_completed, 1u);

@@ -75,7 +75,7 @@ jobs = 50
 load = 0.5
 )");
   const double offered =
-      job::WorkloadGenerator::mean_work(scenario.workload) /
+      job::WorkloadGenerator::mean_work() /
       (scenario.workload.mean_interarrival * 500.0);
   EXPECT_NEAR(offered, 0.5, 1e-9);
   EXPECT_EQ(scenario.workload.shaping.procs_cap, 300);
@@ -239,7 +239,13 @@ TEST(Scenario, RefusesARepeatedSectionOrKey) {
 // load 0 none is submitted, so the run never ends; min_procs_lo = 0 makes
 // every contract invalid, and mem_mb = 0 leaves every job unplaced (the
 // Central Server lists no server with less memory per processor than the
-// contract asks). Only parse_string is called, so no grid is built.
+// contract asks). Values that used to be read as something else are
+// refused too: an infinite watchdog read as none (a lossy run hung),
+// retry_attempts < 1 as 1, max_jobs = -1 as the whole trace, a negative
+// sort window moved every record later, a negative jitter let a clone
+// arrive before its original, an infinite time compression put every
+// arrival at t = 0, and read_ahead, sync_every and snapshot_every were
+// clamped. Only parse_string is called, so no grid is built.
 TEST(Scenario, RefusesValuesThatHangOrWrapTheRun) {
   const std::pair<const char*, const char*> bad[] = {
       {"[grid]\nusers = -1\n", "[grid] users"},
@@ -256,6 +262,16 @@ TEST(Scenario, RefusesValuesThatHangOrWrapTheRun) {
       {"[cluster]\nmem_mb = 0\n", "[cluster] mem_mb of 'cluster0'"},
       {"[cluster]\nmem_mb = -512\n", "[cluster] mem_mb"},
       {"[cluster]\nmem_mb = inf\n", "[cluster] mem_mb"},
+      {"[grid]\nwatchdog = inf\n", "[grid] watchdog"},
+      {"[faults]\nretry_attempts = 0\n", "[faults] retry_attempts"},
+      {"[faults]\nretry_attempts = -3\n", "[faults] retry_attempts"},
+      {"[trace]\nfile = x.swf\nmax_jobs = -1\n", "[trace] max_jobs"},
+      {"[trace]\nfile = x.swf\nsort_window = -50\n", "[trace] sort_window"},
+      {"[trace]\nfile = x.swf\njitter = -600\n", "[trace] jitter"},
+      {"[trace]\nfile = x.swf\ntime_compression = inf\n", "[trace] time_compression"},
+      {"[trace]\nfile = x.swf\nread_ahead = 0\n", "[trace] read_ahead"},
+      {"[store]\ndir = d\nsync_every = 0\n", "[store] sync_every"},
+      {"[store]\ndir = d\nsnapshot_every = -1\n", "[store] snapshot_every"},
   };
   for (const auto& [ini, key] : bad) {
     try {
@@ -271,6 +287,15 @@ TEST(Scenario, RefusesValuesThatHangOrWrapTheRun) {
   EXPECT_EQ(edge.workload.user_count, 1u);
   EXPECT_EQ(edge.workload.job_count, 0u);
   EXPECT_DOUBLE_EQ(edge.clusters[0].machine.speed_factor, 0.5);
+  // Zero is a value of its own for these: the whole trace, no clone delay,
+  // no reordering.
+  const Scenario trace_edge = Scenario::parse_string(
+      "[trace]\nfile = x.swf\nmax_jobs = 0\njitter = 0\nsort_window = 0\n"
+      "[cluster]\nname = z\n");
+  ASSERT_TRUE(trace_edge.trace.has_value());
+  EXPECT_EQ(trace_edge.trace->options.max_jobs, 0u);
+  EXPECT_DOUBLE_EQ(trace_edge.trace->options.clone_jitter, 0.0);
+  EXPECT_DOUBLE_EQ(trace_edge.trace->options.sort_window, 0.0);
 }
 
 // A section or key that nothing reads is refused, naming it: `lod = 0.9`

@@ -56,10 +56,7 @@ std::unique_ptr<GridSystem> make_chaos_grid(double sample_interval) {
   config.faults.loss_rate = 0.10;
   config.faults.seed = 0xc0ffee;
   config.crashes.push_back({0, 200.0, 600.0, /*graceful=*/false});
-  if (sample_interval > 0.0) {
-    config.telemetry.sample_interval = sample_interval;
-    config.telemetry.series_capacity = 64;
-  }
+  config.sample_interval = sample_interval;
   return std::make_unique<GridSystem>(
       std::move(config),
       std::vector{make_cluster("alpha", 0.0001), make_cluster("beta", 0.0005),
@@ -121,7 +118,7 @@ TEST(Telemetry, SamplerCapturesGridSignals) {
     const obs::Series* s = sampler.find(name);
     ASSERT_NE(s, nullptr) << name;
     EXPECT_EQ(s->observations(), sampler.samples_taken()) << name;
-    EXPECT_LE(s->points().size(), 64u) << name;
+    EXPECT_LE(s->points().size(), obs::Series::kCapacity) << name;
   }
   // Work happened, so utilization and revenue moved off zero at some point.
   double peak_util = 0.0;

@@ -45,16 +45,10 @@ TEST(BarterLedger, InsufficientCreditsRefused) {
   EXPECT_DOUBLE_EQ(ledger.balance(ClusterId{0}), 10.0);
   EXPECT_FALSE(ledger.can_spend(ClusterId{0}, 20.0));
   EXPECT_TRUE(ledger.can_spend(ClusterId{0}, 10.0));
-}
-
-TEST(BarterLedger, DebtLimitAllowsBoundedOverdraft) {
-  BarterLedger ledger;
-  ledger.set_debt_limit(15.0);
-  ledger.open_account(ClusterId{0}, 10.0);
-  ledger.open_account(ClusterId{1}, 0.0);
-  EXPECT_TRUE(ledger.transfer(ClusterId{0}, ClusterId{1}, 20.0));
-  EXPECT_DOUBLE_EQ(ledger.balance(ClusterId{0}), -10.0);
-  EXPECT_FALSE(ledger.transfer(ClusterId{0}, ClusterId{1}, 10.0));
+  // A balance may reach zero, but never go below it.
+  EXPECT_TRUE(ledger.transfer(ClusterId{0}, ClusterId{1}, 10.0));
+  EXPECT_DOUBLE_EQ(ledger.balance(ClusterId{0}), 0.0);
+  EXPECT_FALSE(ledger.transfer(ClusterId{0}, ClusterId{1}, 1e-9));
 }
 
 TEST(BarterLedger, HomeRunIsFreeNoop) {

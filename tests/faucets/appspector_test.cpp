@@ -34,7 +34,7 @@ struct Fixture {
   sim::SimContext ctx;
   sim::Engine& engine = ctx.engine();
   sim::Network& network = ctx.network();
-  AppSpector as{ctx, /*display_buffer_lines=*/4};
+  AppSpector as{ctx};
   WatcherProbe probe{ctx};
 
   void register_job(ClusterId cluster, JobId job) {
@@ -80,15 +80,17 @@ TEST(AppSpector, SameJobIdDifferentClustersAreDistinct) {
 TEST(AppSpector, UpdatesAccumulateInBoundedBuffer) {
   Fixture f;
   f.register_job(ClusterId{0}, JobId{1});
-  for (int i = 0; i < 10; ++i) {
-    f.update(ClusterId{0}, JobId{1}, "running", 32, i * 0.1);
+  const int pushed = static_cast<int>(AppSpector::kDisplayBufferLines) + 6;
+  for (int i = 0; i < pushed; ++i) {
+    f.update(ClusterId{0}, JobId{1}, "running", 32, i * 0.01);
   }
   f.engine.run(1.0);
   const auto* view = f.as.find(ClusterId{0}, JobId{1});
   ASSERT_NE(view, nullptr);
-  EXPECT_EQ(view->updates, 10u);
-  EXPECT_LE(view->display.size(), 4u) << "display buffer is bounded";
-  EXPECT_NEAR(view->progress, 0.9, 1e-9);
+  EXPECT_EQ(view->updates, static_cast<std::uint64_t>(pushed));
+  EXPECT_EQ(view->display.size(), AppSpector::kDisplayBufferLines)
+      << "display buffer is bounded";
+  EXPECT_NEAR(view->progress, (pushed - 1) * 0.01, 1e-9);
 }
 
 TEST(AppSpector, UpdateForUnknownJobIgnored) {

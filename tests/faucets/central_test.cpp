@@ -99,41 +99,22 @@ TEST(Central, UnknownApplicationFilteredWhenRegistryUsed) {
   EXPECT_EQ(f.central->filter_servers(c, *uid).size(), 1u);
 }
 
-TEST(Central, DynamicQueueFilter) {
-  CentralServerConfig cfg;
-  cfg.dynamic_queue_limit = 0;
-  cfg.poll_interval = 10.0;
-  Fixture f{cfg};
-  auto d0 = f.add_daemon(ClusterId{0}, 64);
-  const auto uid = f.central->register_user("u", "p");
-  f.engine.run(1.0);
-  EXPECT_EQ(f.central
-                ->filter_servers(qos::make_contract(4, 8, 100.0), *uid)
-                .size(),
-            1u);
-  // Saturate the cluster with queued work, then let a poll observe it.
-  for (int i = 0; i < 5; ++i) {
-    (void)d0->cm().submit(UserId{0}, qos::make_contract(64, 64, 1e6, 1.0, 1.0));
-  }
-  f.engine.run(25.0);  // poll at t=10 and t=20 observes the queue
-  EXPECT_TRUE(
-      f.central->filter_servers(qos::make_contract(4, 8, 100.0), *uid).empty());
-}
-
 TEST(Central, MissedPollsMarkServerDown) {
-  CentralServerConfig cfg;
-  cfg.poll_interval = 10.0;
-  cfg.max_missed_polls = 2;
-  Fixture f{cfg};
+  Fixture f;
   auto d0 = f.add_daemon(ClusterId{0}, 64);
   const auto uid = f.central->register_user("u", "p");
   f.engine.run(1.0);
 
-  // Kill the daemon (detach from the network): polls go unanswered.
+  // Kill the daemon (detach from the network): polls go unanswered. A
+  // server that missed kMaxMissedPolls polls is still listed; the next
+  // missed poll takes it down.
   f.network.detach(d0->id());
-  f.engine.run(100.0);
-  EXPECT_TRUE(
-      f.central->filter_servers(qos::make_contract(4, 8, 100.0), *uid).empty());
+  constexpr double kPoll = CentralServer::kPollInterval;
+  const auto contract = qos::make_contract(4, 8, 100.0);
+  f.engine.run(CentralServer::kMaxMissedPolls * kPoll + 10.0);
+  EXPECT_EQ(f.central->filter_servers(contract, *uid).size(), 1u);
+  f.engine.run((CentralServer::kMaxMissedPolls + 1) * kPoll + 10.0);
+  EXPECT_TRUE(f.central->filter_servers(contract, *uid).empty());
 }
 
 TEST(Central, HomeClusterListedFirstInBarterMode) {
@@ -207,9 +188,8 @@ TEST(Central, HomeClusterLookup) {
 // ------------------------------------ the filter against a reference copy
 
 /// Stands in for a Faucets Daemon: registers a machine and answers the
-/// Central Server's polls while `responsive`, reporting `queued` jobs. Once
-/// the network is quiet, `unanswered` is the server's missed-poll count and
-/// `reported_queue` the queue depth it last heard.
+/// Central Server's polls while `responsive`. Once the network is quiet,
+/// `unanswered` is the server's missed-poll count.
 class StubDaemon final : public sim::Entity {
  public:
   StubDaemon(sim::SimContext& ctx, ClusterId cluster, EntityId central)
@@ -225,7 +205,6 @@ class StubDaemon final : public sim::Entity {
     msg->machine = machine;
     network().send(*this, central_, std::move(msg));
     unanswered = 0;
-    reported_queue = 0;
   }
 
   void on_message(const sim::Message& msg) override {
@@ -236,15 +215,11 @@ class StubDaemon final : public sim::Entity {
     }
     auto reply = std::make_unique<proto::PollReply>();
     reply->cluster = cluster_;
-    reply->queued_jobs = queued;
     network().send(*this, msg.from, std::move(reply));
     unanswered = 0;
-    reported_queue = queued;
   }
 
   bool responsive = true;
-  std::size_t queued = 0;
-  std::size_t reported_queue = 0;
   int unanswered = 0;
 
  private:
@@ -270,14 +245,9 @@ std::vector<proto::ServerInfo> reference_filter(const CentralServer& central,
   const auto home = central.home_cluster_of(user);
   std::vector<proto::ServerInfo> out;
   for (const Registered& entry : directory) {
-    if (entry.daemon->unanswered > config.max_missed_polls) continue;
+    if (entry.daemon->unanswered > CentralServer::kMaxMissedPolls) continue;
     if (!entry.machine.can_ever_run(contract)) continue;
     if (!central.application_known(contract.environment.application)) continue;
-    if (config.dynamic_queue_limit >= 0 &&
-        entry.daemon->reported_queue >
-            static_cast<std::size_t>(config.dynamic_queue_limit)) {
-      continue;
-    }
     if (config.billing == BillingMode::kBarter && home.has_value() &&
         entry.cluster != *home) {
       const double est_credits = contract.work *
@@ -339,10 +309,10 @@ qos::QosContract random_contract(Rng& rng) {
 
 // Generated directories: clusters with sparse ids registering in shuffled
 // order, re-registrations with another machine (from the same daemon or a
-// new one), daemons that stop answering polls and come back, changing queue
-// depths under a random dynamic filter, a known-applications registry or
-// none, and every billing mode with random barter balances and homes. Every
-// reply must equal the reference's, field by field and in order.
+// new one), daemons that stop answering polls and come back, a
+// known-applications registry or none, and every billing mode with random
+// barter balances and homes. Every reply must equal the reference's, field
+// by field and in order.
 TEST(CentralProperty, FilterMatchesReferenceOnGeneratedDirectories) {
   constexpr std::array kBilling{BillingMode::kDollars, BillingMode::kServiceUnits,
                                 BillingMode::kBarter};
@@ -353,11 +323,7 @@ TEST(CentralProperty, FilterMatchesReferenceOnGeneratedDirectories) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng{seed};
     CentralServerConfig cfg;
-    cfg.poll_interval = 10.0;
-    cfg.max_missed_polls = static_cast<int>(rng.uniform_int(0, 2));
     cfg.billing = pick(rng, kBilling);
-    cfg.dynamic_queue_limit = static_cast<int>(rng.uniform_int(-1, 3));
-    cfg.barter_debt_limit = rng.bernoulli(0.5) ? 0.0 : 5.0;
     sim::SimContext ctx;
     CentralServer central(ctx, cfg);
     if (rng.bernoulli(0.5)) central.register_application("namd");
@@ -386,10 +352,11 @@ TEST(CentralProperty, FilterMatchesReferenceOnGeneratedDirectories) {
     std::vector<std::unique_ptr<StubDaemon>> stubs;
     std::vector<Registered> directory;
     std::size_t next = 0;  // ids[next] is the next cluster to register
+    constexpr double kPoll = CentralServer::kPollInterval;
     for (int epoch = 0; epoch < 8; ++epoch) {
       // Mid-way between polls, so each exchange below completes before the
       // next poll and every check runs on a quiet network.
-      ctx.engine().run(10.0 * epoch + 5.0);
+      ctx.engine().run(kPoll * epoch + kPoll / 2);
       for (auto k = rng.uniform_int(0, 6); k > 0 && next < n; --k) {
         stubs.push_back(std::make_unique<StubDaemon>(ctx, ids[next], central.id()));
         directory.push_back({ids[next], random_machine(rng), stubs.back().get()});
@@ -409,13 +376,12 @@ TEST(CentralProperty, FilterMatchesReferenceOnGeneratedDirectories) {
       }
       for (Registered& entry : directory) {
         if (rng.bernoulli(0.25)) entry.daemon->responsive = !entry.daemon->responsive;
-        entry.daemon->queued = static_cast<std::size_t>(rng.uniform_int(0, 4));
       }
-      ctx.engine().run(10.0 * epoch + 15.0);
+      ctx.engine().run(kPoll * (epoch + 1) + kPoll / 2);
 
       ASSERT_EQ(central.directory_size(), directory.size());
       for (const Registered& entry : directory) {
-        if (entry.daemon->unanswered > cfg.max_missed_polls) ++down;
+        if (entry.daemon->unanswered > CentralServer::kMaxMissedPolls) ++down;
       }
       for (int q = 0; q < 12; ++q) {
         const auto contract = random_contract(rng);

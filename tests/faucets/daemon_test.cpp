@@ -148,19 +148,18 @@ TEST(Daemon, AwardOfUnknownBidRefused) {
 }
 
 TEST(Daemon, ExpiredBidRefused) {
-  DaemonConfig config;
-  config.bid_validity = 1.0;  // bids die after one second
-  Fixture f{config};
+  Fixture f;
   const auto contract = qos::make_contract(4, 32, 1000.0);
   f.client.request_bid(f.daemon->id(), contract, "alice", "pw");
   f.engine.run(5.0);
   ASSERT_EQ(f.client.bids.size(), 1u);
   const auto bid = f.client.bids[0];
   // Award long after expiry.
-  f.engine.schedule_at(100.0, [&] {
+  const double late = FaucetsDaemon::kBidValidity + 100.0;
+  f.engine.schedule_at(late, [&] {
     f.client.award(f.daemon->id(), bid.id, UserId{0});
   });
-  f.engine.run(105.0);
+  f.engine.run(late + 5.0);
   ASSERT_EQ(f.client.reserves.size(), 1u);
   EXPECT_FALSE(f.client.reserves[0].accepted);
   EXPECT_EQ(f.client.reserves[0].reason, "bid unknown or expired");
@@ -202,9 +201,7 @@ TEST(Daemon, AuthCacheSkipsSecondVerification) {
 }
 
 TEST(Daemon, BidBookForgetsExpiredBids) {
-  DaemonConfig config;
-  config.bid_validity = 1.0;
-  Fixture f{config};
+  Fixture f;
   const auto contract = qos::make_contract(4, 32, 1000.0);
   for (int i = 0; i < 3; ++i) {
     f.client.request_bid(f.daemon->id(), contract, "alice", "pw");
@@ -212,45 +209,43 @@ TEST(Daemon, BidBookForgetsExpiredBids) {
   f.engine.run(5.0);
   ASSERT_EQ(f.client.bids.size(), 3u);
   EXPECT_EQ(f.daemon->open_bids(), 3u);
-  f.engine.schedule_at(10.0, [&] {
+  const double later = FaucetsDaemon::kBidValidity + 10.0;
+  f.engine.schedule_at(later, [&] {
     f.client.request_bid(f.daemon->id(), contract, "alice", "pw");
   });
-  f.engine.run(11.0);
+  f.engine.run(later + 1.0);
   ASSERT_EQ(f.client.bids.size(), 4u);
-  // Issuing the t=10 bid forgot the three that expired at t~1.
+  // Issuing the later bid forgot the three that expired at t~kBidValidity.
   EXPECT_EQ(f.daemon->open_bids(), 1u);
   f.client.award(f.daemon->id(), f.client.bids[0].id, UserId{0});
-  f.engine.run(15.0);
+  f.engine.run(later + 5.0);
   ASSERT_EQ(f.client.reserves.size(), 1u);
   EXPECT_FALSE(f.client.reserves[0].accepted);
   EXPECT_EQ(f.client.reserves[0].reason, "bid unknown or expired");
 }
 
 TEST(Daemon, LiveBidSurvivesPruning) {
-  DaemonConfig config;
-  config.bid_validity = 10.0;
-  Fixture f{config};
+  Fixture f;
   const auto contract = qos::make_contract(4, 32, 1000.0);
-  for (const double at : {0.0, 8.0, 12.0}) {
+  const double validity = FaucetsDaemon::kBidValidity;
+  for (const double at : {0.0, validity - 20.0, validity + 20.0}) {
     f.engine.schedule_at(at, [&f, &contract] {
       f.client.request_bid(f.daemon->id(), contract, "alice", "pw");
     });
   }
-  f.engine.run(13.0);
+  f.engine.run(validity + 21.0);
   ASSERT_EQ(f.client.bids.size(), 3u);
-  // Only the t=0 bid had expired when the t=12 bid was issued.
+  // Only the t=0 bid had expired when the last bid was issued.
   EXPECT_EQ(f.daemon->open_bids(), 2u);
   f.client.award(f.daemon->id(), f.client.bids[1].id, UserId{0});
-  f.engine.run(15.0);
+  f.engine.run(validity + 25.0);
   ASSERT_EQ(f.client.reserves.size(), 1u);
   EXPECT_TRUE(f.client.reserves[0].accepted);
   EXPECT_EQ(f.daemon->open_bids(), 1u) << "a reserved bid leaves the book";
 }
 
 TEST(Daemon, LostAuthExchangeIsForgotten) {
-  DaemonConfig config;
-  config.bid_validity = 10.0;
-  Fixture f{config};
+  Fixture f;
   const auto contract = qos::make_contract(4, 32, 1000.0);
   // The Central Server is cut off while the RFB's credential check is in
   // flight, so the AUTH_REQ is lost and no reply will ever come.
@@ -263,12 +258,13 @@ TEST(Daemon, LostAuthExchangeIsForgotten) {
   f.engine.run(7.0);
   EXPECT_TRUE(f.client.bids.empty());
   EXPECT_EQ(f.daemon->pending_auth(), 1u);
-  // The next RFB, past bid_validity, forgets the lost check; its own check
+  // The next RFB, past kBidValidity, forgets the lost check; its own check
   // completes normally.
-  f.engine.schedule_at(20.0, [&] {
+  const double later = 5.0 + FaucetsDaemon::kBidValidity + 10.0;
+  f.engine.schedule_at(later, [&] {
     f.client.request_bid(f.daemon->id(), contract, "alice", "pw");
   });
-  f.engine.run(21.0);
+  f.engine.run(later + 1.0);
   ASSERT_EQ(f.client.bids.size(), 1u);
   EXPECT_FALSE(f.client.bids[0].declined);
   EXPECT_EQ(f.daemon->pending_auth(), 0u);
@@ -276,15 +272,15 @@ TEST(Daemon, LostAuthExchangeIsForgotten) {
 
 TEST(Daemon, PollReportsClusterState) {
   Fixture f;
-  // Polls are driven by the Central Server's timer (default 60 s); run past
-  // one cycle and check the dynamic filter sees updated numbers.
+  // Polls are driven by the Central Server's timer (every 60 s); run past
+  // one cycle.
   const auto contract = qos::make_contract(64, 64, 64.0 * 1e4, 1.0, 1.0);
   f.client.request_bid(f.daemon->id(), contract, "alice", "pw");
   f.engine.run(5.0);
   f.client.award(f.daemon->id(), f.client.bids[0].id, UserId{0});
   f.engine.run(70.0);  // one poll cycle after the job started
-  // Directory for a second job of the same size should still include the
-  // cluster (no dynamic limit configured) — this exercises the poll path.
+  // The answered poll keeps the cluster in the directory for a second job
+  // — this exercises the poll path.
   const auto uid = f.central.register_user("bob", "pw2");
   ASSERT_TRUE(uid);
   EXPECT_EQ(f.central.filter_servers(qos::make_contract(4, 8, 100.0), *uid).size(),

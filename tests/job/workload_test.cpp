@@ -97,12 +97,10 @@ TEST(Workload, DeadlineFractionZeroMakesFlatPayoffs) {
 TEST(Workload, MeanWorkMatchesLognormalFormula) {
   WorkloadParams params;
   params.job_count = 50000;
-  params.work_log_mu = 8.0;
-  params.work_log_sigma = 0.5;
   double sum = 0.0;
   const auto reqs = WorkloadGenerator{params, 11}.generate();
   for (const auto& req : reqs) sum += req.contract.work;
-  const double expected = WorkloadGenerator::mean_work(params);
+  const double expected = WorkloadGenerator::mean_work();
   EXPECT_NEAR(sum / static_cast<double>(reqs.size()) / expected, 1.0, 0.05);
 }
 
@@ -111,7 +109,7 @@ TEST(Workload, CalibrateLoadSetsInterarrival) {
   WorkloadGenerator::calibrate_load(params, 0.8, 512);
   // Offered load = mean_work / (interarrival * procs) should equal 0.8.
   const double offered =
-      WorkloadGenerator::mean_work(params) / (params.mean_interarrival * 512.0);
+      WorkloadGenerator::mean_work() / (params.mean_interarrival * 512.0);
   EXPECT_NEAR(offered, 0.8, 1e-9);
 }
 

@@ -95,7 +95,7 @@ TEST(HttpServer, RunsIdleHookWhileWaiting) {
   std::atomic<int> idles{0};
   ASSERT_TRUE(server.start(
       0, [](const std::string&) { return HttpResponse{}; },
-      [&idles] { idles.fetch_add(1); }, /*poll_interval_ms=*/5));
+      [&idles] { idles.fetch_add(1); }));
   for (int i = 0; i < 200 && idles.load() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -599,7 +599,7 @@ TEST(LivePlane, StallWatchdogIsHeldAcrossDeliberatePauses) {
   // "Checkpoint capture" for 12 poll intervals, 60x the stall timeout: no
   // alert may fire.
   std::this_thread::sleep_for(
-      std::chrono::milliseconds(12 * LivePlane::kPollIntervalMs / 10));
+      std::chrono::milliseconds(12 * HttpServer::kPollIntervalMs / 10));
   EXPECT_EQ(plane.handle("/healthz").status, 200);
   EXPECT_EQ(plane.alerts_total(), 0u);
   plane.end_pause();

@@ -175,19 +175,6 @@ TEST(Profiler, RunTotalsAndArtifactsExport) {
   EXPECT_NE(p.find("faucets_prof_events_total 100"), std::string::npos);
   EXPECT_NE(p.find("faucets_prof_event_self_seconds"), std::string::npos);
   EXPECT_EQ(p.find("faucets_prof_phase_seconds"), std::string::npos);
-
-  std::vector<std::pair<std::string, double>> cols;
-  prof.append_sweep_metrics(cols);
-  ASSERT_FALSE(cols.empty());
-  EXPECT_EQ(cols.front().first, "prof_wall_ms");
-  bool saw_events = false;
-  for (const auto& [name, value] : cols) {
-    if (name == "prof_events") {
-      saw_events = true;
-      EXPECT_DOUBLE_EQ(value, 100.0);
-    }
-  }
-  EXPECT_TRUE(saw_events);
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ Sampler small_sampler() {
   Sampler s;
   double v = 0.0;
   s.add_series("faucets_cluster_utilization{cluster=\"turing\"}",
-               [&v] { return v; }, "fraction", 8);
+               [&v] { return v; }, "fraction");
   for (int i = 0; i < 6; ++i) {
     v = 0.1 * i;
     s.sample(static_cast<double>(i));

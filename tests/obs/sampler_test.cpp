@@ -10,26 +10,14 @@
 namespace faucets::obs {
 namespace {
 
-TEST(Series, CapacityIsNormalizedToEvenAtLeastTwo) {
-  Sampler s;
-  s.add_series("a", [] { return 0.0; });  // the default budget
-  s.add_series("b", [] { return 0.0; }, "", 1);
-  s.add_series("c", [] { return 0.0; }, "", 7);
-  s.add_series("d", [] { return 0.0; }, "", 0);
-  EXPECT_EQ(s.find("a")->capacity(), 512u);
-  EXPECT_EQ(s.find("b")->capacity(), 2u);
-  EXPECT_EQ(s.find("c")->capacity(), 8u);
-  EXPECT_EQ(s.find("d")->capacity(), 2u);
-}
-
 TEST(Series, PointsAppendAtStrideOneUntilFull) {
   Sampler s;
-  const std::size_t i = s.add_series("sig", [] { return 1.0; }, "units", 8);
+  const std::size_t i = s.add_series("sig", [] { return 1.0; }, "units");
   const Series& series = s.series(i);
-  for (int k = 0; k < 8; ++k) s.sample(static_cast<double>(k));
-  EXPECT_EQ(series.points().size(), 8u);
+  for (std::size_t k = 0; k < Series::kCapacity; ++k) s.sample(static_cast<double>(k));
+  EXPECT_EQ(series.points().size(), Series::kCapacity);
   EXPECT_EQ(series.stride(), 1u);
-  for (std::size_t k = 0; k < 8; ++k) {
+  for (std::size_t k = 0; k < Series::kCapacity; ++k) {
     EXPECT_DOUBLE_EQ(series.points()[k].t_begin, static_cast<double>(k));
     EXPECT_EQ(series.points()[k].count, 1u);
   }
@@ -38,15 +26,17 @@ TEST(Series, PointsAppendAtStrideOneUntilFull) {
 TEST(Series, CompactionHalvesResolutionAndPreservesAggregates) {
   Sampler s;
   double value = 0.0;
-  s.add_series("sig", [&] { return value; }, "", 4);
-  // 9 samples with values 1..9 into a 4-point buffer: stride doubles twice.
-  for (int k = 1; k <= 9; ++k) {
+  s.add_series("sig", [&] { return value; });
+  // Values 1..n into a buffer of half as many points plus one: the buffer
+  // fills, compacts and fills again.
+  constexpr std::uint64_t n = 2 * Series::kCapacity + 1;
+  for (std::uint64_t k = 1; k <= n; ++k) {
     value = static_cast<double>(k);
     s.sample(static_cast<double>(k));
   }
   const Series* series = s.find("sig");
   ASSERT_NE(series, nullptr);
-  EXPECT_EQ(series->observations(), 9u);
+  EXPECT_EQ(series->observations(), n);
 
   // No raw sample may be lost: emitted point counts plus the pending
   // accumulator must cover all observations.
@@ -57,11 +47,11 @@ TEST(Series, CompactionHalvesResolutionAndPreservesAggregates) {
     sum += p.sum;
     EXPECT_LE(p.t_begin, p.t_end);
   }
-  EXPECT_LE(covered, 9u);
-  EXPECT_GE(covered + series->stride() - 1, 8u)
+  EXPECT_LE(covered, n);
+  EXPECT_GE(covered + series->stride() - 1, n - 1)
       << "at most one partial bucket may be pending";
   // Whatever was flushed must carry the exact running sum of its members.
-  EXPECT_LE(sum, 45.0);
+  EXPECT_LE(sum, static_cast<double>(n * (n + 1) / 2));
 
   // Coverage is contiguous and ordered.
   for (std::size_t k = 1; k < series->points().size(); ++k) {
@@ -69,21 +59,21 @@ TEST(Series, CompactionHalvesResolutionAndPreservesAggregates) {
   }
   // min/max survive the merges.
   EXPECT_DOUBLE_EQ(series->value_min(), 1.0);
-  EXPECT_GE(series->value_max(), 8.0);
+  EXPECT_GE(series->value_max(), static_cast<double>(n - 1));
   EXPECT_GT(series->stride(), 1u);
-  EXPECT_LE(series->points().size(), 4u);
+  EXPECT_LE(series->points().size(), Series::kCapacity);
 }
 
 TEST(Series, LongRunNeverExceedsCapacity) {
   Sampler s;
   double value = 0.0;
-  s.add_series("sig", [&] { return value; }, "", 16);
+  s.add_series("sig", [&] { return value; });
   for (int k = 0; k < 100'000; ++k) {
     value = std::sin(static_cast<double>(k) * 0.01);
     s.sample(static_cast<double>(k));
   }
   const Series* series = s.find("sig");
-  EXPECT_LE(series->points().size(), 16u);
+  EXPECT_LE(series->points().size(), Series::kCapacity);
   EXPECT_EQ(series->observations(), 100'000u);
   EXPECT_NEAR(series->value_min(), -1.0, 0.01);
   EXPECT_NEAR(series->value_max(), 1.0, 0.01);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sweep/aggregate.hpp"
@@ -122,6 +123,32 @@ TEST(Baseline, JsonRoundTrip) {
   const auto& fcfs = parsed.points().at("scheduler=fcfs|load=0.5");
   EXPECT_DOUBLE_EQ(fcfs.at("utilization").mean, 0.5);
   EXPECT_DOUBLE_EQ(fcfs.at("utilization").tolerance, 0.07);
+}
+
+// A negative band used to parse, and then passed only exact matches: the
+// gate allows max(tolerance * |mean|, abs), and abs defaults to 1e-9.
+TEST(Baseline, ParseRefusesNegativeBands) {
+  const std::pair<const char*, const char*> bad[] = {
+      {R"({"points": {"p=1": {"util": {"mean": 1, "tolerance": -0.5}}}})",
+       "'p=1' / util tolerance"},
+      {R"({"points": {"p=1": {"util": {"mean": 1, "tolerance": 0.1, "abs": -1}}}})",
+       "'p=1' / util abs"},
+      {R"({"default_tolerance": -0.5, "points": {"p=1": {"util": {"mean": 1}}}})",
+       "default_tolerance"},
+  };
+  for (const auto& [json, what] : bad) {
+    try {
+      (void)Baseline::parse(json);
+      ADD_FAILURE() << "accepted: " << json;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+  }
+  // A zero band is an exact-match gate asked for on purpose.
+  const auto exact = Baseline::parse(
+      R"({"default_tolerance": 0, "points": {"p=1": {"util": {"mean": 1, "abs": 0}}}})");
+  EXPECT_DOUBLE_EQ(exact.points().at("p=1").at("util").tolerance, 0.0);
+  EXPECT_DOUBLE_EQ(exact.points().at("p=1").at("util").abs_slack, 0.0);
 }
 
 TEST(Baseline, ParseRejectsMalformedJson) {
